@@ -22,7 +22,7 @@ Starting from a parameter row with q = b/beta this module derives, exactly:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -45,35 +45,32 @@ def spectral_coeff(q: Rat, alpha: Rat, beta: Rat) -> Fraction:
     return Fraction(4) / (4 - q) * beta / alpha
 
 
+def spectral_bound(n: int) -> Fraction:
+    """(n-2)/(n-3), the strict upper bound on the spectral coefficient (n >= 4)."""
+    return Fraction(n - 2, n - 3)
+
+
 def spectral_coeff_check(params: ParamSet) -> ConstraintReport:
-    """Exact margins for 0 < 4/(4-q) * beta/alpha <= (n-2)/(n-3).
+    """Exact margins for 0 < 4/(4-q) * beta/alpha < (n-2)/(n-3).
 
     The upper bound applies for n >= 4 only; for n = 3 just 0 < q < 4 is
     checked and the bound is recorded as not applicable.
     """
     report = ConstraintReport()
     q = params.q
-    report.add("q_positive", q > 0, margin=q)
-    report.add("q_below_4", q < 4, margin=4 - q)
+    report.add_margin("q_positive", q)
+    report.add_margin("q_below_4", 4 - q)
     if q <= 0 or q >= 4:
         return report
     coeff = spectral_coeff(q, params.alpha, params.beta)
-    report.add("spectral_coeff_positive", coeff > 0, margin=coeff)
+    report.add_margin("spectral_coeff_positive", coeff)
     if params.n == 3:
-        report.add(
-            "spectral_coeff_bound",
-            True,
-            kind="info",
-            requirement="not applicable (n = 3)",
-            detail="the (n-2)/(n-3) bound needs n > 3",
-        )
+        report.add("spectral_coeff_bound", True, detail="the (n-2)/(n-3) bound needs n > 3")
     else:
-        bound = Fraction(params.n - 2, params.n - 3)
-        report.add(
+        bound = spectral_bound(params.n)
+        report.add_margin(
             "spectral_coeff_bound",
-            coeff <= bound,
-            margin=bound - coeff,
-            requirement=">= 0",
+            bound - coeff,
             detail=f"coefficient {rational_to_str(coeff)} vs bound {rational_to_str(bound)}",
         )
     return report
@@ -128,7 +125,6 @@ def quadform_lower_bound_check(
         "quadform_lower_bound",
         violations == 0,
         kind="sampled",
-        requirement="0 violations",
         detail=f"{sample_count} samples, {violations} violations, seed={seed}"
         + (f"; first witness: {witness}" if witness else ""),
     )
@@ -136,7 +132,6 @@ def quadform_lower_bound_check(
         "quadform_bound_tight_at_vertex",
         tight_failures == 0,
         kind="sampled",
-        requirement="exact equality",
         detail=f"{tight_failures} vertex mismatches",
     )
     return report
@@ -199,11 +194,11 @@ def surd_identities_check(
     report = ConstraintReport()
     prod = x0 * y0
     ok1 = prod.is_rational() and 2 * (beta / alpha) * prod.as_rational() == epsilon / (2 * alpha)
-    report.add("barrier_product_identity", ok1, requirement="exact equality",
+    report.add("barrier_product_identity", ok1,
                detail=f"2(beta/alpha)*x0*y0 vs epsilon/(2 alpha); x0*y0 = {prod}")
     ratio = y0 / x0
     ok2 = ratio.is_rational() and 2 * (beta / alpha) * ratio.as_rational() == gamma0_value
-    report.add("barrier_ratio_identity", ok2, requirement="exact equality",
+    report.add("barrier_ratio_identity", ok2,
                detail=f"2(beta/alpha)*y0/x0 vs gamma0; y0/x0 = {ratio}")
     return report
 
@@ -246,12 +241,13 @@ def barrier_ode_check(
             worst = max(worst, rel)
             if rel > tol:
                 breaches += 1
+        residual = mpmath.nstr(worst, 6)
         report.add(
             "barrier_ode_residual",
             breaches == 0,
             kind="approximate",
-            requirement=f"relative residual <= {tol}",
-            detail=f"{sample_count} points, max relative residual {mpmath.nstr(worst, 6)}, dps={dps}",
+            residual=residual,
+            detail=f"{sample_count} points, max relative residual {residual}, dps={dps}",
         )
     return report
 
@@ -334,23 +330,11 @@ def certify_chain(
     flags: list[dict] = []
     values: dict = {}
 
-    spectral = spectral_coeff_check(params)
-    for entry in spectral.entries:
-        status = "pass" if entry.satisfied else "fail"
-        checks.append(
-            CertCheck(
-                f"spectral/{entry.name}",
-                "exact",
-                status,
-                margin=rational_to_str(entry.margin) if entry.margin is not None else None,
-                detail=entry.detail or entry.requirement,
-            )
-        )
-    quadform = quadform_lower_bound_check(n, params.alpha, params.beta, quadform_samples, seed)
-    for entry in quadform.entries:
-        checks.append(
-            CertCheck(f"quadform/{entry.name}", "sampled", "pass" if entry.satisfied else "fail", detail=entry.detail)
-        )
+    def prefixed(prefix: str, report: ConstraintReport) -> list[CertCheck]:
+        return [replace(check, name=f"{prefix}/{check.name}") for check in report.entries]
+
+    checks += prefixed("spectral", spectral_coeff_check(params))
+    checks += prefixed("quadform", quadform_lower_bound_check(n, params.alpha, params.beta, quadform_samples, seed))
 
     constants = derive(params, epsilon, dps=dps)
     values["q"] = rational_to_str(constants.q)
@@ -360,13 +344,7 @@ def certify_chain(
         values["L_max"] = rational_to_str(constants.L_max)
         margin = hbar_coeff_margin(constants.mean_curv_coeff, constants.q, constants.L_max)
         checks.append(
-            CertCheck(
-                "hbar_coeff_zero_at_l_max",
-                "exact",
-                "pass" if margin == 0 else "fail",
-                margin=rational_to_str(margin),
-                detail="binding margin, zero allowed",
-            )
+            CertCheck.of("hbar_coeff_zero_at_l_max", margin == 0, margin=margin, detail="binding margin, zero allowed")
         )
     values["gamma0_bare"] = rational_to_str(constants.gamma0_bare)
     values["gamma0_with_ratio"] = rational_to_str(constants.gamma0_with_ratio)
@@ -421,28 +399,10 @@ def certify_chain(
         values[f"{prefix}/y0"] = str(branch.y0)
         values[f"{prefix}/area_const"] = branch.area_const.to_jsonable()
         values[f"{prefix}/volume_const"] = branch.volume_const.to_jsonable()
-        identities = surd_identities_check(
-            params.alpha, params.beta, epsilon, branch.gamma0, branch.x0, branch.y0
+        checks += prefixed(
+            prefix, surd_identities_check(params.alpha, params.beta, epsilon, branch.gamma0, branch.x0, branch.y0)
         )
-        for entry in identities.entries:
-            checks.append(
-                CertCheck(
-                    f"{prefix}/{entry.name}", "exact", "pass" if entry.satisfied else "fail", detail=entry.detail
-                )
-            )
-        ode = barrier_ode_check(branch.x0, branch.y0, barrier_samples, dps)
-        entry = ode.entries[0]
-        checks.append(
-            CertCheck(
-                f"{prefix}/{entry.name}",
-                "approximate",
-                "pass" if entry.satisfied else "fail",
-                residual=entry.detail.split("max relative residual ")[-1].split(",")[0]
-                if "max relative residual" in entry.detail
-                else None,
-                detail=entry.detail,
-            )
-        )
+        checks += prefixed(prefix, barrier_ode_check(branch.x0, branch.y0, barrier_samples, dps))
     return constants, checks, targets, flags, values
 
 

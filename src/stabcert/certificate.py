@@ -14,24 +14,42 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
+
+from .rational import rational_to_str
 
 SCHEMA_VERSION = "1"
 
 
 @dataclass(frozen=True)
 class CertCheck:
+    """One named check: its kind, its status and the evidence behind it.
+
+    ``margin`` is an exact rational (serialized as "p/q"); ``residual`` is the
+    decimal string of an approximate check's worst residual.
+    """
+
     name: str
     kind: str  # exact | sampled | approximate
     status: str  # pass | fail | discrepancy
-    margin: str | None = None
+    margin: Fraction | None = None
     residual: str | None = None
     detail: str = ""
+
+    @staticmethod
+    def of(name: str, ok: bool, kind: str = "exact", **evidence) -> "CertCheck":
+        """A check that passes when ``ok`` holds and fails otherwise."""
+        return CertCheck(name, kind, "pass" if ok else "fail", **evidence)
+
+    @property
+    def satisfied(self) -> bool:
+        return self.status != "fail"
 
     def to_jsonable(self) -> dict:
         d: dict = {"name": self.name, "kind": self.kind, "status": self.status}
         if self.margin is not None:
-            d["margin"] = self.margin
+            d["margin"] = rational_to_str(self.margin)
         if self.residual is not None:
             d["residual"] = self.residual
         if self.detail:
@@ -40,11 +58,21 @@ class CertCheck:
 
     @staticmethod
     def from_jsonable(d: dict) -> "CertCheck":
+        if d["status"] not in ("pass", "fail", "discrepancy"):
+            raise ValueError(f"check {d['name']!r}: unknown status {d['status']!r}")
+        margin = d.get("margin")
+        if margin is not None:
+            try:
+                if not isinstance(margin, str):
+                    raise TypeError
+                margin = Fraction(margin)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"check {d['name']!r}: margin {margin!r} is not a rational") from None
         return CertCheck(
             name=d["name"],
             kind=d["kind"],
             status=d["status"],
-            margin=d.get("margin"),
+            margin=margin,
             residual=d.get("residual"),
             detail=d.get("detail", ""),
         )
@@ -113,6 +141,8 @@ class Certificate:
 
     @staticmethod
     def from_jsonable(d: dict) -> "Certificate":
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         cert = Certificate(
             n=d["n"],
             params=dict(d.get("params", {})),

@@ -105,10 +105,9 @@ def _delta1_checks(cert: Certificate) -> None:
         if iteration.collapse_sqrt(n) != want:
             collapse_ok = False
     cert.add_check(
-        CertCheck(
+        CertCheck.of(
             "critical_radicand_perfect_square",
-            "exact",
-            "pass" if collapse_ok else "fail",
+            collapse_ok,
             detail="sqrt(delta_c(delta_c-(n-2)/n)) = (n-2)^2/(4(n-1)) for n=3..12",
         )
     )
@@ -119,10 +118,9 @@ def _delta1_checks(cert: Certificate) -> None:
         if not res.p_exceeds_n:
             exponents_ok = False
     cert.add_check(
-        CertCheck(
+        CertCheck.of(
             "exponent_exceeds_dimension_above_threshold",
-            "exact",
-            "pass" if exponents_ok else "fail",
+            exponents_ok,
             detail="p = 4k+2 > n at delta = delta_c + 1/1000",
         )
     )
@@ -140,10 +138,9 @@ def cmd_verify_all(args) -> int:
         row_cert = build_row_certificate(n, cfg)
         combined.values[f"row_n{n}"] = row_cert.to_jsonable()
         combined.add_check(
-            CertCheck(
+            CertCheck.of(
                 f"row_n{n}_overall",
-                "exact",
-                "pass" if row_cert.overall_status == "passed" else "fail",
+                row_cert.overall_status == "passed",
                 detail=f"{len(row_cert.discrepancies)} discrepancies",
             )
         )
@@ -192,16 +189,7 @@ def result_certificate(result: optimize.SearchResult, cfg: RunConfig) -> Certifi
     cert.environment.update(cfg.environment())
     cert.environment["objective"] = result.objective
     cert.environment["evaluations_used"] = result.evaluations_used
-    for entry in result.constraint_report.entries:
-        cert.add_check(
-            CertCheck(
-                entry.name,
-                "exact",
-                "pass" if entry.satisfied else "fail",
-                margin=rational_to_str(entry.margin) if entry.margin is not None else None,
-                detail=entry.detail or entry.requirement,
-            )
-        )
+    cert.checks += result.constraint_report.entries
     if result.epsilon is not None:
         cert.values["epsilon"] = rational_to_str(result.epsilon)
     if result.delta0 is not None:
@@ -320,7 +308,7 @@ def cmd_recursion_sim(args) -> int:
 def cmd_report(args) -> int:
     try:
         cert = Certificate.read(args.certificate)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"certificate schema {cert.schema_version}, n = {cert.n}, status: {cert.overall_status}")
@@ -330,7 +318,7 @@ def cmd_report(args) -> int:
             print(f"  {key} = {value}")
     print(f"checks ({len(cert.checks)}):")
     for check in cert.checks:
-        extra = f"  margin={check.margin}" if check.margin else ""
+        extra = f"  margin={rational_to_str(check.margin)}" if check.margin is not None else ""
         print(f"  [{check.status:>11}] {check.name} ({check.kind}){extra}")
     if cert.published_targets:
         print("published targets:")

@@ -7,7 +7,8 @@ precision is never allowed below 50 significant digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,12 +36,15 @@ class RunConfig:
     def __post_init__(self):
         if self.float_precision_digits < 50:
             raise ConfigError("float_precision_digits must be >= 50")
-        if self.c_ms <= 0:
-            raise ConfigError("c_ms must be positive")
-        if self.radius <= 1:
-            raise ConfigError("radius must exceed 1")
+        if not 0 < self.c_ms < math.inf:
+            raise ConfigError("c_ms must be positive and finite")
+        if not 1 < self.radius < math.inf:
+            raise ConfigError("radius must exceed 1 and be finite")
         if self.s <= 0 or self.s1 <= 0:
             raise ConfigError("s and s1 must be positive")
+        for name in ("curvature_samples", "quadform_samples", "barrier_samples", "linearity_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
 
     def environment(self) -> dict:
         """The settings block recorded into every certificate."""
@@ -105,7 +109,3 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(RunConfig)]

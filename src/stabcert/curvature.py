@@ -166,7 +166,6 @@ def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: 
         "pointwise_curvature_inequality",
         violations == 0,
         kind="sampled",
-        requirement="0 violations",
         detail=f"{sample_count} samples, {violations} violations, seed={seed}"
         + (f"; first witness: {witness}" if witness else ""),
     )
@@ -199,14 +198,14 @@ def certify_builtin_row(n: int, sample_count: int = 100_000, linearity_samples: 
     fxx_ok, fyy_ok, d_ok = quadmin.hessian_conditions(n, params.a, params.alpha, params.beta)
     D = quadmin.discriminant(n, params.a, params.alpha, params.beta)
     Q = quadmin.f_min_coefficient(n, params.a, params.alpha, params.beta)
-    cert.add_check(CertCheck("hessian_fxx_positive", "exact", "pass" if fxx_ok else "fail"))
-    cert.add_check(CertCheck("hessian_fyy_positive", "exact", "pass" if fyy_ok else "fail"))
-    cert.add_check(CertCheck("discriminant_positive", "exact", "pass" if d_ok else "fail", margin=rts(D)))
+    cert.add_check(CertCheck.of("hessian_fxx_positive", fxx_ok))
+    cert.add_check(CertCheck.of("hessian_fyy_positive", fyy_ok))
+    cert.add_check(CertCheck.of("discriminant_positive", d_ok, margin=D))
     cert.values["discriminant_D"] = rts(D)
     cert.values["f_min_coefficient_Q"] = rts(Q)
 
     delta0_ok = params.a == params.b * published.DELTA0[n]
-    cert.add_check(CertCheck("a_equals_b_delta0", "exact", "pass" if delta0_ok else "fail"))
+    cert.add_check(CertCheck.of("a_equals_b_delta0", delta0_ok))
     cert.add_target(PublishedTarget("delta0", rts(published.DELTA0[n]), rts(params.delta0), params.delta0 == published.DELTA0[n]))
 
     eps = epsilon_of(params)
@@ -220,14 +219,7 @@ def certify_builtin_row(n: int, sample_count: int = 100_000, linearity_samples: 
     )
     eps_match = eps.epsilon == published.EPSILON[n]
     cert.add_target(PublishedTarget("epsilon", rts(published.EPSILON[n]), rts(eps.epsilon), eps_match))
-    cert.add_check(
-        CertCheck(
-            "epsilon_positive",
-            "exact",
-            "pass" if eps.epsilon > 0 else "fail",
-            margin=rts(eps.epsilon),
-        )
-    )
+    cert.add_check(CertCheck.of("epsilon_positive", eps.epsilon > 0, margin=eps.epsilon))
     if not eps_match:
         cert.add_check(
             CertCheck(
@@ -240,12 +232,10 @@ def certify_builtin_row(n: int, sample_count: int = 100_000, linearity_samples: 
         )
 
     lin_ok = linearity_check(params, linearity_samples, seed)
-    cert.add_check(CertCheck("F_linear_in_t", "exact", "pass" if lin_ok else "fail", detail=f"{linearity_samples} random rational t"))
+    cert.add_check(CertCheck.of("F_linear_in_t", lin_ok, detail=f"{linearity_samples} random rational t"))
 
     dom_ok = endpoint_dominance_check(params, seed=seed + 1)
-    cert.add_check(CertCheck("endpoint_dominance", "exact", "pass" if dom_ok else "fail"))
+    cert.add_check(CertCheck.of("endpoint_dominance", dom_ok))
 
-    sampling = curvature_sample_check(params, sample_count, seed)
-    entry = sampling.entries[0]
-    cert.add_check(CertCheck(entry.name, "sampled", "pass" if entry.satisfied else "fail", detail=entry.detail))
+    cert.checks += curvature_sample_check(params, sample_count, seed).entries
     return cert

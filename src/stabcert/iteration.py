@@ -20,6 +20,7 @@ configuration input whose placeholder default 1 is non-physical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -272,9 +273,19 @@ class DeGiorgiConstants:
     epsilon1: ApproxValue
 
 
-def _check_q_window(n: int, delta: Rat, q: Rat) -> None:
+def _iteration_terms(n: int, delta: Fraction, q: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(pref1, pref2, e): the two C0 prefactors and the exponent of C = 2^e.
+
+    pref1 = (2q/(q - (n-2)/n) + 1) * 2^7, pref2 = q^3 / ((delta - q)(q - (n-2)/n)),
+    e = max{(3n+2)/(n-2), 2n/(n-2) - 2/q + 1}.
+    """
+    if n < 3:
+        raise ValueError(f"dimension n = {n} must be >= 3")
     if not Fraction(n - 2, n) < q < delta:
         raise ValueError(f"q = {q} must lie in ((n-2)/n, delta) = ({Fraction(n - 2, n)}, {delta})")
+    gap = q - Fraction(n - 2, n)
+    exponent = max(Fraction(3 * n + 2, n - 2), Fraction(2 * n, n - 2) - 2 / q + 1)
+    return (2 * q / gap + 1) * 2**7, q**3 / ((delta - q) * gap), exponent
 
 
 def degiorgi_constants(n: int, delta: Rat, q: Rat, C_MS: float, R: float, dps: int = 50) -> DeGiorgiConstants:
@@ -284,17 +295,12 @@ def degiorgi_constants(n: int, delta: Rat, q: Rat, C_MS: float, R: float, dps: i
     C0 = C_MS * { pref1 * R^(-(2n-4)/n) + pref2 * 2^(2/q) * R^(-(2(n-2)/(nq) - 4/n)) }.
     """
     delta, q = Fraction(delta), Fraction(q)
-    _check_q_window(n, delta, q)
-    if R <= 1:
-        raise ValueError("R must exceed 1")
-    if C_MS <= 0:
-        raise ValueError("C_MS must be positive")
-    e1 = Fraction(3 * n + 2, n - 2)
-    e2 = Fraction(2 * n, n - 2) - 2 / q + 1
-    C = Pow2(max(e1, e2))
-    gap = q - Fraction(n - 2, n)
-    pref1 = (2 * q / gap + 1) * 2**7
-    pref2 = q**3 / ((delta - q) * gap)
+    pref1, pref2, c_exponent = _iteration_terms(n, delta, q)
+    if not 1 < R < math.inf:
+        raise ValueError("R must exceed 1 and be finite")
+    if not 0 < C_MS < math.inf:
+        raise ValueError("C_MS must be positive and finite")
+    C = Pow2(c_exponent)
     rexp1 = Fraction(2 * n - 4, n)
     rexp2 = Fraction(2 * (n - 2), 1) / (n * q) - Fraction(4, n)
     with mpmath.workdps(dps):
@@ -336,15 +342,10 @@ def epsilon1_threshold(
     1/2) times the critical value, keeping the required strict inequality.
     """
     delta, q = Fraction(delta), Fraction(q)
-    _check_q_window(n, delta, q)
-    if C_MS <= 0:
-        raise ValueError("C_MS must be positive")
-    gap = q - Fraction(n - 2, n)
-    pref1 = (2 * q / gap + 1) * 2**7
-    pref2 = q**3 / ((delta - q) * gap)
-    e1 = Fraction(3 * n + 2, n - 2)
-    e2 = Fraction(2 * n, n - 2) - 2 / q + 1
-    c_exp = max(e1, e2) * Fraction(n * n, 2)
+    pref1, pref2, c_exponent = _iteration_terms(n, delta, q)
+    if not 0 < C_MS < math.inf:
+        raise ValueError("C_MS must be positive and finite")
+    c_exp = c_exponent * Fraction(n * n, 2)
     with mpmath.workdps(dps):
         bracket = (
             mpmath.mpf(pref1.numerator) / pref1.denominator
@@ -383,8 +384,10 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
     The dyadic level/radius ladder behind the recursion enters only through
     the constants C0 and C; the ladder itself is not simulated.
     """
-    if S1 <= 0 or C0 <= 0 or C <= 0:
-        raise ValueError("all recursion inputs must be positive")
+    if not all(0 < x < math.inf for x in (S1, C0, C)):
+        raise ValueError("all recursion inputs must be positive and finite")
+    if n < 3:
+        raise ValueError(f"dimension n = {n} must be >= 3")
     theta = Fraction(n, n - 2)
     with mpmath.workdps(dps):
         logC0, logC, logS1 = mpmath.log(mpmath.mpf(C0)), mpmath.log(mpmath.mpf(C)), mpmath.log(mpmath.mpf(S1))

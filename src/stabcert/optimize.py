@@ -1,17 +1,20 @@
 """Parameter search with float exploration, rational rounding, exact recertification.
 
-The exact feasibility chain for a row (n, a, b, alpha, beta), a = b*delta0:
+The exact feasibility chain for a row (n, a, b, alpha, beta), a = b*delta0,
+every margin strictly positive:
 
     b, alpha, beta > 0;  f_xx, f_yy > 0;  D > 0;  epsilon = min(F(0), F(1)) > 0;
-    0 < q = b/beta < 4;  spectral coefficient <= (n-2)/(n-3) for n >= 4;
+    0 < q = b/beta < 4;  spectral coefficient < (n-2)/(n-3) for n >= 4;
     (n-1)beta - (n-2)alpha > 0;  Young numerator mcc + 1/q - 1 > 0;
     gamma0 (bare, at L = L_max) > 0.
 
-Searching runs in two phases: a fast floating mirror of those margins drives
-multistart coordinate descent inside a box, then candidates are rounded to
-rationals by continued fractions (denominator-bounded) and recertified with
-exact arithmetic.  Floating error is harmless: unsound candidates simply fail
-exact recertification.  Fixed seeds and budgets make results deterministic.
+It is written once, in ``_chain``, and evaluated exactly on Fractions by
+``feasibility`` and in double precision by ``float_margins``.  Searching runs
+in two phases: the float margins drive multistart coordinate descent inside a
+box, then candidates are rounded to rationals by continued fractions
+(denominator-bounded) and recertified with exact arithmetic.  Floating error
+is harmless: unsound candidates simply fail exact recertification.  Fixed
+seeds and budgets make results deterministic.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from operator import truediv
 
-from . import bubble, published, quadmin
+from . import bubble, published
 from .curvature import ParamSet, epsilon_of
 from .rational import rational_to_str
 from .report import ConstraintReport
@@ -31,6 +36,80 @@ Rat = Fraction
 _BIG_NEGATIVE = -1e18
 
 
+@cache
+def _coefficients(n: int, num: type) -> tuple:
+    """The chain's rational coefficients at dimension n, as ``num`` (Fraction or float)."""
+    spectral = bubble.spectral_bound(n) if n > 3 else None
+    return tuple(
+        None if c is None else num(c)
+        for c in (Fraction(2 * (n - 1), n - 2), Fraction(4 * n, n - 2), Fraction(n - 1, n - 2),
+                  Fraction(n * n - 4, 4), spectral, Fraction(1, 2))
+    )
+
+
+def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[list[tuple], tuple | None]:
+    """Every feasibility margin of the row in order, on Fractions or on floats.
+
+    Returns ``(name, margin, why)`` triples, where ``margin`` is None when an
+    upstream failure leaves it undefined and ``why`` says which failure, and
+    ``(L_max, hbar margin at L_max)`` when the Young parameter binds.  The
+    spectral margin exists for n >= 4 only.  ``k`` is ``_coefficients(n, type)``.
+    Keep the order of operations: search results depend on the float margins
+    to the last bit (tests/test_golden.py).
+    """
+    hessian, disc_aa, disc_ab, slope, spectral_bound, half = k
+    fxx = hessian * a - 2 * beta
+    fyy = hessian * a - 2 * alpha
+    D = disc_aa * a * a - 4 * (disc_ab * beta + alpha) * a + (4 * beta - alpha) * alpha
+    eps = q_margin = spectral = ricci = young = g_bare = binding = None
+    convex = b > 0 and alpha > 0 and beta > 0 and fxx > 0 and fyy > 0 and D > 0
+    if convex:
+        Q = (
+            (n - 2) * alpha**3
+            - ((n * n - 5 * n + 8) * a + (3 * n - 7) * beta) * alpha**2
+            + ((n - 2) ** 2 * alpha - (n - 1) * (n - 2) * a) * beta**2
+            + 4 * (n - 2) * a * alpha * beta
+        ) / D
+        const = 2 * (n - 1) * beta + 2 * (n - 2) * alpha - b * n * (n - 2) / 2
+        mx = max((n - 2) * beta - alpha, (n - 3) * alpha)
+        eps = min(const + Q, const + slope * b - (n * beta + (n - 1) * alpha) - mx)
+        q = b / beta
+        q_margin = 4 - q
+        if spectral_bound is not None and q < 4:
+            spectral = spectral_bound - 4 / (4 - q) * beta / alpha
+        ricci = (n - 1) * beta - (n - 2) * alpha
+        if ricci > 0 and 0 < q < 4:
+            mcc = (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * ricci)
+            young = mcc + 1 / q - 1
+            if young > 0:
+                cross = abs(half - 1 / q)
+                if cross == 0:
+                    g_bare = 1 / q
+                else:
+                    L = young / cross
+                    g_bare = 1 / q - (1 / L) * cross
+                    binding = (L, young - L * cross)
+    upstream = "" if convex else "Hessian conditions failed"
+    chain = [
+        ("b_positive", b, ""),
+        ("alpha_positive", alpha, ""),
+        ("beta_positive", beta, ""),
+        ("hessian_fxx", fxx, ""),
+        ("hessian_fyy", fyy, ""),
+        ("discriminant", D, ""),
+        ("epsilon", eps, upstream),
+        ("q_below_4", q_margin, upstream),
+    ]
+    if spectral_bound is not None:
+        chain.append(("spectral_bound", spectral, upstream or "q >= 4"))
+    chain += [
+        ("ricci_coeff_denominator", ricci, upstream),
+        ("young_numerator", young, upstream or "upstream failure"),
+        ("gamma0_bare", g_bare, upstream or "no Young parameter"),
+    ]
+    return chain, binding
+
+
 def feasibility(params: ParamSet) -> ConstraintReport:
     """Every named constraint with its exact margin; feasible iff all satisfied.
 
@@ -38,128 +117,34 @@ def feasibility(params: ParamSet) -> ConstraintReport:
     unsatisfied with a note instead of raising.
     """
     n = params.n
+    chain, binding = _chain(n, params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
     report = ConstraintReport()
-    report.add("b_positive", params.b > 0, margin=params.b)
-    report.add("alpha_positive", params.alpha > 0, margin=params.alpha)
-    report.add("beta_positive", params.beta > 0, margin=params.beta)
-
-    fxx = Fraction(2 * (n - 1), n - 2) * params.a - 2 * params.beta
-    fyy = Fraction(2 * (n - 1), n - 2) * params.a - 2 * params.alpha
-    report.add("hessian_fxx", fxx > 0, margin=fxx)
-    report.add("hessian_fyy", fyy > 0, margin=fyy)
-    D = quadmin.discriminant(n, params.a, params.alpha, params.beta)
-    report.add("discriminant", D > 0, margin=D)
-    if fxx <= 0 or fyy <= 0 or D <= 0:
-        report.add("epsilon", False, margin=None, detail="undefined: Hessian conditions failed")
-        return report
-
-    eps = epsilon_of(params).epsilon
-    report.add("epsilon", eps > 0, margin=eps)
-
-    q = params.q
-    report.add("q_below_4", q < 4, margin=4 - q)
-    if n >= 4:
-        if q < 4:
-            coeff = bubble.spectral_coeff(q, params.alpha, params.beta)
-            bound = Fraction(n - 2, n - 3)
-            report.add("spectral_bound", coeff < bound, margin=bound - coeff)
+    for name, margin, why in chain:
+        if margin is None:
+            report.add(name, False, detail=f"undefined: {why}")
         else:
-            report.add("spectral_bound", False, margin=None, detail="undefined: q >= 4")
-
-    ricci_denom = (n - 1) * params.beta - (n - 2) * params.alpha
-    report.add("ricci_coeff_denominator", ricci_denom > 0, margin=ricci_denom)
-    if ricci_denom <= 0 or q >= 4 or q <= 0:
-        report.add("young_numerator", False, margin=None, detail="undefined: upstream failure")
-        return report
-
-    mcc = bubble.mean_curv_coeff(n, params.alpha, params.beta)
-    young_num = bubble.young_numerator(mcc, q)
-    report.add("young_numerator", young_num > 0, margin=young_num)
-    if young_num <= 0:
-        report.add("gamma0_bare", False, margin=None, detail="undefined: no Young parameter")
-        return report
-
-    L = bubble.l_max(n, q, params.alpha, params.beta)
-    g_bare, _ = bubble.gamma0(n, q, L, params.alpha, params.beta)
-    report.add("gamma0_bare", g_bare > 0, margin=g_bare)
-    if L is not None:
-        report.add(
-            "hbar_coeff_at_l_max",
-            True,
-            kind="info",
-            margin=bubble.hbar_coeff_margin(mcc, q, L),
-            requirement="= 0 (binding allowed)",
-            detail=f"L_max = {rational_to_str(L)}",
-        )
+            report.add_margin(name, margin)
+    if binding is not None:
+        L, margin = binding
+        report.add("hbar_coeff_at_l_max", True, margin=margin, detail=f"L_max = {rational_to_str(L)}")
     return report
 
 
-# Names and order of the float mirror must match feasibility()'s strict margins.
-_MARGIN_NAMES_N3 = (
-    "b_positive", "alpha_positive", "beta_positive",
-    "hessian_fxx", "hessian_fyy", "discriminant", "epsilon",
-    "q_below_4", "ricci_coeff_denominator", "young_numerator", "gamma0_bare",
-)
-_MARGIN_NAMES_N4 = (
-    "b_positive", "alpha_positive", "beta_positive",
-    "hessian_fxx", "hessian_fyy", "discriminant", "epsilon",
-    "q_below_4", "spectral_bound", "ricci_coeff_denominator", "young_numerator", "gamma0_bare",
-)
-
-
+@cache
 def margin_names(n: int) -> tuple[str, ...]:
-    return _MARGIN_NAMES_N3 if n == 3 else _MARGIN_NAMES_N4
+    # the chain names every margin whatever the point, so any point serves
+    chain, _ = _chain(n, 1.0, 1.0, 1.0, 1.0, _coefficients(n, float))
+    return tuple(name for name, _, _ in chain)
 
 
 def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) -> list[float]:
-    """Floating mirror of the exact margins, in the order of margin_names(n).
+    """The feasibility margins in double precision, in the order of margin_names(n).
 
-    Advisory only; every accepted candidate is recertified exactly.
+    Undefined margins read as a large negative number.  Advisory only; every
+    accepted candidate is recertified exactly.
     """
-    out = [b, alpha, beta]
-    a = delta0 * b
-    fxx = 2 * (n - 1) / (n - 2) * a - 2 * beta
-    fyy = 2 * (n - 1) / (n - 2) * a - 2 * alpha
-    D = 4 * n / (n - 2) * a * a - 4 * ((n - 1) / (n - 2) * beta + alpha) * a + (4 * beta - alpha) * alpha
-    out += [fxx, fyy, D]
-    if min(b, alpha, beta) <= 0 or fxx <= 0 or fyy <= 0 or D <= 0:
-        return out + [_BIG_NEGATIVE] * (len(margin_names(n)) - len(out))
-    Qnum = (
-        (n - 2) * alpha**3
-        - ((n * n - 5 * n + 8) * a + (3 * n - 7) * beta) * alpha**2
-        + ((n - 2) ** 2 * alpha - (n - 1) * (n - 2) * a) * beta**2
-        + 4 * (n - 2) * a * alpha * beta
-    )
-    Q = Qnum / D
-    const = 2 * (n - 1) * beta + 2 * (n - 2) * alpha - b * n * (n - 2) / 2
-    mx = max((n - 2) * beta - alpha, (n - 3) * alpha)
-    F0 = const + Q
-    F1 = const + (n * n - 4) / 4 * b - (n * beta + (n - 1) * alpha) - mx
-    eps = min(F0, F1)
-    out.append(eps)
-    q = b / beta
-    out.append(4 - q)
-    if n >= 4:
-        if q >= 4:
-            return out + [_BIG_NEGATIVE] * (len(margin_names(n)) - len(out))
-        out.append((n - 2) / (n - 3) - 4 / (4 - q) * beta / alpha)
-    ricci_denom = (n - 1) * beta - (n - 2) * alpha
-    out.append(ricci_denom)
-    if ricci_denom <= 0 or q >= 4 or q <= 0:
-        return out + [_BIG_NEGATIVE] * (len(margin_names(n)) - len(out))
-    mcc = (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * ricci_denom)
-    young_num = mcc + 1 / q - 1
-    out.append(young_num)
-    if young_num <= 0:
-        return out + [_BIG_NEGATIVE]
-    half = abs(0.5 - 1 / q)
-    if half == 0:
-        g_bare = 1 / q
-    else:
-        l_max = young_num / half
-        g_bare = 1 / q - (1 / l_max) * half
-    out.append(g_bare)
-    return out
+    chain, _ = _chain(n, delta0 * b, b, alpha, beta, _coefficients(n, float))
+    return [_BIG_NEGATIVE if margin is None else margin for _, margin, _ in chain]
 
 
 @dataclass
@@ -257,8 +242,7 @@ def _scales(n: int) -> list[float]:
 
 
 def _objective_margin(n: int, delta0: float, vec: tuple[float, float, float], scales: list[float]) -> float:
-    margins = float_margins(n, delta0, *vec)
-    return min(m / s for m, s in zip(margins, scales))
+    return min(map(truediv, float_margins(n, delta0, *vec), scales))
 
 
 def _coordinate_descent(
@@ -461,7 +445,7 @@ def maximize_epsilon(config: SearchConfig, delta0_fixed: Rat) -> SearchResult:
 
     def eps_objective(n_, d0, vec, scales_):
         margins = float_margins(n_, d0, *vec)
-        worst = min(m / s for m, s in zip(margins, scales_))
+        worst = min(map(truediv, margins, scales_))
         if worst <= 0:
             return worst  # infeasible: chase feasibility first
         return margins[margin_names(n_).index("epsilon")]
@@ -518,76 +502,6 @@ def maximize_epsilon(config: SearchConfig, delta0_fixed: Rat) -> SearchResult:
         evaluations_used=budget.used,
         notes=notes,
     )
-
-
-@dataclass(frozen=True)
-class SensitivityRow:
-    parameter: str
-    constraint: str
-    base_margin: Fraction
-    derivative: Fraction  # symmetric difference quotient, exact
-    binding: bool
-
-
-def sensitivity_report(params: ParamSet, perturbation: Rat) -> list[SensitivityRow]:
-    """One-at-a-time exact margin derivatives (symmetric difference, rational step).
-
-    Includes the Young-parameter row: the squared-mean-curvature coefficient
-    margin is exactly zero at L = L_max (the binding the chain allows).
-    """
-    h = Fraction(perturbation)
-    base = feasibility(params)
-    if not base.all_satisfied:
-        raise bubble.InfeasibleParamsError("sensitivity analysis needs a feasible base row")
-    strict = [e for e in base.entries if e.kind == "exact" and e.margin is not None]
-    min_margin = min(e.margin for e in strict)
-    rows: list[SensitivityRow] = []
-
-    def with_param(name: str, value: Fraction) -> ParamSet:
-        fields = {"a": params.a, "b": params.b, "alpha": params.alpha, "beta": params.beta}
-        fields[name] = value
-        return ParamSet(n=params.n, **fields)
-
-    for pname in ("a", "b", "alpha", "beta"):
-        base_value = getattr(params, pname)
-        if h == 0:
-            plus = minus = base
-        else:
-            plus = feasibility(with_param(pname, base_value + h))
-            minus = feasibility(with_param(pname, base_value - h))
-        for entry in strict:
-            try:
-                m_plus = plus.entry(entry.name).margin
-                m_minus = minus.entry(entry.name).margin
-            except KeyError:
-                continue
-            if m_plus is None or m_minus is None:
-                continue
-            derivative = (m_plus - m_minus) / (2 * h) if h != 0 else Fraction(0)
-            rows.append(
-                SensitivityRow(
-                    parameter=pname,
-                    constraint=entry.name,
-                    base_margin=entry.margin,
-                    derivative=derivative,
-                    binding=entry.margin == min_margin,
-                )
-            )
-    # the Young parameter binds exactly at L_max
-    mcc = bubble.mean_curv_coeff(params.n, params.alpha, params.beta)
-    L = bubble.l_max(params.n, params.q, params.alpha, params.beta)
-    if L is not None:
-        margin_at_lmax = bubble.hbar_coeff_margin(mcc, params.q, L)
-        rows.append(
-            SensitivityRow(
-                parameter="L",
-                constraint="hbar_coeff",
-                base_margin=margin_at_lmax,
-                derivative=-abs(Fraction(1, 2) - 1 / params.q) if h != 0 else Fraction(0),
-                binding=True,
-            )
-        )
-    return rows
 
 
 def reverify(params_strings: dict[str, str]) -> tuple[ParamSet, ConstraintReport]:

@@ -46,15 +46,6 @@ class QuadMinInput:
             raise ValueError("dimension must be >= 3 (the 1/(n-2) coefficient)")
 
 
-@dataclass(frozen=True)
-class QuadMinResult:
-    x_star: Fraction
-    y_star: Fraction
-    f_min_coefficient: Fraction  # Q with f_min = E^2 * Q
-    discriminant: Fraction
-    hessian_ok: bool
-
-
 def discriminant(n: int, a: Rat, alpha: Rat, beta: Rat) -> Fraction:
     """D = (4n/(n-2))a^2 - 4((n-1)/(n-2) beta + alpha) a + (4 beta - alpha) alpha."""
     return (
@@ -137,19 +128,6 @@ def f_min_coefficient(n: int, a: Rat, alpha: Rat, beta: Rat) -> Fraction:
         + 4 * (n - 2) * a * alpha * beta
     )
     return num / D
-
-
-def solve(inp: QuadMinInput) -> QuadMinResult:
-    """Critical point, minimum coefficient, discriminant and validity in one record."""
-    conds = hessian_conditions(inp.n, inp.a, inp.alpha, inp.beta)
-    x_star, y_star = critical_point(inp)
-    return QuadMinResult(
-        x_star=x_star,
-        y_star=y_star,
-        f_min_coefficient=f_min_coefficient(inp.n, inp.a, inp.alpha, inp.beta),
-        discriminant=discriminant(inp.n, inp.a, inp.alpha, inp.beta),
-        hessian_ok=all(conds),
-    )
 
 
 def f_min_bruteforce(inp: QuadMinInput, grid_halfwidth: float = 2.0, grid_steps: int = 401) -> float:

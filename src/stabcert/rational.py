@@ -149,23 +149,6 @@ class QuadSurd:
         return QuadSurd.make(Fraction(head), Fraction(tail[:-1]))
 
 
-def surd_compare(x: QuadSurd, y: Fraction | int) -> int:
-    """Module-level alias for :meth:`QuadSurd.compare_rational`."""
-    return x.compare_rational(y)
-
-
-def surd_product(x: QuadSurd, y: QuadSurd) -> Fraction | QuadSurd:
-    """Exact product; collapses to a Rational when the radicands multiply to a square."""
-    p = x * y
-    return p.as_rational() if p.is_rational() else p
-
-
-def surd_ratio(x: QuadSurd, y: QuadSurd) -> Fraction | QuadSurd:
-    """Exact ratio; collapses to a Rational when possible."""
-    p = x / y
-    return p.as_rational() if p.is_rational() else p
-
-
 @dataclass(frozen=True)
 class OffsetSurd:
     """The exact value ``offset + surd`` (rational plus a QuadSurd)."""

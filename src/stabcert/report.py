@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .rational import rational_to_str
+from .certificate import CertCheck
 
 
 @dataclass(frozen=True)
@@ -34,66 +34,28 @@ class ApproxValue:
         return ApproxValue(d["value"], d["digits"], d["internal_dps"])
 
 
-@dataclass(frozen=True)
-class ConstraintEntry:
-    """One named constraint with its exact margin (or sampled/approximate result)."""
-
-    name: str
-    satisfied: bool
-    kind: str = "exact"  # exact | sampled | approximate | info
-    margin: Fraction | None = None
-    requirement: str = "> 0"
-    detail: str = ""
-
-    def to_jsonable(self) -> dict:
-        d: dict = {
-            "name": self.name,
-            "satisfied": self.satisfied,
-            "kind": self.kind,
-            "requirement": self.requirement,
-        }
-        if self.margin is not None:
-            d["margin"] = rational_to_str(self.margin)
-        if self.detail:
-            d["detail"] = self.detail
-        return d
-
-
 @dataclass
 class ConstraintReport:
-    """Ordered list of constraint margins with pass/fail per constraint."""
+    """Ordered list of checks with pass/fail per constraint."""
 
-    entries: list[ConstraintEntry] = field(default_factory=list)
+    entries: list[CertCheck] = field(default_factory=list)
 
-    def add(
-        self,
-        name: str,
-        satisfied: bool,
-        *,
-        kind: str = "exact",
-        margin: Fraction | None = None,
-        requirement: str = "> 0",
-        detail: str = "",
-    ) -> ConstraintEntry:
-        entry = ConstraintEntry(name, satisfied, kind, margin, requirement, detail)
-        self.entries.append(entry)
-        return entry
+    def add(self, name: str, satisfied: bool, **kwargs) -> None:
+        self.entries.append(CertCheck.of(name, satisfied, **kwargs))
 
-    def extend(self, other: "ConstraintReport") -> None:
-        self.entries.extend(other.entries)
+    def add_margin(self, name: str, margin: Fraction, detail: str = "> 0") -> None:
+        """A strict constraint: satisfied exactly when its margin is > 0."""
+        self.add(name, margin > 0, margin=margin, detail=detail)
 
     @property
     def all_satisfied(self) -> bool:
-        return all(e.satisfied for e in self.entries if e.kind != "info")
+        return all(e.satisfied for e in self.entries)
 
-    def failures(self) -> list[ConstraintEntry]:
-        return [e for e in self.entries if not e.satisfied and e.kind != "info"]
+    def failures(self) -> list[CertCheck]:
+        return [e for e in self.entries if not e.satisfied]
 
-    def entry(self, name: str) -> ConstraintEntry:
+    def entry(self, name: str) -> CertCheck:
         for e in self.entries:
             if e.name == name:
                 return e
         raise KeyError(name)
-
-    def to_jsonable(self) -> list[dict]:
-        return [e.to_jsonable() for e in self.entries]

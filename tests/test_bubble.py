@@ -46,7 +46,8 @@ class TestSpectral:
     def test_row3_bound_not_applicable(self):
         report = spectral_coeff_check(row(3))
         assert report.all_satisfied
-        assert report.entry("spectral_coeff_bound").kind == "info"
+        entry = report.entry("spectral_coeff_bound")
+        assert entry.margin is None and "n > 3" in entry.detail
 
     def test_pole_at_q_equal_4(self):
         with pytest.raises(InfeasibleParamsError):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 from stabcert.certificate import CertCheck, Certificate, PublishedTarget
 from stabcert.cli import (
@@ -11,7 +12,7 @@ from stabcert.cli import (
 
 def sample_certificate() -> Certificate:
     cert = Certificate(n=3, params={"a": "10/11", "b": "30/11"})
-    cert.add_check(CertCheck("discriminant_positive", "exact", "pass", margin="24/121"))
+    cert.add_check(CertCheck("discriminant_positive", "exact", "pass", margin=F(24, 121)))
     cert.add_check(CertCheck("barrier_ode", "approximate", "pass", residual="1e-40"))
     cert.add_target(PublishedTarget("epsilon", "9/11", "9/11", True))
     cert.add_flag("gamma0_convention_divergence", "both conventions emitted", bare="77/142")
@@ -25,7 +26,8 @@ def test_round_trip_field_for_field():
     clone = Certificate.from_json(cert.to_json())
     assert clone == cert
     # and exact values survive bit-exactly
-    assert clone.checks[0].margin == "24/121"
+    assert clone.checks[0].margin == F(24, 121)
+    assert json.loads(cert.to_json())["checks"][0]["margin"] == "24/121"
     assert clone.values["epsilon"] == "9/11"
 
 

@@ -143,6 +143,7 @@ def test_optimize_open_dimension_exits_4(tmp_path):
 def test_recursion_sim_exit_codes():
     assert run(["recursion-sim", "--s1", "0.5", "--c0", "1", "--c", "1", "--n", "3", "--steps", "5"]) == 0
     assert run(["recursion-sim", "--s1", "-1", "--c0", "1", "--c", "1", "--n", "3"]) == 2
+    assert run(["recursion-sim", "--s1", "0.5", "--c0", "nan", "--c", "1", "--n", "3"]) == 2
     assert run(["recursion-sim", "--s1", "0.5", "--n", "3"]) == 2  # no constants given
 
 
@@ -172,6 +173,74 @@ def test_report_is_read_only(tmp_path, fast_config, capsys):
 
 def test_report_missing_file():
     assert run(["report", "/nonexistent/cert.json"]) == 2
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:"), err
+    return err
+
+
+def test_report_rejects_non_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]\n", encoding="utf-8")
+    assert run(["report", str(path)]) == 2
+    assert "JSON object" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("margin", "not-a-number", "not a rational"),
+        ("margin", "1/0", "not a rational"),
+        ("margin", 0.5, "not a rational"),
+        ("status", "failed", "unknown status"),  # would otherwise render as a passed certificate
+    ],
+)
+def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message):
+    path = tmp_path / "cert.json"
+    check = {"name": "epsilon", "kind": "exact", "status": "pass", "margin": "1/2", field: value}
+    path.write_text(json.dumps({"n": 3, "checks": [check]}), encoding="utf-8")
+    assert run(["report", str(path)]) == 2
+    assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--cms", "nan"], ""),
+        (["--radius", "inf"], ""),
+        ([], "c_ms = inf\n"),
+        ([], "radius = nan\n"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, fast_config, capsys, argv, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(fast_config.read_text(encoding="utf-8") + config, encoding="utf-8")
+    out = tmp_path / "cert.json"
+    assert run(["verify", "--n", "3", "--config", str(cfg), "--out", str(out), *argv]) == 2
+    assert not out.exists()
+    assert "finite" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("curvature_samples", 0), ("quadform_samples", 0), ("barrier_samples", 0), ("linearity_samples", -5)],
+)
+def test_sample_counts_below_one_are_usage_errors(tmp_path, fast_config, capsys, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(fast_config.read_text(encoding="utf-8") + f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "cert.json"
+    assert run(["verify", "--n", "3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert key in one_line_error(capsys)
+
+
+def test_recursion_sim_rejects_dimension_two(capsys):
+    assert run(["recursion-sim", "--s1", "0.5", "--c0", "1", "--c", "1", "--n", "2"]) == 2
+    assert "n = 2 must be >= 3" in one_line_error(capsys)
+    assert run(["recursion-sim", "--s1", "0.5", "--n", "2", "--q", "1/2", "--delta", "1"]) == 2
+    assert "n = 2 must be >= 3" in one_line_error(capsys)
 
 
 def test_usage_error_exit():

@@ -1,0 +1,38 @@
+"""Byte-identity of command outputs against the golden files in tests/data.
+
+The files were written by the same commands; any change to a certificate,
+search result or margin profile shows up here as a byte difference.  A change
+that alters these outputs on purpose rewrites the files and says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from stabcert.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_verify_all_certificate_bytes(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("curvature_samples = 300\nquadform_samples = 10\nbarrier_samples = 10\n", encoding="utf-8")
+    out = tmp_path / "verify_all_small.json"
+    assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / out.name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n, code, files",
+    [
+        (4, 0, ("search_n4_seed5.json", "search_n4_seed5_certificate.json")),
+        (6, 4, ("search_n6_seed5.json",)),  # uncertified: the margin profile, no certificate
+    ],
+)
+def test_optimize_output_bytes(tmp_path, n, code, files):
+    out = tmp_path / f"search_n{n}_seed5.json"
+    assert main(["optimize", "--n", str(n), "--seed", "5", "--out", str(out)]) == code
+    written = {p.name for p in tmp_path.glob("*.json")}
+    assert written == set(files)
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from stabcert import published
+from stabcert import bubble, published, quadmin
 from stabcert.curvature import ParamSet, epsilon_of
 from stabcert.optimize import (
     SearchConfig,
@@ -13,7 +14,6 @@ from stabcert.optimize import (
     maximize_epsilon,
     minimize_delta0,
     reverify,
-    sensitivity_report,
 )
 
 
@@ -55,7 +55,64 @@ class TestFeasibility:
     def test_binding_info_entry(self):
         report = feasibility(row(3))
         entry = report.entry("hbar_coeff_at_l_max")
-        assert entry.kind == "info" and entry.margin == 0
+        assert entry.satisfied and entry.margin == 0
+        assert entry.detail == "L_max = 71/11"
+
+    def test_spectral_bound_is_strict(self):
+        # q = 2 gives the coefficient 4/(4-2) * 1/1 = 2 = (n-2)/(n-3) exactly
+        boundary = ParamSet(4, F(1), F(2), F(1), F(1))
+        report = feasibility(boundary)
+        assert all(report.entry(name).satisfied for name in ("hessian_fxx", "hessian_fyy", "discriminant"))
+        assert bubble.spectral_coeff(boundary.q, boundary.alpha, boundary.beta) == 2
+        for entry in (report.entry("spectral_bound"),
+                      bubble.spectral_coeff_check(boundary).entry("spectral_coeff_bound")):
+            assert not entry.satisfied and entry.margin == 0
+
+    def test_chain_matches_exact_helpers(self):
+        # the exact helpers that verify runs are the reference for every margin
+        rng = random.Random(17)
+
+        def jitter(x, spread):
+            return (x * F(rng.randint(1000 - spread, 1000 + spread), 1000)).limit_denominator(10**4)
+
+        rows = [ParamSet(3, F(1), F(3), F(18, 11), F(3, 2))]  # q = 2: no Young parameter binds
+        for i in range(400):
+            base = row(min(3 + i % 4, 5))
+            b, alpha, beta = (jitter(x, 500) for x in (base.b, base.alpha, base.beta))
+            rows.append(ParamSet(3 + i % 4, jitter(base.delta0, 300) * b, b, alpha, beta))
+        for p in rows:
+            n, alpha, beta = p.n, p.alpha, p.beta
+            m = {e.name: e.margin for e in feasibility(p).entries}
+            fxx, fyy, _ = quadmin.hessian_entries(n, p.a, alpha, beta)
+            D = quadmin.discriminant(n, p.a, alpha, beta)
+            assert (m["b_positive"], m["alpha_positive"], m["beta_positive"]) == (p.b, alpha, beta)
+            assert (m["hessian_fxx"], m["hessian_fyy"], m["discriminant"]) == (fxx, fyy, D)
+            if not (fxx > 0 and fyy > 0 and D > 0):
+                assert m["epsilon"] is None and m["gamma0_bare"] is None
+                continue
+            q = p.q
+            assert m["epsilon"] == epsilon_of(p).epsilon
+            assert m["q_below_4"] == 4 - q
+            if n > 3:
+                want = bubble.spectral_bound(n) - bubble.spectral_coeff(q, alpha, beta) if q < 4 else None
+                assert m["spectral_bound"] == want
+            ricci = (n - 1) * beta - (n - 2) * alpha
+            assert m["ricci_coeff_denominator"] == ricci
+            if ricci <= 0 or q >= 4:
+                assert m["young_numerator"] is None and m["gamma0_bare"] is None
+                continue
+            mcc = bubble.mean_curv_coeff(n, alpha, beta)
+            young = bubble.young_numerator(mcc, q)
+            assert m["young_numerator"] == young
+            if young <= 0:
+                assert m["gamma0_bare"] is None
+                continue
+            L = bubble.l_max(n, q, alpha, beta)
+            assert m["gamma0_bare"] == bubble.gamma0(n, q, L, alpha, beta)[0]
+            if L is None:
+                assert "hbar_coeff_at_l_max" not in m
+            else:
+                assert m["hbar_coeff_at_l_max"] == bubble.hbar_coeff_margin(mcc, q, L) == 0
 
 
 class TestFloatMirror:
@@ -135,30 +192,6 @@ class TestMaximizeEpsilon:
     def test_result_epsilon_is_exact(self):
         result = maximize_epsilon(SearchConfig(n=4, budget=2000, seeds=(1,)), F(1, 2))
         assert result.epsilon == epsilon_of(result.best_params).epsilon
-
-
-class TestSensitivity:
-    def test_zero_perturbation_zero_derivatives(self):
-        rows = sensitivity_report(row(3), F(0))
-        assert rows and all(r.derivative == 0 for r in rows)
-
-    def test_young_binding_row(self):
-        rows = sensitivity_report(row(3), F(1, 1000))
-        young = [r for r in rows if r.parameter == "L"]
-        assert len(young) == 1
-        assert young[0].base_margin == 0 and young[0].binding
-
-    def test_beta_perturbation_moves_epsilon(self):
-        rows = sensitivity_report(row(4), F(1, 1000))
-        eps_row = next(r for r in rows if r.parameter == "beta" and r.constraint == "epsilon")
-        assert eps_row.derivative != 0
-
-    def test_infeasible_base_rejected(self):
-        from stabcert.bubble import InfeasibleParamsError
-
-        bad = ParamSet(3, F(1, 300), F(1, 100), F(18, 11), F(3, 2))
-        with pytest.raises(InfeasibleParamsError):
-            sensitivity_report(bad, F(1, 1000))
 
 
 def test_rounding_respects_denominator_bound():

@@ -14,7 +14,6 @@ from stabcert.quadmin import (
     gradient,
     hessian_conditions,
     hessian_entries,
-    solve,
 )
 
 ROW3 = dict(n=3, a=F(10, 11), alpha=F(18, 11), beta=F(3, 2))
@@ -121,13 +120,6 @@ def test_minimum_scales_quadratically_in_E():
     xb, yb = critical_point(base)
     xs, ys = critical_point(scaled)
     assert f_eval(scaled, xs, ys) == 9 * f_eval(base, xb, yb)
-
-
-def test_solve_record():
-    res = solve(QuadMinInput(**ROW3, linear_scale=F(1)))
-    assert res.hessian_ok
-    assert res.discriminant == F(24, 121)
-    assert res.f_min_coefficient == F(-3, 176)
 
 
 def test_degenerate_discriminant_rejected():

@@ -10,9 +10,6 @@ from stabcert.rational import (
     rational_from_str,
     rational_to_str,
     sqrt_exact,
-    surd_compare,
-    surd_product,
-    surd_ratio,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
@@ -73,10 +70,10 @@ class TestQuadSurd:
         assert QuadSurd.make(F(-2, 3), F(3, 5)).square() == F(4, 15)
 
     def test_compare_examples(self):
-        assert surd_compare(QuadSurd.make(1, F(2, 3)), 1) == -1
-        assert surd_compare(QuadSurd.make(1, F(4, 9)), F(2, 3)) == 0
+        assert QuadSurd.make(1, F(2, 3)).compare_rational(1) == -1
+        assert QuadSurd.make(1, F(4, 9)).compare_rational(F(2, 3)) == 0
         # squares: 2 vs 49/25
-        assert surd_compare(QuadSurd.make(F(1, 2), 8), F(7, 5)) == 1
+        assert QuadSurd.make(F(1, 2), 8).compare_rational(F(7, 5)) == 1
 
     def test_compare_signs(self):
         s = QuadSurd.make(-1, 2)
@@ -86,17 +83,17 @@ class TestQuadSurd:
         assert QuadSurd.make(0, 5).compare_rational(0) == 0
 
     def test_product(self):
-        assert surd_product(QuadSurd.make(1, 2), QuadSurd.make(1, 2)) == 2
-        p = surd_product(QuadSurd.make(1, 2), QuadSurd.make(1, 3))
-        assert isinstance(p, QuadSurd) and p.coeff == 1 and p.radicand == 6
+        assert (QuadSurd.make(1, 2) * QuadSurd.make(1, 2)).as_rational() == 2
+        p = QuadSurd.make(1, 2) * QuadSurd.make(1, 3)
+        assert not p.is_rational() and p.coeff == 1 and p.radicand == 6
 
     def test_barrier_style_product_collapses(self):
         # x0*y0 with x0 = sqrt(e/(2 a g)), y0 = (1/(2 b)) sqrt(a e g / 2) -> e/(4 b)
         e, a, g, b = F(9, 11), F(18, 11), F(77, 142), F(3, 2)
         x0 = QuadSurd.make(1, e / (2 * a * g))
         y0 = QuadSurd.make(1 / (2 * b), a * e * g / 2)
-        assert surd_product(x0, y0) == e / (4 * b)
-        assert surd_ratio(y0, x0) == a * g / (2 * b)
+        assert (x0 * y0).as_rational() == e / (4 * b)
+        assert (y0 / x0).as_rational() == a * g / (2 * b)
 
     def test_float_mirror_agrees(self):
         import random
