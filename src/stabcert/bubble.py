@@ -17,18 +17,21 @@ Starting from a parameter row with q = b/beta this module derives, exactly:
 * area/volume growth constants (approximate fields: pi, exp and unit-ball
   measures are irrational; computed at >= 50 significant digits, reported at
   12, and never used in pass/fail checks).
+
+The feasibility margins themselves are stated once, in ``optimize``'s chain;
+``stabcert.certify`` assembles these derivations into certificates.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from .curvature import ParamSet
-from .rational import QuadSurd, rational_to_str
+from .rational import QuadSurd
 from .report import ApproxValue, ConstraintReport
 
 Rat = Fraction
@@ -48,32 +51,6 @@ def spectral_coeff(q: Rat, alpha: Rat, beta: Rat) -> Fraction:
 def spectral_bound(n: int) -> Fraction:
     """(n-2)/(n-3), the strict upper bound on the spectral coefficient (n >= 4)."""
     return Fraction(n - 2, n - 3)
-
-
-def spectral_coeff_check(params: ParamSet) -> ConstraintReport:
-    """Exact margins for 0 < 4/(4-q) * beta/alpha < (n-2)/(n-3).
-
-    The upper bound applies for n >= 4 only; for n = 3 just 0 < q < 4 is
-    checked and the bound is recorded as not applicable.
-    """
-    report = ConstraintReport()
-    q = params.q
-    report.add_margin("q_positive", q)
-    report.add_margin("q_below_4", 4 - q)
-    if q <= 0 or q >= 4:
-        return report
-    coeff = spectral_coeff(q, params.alpha, params.beta)
-    report.add_margin("spectral_coeff_positive", coeff)
-    if params.n == 3:
-        report.add("spectral_coeff_bound", True, detail="the (n-2)/(n-3) bound needs n > 3")
-    else:
-        bound = spectral_bound(params.n)
-        report.add_margin(
-            "spectral_coeff_bound",
-            bound - coeff,
-            detail=f"coefficient {rational_to_str(coeff)} vs bound {rational_to_str(bound)}",
-        )
-    return report
 
 
 def mean_curv_coeff(n: int, alpha: Rat, beta: Rat) -> Fraction:
@@ -301,109 +278,6 @@ class BubbleConstants:
             if b.convention == convention:
                 return b
         raise KeyError(convention)
-
-
-def certify_chain(
-    params: ParamSet,
-    epsilon: Rat,
-    quadform_samples: int = 1000,
-    barrier_samples: int = 1000,
-    dps: int = 50,
-    seed: int = 0,
-):
-    """Run the whole chain on a row and emit certificate checks, targets, flags.
-
-    Returns (constants, checks, targets, flags, values) for assembly into a
-    certificate: the spectral bound margins, the sampled quadratic-form check,
-    L_max and gamma0 against their published values (when the row is a
-    built-in one), the two exact surd identities and the barrier ODE residual
-    under both gamma0 conventions, and the flagged approximate growth
-    constants.  The divergence between the two gamma0 conventions is always
-    flagged.
-    """
-    from . import published
-    from .certificate import CertCheck, PublishedTarget
-
-    n = params.n
-    checks: list[CertCheck] = []
-    targets: list[PublishedTarget] = []
-    flags: list[dict] = []
-    values: dict = {}
-
-    def prefixed(prefix: str, report: ConstraintReport) -> list[CertCheck]:
-        return [replace(check, name=f"{prefix}/{check.name}") for check in report.entries]
-
-    checks += prefixed("spectral", spectral_coeff_check(params))
-    checks += prefixed("quadform", quadform_lower_bound_check(n, params.alpha, params.beta, quadform_samples, seed))
-
-    constants = derive(params, epsilon, dps=dps)
-    values["q"] = rational_to_str(constants.q)
-    values["spectral_coeff"] = rational_to_str(constants.spectral_coeff)
-    values["mean_curv_coeff"] = rational_to_str(constants.mean_curv_coeff)
-    if constants.L_max is not None:
-        values["L_max"] = rational_to_str(constants.L_max)
-        margin = hbar_coeff_margin(constants.mean_curv_coeff, constants.q, constants.L_max)
-        checks.append(
-            CertCheck.of("hbar_coeff_zero_at_l_max", margin == 0, margin=margin, detail="binding margin, zero allowed")
-        )
-    values["gamma0_bare"] = rational_to_str(constants.gamma0_bare)
-    values["gamma0_with_ratio"] = rational_to_str(constants.gamma0_with_ratio)
-
-    is_published_row = n in published.PARAM_ROWS and params == ParamSet.published_row(n)
-    if is_published_row and constants.L_max is not None:
-        match = constants.L_max == published.L_VALUES[n]
-        targets.append(
-            PublishedTarget("L", rational_to_str(published.L_VALUES[n]), rational_to_str(constants.L_max), match)
-        )
-        if not match:
-            checks.append(
-                CertCheck(
-                    "l_max_matches_published",
-                    "exact",
-                    "discrepancy",
-                    detail=f"computed {rational_to_str(constants.L_max)} != published "
-                    f"{rational_to_str(published.L_VALUES[n])}",
-                )
-            )
-    if is_published_row:
-        match = constants.gamma0_bare == published.GAMMA0[n]
-        targets.append(
-            PublishedTarget(
-                "gamma0", rational_to_str(published.GAMMA0[n]), rational_to_str(constants.gamma0_bare), match
-            )
-        )
-        if not match:
-            checks.append(
-                CertCheck(
-                    "gamma0_matches_published",
-                    "exact",
-                    "discrepancy",
-                    detail=f"bare convention computed {rational_to_str(constants.gamma0_bare)} != published "
-                    f"{rational_to_str(published.GAMMA0[n])}",
-                )
-            )
-    flags.append(
-        {
-            "name": "gamma0_convention_divergence",
-            "detail": "the defining bracket carries an extra beta/alpha factor that the quoted "
-            "values omit; both conventions are computed and carried through the chain",
-            "bare": rational_to_str(constants.gamma0_bare),
-            "with_ratio": rational_to_str(constants.gamma0_with_ratio),
-        }
-    )
-
-    for branch in constants.branches:
-        prefix = f"barrier[{branch.convention}]"
-        values[f"{prefix}/gamma0"] = rational_to_str(branch.gamma0)
-        values[f"{prefix}/x0"] = str(branch.x0)
-        values[f"{prefix}/y0"] = str(branch.y0)
-        values[f"{prefix}/area_const"] = branch.area_const.to_jsonable()
-        values[f"{prefix}/volume_const"] = branch.volume_const.to_jsonable()
-        checks += prefixed(
-            prefix, surd_identities_check(params.alpha, params.beta, epsilon, branch.gamma0, branch.x0, branch.y0)
-        )
-        checks += prefixed(prefix, barrier_ode_check(branch.x0, branch.y0, barrier_samples, dps))
-    return constants, checks, targets, flags, values
 
 
 def derive(params: ParamSet, epsilon: Rat, dps: int = 50, l_cap: Rat | None = None) -> BubbleConstants:

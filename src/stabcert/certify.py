@@ -1,0 +1,139 @@
+"""One certification path for any parameter row.
+
+A certificate has up to three sections, in this order:
+
+* the margin chain: every margin of ``optimize.feasibility`` under the chain's
+  names, the same checks a search certificate carries;
+* evidence, appended only when every margin holds: F's linearity and endpoint
+  dominance on random t, the pointwise curvature sampling, the quadratic-form
+  sampling, the derived bubble constants, and the exact surd identities and
+  the barrier ODE under both gamma0 conventions;
+* the published comparison, appended only for a built-in row: a = b*delta0,
+  the delta0, epsilon, L and gamma0 targets, and a discrepancy check for each
+  computed value that differs from its published one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from . import bubble, curvature, published, quadmin
+from .certificate import CertCheck, Certificate, PublishedTarget
+from .config import RunConfig
+from .curvature import ParamSet
+from .optimize import feasibility
+from .rational import rational_to_str as rts
+from .report import ConstraintReport
+
+ENDPOINT_SAMPLES = 50
+
+
+def chain_certificate(params: ParamSet, report: ConstraintReport) -> Certificate:
+    """The row's parameters and its chain margins, unchanged."""
+    return Certificate(n=params.n, params=params.as_strings(), checks=list(report.entries))
+
+
+def certify(params: ParamSet, cfg: RunConfig) -> Certificate:
+    """The chain; then, if every margin holds, the evidence and, for a built-in row, the published comparison."""
+    report = feasibility(params)
+    cert = chain_certificate(params, report)
+    cert.environment.update(cfg.environment())
+    if report.all_satisfied:
+        _evidence(cert, params, cfg)
+        if params.n in published.PARAM_ROWS and params == ParamSet.published_row(params.n):
+            _compare_published(cert, params)
+    return cert
+
+
+def _prefixed(prefix: str, report: ConstraintReport) -> list[CertCheck]:
+    return [replace(check, name=f"{prefix}/{check.name}") for check in report.entries]
+
+
+def _evidence(cert: Certificate, params: ParamSet, cfg: RunConfig) -> None:
+    n, a, alpha, beta, seed = params.n, params.a, params.alpha, params.beta, cfg.seed
+    eps = curvature.epsilon_of(params)
+    cert.values.update(
+        {
+            "discriminant_D": rts(quadmin.discriminant(n, a, alpha, beta)),
+            "f_min_coefficient_Q": rts(quadmin.f_min_coefficient(n, a, alpha, beta)),
+            "F_at_0": rts(eps.F_at_0),
+            "F_at_1": rts(eps.F_at_1),
+            "epsilon": rts(eps.epsilon),
+            "gradient_term_max_branch": eps.max_branch,
+            "linear_scale_convention": "sign-independent: the minimum depends on the linear-term scale only "
+            "through its square; sampling draws both orientations",
+        }
+    )
+    cert.add_check(
+        CertCheck.of(
+            "F_linear_in_t",
+            curvature.linearity_check(params, cfg.linearity_samples, seed),
+            kind="sampled",
+            detail=f"{cfg.linearity_samples} random rational t",
+        )
+    )
+    cert.add_check(
+        CertCheck.of(
+            "endpoint_dominance",
+            curvature.endpoint_dominance_check(params, ENDPOINT_SAMPLES, seed + 1),
+            kind="sampled",
+            detail=f"{ENDPOINT_SAMPLES} random rational t",
+        )
+    )
+    cert.checks += curvature.curvature_sample_check(params, cfg.curvature_samples, seed).entries
+    cert.checks += _prefixed("quadform", bubble.quadform_lower_bound_check(n, alpha, beta, cfg.quadform_samples, seed))
+
+    constants = bubble.derive(params, eps.epsilon, dps=cfg.float_precision_digits)
+    cert.values["q"] = rts(constants.q)
+    cert.values["spectral_coeff"] = rts(constants.spectral_coeff)
+    cert.values["mean_curv_coeff"] = rts(constants.mean_curv_coeff)
+    if constants.L_max is not None:
+        cert.values["L_max"] = rts(constants.L_max)
+    cert.values["gamma0_bare"] = rts(constants.gamma0_bare)
+    cert.values["gamma0_with_ratio"] = rts(constants.gamma0_with_ratio)
+    cert.add_flag(
+        "gamma0_convention_divergence",
+        "the defining bracket carries an extra beta/alpha factor that the quoted "
+        "values omit; both conventions are computed and carried through the chain",
+        bare=rts(constants.gamma0_bare),
+        with_ratio=rts(constants.gamma0_with_ratio),
+    )
+    for branch in constants.branches:
+        prefix = f"barrier[{branch.convention}]"
+        cert.values[f"{prefix}/gamma0"] = rts(branch.gamma0)
+        cert.values[f"{prefix}/x0"] = str(branch.x0)
+        cert.values[f"{prefix}/y0"] = str(branch.y0)
+        cert.values[f"{prefix}/area_const"] = branch.area_const.to_jsonable()
+        cert.values[f"{prefix}/volume_const"] = branch.volume_const.to_jsonable()
+        identities = bubble.surd_identities_check(alpha, beta, eps.epsilon, branch.gamma0, branch.x0, branch.y0)
+        cert.checks += _prefixed(prefix, identities)
+        ode = bubble.barrier_ode_check(branch.x0, branch.y0, cfg.barrier_samples, cfg.float_precision_digits)
+        cert.checks += _prefixed(prefix, ode)
+
+
+def _compare_published(cert: Certificate, params: ParamSet) -> None:
+    """Published values against the computed ones in ``cert.values``; a mismatch is a discrepancy, not a failure."""
+    n, values = params.n, cert.values
+    delta0 = published.DELTA0[n]
+    cert.add_check(CertCheck.of("a_equals_b_delta0", params.a == params.b * delta0))
+    cert.add_target(PublishedTarget("delta0", rts(delta0), rts(params.delta0), params.delta0 == delta0))
+    trace = (
+        f"; trace: F(0)={values['F_at_0']}, F(1)={values['F_at_1']}, "
+        f"Q={values['f_min_coefficient_Q']}, D={values['discriminant_D']}"
+    )
+    compared = [("epsilon", "epsilon", "epsilon", published.EPSILON[n], "", trace)]
+    if "L_max" in values:
+        compared.append(("L", "L_max", "l_max", published.L_VALUES[n], "", ""))
+    compared.append(("gamma0", "gamma0_bare", "gamma0", published.GAMMA0[n], "bare convention ", ""))
+    for quantity, key, check, quoted, lead, tail in compared:
+        quoted, computed = rts(quoted), values[key]
+        cert.add_target(PublishedTarget(quantity, quoted, computed, computed == quoted))
+        if computed != quoted:
+            cert.add_check(
+                CertCheck(
+                    f"{check}_matches_published",
+                    "exact",
+                    "discrepancy",
+                    detail=f"{lead}computed {computed} != published {quoted}{tail}",
+                )
+            )

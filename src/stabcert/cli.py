@@ -18,10 +18,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bubble, iteration, optimize, published
+from . import iteration, optimize, published
 from .certificate import CertCheck, Certificate, PublishedTarget
+from .certify import certify, chain_certificate
 from .config import ConfigError, RunConfig, load_config
-from .curvature import ParamSet, certify_builtin_row, epsilon_of
+from .curvature import ParamSet
 from .rational import rational_to_str
 
 EXIT_PASS = 0
@@ -53,31 +54,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def build_row_certificate(n: int, cfg: RunConfig) -> Certificate:
-    """Full per-row pipeline: curvature checks plus the bubble coefficient chain."""
-    cert = certify_builtin_row(
-        n, sample_count=cfg.curvature_samples, linearity_samples=cfg.linearity_samples, seed=cfg.seed
-    )
-    cert.environment.update(cfg.environment())
-    params = ParamSet.published_row(n)
-    eps = epsilon_of(params).epsilon
-    _, checks, targets, flags, values = bubble.certify_chain(
-        params,
-        eps,
-        quadform_samples=cfg.quadform_samples,
-        barrier_samples=cfg.barrier_samples,
-        dps=cfg.float_precision_digits,
-        seed=cfg.seed,
-    )
-    for check in checks:
-        cert.add_check(check)
-    for target in targets:
-        cert.add_target(target)
-    cert.flags.extend(flags)
-    cert.values.update(values)
-    return cert
-
-
 def cmd_verify(args) -> int:
     if args.n not in published.SUPPORTED_N:
         print(f"error: no built-in parameter row for n = {args.n}", file=sys.stderr)
@@ -87,7 +63,7 @@ def cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cert = build_row_certificate(args.n, cfg)
+    cert = certify(ParamSet.published_row(args.n), cfg)
     out = Path(args.out) if args.out else cfg.out_dir / f"certificate_n{args.n}.json"
     cert.write(out)
     print(f"wrote {out} ({cert.overall_status}; {len(cert.discrepancies)} discrepancies)")
@@ -135,7 +111,7 @@ def cmd_verify_all(args) -> int:
     combined = Certificate(n=0, params={"rows": ",".join(str(n) for n in published.SUPPORTED_N)})
     combined.environment.update(cfg.environment())
     for n in published.SUPPORTED_N:
-        row_cert = build_row_certificate(n, cfg)
+        row_cert = certify(ParamSet.published_row(n), cfg)
         combined.values[f"row_n{n}"] = row_cert.to_jsonable()
         combined.add_check(
             CertCheck.of(
@@ -185,11 +161,10 @@ def cmd_verify_all(args) -> int:
 def result_certificate(result: optimize.SearchResult, cfg: RunConfig) -> Certificate:
     """Certificate for one certified search result; re-verifiable from params alone."""
     assert result.best_params is not None and result.constraint_report is not None
-    cert = Certificate(n=result.n, params=result.best_params.as_strings())
+    cert = chain_certificate(result.best_params, result.constraint_report)
     cert.environment.update(cfg.environment())
     cert.environment["objective"] = result.objective
     cert.environment["evaluations_used"] = result.evaluations_used
-    cert.checks += result.constraint_report.entries
     if result.epsilon is not None:
         cert.values["epsilon"] = rational_to_str(result.epsilon)
     if result.delta0 is not None:

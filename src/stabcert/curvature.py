@@ -11,7 +11,7 @@ with Q the closed-form quadratic-minimum coefficient, is linear in t, so its
 minimum over [0, 1] is epsilon = min{F(0), F(1)}.  This module evaluates F
 exactly, extracts epsilon, checks linearity on random rational t, runs the
 randomized exact sampling check of the pointwise curvature inequality over
-trace-free principal-curvature vectors, and reproduces the built-in rows.
+trace-free principal-curvature vectors.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import published, quadmin
+from .rational import rational_to_str as rts
 from .report import ConstraintReport
 
 Rat = Fraction
@@ -58,8 +59,6 @@ class ParamSet:
         return ParamSet(n=n, a=row["a"], b=row["b"], alpha=row["alpha"], beta=row["beta"])
 
     def as_strings(self) -> dict[str, str]:
-        from .rational import rational_to_str as rts
-
         return {
             "n": str(self.n),
             "a": rts(self.a),
@@ -177,65 +176,3 @@ def endpoint_dominance_check(params: ParamSet, k_samples: int = 50, seed: int = 
     eps = epsilon_of(params).epsilon
     rng = random.Random(seed)
     return all(F_eval(params, random_unit_rational(rng)) >= eps for _ in range(k_samples))
-
-
-def certify_builtin_row(n: int, sample_count: int = 100_000, linearity_samples: int = 100, seed: int = 0):
-    """Run the full exact pipeline on a built-in row and assemble a certificate.
-
-    Covers Hessian validity, the delta0 factorization a = b*delta0, endpoint
-    values F(0)/F(1), epsilon versus its published value, exact linearity,
-    endpoint dominance, and the randomized pointwise inequality check.
-    Mismatches against published values become discrepancy records, not
-    failures.
-    """
-    from .certificate import Certificate, CertCheck, PublishedTarget
-    from .rational import rational_to_str as rts
-
-    params = ParamSet.published_row(n)
-    cert = Certificate(n=n, params=params.as_strings())
-    cert.environment.update({"seed": seed, "curvature_samples": sample_count, "linearity_samples": linearity_samples})
-
-    fxx_ok, fyy_ok, d_ok = quadmin.hessian_conditions(n, params.a, params.alpha, params.beta)
-    D = quadmin.discriminant(n, params.a, params.alpha, params.beta)
-    Q = quadmin.f_min_coefficient(n, params.a, params.alpha, params.beta)
-    cert.add_check(CertCheck.of("hessian_fxx_positive", fxx_ok))
-    cert.add_check(CertCheck.of("hessian_fyy_positive", fyy_ok))
-    cert.add_check(CertCheck.of("discriminant_positive", d_ok, margin=D))
-    cert.values["discriminant_D"] = rts(D)
-    cert.values["f_min_coefficient_Q"] = rts(Q)
-
-    delta0_ok = params.a == params.b * published.DELTA0[n]
-    cert.add_check(CertCheck.of("a_equals_b_delta0", delta0_ok))
-    cert.add_target(PublishedTarget("delta0", rts(published.DELTA0[n]), rts(params.delta0), params.delta0 == published.DELTA0[n]))
-
-    eps = epsilon_of(params)
-    cert.values["F_at_0"] = rts(eps.F_at_0)
-    cert.values["F_at_1"] = rts(eps.F_at_1)
-    cert.values["epsilon"] = rts(eps.epsilon)
-    cert.values["gradient_term_max_branch"] = eps.max_branch
-    cert.values["linear_scale_convention"] = (
-        "sign-independent: the minimum depends on the linear-term scale only through its square; "
-        "sampling draws both orientations"
-    )
-    eps_match = eps.epsilon == published.EPSILON[n]
-    cert.add_target(PublishedTarget("epsilon", rts(published.EPSILON[n]), rts(eps.epsilon), eps_match))
-    cert.add_check(CertCheck.of("epsilon_positive", eps.epsilon > 0, margin=eps.epsilon))
-    if not eps_match:
-        cert.add_check(
-            CertCheck(
-                "epsilon_matches_published",
-                "exact",
-                "discrepancy",
-                detail=f"computed {rts(eps.epsilon)} != published {rts(published.EPSILON[n])}; "
-                f"trace: F(0)={rts(eps.F_at_0)}, F(1)={rts(eps.F_at_1)}, Q={rts(Q)}, D={rts(D)}",
-            )
-        )
-
-    lin_ok = linearity_check(params, linearity_samples, seed)
-    cert.add_check(CertCheck.of("F_linear_in_t", lin_ok, detail=f"{linearity_samples} random rational t"))
-
-    dom_ok = endpoint_dominance_check(params, seed=seed + 1)
-    cert.add_check(CertCheck.of("endpoint_dominance", dom_ok))
-
-    cert.checks += curvature_sample_check(params, sample_count, seed).entries
-    return cert

@@ -87,17 +87,6 @@ def caccioppoli_coefficient(n: int, delta: Rat, k: Rat, s: Rat) -> Fraction:
     return (2 * k + Fraction(1, n) - Fraction(1, 2) - 1 / Fraction(s)) * delta / (k * k) - 2
 
 
-def caccioppoli_coefficient_limit(n: int, delta: Rat, k: Rat) -> Fraction:
-    """The s -> infinity limit (2k + 1/n - 1/2) * delta / k^2 - 2.
-
-    Strictly positive exactly when 2k lies strictly inside the admissible
-    interval, zero at its endpoints, negative outside.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return (2 * k + Fraction(1, n) - Fraction(1, 2)) * delta / (k * k) - 2
-
-
 class NoCaccioppoliConstantError(ValueError):
     """Both branch coefficients nonpositive at this (k, s, s1); enlarge s, s1."""
 

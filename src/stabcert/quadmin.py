@@ -63,16 +63,6 @@ def hessian_entries(n: int, a: Rat, alpha: Rat, beta: Rat) -> tuple[Fraction, Fr
     return fxx, fyy, fxy
 
 
-def hessian_conditions(n: int, a: Rat, alpha: Rat, beta: Rat) -> tuple[bool, bool, bool]:
-    """Exact truth of (f_xx > 0, f_yy > 0, D > 0).
-
-    The conjunction is equivalent to the validity hypothesis
-    (n-1)/(n-2)*a > max(alpha, beta) together with D > 0.
-    """
-    fxx, fyy, _ = hessian_entries(n, a, alpha, beta)
-    return fxx > 0, fyy > 0, discriminant(n, a, alpha, beta) > 0
-
-
 def linear_coefficients(n: int, alpha: Rat, beta: Rat) -> tuple[Fraction, Fraction]:
     """The (c1, c2) with linear part -E*(c1*x + c2*y)."""
     return (n - 2) * beta - alpha, (n - 3) * alpha

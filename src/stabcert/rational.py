@@ -53,11 +53,22 @@ class QuadSurd:
     Instances are canonicalized on construction: a radicand that is a perfect
     rational square is folded into the coefficient (radicand becomes 1), and
     the zero value is stored as ``0*sqrt(1)``.  Use :meth:`make` or the
-    arithmetic operations; the raw constructor does not normalize.
+    arithmetic operations; the raw constructor does not normalize.  Other
+    square factors stay in the radicand (``1*sqrt(8)`` is not rewritten as
+    ``2*sqrt(2)``, which would mean factoring it), so equality and hashing
+    compare values: the sign and the square.
     """
 
     coeff: Fraction
     radicand: Fraction
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadSurd):
+            return NotImplemented
+        return self.sign() == other.sign() and self.square() == other.square()
+
+    def __hash__(self) -> int:
+        return hash((self.sign(), self.square()))
 
     @staticmethod
     def make(coeff: Fraction | int, radicand: Fraction | int) -> "QuadSurd":

@@ -51,9 +51,6 @@ class ConstraintReport:
     def all_satisfied(self) -> bool:
         return all(e.satisfied for e in self.entries)
 
-    def failures(self) -> list[CertCheck]:
-        return [e for e in self.entries if not e.satisfied]
-
     def entry(self, name: str) -> CertCheck:
         for e in self.entries:
             if e.name == name:

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 from stabcert import bubble, published
 from stabcert.certificate import Certificate
+from stabcert.certify import certify
 from stabcert.cli import result_certificate
 from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet, curvature_sample_check, epsilon_of
@@ -84,9 +85,7 @@ def test_criterion_04_gamma0_reproduction_and_flag():
         assert bare == expected
         assert with_ratio == bare * p.beta / p.alpha != bare
     cfg = RunConfig(curvature_samples=200, quadform_samples=50, barrier_samples=20, linearity_samples=20)
-    from stabcert.cli import build_row_certificate
-
-    cert = build_row_certificate(3, cfg)
+    cert = certify(ROWS[3], cfg)
     flags = [f for f in cert.flags if f["name"] == "gamma0_convention_divergence"]
     assert flags, "the convention-divergence flag is required"
     assert flags[0]["bare"] == "77/142" and flags[0]["with_ratio"] == "847/1704"

@@ -1,0 +1,47 @@
+"""The benchmark's workloads run against this tree, each operation through its own check.
+
+``bench/workloads.py`` drives stabcert through its public entry points and
+pins check names (``pointwise_curvature_inequality``,
+``quadform/quadform_lower_bound``, ``barrier[*]/barrier_ode_residual``), so a
+renamed entry point or check fails here instead of only in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
+
+
+def run_checked(workload, ops) -> None:
+    for op in ops:
+        op.check(op.run())
+    workload.end_pass()
+
+
+def test_certify_all_verify_op(tmp_path):
+    workload = workloads.CertifyAll(seed=0, workdir=tmp_path / "certify-all")
+    workload.prepare()
+    ops = [op for op in workload.ops() if op.label == "verify-all"]
+    assert len(ops) == 1
+    run_checked(workload, ops)
+    assert workload.delta0_ratios == [pytest.approx(1.0)]
+
+
+def test_search_sweep_one_seed(tmp_path):
+    workload = workloads.SearchSweep(seed=0, workdir=tmp_path / "search-sweep")
+    workload.prepare()
+    ops = workload.ops()[: len(workloads.SearchSweep.RUNS)]
+    assert len({op.label.rpartition("seed=")[2] for op in ops}) == 1
+    run_checked(workload, ops)
+    assert len(workload.delta0_ratios) == 1 and workload.delta0_ratios[0] <= 1
+
+
+def test_recheck_ops(tmp_path):
+    workload = workloads.Recheck(seed=0, workdir=tmp_path / "recheck")
+    workload.prepare()
+    run_checked(workload, workload.ops()[:20])
+    assert len(workload.delta0_ratios) == 1

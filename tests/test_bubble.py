@@ -7,7 +7,6 @@ from stabcert import published
 from stabcert.bubble import (
     InfeasibleParamsError,
     barrier_ode_check,
-    certify_chain,
     derive,
     gamma0,
     growth_constants,
@@ -16,11 +15,11 @@ from stabcert.bubble import (
     mean_curv_coeff,
     quadform_lower_bound_check,
     spectral_coeff,
-    spectral_coeff_check,
     surd_identities_check,
     x0_y0,
 )
 from stabcert.curvature import ParamSet
+from stabcert.optimize import feasibility
 
 
 def row(n):
@@ -33,29 +32,30 @@ def eps(n):
 
 class TestSpectral:
     def test_row4(self):
-        report = spectral_coeff_check(row(4))
+        report = feasibility(row(4))
         assert report.all_satisfied
         assert spectral_coeff(row(4).q, row(4).alpha, row(4).beta) == F(15625, 7854)
-        assert report.entry("spectral_coeff_bound").margin == F(83, 7854)
+        assert report.entry("spectral_bound").margin == F(83, 7854)
 
     def test_row5(self):
-        report = spectral_coeff_check(row(5))
+        report = feasibility(row(5))
         assert report.all_satisfied
-        assert report.entry("spectral_coeff_bound").margin == F(1893, 4800350)
+        assert report.entry("spectral_bound").margin == F(1893, 4800350)
 
     def test_row3_bound_not_applicable(self):
-        report = spectral_coeff_check(row(3))
+        # the (n-2)/(n-3) bound needs n > 3, so the n = 3 chain has no such margin
+        report = feasibility(row(3))
         assert report.all_satisfied
-        entry = report.entry("spectral_coeff_bound")
-        assert entry.margin is None and "n > 3" in entry.detail
+        with pytest.raises(KeyError):
+            report.entry("spectral_bound")
 
     def test_pole_at_q_equal_4(self):
         with pytest.raises(InfeasibleParamsError):
             spectral_coeff(F(4), F(1), F(1))
-        # the report form flags it instead of raising
+        # the margin chain reports it instead of raising
         bad = ParamSet(3, F(1), F(4), F(1), F(1))  # q = 4
-        report = spectral_coeff_check(bad)
-        assert not report.entry("q_below_4").satisfied
+        entry = feasibility(bad).entry("q_below_4")
+        assert not entry.satisfied and entry.margin == 0
 
 
 class TestMeanCurvature:
@@ -223,15 +223,3 @@ class TestGrowthConstants:
             assert branch.volume_const.digits == 12
             assert mpmath.mpf(branch.volume_const.value) > 0
 
-
-def test_certify_chain_assembles_flag_and_targets():
-    p = row(5)
-    constants, checks, targets, flags, values = certify_chain(
-        p, eps(5), quadform_samples=50, barrier_samples=20
-    )
-    assert constants.L_max == published.L_VALUES[5]
-    assert any(f["name"] == "gamma0_convention_divergence" for f in flags)
-    by_q = {t.quantity: t for t in targets}
-    assert by_q["L"].match and by_q["gamma0"].match
-    assert all(c.status == "pass" for c in checks)
-    assert values["gamma0_with_ratio"] == "138273723/165829628350"

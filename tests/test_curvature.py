@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from stabcert import published
+from stabcert.certify import certify
+from stabcert.config import RunConfig
 from stabcert.curvature import (
     ParamSet,
-    certify_builtin_row,
     curvature_sample_check,
     endpoint_dominance_check,
     epsilon_of,
@@ -135,19 +136,10 @@ def test_sign_of_linear_scale_is_irrelevant():
         assert (lhs(lam, E) >= E * E * Q) == (lhs(mirrored, -E) >= E * E * Q)
 
 
-def test_certify_builtin_row_passes_and_matches():
-    cert = certify_builtin_row(3, sample_count=1000, seed=1)
-    assert cert.overall_status == "passed"
-    assert not cert.discrepancies
-    assert cert.values["epsilon"] == "9/11"
-    assert cert.values["F_at_0"] == "909/176"
-    by_q = {t.quantity: t for t in cert.published_targets}
-    assert by_q["delta0"].match and by_q["epsilon"].match
-
-
 def test_certify_records_discrepancy_without_failing(monkeypatch):
     monkeypatch.setitem(published.EPSILON, 3, F(1, 2))
-    cert = certify_builtin_row(3, sample_count=200, seed=1)
+    cfg = RunConfig(curvature_samples=200, quadform_samples=20, barrier_samples=10, seed=1)
+    cert = certify(row(3), cfg)
     assert cert.overall_status == "passed"
     assert "epsilon" in cert.discrepancies
     # the full exact computation trace must ride along
@@ -157,4 +149,4 @@ def test_certify_records_discrepancy_without_failing(monkeypatch):
 
 def test_certify_unknown_row_rejected():
     with pytest.raises(ValueError):
-        certify_builtin_row(7)
+        ParamSet.published_row(7)

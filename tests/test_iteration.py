@@ -9,7 +9,6 @@ from stabcert.iteration import (
     NoCaccioppoliConstantError,
     Pow2,
     caccioppoli_coefficient,
-    caccioppoli_coefficient_limit,
     caccioppoli_constants,
     collapse_sqrt,
     critical_delta_exponent,
@@ -61,6 +60,15 @@ class TestKInterval:
                 assert iv.lower.compare_rational(delta) == 0 == iv.upper.compare_rational(delta)
             else:
                 assert iv.is_empty
+
+
+def caccioppoli_coefficient_limit(n, delta, k):
+    """The s -> infinity limit (2k + 1/n - 1/2) * delta / k^2 - 2 of the Caccioppoli coefficient.
+
+    Strictly positive exactly when 2k lies strictly inside the admissible
+    interval, zero at its endpoints, negative outside: the reference for k_interval.
+    """
+    return (2 * k + F(1, n) - F(1, 2)) * delta / (k * k) - 2
 
 
 class TestCaccioppoliCoefficient:

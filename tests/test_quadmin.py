@@ -12,7 +12,6 @@ from stabcert.quadmin import (
     f_min_bruteforce,
     f_min_coefficient,
     gradient,
-    hessian_conditions,
     hessian_entries,
 )
 
@@ -40,10 +39,11 @@ def test_discriminant_values():
 
 
 def test_hessian_conditions():
-    assert hessian_conditions(**ROW3) == (True, True, True)
-    assert hessian_conditions(**ROW4) == (True, True, True)
-    fxx_ok, _, _ = hessian_conditions(3, F(1, 2), F(18, 11), F(3, 2))
-    assert not fxx_ok
+    for row in (ROW3, ROW4):
+        fxx, fyy, _ = hessian_entries(**row)
+        assert fxx > 0 and fyy > 0 and discriminant(**row) > 0
+    fxx, _, _ = hessian_entries(3, F(1, 2), F(18, 11), F(3, 2))
+    assert fxx < 0
 
 
 def test_critical_point_zero_linear_term():

@@ -116,6 +116,14 @@ class TestQuadSurd:
         with pytest.raises(ValueError):
             QuadSurd.make(1, -2)
 
+    def test_equality_is_by_value(self):
+        # 1*sqrt(8) and 2*sqrt(2) keep their own strings but are one value
+        a, b = QuadSurd.make(1, 8), QuadSurd.make(2, 2)
+        assert a == b and hash(a) == hash(b)
+        assert str(a) == "1/1*sqrt(8/1)" and str(b) == "2/1*sqrt(2/1)"
+        assert a != QuadSurd.make(-2, 2) and a != QuadSurd.make(2, 3)
+        assert QuadSurd(F(0), F(5)) == QuadSurd.make(0, 1)
+
 
 class TestOffsetSurd:
     def test_compare(self):
