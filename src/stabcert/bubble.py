@@ -18,8 +18,10 @@ Starting from a parameter row with q = b/beta this module derives, exactly:
   measures are irrational; computed at >= 50 significant digits, reported at
   12, and never used in pass/fail checks).
 
-The feasibility margins themselves are stated once, in ``optimize``'s chain;
-``stabcert.certify`` assembles these derivations into certificates.
+The quadratic-form bound is also sampled on random rational points, compared
+in cleared-denominator integers.  The feasibility margins themselves are
+stated once, in ``optimize``'s chain; ``stabcert.certify`` assembles these
+derivations into certificates.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 import mpmath
 
 from .curvature import ParamSet
-from .rational import QuadSurd
+from .rational import QuadSurd, clear_denominators
 from .report import ApproxValue, ConstraintReport
 
 Rat = Fraction
@@ -75,28 +77,34 @@ def quadform_lower_bound_check(
         A*mu1^2 + B*H*mu1 + C*H^2 >= mean_curv_coeff * H^2
     with A = (n-1)/(n-2) - alpha/beta, B = (n-3)alpha/((n-1)beta),
     C = (1/(n-1)) (1 + (alpha/beta)(n-2)/(n-1)); additionally the parabola
-    vertex in mu1 must achieve the bound exactly (completing the square).
+    vertex in mu1 must achieve the bound exactly (completing the square),
+    i.e. (C - B^2/(4A)) H^2 == mean_curv_coeff * H^2.
+
+    The comparisons run in integers: A, B, C and the coefficient are brought
+    to one positive common denominator, and with mu1 = m/dm, H = h/dh the
+    bound is multiplied through by dm^2 dh^2 and the vertex identity by 4A
+    (A > 0 once mean_curv_coeff is defined).
     """
     coeff = mean_curv_coeff(n, alpha, beta)
     A = Fraction(n - 1, n - 2) - alpha / beta
     B = Fraction(n - 3) * alpha / ((n - 1) * beta)
     C = Fraction(1, n - 1) * (1 + alpha / beta * Fraction(n - 2, n - 1))
-    rng = random.Random(seed)
+    A, B, C, K = clear_denominators(A, B, C, coeff)
+    vertex_form, bound_at_vertex = 4 * A * C - B * B, 4 * A * K
+    randrange = random.Random(seed).randrange
     report = ConstraintReport()
     violations = 0
     tight_failures = 0
     witness = ""
     for _ in range(sample_count):
-        mu1 = Fraction(rng.randrange(-200, 201), rng.randrange(1, 20))
-        H = Fraction(rng.randrange(-200, 201), rng.randrange(1, 20))
-        lhs = A * mu1 * mu1 + B * H * mu1 + C * H * H
-        if lhs < coeff * H * H:
+        m, dm = randrange(-200, 201), randrange(1, 20)
+        h, dh = randrange(-200, 201), randrange(1, 20)
+        x, y = m * dh, h * dm  # mu1 and H times dm * dh
+        if A * x * x + B * y * x + C * y * y < K * y * y:
             violations += 1
             if not witness:
-                witness = f"mu1={mu1}, H={H}"
-        vertex = -B * H / (2 * A)
-        vertex_val = A * vertex * vertex + B * H * vertex + C * H * H
-        if vertex_val != coeff * H * H:
+                witness = f"mu1={Fraction(m, dm)}, H={Fraction(h, dh)}"
+        if vertex_form * h * h != bound_at_vertex * h * h:
             tight_failures += 1
     report.add(
         "quadform_lower_bound",

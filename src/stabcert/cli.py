@@ -134,7 +134,7 @@ def cmd_verify_all(args) -> int:
         delta = Fraction(1)
         q = (Fraction(n - 2, n) + delta) / 2
         dg = iteration.degiorgi_constants(n, delta, q, cfg.c_ms, cfg.radius, dps=cfg.float_precision_digits)
-        cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1)
+        cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1, dps=cfg.float_precision_digits)
         grid.append(
             {
                 "n": n,
@@ -181,7 +181,7 @@ def cmd_optimize(args) -> int:
             n=args.n,
             objective="maximize_epsilon" if args.objective == "epsilon" else "minimize_delta0",
             budget=cfg.budget,
-            denominator_bound=args.denominator_bound or cfg.denominator_bound,
+            denominator_bound=cfg.denominator_bound if args.denominator_bound is None else args.denominator_bound,
             seeds=(cfg.seed, cfg.seed + 1, cfg.seed + 2, cfg.seed + 3),
         )
     except (ConfigError, ValueError) as exc:

@@ -9,9 +9,12 @@ For a parameter row (n, a, b, alpha, beta) with a = b*delta0 the function
 
 with Q the closed-form quadratic-minimum coefficient, is linear in t, so its
 minimum over [0, 1] is epsilon = min{F(0), F(1)}.  This module evaluates F
-exactly, extracts epsilon, checks linearity on random rational t, runs the
+exactly, extracts epsilon, checks linearity on random rational t, and runs the
 randomized exact sampling check of the pointwise curvature inequality over
-trace-free principal-curvature vectors.
+trace-free principal-curvature vectors.  That check compares in
+cleared-denominator integers: each random rational is drawn as a numerator and
+a denominator, and the inequality is multiplied through by a positive common
+denominator, so the verdict is the exact rational one.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import published, quadmin
+from .rational import clear_denominators
 from .rational import rational_to_str as rts
 from .report import ConstraintReport
 
@@ -89,29 +94,36 @@ def gradient_term_max(n: int, alpha: Rat, beta: Rat) -> tuple[Fraction, str]:
     return beta_branch, "both"
 
 
-def F_eval(params: ParamSet, t: Rat) -> Fraction:
-    """Exact F at t = |dr|^2; rejects t outside [0, 1]."""
-    t = Fraction(t)
-    if t < 0 or t > 1:
-        raise ValueError("t = |dr|^2 must lie in [0, 1]")
+def _F_coefficients(params: ParamSet) -> tuple[Fraction, Fraction, Fraction]:
+    """(const, slope, Q) with F(t) = const + slope*t + (1 - t)*Q."""
     n, a, b, alpha, beta = params.n, params.a, params.b, params.alpha, params.beta
     Q = quadmin.f_min_coefficient(n, a, alpha, beta)
     mx, _ = gradient_term_max(n, alpha, beta)
     const = 2 * (n - 1) * beta + 2 * (n - 2) * alpha - b * Fraction(n * (n - 2), 2)
     slope = Fraction(n * n - 4, 4) * b - (n * beta + (n - 1) * alpha) - mx
+    return const, slope, Q
+
+
+def _F_at(coefficients: tuple[Fraction, Fraction, Fraction], t: Fraction) -> Fraction:
+    const, slope, Q = coefficients
     return const + slope * t + (1 - t) * Q
+
+
+def F_eval(params: ParamSet, t: Rat) -> Fraction:
+    """Exact F at t = |dr|^2; rejects t outside [0, 1]."""
+    t = Fraction(t)
+    if t < 0 or t > 1:
+        raise ValueError("t = |dr|^2 must lie in [0, 1]")
+    return _F_at(_F_coefficients(params), t)
 
 
 def epsilon_of(params: ParamSet) -> EpsilonResult:
     """epsilon = min{F(0), F(1)}; bounds F on all of [0, 1] by linearity."""
-    f0 = F_eval(params, Fraction(0))
-    f1 = F_eval(params, Fraction(1))
+    coefficients = _F_coefficients(params)
+    f0 = _F_at(coefficients, Fraction(0))
+    f1 = _F_at(coefficients, Fraction(1))
     _, branch = gradient_term_max(params.n, params.alpha, params.beta)
     return EpsilonResult(F_at_0=f0, F_at_1=f1, epsilon=min(f0, f1), max_branch=branch)
-
-
-def random_rational(rng: random.Random, max_num: int = 120, max_den: int = 12) -> Fraction:
-    return Fraction(rng.randrange(-max_num, max_num + 1), rng.randrange(1, max_den + 1))
 
 
 def random_unit_rational(rng: random.Random, max_den: int = 1000) -> Fraction:
@@ -121,14 +133,22 @@ def random_unit_rational(rng: random.Random, max_den: int = 1000) -> Fraction:
 
 def linearity_check(params: ParamSet, k_samples: int = 100, seed: int = 0) -> bool:
     """F(t) == (1-t)F(0) + tF(1) exactly on k random rational t in [0, 1]."""
-    f0 = F_eval(params, Fraction(0))
-    f1 = F_eval(params, Fraction(1))
+    coefficients = _F_coefficients(params)
+    f0 = _F_at(coefficients, Fraction(0))
+    f1 = _F_at(coefficients, Fraction(1))
     rng = random.Random(seed)
     for _ in range(k_samples):
         t = random_unit_rational(rng)
-        if F_eval(params, t) != (1 - t) * f0 + t * f1:
+        if _F_at(coefficients, t) != (1 - t) * f0 + t * f1:
             return False
     return True
+
+
+# Each lambda_i and E is drawn as randrange(-MAX_NUM, MAX_NUM + 1) / randrange(1, MAX_DEN + 1);
+# _SCALE is a common denominator of every such draw.
+MAX_NUM, MAX_DEN = 120, 12
+_SCALE = lcm(*range(1, MAX_DEN + 1))
+_SCALE_OVER = (0,) + tuple(_SCALE // d for d in range(1, MAX_DEN + 1))
 
 
 def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: int = 0) -> ConstraintReport:
@@ -140,27 +160,36 @@ def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: 
         a*S - beta*lambda1^2 - alpha*(lambda1*lambda2 + lambda2^2)
         + E*[((n-2)beta - alpha)*lambda1 + (n-3)*alpha*lambda2]  >=  E^2 * Q
 
-    exactly, where S = sum(lambda_i^2).  Violations are findings (reported
-    with their witness), not errors.
+    exactly, where S = sum(lambda_i^2).  The comparison runs in integers: the
+    coefficients are brought to one positive common denominator M, each
+    lambda_i becomes the integer Lambda_i = lambda_i * _SCALE, and E = e/ed,
+    so both sides are multiplied by the positive M * _SCALE^2 * ed^2.
+    Violations are findings (reported with their witness), not errors.
     """
-    n, a, alpha, beta = params.n, params.a, params.alpha, params.beta
-    Q = quadmin.f_min_coefficient(n, a, alpha, beta)
-    c1, c2 = quadmin.linear_coefficients(n, alpha, beta)
-    rng = random.Random(seed)
+    n = params.n
+    Q = quadmin.f_min_coefficient(n, params.a, params.alpha, params.beta)
+    c1, c2 = quadmin.linear_coefficients(n, params.alpha, params.beta)
+    a, beta, alpha, c1, c2, Q = clear_denominators(params.a, params.beta, params.alpha, c1, c2, Q)
+    c1, c2, Q = c1 * _SCALE, c2 * _SCALE, Q * _SCALE * _SCALE
+    randrange = random.Random(seed).randrange
+    scale_over = _SCALE_OVER
+    free = range(n - 1)
     report = ConstraintReport()
     violations = 0
     witness = ""
     for _ in range(sample_count):
-        lam = [random_rational(rng) for _ in range(n - 1)]
+        # numerator, then denominator, for each lambda_i and then for E
+        lam = [randrange(-MAX_NUM, MAX_NUM + 1) * scale_over[randrange(1, MAX_DEN + 1)] for _ in free]
         lam.append(-sum(lam))
-        E = random_rational(rng)
-        S = sum(x * x for x in lam)
-        lhs = a * S - beta * lam[0] * lam[0] - alpha * (lam[0] * lam[1] + lam[1] * lam[1])
-        lhs += E * (c1 * lam[0] + c2 * lam[1])
-        if lhs < E * E * Q:
+        e = randrange(-MAX_NUM, MAX_NUM + 1)
+        ed = randrange(1, MAX_DEN + 1)
+        l1, l2 = lam[0], lam[1]
+        S = sum([x * x for x in lam])
+        lhs = ed * ed * (a * S - beta * l1 * l1 - alpha * (l1 * l2 + l2 * l2)) + e * ed * (c1 * l1 + c2 * l2)
+        if lhs < e * e * Q:
             violations += 1
             if not witness:
-                witness = f"lambda={[str(x) for x in lam]}, E={E}"
+                witness = f"lambda={[str(Fraction(x, _SCALE)) for x in lam]}, E={Fraction(e, ed)}"
     report.add(
         "pointwise_curvature_inequality",
         violations == 0,
@@ -173,6 +202,7 @@ def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: 
 
 def endpoint_dominance_check(params: ParamSet, k_samples: int = 50, seed: int = 1) -> bool:
     """F(t) >= epsilon exactly for random rational t in [0, 1]."""
+    coefficients = _F_coefficients(params)
     eps = epsilon_of(params).epsilon
     rng = random.Random(seed)
-    return all(F_eval(params, random_unit_rational(rng)) >= eps for _ in range(k_samples))
+    return all(_F_at(coefficients, random_unit_rational(rng)) >= eps for _ in range(k_samples))

@@ -9,7 +9,9 @@ top of it this module provides
   pipeline needs (square, product, ratio, comparison against a rational);
 * :class:`OffsetSurd` — ``c + r*sqrt(s)``, the affine extension required for
   interval endpoints of the form ``delta +- sqrt(...)``;
-* canonical string serialization ("p/q" and "r*sqrt(s)") used by certificates.
+* canonical string serialization ("p/q" and "r*sqrt(s)") used by certificates;
+* :func:`clear_denominators`, which the sampled checks use to compare in
+  integers.
 
 Floating mirrors (``approx`` / ``approx_mp``) exist for advisory cross-checks
 only; nothing on the certified path consumes them.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath
 
@@ -33,6 +35,12 @@ def rational_to_str(x: Fraction) -> str:
 
 def rational_from_str(s: str) -> Fraction:
     return Fraction(s.strip())
+
+
+def clear_denominators(*values: Fraction) -> tuple[int, ...]:
+    """The values times their least positive common denominator, as ints."""
+    m = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (m // v.denominator) for v in values)
 
 
 def sqrt_exact(x: Fraction) -> Fraction | None:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stabcert import published
+from stabcert import iteration, published
 from stabcert.certificate import Certificate
 from stabcert.cli import main
 
@@ -125,6 +125,29 @@ def test_optimize_delta0(tmp_path):
 
     _, report = reverify(cert.params)
     assert report.all_satisfied
+
+
+@pytest.mark.parametrize("bound", ["0", "1"])
+def test_optimize_denominator_bound_below_two_is_usage_error(tmp_path, capsys, bound):
+    out = tmp_path / "search.json"
+    assert run(["optimize", "--n", "3", "--denominator-bound", bound, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "denominator_bound must be >= 2" in one_line_error(capsys)
+
+
+def test_verify_all_passes_float_precision_to_caccioppoli(tmp_path, fast_config, monkeypatch):
+    seen = []
+    exact = iteration.caccioppoli_constants
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("dps"))
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(iteration, "caccioppoli_constants", recording)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(fast_config.read_text(encoding="utf-8") + "float_precision_digits = 60\n", encoding="utf-8")
+    assert run(["verify-all", "--config", str(cfg), "--out", str(tmp_path / "all.json")]) == 0
+    assert seen == [60, 60, 60]
 
 
 def test_optimize_epsilon_requires_delta0_for_probe(tmp_path):

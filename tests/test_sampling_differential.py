@@ -1,0 +1,154 @@
+"""The integer sampled checks against a Fraction reference on the same draws.
+
+``curvature_sample_check`` and ``quadform_lower_bound_check`` compare in
+cleared-denominator integers.  The reference samplers below draw the same
+random rationals from the same seed and compare them as ``Fraction``s; the
+reports (verdict, sample and violation counts, first witness) must agree
+byte for byte.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from stabcert import bubble, quadmin
+from stabcert.bubble import InfeasibleParamsError, quadform_lower_bound_check
+from stabcert.curvature import ParamSet, curvature_sample_check
+from stabcert.report import ConstraintReport
+
+
+def reference_curvature_check(params, sample_count, seed):
+    n, a, alpha, beta = params.n, params.a, params.alpha, params.beta
+    Q = quadmin.f_min_coefficient(n, a, alpha, beta)
+    c1, c2 = quadmin.linear_coefficients(n, alpha, beta)
+    rng = random.Random(seed)
+
+    def draw():
+        return F(rng.randrange(-120, 121), rng.randrange(1, 13))
+
+    violations = 0
+    witness = ""
+    for _ in range(sample_count):
+        lam = [draw() for _ in range(n - 1)]
+        lam.append(-sum(lam))
+        E = draw()
+        S = sum(x * x for x in lam)
+        lhs = a * S - beta * lam[0] * lam[0] - alpha * (lam[0] * lam[1] + lam[1] * lam[1])
+        lhs += E * (c1 * lam[0] + c2 * lam[1])
+        if lhs < E * E * Q:
+            violations += 1
+            if not witness:
+                witness = f"lambda={[str(x) for x in lam]}, E={E}"
+    report = ConstraintReport()
+    report.add(
+        "pointwise_curvature_inequality",
+        violations == 0,
+        kind="sampled",
+        detail=f"{sample_count} samples, {violations} violations, seed={seed}"
+        + (f"; first witness: {witness}" if witness else ""),
+    )
+    return report
+
+
+def reference_quadform_check(n, alpha, beta, sample_count, seed):
+    coeff = bubble.mean_curv_coeff(n, alpha, beta)
+    A = F(n - 1, n - 2) - alpha / beta
+    B = F(n - 3) * alpha / ((n - 1) * beta)
+    C = F(1, n - 1) * (1 + alpha / beta * F(n - 2, n - 1))
+    rng = random.Random(seed)
+    violations = 0
+    tight_failures = 0
+    witness = ""
+    for _ in range(sample_count):
+        mu1 = F(rng.randrange(-200, 201), rng.randrange(1, 20))
+        H = F(rng.randrange(-200, 201), rng.randrange(1, 20))
+        if A * mu1 * mu1 + B * H * mu1 + C * H * H < coeff * H * H:
+            violations += 1
+            if not witness:
+                witness = f"mu1={mu1}, H={H}"
+        vertex = -B * H / (2 * A)
+        if A * vertex * vertex + B * H * vertex + C * H * H != coeff * H * H:
+            tight_failures += 1
+    report = ConstraintReport()
+    report.add(
+        "quadform_lower_bound",
+        violations == 0,
+        kind="sampled",
+        detail=f"{sample_count} samples, {violations} violations, seed={seed}"
+        + (f"; first witness: {witness}" if witness else ""),
+    )
+    report.add(
+        "quadform_bound_tight_at_vertex",
+        tight_failures == 0,
+        kind="sampled",
+        detail=f"{tight_failures} vertex mismatches",
+    )
+    return report
+
+
+def random_rows(count, seed=2024):
+    rng = random.Random(seed)
+
+    def positive():
+        return F(rng.randrange(1, 400), rng.randrange(1, 100))
+
+    rows = []
+    while len(rows) < count:
+        n = rng.randrange(3, 7)
+        b, alpha, beta = positive(), positive(), positive()
+        a = b * F(rng.randrange(1, 100), rng.randrange(1, 100))
+        if quadmin.discriminant(n, a, alpha, beta) != 0:
+            rows.append(ParamSet(n, a, b, alpha, beta))
+    return rows
+
+
+BUILTIN = [ParamSet.published_row(n) for n in (3, 4, 5)]
+INFEASIBLE = [ParamSet(3, F(1, 10), F(3, 10), F(18, 11), F(3, 2))]
+ROWS = BUILTIN + INFEASIBLE + random_rows(32)
+
+
+@pytest.mark.parametrize("index", range(len(ROWS)))
+def test_curvature_check_matches_fraction_reference(index):
+    params = ROWS[index]
+    seed = 1000 + index
+    assert curvature_sample_check(params, 300, seed).entries == reference_curvature_check(params, 300, seed).entries
+
+
+@pytest.mark.parametrize("index", range(len(ROWS)))
+def test_quadform_check_matches_fraction_reference(index):
+    params = ROWS[index]
+    seed = 2000 + index
+    try:
+        want = reference_quadform_check(params.n, params.alpha, params.beta, 300, seed)
+    except InfeasibleParamsError:
+        with pytest.raises(InfeasibleParamsError):
+            quadform_lower_bound_check(params.n, params.alpha, params.beta, 300, seed)
+        return
+    assert quadform_lower_bound_check(params.n, params.alpha, params.beta, 300, seed).entries == want.entries
+
+
+@pytest.mark.parametrize("shift", [F(1, 1000), F(-1, 1000)])
+def test_quadform_check_matches_reference_with_a_wrong_coefficient(monkeypatch, shift):
+    # the bound is sharp for every valid row, so a shifted coefficient is what
+    # produces violations (shift > 0) and vertex mismatches (either sign)
+    exact = bubble.mean_curv_coeff
+    monkeypatch.setattr(bubble, "mean_curv_coeff", lambda n, alpha, beta: exact(n, alpha, beta) + shift)
+    for n in (3, 4, 5):
+        p = BUILTIN[n - 3]
+        got = quadform_lower_bound_check(n, p.alpha, p.beta, 300, n)
+        want = reference_quadform_check(n, p.alpha, p.beta, 300, n)
+        assert got.entries == want.entries
+        assert not want.entries[1].satisfied
+        assert want.entries[0].satisfied == (shift < 0)
+
+
+def test_rows_cover_violations_and_clean_passes():
+    # the comparison means something only if the rows give clean passes, rows
+    # where every draw violates and rows where only some draws do
+    counts = set()
+    for i, p in enumerate(ROWS):
+        detail = reference_curvature_check(p, 300, 1000 + i).entries[0].detail
+        counts.add(int(detail.split()[2]))
+    assert 0 in counts and 300 in counts
+    assert any(0 < c < 300 for c in counts)
