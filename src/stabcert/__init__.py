@@ -9,7 +9,7 @@ thresholds, including a probe of the open dimension 6.
 
 from .curvature import ParamSet, epsilon_of
 from .optimize import SearchConfig, feasibility, maximize_epsilon, minimize_delta0
-from .rational import OffsetSurd, QuadSurd, Rational
+from .rational import QuadSurd, Rational
 
 __all__ = [
     "ParamSet",
@@ -19,7 +19,6 @@ __all__ = [
     "minimize_delta0",
     "maximize_epsilon",
     "QuadSurd",
-    "OffsetSurd",
     "Rational",
 ]
 

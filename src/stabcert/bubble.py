@@ -143,11 +143,6 @@ def l_max(n: int, q: Rat, alpha: Rat, beta: Rat) -> Fraction | None:
     return num / abs(Fraction(1, 2) - 1 / q)
 
 
-def hbar_coeff_margin(mcc: Rat, q: Rat, L: Rat) -> Fraction:
-    """mean_curv_coeff + 1/q - 1 - L*|1/2 - 1/q|; zero exactly at L = L_max."""
-    return young_numerator(mcc, q) - L * abs(Fraction(1, 2) - 1 / q)
-
-
 def gamma0(n: int, q: Rat, L: Rat | None, alpha: Rat, beta: Rat) -> tuple[Fraction, Fraction]:
     """(bare, with_ratio): 1/q - (1/L)|1/2 - 1/q|, and the same times beta/alpha.
 
@@ -279,28 +274,16 @@ class BubbleConstants:
     L_max: Fraction | None
     gamma0_bare: Fraction
     gamma0_with_ratio: Fraction
-    branches: tuple[BarrierBranch, BarrierBranch]
-
-    def branch(self, convention: str) -> BarrierBranch:
-        for b in self.branches:
-            if b.convention == convention:
-                return b
-        raise KeyError(convention)
+    branches: tuple[BarrierBranch, BarrierBranch]  # bare, then with_ratio
 
 
-def derive(params: ParamSet, epsilon: Rat, dps: int = 50, l_cap: Rat | None = None) -> BubbleConstants:
-    """Full exact chain for one row: q, coefficients, L_max, both barrier branches.
-
-    ``l_cap`` optionally caps the Young parameter below L_max (configuration
-    box); the default uses the binding value.
-    """
+def derive(params: ParamSet, epsilon: Rat, dps: int = 50) -> BubbleConstants:
+    """Full exact chain for one row: q, coefficients, L = L_max, both barrier branches."""
     n, alpha, beta = params.n, params.alpha, params.beta
     q = params.q
     coeff = spectral_coeff(q, alpha, beta)
     mcc = mean_curv_coeff(n, alpha, beta)
     L = l_max(n, q, alpha, beta)
-    if L is not None and l_cap is not None and l_cap < L:
-        L = l_cap
     g_bare, g_ratio = gamma0(n, q, L, alpha, beta)
     if g_bare <= 0:
         raise InfeasibleParamsError(f"gamma0 bare = {g_bare} <= 0")

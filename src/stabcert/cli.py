@@ -75,11 +75,7 @@ def _delta1_checks(cert: Certificate) -> None:
         value = iteration.delta1_of(n)
         quoted = published.DELTA1[n]
         cert.add_target(PublishedTarget(f"delta1(n={n})", rational_to_str(quoted), rational_to_str(value), value == quoted))
-    collapse_ok = True
-    for n in range(3, 13):
-        want = Fraction((n - 2) ** 2, 4 * (n - 1))
-        if iteration.collapse_sqrt(n) != want:
-            collapse_ok = False
+    collapse_ok = all(iteration.collapse_sqrt(n) == Fraction((n - 2) ** 2, 4 * (n - 1)) for n in range(3, 13))
     cert.add_check(
         CertCheck.of(
             "critical_radicand_perfect_square",
@@ -87,12 +83,10 @@ def _delta1_checks(cert: Certificate) -> None:
             detail="sqrt(delta_c(delta_c-(n-2)/n)) = (n-2)^2/(4(n-1)) for n=3..12",
         )
     )
-    exponents_ok = True
-    for n in published.SUPPORTED_N:
-        dc = iteration.critical_delta_threshold(n)
-        res = iteration.critical_delta_exponent(n, dc + Fraction(1, 1000))
-        if not res.p_exceeds_n:
-            exponents_ok = False
+    exponents_ok = all(
+        iteration.critical_delta_exponent(n, iteration.critical_delta_threshold(n) + Fraction(1, 1000))
+        for n in published.SUPPORTED_N
+    )
     cert.add_check(
         CertCheck.of(
             "exponent_exceeds_dimension_above_threshold",
@@ -102,33 +96,13 @@ def _delta1_checks(cert: Certificate) -> None:
     )
 
 
-def cmd_verify_all(args) -> int:
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    combined = Certificate(n=0, params={"rows": ",".join(str(n) for n in published.SUPPORTED_N)})
-    combined.environment.update(cfg.environment())
-    for n in published.SUPPORTED_N:
-        row_cert = certify(ParamSet.published_row(n), cfg)
-        combined.values[f"row_n{n}"] = row_cert.to_jsonable()
-        combined.add_check(
-            CertCheck.of(
-                f"row_n{n}_overall",
-                row_cert.overall_status == "passed",
-                detail=f"{len(row_cert.discrepancies)} discrepancies",
-            )
-        )
-        for target in row_cert.published_targets:
-            combined.add_target(
-                PublishedTarget(f"n={n}:{target.quantity}", target.quoted, target.computed, target.match)
-            )
-        for flag in row_cert.flags:
-            combined.add_flag(f"n={n}:{flag['name']}", flag["detail"])
-    _delta1_checks(combined)
-    # iteration constants on a configured (q, delta) grid: epsilon1 plus the
-    # dyadic constants (C_MS, R) and the Caccioppoli constants (s, s1)
+def _iteration_grid(cfg: RunConfig) -> list[dict]:
+    """verify-all's iteration constants for each built-in n at delta = 1.
+
+    epsilon1, C and C0 depend on (C_MS, R), the Caccioppoli C1 and C2 on
+    (s, s1); it raises NoCaccioppoliConstantError when s and s1 leave both
+    Caccioppoli branches nonpositive.
+    """
     grid = []
     for n in published.SUPPORTED_N:
         delta = Fraction(1)
@@ -151,6 +125,35 @@ def cmd_verify_all(args) -> int:
                 "both_branches_positive": cacc.both_branches_positive,
             }
         )
+    return grid
+
+
+def cmd_verify_all(args) -> int:
+    try:
+        cfg = _apply_overrides(load_config(args.config), args)
+        grid = _iteration_grid(cfg)
+    except (ConfigError, iteration.NoCaccioppoliConstantError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    combined = Certificate(n=0, params={"rows": ",".join(str(n) for n in published.SUPPORTED_N)})
+    combined.environment.update(cfg.environment())
+    for n in published.SUPPORTED_N:
+        row_cert = certify(ParamSet.published_row(n), cfg)
+        combined.values[f"row_n{n}"] = row_cert.to_jsonable()
+        combined.add_check(
+            CertCheck.of(
+                f"row_n{n}_overall",
+                row_cert.overall_status == "passed",
+                detail=f"{len(row_cert.discrepancies)} discrepancies",
+            )
+        )
+        for target in row_cert.published_targets:
+            combined.add_target(
+                PublishedTarget(f"n={n}:{target.quantity}", target.quoted, target.computed, target.match)
+            )
+        for flag in row_cert.flags:
+            combined.add_flag(f"n={n}:{flag['name']}", flag["detail"])
+    _delta1_checks(combined)
     combined.values["iteration_grid"] = grid
     out = Path(args.out) if args.out else cfg.out_dir / "certificate_all.json"
     combined.write(out)
@@ -179,7 +182,6 @@ def cmd_optimize(args) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         search_cfg = optimize.SearchConfig(
             n=args.n,
-            objective="maximize_epsilon" if args.objective == "epsilon" else "minimize_delta0",
             budget=cfg.budget,
             denominator_bound=cfg.denominator_bound if args.denominator_bound is None else args.denominator_bound,
             seeds=(cfg.seed, cfg.seed + 1, cfg.seed + 2, cfg.seed + 3),
@@ -190,7 +192,7 @@ def cmd_optimize(args) -> int:
     if args.n not in published.SUPPORTED_N and args.n != 6:
         print(f"error: n = {args.n} not supported (3, 4, 5 or the open probe 6)", file=sys.stderr)
         return EXIT_USAGE
-    if search_cfg.objective == "maximize_epsilon":
+    if args.objective == "epsilon":
         try:
             delta0 = Fraction(args.delta0) if args.delta0 else published.DELTA0.get(args.n)
         except (ValueError, ZeroDivisionError) as exc:

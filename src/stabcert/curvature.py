@@ -109,14 +109,6 @@ def _F_at(coefficients: tuple[Fraction, Fraction, Fraction], t: Fraction) -> Fra
     return const + slope * t + (1 - t) * Q
 
 
-def F_eval(params: ParamSet, t: Rat) -> Fraction:
-    """Exact F at t = |dr|^2; rejects t outside [0, 1]."""
-    t = Fraction(t)
-    if t < 0 or t > 1:
-        raise ValueError("t = |dr|^2 must lie in [0, 1]")
-    return _F_at(_F_coefficients(params), t)
-
-
 def epsilon_of(params: ParamSet) -> EpsilonResult:
     """epsilon = min{F(0), F(1)}; bounds F on all of [0, 1] by linearity."""
     coefficients = _F_coefficients(params)

@@ -34,6 +34,8 @@ from .report import ConstraintReport
 Rat = Fraction
 
 _BIG_NEGATIVE = -1e18
+_DESCENT_ROUNDS = 6  # coordinate-descent sweeps per start
+_BISECTION_STEPS = 10  # outer delta0 bisection steps
 
 
 @cache
@@ -150,21 +152,15 @@ def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) ->
 @dataclass
 class SearchConfig:
     n: int
-    objective: str = "minimize_delta0"  # or "maximize_epsilon"
     budget: int = 100_000
     denominator_bound: int = 10**6
     seeds: tuple[int, ...] = (0, 1, 2, 3)
-    box: dict[str, tuple[float, float]] | None = None
-    descent_rounds: int = 6
-    bisection_steps: int = 10
 
     def __post_init__(self):
         if self.denominator_bound < 2:
             raise ValueError("denominator_bound must be >= 2")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.objective not in ("minimize_delta0", "maximize_epsilon"):
-            raise ValueError(f"unknown objective {self.objective!r}")
 
 
 @dataclass
@@ -252,7 +248,6 @@ def _coordinate_descent(
     box: dict[str, tuple[float, float]],
     scales: list[float],
     budget: _Budget,
-    rounds: int,
     objective,
 ) -> tuple[tuple[float, float, float], float]:
     """Pattern-search descent maximizing ``objective`` over (b, alpha, beta)."""
@@ -260,7 +255,7 @@ def _coordinate_descent(
     point = list(start)
     best = objective(n, delta0, tuple(point), scales)
     budget.spend()
-    for _ in range(rounds):
+    for _ in range(_DESCENT_ROUNDS):
         improved = False
         for idx, key in enumerate(keys):
             lo, hi = box[key]
@@ -313,7 +308,6 @@ def _search_at_delta0(
     scales: list[float],
     budget: _Budget,
     config: SearchConfig,
-    objective=_objective_margin,
 ) -> tuple[ParamSet | None, float, tuple[float, float, float] | None]:
     """Multistart inner search at a fixed rational delta0.
 
@@ -324,9 +318,7 @@ def _search_at_delta0(
     for start in _starts(n, box, config.seeds):
         if budget.exhausted:
             break
-        point, score = _coordinate_descent(
-            n, float(delta0), start, box, scales, budget, config.descent_rounds, objective
-        )
+        point, score = _coordinate_descent(n, float(delta0), start, box, scales, budget, _objective_margin)
         results.append((score, point))
     results.sort(key=lambda t: -t[0])
     best_score = results[0][0] if results else _BIG_NEGATIVE
@@ -351,7 +343,7 @@ def minimize_delta0(config: SearchConfig) -> SearchResult:
     infeasibility margin profile if nothing certifies.
     """
     n = config.n
-    box = config.box or default_box(n)
+    box = default_box(n)
     scales = _scales(n)
     budget = _Budget(config.budget)
     notes: list[str] = []
@@ -398,7 +390,7 @@ def minimize_delta0(config: SearchConfig) -> SearchResult:
                 best_margin_profile=best_profile,
             )
 
-    for _ in range(config.bisection_steps):
+    for _ in range(_BISECTION_STEPS):
         if budget.exhausted or hi - lo <= Fraction(1, 1 << 12):
             break
         mid = ((lo + hi) / 2).limit_denominator(4096)
@@ -438,7 +430,7 @@ def maximize_epsilon(config: SearchConfig, delta0_fixed: Rat) -> SearchResult:
     """
     n = config.n
     delta0 = Fraction(delta0_fixed)
-    box = config.box or default_box(n)
+    box = default_box(n)
     scales = _scales(n)
     budget = _Budget(config.budget)
     notes: list[str] = []
@@ -461,9 +453,7 @@ def maximize_epsilon(config: SearchConfig, delta0_fixed: Rat) -> SearchResult:
     for start in _starts(n, box, config.seeds):
         if budget.exhausted:
             break
-        point, _ = _coordinate_descent(
-            n, float(delta0), start, box, scales, budget, config.descent_rounds, eps_objective
-        )
+        point, _ = _coordinate_descent(n, float(delta0), start, box, scales, budget, eps_objective)
         candidate = _round_params(n, delta0, *point, bound=config.denominator_bound)
         if candidate is None:
             continue

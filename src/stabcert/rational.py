@@ -7,14 +7,13 @@ top of it this module provides
 * :class:`QuadSurd` — values of the form ``r*sqrt(s)`` with rational ``r`` and
   rational ``s >= 0``, closed under the handful of operations the constant
   pipeline needs (square, product, ratio, comparison against a rational);
-* :class:`OffsetSurd` — ``c + r*sqrt(s)``, the affine extension required for
-  interval endpoints of the form ``delta +- sqrt(...)``;
 * canonical string serialization ("p/q" and "r*sqrt(s)") used by certificates;
 * :func:`clear_denominators`, which the sampled checks use to compare in
   integers.
 
-Floating mirrors (``approx`` / ``approx_mp``) exist for advisory cross-checks
-only; nothing on the certified path consumes them.
+The high-precision value ``QuadSurd.approx_mp`` feeds the barrier ODE residual
+and the growth constants, which are reported as approximate; no exact check
+consumes it.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ Rational = Fraction
 def rational_to_str(x: Fraction) -> str:
     """Serialize as "p/q" (reduced, q > 0), including q = 1 explicitly."""
     return f"{x.numerator}/{x.denominator}"
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 def clear_denominators(*values: Fraction) -> tuple[int, ...]:
@@ -91,10 +86,6 @@ class QuadSurd:
             return QuadSurd(coeff * root, Fraction(1))
         return QuadSurd(coeff, radicand)
 
-    @staticmethod
-    def from_rational(x: Fraction | int) -> "QuadSurd":
-        return QuadSurd.make(Fraction(x), Fraction(1))
-
     def is_rational(self) -> bool:
         return self.radicand == 1 or self.coeff == 0
 
@@ -122,9 +113,6 @@ class QuadSurd:
             raise ZeroDivisionError("division by zero surd")
         return QuadSurd.make(self.coeff / other.coeff, self.radicand / other.radicand)
 
-    def scale(self, r: Fraction | int) -> "QuadSurd":
-        return QuadSurd.make(self.coeff * Fraction(r), self.radicand)
-
     def compare_rational(self, y: Fraction | int) -> int:
         """Exact ordering versus a rational: -1 (less), 0 (equal), +1 (greater).
 
@@ -145,10 +133,6 @@ class QuadSurd:
         bigger_abs = 1 if left > right else -1
         return bigger_abs if s > 0 else -bigger_abs
 
-    def approx(self) -> float:
-        """Advisory double-precision value; not used by any exact check."""
-        return float(self.coeff) * float(self.radicand) ** 0.5
-
     def approx_mp(self, dps: int = 50) -> mpmath.mpf:
         """Advisory high-precision value at ``dps`` significant digits."""
         with mpmath.workdps(dps):
@@ -158,58 +142,3 @@ class QuadSurd:
 
     def __str__(self) -> str:
         return f"{rational_to_str(self.coeff)}*sqrt({rational_to_str(self.radicand)})"
-
-    @staticmethod
-    def from_str(s: str) -> "QuadSurd":
-        s = s.strip()
-        head, _, tail = s.partition("*sqrt(")
-        if not tail.endswith(")"):
-            raise ValueError(f"not a surd string: {s!r}")
-        return QuadSurd.make(Fraction(head), Fraction(tail[:-1]))
-
-
-@dataclass(frozen=True)
-class OffsetSurd:
-    """The exact value ``offset + surd`` (rational plus a QuadSurd)."""
-
-    offset: Fraction
-    surd: QuadSurd
-
-    @staticmethod
-    def make(offset: Fraction | int, surd: QuadSurd) -> "OffsetSurd":
-        offset = Fraction(offset)
-        if surd.is_rational():
-            return OffsetSurd(offset + surd.as_rational(), QuadSurd.from_rational(0))
-        return OffsetSurd(offset, surd)
-
-    def is_rational(self) -> bool:
-        return self.surd.is_rational()
-
-    def as_rational(self) -> Fraction:
-        return self.offset + self.surd.as_rational()
-
-    def compare_rational(self, t: Fraction | int) -> int:
-        """Exact ordering of ``offset + surd`` versus a rational ``t``."""
-        return self.surd.compare_rational(Fraction(t) - self.offset)
-
-    def scale(self, r: Fraction | int) -> "OffsetSurd":
-        r = Fraction(r)
-        return OffsetSurd.make(self.offset * r, self.surd.scale(r))
-
-    def shift(self, c: Fraction | int) -> "OffsetSurd":
-        return OffsetSurd.make(self.offset + Fraction(c), self.surd)
-
-    def approx(self) -> float:
-        return float(self.offset) + self.surd.approx()
-
-    def approx_mp(self, dps: int = 50) -> mpmath.mpf:
-        with mpmath.workdps(dps):
-            return mpmath.mpf(self.offset.numerator) / self.offset.denominator + self.surd.approx_mp(dps)
-
-    def __str__(self) -> str:
-        return f"{rational_to_str(self.offset)} + {self.surd}"
-
-    @staticmethod
-    def from_str(s: str) -> "OffsetSurd":
-        head, _, tail = s.partition(" + ")
-        return OffsetSurd.make(Fraction(head), QuadSurd.from_str(tail))

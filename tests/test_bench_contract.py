@@ -4,8 +4,11 @@
 pins check names (``pointwise_curvature_inequality``,
 ``quadform/quadform_lower_bound``, ``barrier[*]/barrier_ode_residual``), so a
 renamed entry point or check fails here instead of only in a benchmark run.
+Every function the benchmark's tracer wraps must still exist, or its
+per-layer metrics read zero.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -45,3 +49,18 @@ def test_recheck_ops(tmp_path):
     workload.prepare()
     run_checked(workload, workload.ops()[:20])
     assert len(workload.delta0_ratios) == 1
+
+
+def test_trace_targets_resolve():
+    # a missing target reads as zero in its per-layer metrics instead of failing a run
+    for module_name in {module_name for module_name, *_ in tracing.TARGETS}:
+        importlib.import_module(module_name)
+    optimize = sys.modules["stabcert.optimize"]
+    feasibility = optimize.feasibility
+    tracer = tracing.Tracer()
+    tracer.install()
+    assert optimize.feasibility is not feasibility
+    tracer.uninstall()
+    assert optimize.feasibility is feasibility
+    # deleted from stabcert; the benchmark's target list still names them
+    assert sorted(tracer.missing) == ["stabcert.bubble.certify_chain", "stabcert.curvature.certify_builtin_row"]

@@ -10,13 +10,13 @@ from stabcert.bubble import (
     derive,
     gamma0,
     growth_constants,
-    hbar_coeff_margin,
     l_max,
     mean_curv_coeff,
     quadform_lower_bound_check,
     spectral_coeff,
     surd_identities_check,
     x0_y0,
+    young_numerator,
 )
 from stabcert.curvature import ParamSet
 from stabcert.optimize import feasibility
@@ -99,15 +99,16 @@ class TestYoungParameter:
     def test_row3_margin_identity(self):
         # 17/22 - 9/20 - (71/11)(1/20) = 0 exactly
         assert F(17, 22) - F(9, 20) - F(71, 11) * F(1, 20) == 0
-        assert hbar_coeff_margin(F(17, 22), F(20, 11), F(71, 11)) == 0
+        assert feasibility(row(3)).entry("hbar_coeff_at_l_max").margin == 0
 
     def test_margin_positive_below_l_max(self):
         p = row(4)
-        mcc = mean_curv_coeff(p.n, p.alpha, p.beta)
+        numerator = young_numerator(mean_curv_coeff(p.n, p.alpha, p.beta), p.q)
+        cross = abs(F(1, 2) - 1 / p.q)
         L = l_max(p.n, p.q, p.alpha, p.beta)
-        assert hbar_coeff_margin(mcc, p.q, L) == 0
-        assert hbar_coeff_margin(mcc, p.q, L - F(1, 100)) > 0
-        assert hbar_coeff_margin(mcc, p.q, L + F(1, 100)) < 0
+        assert numerator - L * cross == 0
+        assert numerator - (L - F(1, 100)) * cross > 0
+        assert numerator - (L + F(1, 100)) * cross < 0
 
     def test_unconstrained_at_q_two(self):
         # q = 2: the cross term vanishes; any Young parameter works
@@ -159,7 +160,7 @@ class TestBarrier:
     def test_surd_identities(self, n, convention):
         p = row(n)
         constants = derive(p, eps(n))
-        branch = constants.branch(convention)
+        branch = {b.convention: b for b in constants.branches}[convention]
         report = surd_identities_check(p.alpha, p.beta, eps(n), branch.gamma0, branch.x0, branch.y0)
         assert report.all_satisfied
 
@@ -185,7 +186,7 @@ class TestBarrier:
 
     def test_ode_midpoint_and_oddness(self):
         constants = derive(row(3), eps(3))
-        branch = constants.branch("bare")
+        branch = constants.branches[0]
         with mpmath.workdps(50):
             x0 = branch.x0.approx_mp()
             y0 = branch.y0.approx_mp()
@@ -205,7 +206,7 @@ class TestGrowthConstants:
         p = row(3)
         assert (p.n - 2) * p.alpha / eps(3) == 2
         constants = derive(p, eps(3))
-        area = mpmath.mpf(constants.branch("bare").area_const.value)
+        area = mpmath.mpf(constants.branches[0].area_const.value)
         assert abs(area - 8 * mpmath.pi) / (8 * mpmath.pi) < 1e-10
 
     def test_epsilon_doubling_halves_base(self):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -99,12 +103,30 @@ def test_verify_all(tmp_path, fast_config):
     assert "exponent_exceeds_dimension_above_threshold" in names
 
 
-def test_verify_all_strict_discrepancy(tmp_path, fast_config, monkeypatch):
-    monkeypatch.setitem(published.GAMMA0, 4, F(1, 7))
+@pytest.mark.parametrize(
+    "table, quantity",
+    [
+        pytest.param(published.GAMMA0, "n=4:gamma0", id="gamma0"),
+        pytest.param(published.DELTA1, "delta1(n=4)", id="delta1"),
+    ],
+)
+def test_verify_all_strict_discrepancy(tmp_path, fast_config, monkeypatch, table, quantity):
+    monkeypatch.setitem(table, 4, F(1, 7))
     out = tmp_path / "all.json"
+    assert run(["verify-all", "--config", str(fast_config), "--out", str(out)]) == 0
     assert run(["verify-all", "--strict", "--config", str(fast_config), "--out", str(out)]) == 3
     cert = Certificate.read(out)
-    assert any(q.startswith("n=4:gamma0") for q in cert.discrepancies)
+    assert any(q.startswith(quantity) for q in cert.discrepancies)
+
+
+def test_verify_all_without_caccioppoli_constant_is_usage_error(tmp_path, fast_config, capsys):
+    # s = s1 = 1/1000 leaves both Caccioppoli branch coefficients nonpositive
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(fast_config.read_text(encoding="utf-8") + "s = 1/1000\ns1 = 1/1000\n", encoding="utf-8")
+    out = tmp_path / "all.json"
+    assert run(["verify-all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "both nonpositive" in one_line_error(capsys)
 
 
 def test_optimize_delta0(tmp_path):
@@ -268,3 +290,10 @@ def test_recursion_sim_rejects_dimension_two(capsys):
 
 def test_usage_error_exit():
     assert run(["verify"]) == 2  # missing --n
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import stabcert.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

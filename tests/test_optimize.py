@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from quadmin_oracle import hessian_entries
 
 from stabcert import bubble, published, quadmin
 from stabcert.curvature import ParamSet, epsilon_of
@@ -82,7 +83,7 @@ class TestFeasibility:
         for p in rows:
             n, alpha, beta = p.n, p.alpha, p.beta
             m = {e.name: e.margin for e in feasibility(p).entries}
-            fxx, fyy, _ = quadmin.hessian_entries(n, p.a, alpha, beta)
+            fxx, fyy, _ = hessian_entries(n, p.a, alpha, beta)
             D = quadmin.discriminant(n, p.a, alpha, beta)
             assert (m["b_positive"], m["alpha_positive"], m["beta_positive"]) == (p.b, alpha, beta)
             assert (m["hessian_fxx"], m["hessian_fyy"], m["discriminant"]) == (fxx, fyy, D)
@@ -111,7 +112,7 @@ class TestFeasibility:
             if L is None:
                 assert "hbar_coeff_at_l_max" not in m
             else:
-                assert m["hbar_coeff_at_l_max"] == bubble.hbar_coeff_margin(mcc, q, L) == 0
+                assert m["hbar_coeff_at_l_max"] == young - L * abs(F(1, 2) - 1 / q) == 0
 
 
 class TestFloatMirror:
@@ -210,7 +211,5 @@ def test_config_validation():
         SearchConfig(n=3, denominator_bound=1)
     with pytest.raises(ValueError):
         SearchConfig(n=3, budget=0)
-    with pytest.raises(ValueError):
-        SearchConfig(n=3, objective="noise")
     with pytest.raises(ValueError):
         default_box(9)

@@ -2,34 +2,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
-
-from stabcert.quadmin import (
-    DegenerateQuadraticError,
+from quadmin_oracle import (
     QuadMinInput,
     critical_point,
-    discriminant,
     f_eval,
     f_min_bruteforce,
-    f_min_coefficient,
     gradient,
     hessian_entries,
+    random_valid_input,
 )
+
+from stabcert.quadmin import DegenerateQuadraticError, discriminant, f_min_coefficient
 
 ROW3 = dict(n=3, a=F(10, 11), alpha=F(18, 11), beta=F(3, 2))
 ROW4 = dict(n=4, a=F(24, 25), alpha=F(51, 50), beta=F(5, 4))
-
-
-def random_valid_input(rng: random.Random) -> QuadMinInput:
-    """Random (n, a, alpha, beta, E) satisfying all Hessian conditions."""
-    while True:
-        n = rng.randrange(3, 9)
-        alpha = F(rng.randrange(1, 40), rng.randrange(1, 20))
-        beta = F(rng.randrange(1, 40), rng.randrange(1, 20))
-        # push a above the f_xx/f_yy threshold, then keep only D > 0
-        a = max(alpha, beta) * F(n - 2, n - 1) * F(rng.randrange(11, 40), 10)
-        if discriminant(n, a, alpha, beta) > 0:
-            E = F(rng.randrange(-20, 21), rng.randrange(1, 10))
-            return QuadMinInput(n=n, a=a, alpha=alpha, beta=beta, linear_scale=E)
 
 
 def test_discriminant_values():

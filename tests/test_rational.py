@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stabcert.rational import (
-    OffsetSurd,
-    QuadSurd,
-    rational_from_str,
-    rational_to_str,
-    sqrt_exact,
-)
+from stabcert.rational import QuadSurd, rational_to_str, sqrt_exact
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
@@ -44,9 +38,9 @@ def test_serialization_p_over_q():
     assert rational_to_str(F(9, 11)) == "9/11"
     assert rational_to_str(F(3)) == "3/1"
     assert rational_to_str(F(-3, 4)) == "-3/4"
-    assert rational_from_str("979826999/65363627000") == F(979826999, 65363627000)
+    assert F("979826999/65363627000") == F(979826999, 65363627000)
     x = F(-123456, 789)
-    assert rational_from_str(rational_to_str(x)) == x
+    assert F(rational_to_str(x)) == x
 
 
 def test_sqrt_exact():
@@ -104,12 +98,14 @@ class TestQuadSurd:
             rad = F(rng.randrange(0, 80), rng.randrange(1, 30))
             s = QuadSurd.make(coeff, rad)
             hi = float(s.approx_mp(50))
-            assert s.approx() == pytest.approx(hi, rel=1e-12, abs=1e-300)
+            assert (hi > 0) - (hi < 0) == s.sign()
             assert float(s.square()) == pytest.approx(hi * hi, rel=1e-12, abs=1e-300)
 
     def test_str_roundtrip(self):
+        # certificates store x0, y0 as "r*sqrt(s)"; the two rationals give the value back
         s = QuadSurd.make(F(-1, 2), F(8, 3))
-        assert QuadSurd.from_str(str(s)) == s
+        coeff, _, radicand = str(s).partition("*sqrt(")
+        assert QuadSurd.make(F(coeff), F(radicand.removesuffix(")"))) == s
         assert str(QuadSurd.make(1, F(2, 3))) == "1/1*sqrt(2/3)"
 
     def test_negative_radicand_rejected(self):
@@ -124,28 +120,3 @@ class TestQuadSurd:
         assert a != QuadSurd.make(-2, 2) and a != QuadSurd.make(2, 3)
         assert QuadSurd(F(0), F(5)) == QuadSurd.make(0, 1)
 
-
-class TestOffsetSurd:
-    def test_compare(self):
-        # 1 - sqrt(2/3) vs rationals
-        low = OffsetSurd.make(1, QuadSurd.make(-1, F(2, 3)))
-        assert low.compare_rational(0) == 1  # 1 - 0.816 > 0
-        assert low.compare_rational(F(1, 2)) == -1
-        assert low.compare_rational(1) == -1
-        hi = OffsetSurd.make(1, QuadSurd.make(1, F(2, 3)))
-        assert hi.compare_rational(1) == 1
-        assert hi.compare_rational(2) == -1
-
-    def test_rational_collapse(self):
-        x = OffsetSurd.make(F(3, 8), QuadSurd.make(1, F(1, 64)))
-        assert x.is_rational() and x.as_rational() == F(1, 2)
-        assert x.compare_rational(F(1, 2)) == 0
-
-    def test_scale_shift(self):
-        x = OffsetSurd.make(F(1, 2), QuadSurd.make(1, 2))
-        y = x.scale(2).shift(3)
-        assert y.offset == 4 and y.surd.coeff == 2 and y.surd.radicand == 2
-
-    def test_str_roundtrip(self):
-        x = OffsetSurd.make(F(3, 8), QuadSurd.make(1, F(1, 24)))
-        assert OffsetSurd.from_str(str(x)) == x
