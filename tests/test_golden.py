@@ -27,11 +27,16 @@ def test_verify_all_certificate_bytes(tmp_path):
     [
         (4, 0, ("search_n4_seed5.json", "search_n4_seed5_certificate.json")),
         (6, 4, ("search_n6_seed5.json",)),  # uncertified: the margin profile, no certificate
+        (3, 0, ("search_n3_seed5.json", "search_n3_seed5_certificate.json")),
+        (5, 0, ("search_n5_seed5.json", "search_n5_seed5_certificate.json")),
+        (3, 0, ("search_n3_epsilon_seed5.json", "search_n3_epsilon_seed5_certificate.json")),
     ],
 )
 def test_optimize_output_bytes(tmp_path, n, code, files):
-    out = tmp_path / f"search_n{n}_seed5.json"
-    assert main(["optimize", "--n", str(n), "--seed", "5", "--out", str(out)]) == code
+    # the result file's name carries the objective: search_n{n}[_epsilon]_seed5.json
+    out = tmp_path / files[0]
+    objective = "epsilon" if "_epsilon_" in out.name else "delta0"
+    assert main(["optimize", "--n", str(n), "--objective", objective, "--seed", "5", "--out", str(out)]) == code
     written = {p.name for p in tmp_path.glob("*.json")}
     assert written == set(files)
     for name in files:
