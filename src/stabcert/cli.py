@@ -194,14 +194,20 @@ def cmd_optimize(args) -> int:
         return EXIT_USAGE
     if args.objective == "epsilon":
         try:
-            delta0 = Fraction(args.delta0) if args.delta0 else published.DELTA0.get(args.n)
+            delta0 = published.DELTA0.get(args.n) if args.delta0 is None else Fraction(args.delta0)
         except (ValueError, ZeroDivisionError) as exc:
             print(f"error: bad --delta0: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if delta0 is None:
             print("error: --delta0 required for the epsilon objective at this n", file=sys.stderr)
             return EXIT_USAGE
+        if delta0 <= 0:
+            print(f"error: --delta0 must be > 0, got {args.delta0}", file=sys.stderr)
+            return EXIT_USAGE
         result = optimize.maximize_epsilon(search_cfg, delta0)
+    elif args.delta0 is not None:
+        print("error: --delta0 applies to --objective epsilon only", file=sys.stderr)
+        return EXIT_USAGE
     else:
         result = optimize.minimize_delta0(search_cfg)
 

@@ -15,6 +15,11 @@ box, then candidates are rounded to rationals by continued fractions
 (denominator-bounded) and recertified with exact arithmetic.  Floating error
 is harmless: unsound candidates simply fail exact recertification.  Fixed
 seeds and budgets make results deterministic.
+
+At each delta0 level the descents share a memo from point to objective value,
+so a point that several starts reach, or a step back to the previous point, is
+scored once.  The budget counts every point queried, memoized or not, so a
+search spends it exactly as it would without the memo.
 """
 
 from __future__ import annotations
@@ -37,6 +42,20 @@ _BIG_NEGATIVE = -1e18
 _DESCENT_ROUNDS = 6  # coordinate-descent sweeps per start
 _BISECTION_STEPS = 10  # outer delta0 bisection steps
 
+_MARGIN_NAMES = (
+    "b_positive", "alpha_positive", "beta_positive", "hessian_fxx", "hessian_fyy", "discriminant",
+    "epsilon", "q_below_4", "spectral_bound", "ricci_coeff_denominator", "young_numerator", "gamma0_bare",
+)
+# the index of epsilon at every n: spectral_bound, which n = 3 lacks, comes after it
+_EPSILON = _MARGIN_NAMES.index("epsilon")
+# Why a margin is undefined when the Hessian gate holds; when it fails, epsilon
+# and every margin after it are undefined because of that failure.
+_UNDEFINED_WHY = {
+    "spectral_bound": "q >= 4",
+    "young_numerator": "upstream failure",
+    "gamma0_bare": "no Young parameter",
+}
+
 
 @cache
 def _coefficients(n: int, num: type) -> tuple:
@@ -49,13 +68,13 @@ def _coefficients(n: int, num: type) -> tuple:
     )
 
 
-def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[list[tuple], tuple | None]:
+def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     """Every feasibility margin of the row in order, on Fractions or on floats.
 
-    Returns ``(name, margin, why)`` triples, where ``margin`` is None when an
-    upstream failure leaves it undefined and ``why`` says which failure, and
-    ``(L_max, hbar margin at L_max)`` when the Young parameter binds.  The
-    spectral margin exists for n >= 4 only.  ``k`` is ``_coefficients(n, type)``.
+    Returns the margins in the order of ``margin_names(n)``, None where an
+    upstream failure leaves a margin undefined, and ``(L_max, hbar margin at
+    L_max)`` when the Young parameter binds.  The spectral margin exists for
+    n >= 4 only.  ``k`` is ``_coefficients(n, type)``.
     Keep the order of operations: search results depend on the float margins
     to the last bit (tests/test_golden.py).
     """
@@ -91,25 +110,9 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[list[tuple], tuple | No
                     L = young / cross
                     g_bare = 1 / q - (1 / L) * cross
                     binding = (L, young - L * cross)
-    upstream = "" if convex else "Hessian conditions failed"
-    chain = [
-        ("b_positive", b, ""),
-        ("alpha_positive", alpha, ""),
-        ("beta_positive", beta, ""),
-        ("hessian_fxx", fxx, ""),
-        ("hessian_fyy", fyy, ""),
-        ("discriminant", D, ""),
-        ("epsilon", eps, upstream),
-        ("q_below_4", q_margin, upstream),
-    ]
-    if spectral_bound is not None:
-        chain.append(("spectral_bound", spectral, upstream or "q >= 4"))
-    chain += [
-        ("ricci_coeff_denominator", ricci, upstream),
-        ("young_numerator", young, upstream or "upstream failure"),
-        ("gamma0_bare", g_bare, upstream or "no Young parameter"),
-    ]
-    return chain, binding
+    if spectral_bound is None:
+        return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), binding
+    return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), binding
 
 
 def feasibility(params: ParamSet) -> ConstraintReport:
@@ -119,10 +122,12 @@ def feasibility(params: ParamSet) -> ConstraintReport:
     unsatisfied with a note instead of raising.
     """
     n = params.n
-    chain, binding = _chain(n, params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
+    margins, binding = _chain(n, params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
+    hessian_failed = margins[_EPSILON] is None
     report = ConstraintReport()
-    for name, margin, why in chain:
+    for name, margin in zip(margin_names(n), margins):
         if margin is None:
+            why = "Hessian conditions failed" if hessian_failed else _UNDEFINED_WHY[name]
             report.add(name, False, detail=f"undefined: {why}")
         else:
             report.add_margin(name, margin)
@@ -134,9 +139,8 @@ def feasibility(params: ParamSet) -> ConstraintReport:
 
 @cache
 def margin_names(n: int) -> tuple[str, ...]:
-    # the chain names every margin whatever the point, so any point serves
-    chain, _ = _chain(n, 1.0, 1.0, 1.0, 1.0, _coefficients(n, float))
-    return tuple(name for name, _, _ in chain)
+    """The names of ``_chain``'s margins at dimension n, in its order."""
+    return tuple(name for name in _MARGIN_NAMES if n > 3 or name != "spectral_bound")
 
 
 def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) -> list[float]:
@@ -145,8 +149,8 @@ def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) ->
     Undefined margins read as a large negative number.  Advisory only; every
     accepted candidate is recertified exactly.
     """
-    chain, _ = _chain(n, delta0 * b, b, alpha, beta, _coefficients(n, float))
-    return [_BIG_NEGATIVE if margin is None else margin for _, margin, _ in chain]
+    margins, _ = _chain(n, delta0 * b, b, alpha, beta, _coefficients(n, float))
+    return [_BIG_NEGATIVE if margin is None else margin for margin in margins]
 
 
 @dataclass
@@ -249,11 +253,19 @@ def _coordinate_descent(
     scales: list[float],
     budget: _Budget,
     objective,
+    memo: dict[tuple[float, float, float], float],
 ) -> tuple[tuple[float, float, float], float]:
-    """Pattern-search descent maximizing ``objective`` over (b, alpha, beta)."""
+    """Pattern-search descent maximizing ``objective`` over (b, alpha, beta).
+
+    ``memo`` maps each point already scored at this delta0 with this objective
+    to its value; a point found there is not scored again.  Every point
+    queried spends one unit of ``budget``, whether the memo answers it or not.
+    """
     keys = ("b", "alpha", "beta")
-    point = list(start)
-    best = objective(n, delta0, tuple(point), scales)
+    point = start
+    best = memo.get(point)
+    if best is None:
+        best = memo[point] = objective(n, delta0, point, scales)
     budget.spend()
     for _ in range(_DESCENT_ROUNDS):
         improved = False
@@ -262,16 +274,18 @@ def _coordinate_descent(
             step = (hi - lo) / 8
             while step > (hi - lo) * 1e-5:
                 if budget.exhausted:
-                    return tuple(point), best
+                    return point, best
                 moved = False
                 for direction in (1.0, -1.0):
-                    trial = list(point)
-                    trial[idx] = min(hi, max(lo, point[idx] + direction * step))
-                    if trial[idx] == point[idx]:
+                    coord = min(hi, max(lo, point[idx] + direction * step))
+                    if coord == point[idx]:
                         continue
                     if not budget.spend():
-                        return tuple(point), best
-                    val = objective(n, delta0, tuple(trial), scales)
+                        return point, best
+                    trial = (*point[:idx], coord, *point[idx + 1:])
+                    val = memo.get(trial)
+                    if val is None:
+                        val = memo[trial] = objective(n, delta0, trial, scales)
                     if val > best:
                         best, point = val, trial
                         moved = improved = True
@@ -280,7 +294,7 @@ def _coordinate_descent(
                     step /= 2
         if not improved:
             break
-    return tuple(point), best
+    return point, best
 
 
 def _starts(n: int, box: dict[str, tuple[float, float]], seeds: tuple[int, ...]) -> list[tuple[float, float, float]]:
@@ -315,10 +329,11 @@ def _search_at_delta0(
     first), the best float score seen, and its float point.
     """
     results = []
+    memo: dict[tuple[float, float, float], float] = {}
     for start in _starts(n, box, config.seeds):
         if budget.exhausted:
             break
-        point, score = _coordinate_descent(n, float(delta0), start, box, scales, budget, _objective_margin)
+        point, score = _coordinate_descent(n, float(delta0), start, box, scales, budget, _objective_margin, memo)
         results.append((score, point))
     results.sort(key=lambda t: -t[0])
     best_score = results[0][0] if results else _BIG_NEGATIVE
@@ -440,7 +455,7 @@ def maximize_epsilon(config: SearchConfig, delta0_fixed: Rat) -> SearchResult:
         worst = min(map(truediv, margins, scales_))
         if worst <= 0:
             return worst  # infeasible: chase feasibility first
-        return margins[margin_names(n_).index("epsilon")]
+        return margins[_EPSILON]
 
     best_params: ParamSet | None = None
     best_eps: Fraction | None = None
@@ -450,10 +465,11 @@ def maximize_epsilon(config: SearchConfig, delta0_fixed: Rat) -> SearchResult:
             best_params, best_eps = witness, epsilon_of(witness).epsilon
             notes.append(f"built-in row certified with epsilon = {rational_to_str(best_eps)}")
 
+    memo: dict[tuple[float, float, float], float] = {}
     for start in _starts(n, box, config.seeds):
         if budget.exhausted:
             break
-        point, _ = _coordinate_descent(n, float(delta0), start, box, scales, budget, eps_objective)
+        point, _ = _coordinate_descent(n, float(delta0), start, box, scales, budget, eps_objective, memo)
         candidate = _round_params(n, delta0, *point, bound=config.denominator_bound)
         if candidate is None:
             continue

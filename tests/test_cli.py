@@ -176,6 +176,24 @@ def test_optimize_epsilon_requires_delta0_for_probe(tmp_path):
     assert run(["optimize", "--n", "6", "--objective", "epsilon", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("-1", "must be > 0"), ("0", "must be > 0"), ("x", "bad --delta0"), ("1/0", "bad --delta0")],
+)
+def test_optimize_bad_delta0_is_usage_error(tmp_path, capsys, value, message):
+    out = tmp_path / "search.json"
+    assert run(["optimize", "--n", "3", "--objective", "epsilon", "--delta0", value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in one_line_error(capsys)
+
+
+def test_optimize_delta0_flag_needs_epsilon_objective(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    assert run(["optimize", "--n", "3", "--delta0", "1/2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--delta0 applies to --objective epsilon only" in one_line_error(capsys)
+
+
 def test_optimize_open_dimension_exits_4(tmp_path):
     out = tmp_path / "search6.json"
     code = run(["optimize", "--n", "6", "--budget", "1500", "--out", str(out)])

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from quadmin_oracle import hessian_entries
 
-from stabcert import bubble, published, quadmin
+from stabcert import bubble, optimize, published, quadmin
 from stabcert.curvature import ParamSet, epsilon_of
 from stabcert.optimize import (
     SearchConfig,
@@ -48,10 +48,28 @@ class TestFeasibility:
         assert not report.entry("hessian_fxx").satisfied
 
     def test_undefined_margins_reported_not_raised(self):
-        bad = ParamSet(3, F(5), F(1), F(3), F(1))  # ricci denominator 2 - 3 < 0
-        report = feasibility(bad)
-        assert not report.all_satisfied
-        assert report.entry("young_numerator").margin is None
+        hessian = "undefined: Hessian conditions failed"
+        cases = [
+            # f_xx = 4a - 2 beta < 0: everything from epsilon on is undefined
+            (ParamSet(3, F(1, 300), F(1, 100), F(1), F(1)),
+             {name: hessian for name in ("epsilon", "q_below_4", "ricci_coeff_denominator",
+                                         "young_numerator", "gamma0_bare")}),
+            # ricci denominator 2 - 3 < 0: no Young numerator, so no Young parameter
+            (ParamSet(3, F(5), F(1), F(3), F(1)),
+             {"young_numerator": "undefined: upstream failure", "gamma0_bare": "undefined: no Young parameter"}),
+            # q = b/beta = 4 at n = 4: no spectral coefficient
+            (ParamSet(4, F(1), F(2), F(1, 2), F(1, 2)),
+             {"spectral_bound": "undefined: q >= 4", "young_numerator": "undefined: upstream failure",
+              "gamma0_bare": "undefined: no Young parameter"}),
+            # Young numerator -1/24 <= 0
+            (ParamSet(3, F(1), F(3), F(1, 2), F(1)), {"gamma0_bare": "undefined: no Young parameter"}),
+        ]
+        for params, want in cases:
+            report = feasibility(params)
+            assert not report.all_satisfied
+            undefined = {e.name: e.detail for e in report.entries if e.margin is None}
+            assert undefined == want, params
+            assert not any(report.entry(name).satisfied for name in want)
 
     def test_binding_info_entry(self):
         report = feasibility(row(3))
@@ -163,6 +181,21 @@ class TestMinimizeDelta0:
             pytest.fail(f"unexpected certified n=6 row: {result.best_params}")
         assert result.best_margin_profile is not None
         assert "_delta0" in result.best_margin_profile
+
+
+    def test_each_point_scored_once_per_delta0(self, monkeypatch):
+        # the memo answers repeated points; the budget still counts every query
+        seen = []
+        scored = optimize.float_margins
+
+        def recording(n, delta0, b, alpha, beta):
+            seen.append((delta0, b, alpha, beta))
+            return scored(n, delta0, b, alpha, beta)
+
+        monkeypatch.setattr(optimize, "float_margins", recording)
+        result = minimize_delta0(SearchConfig(n=4, seeds=(5, 6, 7, 8)))
+        assert result.evaluations_used == 12840  # tests/data/search_n4_seed5.json
+        assert len(seen) == len(set(seen))
 
 
 class TestMaximizeEpsilon:
