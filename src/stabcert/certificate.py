@@ -22,6 +22,28 @@ from .rational import rational_to_str
 SCHEMA_VERSION = "1"
 
 
+def write_json(path: str | Path, payload) -> None:
+    """Atomic write of indented JSON: a temp file in the target directory, then a rename.
+
+    The file gets the mode a plain ``open`` would give it (0666 less the umask),
+    not the temp file's owner-only 0600.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass(frozen=True)
 class CertCheck:
     """One named check: its kind, its status and the evidence behind it.
@@ -90,6 +112,8 @@ class PublishedTarget:
 
     @staticmethod
     def from_jsonable(d: dict) -> "PublishedTarget":
+        if not isinstance(d["match"], bool):
+            raise ValueError(f"published target {d['quantity']!r}: match {d['match']!r} is not a boolean")
         return PublishedTarget(d["quantity"], d["quoted"], d["computed"], d["match"])
 
 
@@ -136,43 +160,31 @@ class Certificate:
             "environment": self.environment,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=False)
-
     @staticmethod
     def from_jsonable(d: dict) -> "Certificate":
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        cert = Certificate(
+        flags = list(d.get("flags", []))
+        if not all(isinstance(flag, dict) for flag in flags):
+            raise ValueError("every flag must be a JSON object")
+        return Certificate(
             n=d["n"],
             params=dict(d.get("params", {})),
             checks=[CertCheck.from_jsonable(c) for c in d.get("checks", [])],
             published_targets=[PublishedTarget.from_jsonable(t) for t in d.get("published_targets", [])],
             values=dict(d.get("values", {})),
-            flags=list(d.get("flags", [])),
+            flags=flags,
             environment=dict(d.get("environment", {})),
             schema_version=d.get("schema_version", SCHEMA_VERSION),
         )
-        return cert
 
     @staticmethod
     def from_json(s: str) -> "Certificate":
         return Certificate.from_jsonable(json.loads(s))
 
     def write(self, path: str | Path) -> None:
-        """Atomic write: serialize to a temp file in the target directory, then rename."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(self.to_json())
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Atomic write; see ``write_json``."""
+        write_json(path, self.to_jsonable())
 
     @staticmethod
     def read(path: str | Path) -> "Certificate":

@@ -4,10 +4,10 @@ A certificate has up to three sections, in this order:
 
 * the margin chain: every margin of ``optimize.feasibility`` under the chain's
   names, the same checks a search certificate carries;
-* evidence, appended only when every margin holds: F's linearity and endpoint
-  dominance on random t, the pointwise curvature sampling, the quadratic-form
-  sampling, the derived bubble constants, and the exact surd identities and
-  the barrier ODE under both gamma0 conventions;
+* evidence, appended only when every margin holds: F's exact endpoint values
+  and epsilon, the pointwise curvature sampling, the quadratic-form sampling
+  and its exact vertex identity, the derived bubble constants, and the exact
+  surd identities and the barrier ODE under both gamma0 conventions;
 * the published comparison, appended only for a built-in row: a = b*delta0,
   the delta0, epsilon, L and gamma0 targets, and a discrepancy check for each
   computed value that differs from its published one.
@@ -24,8 +24,6 @@ from .curvature import ParamSet
 from .optimize import feasibility
 from .rational import rational_to_str as rts
 from .report import ConstraintReport
-
-ENDPOINT_SAMPLES = 50
 
 
 def chain_certificate(params: ParamSet, report: ConstraintReport) -> Certificate:
@@ -63,22 +61,6 @@ def _evidence(cert: Certificate, params: ParamSet, cfg: RunConfig) -> None:
             "linear_scale_convention": "sign-independent: the minimum depends on the linear-term scale only "
             "through its square; sampling draws both orientations",
         }
-    )
-    cert.add_check(
-        CertCheck.of(
-            "F_linear_in_t",
-            curvature.linearity_check(params, cfg.linearity_samples, seed),
-            kind="sampled",
-            detail=f"{cfg.linearity_samples} random rational t",
-        )
-    )
-    cert.add_check(
-        CertCheck.of(
-            "endpoint_dominance",
-            curvature.endpoint_dominance_check(params, ENDPOINT_SAMPLES, seed + 1),
-            kind="sampled",
-            detail=f"{ENDPOINT_SAMPLES} random rational t",
-        )
     )
     cert.checks += curvature.curvature_sample_check(params, cfg.curvature_samples, seed).entries
     cert.checks += _prefixed("quadform", bubble.quadform_lower_bound_check(n, alpha, beta, cfg.quadform_samples, seed))

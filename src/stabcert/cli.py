@@ -14,12 +14,13 @@ read-only and never alters numeric fields.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import iteration, optimize, published
-from .certificate import CertCheck, Certificate, PublishedTarget
+from .certificate import CertCheck, Certificate, PublishedTarget, write_json
 from .certify import certify, chain_certificate
 from .config import ConfigError, RunConfig, load_config
 from .curvature import ParamSet
@@ -225,13 +226,8 @@ def cmd_optimize(args) -> int:
         "notes": result.notes,
         "margin_profile": result.best_margin_profile,
     }
-    import json
-
     out = Path(args.out) if args.out else cfg.out_dir / f"search_n{args.n}_{args.objective}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(out)
+    write_json(out, payload)
     print(f"wrote {out}")
     log_line = {k: payload[k] for k in ("n", "objective", "certified", "delta0", "epsilon", "evaluations_used")}
     with open(out.parent / "search_log.jsonl", "a", encoding="utf-8") as fh:

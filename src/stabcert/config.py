@@ -27,7 +27,6 @@ class RunConfig:
     curvature_samples: int = 100_000
     quadform_samples: int = 1_000
     barrier_samples: int = 1_000
-    linearity_samples: int = 100
     seed: int = 0
     budget: int = 100_000
     denominator_bound: int = 10**6
@@ -42,7 +41,7 @@ class RunConfig:
             raise ConfigError("radius must exceed 1 and be finite")
         if self.s <= 0 or self.s1 <= 0:
             raise ConfigError("s and s1 must be positive")
-        for name in ("curvature_samples", "quadform_samples", "barrier_samples", "linearity_samples"):
+        for name in ("curvature_samples", "quadform_samples", "barrier_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
 
@@ -57,7 +56,6 @@ class RunConfig:
             "curvature_samples": self.curvature_samples,
             "quadform_samples": self.quadform_samples,
             "barrier_samples": self.barrier_samples,
-            "linearity_samples": self.linearity_samples,
             "seed": self.seed,
             "budget": self.budget,
             "denominator_bound": self.denominator_bound,
@@ -73,7 +71,6 @@ _PARSERS = {
     "curvature_samples": int,
     "quadform_samples": int,
     "barrier_samples": int,
-    "linearity_samples": int,
     "seed": int,
     "budget": int,
     "denominator_bound": int,

@@ -7,11 +7,11 @@ For a parameter row (n, a, b, alpha, beta) with a = b*delta0 the function
                - max{(n-2)beta - alpha, (n-3)alpha} ] * t
            + (1 - t) * Q,        t = |dr|^2 in [0, 1],
 
-with Q the closed-form quadratic-minimum coefficient, is linear in t, so its
-minimum over [0, 1] is epsilon = min{F(0), F(1)}.  This module evaluates F
-exactly, extracts epsilon, checks linearity on random rational t, and runs the
-randomized exact sampling check of the pointwise curvature inequality over
-trace-free principal-curvature vectors.  That check compares in
+with Q the closed-form quadratic-minimum coefficient, is affine in t, so its
+minimum over [0, 1] is epsilon = min{F(0), F(1)}.  This module computes the
+two endpoint values exactly, takes epsilon from them, and runs the randomized
+exact sampling check of the pointwise curvature inequality over trace-free
+principal-curvature vectors.  That check compares in
 cleared-denominator integers: each random rational is drawn as a numerator and
 a denominator, and the inequality is multiplied through by a positive common
 denominator, so the verdict is the exact rational one.
@@ -94,46 +94,15 @@ def gradient_term_max(n: int, alpha: Rat, beta: Rat) -> tuple[Fraction, str]:
     return beta_branch, "both"
 
 
-def _F_coefficients(params: ParamSet) -> tuple[Fraction, Fraction, Fraction]:
-    """(const, slope, Q) with F(t) = const + slope*t + (1 - t)*Q."""
+def epsilon_of(params: ParamSet) -> EpsilonResult:
+    """epsilon = min{F(0), F(1)}; bounds F on all of [0, 1] because F is affine in t."""
     n, a, b, alpha, beta = params.n, params.a, params.b, params.alpha, params.beta
     Q = quadmin.f_min_coefficient(n, a, alpha, beta)
-    mx, _ = gradient_term_max(n, alpha, beta)
+    mx, branch = gradient_term_max(n, alpha, beta)
     const = 2 * (n - 1) * beta + 2 * (n - 2) * alpha - b * Fraction(n * (n - 2), 2)
     slope = Fraction(n * n - 4, 4) * b - (n * beta + (n - 1) * alpha) - mx
-    return const, slope, Q
-
-
-def _F_at(coefficients: tuple[Fraction, Fraction, Fraction], t: Fraction) -> Fraction:
-    const, slope, Q = coefficients
-    return const + slope * t + (1 - t) * Q
-
-
-def epsilon_of(params: ParamSet) -> EpsilonResult:
-    """epsilon = min{F(0), F(1)}; bounds F on all of [0, 1] by linearity."""
-    coefficients = _F_coefficients(params)
-    f0 = _F_at(coefficients, Fraction(0))
-    f1 = _F_at(coefficients, Fraction(1))
-    _, branch = gradient_term_max(params.n, params.alpha, params.beta)
+    f0, f1 = const + Q, const + slope
     return EpsilonResult(F_at_0=f0, F_at_1=f1, epsilon=min(f0, f1), max_branch=branch)
-
-
-def random_unit_rational(rng: random.Random, max_den: int = 1000) -> Fraction:
-    den = rng.randrange(1, max_den + 1)
-    return Fraction(rng.randrange(0, den + 1), den)
-
-
-def linearity_check(params: ParamSet, k_samples: int = 100, seed: int = 0) -> bool:
-    """F(t) == (1-t)F(0) + tF(1) exactly on k random rational t in [0, 1]."""
-    coefficients = _F_coefficients(params)
-    f0 = _F_at(coefficients, Fraction(0))
-    f1 = _F_at(coefficients, Fraction(1))
-    rng = random.Random(seed)
-    for _ in range(k_samples):
-        t = random_unit_rational(rng)
-        if _F_at(coefficients, t) != (1 - t) * f0 + t * f1:
-            return False
-    return True
 
 
 # Each lambda_i and E is drawn as randrange(-MAX_NUM, MAX_NUM + 1) / randrange(1, MAX_DEN + 1);
@@ -190,11 +159,3 @@ def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: 
         + (f"; first witness: {witness}" if witness else ""),
     )
     return report
-
-
-def endpoint_dominance_check(params: ParamSet, k_samples: int = 50, seed: int = 1) -> bool:
-    """F(t) >= epsilon exactly for random rational t in [0, 1]."""
-    coefficients = _F_coefficients(params)
-    eps = epsilon_of(params).epsilon
-    rng = random.Random(seed)
-    return all(_F_at(coefficients, random_unit_rational(rng)) >= eps for _ in range(k_samples))

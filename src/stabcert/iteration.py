@@ -294,6 +294,8 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
         raise ValueError("all recursion inputs must be positive and finite")
     if n < 3:
         raise ValueError(f"dimension n = {n} must be >= 3")
+    if steps < 1:
+        raise ValueError(f"steps = {steps} must be >= 1")
     theta = Fraction(n, n - 2)
     with mpmath.workdps(dps):
         logC0, logC, logS1 = mpmath.log(mpmath.mpf(C0)), mpmath.log(mpmath.mpf(C)), mpmath.log(mpmath.mpf(S1))

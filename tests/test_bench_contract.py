@@ -63,4 +63,8 @@ def test_trace_targets_resolve():
     tracer.uninstall()
     assert optimize.feasibility is feasibility
     # deleted from stabcert; the benchmark's target list still names them
-    assert sorted(tracer.missing) == ["stabcert.bubble.certify_chain", "stabcert.curvature.certify_builtin_row"]
+    assert sorted(tracer.missing) == [
+        "stabcert.bubble.certify_chain",
+        "stabcert.curvature.certify_builtin_row",
+        "stabcert.curvature.linearity_check",
+    ]

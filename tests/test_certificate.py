@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction as F
 
 from stabcert.certificate import CertCheck, Certificate, PublishedTarget
@@ -23,11 +24,11 @@ def sample_certificate() -> Certificate:
 
 def test_round_trip_field_for_field():
     cert = sample_certificate()
-    clone = Certificate.from_json(cert.to_json())
+    clone = Certificate.from_json(json.dumps(cert.to_jsonable()))
     assert clone == cert
     # and exact values survive bit-exactly
     assert clone.checks[0].margin == F(24, 121)
-    assert json.loads(cert.to_json())["checks"][0]["margin"] == "24/121"
+    assert cert.to_jsonable()["checks"][0]["margin"] == "24/121"
     assert clone.values["epsilon"] == "9/11"
 
 
@@ -57,12 +58,12 @@ def test_exit_codes_are_pure_functions_of_content():
     assert exit_code_for(cert, strict=False) == EXIT_PASS
     assert exit_code_for(cert, strict=True) == EXIT_PASS
 
-    replay = Certificate.from_json(cert.to_json())
+    replay = Certificate.from_json(json.dumps(cert.to_jsonable()))
     replay.add_check(CertCheck("x", "exact", "discrepancy"))
     assert exit_code_for(replay, strict=False) == EXIT_PASS
     assert exit_code_for(replay, strict=True) == EXIT_STRICT_DISCREPANCY
 
-    failed = Certificate.from_json(replay.to_json())
+    failed = Certificate.from_json(json.dumps(replay.to_jsonable()))
     failed.add_check(CertCheck("y", "exact", "fail"))
     assert exit_code_for(failed, strict=False) == EXIT_CHECK_FAILED
     assert exit_code_for(failed, strict=True) == EXIT_CHECK_FAILED
@@ -75,6 +76,10 @@ def test_write_is_atomic_and_readable(tmp_path):
     assert Certificate.read(path) == cert
     leftovers = [p for p in path.parent.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+    # the mode a plain open() gives, not the temp file's owner-only 0600
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
     # file is plain UTF-8 JSON with schema_version "1"
     raw = json.loads(path.read_text(encoding="utf-8"))
     assert raw["schema_version"] == "1"

@@ -12,11 +12,9 @@ from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet
 from stabcert.optimize import SearchConfig, SearchResult, feasibility, margin_names, minimize_delta0
 
-SMALL = {"curvature_samples": 300, "quadform_samples": 20, "barrier_samples": 10, "linearity_samples": 20}
+SMALL = {"curvature_samples": 300, "quadform_samples": 20, "barrier_samples": 10}
 CFG = RunConfig(**SMALL, seed=1)
 EVIDENCE = (
-    "F_linear_in_t",
-    "endpoint_dominance",
     "pointwise_curvature_inequality",
     "quadform/quadform_lower_bound",
     "quadform/quadform_bound_tight_at_vertex",
@@ -57,12 +55,9 @@ def test_builtin_row_passes_and_matches():
     assert cert.values["F_at_0"] == "909/176"
     assert [t.quantity for t in cert.published_targets] == ["delta0", "epsilon", "L", "gamma0"]
     assert all(t.match for t in cert.published_targets)
-    by_name = {c.name: c for c in cert.checks}
-    assert (by_name["F_linear_in_t"].kind, by_name["F_linear_in_t"].detail) == ("sampled", "20 random rational t")
-    assert (by_name["endpoint_dominance"].kind, by_name["endpoint_dominance"].detail) == (
-        "sampled",
-        "50 random rational t",
-    )
+    vertex = next(c for c in cert.checks if c.name == "quadform/quadform_bound_tight_at_vertex")
+    assert (vertex.kind, vertex.status) == ("exact", "pass")
+    assert "4AC - B^2 = 4AK" in vertex.detail
 
 
 def test_builtin_row_carries_flag_and_targets():

@@ -23,8 +23,7 @@ def fast_config(tmp_path):
     path.write_text(
         "curvature_samples = 500\n"
         "quadform_samples = 100\n"
-        "barrier_samples = 30\n"
-        "linearity_samples = 20\n",
+        "barrier_samples = 30\n",
         encoding="utf-8",
     )
     return path
@@ -208,6 +207,8 @@ def test_recursion_sim_exit_codes():
     assert run(["recursion-sim", "--s1", "-1", "--c0", "1", "--c", "1", "--n", "3"]) == 2
     assert run(["recursion-sim", "--s1", "0.5", "--c0", "nan", "--c", "1", "--n", "3"]) == 2
     assert run(["recursion-sim", "--s1", "0.5", "--n", "3"]) == 2  # no constants given
+    for steps in ("0", "-3"):  # no step checked is no evidence, not a pass
+        assert run(["recursion-sim", "--s1", "0.5", "--c0", "1", "--c", "1", "--n", "3", "--steps", steps]) == 2
 
 
 def test_recursion_sim_derived_constants(capsys):
@@ -269,6 +270,21 @@ def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message)
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("flags", ["oops"], "flag must be a JSON object"),  # would otherwise be a traceback
+        ("published_targets", [{"quantity": "epsilon", "quoted": "9/11", "computed": "1/2", "match": "no"}],
+         "not a boolean"),  # would otherwise render as a match
+    ],
+)
+def test_report_rejects_malformed_flags_and_targets(tmp_path, capsys, field, value, message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"n": 3, "checks": [], field: value}), encoding="utf-8")
+    assert run(["report", str(path)]) == 2
+    assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
     "argv, config",
     [
         (["--cms", "nan"], ""),
@@ -288,6 +304,7 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, fast_config, capsys, argv
 
 @pytest.mark.parametrize(
     "key, value",
+    # linearity_samples is not a key: a file that sets it is refused as unknown
     [("curvature_samples", 0), ("quadform_samples", 0), ("barrier_samples", 0), ("linearity_samples", -5)],
 )
 def test_sample_counts_below_one_are_usage_errors(tmp_path, fast_config, capsys, key, value):

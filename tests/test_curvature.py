@@ -8,13 +8,9 @@ from stabcert.certify import certify
 from stabcert.config import RunConfig
 from stabcert.curvature import (
     ParamSet,
-    _F_at,
-    _F_coefficients,
     curvature_sample_check,
-    endpoint_dominance_check,
     epsilon_of,
     gradient_term_max,
-    linearity_check,
 )
 from stabcert.quadmin import f_min_coefficient, linear_coefficients
 
@@ -69,18 +65,6 @@ def test_F_values_row4():
 def test_epsilon_table():
     for n in (3, 4, 5):
         assert epsilon_of(row(n)).epsilon == published.EPSILON[n]
-
-
-def test_linearity_midpoint_and_endpoints():
-    p = row(5)
-    result = epsilon_of(p)
-    assert _F_at(_F_coefficients(p), F(1, 2)) == (result.F_at_0 + result.F_at_1) / 2
-    assert linearity_check(p, k_samples=100, seed=123)
-
-
-def test_endpoint_dominance():
-    for n in (3, 4, 5):
-        assert endpoint_dominance_check(row(n))
 
 
 def test_pointwise_inequality_direct_witness():
