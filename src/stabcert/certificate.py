@@ -80,6 +80,10 @@ class CertCheck:
 
     @staticmethod
     def from_jsonable(d: dict) -> "CertCheck":
+        if not isinstance(d["name"], str):
+            raise ValueError(f"check name {d['name']!r} is not a string")
+        if d["kind"] not in ("exact", "sampled", "approximate"):
+            raise ValueError(f"check {d['name']!r}: unknown kind {d['kind']!r}")
         if d["status"] not in ("pass", "fail", "discrepancy"):
             raise ValueError(f"check {d['name']!r}: unknown status {d['status']!r}")
         margin = d.get("margin")
@@ -164,6 +168,8 @@ class Certificate:
     def from_jsonable(d: dict) -> "Certificate":
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        if not isinstance(d["n"], int) or isinstance(d["n"], bool):
+            raise ValueError(f"n {d['n']!r} is not an integer")
         flags = list(d.get("flags", []))
         if not all(isinstance(flag, dict) for flag in flags):
             raise ValueError("every flag must be a JSON object")

@@ -16,10 +16,16 @@ box, then candidates are rounded to rationals by continued fractions
 is harmless: unsound candidates simply fail exact recertification.  Fixed
 seeds and budgets make results deterministic.
 
+A margin that an upstream failure leaves undefined is the last entry of
+``_coefficients(n, num)``: None on Fractions, so that ``feasibility`` can say
+why, and -1e18 on floats, so that the search reads it as badly infeasible.
+
 At each delta0 level the descents share a memo from point to objective value,
 so a point that several starts reach, or a step back to the previous point, is
 scored once.  The budget counts every point queried, memoized or not, so a
-search spends it exactly as it would without the memo.
+search spends it exactly as it would without the memo.  A trial that the budget
+refuses is neither scored nor counted, so ``evaluations_used`` never exceeds
+the budget.
 """
 
 from __future__ import annotations
@@ -59,30 +65,32 @@ _UNDEFINED_WHY = {
 
 @cache
 def _coefficients(n: int, num: type) -> tuple:
-    """The chain's rational coefficients at dimension n, as ``num`` (Fraction or float)."""
+    """The chain's rational coefficients at dimension n, as ``num`` (Fraction or float),
+    followed by the value of an undefined margin: None for Fraction, -1e18 for float."""
     spectral = bubble.spectral_bound(n) if n > 3 else None
     return tuple(
         None if c is None else num(c)
         for c in (Fraction(2 * (n - 1), n - 2), Fraction(4 * n, n - 2), Fraction(n - 1, n - 2),
                   Fraction(n * n - 4, 4), spectral, Fraction(1, 2))
-    )
+    ) + (None if num is Fraction else _BIG_NEGATIVE,)
 
 
 def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     """Every feasibility margin of the row in order, on Fractions or on floats.
 
-    Returns the margins in the order of ``margin_names(n)``, None where an
-    upstream failure leaves a margin undefined, and ``(L_max, hbar margin at
-    L_max)`` when the Young parameter binds.  The spectral margin exists for
-    n >= 4 only.  ``k`` is ``_coefficients(n, type)``.
+    Returns the margins in the order of ``margin_names(n)``, ``k``'s undefined
+    value where an upstream failure leaves a margin undefined, and ``(L_max,
+    hbar margin at L_max)`` when the Young parameter binds.  The spectral
+    margin exists for n >= 4 only.  ``k`` is ``_coefficients(n, type)``.
     Keep the order of operations: search results depend on the float margins
     to the last bit (tests/test_golden.py).
     """
-    hessian, disc_aa, disc_ab, slope, spectral_bound, half = k
+    hessian, disc_aa, disc_ab, slope, spectral_bound, half, undefined = k
     fxx = hessian * a - 2 * beta
     fyy = hessian * a - 2 * alpha
     D = disc_aa * a * a - 4 * (disc_ab * beta + alpha) * a + (4 * beta - alpha) * alpha
-    eps = q_margin = spectral = ricci = young = g_bare = binding = None
+    eps = q_margin = spectral = ricci = young = g_bare = undefined
+    binding = None
     convex = b > 0 and alpha > 0 and beta > 0 and fxx > 0 and fyy > 0 and D > 0
     if convex:
         Q = (
@@ -143,14 +151,13 @@ def margin_names(n: int) -> tuple[str, ...]:
     return tuple(name for name in _MARGIN_NAMES if n > 3 or name != "spectral_bound")
 
 
-def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) -> list[float]:
+def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) -> tuple[float, ...]:
     """The feasibility margins in double precision, in the order of margin_names(n).
 
-    Undefined margins read as a large negative number.  Advisory only; every
-    accepted candidate is recertified exactly.
+    Undefined margins read as -1e18.  Advisory only; every accepted candidate
+    is recertified exactly.
     """
-    margins, _ = _chain(n, delta0 * b, b, alpha, beta, _coefficients(n, float))
-    return [_BIG_NEGATIVE if margin is None else margin for margin in margins]
+    return _chain(n, delta0 * b, b, alpha, beta, _coefficients(n, float))[0]
 
 
 @dataclass
@@ -202,10 +209,6 @@ class _Budget:
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-
-    def spend(self, k: int = 1) -> bool:
-        self.used += k
-        return self.used <= self.limit
 
     @property
     def exhausted(self) -> bool:
@@ -259,42 +262,50 @@ def _coordinate_descent(
 
     ``memo`` maps each point already scored at this delta0 with this objective
     to its value; a point found there is not scored again.  Every point
-    queried spends one unit of ``budget``, whether the memo answers it or not.
+    queried spends one unit of ``budget``, whether the memo answers it or not;
+    a trial that would overspend it ends the descent unqueried.
     """
-    keys = ("b", "alpha", "beta")
+    limit, used = budget.limit, budget.used
+    bounds = [(lo, hi, (hi - lo) / 8, (hi - lo) * 1e-5) for lo, hi in (box["b"], box["alpha"], box["beta"])]
     point = start
     best = memo.get(point)
     if best is None:
         best = memo[point] = objective(n, delta0, point, scales)
-    budget.spend()
-    for _ in range(_DESCENT_ROUNDS):
-        improved = False
-        for idx, key in enumerate(keys):
-            lo, hi = box[key]
-            step = (hi - lo) / 8
-            while step > (hi - lo) * 1e-5:
-                if budget.exhausted:
-                    return point, best
-                moved = False
-                for direction in (1.0, -1.0):
-                    coord = min(hi, max(lo, point[idx] + direction * step))
-                    if coord == point[idx]:
-                        continue
-                    if not budget.spend():
-                        return point, best
-                    trial = (*point[:idx], coord, *point[idx + 1:])
-                    val = memo.get(trial)
-                    if val is None:
-                        val = memo[trial] = objective(n, delta0, trial, scales)
-                    if val > best:
-                        best, point = val, trial
-                        moved = improved = True
-                        break
-                if not moved:
-                    step /= 2
-        if not improved:
-            break
-    return point, best
+    used += 1
+    try:
+        for _ in range(_DESCENT_ROUNDS):
+            improved = False
+            for idx, (lo, hi, step, tol) in enumerate(bounds):
+                while step > tol:
+                    x = point[idx]
+                    moved = False
+                    for coord in (x + step, x - step):
+                        coord = hi if coord >= hi else coord if coord > lo else lo  # min(hi, max(lo, coord))
+                        if coord == x:
+                            continue
+                        if used >= limit:
+                            return point, best
+                        used += 1
+                        if idx == 0:
+                            trial = (coord, point[1], point[2])
+                        elif idx == 1:
+                            trial = (point[0], coord, point[2])
+                        else:
+                            trial = (point[0], point[1], coord)
+                        val = memo.get(trial)
+                        if val is None:
+                            val = memo[trial] = objective(n, delta0, trial, scales)
+                        if val > best:
+                            best, point = val, trial
+                            moved = improved = True
+                            break
+                    if not moved:
+                        step /= 2
+            if not improved:
+                break
+        return point, best
+    finally:
+        budget.used = used
 
 
 def _starts(n: int, box: dict[str, tuple[float, float]], seeds: tuple[int, ...]) -> list[tuple[float, float, float]]:

@@ -225,6 +225,28 @@ def test_recursion_sim_derived_constants(capsys):
     assert run(["recursion-sim", "--s1", "1e-3", "--n", "3", "--q", "1/2"]) == 2
 
 
+def test_recursion_sim_config_precision_reaches_degiorgi_constants(tmp_path, monkeypatch, capsys):
+    derive = iteration.degiorgi_constants
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("dps"))
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(iteration, "degiorgi_constants", recording)
+    argv = ["recursion-sim", "--s1", "1e-20", "--n", "3", "--q", "1/2", "--delta", "1", "--steps", "4"]
+    assert run(argv) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("float_precision_digits = 60\nradius = 1e6\n", encoding="utf-8")
+    assert run([*argv, "--config", str(cfg)]) == 0
+    assert seen == [50, 60]
+    out = capsys.readouterr().out
+    assert "R=100.0\n" in out and "R=1000000.0\n" in out  # the default radius, then the config's
+    cfg.write_text("float_precision_digits = 49\n", encoding="utf-8")
+    assert run([*argv, "--config", str(cfg)]) == 2
+    assert "float_precision_digits" in one_line_error(capsys)
+
+
 def test_report_is_read_only(tmp_path, fast_config, capsys):
     out = tmp_path / "cert.json"
     run(["verify", "--n", "3", "--config", str(fast_config), "--out", str(out)])
@@ -282,6 +304,33 @@ def test_report_rejects_malformed_flags_and_targets(tmp_path, capsys, field, val
     path.write_text(json.dumps({"n": 3, "checks": [], field: value}), encoding="utf-8")
     assert run(["report", str(path)]) == 2
     assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "n, check, message",
+    [
+        # each would otherwise render as a passed certificate
+        ("three", {"name": "epsilon", "kind": "exact", "status": "pass"}, "not an integer"),
+        (True, {"name": "epsilon", "kind": "exact", "status": "pass"}, "not an integer"),
+        (3.0, {"name": "epsilon", "kind": "exact", "status": "pass"}, "not an integer"),
+        (3, {"name": 5, "kind": "exact", "status": "pass"}, "not a string"),
+        (3, {"name": "epsilon", "kind": "bogus", "status": "pass"}, "unknown kind"),
+        (3, {"name": "epsilon", "kind": None, "status": "pass"}, "unknown kind"),
+    ],
+)
+def test_report_rejects_malformed_n_name_and_kind(tmp_path, capsys, n, check, message):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"n": n, "checks": [check]}), encoding="utf-8")
+    assert run(["report", str(path)]) == 2
+    assert message in one_line_error(capsys)
+
+
+def test_report_accepts_verify_all_n_zero(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    check = {"name": "row_n3_overall", "kind": "exact", "status": "pass"}
+    path.write_text(json.dumps({"n": 0, "checks": [check]}), encoding="utf-8")
+    assert run(["report", str(path)]) == 0
+    assert "n = 0, status: passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -30,13 +30,19 @@ def test_verify_all_certificate_bytes(tmp_path):
         (3, 0, ("search_n3_seed5.json", "search_n3_seed5_certificate.json")),
         (5, 0, ("search_n5_seed5.json", "search_n5_seed5_certificate.json")),
         (3, 0, ("search_n3_epsilon_seed5.json", "search_n3_epsilon_seed5_certificate.json")),
+        # searches that run out of budget mid-descent
+        (3, 0, ("search_n3_seed5_budget2500.json", "search_n3_seed5_budget2500_certificate.json")),
+        (6, 4, ("search_n6_seed5_budget2501.json",)),
     ],
 )
 def test_optimize_output_bytes(tmp_path, n, code, files):
-    # the result file's name carries the objective: search_n{n}[_epsilon]_seed5.json
+    # the result file's name carries the objective and any budget: search_n{n}[_epsilon]_seed5[_budget{B}].json
     out = tmp_path / files[0]
     objective = "epsilon" if "_epsilon_" in out.name else "delta0"
-    assert main(["optimize", "--n", str(n), "--objective", objective, "--seed", "5", "--out", str(out)]) == code
+    argv = ["optimize", "--n", str(n), "--objective", objective, "--seed", "5", "--out", str(out)]
+    if "_budget" in out.stem:
+        argv += ["--budget", out.stem.rsplit("_budget", 1)[1]]
+    assert main(argv) == code
     written = {p.name for p in tmp_path.glob("*.json")}
     assert written == set(files)
     for name in files:

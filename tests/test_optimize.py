@@ -100,7 +100,14 @@ class TestFeasibility:
             rows.append(ParamSet(3 + i % 4, jitter(base.delta0, 300) * b, b, alpha, beta))
         for p in rows:
             n, alpha, beta = p.n, p.alpha, p.beta
-            m = {e.name: e.margin for e in feasibility(p).entries}
+            report = feasibility(p)
+            m = {e.name: e.margin for e in report.entries}
+            # one undefined value per number type: None exactly, -1e18 in the float mirror
+            undefined = [report.entry(name).detail.startswith("undefined: ") for name in margin_names(n)]
+            exact, _ = optimize._chain(n, p.a, p.b, alpha, beta, optimize._coefficients(n, F))
+            approx = float_margins(n, float(p.delta0), float(p.b), float(alpha), float(beta))
+            assert [margin is None for margin in exact] == undefined
+            assert [margin == -1e18 for margin in approx] == undefined
             fxx, fyy, _ = hessian_entries(n, p.a, alpha, beta)
             D = quadmin.discriminant(n, p.a, alpha, beta)
             assert (m["b_positive"], m["alpha_positive"], m["beta_positive"]) == (p.b, alpha, beta)
@@ -196,6 +203,16 @@ class TestMinimizeDelta0:
         result = minimize_delta0(SearchConfig(n=4, seeds=(5, 6, 7, 8)))
         assert result.evaluations_used == 12840  # tests/data/search_n4_seed5.json
         assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_evaluations_never_exceed_budget(n):
+    # a trial the budget refuses is neither scored nor counted
+    delta0 = published.DELTA0.get(n, F(1))
+    for budget in range(1, 400, 7):
+        config = SearchConfig(n=n, budget=budget, seeds=(0, 1, 2, 3))
+        for result in (minimize_delta0(config), maximize_epsilon(config, delta0)):
+            assert result.evaluations_used <= budget, (result.objective, budget)
 
 
 class TestMaximizeEpsilon:
