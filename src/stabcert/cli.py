@@ -249,11 +249,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_recursion_sim(args) -> int:
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if args.q is not None or args.delta is not None:
             if args.c0 is not None or args.c is not None:
                 print("error: give either --c0/--c or --q/--delta, not both", file=sys.stderr)
@@ -262,12 +257,12 @@ def cmd_recursion_sim(args) -> int:
                 print("error: --q and --delta must be given together", file=sys.stderr)
                 return EXIT_USAGE
             dg = iteration.degiorgi_constants(
-                args.n, Fraction(args.delta), Fraction(args.q), cfg.c_ms, cfg.radius, dps=cfg.float_precision_digits
+                args.n, Fraction(args.delta), Fraction(args.q), args.cms, args.radius
             )
             c0 = float(dg.C0.value)
-            c = float(dg.C.approx_mp(cfg.float_precision_digits))
+            c = float(dg.C.approx_mp())
             print(f"derived C0 = {dg.C0.value}, C = {dg.C} from q={args.q}, delta={args.delta}, "
-                  f"C_MS={cfg.c_ms}, R={cfg.radius}")
+                  f"C_MS={args.cms}, R={args.radius}")
         else:
             if args.c0 is None or args.c is None:
                 print("error: --c0 and --c required (or derive them with --q/--delta)", file=sys.stderr)
@@ -353,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--steps", type=int, default=20)
     p_sim.add_argument("--q", help="derive C0, C from this q (p/q rational)")
     p_sim.add_argument("--delta", help="stability parameter delta (p/q rational)")
-    p_sim.add_argument("--config", help="key = value configuration file")
-    p_sim.add_argument("--cms", type=float, help="Sobolev-type constant C_MS")
-    p_sim.add_argument("--radius", type=float, help="iteration radius R")
+    p_sim.add_argument("--cms", type=float, default=1.0)
+    p_sim.add_argument("--radius", type=float, default=100.0)
     p_sim.set_defaults(func=cmd_recursion_sim)
 
     p_rep = sub.add_parser("report", help="render a stored certificate (read-only)")

@@ -225,28 +225,6 @@ def test_recursion_sim_derived_constants(capsys):
     assert run(["recursion-sim", "--s1", "1e-3", "--n", "3", "--q", "1/2"]) == 2
 
 
-def test_recursion_sim_config_precision_reaches_degiorgi_constants(tmp_path, monkeypatch, capsys):
-    derive = iteration.degiorgi_constants
-    seen = []
-
-    def recording(*args, **kwargs):
-        seen.append(kwargs.get("dps"))
-        return derive(*args, **kwargs)
-
-    monkeypatch.setattr(iteration, "degiorgi_constants", recording)
-    argv = ["recursion-sim", "--s1", "1e-20", "--n", "3", "--q", "1/2", "--delta", "1", "--steps", "4"]
-    assert run(argv) == 0
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("float_precision_digits = 60\nradius = 1e6\n", encoding="utf-8")
-    assert run([*argv, "--config", str(cfg)]) == 0
-    assert seen == [50, 60]
-    out = capsys.readouterr().out
-    assert "R=100.0\n" in out and "R=1000000.0\n" in out  # the default radius, then the config's
-    cfg.write_text("float_precision_digits = 49\n", encoding="utf-8")
-    assert run([*argv, "--config", str(cfg)]) == 2
-    assert "float_precision_digits" in one_line_error(capsys)
-
-
 def test_report_is_read_only(tmp_path, fast_config, capsys):
     out = tmp_path / "cert.json"
     run(["verify", "--n", "3", "--config", str(fast_config), "--out", str(out)])
