@@ -7,14 +7,15 @@ machine-checkable certificates, and searches parameter space for improved
 thresholds, including a probe of the open dimension 6.
 """
 
+from .config import RunConfig
 from .curvature import ParamSet, epsilon_of
-from .optimize import SearchConfig, feasibility, maximize_epsilon, minimize_delta0
+from .optimize import feasibility, maximize_epsilon, minimize_delta0
 from .rational import QuadSurd, Rational
 
 __all__ = [
     "ParamSet",
     "epsilon_of",
-    "SearchConfig",
+    "RunConfig",
     "feasibility",
     "minimize_delta0",
     "maximize_epsilon",

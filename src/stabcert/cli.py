@@ -42,27 +42,9 @@ def exit_code_for(cert: Certificate, strict: bool) -> int:
     return EXIT_PASS
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "cms", None) is not None:
-        cfg.c_ms = args.cms
-    if getattr(args, "radius", None) is not None:
-        cfg.radius = args.radius
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "budget", None) is not None:
-        cfg.budget = args.budget
-    cfg.__post_init__()  # re-validate after overrides
-    return cfg
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg: RunConfig) -> int:
     if args.n not in published.SUPPORTED_N:
         print(f"error: no built-in parameter row for n = {args.n}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cert = certify(ParamSet.published_row(args.n), cfg)
     out = Path(args.out) if args.out else cfg.out_dir / f"certificate_n{args.n}.json"
@@ -129,11 +111,10 @@ def _iteration_grid(cfg: RunConfig) -> list[dict]:
     return grid
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args, cfg: RunConfig) -> int:
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
         grid = _iteration_grid(cfg)
-    except (ConfigError, iteration.NoCaccioppoliConstantError) as exc:
+    except iteration.NoCaccioppoliConstantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     combined = Certificate(n=0, params={"rows": ",".join(str(n) for n in published.SUPPORTED_N)})
@@ -178,18 +159,7 @@ def result_certificate(result: optimize.SearchResult, cfg: RunConfig) -> Certifi
     return cert
 
 
-def cmd_optimize(args) -> int:
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        search_cfg = optimize.SearchConfig(
-            n=args.n,
-            budget=cfg.budget,
-            denominator_bound=cfg.denominator_bound if args.denominator_bound is None else args.denominator_bound,
-            seeds=(cfg.seed, cfg.seed + 1, cfg.seed + 2, cfg.seed + 3),
-        )
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_optimize(args, cfg: RunConfig) -> int:
     if args.n not in published.SUPPORTED_N and args.n != 6:
         print(f"error: n = {args.n} not supported (3, 4, 5 or the open probe 6)", file=sys.stderr)
         return EXIT_USAGE
@@ -205,12 +175,12 @@ def cmd_optimize(args) -> int:
         if delta0 <= 0:
             print(f"error: --delta0 must be > 0, got {args.delta0}", file=sys.stderr)
             return EXIT_USAGE
-        result = optimize.maximize_epsilon(search_cfg, delta0)
+        result = optimize.maximize_epsilon(args.n, cfg, delta0)
     elif args.delta0 is not None:
         print("error: --delta0 applies to --objective epsilon only", file=sys.stderr)
         return EXIT_USAGE
     else:
-        result = optimize.minimize_delta0(search_cfg)
+        result = optimize.minimize_delta0(args.n, cfg)
 
     payload = {
         "n": result.n,
@@ -309,35 +279,47 @@ def cmd_report(args) -> int:
     return EXIT_PASS
 
 
+class UsageError(Exception):
+    """A command line that argparse refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for ``main`` to print on one line; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stabcert", description=__doc__)
+    parser = _Parser(prog="stabcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # a flag whose dest names a RunConfig field overrides that field (see load_config)
+    def with_config(p):
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--out", help="output path")
         p.add_argument("--seed", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--cms", type=float, help="Sobolev-type constant C_MS")
-        p.add_argument("--radius", type=float, help="iteration radius R")
 
     p_verify = sub.add_parser("verify", help="certify one built-in row")
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--strict", action="store_true", help="discrepancies exit 3")
-    common(p_verify)
+    with_config(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_all = sub.add_parser("verify-all", help="certify all rows plus the threshold table")
     p_all.add_argument("--strict", action="store_true")
-    common(p_all)
+    with_config(p_all)
+    p_all.add_argument("--cms", type=float, dest="c_ms", help="Sobolev-type constant C_MS")
+    p_all.add_argument("--radius", type=float, help="iteration radius R")
     p_all.set_defaults(func=cmd_verify_all)
 
     p_opt = sub.add_parser("optimize", help="search parameter space with exact recertification")
     p_opt.add_argument("--n", type=int, required=True)
     p_opt.add_argument("--objective", choices=("delta0", "epsilon"), default="delta0")
     p_opt.add_argument("--delta0", help="fixed delta0 (p/q) for the epsilon objective")
+    p_opt.add_argument("--budget", type=int)
     p_opt.add_argument("--denominator-bound", type=int, dest="denominator_bound")
-    common(p_opt)
+    with_config(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sim = sub.add_parser("recursion-sim", help="simulate the decay recursion against its closed bound")
@@ -348,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--steps", type=int, default=20)
     p_sim.add_argument("--q", help="derive C0, C from this q (p/q rational)")
     p_sim.add_argument("--delta", help="stability parameter delta (p/q rational)")
-    p_sim.add_argument("--cms", type=float, default=1.0)
-    p_sim.add_argument("--radius", type=float, default=100.0)
+    p_sim.add_argument("--cms", type=float, default=RunConfig.c_ms)
+    p_sim.add_argument("--radius", type=float, default=RunConfig.radius)
     p_sim.set_defaults(func=cmd_recursion_sim)
 
     p_rep = sub.add_parser("report", help="render a stored certificate (read-only)")
@@ -359,13 +341,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+        args = build_parser().parse_args(argv)
+        # verify, verify-all and optimize take --config and read a RunConfig
+        cfg = load_config(args.config, vars(args)) if "config" in vars(args) else None
+    except (UsageError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SystemExit:  # --help printed the help text
+        return EXIT_PASS
+    return args.func(args) if cfg is None else args.func(args, cfg)
 
 
 if __name__ == "__main__":

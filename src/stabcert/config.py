@@ -1,4 +1,9 @@
-"""Run configuration: "key = value" text files plus documented defaults.
+"""Run configuration: the one declaration of every run setting.
+
+``RunConfig``'s fields are the settings.  Everything else derives from them:
+the "key = value" file parser reads each key with the type of its default,
+the CLI flags override the field named by their dest, and the certificate's
+environment block records every field but ``out_dir``.
 
 C_MS (the Sobolev-type constant of the iteration) has no closed-form value in
 this pipeline; its default 1.0 is a placeholder and non-physical.  Floating
@@ -11,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+
+from .rational import rational_to_str
 
 
 class ConfigError(ValueError):
@@ -44,45 +51,39 @@ class RunConfig:
         for name in ("curvature_samples", "quadform_samples", "barrier_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.budget < 1:
+            raise ConfigError("budget must be >= 1")
+        if self.denominator_bound < 2:
+            raise ConfigError("denominator_bound must be >= 2")
 
     def environment(self) -> dict:
-        """The settings block recorded into every certificate."""
+        """The settings block recorded into every certificate: each field but
+        ``out_dir``, in field order, rationals as "p/q"."""
         return {
-            "c_ms": self.c_ms,
-            "radius": self.radius,
-            "s": f"{self.s.numerator}/{self.s.denominator}",
-            "s1": f"{self.s1.numerator}/{self.s1.denominator}",
-            "float_precision_digits": self.float_precision_digits,
-            "curvature_samples": self.curvature_samples,
-            "quadform_samples": self.quadform_samples,
-            "barrier_samples": self.barrier_samples,
-            "seed": self.seed,
-            "budget": self.budget,
-            "denominator_bound": self.denominator_bound,
+            key: rational_to_str(value) if isinstance(value, Fraction) else value
+            for key, value in vars(self).items()
+            if key != "out_dir"
         }
 
 
-_PARSERS = {
-    "c_ms": float,
-    "radius": float,
-    "s": Fraction,
-    "s1": Fraction,
-    "float_precision_digits": int,
-    "curvature_samples": int,
-    "quadform_samples": int,
-    "barrier_samples": int,
-    "seed": int,
-    "budget": int,
-    "denominator_bound": int,
-    "out_dir": Path,
-}
+# each key is read with the type of its default
+_PARSERS = {key: type(value) for key, value in vars(RunConfig()).items()}
 
 
-def load_config(path: str | Path | None) -> RunConfig:
-    """Parse a "key = value" file; an empty or missing-path argument gives defaults."""
-    if path is None:
-        return RunConfig()
-    path = Path(path)
+def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
+    """Parse a "key = value" file (None gives the defaults), then apply each
+    non-None override whose key names a field, and validate once."""
+    values = {} if path is None else _read(Path(path))
+    values.update((key, value) for key, value in (overrides or {}).items() if key in _PARSERS and value is not None)
+    try:
+        return RunConfig(**values)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _read(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict = {}
@@ -100,9 +101,4 @@ def load_config(path: str | Path | None) -> RunConfig:
             values[key] = _PARSERS[key](value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    try:
-        return RunConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return values

@@ -164,18 +164,8 @@ class Pow2:
 
 @dataclass(frozen=True)
 class DeGiorgiConstants:
-    n: int
-    delta: Fraction
-    q: Fraction
-    C_MS: float
-    R: float
     C: Pow2
     C0: ApproxValue
-    C0_prefactor_1: Fraction  # (2q/(q - (n-2)/n) + 1) * 2^7, exact
-    C0_prefactor_2: Fraction  # q^3 / ((delta - q)(q - (n-2)/n)), exact
-    R_exponent_1: Fraction  # (2n-4)/n
-    R_exponent_2: Fraction  # 2(n-2)/(nq) - 4/n
-    hypothesis_exponent: Fraction  # (n-2)/q - 2, recorded separately
     epsilon1: ApproxValue
 
 
@@ -221,21 +211,7 @@ def degiorgi_constants(n: int, delta: Rat, q: Rat, C_MS: float, R: float, dps: i
         c0 = mpmath.mpf(C_MS) * (term1 + term2)
         c0_approx = ApproxValue.from_mpf(c0, internal_dps=dps)
     eps1 = epsilon1_threshold(n, delta, q, C_MS, dps=dps)
-    return DeGiorgiConstants(
-        n=n,
-        delta=delta,
-        q=q,
-        C_MS=C_MS,
-        R=R,
-        C=C,
-        C0=c0_approx,
-        C0_prefactor_1=pref1,
-        C0_prefactor_2=pref2,
-        R_exponent_1=rexp1,
-        R_exponent_2=rexp2,
-        hypothesis_exponent=Fraction(n - 2, 1) / q - 2,
-        epsilon1=ApproxValue.from_mpf(eps1, internal_dps=dps),
-    )
+    return DeGiorgiConstants(C=C, C0=c0_approx, epsilon1=ApproxValue.from_mpf(eps1, internal_dps=dps))
 
 
 def epsilon1_threshold(
@@ -266,7 +242,6 @@ def epsilon1_threshold(
 
 @dataclass
 class RecursionResult:
-    steps: int
     log10_values: list[float]
     log10_bounds: list[float]
     dominated: bool
@@ -344,7 +319,6 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
             bounds_str.append(fmt(log_bound))
         tends_to_zero = bool(logP < 0) and log10_values[-1] < log10_values[0]
     return RecursionResult(
-        steps=steps,
         log10_values=log10_values,
         log10_bounds=log10_bounds,
         dominated=dominated,

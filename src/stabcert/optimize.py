@@ -13,8 +13,9 @@ It is written once, in ``_chain``, and evaluated exactly on Fractions by
 in two phases: the float margins drive multistart coordinate descent inside a
 box, then candidates are rounded to rationals by continued fractions
 (denominator-bounded) and recertified with exact arithmetic.  Floating error
-is harmless: unsound candidates simply fail exact recertification.  Fixed
-seeds and budgets make results deterministic.
+is harmless: unsound candidates simply fail exact recertification.  The
+search reads its budget, denominator bound and seed from the run's
+``RunConfig``; a fixed seed and budget make results deterministic.
 
 A margin that an upstream failure leaves undefined is the last entry of
 ``_coefficients(n, num)``: None on Fractions, so that ``feasibility`` can say
@@ -38,6 +39,7 @@ from functools import cache
 from operator import truediv
 
 from . import bubble, published
+from .config import RunConfig
 from .curvature import ParamSet, epsilon_of
 from .rational import rational_to_str
 from .report import ConstraintReport
@@ -158,20 +160,6 @@ def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) ->
     is recertified exactly.
     """
     return _chain(n, delta0 * b, b, alpha, beta, _coefficients(n, float))[0]
-
-
-@dataclass
-class SearchConfig:
-    n: int
-    budget: int = 100_000
-    denominator_bound: int = 10**6
-    seeds: tuple[int, ...] = (0, 1, 2, 3)
-
-    def __post_init__(self):
-        if self.denominator_bound < 2:
-            raise ValueError("denominator_bound must be >= 2")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
 
 
 @dataclass
@@ -308,21 +296,17 @@ def _coordinate_descent(
         budget.used = used
 
 
-def _starts(n: int, box: dict[str, tuple[float, float]], seeds: tuple[int, ...]) -> list[tuple[float, float, float]]:
+def _starts(n: int, box: dict[str, tuple[float, float]], seed: int) -> list[tuple[float, float, float]]:
+    """The built-in row (if any), the box's geometric centre, then one
+    log-uniform point for each of the seeds seed .. seed + 3."""
     starts: list[tuple[float, float, float]] = []
     if n in published.PARAM_ROWS:
         row = published.PARAM_ROWS[n]
         starts.append((float(row["b"]), float(row["alpha"]), float(row["beta"])))
-    center = tuple(math.sqrt(lo * hi) for lo, hi in (box["b"], box["alpha"], box["beta"]))
-    starts.append(center)
-    for seed in seeds:
-        rng = random.Random(seed)
-        starts.append(
-            tuple(
-                math.exp(rng.uniform(math.log(lo), math.log(hi)))
-                for lo, hi in (box["b"], box["alpha"], box["beta"])
-            )
-        )
+    bounds = (box["b"], box["alpha"], box["beta"])
+    starts.append(tuple(math.sqrt(lo * hi) for lo, hi in bounds))
+    for rng in map(random.Random, range(seed, seed + 4)):
+        starts.append(tuple(math.exp(rng.uniform(math.log(lo), math.log(hi))) for lo, hi in bounds))
     return starts
 
 
@@ -332,7 +316,7 @@ def _search_at_delta0(
     box: dict[str, tuple[float, float]],
     scales: list[float],
     budget: _Budget,
-    config: SearchConfig,
+    cfg: RunConfig,
 ) -> tuple[ParamSet | None, float, tuple[float, float, float] | None]:
     """Multistart inner search at a fixed rational delta0.
 
@@ -341,7 +325,7 @@ def _search_at_delta0(
     """
     results = []
     memo: dict[tuple[float, float, float], float] = {}
-    for start in _starts(n, box, config.seeds):
+    for start in _starts(n, box, cfg.seed):
         if budget.exhausted:
             break
         point, score = _coordinate_descent(n, float(delta0), start, box, scales, budget, _objective_margin, memo)
@@ -352,7 +336,7 @@ def _search_at_delta0(
     for score, point in results:
         if score <= 0:
             continue
-        candidate = _round_params(n, delta0, *point, bound=config.denominator_bound)
+        candidate = _round_params(n, delta0, *point, bound=cfg.denominator_bound)
         if candidate is None:
             continue
         if feasibility(candidate).all_satisfied:
@@ -360,18 +344,18 @@ def _search_at_delta0(
     return None, best_score, best_point
 
 
-def minimize_delta0(config: SearchConfig) -> SearchResult:
+def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
     """Smallest certified delta0 via outer bisection and exact recertification.
 
     For n with a built-in row the row is certified first (witness), so the
     result never does worse than it; for other n the search scans a coarse
     descending grid of delta0 candidates in (0, 1] and reports the best
-    infeasibility margin profile if nothing certifies.
+    infeasibility margin profile if nothing certifies.  Reads ``cfg.budget``,
+    ``cfg.denominator_bound`` and ``cfg.seed``.
     """
-    n = config.n
     box = default_box(n)
     scales = _scales(n)
-    budget = _Budget(config.budget)
+    budget = _Budget(cfg.budget)
     notes: list[str] = []
 
     best_params: ParamSet | None = None
@@ -388,7 +372,7 @@ def minimize_delta0(config: SearchConfig) -> SearchResult:
         lo, hi = Fraction(0), Fraction(1)
         best_profile: dict[str, float] | None = None
         for delta0 in (Fraction(1), Fraction(99, 100), Fraction(49, 50), Fraction(9, 10)):
-            candidate, score, point = _search_at_delta0(n, delta0, box, scales, budget, config)
+            candidate, score, point = _search_at_delta0(n, delta0, box, scales, budget, cfg)
             if candidate is not None:
                 best_params, best_delta0 = candidate, delta0
                 hi = delta0
@@ -422,7 +406,7 @@ def minimize_delta0(config: SearchConfig) -> SearchResult:
         mid = ((lo + hi) / 2).limit_denominator(4096)
         if not lo < mid < hi:
             break
-        candidate, _, _ = _search_at_delta0(n, mid, box, scales, budget, config)
+        candidate, _, _ = _search_at_delta0(n, mid, box, scales, budget, cfg)
         if candidate is not None:
             best_params, best_delta0 = candidate, mid
             hi = mid
@@ -448,17 +432,17 @@ def minimize_delta0(config: SearchConfig) -> SearchResult:
     )
 
 
-def maximize_epsilon(config: SearchConfig, delta0_fixed: Rat) -> SearchResult:
+def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
     """Largest exactly-certified epsilon at a fixed delta0.
 
     When delta0_fixed equals a built-in row's threshold the row itself seeds
-    the search, so the result is never below the published epsilon.
+    the search, so the result is never below the published epsilon.  Reads
+    the same settings as ``minimize_delta0``.
     """
-    n = config.n
     delta0 = Fraction(delta0_fixed)
     box = default_box(n)
     scales = _scales(n)
-    budget = _Budget(config.budget)
+    budget = _Budget(cfg.budget)
     notes: list[str] = []
 
     def eps_objective(n_, d0, vec, scales_):
@@ -477,11 +461,11 @@ def maximize_epsilon(config: SearchConfig, delta0_fixed: Rat) -> SearchResult:
             notes.append(f"built-in row certified with epsilon = {rational_to_str(best_eps)}")
 
     memo: dict[tuple[float, float, float], float] = {}
-    for start in _starts(n, box, config.seeds):
+    for start in _starts(n, box, cfg.seed):
         if budget.exhausted:
             break
         point, _ = _coordinate_descent(n, float(delta0), start, box, scales, budget, eps_objective, memo)
-        candidate = _round_params(n, delta0, *point, bound=config.denominator_bound)
+        candidate = _round_params(n, delta0, *point, bound=cfg.denominator_bound)
         if candidate is None:
             continue
         rep = feasibility(candidate)

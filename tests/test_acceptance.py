@@ -32,7 +32,7 @@ from stabcert.iteration import (
     delta1_of,
     recursion_simulate,
 )
-from stabcert.optimize import SearchConfig, feasibility, minimize_delta0, reverify
+from stabcert.optimize import feasibility, minimize_delta0, reverify
 from stabcert.quadmin import discriminant, f_min_coefficient
 
 ROWS = {n: ParamSet.published_row(n) for n in (3, 4, 5)}
@@ -182,8 +182,7 @@ def test_criterion_12_optimizer_witness_dominance():
     start = time.monotonic()
     cfg_env = RunConfig()
     for n in (3, 4, 5):
-        config = SearchConfig(n=n)  # default budget 10^5
-        result = minimize_delta0(config)
+        result = minimize_delta0(n, cfg_env)  # default budget 10^5
         assert result.certified
         assert result.delta0 <= published.DELTA0[n]
         assert result.evaluations_used <= 100_000

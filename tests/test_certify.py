@@ -10,7 +10,7 @@ from stabcert.certify import certify
 from stabcert.cli import main, result_certificate
 from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet
-from stabcert.optimize import SearchConfig, SearchResult, feasibility, margin_names, minimize_delta0
+from stabcert.optimize import SearchResult, feasibility, margin_names, minimize_delta0
 
 SMALL = {"curvature_samples": 300, "quadform_samples": 20, "barrier_samples": 10}
 CFG = RunConfig(**SMALL, seed=1)
@@ -84,7 +84,7 @@ def test_verify_leads_with_the_search_certificate_checks(tmp_path, n):
 
 
 def test_search_result_certifies_without_published_targets():
-    result = minimize_delta0(SearchConfig(n=3, budget=3000, seeds=(2,)))
+    result = minimize_delta0(3, RunConfig(budget=3000, seed=2))
     assert result.certified and result.best_params != ParamSet.published_row(3)
     cert = certify(result.best_params, CFG)
     assert cert.overall_status == "passed"

@@ -314,17 +314,18 @@ def test_report_accepts_verify_all_n_zero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, config",
     [
-        (["--cms", "nan"], ""),
-        (["--radius", "inf"], ""),
-        ([], "c_ms = inf\n"),
-        ([], "radius = nan\n"),
+        # --cms and --radius belong to verify-all, the command that reads C_MS and R
+        (["verify-all", "--cms", "nan"], ""),
+        (["verify-all", "--radius", "inf"], ""),
+        (["verify", "--n", "3"], "c_ms = inf\n"),
+        (["verify", "--n", "3"], "radius = nan\n"),
     ],
 )
 def test_non_finite_numbers_are_usage_errors(tmp_path, fast_config, capsys, argv, config):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(fast_config.read_text(encoding="utf-8") + config, encoding="utf-8")
     out = tmp_path / "cert.json"
-    assert run(["verify", "--n", "3", "--config", str(cfg), "--out", str(out), *argv]) == 2
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert "finite" in one_line_error(capsys)
 
@@ -332,7 +333,8 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, fast_config, capsys, argv
 @pytest.mark.parametrize(
     "key, value",
     # linearity_samples is not a key: a file that sets it is refused as unknown
-    [("curvature_samples", 0), ("quadform_samples", 0), ("barrier_samples", 0), ("linearity_samples", -5)],
+    [("curvature_samples", 0), ("quadform_samples", 0), ("barrier_samples", 0), ("linearity_samples", -5),
+     ("budget", 0), ("denominator_bound", 1)],
 )
 def test_sample_counts_below_one_are_usage_errors(tmp_path, fast_config, capsys, key, value):
     cfg = tmp_path / "run.cfg"
@@ -341,6 +343,15 @@ def test_sample_counts_below_one_are_usage_errors(tmp_path, fast_config, capsys,
     assert run(["verify", "--n", "3", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert key in one_line_error(capsys)
+
+
+def test_verify_all_refuses_search_settings_out_of_range(tmp_path, fast_config, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(fast_config.read_text(encoding="utf-8") + "budget = 0\ndenominator_bound = 0\n", encoding="utf-8")
+    out = tmp_path / "all.json"
+    assert run(["verify-all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "budget must be >= 1" in one_line_error(capsys)
 
 
 def test_recursion_sim_rejects_dimension_two(capsys):
@@ -352,6 +363,28 @@ def test_recursion_sim_rejects_dimension_two(capsys):
 
 def test_usage_error_exit():
     assert run(["verify"]) == 2  # missing --n
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each command takes only the flags it reads
+        (["verify", "--n", "3", "--budget", "5"], "unrecognized arguments: --budget 5"),
+        (["optimize", "--n", "3", "--cms", "2"], "unrecognized arguments: --cms 2"),
+        (["verify"], "required: --n"),
+    ],
+)
+def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # a command that ran anyway would write here
+    assert run(argv) == 2
+    assert message in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == 0
+    assert run(["verify", "--help"]) == 0
+    assert "--strict" in capsys.readouterr().out
 
 
 def test_import_loads_no_numpy():

@@ -6,6 +6,7 @@ import pytest
 from stabcert.iteration import (
     CaccioppoliConstants,
     NoCaccioppoliConstantError,
+    _iteration_terms,
     caccioppoli_coefficient,
     caccioppoli_constants,
     collapse_sqrt,
@@ -117,9 +118,8 @@ class TestDeGiorgi:
     def test_exponent_example(self):
         res = degiorgi_constants(3, F(1), F(1, 2), 1.0, 100.0)
         assert res.C.exponent == 11  # max{11, 6 - 4 + 1 = 3}
-        assert res.C0_prefactor_1 == 896
-        assert res.C0_prefactor_2 == F(3, 2)
-        assert res.R_exponent_2 == 0  # q = (n-2)/2 exactly
+        assert _iteration_terms(3, F(1), F(1, 2)) == (896, F(3, 2), 11)
+        # q = (n-2)/2 exactly, so the second R exponent 2(n-2)/(nq) - 4/n is 0
         # C0 = C_MS (896 R^(-2/3) + 3/2 * 2^4)
         expected = 896 * 100.0 ** (-2 / 3) + 24
         assert float(mpmath.mpf(res.C0.value)) == pytest.approx(expected, rel=1e-9)
@@ -127,7 +127,6 @@ class TestDeGiorgi:
     def test_r_growth_decreases_c0(self):
         a = degiorgi_constants(3, F(1), F(45, 100), 1.0, 100.0)
         b = degiorgi_constants(3, F(1), F(45, 100), 1.0, 200.0)
-        assert a.R_exponent_2 > 0  # q < (n-2)/2
         assert mpmath.mpf(b.C0.value) < mpmath.mpf(a.C0.value)
 
     def test_q_window_enforced(self):
@@ -137,10 +136,6 @@ class TestDeGiorgi:
             degiorgi_constants(3, F(1), F(1), 1.0, 10.0)  # q = delta
         with pytest.raises(ValueError):
             degiorgi_constants(3, F(1), F(1, 2), 1.0, 0.5)  # R <= 1
-
-    def test_hypothesis_exponent_recorded(self):
-        res = degiorgi_constants(5, F(1), F(7, 10), 2.0, 50.0)
-        assert res.hypothesis_exponent == F(3, 1) / F(7, 10) - 2
 
 
 class TestEpsilon1:

@@ -5,9 +5,9 @@ import pytest
 from quadmin_oracle import hessian_entries
 
 from stabcert import bubble, optimize, published, quadmin
+from stabcert.config import ConfigError, RunConfig
 from stabcert.curvature import ParamSet, epsilon_of
 from stabcert.optimize import (
-    SearchConfig,
     default_box,
     feasibility,
     float_margins,
@@ -158,22 +158,22 @@ class TestFloatMirror:
 
 class TestMinimizeDelta0:
     def test_never_worse_than_builtin_row(self):
-        result = minimize_delta0(SearchConfig(n=3, budget=4000, seeds=(0, 1)))
+        result = minimize_delta0(3, RunConfig(budget=4000))
         assert result.certified
         assert result.delta0 <= F(1, 3)
         assert result.improvement_vs_published >= 0
         assert result.evaluations_used <= 4000
 
     def test_deterministic(self):
-        cfg = dict(n=4, budget=3000, seeds=(5, 6))
-        a = minimize_delta0(SearchConfig(**cfg))
-        b = minimize_delta0(SearchConfig(**cfg))
+        cfg = RunConfig(budget=3000, seed=5)
+        a = minimize_delta0(4, cfg)
+        b = minimize_delta0(4, cfg)
         assert a.delta0 == b.delta0
         assert a.best_params == b.best_params
         assert a.evaluations_used == b.evaluations_used
 
     def test_certified_result_reverifies_exactly(self):
-        result = minimize_delta0(SearchConfig(n=3, budget=3000, seeds=(0,)))
+        result = minimize_delta0(3, RunConfig(budget=3000))
         assert result.certified
         params, report = reverify(result.best_params.as_strings())
         assert params == result.best_params
@@ -183,7 +183,7 @@ class TestMinimizeDelta0:
         assert original == replayed
 
     def test_open_dimension_probe_reports_profile(self):
-        result = minimize_delta0(SearchConfig(n=6, budget=2500, seeds=(0,)))
+        result = minimize_delta0(6, RunConfig(budget=2500))
         if result.certified:  # would be a finding; surface loudly
             pytest.fail(f"unexpected certified n=6 row: {result.best_params}")
         assert result.best_margin_profile is not None
@@ -200,7 +200,7 @@ class TestMinimizeDelta0:
             return scored(n, delta0, b, alpha, beta)
 
         monkeypatch.setattr(optimize, "float_margins", recording)
-        result = minimize_delta0(SearchConfig(n=4, seeds=(5, 6, 7, 8)))
+        result = minimize_delta0(4, RunConfig(seed=5))
         assert result.evaluations_used == 12840  # tests/data/search_n4_seed5.json
         assert len(seen) == len(set(seen))
 
@@ -210,24 +210,24 @@ def test_evaluations_never_exceed_budget(n):
     # a trial the budget refuses is neither scored nor counted
     delta0 = published.DELTA0.get(n, F(1))
     for budget in range(1, 400, 7):
-        config = SearchConfig(n=n, budget=budget, seeds=(0, 1, 2, 3))
-        for result in (minimize_delta0(config), maximize_epsilon(config, delta0)):
+        cfg = RunConfig(budget=budget)
+        for result in (minimize_delta0(n, cfg), maximize_epsilon(n, cfg, delta0)):
             assert result.evaluations_used <= budget, (result.objective, budget)
 
 
 class TestMaximizeEpsilon:
     def test_witness_dominance_row3(self):
-        result = maximize_epsilon(SearchConfig(n=3, budget=3000, seeds=(0,)), F(1, 3))
+        result = maximize_epsilon(3, RunConfig(budget=3000), F(1, 3))
         assert result.certified
         assert result.epsilon >= published.EPSILON[3]
 
     def test_witness_dominance_row5(self):
-        result = maximize_epsilon(SearchConfig(n=5, budget=2500, seeds=(0,)), F(21, 22))
+        result = maximize_epsilon(5, RunConfig(budget=2500), F(21, 22))
         assert result.certified
         assert result.epsilon >= published.EPSILON[5]
 
     def test_result_epsilon_is_exact(self):
-        result = maximize_epsilon(SearchConfig(n=4, budget=2000, seeds=(1,)), F(1, 2))
+        result = maximize_epsilon(4, RunConfig(budget=2000, seed=1), F(1, 2))
         assert result.epsilon == epsilon_of(result.best_params).epsilon
 
 
@@ -257,9 +257,9 @@ def test_rounding_recovers_builtin_row_from_floats():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(n=3, denominator_bound=1)
-    with pytest.raises(ValueError):
-        SearchConfig(n=3, budget=0)
+    with pytest.raises(ConfigError, match="denominator_bound must be >= 2"):
+        RunConfig(denominator_bound=1)
+    with pytest.raises(ConfigError, match="budget must be >= 1"):
+        RunConfig(budget=0)
     with pytest.raises(ValueError):
         default_box(9)
