@@ -68,6 +68,10 @@ def mean_curv_coeff(n: int, alpha: Rat, beta: Rat) -> Fraction:
     return (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * denom_core)
 
 
+# Every (numerator, denominator) in [-200, 200] x [1, 19] once: the grid mu1 and H are drawn from.
+_QUAD_DRAWS = tuple((num, den) for num in range(-200, 201) for den in range(1, 20))
+
+
 def quadform_lower_bound_check(
     n: int, alpha: Rat, beta: Rat, sample_count: int = 1000, seed: int = 0
 ) -> ConstraintReport:
@@ -77,8 +81,10 @@ def quadform_lower_bound_check(
         A*mu1^2 + B*H*mu1 + C*H^2 >= mean_curv_coeff * H^2
     with A = (n-1)/(n-2) - alpha/beta, B = (n-3)alpha/((n-1)beta),
     C = (1/(n-1)) (1 + (alpha/beta)(n-2)/(n-1)).  A, B, C and the coefficient
-    K are brought to one positive common denominator; with mu1 = m/dm and
-    H = h/dh each sample is compared in integers, multiplied by dm^2 dh^2.
+    K are brought to one positive common denominator.  Each sample is one
+    uniform draw whose low and high base-len(_QUAD_DRAWS) digits pick
+    mu1 = m/dm and H = h/dh; it is compared in integers, multiplied by
+    dm^2 dh^2.
 
     The exact check proves the bound for all real (mu1, H), and its sharpness:
     A > 0 and 4AC - B^2 = 4AK make the form minus K*H^2 equal to
@@ -90,12 +96,16 @@ def quadform_lower_bound_check(
     C = Fraction(1, n - 1) * (1 + alpha / beta * Fraction(n - 2, n - 1))
     A, B, C, K = clear_denominators(A, B, C, coeff)
     randrange = random.Random(seed).randrange
+    draws = _QUAD_DRAWS
+    base = len(draws)
+    span = base * base
     report = ConstraintReport()
     violations = 0
     witness = ""
     for _ in range(sample_count):
-        m, dm = randrange(-200, 201), randrange(1, 20)
-        h, dh = randrange(-200, 201), randrange(1, 20)
+        high, low = divmod(randrange(span), base)
+        m, dm = draws[low]
+        h, dh = draws[high]
         x, y = m * dh, h * dm  # mu1 and H times dm * dh
         if A * x * x + B * y * x + C * y * y < K * y * y:
             violations += 1

@@ -11,10 +11,11 @@ with Q the closed-form quadratic-minimum coefficient, is affine in t, so its
 minimum over [0, 1] is epsilon = min{F(0), F(1)}.  This module computes the
 two endpoint values exactly, takes epsilon from them, and runs the randomized
 exact sampling check of the pointwise curvature inequality over trace-free
-principal-curvature vectors.  That check compares in
-cleared-denominator integers: each random rational is drawn as a numerator and
-a denominator, and the inequality is multiplied through by a positive common
-denominator, so the verdict is the exact rational one.
+principal-curvature vectors.  Each sample is one uniform draw, split into
+one digit per random rational; a digit picks a numerator and a denominator
+from a fixed grid.  The check compares in cleared-denominator integers: the
+inequality is multiplied through by a positive common denominator, so the
+verdict is the exact rational one.
 """
 
 from __future__ import annotations
@@ -105,11 +106,16 @@ def epsilon_of(params: ParamSet) -> EpsilonResult:
     return EpsilonResult(F_at_0=f0, F_at_1=f1, epsilon=min(f0, f1), max_branch=branch)
 
 
-# Each lambda_i and E is drawn as randrange(-MAX_NUM, MAX_NUM + 1) / randrange(1, MAX_DEN + 1);
-# _SCALE is a common denominator of every such draw.
+# Each lambda_i and E is a numerator in [-MAX_NUM, MAX_NUM] over a denominator in
+# [1, MAX_DEN]; _SCALE is a common denominator of every such rational.  A sample
+# is one randrange(len(_DRAWS) ** n), split by divmod into n base-len(_DRAWS)
+# digits (least significant first: lambda_1 .. lambda_(n-1), then E), and each
+# digit indexes _DRAWS, which lists every (num, den, num * _SCALE / den) once.
 MAX_NUM, MAX_DEN = 120, 12
 _SCALE = lcm(*range(1, MAX_DEN + 1))
-_SCALE_OVER = (0,) + tuple(_SCALE // d for d in range(1, MAX_DEN + 1))
+_DRAWS = tuple(
+    (num, den, num * (_SCALE // den)) for num in range(-MAX_NUM, MAX_NUM + 1) for den in range(1, MAX_DEN + 1)
+)
 
 
 def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: int = 0) -> ConstraintReport:
@@ -133,17 +139,21 @@ def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: 
     a, beta, alpha, c1, c2, Q = clear_denominators(params.a, params.beta, params.alpha, c1, c2, Q)
     c1, c2, Q = c1 * _SCALE, c2 * _SCALE, Q * _SCALE * _SCALE
     randrange = random.Random(seed).randrange
-    scale_over = _SCALE_OVER
+    draws = _DRAWS
+    base = len(draws)
+    span = base**n
     free = range(n - 1)
     report = ConstraintReport()
     violations = 0
     witness = ""
     for _ in range(sample_count):
-        # numerator, then denominator, for each lambda_i and then for E
-        lam = [randrange(-MAX_NUM, MAX_NUM + 1) * scale_over[randrange(1, MAX_DEN + 1)] for _ in free]
+        r = randrange(span)
+        lam = []
+        for _ in free:
+            r, digit = divmod(r, base)
+            lam.append(draws[digit][2])
         lam.append(-sum(lam))
-        e = randrange(-MAX_NUM, MAX_NUM + 1)
-        ed = randrange(1, MAX_DEN + 1)
+        e, ed, _ = draws[r]
         l1, l2 = lam[0], lam[1]
         S = sum([x * x for x in lam])
         lhs = ed * ed * (a * S - beta * l1 * l1 - alpha * (l1 * l2 + l2 * l2)) + e * ed * (c1 * l1 + c2 * l2)

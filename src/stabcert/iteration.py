@@ -47,19 +47,11 @@ class NoCaccioppoliConstantError(ValueError):
 
 
 @dataclass(frozen=True)
-class CaccioppoliBranch:
-    name: str
-    coefficient: Fraction
-    constant: Fraction | None  # None when the coefficient is nonpositive
-
-
-@dataclass(frozen=True)
 class CaccioppoliConstants:
     c1: Fraction
     p: Fraction  # 4k + 2
     c2_exact: Fraction | None  # exact when p is an even integer
     c2_approx: ApproxValue | None  # flagged floating otherwise
-    branches: tuple[CaccioppoliBranch, CaccioppoliBranch]
     both_branches_positive: bool
 
 
@@ -78,9 +70,7 @@ def caccioppoli_constants(n: int, delta: Rat, k: Rat, s: Rat, s1: Rat, dps: int 
     kato = k + Fraction(1, 2 * n) - Fraction(1, 4)
     coeff2 = kato * s1 * delta / (k * k * (s1 + 1)) - 1
     num2 = (s1 / (k * k)) * kato
-    b1 = CaccioppoliBranch("sign_drop", coeff1, num1 / coeff1 if coeff1 > 0 else None)
-    b2 = CaccioppoliBranch("young_absorb", coeff2, num2 / coeff2 if coeff2 > 0 else None)
-    candidates = [b.constant for b in (b1, b2) if b.constant is not None]
+    candidates = [num / coeff for num, coeff in ((num1, coeff1), (num2, coeff2)) if coeff > 0]
     if not candidates:
         raise NoCaccioppoliConstantError(
             f"branch coefficients {coeff1} and {coeff2} both nonpositive at k={k}, s={s}, s1={s1}"
@@ -103,7 +93,6 @@ def caccioppoli_constants(n: int, delta: Rat, k: Rat, s: Rat, s1: Rat, dps: int 
         p=p,
         c2_exact=c2_exact,
         c2_approx=c2_approx,
-        branches=(b1, b2),
         both_branches_positive=coeff1 > 0 and coeff2 > 0,
     )
 
@@ -243,7 +232,6 @@ def epsilon1_threshold(
 @dataclass
 class RecursionResult:
     log10_values: list[float]
-    log10_bounds: list[float]
     dominated: bool
     tends_to_zero: bool
     exponent_identity_ok: bool
@@ -289,7 +277,6 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
 
         logP = mpmath.mpf(n) / 2 * logC0 + mpmath.mpf(n * n) / 2 * logC + logS1
         log10_values = [float(logS1 / log10)]
-        log10_bounds = [float(logP / log10)]
         values_str = [fmt(logS1)]
         bounds_str = [fmt(logP)]
         for m in range(1, steps + 1):
@@ -314,13 +301,11 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
             if log_t > log_bound + mpmath.mpf("1e-9"):
                 dominated = False
             log10_values.append(float(log_t / log10))
-            log10_bounds.append(float(log_bound / log10))
             values_str.append(fmt(log_t))
             bounds_str.append(fmt(log_bound))
         tends_to_zero = bool(logP < 0) and log10_values[-1] < log10_values[0]
     return RecursionResult(
         log10_values=log10_values,
-        log10_bounds=log10_bounds,
         dominated=dominated,
         tends_to_zero=tends_to_zero,
         exponent_identity_ok=exponent_ok,

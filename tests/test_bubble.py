@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from stabcert import published
+from stabcert import bubble, published
 from stabcert.bubble import (
     InfeasibleParamsError,
     barrier_ode_check,
@@ -88,6 +88,12 @@ class TestQuadFormBound:
         # mu1 = H = 0 trivially passes; included in the sampled sweep
         report = quadform_lower_bound_check(3, F(18, 11), F(3, 2), sample_count=10, seed=0)
         assert report.all_satisfied
+
+    def test_draw_table_is_a_bijection_onto_the_grid(self):
+        draws = bubble._QUAD_DRAWS
+        grid = {(num, den) for num in range(-200, 201) for den in range(1, 20)}
+        assert len(draws) == len(set(draws)) == 401 * 19
+        assert set(draws) == grid
 
 
 class TestYoungParameter:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stabcert import published
+from stabcert import curvature, published
 from stabcert.certify import certify
 from stabcert.config import RunConfig
 from stabcert.curvature import (
@@ -90,6 +90,23 @@ def test_sampling_check_reports_witness_on_false_claim():
     entry = report.entries[0]
     assert not entry.satisfied
     assert "witness" in entry.detail
+
+
+def test_sampling_check_draws_are_pinned():
+    # a change of the draw scheme moves this witness; make it a deliberate diff
+    bad = ParamSet(3, F(1, 10), F(3, 10), F(18, 11), F(3, 2))
+    detail = curvature_sample_check(bad, sample_count=500, seed=0).entries[0].detail
+    assert detail == (
+        "500 samples, 500 violations, seed=0; first witness: lambda=['-91/2', '-23/3', '319/6'], E=44/7"
+    )
+
+
+def test_draw_table_is_a_bijection_onto_the_grid():
+    draws = curvature._DRAWS
+    grid = {(num, den) for num in range(-120, 121) for den in range(1, 13)}
+    assert len(draws) == len(grid) == 241 * 12
+    assert {(num, den) for num, den, _ in draws} == grid
+    assert all(F(scaled, curvature._SCALE) == F(num, den) for num, den, scaled in draws)
 
 
 def test_sign_of_linear_scale_is_irrelevant():

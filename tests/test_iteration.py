@@ -50,12 +50,11 @@ class TestCaccioppoliCoefficient:
 class TestCaccioppoliConstants:
     def test_frozen_example(self):
         res = caccioppoli_constants(3, F(1), F(1, 2), F(100), F(100))
-        assert res.branches[0].coefficient == F(97, 75)
-        assert res.branches[1].coefficient == F(197, 303)
+        assert caccioppoli_coefficient(3, F(1), F(1, 2), F(100)) == F(97, 75)
         assert res.both_branches_positive
-        assert res.branches[0].constant == F(7747, 97)
-        assert res.branches[1].constant == F(50500, 197)
-        assert res.c1 == F(50500, 197)
+        # the sign-drop branch gives 7747/97 (coefficient 97/75), the
+        # Young-absorb branch 50500/197 (coefficient 197/303); C1 is the larger
+        assert res.c1 == F(50500, 197) > F(7747, 97)
         assert res.p == 4  # exceeds n = 3
         assert res.c2_exact == (4 * F(50500, 197)) ** 2
         assert res.c2_approx is None
@@ -65,8 +64,9 @@ class TestCaccioppoliConstants:
         # toward the upper endpoint drives the coefficient to 0+ and C1 up
         s = s1 = F(10**6)
         mid = caccioppoli_constants(3, F(3, 8), F(3, 16), s, s1)
-        near = caccioppoli_constants(3, F(3, 8), (F(1, 2) - F(1, 1000)) / 2, s, s1)
-        assert near.branches[0].coefficient > 0
+        k_near = (F(1, 2) - F(1, 1000)) / 2
+        near = caccioppoli_constants(3, F(3, 8), k_near, s, s1)
+        assert caccioppoli_coefficient(3, F(3, 8), k_near, s) > 0
         assert near.c1 > mid.c1 > 0
 
     def test_both_branches_nonpositive_rejected(self):
@@ -163,12 +163,14 @@ class TestRecursionSimulator:
         res = recursion_simulate(0.5, 1.0, 1.0, 3, steps=6)
         assert res.dominated and res.tends_to_zero and res.exponent_identity_ok
         # bound is (1/2)^(3^l) and the sequence achieves it exactly
-        assert res.log10_values == pytest.approx(res.log10_bounds, rel=1e-9)
+        assert res.log10_values == pytest.approx([3**m * mpmath.log10(0.5) for m in range(7)], rel=1e-9)
+        assert res.values_str == res.bounds_str
         assert res.log10_values[2] == pytest.approx(9 * res.log10_values[0], rel=1e-9)
 
     def test_fixed_point_product_one(self):
         res = recursion_simulate(1.0, 1.0, 1.0, 3, steps=5)
-        assert res.log10_bounds == pytest.approx([0.0] * 6, abs=1e-12)
+        assert res.log10_values == pytest.approx([0.0] * 6, abs=1e-12)
+        assert res.bounds_str == ["1.0"] * 6
         assert not res.tends_to_zero
 
     def test_log_and_direct_agree(self):

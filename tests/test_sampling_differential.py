@@ -1,11 +1,12 @@
 """The integer sampled checks against a Fraction reference on the same draws.
 
 ``curvature_sample_check`` and ``quadform_lower_bound_check`` compare in
-cleared-denominator integers.  The reference samplers below draw the same
-random rationals from the same seed and compare them as ``Fraction``s; the
-sampled checks (verdict, sample and violation counts, first witness) must
-agree byte for byte.  The quadform vertex identity is exact, not sampled, and
-is tested on its own.
+cleared-denominator integers.  The reference samplers below decode the same
+random rationals from the same seed on their own (``draw_rationals``: one
+uniform draw per sample, read as base-(grid size) digits) and compare them as
+``Fraction``s; the sampled checks (verdict, sample and violation counts, first
+witness) must agree byte for byte.  The quadform vertex identity is exact, not
+sampled, and is tested on its own.
 """
 
 import random
@@ -19,21 +20,30 @@ from stabcert.curvature import ParamSet, curvature_sample_check
 from stabcert.report import ConstraintReport
 
 
+def draw_rationals(rng, count, max_num, max_den):
+    """``count`` rationals num/den, num in [-max_num, max_num] and den in [1, max_den], from one draw.
+
+    The draw is uniform over all grid**count choices; its base-grid digits,
+    least significant first, give the rationals in order, and digit d stands
+    for (d // max_den - max_num) / (d % max_den + 1).
+    """
+    grid = (2 * max_num + 1) * max_den
+    r = rng.randrange(grid**count)
+    digits = [r // grid**i % grid for i in range(count)]
+    return [F(d // max_den - max_num, d % max_den + 1) for d in digits]
+
+
 def reference_curvature_check(params, sample_count, seed):
     n, a, alpha, beta = params.n, params.a, params.alpha, params.beta
     Q = quadmin.f_min_coefficient(n, a, alpha, beta)
     c1, c2 = quadmin.linear_coefficients(n, alpha, beta)
     rng = random.Random(seed)
-
-    def draw():
-        return F(rng.randrange(-120, 121), rng.randrange(1, 13))
-
     violations = 0
     witness = ""
     for _ in range(sample_count):
-        lam = [draw() for _ in range(n - 1)]
+        # lambda_1 .. lambda_(n-1), then E
+        *lam, E = draw_rationals(rng, n, 120, 12)
         lam.append(-sum(lam))
-        E = draw()
         S = sum(x * x for x in lam)
         lhs = a * S - beta * lam[0] * lam[0] - alpha * (lam[0] * lam[1] + lam[1] * lam[1])
         lhs += E * (c1 * lam[0] + c2 * lam[1])
@@ -61,8 +71,7 @@ def reference_quadform_check(n, alpha, beta, sample_count, seed):
     violations = 0
     witness = ""
     for _ in range(sample_count):
-        mu1 = F(rng.randrange(-200, 201), rng.randrange(1, 20))
-        H = F(rng.randrange(-200, 201), rng.randrange(1, 20))
+        mu1, H = draw_rationals(rng, 2, 200, 19)
         if A * mu1 * mu1 + B * H * mu1 + C * H * H < coeff * H * H:
             violations += 1
             if not witness:
