@@ -8,13 +8,12 @@ thresholds, including a probe of the open dimension 6.
 """
 
 from .config import RunConfig
-from .curvature import ParamSet, epsilon_of
+from .curvature import ParamSet
 from .optimize import feasibility, maximize_epsilon, minimize_delta0
 from .rational import QuadSurd, Rational
 
 __all__ = [
     "ParamSet",
-    "epsilon_of",
     "RunConfig",
     "feasibility",
     "minimize_delta0",

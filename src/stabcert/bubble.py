@@ -1,14 +1,16 @@
-"""Warped-bubble coefficient chain: spectral bound, Young parameter, barrier data.
+"""Warped-bubble barrier data and the mean-curvature quadratic-form bound.
 
-Starting from a parameter row with q = b/beta this module derives, exactly:
+The chain's bubble coefficients are computed once, exactly, in
+``optimize``'s chain: the spectral coefficient 4/(4-q) * beta/alpha with its
+(n-2)/(n-3) bound, the mean-curvature coefficient
+mcc = (4 beta^2 - (n-2) alpha^2) / (4 beta ((n-1) beta - (n-2) alpha)), the
+largest Young parameter L_max keeping the squared-mean-curvature coefficient
+nonnegative, and the bare barrier coefficient
+gamma0 = 1/q - (1/L_max)|1/2 - 1/q|.  From the chain's epsilon and gamma0
+this module derives, exactly:
 
-* the spectral coefficient 4/(4-q) * beta/alpha and its (n-2)/(n-3) bound,
-* the mean-curvature quadratic-form coefficient
-      (4 beta^2 - (n-2) alpha^2) / (4 beta ((n-1) beta - (n-2) alpha)),
-* the largest Young parameter L_max keeping the squared-mean-curvature
-  coefficient nonnegative, and the barrier coefficient gamma0 under both
-  conventions in circulation (the bare bracket 1/q - (1/L)|1/2 - 1/q| and the
-  same bracket multiplied by beta/alpha) — both are carried through the whole
+* gamma0 under both conventions in circulation (the bare bracket and the same
+  bracket multiplied by beta/alpha), both carried through the whole
   downstream chain in parallel,
 * the barrier amplitudes x0 = sqrt(eps/(2 alpha gamma0)) and
   y0 = (1/(2 beta)) sqrt(alpha eps gamma0 / 2) as exact surds, with their two
@@ -18,10 +20,10 @@ Starting from a parameter row with q = b/beta this module derives, exactly:
   measures are irrational; computed at >= 50 significant digits, reported at
   12, and never used in pass/fail checks).
 
-The quadratic-form bound is proved by one exact identity and also sampled on
-random rational points, compared in cleared-denominator integers.  The
-feasibility margins themselves are stated once, in ``optimize``'s chain;
-``stabcert.certify`` assembles these derivations into certificates.
+The quadratic-form bound with the chain's mcc is proved by one exact
+identity and also sampled on random rational points, compared in
+cleared-denominator integers.  ``stabcert.certify`` assembles these
+derivations into certificates.
 """
 
 from __future__ import annotations
@@ -39,48 +41,20 @@ from .report import ApproxValue, ConstraintReport
 Rat = Fraction
 
 
-class InfeasibleParamsError(ValueError):
-    """A derived-constant precondition failed; the row cannot be certified."""
-
-
-def spectral_coeff(q: Rat, alpha: Rat, beta: Rat) -> Fraction:
-    """4/(4-q) * beta/alpha; pole at q = 4."""
-    if q >= 4:
-        raise InfeasibleParamsError(f"q = {q} >= 4: spectral coefficient undefined")
-    return Fraction(4) / (4 - q) * beta / alpha
-
-
-def spectral_bound(n: int) -> Fraction:
-    """(n-2)/(n-3), the strict upper bound on the spectral coefficient (n >= 4)."""
-    return Fraction(n - 2, n - 3)
-
-
-def mean_curv_coeff(n: int, alpha: Rat, beta: Rat) -> Fraction:
-    """(4 beta^2 - (n-2) alpha^2) / (4 beta ((n-1) beta - (n-2) alpha)).
-
-    Requires alpha/beta < (n-1)/(n-2), i.e. (n-1) beta - (n-2) alpha > 0.
-    """
-    denom_core = (n - 1) * beta - (n - 2) * alpha
-    if denom_core <= 0:
-        raise InfeasibleParamsError(
-            f"(n-1)beta - (n-2)alpha = {denom_core} <= 0: alpha/beta must stay below (n-1)/(n-2)"
-        )
-    return (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * denom_core)
-
-
 # Every (numerator, denominator) in [-200, 200] x [1, 19] once: the grid mu1 and H are drawn from.
 _QUAD_DRAWS = tuple((num, den) for num in range(-200, 201) for den in range(1, 20))
 
 
 def quadform_lower_bound_check(
-    n: int, alpha: Rat, beta: Rat, sample_count: int = 1000, seed: int = 0
+    n: int, alpha: Rat, beta: Rat, K: Rat, sample_count: int = 1000, seed: int = 0
 ) -> ConstraintReport:
     """Exact sampling of the trace-free quadratic-form bound plus its exact proof.
 
     For random rational (mu1, H):
-        A*mu1^2 + B*H*mu1 + C*H^2 >= mean_curv_coeff * H^2
+        A*mu1^2 + B*H*mu1 + C*H^2 >= K * H^2
     with A = (n-1)/(n-2) - alpha/beta, B = (n-3)alpha/((n-1)beta),
-    C = (1/(n-1)) (1 + (alpha/beta)(n-2)/(n-1)).  A, B, C and the coefficient
+    C = (1/(n-1)) (1 + (alpha/beta)(n-2)/(n-1)) and K the chain's
+    mean-curvature coefficient mcc (``optimize.exact_chain``).  A, B, C and
     K are brought to one positive common denominator.  Each sample is one
     uniform draw whose low and high base-len(_QUAD_DRAWS) digits pick
     mu1 = m/dm and H = h/dh; it is compared in integers, multiplied by
@@ -90,11 +64,10 @@ def quadform_lower_bound_check(
     A > 0 and 4AC - B^2 = 4AK make the form minus K*H^2 equal to
     A*(mu1 + B*H/(2A))^2.  The sampler stays as an independent oracle.
     """
-    coeff = mean_curv_coeff(n, alpha, beta)
     A = Fraction(n - 1, n - 2) - alpha / beta
     B = Fraction(n - 3) * alpha / ((n - 1) * beta)
     C = Fraction(1, n - 1) * (1 + alpha / beta * Fraction(n - 2, n - 1))
-    A, B, C, K = clear_denominators(A, B, C, coeff)
+    A, B, C, K = clear_denominators(A, B, C, K)
     randrange = random.Random(seed).randrange
     draws = _QUAD_DRAWS
     base = len(draws)
@@ -126,46 +99,11 @@ def quadform_lower_bound_check(
     return report
 
 
-def young_numerator(mcc: Rat, q: Rat) -> Fraction:
-    """mean_curv_coeff + 1/q - 1, the numerator binding the Young parameter."""
-    return mcc + 1 / q - 1
-
-
-def l_max(n: int, q: Rat, alpha: Rat, beta: Rat) -> Fraction | None:
-    """Largest Young parameter with nonnegative squared-mean-curvature coefficient.
-
-    Solves mean_curv_coeff + 1/q - 1 - L*|1/2 - 1/q| = 0.  Returns None when
-    q = 2 (the cross term vanishes and any L works); raises when the
-    numerator is nonpositive (row infeasible at this stage).
-    """
-    mcc = mean_curv_coeff(n, alpha, beta)
-    num = young_numerator(mcc, q)
-    if num <= 0:
-        raise InfeasibleParamsError(f"Young numerator {num} <= 0: no admissible Young parameter")
-    if q == 2:
-        return None
-    return num / abs(Fraction(1, 2) - 1 / q)
-
-
-def gamma0(n: int, q: Rat, L: Rat | None, alpha: Rat, beta: Rat) -> tuple[Fraction, Fraction]:
-    """(bare, with_ratio): 1/q - (1/L)|1/2 - 1/q|, and the same times beta/alpha.
-
-    Both conventions are returned; certificates carry the divergence flag.
-    With L = None (the q = 2 unconstrained case) the bracket is just 1/q.
-    """
-    if L is None:
-        bare = 1 / q
-    else:
-        if L <= 0:
-            raise InfeasibleParamsError("Young parameter must be positive")
-        bare = 1 / q - (1 / L) * abs(Fraction(1, 2) - 1 / q)
-    return bare, bare * beta / alpha
-
-
 def x0_y0(n: int, alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat) -> tuple[QuadSurd, QuadSurd]:
-    """Barrier amplitudes x0 = sqrt(eps/(2 alpha g0)), y0 = (1/(2 beta)) sqrt(alpha eps g0 / 2)."""
-    if epsilon <= 0 or gamma0_value <= 0:
-        raise InfeasibleParamsError("epsilon and gamma0 must be positive for the barrier")
+    """Barrier amplitudes x0 = sqrt(eps/(2 alpha g0)), y0 = (1/(2 beta)) sqrt(alpha eps g0 / 2).
+
+    epsilon and gamma0 must be positive, as a passing chain makes them.
+    """
     x0 = QuadSurd.make(Fraction(1), epsilon / (2 * alpha * gamma0_value))
     y0 = QuadSurd.make(1 / (2 * beta), alpha * epsilon * gamma0_value / 2)
     return x0, y0
@@ -198,10 +136,9 @@ def barrier_ode_check(
 
     eta(t) = -x0 * tan(y0*t - pi/2) on (0, pi/y0); the residual at each sample
     point must satisfy |eta' + x0*y0 + (y0/x0)*eta^2| <= tol * (1 + |eta|^2),
-    with a central-difference step shrunk where tan is steep.
+    with a central-difference step shrunk where tan is steep.  x0 and y0 are
+    positive, as ``x0_y0`` makes them from a passing chain.
     """
-    if x0.sign() <= 0 or y0.sign() <= 0:
-        raise InfeasibleParamsError("barrier amplitudes must be positive")
     report = ConstraintReport()
     with mpmath.workdps(dps):
         x0v = x0.approx_mp(dps)
@@ -270,38 +207,12 @@ class BarrierBranch:
     volume_const: ApproxValue
 
 
-@dataclass(frozen=True)
-class BubbleConstants:
-    q: Fraction
-    spectral_coeff: Fraction
-    mean_curv_coeff: Fraction
-    L_max: Fraction | None
-    gamma0_bare: Fraction
-    gamma0_with_ratio: Fraction
-    branches: tuple[BarrierBranch, BarrierBranch]  # bare, then with_ratio
-
-
-def derive(params: ParamSet, epsilon: Rat, dps: int = 50) -> BubbleConstants:
-    """Full exact chain for one row: q, coefficients, L = L_max, both barrier branches."""
+def derive(params: ParamSet, epsilon: Rat, gamma0_bare: Rat, dps: int = 50) -> tuple[BarrierBranch, BarrierBranch]:
+    """Both barrier branches from the chain's epsilon and gamma0: bare, then with_ratio = bare * beta/alpha."""
     n, alpha, beta = params.n, params.alpha, params.beta
-    q = params.q
-    coeff = spectral_coeff(q, alpha, beta)
-    mcc = mean_curv_coeff(n, alpha, beta)
-    L = l_max(n, q, alpha, beta)
-    g_bare, g_ratio = gamma0(n, q, L, alpha, beta)
-    if g_bare <= 0:
-        raise InfeasibleParamsError(f"gamma0 bare = {g_bare} <= 0")
     branches = []
-    for convention, g in (("bare", g_bare), ("with_ratio", g_ratio)):
+    for convention, g in (("bare", gamma0_bare), ("with_ratio", gamma0_bare * beta / alpha)):
         x0, y0 = x0_y0(n, alpha, beta, epsilon, g)
         area, volume = growth_constants(n, alpha, epsilon, y0, dps)
         branches.append(BarrierBranch(convention, g, x0, y0, area, volume))
-    return BubbleConstants(
-        q=q,
-        spectral_coeff=coeff,
-        mean_curv_coeff=mcc,
-        L_max=L,
-        gamma0_bare=g_bare,
-        gamma0_with_ratio=g_ratio,
-        branches=tuple(branches),
-    )
+    return tuple(branches)

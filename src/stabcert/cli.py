@@ -3,7 +3,7 @@
 Exit-code contract (scriptable CI usage):
     0  all exact checks pass
     1  an exact check failed
-    2  usage or configuration error
+    2  usage or configuration error, or an output path that cannot be written
     3  strict mode and the certificate contains discrepancies
     4  search finished without a certified result
 
@@ -350,7 +350,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit:  # --help printed the help text
         return EXIT_PASS
-    return args.func(args) if cfg is None else args.func(args, cfg)
+    try:
+        return args.func(args) if cfg is None else args.func(args, cfg)
+    except OSError as exc:  # report handles its own read errors, so this is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

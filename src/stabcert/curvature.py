@@ -1,21 +1,29 @@
-"""The curvature lower-bound function F and its certified minimum epsilon(n).
+"""The weighted curvature quadratic f, the function F, and the sampled curvature inequality.
 
-For a parameter row (n, a, b, alpha, beta) with a = b*delta0 the function
+For a parameter row (n, a, b, alpha, beta) with a = b*delta0 the quadratic
+
+    f(x, y) = a*[x^2 + y^2 + (x+y)^2/(n-2)] - beta*x^2 - alpha*(x*y + y^2)
+              - E*[((n-2)*beta - alpha)*x + (n-3)*alpha*y]
+
+has, under the convexity hypotheses (f_xx > 0, f_yy > 0 and Hessian
+determinant D > 0), the minimum E^2 * Q; it depends on the linear-term scale
+E only through E^2, so both sign conventions give the same Q.  The function
 
     F(t) = 2(n-1)beta + 2(n-2)alpha - b*n(n-2)/2
            + [ (n^2-4)/4*b - (n*beta + (n-1)alpha)
                - max{(n-2)beta - alpha, (n-3)alpha} ] * t
            + (1 - t) * Q,        t = |dr|^2 in [0, 1],
 
-with Q the closed-form quadratic-minimum coefficient, is affine in t, so its
-minimum over [0, 1] is epsilon = min{F(0), F(1)}.  This module computes the
-two endpoint values exactly, takes epsilon from them, and runs the randomized
-exact sampling check of the pointwise curvature inequality over trace-free
-principal-curvature vectors.  Each sample is one uniform draw, split into
-one digit per random rational; a digit picks a numerator and a denominator
-from a fixed grid.  The check compares in cleared-denominator integers: the
-inequality is multiplied through by a positive common denominator, so the
-verdict is the exact rational one.
+is affine in t, so its minimum over [0, 1] is epsilon = min{F(0), F(1)}.
+D, Q, F(0), F(1) and epsilon are computed once, in ``optimize``'s chain.
+This module holds the parameter row, f's linear coefficients, and the
+randomized exact sampling check of the pointwise curvature inequality over
+trace-free principal-curvature vectors, which takes the chain's Q.  Each
+sample is one uniform draw, split into one digit per random rational; a
+digit picks a numerator and a denominator from a fixed grid.  The check
+compares in cleared-denominator integers: the inequality is multiplied
+through by a positive common denominator, so the verdict is the exact
+rational one.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import published, quadmin
+from . import published
 from .rational import clear_denominators
 from .rational import rational_to_str as rts
 from .report import ConstraintReport
@@ -76,34 +84,9 @@ class ParamSet:
         }
 
 
-@dataclass(frozen=True)
-class EpsilonResult:
-    F_at_0: Fraction
-    F_at_1: Fraction
-    epsilon: Fraction
-    max_branch: str  # which of (n-2)beta-alpha / (n-3)alpha attains the max: "beta", "alpha" or "both"
-
-
-def gradient_term_max(n: int, alpha: Rat, beta: Rat) -> tuple[Fraction, str]:
-    """max{(n-2)beta - alpha, (n-3)alpha} with the attaining branch recorded."""
-    beta_branch = (n - 2) * beta - alpha
-    alpha_branch = (n - 3) * alpha
-    if beta_branch > alpha_branch:
-        return beta_branch, "beta"
-    if beta_branch < alpha_branch:
-        return alpha_branch, "alpha"
-    return beta_branch, "both"
-
-
-def epsilon_of(params: ParamSet) -> EpsilonResult:
-    """epsilon = min{F(0), F(1)}; bounds F on all of [0, 1] because F is affine in t."""
-    n, a, b, alpha, beta = params.n, params.a, params.b, params.alpha, params.beta
-    Q = quadmin.f_min_coefficient(n, a, alpha, beta)
-    mx, branch = gradient_term_max(n, alpha, beta)
-    const = 2 * (n - 1) * beta + 2 * (n - 2) * alpha - b * Fraction(n * (n - 2), 2)
-    slope = Fraction(n * n - 4, 4) * b - (n * beta + (n - 1) * alpha) - mx
-    f0, f1 = const + Q, const + slope
-    return EpsilonResult(F_at_0=f0, F_at_1=f1, epsilon=min(f0, f1), max_branch=branch)
+def linear_coefficients(n: int, alpha: Rat, beta: Rat) -> tuple[Fraction, Fraction]:
+    """The (c1, c2) with linear part -E*(c1*x + c2*y) in f: ((n-2)beta - alpha, (n-3)alpha)."""
+    return (n - 2) * beta - alpha, (n - 3) * alpha
 
 
 # Each lambda_i and E is a numerator in [-MAX_NUM, MAX_NUM] over a denominator in
@@ -118,7 +101,9 @@ _DRAWS = tuple(
 )
 
 
-def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: int = 0) -> ConstraintReport:
+def curvature_sample_check(
+    params: ParamSet, Q: Rat, sample_count: int = 100_000, seed: int = 0
+) -> ConstraintReport:
     """Randomized exact check of the pointwise curvature inequality.
 
     For random rational trace-free principal curvatures lambda in Q^n and a
@@ -127,15 +112,15 @@ def curvature_sample_check(params: ParamSet, sample_count: int = 100_000, seed: 
         a*S - beta*lambda1^2 - alpha*(lambda1*lambda2 + lambda2^2)
         + E*[((n-2)beta - alpha)*lambda1 + (n-3)*alpha*lambda2]  >=  E^2 * Q
 
-    exactly, where S = sum(lambda_i^2).  The comparison runs in integers: the
+    exactly, where S = sum(lambda_i^2) and Q is the chain's quadratic-minimum
+    coefficient (``optimize.exact_chain``).  The comparison runs in integers: the
     coefficients are brought to one positive common denominator M, each
     lambda_i becomes the integer Lambda_i = lambda_i * _SCALE, and E = e/ed,
     so both sides are multiplied by the positive M * _SCALE^2 * ed^2.
     Violations are findings (reported with their witness), not errors.
     """
     n = params.n
-    Q = quadmin.f_min_coefficient(n, params.a, params.alpha, params.beta)
-    c1, c2 = quadmin.linear_coefficients(n, params.alpha, params.beta)
+    c1, c2 = linear_coefficients(n, params.alpha, params.beta)
     a, beta, alpha, c1, c2, Q = clear_denominators(params.a, params.beta, params.alpha, c1, c2, Q)
     c1, c2, Q = c1 * _SCALE, c2 * _SCALE, Q * _SCALE * _SCALE
     randrange = random.Random(seed).randrange

@@ -8,8 +8,17 @@ every margin strictly positive:
     (n-1)beta - (n-2)alpha > 0;  Young numerator mcc + 1/q - 1 > 0;
     gamma0 (bare, at L = L_max) > 0.
 
-It is written once, in ``_chain``, and evaluated exactly on Fractions by
-``feasibility`` and in double precision by ``float_margins``.  Searching runs
+Here D is the determinant of f's Hessian and Q the coefficient with
+min f = E^2 * Q of the weighted curvature quadratic f that ``curvature``
+samples; F is that module's endpoint function; mcc is the mean-curvature
+coefficient and L_max the largest Young parameter.
+
+The chain is written once, in ``_chain``, the only place where D, Q, F(0),
+F(1), epsilon, the spectral coefficient (n >= 4), mcc, L_max and gamma0 are
+computed.  ``exact_chain`` evaluates it on Fractions and returns the margins
+with those intermediates, which ``stabcert.certify`` records and feeds to the
+sampled checks; ``feasibility`` keeps the margins only, and
+``float_margins`` evaluates the chain in double precision.  Searching runs
 in two phases: the float margins drive multistart coordinate descent inside a
 box, then candidates are rounded to rationals by continued fractions
 (denominator-bounded) and recertified with exact arithmetic.  Floating error
@@ -37,10 +46,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from operator import truediv
+from typing import NamedTuple
 
-from . import bubble, published
+from . import published
 from .config import RunConfig
-from .curvature import ParamSet, epsilon_of
+from .curvature import ParamSet
 from .rational import rational_to_str
 from .report import ConstraintReport
 
@@ -69,7 +79,7 @@ _UNDEFINED_WHY = {
 def _coefficients(n: int, num: type) -> tuple:
     """The chain's rational coefficients at dimension n, as ``num`` (Fraction or float),
     followed by the value of an undefined margin: None for Fraction, -1e18 for float."""
-    spectral = bubble.spectral_bound(n) if n > 3 else None
+    spectral = Fraction(n - 2, n - 3) if n > 3 else None  # the spectral coefficient's strict upper bound
     return tuple(
         None if c is None else num(c)
         for c in (Fraction(2 * (n - 1), n - 2), Fraction(4 * n, n - 2), Fraction(n - 1, n - 2),
@@ -81,8 +91,11 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     """Every feasibility margin of the row in order, on Fractions or on floats.
 
     Returns the margins in the order of ``margin_names(n)``, ``k``'s undefined
-    value where an upstream failure leaves a margin undefined, and ``(L_max,
-    hbar margin at L_max)`` when the Young parameter binds.  The spectral
+    value where an upstream failure leaves a margin undefined, and, once the
+    Hessian gate holds, the intermediates the margins were computed from:
+    ``(Q, F(0), F(1), spectral coefficient, mcc, L_max, hbar margin at
+    L_max)``, each None where the chain does not reach it (the spectral
+    coefficient at n = 3, L_max and its margin when q = 2).  The spectral
     margin exists for n >= 4 only.  ``k`` is ``_coefficients(n, type)``.
     Keep the order of operations: search results depend on the float margins
     to the last bit (tests/test_golden.py).
@@ -92,7 +105,7 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     fyy = hessian * a - 2 * alpha
     D = disc_aa * a * a - 4 * (disc_ab * beta + alpha) * a + (4 * beta - alpha) * alpha
     eps = q_margin = spectral = ricci = young = g_bare = undefined
-    binding = None
+    coeff = mcc = L = hbar = values = None
     convex = b > 0 and alpha > 0 and beta > 0 and fxx > 0 and fyy > 0 and D > 0
     if convex:
         Q = (
@@ -103,11 +116,14 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
         ) / D
         const = 2 * (n - 1) * beta + 2 * (n - 2) * alpha - b * n * (n - 2) / 2
         mx = max((n - 2) * beta - alpha, (n - 3) * alpha)
-        eps = min(const + Q, const + slope * b - (n * beta + (n - 1) * alpha) - mx)
+        f0 = const + Q
+        f1 = const + slope * b - (n * beta + (n - 1) * alpha) - mx
+        eps = min(f0, f1)
         q = b / beta
         q_margin = 4 - q
         if spectral_bound is not None and q < 4:
-            spectral = spectral_bound - 4 / (4 - q) * beta / alpha
+            coeff = 4 / (4 - q) * beta / alpha
+            spectral = spectral_bound - coeff
         ricci = (n - 1) * beta - (n - 2) * alpha
         if ricci > 0 and 0 < q < 4:
             mcc = (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * ricci)
@@ -119,32 +135,56 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
                 else:
                     L = young / cross
                     g_bare = 1 / q - (1 / L) * cross
-                    binding = (L, young - L * cross)
+                    hbar = young - L * cross
+        values = (Q, f0, f1, coeff, mcc, L, hbar)
     if spectral_bound is None:
-        return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), binding
-    return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), binding
+        return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), values
+    return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), values
+
+
+class ChainValues(NamedTuple):
+    """The exact intermediates of ``_chain`` for a row that passes its Hessian gate."""
+
+    Q: Fraction
+    F_at_0: Fraction
+    F_at_1: Fraction
+    spectral_coeff: Fraction | None  # None at n = 3, which has no spectral margin, and when q >= 4
+    mean_curv_coeff: Fraction | None  # None when the Ricci denominator or q fails
+    L_max: Fraction | None  # None when no Young parameter binds (q = 2 or upstream failure)
+    hbar_at_l_max: Fraction | None
+
+
+def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]:
+    """One exact evaluation of the chain: the report of ``feasibility`` and the
+    intermediates its margins were computed from (None when the Hessian gate fails)."""
+    n = params.n
+    margins, values = _chain(n, params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
+    report = ConstraintReport()
+    for name, margin in zip(margin_names(n), margins):
+        if margin is None:
+            why = "Hessian conditions failed" if values is None else _UNDEFINED_WHY[name]
+            report.add(name, False, detail=f"undefined: {why}")
+        else:
+            report.add_margin(name, margin)
+    if values is None:
+        return report, None
+    values = ChainValues._make(values)
+    if values.L_max is not None:
+        hbar = values.hbar_at_l_max
+        report.add("hbar_coeff_at_l_max", hbar >= 0, margin=hbar, detail=f"L_max = {rational_to_str(values.L_max)}")
+    return report, values
 
 
 def feasibility(params: ParamSet) -> ConstraintReport:
     """Every named constraint with its exact margin; feasible iff all satisfied.
 
     Margins the chain leaves undefined after an upstream failure are reported
-    unsatisfied with a note instead of raising.
+    unsatisfied with a note instead of raising.  Every margin is strict
+    (> 0) but ``hbar_coeff_at_l_max``, the squared-mean-curvature coefficient
+    at L = L_max, which is satisfied at >= 0: L_max is the largest L keeping
+    it nonnegative, so its margin is 0 exactly.
     """
-    n = params.n
-    margins, binding = _chain(n, params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
-    hessian_failed = margins[_EPSILON] is None
-    report = ConstraintReport()
-    for name, margin in zip(margin_names(n), margins):
-        if margin is None:
-            why = "Hessian conditions failed" if hessian_failed else _UNDEFINED_WHY[name]
-            report.add(name, False, detail=f"undefined: {why}")
-        else:
-            report.add_margin(name, margin)
-    if binding is not None:
-        L, margin = binding
-        report.add("hbar_coeff_at_l_max", True, margin=margin, detail=f"L_max = {rational_to_str(L)}")
-    return report
+    return exact_chain(params)[0]
 
 
 @cache
@@ -416,7 +456,7 @@ def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
 
     assert best_params is not None and best_delta0 is not None
     rep = feasibility(best_params)
-    eps = epsilon_of(best_params).epsilon
+    eps = rep.entry("epsilon").margin
     improvement = published.DELTA0[n] - best_delta0 if n in published.DELTA0 else None
     return SearchResult(
         n=n,
@@ -456,8 +496,9 @@ def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
     best_eps: Fraction | None = None
     if n in published.PARAM_ROWS and published.DELTA0[n] == delta0:
         witness = ParamSet.published_row(n)
-        if feasibility(witness).all_satisfied:
-            best_params, best_eps = witness, epsilon_of(witness).epsilon
+        rep = feasibility(witness)
+        if rep.all_satisfied:
+            best_params, best_eps = witness, rep.entry("epsilon").margin
             notes.append(f"built-in row certified with epsilon = {rational_to_str(best_eps)}")
 
     memo: dict[tuple[float, float, float], float] = {}
@@ -471,7 +512,7 @@ def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
         rep = feasibility(candidate)
         if not rep.all_satisfied:
             continue
-        eps = epsilon_of(candidate).epsilon
+        eps = rep.entry("epsilon").margin
         if best_eps is None or eps > best_eps:
             best_params, best_eps = candidate, eps
             notes.append(f"improved epsilon = {rational_to_str(eps)}")

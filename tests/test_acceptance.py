@@ -24,7 +24,7 @@ from stabcert.certificate import Certificate
 from stabcert.certify import certify
 from stabcert.cli import result_certificate
 from stabcert.config import RunConfig
-from stabcert.curvature import ParamSet, curvature_sample_check, epsilon_of
+from stabcert.curvature import ParamSet, curvature_sample_check
 from stabcert.iteration import (
     collapse_sqrt,
     critical_delta_exponent,
@@ -32,10 +32,14 @@ from stabcert.iteration import (
     delta1_of,
     recursion_simulate,
 )
-from stabcert.optimize import feasibility, minimize_delta0, reverify
-from stabcert.quadmin import discriminant, f_min_coefficient
+from stabcert.optimize import exact_chain, feasibility, minimize_delta0, reverify
 
 ROWS = {n: ParamSet.published_row(n) for n in (3, 4, 5)}
+
+
+def chain(n, a, alpha, beta):
+    """The chain's margins and intermediates; D and Q do not depend on b, and b = 1 passes its b > 0 gate."""
+    return exact_chain(ParamSet(n, a, F(1), alpha, beta))
 
 
 def report(num: int, text: str) -> None:
@@ -44,7 +48,7 @@ def report(num: int, text: str) -> None:
 
 def test_criterion_01_epsilon_table_exact():
     start = time.monotonic()
-    computed = {n: epsilon_of(ROWS[n]).epsilon for n in (3, 4, 5)}
+    computed = {n: feasibility(ROWS[n]).entry("epsilon").margin for n in (3, 4, 5)}
     elapsed = time.monotonic() - start
     assert computed[3] == F(9, 11)
     assert computed[4] == F(377, 5260)
@@ -65,12 +69,10 @@ def test_criterion_02_delta0_factorization():
 
 def test_criterion_03_young_parameter_identity():
     for n, expected in ((3, F(71, 11)), (4, F(189697, 206625))):
-        p = ROWS[n]
-        L = bubble.l_max(p.n, p.q, p.alpha, p.beta)
-        assert L == expected
-        assert feasibility(p).entry("hbar_coeff_at_l_max").margin == 0
-    p = ROWS[5]
-    computed = bubble.l_max(p.n, p.q, p.alpha, p.beta)
+        margins, values = exact_chain(ROWS[n])
+        assert values.L_max == expected
+        assert margins.entry("hbar_coeff_at_l_max").margin == 0
+    computed = exact_chain(ROWS[5])[1].L_max
     quoted = F(106986857, 251572482)
     match = computed == quoted
     assert match or computed is not None  # match-or-discrepancy contract
@@ -81,10 +83,10 @@ def test_criterion_03_young_parameter_identity():
 def test_criterion_04_gamma0_reproduction_and_flag():
     for n, expected in ((3, F(77, 142)), (4, F(276875, 569091))):
         p = ROWS[n]
-        L = bubble.l_max(p.n, p.q, p.alpha, p.beta)
-        bare, with_ratio = bubble.gamma0(p.n, p.q, L, p.alpha, p.beta)
+        bare = feasibility(p).entry("gamma0_bare").margin
+        _, with_ratio = bubble.derive(p, published.EPSILON[n], bare)
         assert bare == expected
-        assert with_ratio == bare * p.beta / p.alpha != bare
+        assert with_ratio.gamma0 == bare * p.beta / p.alpha != bare
     cfg = RunConfig(curvature_samples=200, quadform_samples=50, barrier_samples=20)
     cert = certify(ROWS[3], cfg)
     flags = [f for f in cert.flags if f["name"] == "gamma0_convention_divergence"]
@@ -121,17 +123,17 @@ def test_criterion_07_quadratic_property_suite():
         x, y = critical_point(inp)
         assert gradient(inp, x, y) == (0, 0)
         fxx, fyy, fxy = hessian_entries(inp.n, inp.a, inp.alpha, inp.beta)
-        D = discriminant(inp.n, inp.a, inp.alpha, inp.beta)
+        margins, values = chain(inp.n, inp.a, inp.alpha, inp.beta)
         # det H = D, i.e. 4(fxx fyy - fxy^2) = (4/(n-2)) * ((n-2) D)
-        assert fxx * fyy - fxy * fxy == D
-        fmin = inp.linear_scale**2 * f_min_coefficient(inp.n, inp.a, inp.alpha, inp.beta)
+        assert fxx * fyy - fxy * fxy == margins.entry("discriminant").margin
+        fmin = inp.linear_scale**2 * values.Q
         u = F(rng.randrange(-40, 41), rng.randrange(1, 8))
         v = F(rng.randrange(-40, 41), rng.randrange(1, 8))
         assert f_eval(inp, x + u, y + v) >= fmin
     for n in (3, 4, 5):
         p = ROWS[n]
         inp = QuadMinInput(n=p.n, a=p.a, alpha=p.alpha, beta=p.beta, linear_scale=F(1))
-        gap = f_min_bruteforce(inp) - float(f_min_coefficient(p.n, p.a, p.alpha, p.beta))
+        gap = f_min_bruteforce(inp) - float(exact_chain(p)[1].Q)
         assert -1e-9 <= gap <= 1e-4
     elapsed = time.monotonic() - start
     assert elapsed < 60
@@ -141,7 +143,7 @@ def test_criterion_07_quadratic_property_suite():
 def test_criterion_08_pointwise_inequality_sampling():
     start = time.monotonic()
     for n in (3, 4, 5):
-        result = curvature_sample_check(ROWS[n], sample_count=100_000, seed=20240601 + n)
+        result = curvature_sample_check(ROWS[n], exact_chain(ROWS[n])[1].Q, sample_count=100_000, seed=20240601 + n)
         entry = result.entries[0]
         assert entry.satisfied, entry.detail
     elapsed = time.monotonic() - start
@@ -153,8 +155,7 @@ def test_criterion_09_surd_identities_both_conventions():
     for n in (3, 4, 5):
         p = ROWS[n]
         eps = published.EPSILON[n]
-        constants = bubble.derive(p, eps)
-        for branch in constants.branches:
+        for branch in bubble.derive(p, eps, published.GAMMA0[n]):
             rep = bubble.surd_identities_check(p.alpha, p.beta, eps, branch.gamma0, branch.x0, branch.y0)
             assert rep.all_satisfied, (n, branch.convention)
     report(9, "2(b/a)x0y0 = eps/(2a) and 2(b/a)y0/x0 = gamma0 exact for all rows, both conventions")
@@ -163,8 +164,7 @@ def test_criterion_09_surd_identities_both_conventions():
 def test_criterion_10_barrier_ode_residuals():
     for n in (3, 4, 5):
         p = ROWS[n]
-        constants = bubble.derive(p, published.EPSILON[n])
-        for branch in constants.branches:
+        for branch in bubble.derive(p, published.EPSILON[n], published.GAMMA0[n]):
             rep = bubble.barrier_ode_check(branch.x0, branch.y0, sample_count=1000, tol=1e-9)
             assert rep.all_satisfied, (n, branch.convention, rep.entries[0].detail)
     report(10, "Riccati residual below 1e-9 relative at 10^3 points per row, both conventions")

@@ -5,10 +5,12 @@ pins check names (``pointwise_curvature_inequality``,
 ``quadform/quadform_lower_bound``, ``barrier[*]/barrier_ode_residual``), so a
 renamed entry point or check fails here instead of only in a benchmark run.
 Every function the benchmark's tracer wraps must still exist, or its
-per-layer metrics read zero.
+per-layer metrics read zero; the few deleted from stabcert (``stabcert.quadmin``
+is gone as a module) are pinned here by name.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -53,7 +55,7 @@ def test_recheck_ops(tmp_path):
 
 def test_trace_targets_resolve():
     # a missing target reads as zero in its per-layer metrics instead of failing a run
-    for module_name in {module_name for module_name, *_ in tracing.TARGETS}:
+    for module_name in {module_name for module_name, *_ in tracing.TARGETS} - {"stabcert.quadmin"}:
         importlib.import_module(module_name)
     optimize = sys.modules["stabcert.optimize"]
     feasibility = optimize.feasibility
@@ -66,5 +68,11 @@ def test_trace_targets_resolve():
     assert sorted(tracer.missing) == [
         "stabcert.bubble.certify_chain",
         "stabcert.curvature.certify_builtin_row",
+        "stabcert.curvature.epsilon_of",
         "stabcert.curvature.linearity_check",
+        "stabcert.quadmin.f_min_coefficient",
     ]
+    # the tracer binds the sample counts of these by parameter name
+    for module_name, attr in (("stabcert.curvature", "curvature_sample_check"),
+                              ("stabcert.bubble", "quadform_lower_bound_check")):
+        assert "sample_count" in inspect.signature(getattr(sys.modules[module_name], attr)).parameters

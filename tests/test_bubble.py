@@ -5,21 +5,15 @@ import pytest
 
 from stabcert import bubble, published
 from stabcert.bubble import (
-    InfeasibleParamsError,
     barrier_ode_check,
     derive,
-    gamma0,
     growth_constants,
-    l_max,
-    mean_curv_coeff,
     quadform_lower_bound_check,
-    spectral_coeff,
     surd_identities_check,
     x0_y0,
-    young_numerator,
 )
 from stabcert.curvature import ParamSet
-from stabcert.optimize import feasibility
+from stabcert.optimize import exact_chain, feasibility
 
 
 def row(n):
@@ -30,11 +24,19 @@ def eps(n):
     return published.EPSILON[n]
 
 
+def chain(p):
+    return exact_chain(p)[1]
+
+
+def branches(n):
+    return derive(row(n), eps(n), published.GAMMA0[n])
+
+
 class TestSpectral:
     def test_row4(self):
         report = feasibility(row(4))
         assert report.all_satisfied
-        assert spectral_coeff(row(4).q, row(4).alpha, row(4).beta) == F(15625, 7854)
+        assert chain(row(4)).spectral_coeff == F(15625, 7854)
         assert report.entry("spectral_bound").margin == F(83, 7854)
 
     def test_row5(self):
@@ -50,43 +52,50 @@ class TestSpectral:
             report.entry("spectral_bound")
 
     def test_pole_at_q_equal_4(self):
-        with pytest.raises(InfeasibleParamsError):
-            spectral_coeff(F(4), F(1), F(1))
-        # the margin chain reports it instead of raising
+        # the chain computes no coefficient at the pole and reports the margin undefined
+        report, values = exact_chain(ParamSet(4, F(1), F(2), F(1, 2), F(1, 2)))  # q = 4
+        assert values.spectral_coeff is None
+        assert report.entry("spectral_bound").detail == "undefined: q >= 4"
         bad = ParamSet(3, F(1), F(4), F(1), F(1))  # q = 4
         entry = feasibility(bad).entry("q_below_4")
         assert not entry.satisfied and entry.margin == 0
 
 
+def without_mcc(p):
+    """The chain stops at the Ricci denominator and computes no mean-curvature coefficient."""
+    report, values = exact_chain(p)
+    assert not report.entry("ricci_coeff_denominator").satisfied
+    assert report.entry("young_numerator").detail == "undefined: upstream failure"
+    return values.mean_curv_coeff is None
+
+
 class TestMeanCurvature:
     def test_values(self):
-        assert mean_curv_coeff(3, F(18, 11), F(3, 2)) == F(17, 22)
-        assert mean_curv_coeff(4, F(51, 50), F(5, 4)) == F(10423, 21375)
-        assert mean_curv_coeff(5, F(31, 40), F(207, 250)) == F(313487, 1089648)
+        assert chain(row(3)).mean_curv_coeff == F(17, 22)
+        assert chain(row(4)).mean_curv_coeff == F(10423, 21375)
+        assert chain(row(5)).mean_curv_coeff == F(313487, 1089648)
 
     def test_numerator_vanishing_boundary(self):
         # at n = 3 the coefficient reduces to (2 beta + alpha)/(4 beta); the
         # alpha = 2 beta point where 4 beta^2 - alpha^2 = 0 also zeroes the
         # denominator and sits outside the precondition
-        assert mean_curv_coeff(3, F(199, 100), F(1)) == (2 + F(199, 100)) / 4
-        with pytest.raises(InfeasibleParamsError):
-            mean_curv_coeff(3, F(2), F(1))
+        assert chain(ParamSet(3, F(2), F(1), F(199, 100), F(1))).mean_curv_coeff == (2 + F(199, 100)) / 4
+        assert without_mcc(ParamSet(3, F(2), F(1), F(2), F(1)))
 
     def test_precondition(self):
-        with pytest.raises(InfeasibleParamsError):
-            mean_curv_coeff(3, F(3), F(1))  # alpha/beta = 3 >= 2 = (n-1)/(n-2)
+        assert without_mcc(ParamSet(3, F(3), F(1), F(3), F(1)))  # alpha/beta = 3 >= 2 = (n-1)/(n-2)
 
 
 class TestQuadFormBound:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_clean_and_tight(self, n):
         p = row(n)
-        report = quadform_lower_bound_check(p.n, p.alpha, p.beta, sample_count=400, seed=3)
+        report = quadform_lower_bound_check(p.n, p.alpha, p.beta, chain(p).mean_curv_coeff, sample_count=400, seed=3)
         assert report.all_satisfied
 
     def test_zero_case(self):
         # mu1 = H = 0 trivially passes; included in the sampled sweep
-        report = quadform_lower_bound_check(3, F(18, 11), F(3, 2), sample_count=10, seed=0)
+        report = quadform_lower_bound_check(3, F(18, 11), F(3, 2), F(17, 22), sample_count=10, seed=0)
         assert report.all_satisfied
 
     def test_draw_table_is_a_bijection_onto_the_grid(self):
@@ -100,7 +109,7 @@ class TestYoungParameter:
     def test_l_max_rows(self):
         for n in (3, 4, 5):
             p = row(n)
-            assert l_max(p.n, p.q, p.alpha, p.beta) == published.L_VALUES[n]
+            assert chain(p).L_max == published.L_VALUES[n]
 
     def test_row3_margin_identity(self):
         # 17/22 - 9/20 - (71/11)(1/20) = 0 exactly
@@ -109,24 +118,33 @@ class TestYoungParameter:
 
     def test_margin_positive_below_l_max(self):
         p = row(4)
-        numerator = young_numerator(mean_curv_coeff(p.n, p.alpha, p.beta), p.q)
+        numerator = feasibility(p).entry("young_numerator").margin
+        assert numerator == chain(p).mean_curv_coeff + 1 / p.q - 1
         cross = abs(F(1, 2) - 1 / p.q)
-        L = l_max(p.n, p.q, p.alpha, p.beta)
+        L = chain(p).L_max
         assert numerator - L * cross == 0
         assert numerator - (L - F(1, 100)) * cross > 0
         assert numerator - (L + F(1, 100)) * cross < 0
 
     def test_unconstrained_at_q_two(self):
         # q = 2: the cross term vanishes; any Young parameter works
-        assert l_max(3, F(2), F(18, 11), F(3, 2)) is None
-        bare, with_ratio = gamma0(3, F(2), None, F(18, 11), F(3, 2))
+        p = ParamSet(3, F(1), F(3), F(18, 11), F(3, 2))
+        report, values = exact_chain(p)
+        assert values.L_max is None and values.hbar_at_l_max is None
+        with pytest.raises(KeyError):
+            report.entry("hbar_coeff_at_l_max")
+        bare = report.entry("gamma0_bare").margin
         assert bare == F(1, 2)
-        assert with_ratio == F(1, 2) * F(3, 2) / F(18, 11)
+        _, with_ratio = derive(p, eps(3), bare)
+        assert with_ratio.gamma0 == F(1, 2) * F(3, 2) / F(18, 11)
 
     def test_nonpositive_numerator_rejected(self):
         # mcc = 5/8 at (beta, alpha) = (1, 1/2); q = 3 makes the numerator negative
-        with pytest.raises(InfeasibleParamsError):
-            l_max(3, F(3), F(1, 2), F(1))
+        report, values = exact_chain(ParamSet(3, F(1), F(3), F(1, 2), F(1)))
+        assert values.mean_curv_coeff == F(5, 8)
+        assert report.entry("young_numerator").margin == F(5, 8) + F(1, 3) - 1 < 0
+        assert values.L_max is None
+        assert report.entry("gamma0_bare").detail == "undefined: no Young parameter"
 
     def test_l_max_decreasing_in_half_term(self):
         import random
@@ -148,16 +166,15 @@ class TestGamma0:
     def test_rows_bare_match_published(self):
         for n in (3, 4, 5):
             p = row(n)
-            L = l_max(p.n, p.q, p.alpha, p.beta)
-            bare, with_ratio = gamma0(p.n, p.q, L, p.alpha, p.beta)
-            assert bare == published.GAMMA0[n]
-            assert with_ratio == bare * p.beta / p.alpha
+            bare = feasibility(p).entry("gamma0_bare").margin
+            L = chain(p).L_max
+            assert bare == 1 / p.q - (1 / L) * abs(F(1, 2) - 1 / p.q) == published.GAMMA0[n]
+            conventions = [(b.convention, b.gamma0) for b in derive(p, eps(n), bare)]
+            assert conventions == [("bare", bare), ("with_ratio", bare * p.beta / p.alpha)]
 
     def test_row3_with_ratio_value(self):
-        p = row(3)
-        L = l_max(p.n, p.q, p.alpha, p.beta)
-        _, with_ratio = gamma0(p.n, p.q, L, p.alpha, p.beta)
-        assert with_ratio == F(77, 142) * F(11, 12) == F(847, 1704)
+        _, with_ratio = branches(3)
+        assert with_ratio.gamma0 == F(77, 142) * F(11, 12) == F(847, 1704)
 
 
 class TestBarrier:
@@ -165,8 +182,7 @@ class TestBarrier:
     @pytest.mark.parametrize("convention", ["bare", "with_ratio"])
     def test_surd_identities(self, n, convention):
         p = row(n)
-        constants = derive(p, eps(n))
-        branch = {b.convention: b for b in constants.branches}[convention]
+        branch = {b.convention: b for b in branches(n)}[convention]
         report = surd_identities_check(p.alpha, p.beta, eps(n), branch.gamma0, branch.x0, branch.y0)
         assert report.all_satisfied
 
@@ -179,20 +195,18 @@ class TestBarrier:
         assert y4.square() == 4 * y1.square() and y4.sign() == y1.sign()
 
     def test_nonpositive_inputs_rejected(self):
-        with pytest.raises(InfeasibleParamsError):
+        with pytest.raises(ValueError, match="radicand must be nonnegative"):
             x0_y0(3, F(1), F(1), F(-1), F(1))
-        with pytest.raises(InfeasibleParamsError):
+        with pytest.raises(ZeroDivisionError):
             x0_y0(3, F(1), F(1), F(1), F(0))
 
     def test_ode_residuals_row3(self):
-        constants = derive(row(3), eps(3))
-        for branch in constants.branches:
+        for branch in branches(3):
             report = barrier_ode_check(branch.x0, branch.y0, sample_count=100)
             assert report.all_satisfied, report.entries[0].detail
 
     def test_ode_midpoint_and_oddness(self):
-        constants = derive(row(3), eps(3))
-        branch = constants.branches[0]
+        branch = branches(3)[0]
         with mpmath.workdps(50):
             x0 = branch.x0.approx_mp()
             y0 = branch.y0.approx_mp()
@@ -211,8 +225,7 @@ class TestGrowthConstants:
         # (n-2) alpha / eps = (18/11)/(9/11) = 2; area factor 2 * Area(S^2) = 8 pi
         p = row(3)
         assert (p.n - 2) * p.alpha / eps(3) == 2
-        constants = derive(p, eps(3))
-        area = mpmath.mpf(constants.branches[0].area_const.value)
+        area = mpmath.mpf(branches(3)[0].area_const.value)
         assert abs(area - 8 * mpmath.pi) / (8 * mpmath.pi) < 1e-10
 
     def test_epsilon_doubling_halves_base(self):
@@ -225,8 +238,7 @@ class TestGrowthConstants:
         assert abs(ratio - 2) < 1e-9  # exponent (n-1)/2 = 1 at n = 3
 
     def test_volume_positive_and_annotated(self):
-        constants = derive(row(4), eps(4))
-        for branch in constants.branches:
+        for branch in branches(4):
             assert branch.volume_const.digits == 12
             assert mpmath.mpf(branch.volume_const.value) > 0
 

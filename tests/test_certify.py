@@ -11,6 +11,7 @@ from stabcert.cli import main, result_certificate
 from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet
 from stabcert.optimize import SearchResult, feasibility, margin_names, minimize_delta0
+from stabcert.rational import rational_to_str
 
 SMALL = {"curvature_samples": 300, "quadform_samples": 20, "barrier_samples": 10}
 CFG = RunConfig(**SMALL, seed=1)
@@ -113,3 +114,14 @@ def test_published_mismatch_on_a_builtin_row_is_a_discrepancy(monkeypatch):
     assert cert.discrepancies == ["gamma0_matches_published", "gamma0"]
     check = next(c for c in cert.checks if c.name == "gamma0_matches_published")
     assert check.detail == "bare convention computed 276875/569091 != published 1/2"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_evidence_values_are_the_chain_margins(n):
+    # the evidence records the numbers the margins were computed from, not a recomputation
+    cert = certify(ParamSet.published_row(n), CFG)
+    margins = {c.name: c for c in cert.checks}
+    assert cert.values["epsilon"] == rational_to_str(margins["epsilon"].margin)
+    assert cert.values["gamma0_bare"] == rational_to_str(margins["gamma0_bare"].margin)
+    assert cert.values["discriminant_D"] == rational_to_str(margins["discriminant"].margin)
+    assert margins["hbar_coeff_at_l_max"].detail == f"L_max = {cert.values['L_max']}"

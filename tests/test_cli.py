@@ -42,7 +42,7 @@ def test_verify_unknown_dimension_is_usage_error(tmp_path):
     assert run(["verify", "--n", "7", "--out", str(tmp_path / "x.json")]) == 2
 
 
-def test_malformed_config_is_usage_error(tmp_path):
+def test_malformed_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no_such_key = 12\n", encoding="utf-8")
     assert run(["verify", "--n", "3", "--config", str(bad)]) == 2
@@ -50,6 +50,24 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert run(["verify", "--n", "3", "--config", str(bad)]) == 2
     bad.write_text("this is not an assignment\n", encoding="utf-8")
     assert run(["verify", "--n", "3", "--config", str(bad)]) == 2
+    capsys.readouterr()
+    # a config path that cannot be read as UTF-8 text: a directory, then a non-UTF-8 byte
+    bad.write_bytes(b"seed = 1\xff\n")
+    for path in (tmp_path, bad):
+        assert run(["verify", "--n", "3", "--config", str(path)]) == 2
+        assert "cannot read config file" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "3"], ["verify-all"], ["optimize", "--n", "3", "--budget", "50"]])
+def test_unwritable_output_is_usage_error(tmp_path, fast_config, capsys, argv):
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    # a path under a regular file, then an existing directory
+    for out in (blocker / "x.json", tmp_path):
+        assert run([*argv, "--config", str(fast_config), "--out", str(out)]) == 2
+        assert "cannot write output" in one_line_error(capsys)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "fast.cfg"]
+    assert not list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp"))
 
 
 def test_empty_config_uses_documented_defaults(tmp_path):

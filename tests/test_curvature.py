@@ -2,21 +2,26 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from quadmin_oracle import min_coefficient
 
 from stabcert import curvature, published
 from stabcert.certify import certify
 from stabcert.config import RunConfig
-from stabcert.curvature import (
-    ParamSet,
-    curvature_sample_check,
-    epsilon_of,
-    gradient_term_max,
-)
-from stabcert.quadmin import f_min_coefficient, linear_coefficients
+from stabcert.curvature import ParamSet, curvature_sample_check, linear_coefficients
+from stabcert.optimize import exact_chain, feasibility
 
 
 def row(n):
     return ParamSet.published_row(n)
+
+
+def chain(p):
+    return exact_chain(p)[1]
+
+
+# an infeasible row (its Hessian gate fails, so the chain has no Q); the oracle's Q is used
+BAD = ParamSet(3, F(1, 10), F(3, 10), F(18, 11), F(3, 2))
+BAD_Q = min_coefficient(BAD.n, BAD.a, BAD.alpha, BAD.beta)
 
 
 def test_paramset_positivity_enforced():
@@ -34,10 +39,16 @@ def test_derived_fields():
 
 
 def test_gradient_term_max_branches():
-    assert gradient_term_max(3, F(18, 11), F(3, 2)) == (F(0), "alpha")  # beta - alpha < 0
-    value, branch = gradient_term_max(4, F(51, 50), F(5, 4))
-    assert branch == "beta" and value == 2 * F(5, 4) - F(51, 50)
-    assert gradient_term_max(3, F(1), F(1))[1] == "both"
+    # certificates record which of the two linear coefficients attains the max in F(1)
+    c1, c2 = linear_coefficients(3, F(18, 11), F(3, 2))
+    assert c1 < c2 == 0  # beta - alpha < 0
+    c1, c2 = linear_coefficients(4, F(51, 50), F(5, 4))
+    assert c1 == 2 * F(5, 4) - F(51, 50) > c2
+    c1, c2 = linear_coefficients(3, F(1), F(1))
+    assert c1 == c2
+    cfg = RunConfig(curvature_samples=1, quadform_samples=1, barrier_samples=1)
+    assert certify(row(3), cfg).values["gradient_term_max_branch"] == "alpha"
+    assert certify(row(4), cfg).values["gradient_term_max_branch"] == "beta"
 
 
 def test_gradient_term_max_over_both_branches():
@@ -46,25 +57,26 @@ def test_gradient_term_max_over_both_branches():
         n = rng.randrange(3, 9)
         alpha = F(rng.randrange(1, 50), rng.randrange(1, 20))
         beta = F(rng.randrange(1, 50), rng.randrange(1, 20))
-        value, _ = gradient_term_max(n, alpha, beta)
-        assert value == max((n - 2) * beta - alpha, (n - 3) * alpha)
+        assert max(linear_coefficients(n, alpha, beta)) == max((n - 2) * beta - alpha, (n - 3) * alpha)
 
 
 def test_F_values_row3():
-    result = epsilon_of(row(3))
+    result = chain(row(3))
     assert result.F_at_1 == F(9, 11)
     assert result.F_at_0 == F(909, 176)
 
 
 def test_F_values_row4():
-    result = epsilon_of(row(4))
+    result = chain(row(4))
     assert result.F_at_1 == F(3, 25)
     assert result.F_at_0 == F(377, 5260)
 
 
 def test_epsilon_table():
     for n in (3, 4, 5):
-        assert epsilon_of(row(n)).epsilon == published.EPSILON[n]
+        result = chain(row(n))
+        epsilon = feasibility(row(n)).entry("epsilon").margin
+        assert epsilon == min(result.F_at_0, result.F_at_1) == published.EPSILON[n]
 
 
 def test_pointwise_inequality_direct_witness():
@@ -74,19 +86,18 @@ def test_pointwise_inequality_direct_witness():
     S = sum(x * x for x in lam)
     lhs = p.a * S - p.beta * lam[0] ** 2 - p.alpha * (lam[0] * lam[1] + lam[1] ** 2)
     assert lhs == 2 * p.a - p.beta - p.alpha * (-1 + 1)
-    assert lhs >= 0 > f_min_coefficient(p.n, p.a, p.alpha, p.beta)
+    assert lhs >= 0 > chain(p).Q
 
 
 def test_sampling_check_clean_on_rows():
     for n in (3, 4, 5):
-        report = curvature_sample_check(row(n), sample_count=2000, seed=42)
+        report = curvature_sample_check(row(n), chain(row(n)).Q, sample_count=2000, seed=42)
         assert report.entries[0].satisfied
 
 
 def test_sampling_check_reports_witness_on_false_claim():
     # an infeasible row (Hessian fails) must produce violations with a witness
-    bad = ParamSet(3, F(1, 10), F(3, 10), F(18, 11), F(3, 2))
-    report = curvature_sample_check(bad, sample_count=500, seed=0)
+    report = curvature_sample_check(BAD, BAD_Q, sample_count=500, seed=0)
     entry = report.entries[0]
     assert not entry.satisfied
     assert "witness" in entry.detail
@@ -94,8 +105,7 @@ def test_sampling_check_reports_witness_on_false_claim():
 
 def test_sampling_check_draws_are_pinned():
     # a change of the draw scheme moves this witness; make it a deliberate diff
-    bad = ParamSet(3, F(1, 10), F(3, 10), F(18, 11), F(3, 2))
-    detail = curvature_sample_check(bad, sample_count=500, seed=0).entries[0].detail
+    detail = curvature_sample_check(BAD, BAD_Q, sample_count=500, seed=0).entries[0].detail
     assert detail == (
         "500 samples, 500 violations, seed=0; first witness: lambda=['-91/2', '-23/3', '319/6'], E=44/7"
     )
@@ -113,7 +123,7 @@ def test_sign_of_linear_scale_is_irrelevant():
     # the inequality depends on E only through E^2: flipping E mirrors lambda
     p = row(4)
     rng = random.Random(8)
-    Q = f_min_coefficient(p.n, p.a, p.alpha, p.beta)
+    Q = chain(p).Q
     c1, c2 = linear_coefficients(p.n, p.alpha, p.beta)
     for _ in range(100):
         lam = [F(rng.randrange(-30, 31), rng.randrange(1, 10)) for _ in range(p.n - 1)]

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from quadmin_oracle import hessian_entries
+from quadmin_oracle import determinant, hessian_entries, min_coefficient
 
-from stabcert import bubble, optimize, published, quadmin
+from stabcert import optimize, published
 from stabcert.config import ConfigError, RunConfig
-from stabcert.curvature import ParamSet, epsilon_of
+from stabcert.curvature import ParamSet
 from stabcert.optimize import (
     default_box,
+    exact_chain,
     feasibility,
     float_margins,
     margin_names,
@@ -20,6 +21,14 @@ from stabcert.optimize import (
 
 def row(n):
     return ParamSet.published_row(n)
+
+
+def closed_epsilon(p):
+    """min{F(0), F(1)} with the oracle's Q, written out here."""
+    n, b, alpha, beta = p.n, p.b, p.alpha, p.beta
+    const = 2 * (n - 1) * beta + 2 * (n - 2) * alpha - b * F(n * (n - 2), 2)
+    slope = F(n * n - 4, 4) * b - (n * beta + (n - 1) * alpha) - max((n - 2) * beta - alpha, (n - 3) * alpha)
+    return const + min_coefficient(n, p.a, alpha, beta), const + slope
 
 
 class TestFeasibility:
@@ -82,12 +91,13 @@ class TestFeasibility:
         boundary = ParamSet(4, F(1), F(2), F(1), F(1))
         report = feasibility(boundary)
         assert all(report.entry(name).satisfied for name in ("hessian_fxx", "hessian_fyy", "discriminant"))
-        assert bubble.spectral_coeff(boundary.q, boundary.alpha, boundary.beta) == 2
+        assert exact_chain(boundary)[1].spectral_coeff == 4 / (4 - boundary.q) * boundary.beta / boundary.alpha == 2
         entry = report.entry("spectral_bound")
         assert not entry.satisfied and entry.margin == 0
 
     def test_chain_matches_exact_helpers(self):
-        # the exact helpers that verify runs are the reference for every margin
+        # the oracle's D and Q and the closed forms written here are the
+        # reference for every margin and every intermediate the chain returns
         rng = random.Random(17)
 
         def jitter(x, spread):
@@ -100,7 +110,8 @@ class TestFeasibility:
             rows.append(ParamSet(3 + i % 4, jitter(base.delta0, 300) * b, b, alpha, beta))
         for p in rows:
             n, alpha, beta = p.n, p.alpha, p.beta
-            report = feasibility(p)
+            report, values = exact_chain(p)
+            assert report == feasibility(p)
             m = {e.name: e.margin for e in report.entries}
             # one undefined value per number type: None exactly, -1e18 in the float mirror
             undefined = [report.entry(name).detail.startswith("undefined: ") for name in margin_names(n)]
@@ -109,35 +120,43 @@ class TestFeasibility:
             assert [margin is None for margin in exact] == undefined
             assert [margin == -1e18 for margin in approx] == undefined
             fxx, fyy, _ = hessian_entries(n, p.a, alpha, beta)
-            D = quadmin.discriminant(n, p.a, alpha, beta)
+            D = determinant(n, p.a, alpha, beta)
             assert (m["b_positive"], m["alpha_positive"], m["beta_positive"]) == (p.b, alpha, beta)
             assert (m["hessian_fxx"], m["hessian_fyy"], m["discriminant"]) == (fxx, fyy, D)
             if not (fxx > 0 and fyy > 0 and D > 0):
-                assert m["epsilon"] is None and m["gamma0_bare"] is None
+                assert m["epsilon"] is None and m["gamma0_bare"] is None and values is None
                 continue
             q = p.q
-            assert m["epsilon"] == epsilon_of(p).epsilon
+            f0, f1 = closed_epsilon(p)
+            assert values[:3] == (min_coefficient(n, p.a, alpha, beta), f0, f1)
+            assert m["epsilon"] == min(f0, f1)
             assert m["q_below_4"] == 4 - q
+            coeff = 4 / (4 - q) * beta / alpha if n > 3 and q < 4 else None
+            assert values.spectral_coeff == coeff
             if n > 3:
-                want = bubble.spectral_bound(n) - bubble.spectral_coeff(q, alpha, beta) if q < 4 else None
-                assert m["spectral_bound"] == want
+                assert m["spectral_bound"] == (None if coeff is None else F(n - 2, n - 3) - coeff)
             ricci = (n - 1) * beta - (n - 2) * alpha
             assert m["ricci_coeff_denominator"] == ricci
             if ricci <= 0 or q >= 4:
                 assert m["young_numerator"] is None and m["gamma0_bare"] is None
+                assert values.mean_curv_coeff is values.L_max is None
                 continue
-            mcc = bubble.mean_curv_coeff(n, alpha, beta)
-            young = bubble.young_numerator(mcc, q)
+            mcc = (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * ricci)
+            young = mcc + 1 / q - 1
+            assert values.mean_curv_coeff == mcc
             assert m["young_numerator"] == young
             if young <= 0:
-                assert m["gamma0_bare"] is None
+                assert m["gamma0_bare"] is None and values.L_max is None
                 continue
-            L = bubble.l_max(n, q, alpha, beta)
-            assert m["gamma0_bare"] == bubble.gamma0(n, q, L, alpha, beta)[0]
-            if L is None:
-                assert "hbar_coeff_at_l_max" not in m
+            cross = abs(F(1, 2) - 1 / q)
+            if cross == 0:
+                assert m["gamma0_bare"] == 1 / q
+                assert "hbar_coeff_at_l_max" not in m and values.L_max is None
             else:
-                assert m["hbar_coeff_at_l_max"] == young - L * abs(F(1, 2) - 1 / q) == 0
+                L = young / cross
+                assert values.L_max == L
+                assert m["gamma0_bare"] == 1 / q - cross / L
+                assert m["hbar_coeff_at_l_max"] == young - L * cross == 0
 
 
 class TestFloatMirror:
@@ -228,7 +247,7 @@ class TestMaximizeEpsilon:
 
     def test_result_epsilon_is_exact(self):
         result = maximize_epsilon(4, RunConfig(budget=2000, seed=1), F(1, 2))
-        assert result.epsilon == epsilon_of(result.best_params).epsilon
+        assert result.epsilon == min(closed_epsilon(result.best_params))
 
 
 def test_rounding_respects_denominator_bound():

@@ -1,27 +1,45 @@
+"""The chain's discriminant D and quadratic-minimum coefficient Q against the oracle in quadmin_oracle."""
+
 import random
 from fractions import Fraction as F
 
 import pytest
 from quadmin_oracle import (
+    DegenerateQuadraticError,
     QuadMinInput,
     critical_point,
+    determinant,
     f_eval,
     f_min_bruteforce,
     gradient,
     hessian_entries,
+    min_coefficient,
     random_valid_input,
 )
 
-from stabcert.quadmin import DegenerateQuadraticError, discriminant, f_min_coefficient
+from stabcert.curvature import ParamSet
+from stabcert.optimize import exact_chain
 
 ROW3 = dict(n=3, a=F(10, 11), alpha=F(18, 11), beta=F(3, 2))
 ROW4 = dict(n=4, a=F(24, 25), alpha=F(51, 50), beta=F(5, 4))
 
 
+def discriminant(n, a, alpha, beta):
+    """The chain's D; D does not depend on b, and b = 1 passes the chain's b > 0 gate."""
+    report, _ = exact_chain(ParamSet(n, a, F(1), alpha, beta))
+    return report.entry("discriminant").margin
+
+
+def f_min_coefficient(n, a, alpha, beta):
+    """The chain's Q, which needs the Hessian gate (f_xx, f_yy, D > 0) to hold."""
+    _, chain = exact_chain(ParamSet(n, a, F(1), alpha, beta))
+    return chain.Q
+
+
 def test_discriminant_values():
-    assert discriminant(**ROW3) == F(24, 121)
-    assert discriminant(**ROW4) == F(789, 2500)
-    assert discriminant(3, F(0), F(0), F(1)) == 0
+    assert discriminant(**ROW3) == determinant(**ROW3) == F(24, 121)
+    assert discriminant(**ROW4) == determinant(**ROW4) == F(789, 2500)
+    assert determinant(3, F(0), F(0), F(1)) == 0
 
 
 def test_hessian_conditions():
@@ -60,9 +78,9 @@ def test_f_eval_and_minimum():
 
 
 def test_f_min_coefficient_values():
-    assert f_min_coefficient(**ROW3) == F(-3, 176)
-    assert f_min_coefficient(**ROW4) == F(-20137, 5260)
-    assert f_min_coefficient(3, F(10, 11), F(0), F(0)) == 0
+    assert f_min_coefficient(**ROW3) == min_coefficient(**ROW3) == F(-3, 176)
+    assert f_min_coefficient(**ROW4) == min_coefficient(**ROW4) == F(-20137, 5260)
+    assert min_coefficient(3, F(10, 11), F(0), F(0)) == 0  # no linear term: the minimum is f(0, 0)
 
 
 def test_f_dominates_minimum_on_random_points():
@@ -110,11 +128,12 @@ def test_minimum_scales_quadratically_in_E():
 
 def test_degenerate_discriminant_rejected():
     # n = 3 with alpha = beta and a = alpha/2 gives D = 3(2a - alpha)^2 = 0
-    assert discriminant(3, F(1), F(2), F(2)) == 0
+    assert discriminant(3, F(1), F(2), F(2)) == determinant(3, F(1), F(2), F(2)) == 0
     with pytest.raises(DegenerateQuadraticError):
         critical_point(QuadMinInput(3, F(1), F(2), F(2), F(1)))
-    with pytest.raises(DegenerateQuadraticError):
-        f_min_coefficient(3, F(1), F(2), F(2))
+    # the chain stops at its Hessian gate and computes no Q
+    report, chain = exact_chain(ParamSet(3, F(1), F(1), F(2), F(2)))
+    assert chain is None and not report.entry("discriminant").satisfied
 
 
 def test_dimension_validated():

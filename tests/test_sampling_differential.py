@@ -5,19 +5,27 @@ cleared-denominator integers.  The reference samplers below decode the same
 random rationals from the same seed on their own (``draw_rationals``: one
 uniform draw per sample, read as base-(grid size) digits) and compare them as
 ``Fraction``s; the sampled checks (verdict, sample and violation counts, first
-witness) must agree byte for byte.  The quadform vertex identity is exact, not
-sampled, and is tested on its own.
+witness) must agree byte for byte.  Each row's Q comes from the oracle in
+quadmin_oracle and its mean-curvature coefficient from the closed form below,
+so nothing in the reference is taken from stabcert.  The quadform vertex
+identity is exact, not sampled, and is tested on its own.
 """
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from quadmin_oracle import determinant, linear_coefficients, min_coefficient
 
-from stabcert import bubble, quadmin
-from stabcert.bubble import InfeasibleParamsError, quadform_lower_bound_check
+from stabcert.bubble import quadform_lower_bound_check
 from stabcert.curvature import ParamSet, curvature_sample_check
 from stabcert.report import ConstraintReport
+
+
+def mean_curv_coeff(n, alpha, beta):
+    """(4 beta^2 - (n-2) alpha^2) / (4 beta ((n-1) beta - (n-2) alpha)); None where the denominator vanishes."""
+    ricci = (n - 1) * beta - (n - 2) * alpha
+    return None if ricci == 0 else (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * ricci)
 
 
 def draw_rationals(rng, count, max_num, max_den):
@@ -33,10 +41,9 @@ def draw_rationals(rng, count, max_num, max_den):
     return [F(d // max_den - max_num, d % max_den + 1) for d in digits]
 
 
-def reference_curvature_check(params, sample_count, seed):
+def reference_curvature_check(params, Q, sample_count, seed):
     n, a, alpha, beta = params.n, params.a, params.alpha, params.beta
-    Q = quadmin.f_min_coefficient(n, a, alpha, beta)
-    c1, c2 = quadmin.linear_coefficients(n, alpha, beta)
+    c1, c2 = linear_coefficients(n, alpha, beta)
     rng = random.Random(seed)
     violations = 0
     witness = ""
@@ -62,8 +69,7 @@ def reference_curvature_check(params, sample_count, seed):
     return report
 
 
-def reference_quadform_check(n, alpha, beta, sample_count, seed):
-    coeff = bubble.mean_curv_coeff(n, alpha, beta)
+def reference_quadform_check(n, alpha, beta, coeff, sample_count, seed):
     A = F(n - 1, n - 2) - alpha / beta
     B = F(n - 3) * alpha / ((n - 1) * beta)
     C = F(1, n - 1) * (1 + alpha / beta * F(n - 2, n - 1))
@@ -98,7 +104,7 @@ def random_rows(count, seed=2024):
         n = rng.randrange(3, 7)
         b, alpha, beta = positive(), positive(), positive()
         a = b * F(rng.randrange(1, 100), rng.randrange(1, 100))
-        if quadmin.discriminant(n, a, alpha, beta) != 0:
+        if determinant(n, a, alpha, beta) != 0:
             rows.append(ParamSet(n, a, b, alpha, beta))
     return rows
 
@@ -108,39 +114,41 @@ INFEASIBLE = [ParamSet(3, F(1, 10), F(3, 10), F(18, 11), F(3, 2))]
 ROWS = BUILTIN + INFEASIBLE + random_rows(32)
 
 
+def quad_q(params):
+    return min_coefficient(params.n, params.a, params.alpha, params.beta)
+
+
 @pytest.mark.parametrize("index", range(len(ROWS)))
 def test_curvature_check_matches_fraction_reference(index):
-    params = ROWS[index]
+    params, Q = ROWS[index], quad_q(ROWS[index])
     seed = 1000 + index
-    assert curvature_sample_check(params, 300, seed).entries == reference_curvature_check(params, 300, seed).entries
+    got = curvature_sample_check(params, Q, 300, seed).entries
+    assert got == reference_curvature_check(params, Q, 300, seed).entries
 
 
 @pytest.mark.parametrize("index", range(len(ROWS)))
 def test_quadform_check_matches_fraction_reference(index):
-    params = ROWS[index]
+    n, alpha, beta = ROWS[index].n, ROWS[index].alpha, ROWS[index].beta
     seed = 2000 + index
-    try:
-        want = reference_quadform_check(params.n, params.alpha, params.beta, 300, seed)
-    except InfeasibleParamsError:
-        with pytest.raises(InfeasibleParamsError):
-            quadform_lower_bound_check(params.n, params.alpha, params.beta, 300, seed)
-        return
-    got = quadform_lower_bound_check(params.n, params.alpha, params.beta, 300, seed).entries
-    assert got[0] == want.entries[0]
-    # the vertex identity is exact, and holds on every row in the domain
-    assert (got[1].name, got[1].kind, got[1].status) == ("quadform_bound_tight_at_vertex", "exact", "pass")
+    K = mean_curv_coeff(n, alpha, beta)
+    assert K is not None  # no row sits on (n-1) beta = (n-2) alpha
+    got = quadform_lower_bound_check(n, alpha, beta, K, 300, seed).entries
+    assert got[0] == reference_quadform_check(n, alpha, beta, K, 300, seed).entries[0]
+    # the vertex identity is exact; it holds exactly where A > 0, the chain's
+    # domain (n-1) beta - (n-2) alpha > 0
+    want = "pass" if (n - 1) * beta - (n - 2) * alpha > 0 else "fail"
+    assert (got[1].name, got[1].kind, got[1].status) == ("quadform_bound_tight_at_vertex", "exact", want)
 
 
 @pytest.mark.parametrize("shift", [F(1, 1000), F(-1, 1000)])
-def test_quadform_check_matches_reference_with_a_wrong_coefficient(monkeypatch, shift):
+def test_quadform_check_matches_reference_with_a_wrong_coefficient(shift):
     # the bound is sharp for every valid row, so a shifted coefficient is what
     # produces violations (shift > 0) and breaks the vertex identity (either sign)
-    exact = bubble.mean_curv_coeff
-    monkeypatch.setattr(bubble, "mean_curv_coeff", lambda n, alpha, beta: exact(n, alpha, beta) + shift)
     for n in (3, 4, 5):
         p = BUILTIN[n - 3]
-        got = quadform_lower_bound_check(n, p.alpha, p.beta, 300, n).entries
-        want = reference_quadform_check(n, p.alpha, p.beta, 300, n)
+        K = mean_curv_coeff(n, p.alpha, p.beta) + shift
+        got = quadform_lower_bound_check(n, p.alpha, p.beta, K, 300, n).entries
+        want = reference_quadform_check(n, p.alpha, p.beta, K, 300, n)
         assert got[0] == want.entries[0]
         assert want.entries[0].satisfied == (shift < 0)
         assert (got[1].kind, got[1].status) == ("exact", "fail")
@@ -151,7 +159,7 @@ def test_rows_cover_violations_and_clean_passes():
     # where every draw violates and rows where only some draws do
     counts = set()
     for i, p in enumerate(ROWS):
-        detail = reference_curvature_check(p, 300, 1000 + i).entries[0].detail
+        detail = reference_curvature_check(p, quad_q(p), 300, 1000 + i).entries[0].detail
         counts.add(int(detail.split()[2]))
     assert 0 in counts and 300 in counts
     assert any(0 < c < 300 for c in counts)
