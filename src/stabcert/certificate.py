@@ -10,6 +10,7 @@ written atomically (write-then-rename).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -22,6 +23,14 @@ from .rational import rational_to_str
 SCHEMA_VERSION = "1"
 
 
+def check_output_path(path: Path) -> None:
+    """Make ``path``'s directory, or raise an OSError naming the path given when
+    no file can be written there (a regular file on the way, or ``path`` a directory)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 def write_json(path: str | Path, payload) -> None:
     """Atomic write of indented JSON: a temp file in the target directory, then a rename.
 
@@ -29,7 +38,7 @@ def write_json(path: str | Path, payload) -> None:
     not the temp file's owner-only 0600.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    check_output_path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -76,10 +76,8 @@ def _evidence(
 
     branches = bubble.derive(params, eps, gamma0_bare, dps=cfg.float_precision_digits)
     gamma0_with_ratio = branches[1].gamma0
-    # n = 3 has no spectral margin, so the chain leaves its coefficient to be computed here
-    spectral_coeff = chain.spectral_coeff if n > 3 else 4 / (4 - q) * beta / alpha
     cert.values["q"] = rts(q)
-    cert.values["spectral_coeff"] = rts(spectral_coeff)
+    cert.values["spectral_coeff"] = rts(chain.spectral_coeff)
     cert.values["mean_curv_coeff"] = rts(chain.mean_curv_coeff)
     if chain.L_max is not None:
         cert.values["L_max"] = rts(chain.L_max)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import iteration, optimize, published
-from .certificate import CertCheck, Certificate, PublishedTarget, write_json
+from .certificate import CertCheck, Certificate, PublishedTarget, check_output_path, write_json
 from .certify import certify, chain_certificate
 from .config import ConfigError, RunConfig, load_config
 from .curvature import ParamSet
@@ -175,10 +175,13 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
         if delta0 <= 0:
             print(f"error: --delta0 must be > 0, got {args.delta0}", file=sys.stderr)
             return EXIT_USAGE
-        result = optimize.maximize_epsilon(args.n, cfg, delta0)
     elif args.delta0 is not None:
         print("error: --delta0 applies to --objective epsilon only", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(args.out) if args.out else cfg.out_dir / f"search_n{args.n}_{args.objective}.json"
+    check_output_path(out)  # before the search, which the write would otherwise waste
+    if args.objective == "epsilon":
+        result = optimize.maximize_epsilon(args.n, cfg, delta0)
     else:
         result = optimize.minimize_delta0(args.n, cfg)
 
@@ -196,7 +199,6 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
         "notes": result.notes,
         "margin_profile": result.best_margin_profile,
     }
-    out = Path(args.out) if args.out else cfg.out_dir / f"search_n{args.n}_{args.objective}.json"
     write_json(out, payload)
     print(f"wrote {out}")
     log_line = {k: payload[k] for k in ("n", "objective", "certified", "delta0", "epsilon", "evaluations_used")}

@@ -14,15 +14,15 @@ samples; F is that module's endpoint function; mcc is the mean-curvature
 coefficient and L_max the largest Young parameter.
 
 The chain is written once, in ``_chain``, the only place where D, Q, F(0),
-F(1), epsilon, the spectral coefficient (n >= 4), mcc, L_max and gamma0 are
-computed.  ``exact_chain`` evaluates it on Fractions and returns the margins
+F(1), epsilon, the spectral coefficient, mcc, L_max and gamma0 are computed.  ``exact_chain`` evaluates it on Fractions and returns the margins
 with those intermediates, which ``stabcert.certify`` records and feeds to the
 sampled checks; ``feasibility`` keeps the margins only, and
 ``float_margins`` evaluates the chain in double precision.  Searching runs
 in two phases: the float margins drive multistart coordinate descent inside a
-box, then candidates are rounded to rationals by continued fractions
-(denominator-bounded) and recertified with exact arithmetic.  Floating error
-is harmless: unsound candidates simply fail exact recertification.  The
+box, then ``_recertified`` rounds each candidate to rationals by continued
+fractions (denominator-bounded) and recertifies it with exact arithmetic.
+Floating error is harmless: unsound candidates simply fail exact
+recertification.  The
 search reads its budget, denominator bound and seed from the run's
 ``RunConfig``; a fixed seed and budget make results deterministic.
 
@@ -30,9 +30,10 @@ A margin that an upstream failure leaves undefined is the last entry of
 ``_coefficients(n, num)``: None on Fractions, so that ``feasibility`` can say
 why, and -1e18 on floats, so that the search reads it as badly infeasible.
 
-At each delta0 level the descents share a memo from point to objective value,
-so a point that several starts reach, or a step back to the previous point, is
-scored once.  The budget counts every point queried, memoized or not, so a
+At each delta0 level ``_descents`` runs one descent from each start, in start
+order, and the descents share a memo from point to objective value, so a point
+that several starts reach, or a step back to the previous point, is scored
+once.  The budget counts every point queried, memoized or not, so a
 search spends it exactly as it would without the memo.  A trial that the budget
 refuses is neither scored nor counted, so ``evaluations_used`` never exceeds
 the budget.
@@ -93,10 +94,10 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     Returns the margins in the order of ``margin_names(n)``, ``k``'s undefined
     value where an upstream failure leaves a margin undefined, and, once the
     Hessian gate holds, the intermediates the margins were computed from:
-    ``(Q, F(0), F(1), spectral coefficient, mcc, L_max, hbar margin at
-    L_max)``, each None where the chain does not reach it (the spectral
-    coefficient at n = 3, L_max and its margin when q = 2).  The spectral
-    margin exists for n >= 4 only.  ``k`` is ``_coefficients(n, type)``.
+    ``(Q, F(0), F(1), spectral coefficient, mcc, L_max)``, each None where the
+    chain does not reach it (L_max when q = 2).  The spectral coefficient is
+    computed whenever q < 4, its margin for n >= 4 only.  ``k`` is
+    ``_coefficients(n, type)``.
     Keep the order of operations: search results depend on the float margins
     to the last bit (tests/test_golden.py).
     """
@@ -105,7 +106,7 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     fyy = hessian * a - 2 * alpha
     D = disc_aa * a * a - 4 * (disc_ab * beta + alpha) * a + (4 * beta - alpha) * alpha
     eps = q_margin = spectral = ricci = young = g_bare = undefined
-    coeff = mcc = L = hbar = values = None
+    coeff = mcc = L = values = None
     convex = b > 0 and alpha > 0 and beta > 0 and fxx > 0 and fyy > 0 and D > 0
     if convex:
         Q = (
@@ -121,9 +122,10 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
         eps = min(f0, f1)
         q = b / beta
         q_margin = 4 - q
-        if spectral_bound is not None and q < 4:
+        if q < 4:
             coeff = 4 / (4 - q) * beta / alpha
-            spectral = spectral_bound - coeff
+            if spectral_bound is not None:
+                spectral = spectral_bound - coeff
         ricci = (n - 1) * beta - (n - 2) * alpha
         if ricci > 0 and 0 < q < 4:
             mcc = (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * ricci)
@@ -135,8 +137,7 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
                 else:
                     L = young / cross
                     g_bare = 1 / q - (1 / L) * cross
-                    hbar = young - L * cross
-        values = (Q, f0, f1, coeff, mcc, L, hbar)
+        values = (Q, f0, f1, coeff, mcc, L)
     if spectral_bound is None:
         return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), values
     return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), values
@@ -148,10 +149,9 @@ class ChainValues(NamedTuple):
     Q: Fraction
     F_at_0: Fraction
     F_at_1: Fraction
-    spectral_coeff: Fraction | None  # None at n = 3, which has no spectral margin, and when q >= 4
+    spectral_coeff: Fraction | None  # None when q >= 4
     mean_curv_coeff: Fraction | None  # None when the Ricci denominator or q fails
     L_max: Fraction | None  # None when no Young parameter binds (q = 2 or upstream failure)
-    hbar_at_l_max: Fraction | None
 
 
 def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]:
@@ -166,23 +166,14 @@ def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]
             report.add(name, False, detail=f"undefined: {why}")
         else:
             report.add_margin(name, margin)
-    if values is None:
-        return report, None
-    values = ChainValues._make(values)
-    if values.L_max is not None:
-        hbar = values.hbar_at_l_max
-        report.add("hbar_coeff_at_l_max", hbar >= 0, margin=hbar, detail=f"L_max = {rational_to_str(values.L_max)}")
-    return report, values
+    return report, None if values is None else ChainValues._make(values)
 
 
 def feasibility(params: ParamSet) -> ConstraintReport:
     """Every named constraint with its exact margin; feasible iff all satisfied.
 
-    Margins the chain leaves undefined after an upstream failure are reported
-    unsatisfied with a note instead of raising.  Every margin is strict
-    (> 0) but ``hbar_coeff_at_l_max``, the squared-mean-curvature coefficient
-    at L = L_max, which is satisfied at >= 0: L_max is the largest L keeping
-    it nonnegative, so its margin is 0 exactly.
+    Every margin is strict (> 0).  Margins the chain leaves undefined after an
+    upstream failure are reported unsatisfied with a note instead of raising.
     """
     return exact_chain(params)[0]
 
@@ -217,171 +208,197 @@ class SearchResult:
     best_margin_profile: dict[str, float] | None = None  # for uncertified searches
 
 
-def default_box(n: int) -> dict[str, tuple[float, float]]:
-    """Search box for (b, alpha, beta); rows 3..5 bracket the built-in values,
+# A row that exact recertification accepted, with the report that accepted it.
+Accepted = tuple[ParamSet, ConstraintReport]
+Point = tuple[float, float, float]  # (b, alpha, beta)
+
+
+@cache
+def default_box(n: int) -> tuple[tuple[float, float], ...]:
+    """Search bounds for (b, alpha, beta); rows 3..5 bracket the built-in values,
     n = 6 extrapolates the row trend geometrically (heuristic)."""
     if n in published.PARAM_ROWS:
         row = published.PARAM_ROWS[n]
-        return {
-            key: (float(row[key]) / 4, float(row[key]) * 4)
-            for key in ("b", "alpha", "beta")
-        }
+        return tuple((float(row[key]) / 4, float(row[key]) * 4) for key in ("b", "alpha", "beta"))
     if n == 6:
         # rows shrink roughly geometrically in n; centre on the extrapolation
-        centers = {"b": 0.47, "alpha": 0.72, "beta": 0.52}
-        return {key: (val / 8, val * 8) for key, val in centers.items()}
+        return tuple((val / 8, val * 8) for val in (0.47, 0.72, 0.52))
     raise ValueError(f"no default search box for n = {n}")
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
 
 
 def _round_params(n: int, delta0: Fraction, b: float, alpha: float, beta: float, bound: int) -> ParamSet | None:
     """Continued-fraction rounding with a denominator bound, then exact a = delta0*b."""
-    try:
-        b_r = Fraction(b).limit_denominator(bound)
-        alpha_r = Fraction(alpha).limit_denominator(bound)
-        beta_r = Fraction(beta).limit_denominator(bound)
-        if b_r <= 0 or alpha_r <= 0 or beta_r <= 0:
-            return None
-        return ParamSet(n=n, a=delta0 * b_r, b=b_r, alpha=alpha_r, beta=beta_r)
-    except (ValueError, ZeroDivisionError):
+    b_r, alpha_r, beta_r = (Fraction(x).limit_denominator(bound) for x in (b, alpha, beta))
+    if b_r <= 0 or alpha_r <= 0 or beta_r <= 0:  # at bound 2, n = 6's lower bound for b rounds to 0
         return None
+    return ParamSet(n=n, a=delta0 * b_r, b=b_r, alpha=alpha_r, beta=beta_r)
 
 
-def _scales(n: int) -> list[float]:
+@cache
+def _scales(n: int) -> tuple[float, ...]:
     """Per-constraint normalization from the built-in row margins (n = 6 uses n = 5)."""
     ref_n = n if n in published.PARAM_ROWS else 5
     row = ParamSet.published_row(ref_n)
-    margins = float_margins(
-        n=ref_n,
-        delta0=float(row.delta0),
-        b=float(row.b),
-        alpha=float(row.alpha),
-        beta=float(row.beta),
-    )
-    names_ref = margin_names(ref_n)
-    by_name = dict(zip(names_ref, margins))
-    return [max(abs(by_name.get(name, 1.0)), 1e-9) for name in margin_names(n)]
+    margins = float_margins(ref_n, float(row.delta0), float(row.b), float(row.alpha), float(row.beta))
+    by_name = dict(zip(margin_names(ref_n), margins))
+    return tuple(max(abs(by_name.get(name, 1.0)), 1e-9) for name in margin_names(n))
 
 
-def _objective_margin(n: int, delta0: float, vec: tuple[float, float, float], scales: list[float]) -> float:
+def _objective_margin(n: int, delta0: float, vec: Point, scales: tuple[float, ...]) -> float:
     return min(map(truediv, float_margins(n, delta0, *vec), scales))
 
 
-def _coordinate_descent(
-    n: int,
-    delta0: float,
-    start: tuple[float, float, float],
-    box: dict[str, tuple[float, float]],
-    scales: list[float],
-    budget: _Budget,
-    objective,
-    memo: dict[tuple[float, float, float], float],
-) -> tuple[tuple[float, float, float], float]:
-    """Pattern-search descent maximizing ``objective`` over (b, alpha, beta).
+def _objective_epsilon(n: int, delta0: float, vec: Point, scales: tuple[float, ...]) -> float:
+    margins = float_margins(n, delta0, *vec)
+    worst = min(map(truediv, margins, scales))
+    if worst <= 0:
+        return worst  # infeasible: chase feasibility first
+    return margins[_EPSILON]
 
+
+def _coordinate_descent(
+    n: int, delta0: float, start: Point, objective, memo: dict[Point, float], used: int, limit: int
+) -> tuple[Point, float, int]:
+    """Pattern-search descent maximizing ``objective`` over (b, alpha, beta) in ``default_box(n)``.
+
+    Returns the final point, its value and the evaluations used so far.
     ``memo`` maps each point already scored at this delta0 with this objective
     to its value; a point found there is not scored again.  Every point
-    queried spends one unit of ``budget``, whether the memo answers it or not;
-    a trial that would overspend it ends the descent unqueried.
+    queried counts one evaluation, whether the memo answers it or not; a trial
+    that would take ``used`` past ``limit`` ends the descent unqueried.
     """
-    limit, used = budget.limit, budget.used
-    bounds = [(lo, hi, (hi - lo) / 8, (hi - lo) * 1e-5) for lo, hi in (box["b"], box["alpha"], box["beta"])]
+    scales = _scales(n)
+    bounds = [(lo, hi, (hi - lo) / 8, (hi - lo) * 1e-5) for lo, hi in default_box(n)]
     point = start
     best = memo.get(point)
     if best is None:
         best = memo[point] = objective(n, delta0, point, scales)
     used += 1
-    try:
-        for _ in range(_DESCENT_ROUNDS):
-            improved = False
-            for idx, (lo, hi, step, tol) in enumerate(bounds):
-                while step > tol:
-                    x = point[idx]
-                    moved = False
-                    for coord in (x + step, x - step):
-                        coord = hi if coord >= hi else coord if coord > lo else lo  # min/max builtins: ~7% slower
-                        if coord == x:
-                            continue
-                        if used >= limit:
-                            return point, best
-                        used += 1
-                        if idx == 0:  # slicing and unpacking the point: ~5% slower
-                            trial = (coord, point[1], point[2])
-                        elif idx == 1:
-                            trial = (point[0], coord, point[2])
-                        else:
-                            trial = (point[0], point[1], coord)
-                        val = memo.get(trial)
-                        if val is None:
-                            val = memo[trial] = objective(n, delta0, trial, scales)
-                        if val > best:
-                            best, point = val, trial
-                            moved = improved = True
-                            break
-                    if not moved:
-                        step /= 2
-            if not improved:
-                break
-        return point, best
-    finally:
-        budget.used = used
+    for _ in range(_DESCENT_ROUNDS):
+        improved = False
+        for idx, (lo, hi, step, tol) in enumerate(bounds):
+            while step > tol:
+                x = point[idx]
+                moved = False
+                for coord in (x + step, x - step):
+                    coord = hi if coord >= hi else coord if coord > lo else lo  # min/max builtins: ~7% slower
+                    if coord == x:
+                        continue
+                    if used >= limit:
+                        return point, best, used
+                    used += 1
+                    if idx == 0:  # slicing and unpacking the point: ~5% slower
+                        trial = (coord, point[1], point[2])
+                    elif idx == 1:
+                        trial = (point[0], coord, point[2])
+                    else:
+                        trial = (point[0], point[1], coord)
+                    val = memo.get(trial)
+                    if val is None:
+                        val = memo[trial] = objective(n, delta0, trial, scales)
+                    if val > best:
+                        best, point = val, trial
+                        moved = improved = True
+                        break
+                if not moved:
+                    step /= 2
+        if not improved:
+            break
+    return point, best, used
 
 
-def _starts(n: int, box: dict[str, tuple[float, float]], seed: int) -> list[tuple[float, float, float]]:
+def _starts(n: int, seed: int) -> list[Point]:
     """The built-in row (if any), the box's geometric centre, then one
     log-uniform point for each of the seeds seed .. seed + 3."""
-    starts: list[tuple[float, float, float]] = []
+    starts: list[Point] = []
     if n in published.PARAM_ROWS:
         row = published.PARAM_ROWS[n]
         starts.append((float(row["b"]), float(row["alpha"]), float(row["beta"])))
-    bounds = (box["b"], box["alpha"], box["beta"])
+    bounds = default_box(n)
     starts.append(tuple(math.sqrt(lo * hi) for lo, hi in bounds))
     for rng in map(random.Random, range(seed, seed + 4)):
         starts.append(tuple(math.exp(rng.uniform(math.log(lo), math.log(hi))) for lo, hi in bounds))
     return starts
 
 
-def _search_at_delta0(
-    n: int,
-    delta0: Fraction,
-    box: dict[str, tuple[float, float]],
-    scales: list[float],
-    budget: _Budget,
-    cfg: RunConfig,
-) -> tuple[ParamSet | None, float, tuple[float, float, float] | None]:
-    """Multistart inner search at a fixed rational delta0.
+def _descents(n: int, delta0: Fraction, objective, cfg: RunConfig, used: int) -> tuple[list[tuple[float, Point]], int]:
+    """One descent from each start, in start order, sharing one memo at this delta0.
 
-    Returns the first exactly-certified rounded candidate (best float score
-    first), the best float score seen, and its float point.
+    Returns each descent's ``(value, final point)`` and the evaluations used so
+    far; a start reached with the budget spent is not descended from.
     """
     results = []
-    memo: dict[tuple[float, float, float], float] = {}
-    for start in _starts(n, box, cfg.seed):
-        if budget.exhausted:
+    memo: dict[Point, float] = {}
+    for start in _starts(n, cfg.seed):
+        if used >= cfg.budget:
             break
-        point, score = _coordinate_descent(n, float(delta0), start, box, scales, budget, _objective_margin, memo)
-        results.append((score, point))
+        point, value, used = _coordinate_descent(n, float(delta0), start, objective, memo, used, cfg.budget)
+        results.append((value, point))
+    return results, used
+
+
+def _recertified(n: int, delta0: Fraction, point: Point, cfg: RunConfig) -> Accepted | None:
+    """The float point rounded to a rational row, accepted only if every exact margin holds.
+
+    The one place a search turns a float point into a row, so nothing the
+    float mirror says reaches a result without exact ``feasibility``.
+    """
+    candidate = _round_params(n, delta0, *point, bound=cfg.denominator_bound)
+    if candidate is None:
+        return None
+    report = feasibility(candidate)
+    return (candidate, report) if report.all_satisfied else None
+
+
+def _builtin_row(n: int) -> Accepted | None:
+    """The built-in row with its exact report, if it certifies."""
+    row = ParamSet.published_row(n)
+    report = feasibility(row)
+    return (row, report) if report.all_satisfied else None
+
+
+def _epsilon(accepted: Accepted) -> Fraction:
+    return accepted[1].entry("epsilon").margin
+
+
+def _result(
+    n: int, objective: str, delta0: Fraction | None, accepted: Accepted | None, improvement: Fraction | None,
+    used: int, notes: list[str], profile: dict[str, float] | None = None,
+) -> SearchResult:
+    """The search's result, carrying the report that accepted its row."""
+    params, report = accepted or (None, None)
+    return SearchResult(
+        n=n,
+        objective=objective,
+        best_params=params,
+        certified=accepted is not None,
+        delta0=delta0,
+        epsilon=_epsilon(accepted) if accepted else None,
+        constraint_report=report,
+        improvement_vs_published=improvement,
+        evaluations_used=used,
+        notes=notes,
+        best_margin_profile=profile,
+    )
+
+
+def _search_at_delta0(
+    n: int, delta0: Fraction, cfg: RunConfig, used: int
+) -> tuple[Accepted | None, tuple[float, Point] | None, int]:
+    """Multistart inner search at a fixed rational delta0.
+
+    Returns the first exactly recertified candidate (best float score
+    first), the best ``(score, point)`` seen, and the evaluations used so far.
+    """
+    results, used = _descents(n, delta0, _objective_margin, cfg, used)
     results.sort(key=lambda t: -t[0])
-    best_score = results[0][0] if results else _BIG_NEGATIVE
-    best_point = results[0][1] if results else None
+    best = results[0] if results else None
     for score, point in results:
-        if score <= 0:
-            continue
-        candidate = _round_params(n, delta0, *point, bound=cfg.denominator_bound)
-        if candidate is None:
-            continue
-        if feasibility(candidate).all_satisfied:
-            return candidate, best_score, best_point
-    return None, best_score, best_point
+        if score > 0:
+            accepted = _recertified(n, delta0, point, cfg)
+            if accepted is not None:
+                return accepted, best, used
+    return None, best, used
 
 
 def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
@@ -393,83 +410,50 @@ def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
     infeasibility margin profile if nothing certifies.  Reads ``cfg.budget``,
     ``cfg.denominator_bound`` and ``cfg.seed``.
     """
-    box = default_box(n)
-    scales = _scales(n)
-    budget = _Budget(cfg.budget)
+    used = 0
     notes: list[str] = []
-
-    best_params: ParamSet | None = None
-    best_delta0: Fraction | None = None
+    lo, hi = Fraction(0), Fraction(1)
     if n in published.PARAM_ROWS:
-        witness = ParamSet.published_row(n)
-        if feasibility(witness).all_satisfied:
-            best_params, best_delta0 = witness, witness.delta0
-            notes.append(f"built-in row certified at delta0 = {rational_to_str(witness.delta0)}")
+        best = _builtin_row(n)
+        if best is not None:
+            hi = best[0].delta0
+            notes.append(f"built-in row certified at delta0 = {rational_to_str(hi)}")
         else:  # pragma: no cover - the built-in rows always certify
             notes.append("built-in row failed exact certification")
-        lo, hi = Fraction(0), best_delta0 if best_delta0 is not None else Fraction(1)
     else:
-        lo, hi = Fraction(0), Fraction(1)
-        best_profile: dict[str, float] | None = None
+        profile: dict[str, float] | None = None
         for delta0 in (Fraction(1), Fraction(99, 100), Fraction(49, 50), Fraction(9, 10)):
-            candidate, score, point = _search_at_delta0(n, delta0, box, scales, budget, cfg)
-            if candidate is not None:
-                best_params, best_delta0 = candidate, delta0
+            best, seen, used = _search_at_delta0(n, delta0, cfg, used)
+            if best is not None:
                 hi = delta0
                 notes.append(f"feasible row certified at delta0 = {rational_to_str(delta0)} (finding)")
                 break
-            if point is not None and (best_profile is None or score > best_profile.get("_score", _BIG_NEGATIVE)):
-                margins = float_margins(n, float(delta0), *point)
-                best_profile = {name: m for name, m in zip(margin_names(n), margins)}
-                best_profile["_score"] = score
-                best_profile["_delta0"] = float(delta0)
-            if budget.exhausted:
+            if seen is not None and (profile is None or seen[0] > profile["_score"]):
+                score, point = seen
+                profile = dict(zip(margin_names(n), float_margins(n, float(delta0), *point)))
+                profile["_score"] = score
+                profile["_delta0"] = float(delta0)
+            if used >= cfg.budget:
                 break
-        if best_params is None:
-            return SearchResult(
-                n=n,
-                objective="minimize_delta0",
-                best_params=None,
-                certified=False,
-                delta0=None,
-                epsilon=None,
-                constraint_report=None,
-                improvement_vs_published=None,
-                evaluations_used=budget.used,
-                notes=notes + ["no certified row found; margin profile reported"],
-                best_margin_profile=best_profile,
-            )
+        if best is None:
+            notes.append("no certified row found; margin profile reported")
+            return _result(n, "minimize_delta0", None, None, None, used, notes, profile)
 
     for _ in range(_BISECTION_STEPS):
-        if budget.exhausted or hi - lo <= Fraction(1, 1 << 12):
+        if used >= cfg.budget or hi - lo <= Fraction(1, 1 << 12):
             break
         mid = ((lo + hi) / 2).limit_denominator(4096)
         if not lo < mid < hi:
             break
-        candidate, _, _ = _search_at_delta0(n, mid, box, scales, budget, cfg)
-        if candidate is not None:
-            best_params, best_delta0 = candidate, mid
-            hi = mid
+        accepted, _, used = _search_at_delta0(n, mid, cfg, used)
+        if accepted is not None:
+            best, hi = accepted, mid
             notes.append(f"improved certified delta0 = {rational_to_str(mid)}")
         else:
             lo = mid
 
-    assert best_params is not None and best_delta0 is not None
-    rep = feasibility(best_params)
-    eps = rep.entry("epsilon").margin
-    improvement = published.DELTA0[n] - best_delta0 if n in published.DELTA0 else None
-    return SearchResult(
-        n=n,
-        objective="minimize_delta0",
-        best_params=best_params,
-        certified=rep.all_satisfied,
-        delta0=best_delta0,
-        epsilon=eps,
-        constraint_report=rep,
-        improvement_vs_published=improvement,
-        evaluations_used=budget.used,
-        notes=notes,
-    )
+    improvement = published.DELTA0[n] - hi if best is not None and n in published.DELTA0 else None
+    return _result(n, "minimize_delta0", hi if best is not None else None, best, improvement, used, notes)
 
 
 def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
@@ -480,70 +464,23 @@ def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
     the same settings as ``minimize_delta0``.
     """
     delta0 = Fraction(delta0_fixed)
-    box = default_box(n)
-    scales = _scales(n)
-    budget = _Budget(cfg.budget)
     notes: list[str] = []
+    builtin = n in published.PARAM_ROWS and published.DELTA0[n] == delta0
+    best = _builtin_row(n) if builtin else None
+    if best is not None:
+        notes.append(f"built-in row certified with epsilon = {rational_to_str(_epsilon(best))}")
 
-    def eps_objective(n_, d0, vec, scales_):
-        margins = float_margins(n_, d0, *vec)
-        worst = min(map(truediv, margins, scales_))
-        if worst <= 0:
-            return worst  # infeasible: chase feasibility first
-        return margins[_EPSILON]
+    results, used = _descents(n, delta0, _objective_epsilon, cfg, 0)
+    for _, point in results:
+        accepted = _recertified(n, delta0, point, cfg)
+        if accepted is not None and (best is None or _epsilon(accepted) > _epsilon(best)):
+            best = accepted
+            notes.append(f"improved epsilon = {rational_to_str(_epsilon(best))}")
 
-    best_params: ParamSet | None = None
-    best_eps: Fraction | None = None
-    if n in published.PARAM_ROWS and published.DELTA0[n] == delta0:
-        witness = ParamSet.published_row(n)
-        rep = feasibility(witness)
-        if rep.all_satisfied:
-            best_params, best_eps = witness, rep.entry("epsilon").margin
-            notes.append(f"built-in row certified with epsilon = {rational_to_str(best_eps)}")
-
-    memo: dict[tuple[float, float, float], float] = {}
-    for start in _starts(n, box, cfg.seed):
-        if budget.exhausted:
-            break
-        point, _ = _coordinate_descent(n, float(delta0), start, box, scales, budget, eps_objective, memo)
-        candidate = _round_params(n, delta0, *point, bound=cfg.denominator_bound)
-        if candidate is None:
-            continue
-        rep = feasibility(candidate)
-        if not rep.all_satisfied:
-            continue
-        eps = rep.entry("epsilon").margin
-        if best_eps is None or eps > best_eps:
-            best_params, best_eps = candidate, eps
-            notes.append(f"improved epsilon = {rational_to_str(eps)}")
-
-    if best_params is None:
-        return SearchResult(
-            n=n,
-            objective="maximize_epsilon",
-            best_params=None,
-            certified=False,
-            delta0=delta0,
-            epsilon=None,
-            constraint_report=None,
-            improvement_vs_published=None,
-            evaluations_used=budget.used,
-            notes=notes + ["no certified row found at this delta0"],
-        )
-    rep = feasibility(best_params)
-    improvement = best_eps - published.EPSILON[n] if n in published.EPSILON and published.DELTA0[n] == delta0 else None
-    return SearchResult(
-        n=n,
-        objective="maximize_epsilon",
-        best_params=best_params,
-        certified=rep.all_satisfied,
-        delta0=delta0,
-        epsilon=best_eps,
-        constraint_report=rep,
-        improvement_vs_published=improvement,
-        evaluations_used=budget.used,
-        notes=notes,
-    )
+    if best is None:
+        notes.append("no certified row found at this delta0")
+    improvement = _epsilon(best) - published.EPSILON[n] if best is not None and builtin else None
+    return _result(n, "maximize_epsilon", delta0, best, improvement, used, notes)
 
 
 def reverify(params_strings: dict[str, str]) -> tuple[ParamSet, ConstraintReport]:

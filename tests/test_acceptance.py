@@ -71,7 +71,8 @@ def test_criterion_03_young_parameter_identity():
     for n, expected in ((3, F(71, 11)), (4, F(189697, 206625))):
         margins, values = exact_chain(ROWS[n])
         assert values.L_max == expected
-        assert margins.entry("hbar_coeff_at_l_max").margin == 0
+        cross = abs(F(1, 2) - 1 / ROWS[n].q)
+        assert margins.entry("young_numerator").margin - values.L_max * cross == 0
     computed = exact_chain(ROWS[5])[1].L_max
     quoted = F(106986857, 251572482)
     match = computed == quoted

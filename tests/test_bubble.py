@@ -114,7 +114,7 @@ class TestYoungParameter:
     def test_row3_margin_identity(self):
         # 17/22 - 9/20 - (71/11)(1/20) = 0 exactly
         assert F(17, 22) - F(9, 20) - F(71, 11) * F(1, 20) == 0
-        assert feasibility(row(3)).entry("hbar_coeff_at_l_max").margin == 0
+        assert chain(row(3)).L_max == F(71, 11)
 
     def test_margin_positive_below_l_max(self):
         p = row(4)
@@ -130,9 +130,7 @@ class TestYoungParameter:
         # q = 2: the cross term vanishes; any Young parameter works
         p = ParamSet(3, F(1), F(3), F(18, 11), F(3, 2))
         report, values = exact_chain(p)
-        assert values.L_max is None and values.hbar_at_l_max is None
-        with pytest.raises(KeyError):
-            report.entry("hbar_coeff_at_l_max")
+        assert values.L_max is None
         bare = report.entry("gamma0_bare").margin
         assert bare == F(1, 2)
         _, with_ratio = derive(p, eps(3), bare)

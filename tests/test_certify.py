@@ -10,7 +10,7 @@ from stabcert.certify import certify
 from stabcert.cli import main, result_certificate
 from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet
-from stabcert.optimize import SearchResult, feasibility, margin_names, minimize_delta0
+from stabcert.optimize import SearchResult, exact_chain, feasibility, margin_names, minimize_delta0
 from stabcert.rational import rational_to_str
 
 SMALL = {"curvature_samples": 300, "quadform_samples": 20, "barrier_samples": 10}
@@ -124,4 +124,4 @@ def test_evidence_values_are_the_chain_margins(n):
     assert cert.values["epsilon"] == rational_to_str(margins["epsilon"].margin)
     assert cert.values["gamma0_bare"] == rational_to_str(margins["gamma0_bare"].margin)
     assert cert.values["discriminant_D"] == rational_to_str(margins["discriminant"].margin)
-    assert margins["hbar_coeff_at_l_max"].detail == f"L_max = {cert.values['L_max']}"
+    assert cert.values["L_max"] == rational_to_str(exact_chain(ParamSet.published_row(n))[1].L_max)

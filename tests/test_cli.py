@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stabcert import iteration, published
+from stabcert import iteration, optimize, published
 from stabcert.certificate import Certificate
 from stabcert.cli import main
 
@@ -68,6 +68,28 @@ def test_unwritable_output_is_usage_error(tmp_path, fast_config, capsys, argv):
         assert "cannot write output" in one_line_error(capsys)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "fast.cfg"]
     assert not list(tmp_path.parent.glob(f"{tmp_path.name}*.tmp"))
+
+
+@pytest.mark.parametrize("objective", ["delta0", "epsilon"])
+def test_optimize_checks_output_path_before_searching(tmp_path, capsys, monkeypatch, objective):
+    def search(*args):
+        pytest.fail("the search ran before its output path was checked")
+
+    monkeypatch.setattr(optimize, "minimize_delta0", search)
+    monkeypatch.setattr(optimize, "maximize_epsilon", search)
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    assert run(["optimize", "--n", "4", "--objective", objective, "--out", str(blocker / "x.json")]) == 2
+    assert "cannot write output" in one_line_error(capsys)
+
+
+def test_write_error_names_the_given_path(tmp_path, fast_config, capsys):
+    target = tmp_path / "somedir"
+    target.mkdir()
+    assert run(["verify", "--n", "3", "--config", str(fast_config), "--out", str(target)]) == 2
+    assert one_line_error(capsys) == f"error: cannot write output: [Errno 21] Is a directory: '{target}'\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fast.cfg", "somedir"]
+    assert not any(target.iterdir())
 
 
 def test_empty_config_uses_documented_defaults(tmp_path):

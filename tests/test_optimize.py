@@ -81,10 +81,11 @@ class TestFeasibility:
             assert not any(report.entry(name).satisfied for name in want)
 
     def test_binding_info_entry(self):
-        report = feasibility(row(3))
-        entry = report.entry("hbar_coeff_at_l_max")
-        assert entry.satisfied and entry.margin == 0
-        assert entry.detail == "L_max = 71/11"
+        # L_max is a value of the chain, not a margin: every margin is strict
+        report, values = exact_chain(row(3))
+        assert values.L_max == F(71, 11)
+        assert [e.name for e in report.entries] == list(margin_names(3))
+        assert all(e.detail == "> 0" for e in report.entries)
 
     def test_spectral_bound_is_strict(self):
         # q = 2 gives the coefficient 4/(4-2) * 1/1 = 2 = (n-2)/(n-3) exactly
@@ -131,7 +132,7 @@ class TestFeasibility:
             assert values[:3] == (min_coefficient(n, p.a, alpha, beta), f0, f1)
             assert m["epsilon"] == min(f0, f1)
             assert m["q_below_4"] == 4 - q
-            coeff = 4 / (4 - q) * beta / alpha if n > 3 and q < 4 else None
+            coeff = 4 / (4 - q) * beta / alpha if q < 4 else None
             assert values.spectral_coeff == coeff
             if n > 3:
                 assert m["spectral_bound"] == (None if coeff is None else F(n - 2, n - 3) - coeff)
@@ -151,12 +152,11 @@ class TestFeasibility:
             cross = abs(F(1, 2) - 1 / q)
             if cross == 0:
                 assert m["gamma0_bare"] == 1 / q
-                assert "hbar_coeff_at_l_max" not in m and values.L_max is None
+                assert values.L_max is None
             else:
                 L = young / cross
                 assert values.L_max == L
                 assert m["gamma0_bare"] == 1 / q - cross / L
-                assert m["hbar_coeff_at_l_max"] == young - L * cross == 0
 
 
 class TestFloatMirror:
