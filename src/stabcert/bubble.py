@@ -146,18 +146,24 @@ def barrier_ode_check(
         period = mpmath.pi / y0v
         margin = period / 1000
         lo, hi = margin, period - margin
+        span = hi - lo
+        half_pi = mpmath.pi / 2
+        neg_x0 = -x0v
+        product = x0v * y0v
+        ratio = y0v / x0v
+        step = mpmath.mpf("1e-6") / y0v
 
         def eta(t):
-            return -x0v * mpmath.tan(y0v * t - mpmath.pi / 2)
+            return neg_x0 * mpmath.tan(y0v * t - half_pi)
 
         worst = mpmath.mpf(0)
         breaches = 0
         for i in range(1, sample_count + 1):
-            t = lo + (hi - lo) * i / (sample_count + 1)
+            t = lo + span * i / (sample_count + 1)
             e = eta(t)
-            h = mpmath.mpf("1e-6") / y0v / (1 + abs(e) / x0v)
+            h = step / (1 + abs(e) / x0v)
             deriv = (eta(t + h) - eta(t - h)) / (2 * h)
-            residual = deriv + x0v * y0v + (y0v / x0v) * e * e
+            residual = deriv + product + ratio * e * e
             rel = abs(residual) / (1 + abs(e) ** 2)
             worst = max(worst, rel)
             if rel > tol:

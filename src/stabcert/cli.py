@@ -179,7 +179,10 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
         print("error: --delta0 applies to --objective epsilon only", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out) if args.out else cfg.out_dir / f"search_n{args.n}_{args.objective}.json"
-    check_output_path(out)  # before the search, which the write would otherwise waste
+    cert_path = out.with_name(out.stem + "_certificate.json")
+    log_path = out.parent / "search_log.jsonl"
+    for path in (out, cert_path, log_path):  # before the search, which a failed write would waste
+        check_output_path(path)
     if args.objective == "epsilon":
         result = optimize.maximize_epsilon(args.n, cfg, delta0)
     else:
@@ -202,11 +205,10 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     write_json(out, payload)
     print(f"wrote {out}")
     log_line = {k: payload[k] for k in ("n", "objective", "certified", "delta0", "epsilon", "evaluations_used")}
-    with open(out.parent / "search_log.jsonl", "a", encoding="utf-8") as fh:
+    with open(log_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(log_line) + "\n")
     if result.certified and result.best_params is not None:
         cert = result_certificate(result, cfg)
-        cert_path = out.with_name(out.stem + "_certificate.json")
         cert.write(cert_path)
         print(f"wrote {cert_path}")
         if args.n == 6:

@@ -250,6 +250,13 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
     1e-9 relative precision.  The closed-form bound is
     (C0^(n/2) C^(n^2/2) S1)^(theta^m); domination is verified at every step.
 
+    Computed once per call rather than per step: C0 and C as mpf, C0^theta,
+    C^(2 theta) and the 1e-9 tolerance; C^(theta (2m-1)) is a running product
+    of C^(2 theta), so the direct iteration uses only these mpf powers, never
+    the log-domain values it is checked against.  theta^m is computed once a
+    step, in closed form, because the exponent recurrences are checked
+    against it.
+
     The dyadic level/radius ladder behind the recursion enters only through
     the constants C0 and C; the ladder itself is not simulated.
     """
@@ -261,13 +268,18 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
         raise ValueError(f"steps = {steps} must be >= 1")
     theta = Fraction(n, n - 2)
     with mpmath.workdps(dps):
-        logC0, logC, logS1 = mpmath.log(mpmath.mpf(C0)), mpmath.log(mpmath.mpf(C)), mpmath.log(mpmath.mpf(S1))
+        C0_mp, C_mp = mpmath.mpf(C0), mpmath.mpf(C)
+        logC0, logC, logS1 = mpmath.log(C0_mp), mpmath.log(C_mp), mpmath.log(mpmath.mpf(S1))
         log10 = mpmath.log(10)
+        tol = mpmath.mpf("1e-9")
         e0, eC, eS = Fraction(0), Fraction(0), Fraction(1)
         exponent_ok = True
         dominated = True
         agreement_ok = True
         theta_mp = mpmath.mpf(n) / (n - 2)
+        c0_theta = C0_mp**theta_mp
+        c_two_theta = C_mp ** (2 * theta_mp)
+        c_power = C_mp**theta_mp  # C^(theta (2m-1)), here at m = 1
         t_direct = mpmath.mpf(S1)
 
         def fmt(log_value) -> str:
@@ -283,22 +295,23 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
             e0 = theta * (1 + e0)
             eC = theta * (2 * m - 1) + theta * eC
             eS = theta * eS
+            theta_m = theta**m
             # geometric-sum identity for the C0 exponent
-            closed_e0 = theta * (theta**m - 1) / (theta - 1)
-            if e0 != closed_e0 or eS != theta**m:
+            closed_e0 = theta * (theta_m - 1) / (theta - 1)
+            if e0 != closed_e0 or eS != theta_m:
                 exponent_ok = False
             log_t = (
                 mpmath.mpf(e0.numerator) / e0.denominator * logC0
                 + mpmath.mpf(eC.numerator) / eC.denominator * logC
                 + mpmath.mpf(eS.numerator) / eS.denominator * logS1
             )
-            t_direct = mpmath.mpf(C0) ** theta_mp * mpmath.mpf(C) ** (theta_mp * (2 * m - 1)) * t_direct**theta_mp
+            t_direct = c0_theta * c_power * t_direct**theta_mp
+            c_power *= c_two_theta
             log_direct = mpmath.log(t_direct)
-            if abs(log_direct - log_t) > mpmath.mpf("1e-9") * max(1, abs(log_t)):
+            if abs(log_direct - log_t) > tol * max(1, abs(log_t)):
                 agreement_ok = False
-            theta_pow = Fraction(theta**m)
-            log_bound = mpmath.mpf(theta_pow.numerator) / theta_pow.denominator * logP
-            if log_t > log_bound + mpmath.mpf("1e-9"):
+            log_bound = mpmath.mpf(theta_m.numerator) / theta_m.denominator * logP
+            if log_t > log_bound + tol:
                 dominated = False
             log10_values.append(float(log_t / log10))
             values_str.append(fmt(log_t))

@@ -14,10 +14,11 @@ samples; F is that module's endpoint function; mcc is the mean-curvature
 coefficient and L_max the largest Young parameter.
 
 The chain is written once, in ``_chain``, the only place where D, Q, F(0),
-F(1), epsilon, the spectral coefficient, mcc, L_max and gamma0 are computed.  ``exact_chain`` evaluates it on Fractions and returns the margins
-with those intermediates, which ``stabcert.certify`` records and feeds to the
-sampled checks; ``feasibility`` keeps the margins only, and
-``float_margins`` evaluates the chain in double precision.  Searching runs
+F(1), epsilon, the spectral coefficient, mcc, L_max and gamma0 are computed.
+``exact_chain`` evaluates it on Fractions and returns the margins with those
+intermediates, which ``stabcert.certify`` records and feeds to the sampled
+checks; ``feasibility`` keeps the margins only, and ``float_margins``
+evaluates the chain in double precision.  Searching runs
 in two phases: the float margins drive multistart coordinate descent inside a
 box, then ``_recertified`` rounds each candidate to rationals by continued
 fractions (denominator-bounded) and recertifies it with exact arithmetic.
@@ -78,17 +79,27 @@ _UNDEFINED_WHY = {
 
 @cache
 def _coefficients(n: int, num: type) -> tuple:
-    """The chain's rational coefficients at dimension n, as ``num`` (Fraction or float),
-    followed by the value of an undefined margin: None for Fraction, -1e18 for float."""
+    """Every constant ``_chain`` multiplies, divides or compares by at dimension n,
+    converted once to ``num`` (Fraction or float), followed by the value of an
+    undefined margin: -1e18 for float, None for any other type.
+
+    The constants are the chain's rational coefficients, the n-dependent
+    integers and the literals 0, 1, 2 and 4, so ``_chain`` combines its inputs
+    with values of their own type only.  Small integers convert to double
+    exactly, so the float margins keep every bit they had with int operands.
+    """
     spectral = Fraction(n - 2, n - 3) if n > 3 else None  # the spectral coefficient's strict upper bound
-    return tuple(
-        None if c is None else num(c)
-        for c in (Fraction(2 * (n - 1), n - 2), Fraction(4 * n, n - 2), Fraction(n - 1, n - 2),
-                  Fraction(n * n - 4, 4), spectral, Fraction(1, 2))
-    ) + (None if num is Fraction else _BIG_NEGATIVE,)
+    constants = (
+        Fraction(2 * (n - 1), n - 2), Fraction(4 * n, n - 2), Fraction(n - 1, n - 2), Fraction(n * n - 4, 4),
+        spectral, Fraction(1, 2),
+        n, n - 1, n - 2, n - 3, (n - 2) ** 2, (n - 1) * (n - 2), n * n - 5 * n + 8, 3 * n - 7, 4 * (n - 2),
+        2 * (n - 1), 2 * (n - 2),
+        0, 1, 2, 4,
+    )
+    return tuple(None if c is None else num(c) for c in constants) + (_BIG_NEGATIVE if num is float else None,)
 
 
-def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
+def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     """Every feasibility margin of the row in order, on Fractions or on floats.
 
     Returns the margins in the order of ``margin_names(n)``, ``k``'s undefined
@@ -98,45 +109,53 @@ def _chain(n: int, a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     chain does not reach it (L_max when q = 2).  The spectral coefficient is
     computed whenever q < 4, its margin for n >= 4 only.  ``k`` is
     ``_coefficients(n, type)``.
+    Typed constants: every number the chain combines with a, b, alpha and beta
+    comes from ``k``, so floats meet floats only and Fractions meet Fractions
+    only (integer exponents aside).
     Keep the order of operations: search results depend on the float margins
-    to the last bit (tests/test_golden.py).
+    to the last bit (tests/test_golden.py, test_chain_bits_pinned).
     """
-    hessian, disc_aa, disc_ab, slope, spectral_bound, half, undefined = k
-    fxx = hessian * a - 2 * beta
-    fyy = hessian * a - 2 * alpha
-    D = disc_aa * a * a - 4 * (disc_ab * beta + alpha) * a + (4 * beta - alpha) * alpha
+    # n_1 is n - 1, n_2_sq is (n - 2)^2, two_n_1 is 2(n - 1) and so on; q_a and
+    # q_beta are n^2 - 5n + 8 and 3n - 7, the coefficients of a and beta in Q
+    (hessian, disc_aa, disc_ab, slope, spectral_bound, half,
+     n, n_1, n_2, n_3, n_2_sq, n_1_n_2, q_a, q_beta, four_n_2, two_n_1, two_n_2,
+     zero, one, two, four, undefined) = k
+    fxx = hessian * a - two * beta
+    fyy = hessian * a - two * alpha
+    D = disc_aa * a * a - four * (disc_ab * beta + alpha) * a + (four * beta - alpha) * alpha
     eps = q_margin = spectral = ricci = young = g_bare = undefined
     coeff = mcc = L = values = None
-    convex = b > 0 and alpha > 0 and beta > 0 and fxx > 0 and fyy > 0 and D > 0
+    convex = b > zero and alpha > zero and beta > zero and fxx > zero and fyy > zero and D > zero
     if convex:
         Q = (
-            (n - 2) * alpha**3
-            - ((n * n - 5 * n + 8) * a + (3 * n - 7) * beta) * alpha**2
-            + ((n - 2) ** 2 * alpha - (n - 1) * (n - 2) * a) * beta**2
-            + 4 * (n - 2) * a * alpha * beta
+            n_2 * alpha**3
+            - (q_a * a + q_beta * beta) * alpha**2
+            + (n_2_sq * alpha - n_1_n_2 * a) * beta**2
+            + four_n_2 * a * alpha * beta
         ) / D
-        const = 2 * (n - 1) * beta + 2 * (n - 2) * alpha - b * n * (n - 2) / 2
-        mx = max((n - 2) * beta - alpha, (n - 3) * alpha)
+        const = two_n_1 * beta + two_n_2 * alpha - b * n * n_2 / two
+        mx = max(n_2 * beta - alpha, n_3 * alpha)
         f0 = const + Q
-        f1 = const + slope * b - (n * beta + (n - 1) * alpha) - mx
+        f1 = const + slope * b - (n * beta + n_1 * alpha) - mx
         eps = min(f0, f1)
         q = b / beta
-        q_margin = 4 - q
-        if q < 4:
-            coeff = 4 / (4 - q) * beta / alpha
+        q_margin = four - q
+        if q < four:
+            coeff = four / q_margin * beta / alpha
             if spectral_bound is not None:
                 spectral = spectral_bound - coeff
-        ricci = (n - 1) * beta - (n - 2) * alpha
-        if ricci > 0 and 0 < q < 4:
-            mcc = (4 * beta * beta - (n - 2) * alpha * alpha) / (4 * beta * ricci)
-            young = mcc + 1 / q - 1
-            if young > 0:
-                cross = abs(half - 1 / q)
-                if cross == 0:
-                    g_bare = 1 / q
+        ricci = n_1 * beta - n_2 * alpha
+        if ricci > zero and zero < q < four:
+            mcc = (four * beta * beta - n_2 * alpha * alpha) / (four * beta * ricci)
+            inv_q = one / q
+            young = mcc + inv_q - one
+            if young > zero:
+                cross = abs(half - inv_q)
+                if cross == zero:
+                    g_bare = inv_q
                 else:
                     L = young / cross
-                    g_bare = 1 / q - (1 / L) * cross
+                    g_bare = inv_q - (one / L) * cross
         values = (Q, f0, f1, coeff, mcc, L)
     if spectral_bound is None:
         return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), values
@@ -158,7 +177,7 @@ def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]
     """One exact evaluation of the chain: the report of ``feasibility`` and the
     intermediates its margins were computed from (None when the Hessian gate fails)."""
     n = params.n
-    margins, values = _chain(n, params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
+    margins, values = _chain(params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
     report = ConstraintReport()
     for name, margin in zip(margin_names(n), margins):
         if margin is None:
@@ -190,7 +209,7 @@ def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) ->
     Undefined margins read as -1e18.  Advisory only; every accepted candidate
     is recertified exactly.
     """
-    return _chain(n, delta0 * b, b, alpha, beta, _coefficients(n, float))[0]
+    return _chain(delta0 * b, b, alpha, beta, _coefficients(n, float))[0]
 
 
 @dataclass

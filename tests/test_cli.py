@@ -81,6 +81,14 @@ def test_optimize_checks_output_path_before_searching(tmp_path, capsys, monkeypa
     blocker.write_text("", encoding="utf-8")
     assert run(["optimize", "--n", "4", "--objective", objective, "--out", str(blocker / "x.json")]) == 2
     assert "cannot write output" in one_line_error(capsys)
+    # the certificate path and the search log, each an existing directory
+    for name in ("x_certificate.json", "search_log.jsonl"):
+        blocked = tmp_path / name
+        blocked.mkdir()
+        assert run(["optimize", "--n", "4", "--objective", objective, "--out", str(tmp_path / "x.json")]) == 2
+        assert one_line_error(capsys) == f"error: cannot write output: [Errno 21] Is a directory: '{blocked}'\n"
+        blocked.rmdir()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile"]
 
 
 def test_write_error_names_the_given_path(tmp_path, fast_config, capsys):

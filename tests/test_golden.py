@@ -5,11 +5,15 @@ search result or margin profile shows up here as a byte difference.  A change
 that alters these outputs on purpose rewrites the files and says why.
 """
 
+import contextlib
+import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from stabcert.cli import main
+from stabcert.rational import rational_to_str
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,3 +57,33 @@ def test_optimize_output_bytes(tmp_path, n, code, files):
     assert written == set(files)
     for name in files:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+# recursion-sim as certify-all runs it: q midway between (n-2)/n and delta = 1, five
+# starting energies per n; then C0 and C given directly
+RECURSION_RUNS = {
+    "recursion_sim_q_delta1.txt": [
+        ["--n", str(n), "--q", rational_to_str((Fraction(n - 2, n) + 1) / 2), "--delta", "1", "--s1", s1]
+        for n in (3, 4, 5)
+        for s1 in ("1e-5", "1e-13", "1e-22", "1e-31", "1e-40")
+    ],
+    "recursion_sim_c0_5_c_2048.txt": [
+        ["--n", str(n), "--c0", "5", "--c", "2048", "--s1", s1] for n in (3, 4, 5) for s1 in ("1e-30", "0.5")
+    ],
+}
+
+
+def recursion_transcript(name: str) -> str:
+    """Each run's command line, stdout and exit code, in order."""
+    text = []
+    for args in RECURSION_RUNS[name]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["recursion-sim", *args])
+        text.append(f"$ recursion-sim {' '.join(args)}\n{out.getvalue()}exit {code}\n")
+    return "".join(text)
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_RUNS))
+def test_recursion_sim_output_bytes(name):
+    assert recursion_transcript(name) == (DATA / name).read_text(encoding="utf-8")

@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 from quadmin_oracle import determinant, hessian_entries, min_coefficient
+from strict_number import Strict
 
 from stabcert import optimize, published
 from stabcert.config import ConfigError, RunConfig
@@ -116,7 +118,12 @@ class TestFeasibility:
             m = {e.name: e.margin for e in report.entries}
             # one undefined value per number type: None exactly, -1e18 in the float mirror
             undefined = [report.entry(name).detail.startswith("undefined: ") for name in margin_names(n)]
-            exact, _ = optimize._chain(n, p.a, p.b, alpha, beta, optimize._coefficients(n, F))
+            exact, _ = optimize._chain(p.a, p.b, alpha, beta, optimize._coefficients(n, F))
+            # typed constants: the chain runs on a type that refuses every other operand
+            strict = optimize._chain(*map(Strict, (p.a, p.b, alpha, beta)), optimize._coefficients(n, Strict))
+            assert [[x if x is None else x.value for x in part or ()] for part in strict] == [
+                list(exact), list(values or ())
+            ]
             approx = float_margins(n, float(p.delta0), float(p.b), float(alpha), float(beta))
             assert [margin is None for margin in exact] == undefined
             assert [margin == -1e18 for margin in approx] == undefined
@@ -173,6 +180,46 @@ class TestFloatMirror:
         values = float_margins(4, 0.5, 1.0, 50.0, 0.01)
         assert len(values) == len(margin_names(4))
         assert min(values) < 0
+
+
+def _chain_points(n, count=2000):
+    """Seeded (delta0, b, alpha, beta) in ``default_box(n)`` with delta0 in (0, 1]; every
+    eighth point has b = 2 beta, so q = 2 exactly."""
+    rng = random.Random(1000 + n)
+    box = default_box(n)
+    for i in range(count):
+        delta0 = 1 - rng.random()
+        b, alpha, beta = (rng.uniform(lo, hi) for lo, hi in box)
+        yield delta0, 2 * beta if i % 8 == 0 else b, alpha, beta
+
+
+def _chain_line(margins, values) -> bytes:
+    """One chain evaluation as text: floats by ``float.hex``, everything else by ``str``."""
+    fields = margins + (values or (None,))
+    return (" ".join(x.hex() if isinstance(x, float) else str(x) for x in fields) + "\n").encode()
+
+
+def test_chain_bits_pinned():
+    # Every float margin and intermediate to the last bit, and the exact chain of
+    # the same points rounded as a search rounds them, over n = 3..6.  The draw
+    # reaches non-convex points, q >= 4 and, at n = 3, gamma0 = 1/q at q = 2.  The
+    # digests were recorded while the chain still multiplied by int literals.
+    floats, exact = hashlib.sha256(), hashlib.sha256()
+    seen = {"non-convex": 0, "q >= 4": 0, "q = 2 reaches gamma0": 0}
+    bound = RunConfig().denominator_bound
+    for n in range(3, 7):
+        k_float, k_exact = optimize._coefficients(n, float), optimize._coefficients(n, F)
+        for delta0, b, alpha, beta in _chain_points(n):
+            margins, values = optimize._chain(delta0 * b, b, alpha, beta, k_float)
+            floats.update(_chain_line(margins, values))
+            seen["non-convex"] += values is None
+            seen["q >= 4"] += values is not None and b / beta >= 4
+            seen["q = 2 reaches gamma0"] += values is not None and b / beta == 2 and margins[-1] > 0
+            p = optimize._round_params(n, F(delta0).limit_denominator(4096), b, alpha, beta, bound)
+            exact.update(_chain_line(*optimize._chain(p.a, p.b, p.alpha, p.beta, k_exact)))
+    assert min(seen.values()) > 100, seen
+    assert floats.hexdigest() == "77f6da9bc3abced408270bb9b2d619854920989ce6989f3529616c391b68dfc9"
+    assert exact.hexdigest() == "ab482904e70b8921a31f6eb183ff74eaaf075d141a84ad91339ff34723bf3597"
 
 
 class TestMinimizeDelta0:
