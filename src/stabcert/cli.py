@@ -25,6 +25,7 @@ from .certify import certify, chain_certificate
 from .config import ConfigError, RunConfig, load_config
 from .curvature import ParamSet
 from .rational import rational_to_str
+from .report import ApproxValue
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -87,17 +88,19 @@ def _iteration_grid(cfg: RunConfig) -> list[dict]:
     Caccioppoli branches nonpositive.
     """
     grid = []
+    dps = cfg.float_precision_digits
     for n in published.SUPPORTED_N:
         delta = Fraction(1)
         q = (Fraction(n - 2, n) + delta) / 2
-        dg = iteration.degiorgi_constants(n, delta, q, cfg.c_ms, cfg.radius, dps=cfg.float_precision_digits)
-        cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1, dps=cfg.float_precision_digits)
+        dg = iteration.degiorgi_constants(n, delta, q, cfg.c_ms, cfg.radius, dps=dps)
+        eps1 = iteration.epsilon1_threshold(n, delta, q, cfg.c_ms, dps=dps)
+        cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1, dps=dps)
         grid.append(
             {
                 "n": n,
                 "delta": rational_to_str(delta),
                 "q": rational_to_str(q),
-                "epsilon1": dg.epsilon1.to_jsonable(),
+                "epsilon1": ApproxValue.from_mpf(eps1, internal_dps=dps).to_jsonable(),
                 "C": str(dg.C),
                 "C0": dg.C0.to_jsonable(),
                 "caccioppoli_C1": rational_to_str(cacc.c1),
@@ -216,7 +219,7 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     for note in result.notes:
         print(f"  {note}")
     if not result.certified:
-        print("search ended without a certified result (budget or infeasibility)")
+        print("search ended without a certified result (no row passed exact recertification)")
         return EXIT_UNCERTIFIED
     return EXIT_PASS
 
@@ -321,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--n", type=int, required=True)
     p_opt.add_argument("--objective", choices=("delta0", "epsilon"), default="delta0")
     p_opt.add_argument("--delta0", help="fixed delta0 (p/q) for the epsilon objective")
-    p_opt.add_argument("--budget", type=int)
     p_opt.add_argument("--denominator-bound", type=int, dest="denominator_bound")
     with_config(p_opt)
     p_opt.set_defaults(func=cmd_optimize)

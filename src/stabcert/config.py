@@ -35,7 +35,6 @@ class RunConfig:
     quadform_samples: int = 1_000
     barrier_samples: int = 1_000
     seed: int = 0
-    budget: int = 100_000
     denominator_bound: int = 10**6
     out_dir: Path = field(default_factory=lambda: Path("."))
 
@@ -51,8 +50,6 @@ class RunConfig:
         for name in ("curvature_samples", "quadform_samples", "barrier_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
         if self.denominator_bound < 2:
             raise ConfigError("denominator_bound must be >= 2")
 

@@ -155,11 +155,11 @@ class Pow2:
 class DeGiorgiConstants:
     C: Pow2
     C0: ApproxValue
-    epsilon1: ApproxValue
 
 
-def _iteration_terms(n: int, delta: Fraction, q: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """(pref1, pref2, e): the two C0 prefactors and the exponent of C = 2^e.
+def _iteration_terms(n: int, delta: Fraction, q: Fraction, C_MS: float) -> tuple[Fraction, Fraction, Fraction]:
+    """(pref1, pref2, e): the two C0 prefactors and the exponent of C = 2^e,
+    after checking n, q and the C_MS that scales both C0 and epsilon1.
 
     pref1 = (2q/(q - (n-2)/n) + 1) * 2^7, pref2 = q^3 / ((delta - q)(q - (n-2)/n)),
     e = max{(3n+2)/(n-2), 2n/(n-2) - 2/q + 1}.
@@ -168,6 +168,8 @@ def _iteration_terms(n: int, delta: Fraction, q: Fraction) -> tuple[Fraction, Fr
         raise ValueError(f"dimension n = {n} must be >= 3")
     if not Fraction(n - 2, n) < q < delta:
         raise ValueError(f"q = {q} must lie in ((n-2)/n, delta) = ({Fraction(n - 2, n)}, {delta})")
+    if not 0 < C_MS < math.inf:
+        raise ValueError("C_MS must be positive and finite")
     gap = q - Fraction(n - 2, n)
     exponent = max(Fraction(3 * n + 2, n - 2), Fraction(2 * n, n - 2) - 2 / q + 1)
     return (2 * q / gap + 1) * 2**7, q**3 / ((delta - q) * gap), exponent
@@ -180,11 +182,9 @@ def degiorgi_constants(n: int, delta: Rat, q: Rat, C_MS: float, R: float, dps: i
     C0 = C_MS * { pref1 * R^(-(2n-4)/n) + pref2 * 2^(2/q) * R^(-(2(n-2)/(nq) - 4/n)) }.
     """
     delta, q = Fraction(delta), Fraction(q)
-    pref1, pref2, c_exponent = _iteration_terms(n, delta, q)
+    pref1, pref2, c_exponent = _iteration_terms(n, delta, q, C_MS)
     if not 1 < R < math.inf:
         raise ValueError("R must exceed 1 and be finite")
-    if not 0 < C_MS < math.inf:
-        raise ValueError("C_MS must be positive and finite")
     C = Pow2(c_exponent)
     rexp1 = Fraction(2 * n - 4, n)
     rexp2 = Fraction(2 * (n - 2), 1) / (n * q) - Fraction(4, n)
@@ -198,9 +198,7 @@ def degiorgi_constants(n: int, delta: Rat, q: Rat, C_MS: float, R: float, dps: i
             -mpmath.mpf(rexp2.numerator) / rexp2.denominator
         )
         c0 = mpmath.mpf(C_MS) * (term1 + term2)
-        c0_approx = ApproxValue.from_mpf(c0, internal_dps=dps)
-    eps1 = epsilon1_threshold(n, delta, q, C_MS, dps=dps)
-    return DeGiorgiConstants(C=C, C0=c0_approx, epsilon1=ApproxValue.from_mpf(eps1, internal_dps=dps))
+        return DeGiorgiConstants(C=C, C0=ApproxValue.from_mpf(c0, internal_dps=dps))
 
 
 def epsilon1_threshold(
@@ -213,9 +211,7 @@ def epsilon1_threshold(
     1/2) times the critical value, keeping the required strict inequality.
     """
     delta, q = Fraction(delta), Fraction(q)
-    pref1, pref2, c_exponent = _iteration_terms(n, delta, q)
-    if not 0 < C_MS < math.inf:
-        raise ValueError("C_MS must be positive and finite")
+    pref1, pref2, c_exponent = _iteration_terms(n, delta, q, C_MS)
     c_exp = c_exponent * Fraction(n * n, 2)
     with mpmath.workdps(dps):
         bracket = (

@@ -18,36 +18,30 @@ F(1), epsilon, the spectral coefficient, mcc, L_max and gamma0 are computed.
 ``exact_chain`` evaluates it on Fractions and returns the margins with those
 intermediates, which ``stabcert.certify`` records and feeds to the sampled
 checks; ``feasibility`` keeps the margins only, and ``float_margins``
-evaluates the chain in double precision.  Searching runs
-in two phases: the float margins drive multistart coordinate descent inside a
-box, then ``_recertified`` rounds each candidate to rationals by continued
-fractions (denominator-bounded) and recertifies it with exact arithmetic.
-Floating error is harmless: unsound candidates simply fail exact
-recertification.  The
-search reads its budget, denominator bound and seed from the run's
-``RunConfig``; a fixed seed and budget make results deterministic.
+evaluates the chain in double precision.
+
+Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
+runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
+its band between the spectral curve and the Ricci bound.  Searching runs in
+two phases: ``_best_cells`` scores a coarse grid of cells by the float
+margins and zooms a small grid onto the best cell so far, with no seed and no
+randomness; then each objective rounds the best cell's q and r by continued
+fractions (``cfg.denominator_bound``) and decides by exact arithmetic alone:
+``minimize_delta0`` bisects delta0 exactly, ``maximize_epsilon`` recertifies
+once.  Floating error is harmless: unsound candidates simply fail exact
+recertification.  Every row a search returns has beta = 1, so its epsilon is
+epsilon/beta.
 
 A margin that an upstream failure leaves undefined is the last entry of
 ``_coefficients(n, num)``: None on Fractions, so that ``feasibility`` can say
-why, and -1e18 on floats, so that the search reads it as badly infeasible.
-
-At each delta0 level ``_descents`` runs one descent from each start, in start
-order, and the descents share a memo from point to objective value, so a point
-that several starts reach, or a step back to the previous point, is scored
-once.  The budget counts every point queried, memoized or not, so a
-search spends it exactly as it would without the memo.  A trial that the budget
-refuses is neither scored nor counted, so ``evaluations_used`` never exceeds
-the budget.
+why, and -1e18 on floats, which the search counts as an undefined margin.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from operator import truediv
 from typing import NamedTuple
 
 from . import published
@@ -59,8 +53,6 @@ from .report import ConstraintReport
 Rat = Fraction
 
 _BIG_NEGATIVE = -1e18
-_DESCENT_ROUNDS = 6  # coordinate-descent sweeps per start
-_BISECTION_STEPS = 10  # outer delta0 bisection steps
 
 _MARGIN_NAMES = (
     "b_positive", "alpha_positive", "beta_positive", "hessian_fxx", "hessian_fyy", "discriminant",
@@ -229,151 +221,115 @@ class SearchResult:
 
 # A row that exact recertification accepted, with the report that accepted it.
 Accepted = tuple[ParamSet, ConstraintReport]
-Point = tuple[float, float, float]  # (b, alpha, beta)
+Cell = tuple[tuple, float, float]  # (key, q, r) at beta = 1; see _best_cells for the key
+
+_COARSE = 32  # cells a side of the first (q, s) grid
+_ZOOM = 6  # cells a side of each zoomed grid
+_ZOOMS = 10
+_FLOAT_BISECTIONS = 30  # float delta0 bisection steps for a cell feasible at the best d so far
+_EXACT_BISECTIONS = 20  # exact delta0 bisection steps: (0, 1] down to a width of 2^-20
+# A float margin at or below this counts as failed.  Double rounding leaves a
+# margin that is exactly 0 (at the vertex (q, r) = (3, 1) at n = 3, say) near
+# 1e-16, and a cell that noise alone kept feasible would hold the search there.
+_NOISE = 1e-12
 
 
-@cache
-def default_box(n: int) -> tuple[tuple[float, float], ...]:
-    """Search bounds for (b, alpha, beta); rows 3..5 bracket the built-in values,
-    n = 6 extrapolates the row trend geometrically (heuristic)."""
-    if n in published.PARAM_ROWS:
-        row = published.PARAM_ROWS[n]
-        return tuple((float(row[key]) / 4, float(row[key]) * 4) for key in ("b", "alpha", "beta"))
-    if n == 6:
-        # rows shrink roughly geometrically in n; centre on the extrapolation
-        return tuple((val / 8, val * 8) for val in (0.47, 0.72, 0.52))
-    raise ValueError(f"no default search box for n = {n}")
+def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
+    """The search driver of both objectives: the best (q, r) cells at beta = 1 by the float margins.
 
+    Verdicts do not change when a row is scaled, so beta = 1 loses nothing.  A
+    cell is a point q in (0, 4), s in (0, 1) that puts r at the fraction s of
+    its band, from the spectral curve (0 at n = 3) to the Ricci bound; q where
+    the curve lies above the bound (q >= 8/3, 2 and 8/5 at n = 4, 5 and 6) is
+    skipped.  The driver scores the centres of a _COARSE^2 grid over the whole
+    square, then, _ZOOMS times, of a _ZOOM^2 grid over the box of the best cell
+    so far and its neighbours.
 
-def _round_params(n: int, delta0: Fraction, b: float, alpha: float, beta: float, bound: int) -> ParamSet | None:
-    """Continued-fraction rounding with a denominator bound, then exact a = delta0*b."""
-    b_r, alpha_r, beta_r = (Fraction(x).limit_denominator(bound) for x in (b, alpha, beta))
-    if b_r <= 0 or alpha_r <= 0 or beta_r <= 0:  # at bound 2, n = 6's lower bound for b rounds to 0
-        return None
-    return ParamSet(n=n, a=delta0 * b_r, b=b_r, alpha=alpha_r, beta=beta_r)
-
-
-@cache
-def _scales(n: int) -> tuple[float, ...]:
-    """Per-constraint normalization from the built-in row margins (n = 6 uses n = 5)."""
-    ref_n = n if n in published.PARAM_ROWS else 5
-    row = ParamSet.published_row(ref_n)
-    margins = float_margins(ref_n, float(row.delta0), float(row.b), float(row.alpha), float(row.beta))
-    by_name = dict(zip(margin_names(ref_n), margins))
-    return tuple(max(abs(by_name.get(name, 1.0)), 1e-9) for name in margin_names(n))
-
-
-def _objective_margin(n: int, delta0: float, vec: Point, scales: tuple[float, ...]) -> float:
-    return min(map(truediv, float_margins(n, delta0, *vec), scales))
-
-
-def _objective_epsilon(n: int, delta0: float, vec: Point, scales: tuple[float, ...]) -> float:
-    margins = float_margins(n, delta0, *vec)
-    worst = min(map(truediv, margins, scales))
-    if worst <= 0:
-        return worst  # infeasible: chase feasibility first
-    return margins[_EPSILON]
-
-
-def _coordinate_descent(
-    n: int, delta0: float, start: Point, objective, memo: dict[Point, float], used: int, limit: int
-) -> tuple[Point, float, int]:
-    """Pattern-search descent maximizing ``objective`` over (b, alpha, beta) in ``default_box(n)``.
-
-    Returns the final point, its value and the evaluations used so far.
-    ``memo`` maps each point already scored at this delta0 with this objective
-    to its value; a point found there is not scored again.  Every point
-    queried counts one evaluation, whether the memo answers it or not; a trial
-    that would take ``used`` past ``limit`` ends the descent unqueried.
+    A feasible cell's key is (1, value): with ``fixed`` the value is epsilon at
+    delta0 = fixed (epsilon/beta), without it -d, d the smallest delta0 at which
+    the cell is feasible, found by float bisection below the best d so far (a
+    cell that fails at that d is not bisected).  An infeasible cell's key is
+    (0, -undefined margins, worst defined margin): every feasible cell outranks
+    it, and where every cell leaves a margin undefined (n = 6) fewer undefined
+    margins rank first.  Returns the best cell after each grid, finest first
+    and without repeats, and the number of float evaluations.
     """
-    scales = _scales(n)
-    bounds = [(lo, hi, (hi - lo) / 8, (hi - lo) * 1e-5) for lo, hi in default_box(n)]
-    point = start
-    best = memo.get(point)
-    if best is None:
-        best = memo[point] = objective(n, delta0, point, scales)
-    used += 1
-    for _ in range(_DESCENT_ROUNDS):
-        improved = False
-        for idx, (lo, hi, step, tol) in enumerate(bounds):
-            while step > tol:
-                x = point[idx]
-                moved = False
-                for coord in (x + step, x - step):
-                    coord = hi if coord >= hi else coord if coord > lo else lo  # min/max builtins: ~7% slower
-                    if coord == x:
-                        continue
-                    if used >= limit:
-                        return point, best, used
-                    used += 1
-                    if idx == 0:  # slicing and unpacking the point: ~5% slower
-                        trial = (coord, point[1], point[2])
-                    elif idx == 1:
-                        trial = (point[0], coord, point[2])
-                    else:
-                        trial = (point[0], point[1], coord)
-                    val = memo.get(trial)
-                    if val is None:
-                        val = memo[trial] = objective(n, delta0, trial, scales)
-                    if val > best:
-                        best, point = val, trial
-                        moved = improved = True
-                        break
-                if not moved:
-                    step /= 2
-        if not improved:
-            break
-    return point, best, used
+    used = 0
+    d = 1.0 if fixed is None else fixed  # the delta0 cells are scored at: the best d so far
+
+    def score(q: float, r: float) -> tuple:
+        nonlocal used, d
+        used += 1
+        margins = float_margins(n, d, q, r, 1.0)
+        worst = min(margins)
+        if worst <= _NOISE:
+            undefined = margins.count(_BIG_NEGATIVE)
+            return 0, -undefined, min(m for m in margins if m != _BIG_NEGATIVE) if undefined else worst
+        if fixed is not None:
+            return 1, margins[_EPSILON]
+        lo = 0.0
+        for _ in range(_FLOAT_BISECTIONS):
+            mid = (lo + d) / 2
+            if min(float_margins(n, mid, q, r, 1.0)) > _NOISE:
+                d = mid
+            else:
+                lo = mid
+        used += _FLOAT_BISECTIONS
+        return 1, -d
+
+    best = None  # (key, q, r, s)
+    levels = []
+    ricci = (n - 1) / (n - 2)
+    q_lo, q_hi, s_lo, s_hi, cells = 0.0, 4.0, 0.0, 1.0, _COARSE
+    for _ in range(_ZOOMS + 1):
+        dq, ds = (q_hi - q_lo) / cells, (s_hi - s_lo) / cells
+        for i in range(cells):
+            q = q_lo + (i + 0.5) * dq
+            spectral = 4 * (n - 3) / ((n - 2) * (4 - q))
+            if spectral >= ricci:
+                continue
+            for j in range(cells):
+                s = s_lo + (j + 0.5) * ds
+                key = score(q, r := spectral + s * (ricci - spectral))
+                if best is None or key > best[0]:
+                    best = key, q, r, s
+        levels.append(best[:3])
+        _, q, _, s = best
+        q_lo, q_hi, s_lo, s_hi = max(q - dq, 0.0), min(q + dq, 4.0), max(s - ds, 0.0), min(s + ds, 1.0)
+        cells = _ZOOM
+    return list(dict.fromkeys(reversed(levels))), used
 
 
-def _starts(n: int, seed: int) -> list[Point]:
-    """The built-in row (if any), the box's geometric centre, then one
-    log-uniform point for each of the seeds seed .. seed + 3."""
-    starts: list[Point] = []
-    if n in published.PARAM_ROWS:
-        row = published.PARAM_ROWS[n]
-        starts.append((float(row["b"]), float(row["alpha"]), float(row["beta"])))
-    bounds = default_box(n)
-    starts.append(tuple(math.sqrt(lo * hi) for lo, hi in bounds))
-    for rng in map(random.Random, range(seed, seed + 4)):
-        starts.append(tuple(math.exp(rng.uniform(math.log(lo), math.log(hi))) for lo, hi in bounds))
-    return starts
+def _accepted(params: ParamSet) -> Accepted | None:
+    """The row with its exact report, if every exact margin holds: the one place
+    a search accepts a row, so no float verdict reaches a result unchecked."""
+    report = feasibility(params)
+    return (params, report) if report.all_satisfied else None
 
 
-def _descents(n: int, delta0: Fraction, objective, cfg: RunConfig, used: int) -> tuple[list[tuple[float, Point]], int]:
-    """One descent from each start, in start order, sharing one memo at this delta0.
+def _first_certified(cells: list[Cell], cfg: RunConfig, certify) -> Accepted | None:
+    """``certify(b, alpha)`` of the first feasible cell whose q and r, rounded by
+    continued fractions under the denominator bound, it accepts.
 
-    Returns each descent's ``(value, final point)`` and the evaluations used so
-    far; a start reached with the budget spent is not descended from.
+    A coarser cell is tried only when rounding has moved a finer one out of
+    the feasible set: a q within about 1/bound of 3 rounds to 3 itself, the
+    vertex where gamma0 is 0 at n = 3.
     """
-    results = []
-    memo: dict[Point, float] = {}
-    for start in _starts(n, cfg.seed):
-        if used >= cfg.budget:
-            break
-        point, value, used = _coordinate_descent(n, float(delta0), start, objective, memo, used, cfg.budget)
-        results.append((value, point))
-    return results, used
-
-
-def _recertified(n: int, delta0: Fraction, point: Point, cfg: RunConfig) -> Accepted | None:
-    """The float point rounded to a rational row, accepted only if every exact margin holds.
-
-    The one place a search turns a float point into a row, so nothing the
-    float mirror says reaches a result without exact ``feasibility``.
-    """
-    candidate = _round_params(n, delta0, *point, bound=cfg.denominator_bound)
-    if candidate is None:
-        return None
-    report = feasibility(candidate)
-    return (candidate, report) if report.all_satisfied else None
+    for key, q, r in cells:
+        if not key[0]:
+            continue
+        b, alpha = (Fraction(x).limit_denominator(cfg.denominator_bound) for x in (q, r))
+        if b > 0 and alpha > 0 and (accepted := certify(b, alpha)) is not None:
+            return accepted
+    return None
 
 
 def _builtin_row(n: int) -> Accepted | None:
-    """The built-in row with its exact report, if it certifies."""
+    """The built-in row divided exactly by its beta, with its exact report, if n has one."""
+    if n not in published.PARAM_ROWS:
+        return None
     row = ParamSet.published_row(n)
-    report = feasibility(row)
-    return (row, report) if report.all_satisfied else None
+    return _accepted(ParamSet(n, row.a / row.beta, row.b / row.beta, row.alpha / row.beta, Fraction(1)))
 
 
 def _epsilon(accepted: Accepted) -> Fraction:
@@ -382,10 +338,15 @@ def _epsilon(accepted: Accepted) -> Fraction:
 
 def _result(
     n: int, objective: str, delta0: Fraction | None, accepted: Accepted | None, improvement: Fraction | None,
-    used: int, notes: list[str], profile: dict[str, float] | None = None,
+    used: int, notes: list[str], cell: Cell, scored_at: float,
 ) -> SearchResult:
-    """The search's result, carrying the report that accepted its row."""
+    """The search's result, carrying the report that accepted its row, or, when
+    nothing certified, the float margins of ``cell`` at delta0 = ``scored_at``."""
     params, report = accepted or (None, None)
+    _, q, r = cell
+    profile = None
+    if accepted is None:
+        profile = dict(zip(margin_names(n), float_margins(n, scored_at, q, r, 1.0)), _delta0=scored_at)
     return SearchResult(
         n=n,
         objective=objective,
@@ -401,105 +362,65 @@ def _result(
     )
 
 
-def _search_at_delta0(
-    n: int, delta0: Fraction, cfg: RunConfig, used: int
-) -> tuple[Accepted | None, tuple[float, Point] | None, int]:
-    """Multistart inner search at a fixed rational delta0.
-
-    Returns the first exactly recertified candidate (best float score
-    first), the best ``(score, point)`` seen, and the evaluations used so far.
-    """
-    results, used = _descents(n, delta0, _objective_margin, cfg, used)
-    results.sort(key=lambda t: -t[0])
-    best = results[0] if results else None
-    for score, point in results:
-        if score > 0:
-            accepted = _recertified(n, delta0, point, cfg)
-            if accepted is not None:
-                return accepted, best, used
-    return None, best, used
+def _lowest_delta0(n: int, b: Fraction, alpha: Fraction) -> Accepted | None:
+    """The row (delta0 * b, b, alpha, 1) at the smallest delta0 that exact
+    bisection of (0, 1] finds feasible, if any."""
+    lo, hi, found = Fraction(0), Fraction(1), None
+    for _ in range(_EXACT_BISECTIONS):
+        mid = (lo + hi) / 2
+        accepted = _accepted(ParamSet(n, mid * b, b, alpha, Fraction(1)))
+        if accepted is None:
+            lo = mid
+        else:
+            hi, found = mid, accepted
+    return found
 
 
 def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
-    """Smallest certified delta0 via outer bisection and exact recertification.
+    """Smallest certified delta0: the best cell's rounded row, bisected exactly in delta0.
 
-    For n with a built-in row the row is certified first (witness), so the
-    result never does worse than it; for other n the search scans a coarse
-    descending grid of delta0 candidates in (0, 1] and reports the best
-    infeasibility margin profile if nothing certifies.  Reads ``cfg.budget``,
-    ``cfg.denominator_bound`` and ``cfg.seed``.
+    For n with a built-in row the row (at beta = 1) is the witness, so the
+    result never does worse than it; with nothing certified the result reports
+    the best cell's margin profile at delta0 = 1.  Reads ``cfg.denominator_bound``.
     """
-    used = 0
     notes: list[str] = []
-    lo, hi = Fraction(0), Fraction(1)
-    if n in published.PARAM_ROWS:
-        best = _builtin_row(n)
-        if best is not None:
-            hi = best[0].delta0
-            notes.append(f"built-in row certified at delta0 = {rational_to_str(hi)}")
-        else:  # pragma: no cover - the built-in rows always certify
-            notes.append("built-in row failed exact certification")
-    else:
-        profile: dict[str, float] | None = None
-        for delta0 in (Fraction(1), Fraction(99, 100), Fraction(49, 50), Fraction(9, 10)):
-            best, seen, used = _search_at_delta0(n, delta0, cfg, used)
-            if best is not None:
-                hi = delta0
-                notes.append(f"feasible row certified at delta0 = {rational_to_str(delta0)} (finding)")
-                break
-            if seen is not None and (profile is None or seen[0] > profile["_score"]):
-                score, point = seen
-                profile = dict(zip(margin_names(n), float_margins(n, float(delta0), *point)))
-                profile["_score"] = score
-                profile["_delta0"] = float(delta0)
-            if used >= cfg.budget:
-                break
-        if best is None:
-            notes.append("no certified row found; margin profile reported")
-            return _result(n, "minimize_delta0", None, None, None, used, notes, profile)
-
-    for _ in range(_BISECTION_STEPS):
-        if used >= cfg.budget or hi - lo <= Fraction(1, 1 << 12):
-            break
-        mid = ((lo + hi) / 2).limit_denominator(4096)
-        if not lo < mid < hi:
-            break
-        accepted, _, used = _search_at_delta0(n, mid, cfg, used)
-        if accepted is not None:
-            best, hi = accepted, mid
-            notes.append(f"improved certified delta0 = {rational_to_str(mid)}")
-        else:
-            lo = mid
-
-    improvement = published.DELTA0[n] - hi if best is not None and n in published.DELTA0 else None
-    return _result(n, "minimize_delta0", hi if best is not None else None, best, improvement, used, notes)
+    best = _builtin_row(n)
+    if best is not None:
+        notes.append(f"built-in row certified at delta0 = {rational_to_str(best[0].delta0)}")
+    cells, used = _best_cells(n, None)
+    found = _first_certified(cells, cfg, lambda b, alpha: _lowest_delta0(n, b, alpha))
+    if found is not None and (best is None or found[0].delta0 < best[0].delta0):
+        best = found
+        notes.append(f"certified delta0 = {rational_to_str(best[0].delta0)}")
+    if best is None:
+        notes.append("no certified row found; margin profile reported")
+    delta0 = best[0].delta0 if best else None
+    improvement = published.DELTA0[n] - delta0 if best and n in published.DELTA0 else None
+    return _result(n, "minimize_delta0", delta0, best, improvement, used, notes, cells[0], 1.0)
 
 
 def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
-    """Largest exactly-certified epsilon at a fixed delta0.
+    """Largest exactly certified epsilon/beta at a fixed delta0: the best cell's
+    rounded row, recertified once.
 
-    When delta0_fixed equals a built-in row's threshold the row itself seeds
-    the search, so the result is never below the published epsilon.  Reads
-    the same settings as ``minimize_delta0``.
+    When delta0_fixed equals a built-in row's threshold the row (at beta = 1) is
+    the witness, so the result is never below the published epsilon/beta, and
+    ``improvement_vs_published`` is the gain over it.  Reads ``cfg.denominator_bound``.
     """
     delta0 = Fraction(delta0_fixed)
     notes: list[str] = []
-    builtin = n in published.PARAM_ROWS and published.DELTA0[n] == delta0
-    best = _builtin_row(n) if builtin else None
-    if best is not None:
-        notes.append(f"built-in row certified with epsilon = {rational_to_str(_epsilon(best))}")
-
-    results, used = _descents(n, delta0, _objective_epsilon, cfg, 0)
-    for _, point in results:
-        accepted = _recertified(n, delta0, point, cfg)
-        if accepted is not None and (best is None or _epsilon(accepted) > _epsilon(best)):
-            best = accepted
-            notes.append(f"improved epsilon = {rational_to_str(_epsilon(best))}")
-
+    witness = best = _builtin_row(n) if published.DELTA0.get(n) == delta0 else None
+    if witness is not None:
+        notes.append(f"built-in row certified with epsilon = {rational_to_str(_epsilon(witness))}")
+    cells, used = _best_cells(n, float(delta0))
+    found = _first_certified(cells, cfg, lambda b, alpha: _accepted(ParamSet(n, delta0 * b, b, alpha, Fraction(1))))
+    if found is not None and (best is None or _epsilon(found) > _epsilon(best)):
+        best = found
+        notes.append(f"improved epsilon = {rational_to_str(_epsilon(best))}")
     if best is None:
         notes.append("no certified row found at this delta0")
-    improvement = _epsilon(best) - published.EPSILON[n] if best is not None and builtin else None
-    return _result(n, "maximize_epsilon", delta0, best, improvement, used, notes)
+    improvement = _epsilon(best) - _epsilon(witness) if witness is not None else None
+    return _result(n, "maximize_epsilon", delta0, best, improvement, used, notes, cells[0], float(delta0))
 
 
 def reverify(params_strings: dict[str, str]) -> tuple[ParamSet, ConstraintReport]:

@@ -85,7 +85,7 @@ def test_verify_leads_with_the_search_certificate_checks(tmp_path, n):
 
 
 def test_search_result_certifies_without_published_targets():
-    result = minimize_delta0(3, RunConfig(budget=3000, seed=2))
+    result = minimize_delta0(3, RunConfig(seed=2))
     assert result.certified and result.best_params != ParamSet.published_row(3)
     cert = certify(result.best_params, CFG)
     assert cert.overall_status == "passed"

@@ -58,7 +58,7 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
         assert "cannot read config file" in one_line_error(capsys)
 
 
-@pytest.mark.parametrize("argv", [["verify", "--n", "3"], ["verify-all"], ["optimize", "--n", "3", "--budget", "50"]])
+@pytest.mark.parametrize("argv", [["verify", "--n", "3"], ["verify-all"], ["optimize", "--n", "3"]])
 def test_unwritable_output_is_usage_error(tmp_path, fast_config, capsys, argv):
     blocker = tmp_path / "afile"
     blocker.write_text("", encoding="utf-8")
@@ -179,7 +179,7 @@ def test_verify_all_without_caccioppoli_constant_is_usage_error(tmp_path, fast_c
 def test_optimize_delta0(tmp_path):
     out = tmp_path / "search.json"
     code = run(
-        ["optimize", "--n", "3", "--objective", "delta0", "--budget", "3000", "--out", str(out)]
+        ["optimize", "--n", "3", "--objective", "delta0", "--out", str(out)]
     )
     assert code == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -243,11 +243,35 @@ def test_optimize_delta0_flag_needs_epsilon_objective(tmp_path, capsys):
 
 def test_optimize_open_dimension_exits_4(tmp_path):
     out = tmp_path / "search6.json"
-    code = run(["optimize", "--n", "6", "--budget", "1500", "--out", str(out)])
+    code = run(["optimize", "--n", "6", "--out", str(out)])
     assert code == 4
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert not payload["certified"]
     assert payload["margin_profile"]
+    assert run(["optimize", "--n", "6", "--objective", "epsilon", "--delta0", "1", "--out", str(out)]) == 4
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["search6.json", "search_log.jsonl"]
+
+
+def test_optimize_seed_is_recorded_but_inert(tmp_path):
+    results, certs = [], []
+    for seed in ("0", "5"):
+        out = tmp_path / seed / "search.json"
+        out.parent.mkdir()
+        assert run(["optimize", "--n", "4", "--seed", seed, "--out", str(out)]) == 0
+        results.append(out.read_bytes())
+        certs.append(json.loads(out.with_name("search_certificate.json").read_text(encoding="utf-8")))
+    assert results[0] == results[1]
+    assert [cert["environment"].pop("seed") for cert in certs] == [0, 5]
+    assert certs[0] == certs[1]
+
+
+def test_removed_budget_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget = 10\n", encoding="utf-8")
+    out = tmp_path / "search.json"
+    assert run(["optimize", "--n", "3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "unknown key 'budget'" in one_line_error(capsys)
 
 
 def test_recursion_sim_exit_codes():
@@ -380,7 +404,7 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, fast_config, capsys, argv
 
 @pytest.mark.parametrize(
     "key, value",
-    # linearity_samples is not a key: a file that sets it is refused as unknown
+    # linearity_samples and budget are not keys: a file that sets one is refused as unknown
     [("curvature_samples", 0), ("quadform_samples", 0), ("barrier_samples", 0), ("linearity_samples", -5),
      ("budget", 0), ("denominator_bound", 1)],
 )
@@ -395,11 +419,11 @@ def test_sample_counts_below_one_are_usage_errors(tmp_path, fast_config, capsys,
 
 def test_verify_all_refuses_search_settings_out_of_range(tmp_path, fast_config, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(fast_config.read_text(encoding="utf-8") + "budget = 0\ndenominator_bound = 0\n", encoding="utf-8")
+    cfg.write_text(fast_config.read_text(encoding="utf-8") + "denominator_bound = 0\n", encoding="utf-8")
     out = tmp_path / "all.json"
     assert run(["verify-all", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
-    assert "budget must be >= 1" in one_line_error(capsys)
+    assert "denominator_bound must be >= 2" in one_line_error(capsys)
 
 
 def test_recursion_sim_rejects_dimension_two(capsys):
@@ -420,6 +444,8 @@ def test_usage_error_exit():
         (["verify", "--n", "3", "--budget", "5"], "unrecognized arguments: --budget 5"),
         (["optimize", "--n", "3", "--cms", "2"], "unrecognized arguments: --cms 2"),
         (["verify"], "required: --n"),
+        # the search has no budget
+        (["optimize", "--n", "3", "--budget", "5"], "unrecognized arguments: --budget 5"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):

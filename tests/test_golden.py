@@ -34,24 +34,22 @@ def test_verify_all_certificate_bytes(tmp_path):
         (3, 0, ("search_n3_seed5.json", "search_n3_seed5_certificate.json")),
         (5, 0, ("search_n5_seed5.json", "search_n5_seed5_certificate.json")),
         (3, 0, ("search_n3_epsilon_seed5.json", "search_n3_epsilon_seed5_certificate.json")),
-        # searches that run out of budget mid-descent
-        (3, 0, ("search_n3_seed5_budget2500.json", "search_n3_seed5_budget2500_certificate.json")),
-        (6, 4, ("search_n6_seed5_budget2501.json",)),
-        (4, 0, ("search_n4_epsilon_seed5_budget700.json", "search_n4_epsilon_seed5_budget700_certificate.json")),
-        # epsilon at a delta0 no row certifies: every start descends and fails recertification
+        # epsilon at a delta0 without a built-in witness
+        (3, 0, ("search_n3_epsilon_delta0_0.25_seed5.json", "search_n3_epsilon_delta0_0.25_seed5_certificate.json")),
+        (6, 4, ("search_n6_epsilon_delta0_0.5_seed5.json",)),
+        (4, 0, ("search_n4_epsilon_seed5.json", "search_n4_epsilon_seed5_certificate.json")),
+        # epsilon at a delta0 no row certifies: the margin profile of the best cell
         (6, 4, ("search_n6_epsilon_delta0_1_seed5.json",)),
     ],
 )
 def test_optimize_output_bytes(tmp_path, n, code, files):
-    # the result file's name carries the objective, any fixed delta0 and any budget:
-    # search_n{n}[_epsilon][_delta0_{D}]_seed5[_budget{B}].json
+    # the result file's name carries the objective and any fixed delta0:
+    # search_n{n}[_epsilon][_delta0_{D}]_seed5.json
     out = tmp_path / files[0]
     objective = "epsilon" if "_epsilon_" in out.name else "delta0"
     argv = ["optimize", "--n", str(n), "--objective", objective, "--seed", "5", "--out", str(out)]
     if "_delta0_" in out.stem:
         argv += ["--delta0", out.stem.split("_delta0_")[1].split("_")[0]]
-    if "_budget" in out.stem:
-        argv += ["--budget", out.stem.rsplit("_budget", 1)[1]]
     assert main(argv) == code
     written = {p.name for p in tmp_path.glob("*.json")}
     assert written == set(files)

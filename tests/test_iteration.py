@@ -118,7 +118,7 @@ class TestDeGiorgi:
     def test_exponent_example(self):
         res = degiorgi_constants(3, F(1), F(1, 2), 1.0, 100.0)
         assert res.C.exponent == 11  # max{11, 6 - 4 + 1 = 3}
-        assert _iteration_terms(3, F(1), F(1, 2)) == (896, F(3, 2), 11)
+        assert _iteration_terms(3, F(1), F(1, 2), 1.0) == (896, F(3, 2), 11)
         # q = (n-2)/2 exactly, so the second R exponent 2(n-2)/(nq) - 4/n is 0
         # C0 = C_MS (896 R^(-2/3) + 3/2 * 2^4)
         expected = 896 * 100.0 ** (-2 / 3) + 24

@@ -10,7 +10,6 @@ from stabcert import optimize, published
 from stabcert.config import ConfigError, RunConfig
 from stabcert.curvature import ParamSet
 from stabcert.optimize import (
-    default_box,
     exact_chain,
     feasibility,
     float_margins,
@@ -182,11 +181,26 @@ class TestFloatMirror:
         assert min(values) < 0
 
 
+def _box(n):
+    """(b, alpha, beta) bounds around each built-in row, from a quarter to four
+    times its values; n = 6 extrapolates the rows' trend."""
+    if n in published.PARAM_ROWS:
+        row = published.PARAM_ROWS[n]
+        return tuple((float(row[key]) / 4, float(row[key]) * 4) for key in ("b", "alpha", "beta"))
+    return tuple((val / 8, val * 8) for val in (0.47, 0.72, 0.52))
+
+
+def _rounded(n, delta0, b, alpha, beta, bound):
+    """b, alpha and beta rounded by continued fractions under ``bound``, with a = delta0 * b exactly."""
+    b, alpha, beta = (F(x).limit_denominator(bound) for x in (b, alpha, beta))
+    return ParamSet(n=n, a=delta0 * b, b=b, alpha=alpha, beta=beta)
+
+
 def _chain_points(n, count=2000):
-    """Seeded (delta0, b, alpha, beta) in ``default_box(n)`` with delta0 in (0, 1]; every
+    """Seeded (delta0, b, alpha, beta) in ``_box(n)`` with delta0 in (0, 1]; every
     eighth point has b = 2 beta, so q = 2 exactly."""
     rng = random.Random(1000 + n)
-    box = default_box(n)
+    box = _box(n)
     for i in range(count):
         delta0 = 1 - rng.random()
         b, alpha, beta = (rng.uniform(lo, hi) for lo, hi in box)
@@ -201,7 +215,7 @@ def _chain_line(margins, values) -> bytes:
 
 def test_chain_bits_pinned():
     # Every float margin and intermediate to the last bit, and the exact chain of
-    # the same points rounded as a search rounds them, over n = 3..6.  The draw
+    # the same points rounded to rationals, over n = 3..6.  The draw
     # reaches non-convex points, q >= 4 and, at n = 3, gamma0 = 1/q at q = 2.  The
     # digests were recorded while the chain still multiplied by int literals.
     floats, exact = hashlib.sha256(), hashlib.sha256()
@@ -215,31 +229,30 @@ def test_chain_bits_pinned():
             seen["non-convex"] += values is None
             seen["q >= 4"] += values is not None and b / beta >= 4
             seen["q = 2 reaches gamma0"] += values is not None and b / beta == 2 and margins[-1] > 0
-            p = optimize._round_params(n, F(delta0).limit_denominator(4096), b, alpha, beta, bound)
+            p = _rounded(n, F(delta0).limit_denominator(4096), b, alpha, beta, bound)
             exact.update(_chain_line(*optimize._chain(p.a, p.b, p.alpha, p.beta, k_exact)))
     assert min(seen.values()) > 100, seen
     assert floats.hexdigest() == "77f6da9bc3abced408270bb9b2d619854920989ce6989f3529616c391b68dfc9"
     assert exact.hexdigest() == "ab482904e70b8921a31f6eb183ff74eaaf075d141a84ad91339ff34723bf3597"
 
 
+def identity(b, alpha):
+    return b, alpha
+
+
 class TestMinimizeDelta0:
     def test_never_worse_than_builtin_row(self):
-        result = minimize_delta0(3, RunConfig(budget=4000))
+        result = minimize_delta0(3, RunConfig())
         assert result.certified
         assert result.delta0 <= F(1, 3)
-        assert result.improvement_vs_published >= 0
-        assert result.evaluations_used <= 4000
+        assert result.improvement_vs_published == F(1, 3) - result.delta0 > 0
 
     def test_deterministic(self):
-        cfg = RunConfig(budget=3000, seed=5)
-        a = minimize_delta0(4, cfg)
-        b = minimize_delta0(4, cfg)
-        assert a.delta0 == b.delta0
-        assert a.best_params == b.best_params
-        assert a.evaluations_used == b.evaluations_used
+        # no seed reaches the search: two seeds give equal results, reports included
+        assert minimize_delta0(4, RunConfig(seed=5)) == minimize_delta0(4, RunConfig(seed=0))
 
     def test_certified_result_reverifies_exactly(self):
-        result = minimize_delta0(3, RunConfig(budget=3000))
+        result = minimize_delta0(3, RunConfig())
         assert result.certified
         params, report = reverify(result.best_params.as_strings())
         assert params == result.best_params
@@ -249,83 +262,151 @@ class TestMinimizeDelta0:
         assert original == replayed
 
     def test_open_dimension_probe_reports_profile(self):
-        result = minimize_delta0(6, RunConfig(budget=2500))
+        result = minimize_delta0(6, RunConfig())
         if result.certified:  # would be a finding; surface loudly
             pytest.fail(f"unexpected certified n=6 row: {result.best_params}")
-        assert result.best_margin_profile is not None
-        assert "_delta0" in result.best_margin_profile
+        profile = result.best_margin_profile
+        assert profile is not None
+        assert profile["_delta0"] == 1.0 and profile["beta_positive"] == 1.0
+        assert list(profile)[:-1] == list(margin_names(6))
 
 
-    def test_each_point_scored_once_per_delta0(self, monkeypatch):
-        # the memo answers repeated points; the budget still counts every query
-        seen = []
-        scored = optimize.float_margins
+# The chain's infimum of delta0 (ROADMAP item 1): 1/6 at n = 3, not attained, at
+# (q, r) = (3, 1); 7/16 at n = 4, at (2, 1); about 0.9534623 at n = 5.
+@pytest.mark.parametrize("n, infimum", [(3, F(1, 6)), (4, F(7, 16))])
+def test_certified_delta0_within_2_pow_minus_19_of_the_infimum(n, infimum):
+    result = minimize_delta0(n, RunConfig())
+    assert result.certified
+    assert infimum < result.delta0 <= infimum + F(1, 2**19)
 
-        def recording(n, delta0, b, alpha, beta):
-            seen.append((delta0, b, alpha, beta))
-            return scored(n, delta0, b, alpha, beta)
 
-        monkeypatch.setattr(optimize, "float_margins", recording)
-        result = minimize_delta0(4, RunConfig(seed=5))
-        assert result.evaluations_used == 12840  # tests/data/search_n4_seed5.json
-        assert len(seen) == len(set(seen))
+def test_certified_delta0_n5_beats_the_import_result():
+    result = minimize_delta0(5, RunConfig())
+    assert result.certified
+    assert result.delta0 < F(3022, 3169) and result.delta0 <= F(95347, 100000)
+
+
+def test_no_row_at_or_below_one_sixth_at_n3():
+    # The lower end of the n = 3 bracket, by its three-line argument at beta = 1
+    # (a row's verdicts are those of the row divided by its beta):
+    # if q <= 3, hessian_fxx = 4 delta0 q - 2 <= 0; if q > 3, gamma0_bare > 0
+    # needs r > q - 2 (mcc = (2 + r)/4), and then hessian_fyy = 4 delta0 q - 2r < 0.
+    rng = random.Random(6)
+
+    def draw(lo, hi):
+        return lo + (hi - lo) * F(rng.randint(1, 10**6), 10**6)
+
+    branches = {"q <= 3": 0, "gamma0": 0, "f_yy": 0}
+    for i in range(3000):
+        # every other row near the vertex and the threshold, where the bracket is tight
+        near = i % 2 == 0
+        q = draw(F(29, 10), F(31, 10)) if near else draw(F(0), F(4))
+        r = draw(F(9, 10), F(11, 10)) if near else draw(F(0), F(2))
+        delta0 = F(1, 6) - draw(F(0), F(1, 1000)) / 10 if near else draw(F(0), F(1, 6))
+        beta = draw(F(1, 10), F(10))
+        report = feasibility(ParamSet(3, delta0 * q * beta, q * beta, r * beta, beta))
+        assert not report.all_satisfied
+        if q <= 3:
+            assert report.entry("hessian_fxx").margin <= 0
+            branches["q <= 3"] += 1
+        elif r > q - 2:
+            assert report.entry("hessian_fyy").margin < 0
+            branches["f_yy"] += 1
+        else:
+            assert not report.entry("gamma0_bare").satisfied
+            branches["gamma0"] += 1
+    assert min(branches.values()) > 100, branches
+    # the rows q = 3 - t, r = 1 - t/2 certify just above 1/6, never at it
+    for t in (F(1, 10**6), F(1, 10**4)):
+        q, r = 3 - t, 1 - t / 2
+        assert feasibility(ParamSet(3, (F(1, 6) + t / 10) * q, q, r, F(1))).all_satisfied
+        assert not feasibility(ParamSet(3, F(1, 6) * q, q, r, F(1))).all_satisfied
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_evaluations_never_exceed_budget(n):
-    # a trial the budget refuses is neither scored nor counted
-    delta0 = published.DELTA0.get(n, F(1))
-    for budget in range(1, 400, 7):
-        cfg = RunConfig(budget=budget)
-        for result in (minimize_delta0(n, cfg), maximize_epsilon(n, cfg, delta0)):
-            assert result.evaluations_used <= budget, (result.objective, budget)
+def test_search_scores_cells_inside_the_band(monkeypatch, n):
+    # beta = 1, 0 < q < 4 and r strictly between the spectral curve and the Ricci
+    # bound; evaluations_used counts every float evaluation of the search
+    seen = []
+    scored = optimize.float_margins
+
+    def recording(n, delta0, b, alpha, beta):
+        seen.append((b, alpha, beta))
+        return scored(n, delta0, b, alpha, beta)
+
+    monkeypatch.setattr(optimize, "float_margins", recording)
+    result = minimize_delta0(n, RunConfig())
+    assert len(seen) == result.evaluations_used + (not result.certified)  # + the margin profile
+    for b, alpha, beta in seen:
+        assert beta == 1.0 and 0 < b < 4
+        assert 4 * (n - 3) / ((n - 2) * (4 - b)) < alpha < (n - 1) / (n - 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_returned_row_has_beta_one(n):
+    for result in (minimize_delta0(n, RunConfig()), maximize_epsilon(n, RunConfig(), published.DELTA0[n])):
+        assert result.certified and result.best_params.beta == 1
 
 
 class TestMaximizeEpsilon:
     def test_witness_dominance_row3(self):
-        result = maximize_epsilon(3, RunConfig(budget=3000), F(1, 3))
+        result = maximize_epsilon(3, RunConfig(), F(1, 3))
         assert result.certified
-        assert result.epsilon >= published.EPSILON[3]
+        assert result.epsilon >= published.EPSILON[3] / row(3).beta
+        assert result.improvement_vs_published == result.epsilon - published.EPSILON[3] / row(3).beta
 
     def test_witness_dominance_row5(self):
-        result = maximize_epsilon(5, RunConfig(budget=2500), F(21, 22))
+        result = maximize_epsilon(5, RunConfig(), F(21, 22))
         assert result.certified
-        assert result.epsilon >= published.EPSILON[5]
+        assert result.epsilon >= published.EPSILON[5] / row(5).beta
 
     def test_result_epsilon_is_exact(self):
-        result = maximize_epsilon(4, RunConfig(budget=2000, seed=1), F(1, 2))
+        result = maximize_epsilon(4, RunConfig(seed=1), F(1, 2))
         assert result.epsilon == min(closed_epsilon(result.best_params))
+
+    def test_uncertified_reports_profile_at_the_fixed_delta0(self):
+        result = maximize_epsilon(6, RunConfig(), F(1, 2))
+        assert not result.certified and result.delta0 == F(1, 2)
+        assert result.best_margin_profile["_delta0"] == 0.5
 
 
 def test_rounding_respects_denominator_bound():
-    import random
-
-    from stabcert.optimize import _round_params
-
     rng = random.Random(21)
     for _ in range(300):
-        b, alpha, beta = (rng.uniform(0.05, 5.0) for _ in range(3))
+        q, r = rng.uniform(0.05, 3.95), rng.uniform(0.05, 2.0)
         bound = rng.choice([10, 1000, 10**6])
-        params = _round_params(3, F(1, 3), b, alpha, beta, bound)
-        assert params is not None
-        for value, raw in ((params.b, b), (params.alpha, alpha), (params.beta, beta)):
-            assert value.denominator <= bound
+        b, alpha = optimize._first_certified([((1, 0.0), q, r)], RunConfig(denominator_bound=bound), identity)
+        for value, raw in ((b, q), (alpha, r)):
+            assert 0 < value.denominator <= bound
             assert abs(float(value) - raw) <= 1.0 / bound
-        assert params.delta0 == F(1, 3)  # a = delta0 * b holds exactly after rounding
 
 
 def test_rounding_recovers_builtin_row_from_floats():
-    from stabcert.optimize import _round_params
+    # the witness is the built-in row divided exactly by its beta; its q and r,
+    # as floats, round back to it under the default bound
+    for n in (3, 4, 5):
+        p = row(n)
+        witness = optimize._builtin_row(n)[0]
+        assert witness == ParamSet(n, p.a / p.beta, p.b / p.beta, p.alpha / p.beta, F(1))
+        assert witness.delta0 == p.delta0
+        cell = ((1, 0.0), float(witness.b), float(witness.alpha))
+        assert optimize._first_certified([cell], RunConfig(), identity) == (witness.b, witness.alpha)
 
-    p = ParamSet.published_row(5)
-    rounded = _round_params(5, F(21, 22), float(p.b), float(p.alpha), float(p.beta), 10**6)
-    assert rounded == p
+
+def test_rounding_onto_a_vertex_falls_back_to_a_coarser_cell():
+    # a q within 1/bound of 3 rounds to 3, where gamma0 is 0 at n = 3
+    def lowest(b, alpha):
+        return optimize._lowest_delta0(3, b, alpha)
+
+    vertex, coarser = ((1, -0.17), 3 - 1e-9, 1 - 1e-10), ((1, -0.18), 2.999, 0.9995)
+    assert optimize._first_certified([vertex], RunConfig(), lowest) is None
+    params, report = optimize._first_certified([vertex, coarser], RunConfig(), lowest)
+    assert (params.b, params.alpha, params.beta) == (F(2999, 1000), F(1999, 2000), 1) and report.all_satisfied
+    assert params.delta0.denominator == 2**20
+    # an infeasible cell is never tried
+    assert optimize._first_certified([((0, -1, -1.0), 2.999, 0.9995)], RunConfig(), lowest) is None
 
 
 def test_config_validation():
     with pytest.raises(ConfigError, match="denominator_bound must be >= 2"):
         RunConfig(denominator_bound=1)
-    with pytest.raises(ConfigError, match="budget must be >= 1"):
-        RunConfig(budget=0)
-    with pytest.raises(ValueError):
-        default_box(9)
