@@ -169,7 +169,9 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     if args.objective == "epsilon":
         try:
             delta0 = published.DELTA0.get(args.n) if args.delta0 is None else Fraction(args.delta0)
-        except (ValueError, ZeroDivisionError) as exc:
+            if delta0 is not None:
+                float(delta0)  # the search scores cells at this float: OverflowError when it has none
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             print(f"error: bad --delta0: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if delta0 is None:

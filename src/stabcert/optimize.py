@@ -27,10 +27,10 @@ two phases: ``_best_cells`` scores a coarse grid of cells by the float
 margins and zooms a small grid onto the best cell so far, with no seed and no
 randomness; then each objective rounds the best cell's q and r by continued
 fractions (``cfg.denominator_bound``) and decides by exact arithmetic alone:
-``minimize_delta0`` bisects delta0 exactly, ``maximize_epsilon`` recertifies
-once.  Floating error is harmless: unsound candidates simply fail exact
-recertification.  Every row a search returns has beta = 1, so its epsilon is
-epsilon/beta.
+``minimize_delta0`` searches a dyadic delta0 grid exactly, starting at the
+cell's float delta0, and ``maximize_epsilon`` recertifies once.  Floating
+error is harmless: unsound candidates simply fail exact recertification.
+Every row a search returns has beta = 1, so its epsilon is epsilon/beta.
 
 A margin that an upstream failure leaves undefined is the last entry of
 ``_coefficients(n, num)``: None on Fractions, so that ``feasibility`` can say
@@ -39,6 +39,7 @@ why, and -1e18 on floats, which the search counts as an undefined margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -227,7 +228,7 @@ _COARSE = 32  # cells a side of the first (q, s) grid
 _ZOOM = 6  # cells a side of each zoomed grid
 _ZOOMS = 10
 _FLOAT_BISECTIONS = 30  # float delta0 bisection steps for a cell feasible at the best d so far
-_EXACT_BISECTIONS = 20  # exact delta0 bisection steps: (0, 1] down to a width of 2^-20
+_DELTA0_BITS = 20  # the exact delta0 search runs on the grid k / 2^20, 0 < k < 2^20
 # A float margin at or below this counts as failed.  Double rounding leaves a
 # margin that is exactly 0 (at the vertex (q, r) = (3, 1) at n = 3, say) near
 # 1e-16, and a cell that noise alone kept feasible would hold the search there.
@@ -308,18 +309,21 @@ def _accepted(params: ParamSet) -> Accepted | None:
 
 
 def _first_certified(cells: list[Cell], cfg: RunConfig, certify) -> Accepted | None:
-    """``certify(b, alpha)`` of the first feasible cell whose q and r, rounded by
+    """``certify(b, alpha, d)`` of the first feasible cell whose q and r, rounded by
     continued fractions under the denominator bound, it accepts.
 
-    A coarser cell is tried only when rounding has moved a finer one out of
-    the feasible set: a q within about 1/bound of 3 rounds to 3 itself, the
-    vertex where gamma0 is 0 at n = 3.
+    ``d`` is -key[1], the cell's float score negated: for the delta0 objective
+    the smallest delta0 at which float bisection found the cell feasible, which
+    seeds the exact search; the epsilon objective ignores it.  A coarser cell
+    is tried only when rounding has moved a finer one out of the feasible set:
+    a q within about 1/bound of 3 rounds to 3 itself, the vertex where gamma0
+    is 0 at n = 3.
     """
     for key, q, r in cells:
         if not key[0]:
             continue
         b, alpha = (Fraction(x).limit_denominator(cfg.denominator_bound) for x in (q, r))
-        if b > 0 and alpha > 0 and (accepted := certify(b, alpha)) is not None:
+        if b > 0 and alpha > 0 and (accepted := certify(b, alpha, -key[1])) is not None:
             return accepted
     return None
 
@@ -362,22 +366,63 @@ def _result(
     )
 
 
-def _lowest_delta0(n: int, b: Fraction, alpha: Fraction) -> Accepted | None:
-    """The row (delta0 * b, b, alpha, 1) at the smallest delta0 that exact
-    bisection of (0, 1] finds feasible, if any."""
-    lo, hi, found = Fraction(0), Fraction(1), None
-    for _ in range(_EXACT_BISECTIONS):
-        mid = (lo + hi) / 2
-        accepted = _accepted(ParamSet(n, mid * b, b, alpha, Fraction(1)))
-        if accepted is None:
-            lo = mid
+def _lowest_delta0(n: int, b: Fraction, alpha: Fraction, d: float) -> Accepted | None:
+    """The row (delta0 * b, b, alpha, 1) at the smallest exactly feasible delta0
+    = k / 2^bits, 0 < k < 2^bits (bits = _DELTA0_BITS), if any, searched from
+    the float guess d.
+
+    The search starts at k = ceil(d * 2^bits), clamped to the grid.  If k is
+    feasible it gallops down (k - 1, k - 2, k - 4, ...) to a k that fails or to
+    0; if k fails and so does the grid's top, nothing on the grid is feasible;
+    otherwise it gallops up (k + 1, k + 2, ...) to a k that passes.  Then it
+    bisects the bracket, whose low end fails (or is 0) and whose high end
+    passes.  Every verdict is exact, through ``_accepted``, and computed once.
+    A good guess costs about two exact evaluations, a bad one at most about
+    2 * bits + 2.
+
+    The answer is the one a bisection of (0, 1] would give, because for fixed
+    (b, alpha, beta) the exact verdict is monotone in delta0 (a = delta0 * b):
+    only f_xx, f_yy, D and epsilon depend on a.  f_xx * f_yy - D is the square
+    of an affine function of a with slope +-2/(n-2), so f's Hessian is
+    a * H1 + H0 with H1 = (2/(n-2)) [[n-1, +-1], [+-1, n-1]] positive definite:
+    once the convexity gate holds at some a it holds at every larger a.  Q is
+    the minimum of a * S + (terms free of a) with S >= 0, so F(0) = const + Q,
+    and with it epsilon, does not decrease as a grows; F(1) and every other
+    margin are free of a.
+    """
+    top = 1 << _DELTA0_BITS
+    verdicts: dict[int, Accepted | None] = {}
+
+    def passes(k: int) -> bool:
+        if k not in verdicts:
+            verdicts[k] = _accepted(ParamSet(n, Fraction(k, top) * b, b, alpha, Fraction(1)))
+        return verdicts[k] is not None
+
+    k = min(max(math.ceil(d * top), 1), top - 1)
+    step = 1
+    if passes(k):
+        hi = lo = k
+        while lo > 0 and passes(lo):
+            hi, lo, step = lo, max(k - step, 0), 2 * step
+    elif passes(top - 1):
+        hi = lo = k
+        while not passes(hi):
+            lo, hi, step = hi, min(k + step, top - 1), 2 * step
+    else:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
         else:
-            hi, found = mid, accepted
-    return found
+            lo = mid
+    return verdicts[hi]
 
 
 def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
-    """Smallest certified delta0: the best cell's rounded row, bisected exactly in delta0.
+    """Smallest certified delta0: the best cell's rounded row at the smallest
+    delta0 = k / 2^_DELTA0_BITS that ``_lowest_delta0`` finds exactly feasible,
+    searching from the delta0 that float bisection found for the cell.
 
     For n with a built-in row the row (at beta = 1) is the witness, so the
     result never does worse than it; with nothing certified the result reports
@@ -388,7 +433,7 @@ def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
     if best is not None:
         notes.append(f"built-in row certified at delta0 = {rational_to_str(best[0].delta0)}")
     cells, used = _best_cells(n, None)
-    found = _first_certified(cells, cfg, lambda b, alpha: _lowest_delta0(n, b, alpha))
+    found = _first_certified(cells, cfg, lambda b, alpha, d: _lowest_delta0(n, b, alpha, d))
     if found is not None and (best is None or found[0].delta0 < best[0].delta0):
         best = found
         notes.append(f"certified delta0 = {rational_to_str(best[0].delta0)}")
@@ -413,7 +458,7 @@ def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
     if witness is not None:
         notes.append(f"built-in row certified with epsilon = {rational_to_str(_epsilon(witness))}")
     cells, used = _best_cells(n, float(delta0))
-    found = _first_certified(cells, cfg, lambda b, alpha: _accepted(ParamSet(n, delta0 * b, b, alpha, Fraction(1))))
+    found = _first_certified(cells, cfg, lambda b, alpha, _: _accepted(ParamSet(n, delta0 * b, b, alpha, Fraction(1))))
     if found is not None and (best is None or _epsilon(found) > _epsilon(best)):
         best = found
         notes.append(f"improved epsilon = {rational_to_str(_epsilon(best))}")

@@ -225,7 +225,10 @@ def test_optimize_epsilon_requires_delta0_for_probe(tmp_path):
 
 @pytest.mark.parametrize(
     "value, message",
-    [("-1", "must be > 0"), ("0", "must be > 0"), ("x", "bad --delta0"), ("1/0", "bad --delta0")],
+    [
+        ("-1", "must be > 0"), ("0", "must be > 0"), ("x", "bad --delta0"), ("1/0", "bad --delta0"),
+        ("1e400", "bad --delta0"),  # no finite float to score cells at
+    ],
 )
 def test_optimize_bad_delta0_is_usage_error(tmp_path, capsys, value, message):
     out = tmp_path / "search.json"
