@@ -13,12 +13,16 @@ min f = E^2 * Q of the weighted curvature quadratic f that ``curvature``
 samples; F is that module's endpoint function; mcc is the mean-curvature
 coefficient and L_max the largest Young parameter.
 
-The chain is written once, in ``_chain``, the only place where D, Q, F(0),
-F(1), epsilon, the spectral coefficient, mcc, L_max and gamma0 are computed.
+The chain is written once, in two stages: ``_head``, the only place where
+f_xx, f_yy, D, Q, F's constant term and F(0) are computed (everything that
+depends on a), and ``_tail``, the only place where F(1), epsilon, the
+spectral coefficient, mcc, L_max and gamma0 are; ``_chain`` is the tail of
+the head.
 ``exact_chain`` evaluates it on Fractions and returns the margins with those
 intermediates, which ``stabcert.certify`` records and feeds to the sampled
 checks; ``feasibility`` keeps the margins only, and ``float_margins``
-evaluates the chain in double precision.
+evaluates the chain in double precision.  The float search calls the two
+stages itself, so that rescoring a cell at a new delta0 costs the head only.
 
 Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
@@ -32,9 +36,10 @@ cell's float delta0, and ``maximize_epsilon`` recertifies once.  Floating
 error is harmless: unsound candidates simply fail exact recertification.
 Every row a search returns has beta = 1, so its epsilon is epsilon/beta.
 
-A margin that an upstream failure leaves undefined is the last entry of
-``_coefficients(n, num)``: None on Fractions, so that ``feasibility`` can say
-why, and -1e18 on floats, which the search counts as an undefined margin.
+A margin that an upstream failure leaves undefined is the last entry of each
+tuple of ``_coefficients(n, num)``: None on Fractions, so that
+``feasibility`` can say why, and -1e18 on floats, which the search counts as
+an undefined margin.
 """
 
 from __future__ import annotations
@@ -71,64 +76,71 @@ _UNDEFINED_WHY = {
 
 
 @cache
-def _coefficients(n: int, num: type) -> tuple:
-    """Every constant ``_chain`` multiplies, divides or compares by at dimension n,
-    converted once to ``num`` (Fraction or float), followed by the value of an
-    undefined margin: -1e18 for float, None for any other type.
+def _coefficients(n: int, num: type) -> tuple[tuple, tuple]:
+    """The constants ``_head`` and ``_tail`` multiply, divide or compare by at
+    dimension n, one tuple for each stage, converted once to ``num`` (Fraction
+    or float), each followed by the value of an undefined margin: -1e18 for
+    float, None for any other type.
 
     The constants are the chain's rational coefficients, the n-dependent
-    integers and the literals 0, 1, 2 and 4, so ``_chain`` combines its inputs
+    integers and the literals 0, 1, 2 and 4, so the chain combines its inputs
     with values of their own type only.  Small integers convert to double
     exactly, so the float margins keep every bit they had with int operands.
     """
     spectral = Fraction(n - 2, n - 3) if n > 3 else None  # the spectral coefficient's strict upper bound
-    constants = (
-        Fraction(2 * (n - 1), n - 2), Fraction(4 * n, n - 2), Fraction(n - 1, n - 2), Fraction(n * n - 4, 4),
-        spectral, Fraction(1, 2),
-        n, n - 1, n - 2, n - 3, (n - 2) ** 2, (n - 1) * (n - 2), n * n - 5 * n + 8, 3 * n - 7, 4 * (n - 2),
-        2 * (n - 1), 2 * (n - 2),
-        0, 1, 2, 4,
+    undefined = _BIG_NEGATIVE if num is float else None
+
+    def typed(*constants) -> tuple:
+        return tuple(None if c is None else num(c) for c in constants) + (undefined,)
+
+    return (
+        typed(
+            Fraction(2 * (n - 1), n - 2), Fraction(4 * n, n - 2), Fraction(n - 1, n - 2),
+            n, n - 2, (n - 2) ** 2, (n - 1) * (n - 2), n * n - 5 * n + 8, 3 * n - 7, 4 * (n - 2),
+            2 * (n - 1), 2 * (n - 2), 0, 2, 4,
+        ),
+        typed(Fraction(n * n - 4, 4), spectral, Fraction(1, 2), n, n - 1, n - 2, n - 3, 0, 1, 4),
     )
-    return tuple(None if c is None else num(c) for c in constants) + (_BIG_NEGATIVE if num is float else None,)
 
 
-def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
-    """Every feasibility margin of the row in order, on Fractions or on floats.
+def _head(a, b, alpha, beta, k: tuple) -> tuple:
+    """The part of the chain that depends on a: ``(f_xx, f_yy, D, F(0), Q, c)``,
+    c being F's constant term, on Fractions or on floats.
 
-    Returns the margins in the order of ``margin_names(n)``, ``k``'s undefined
-    value where an upstream failure leaves a margin undefined, and, once the
-    Hessian gate holds, the intermediates the margins were computed from:
-    ``(Q, F(0), F(1), spectral coefficient, mcc, L_max)``, each None where the
-    chain does not reach it (L_max when q = 2).  The spectral coefficient is
-    computed whenever q < 4, its margin for n >= 4 only.  ``k`` is
-    ``_coefficients(n, type)``.
-    Typed constants: every number the chain combines with a, b, alpha and beta
-    comes from ``k``, so floats meet floats only and Fractions meet Fractions
-    only (integer exponents aside).
-    Keep the order of operations: search results depend on the float margins
-    to the last bit (tests/test_golden.py, test_chain_bits_pinned).
+    Where the Hessian gate (b, alpha, beta, f_xx, f_yy, D > 0) fails, F(0) is
+    ``k``'s undefined value and Q and c are None.  ``k`` is
+    ``_coefficients(n, type)[0]``.
     """
-    # n_1 is n - 1, n_2_sq is (n - 2)^2, two_n_1 is 2(n - 1) and so on; q_a and
-    # q_beta are n^2 - 5n + 8 and 3n - 7, the coefficients of a and beta in Q
-    (hessian, disc_aa, disc_ab, slope, spectral_bound, half,
-     n, n_1, n_2, n_3, n_2_sq, n_1_n_2, q_a, q_beta, four_n_2, two_n_1, two_n_2,
-     zero, one, two, four, undefined) = k
+    # n_2_sq is (n - 2)^2, n_1_n_2 is (n - 1)(n - 2), two_n_1 is 2(n - 1) and so
+    # on; q_a and q_beta are n^2 - 5n + 8 and 3n - 7, the coefficients of a and
+    # beta in Q
+    (hessian, disc_aa, disc_ab, n, n_2, n_2_sq, n_1_n_2, q_a, q_beta, four_n_2, two_n_1, two_n_2,
+     zero, two, four, undefined) = k
     fxx = hessian * a - two * beta
     fyy = hessian * a - two * alpha
     D = disc_aa * a * a - four * (disc_ab * beta + alpha) * a + (four * beta - alpha) * alpha
+    if not (b > zero and alpha > zero and beta > zero and fxx > zero and fyy > zero and D > zero):
+        return fxx, fyy, D, undefined, None, None
+    Q = (
+        n_2 * alpha**3
+        - (q_a * a + q_beta * beta) * alpha**2
+        + (n_2_sq * alpha - n_1_n_2 * a) * beta**2
+        + four_n_2 * a * alpha * beta
+    ) / D
+    const = two_n_1 * beta + two_n_2 * alpha - b * n * n_2 / two
+    return fxx, fyy, D, const + Q, Q, const
+
+
+def _tail(head: tuple, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
+    """The rest of the chain, free of a: every margin of the row from its
+    ``_head``, with the intermediates, as ``_chain`` returns them.  ``k`` is
+    ``_coefficients(n, type)[1]``."""
+    slope, spectral_bound, half, n, n_1, n_2, n_3, zero, one, four, undefined = k
+    fxx, fyy, D, f0, Q, const = head
     eps = q_margin = spectral = ricci = young = g_bare = undefined
     coeff = mcc = L = values = None
-    convex = b > zero and alpha > zero and beta > zero and fxx > zero and fyy > zero and D > zero
-    if convex:
-        Q = (
-            n_2 * alpha**3
-            - (q_a * a + q_beta * beta) * alpha**2
-            + (n_2_sq * alpha - n_1_n_2 * a) * beta**2
-            + four_n_2 * a * alpha * beta
-        ) / D
-        const = two_n_1 * beta + two_n_2 * alpha - b * n * n_2 / two
+    if Q is not None:
         mx = max(n_2 * beta - alpha, n_3 * alpha)
-        f0 = const + Q
         f1 = const + slope * b - (n * beta + n_1 * alpha) - mx
         eps = min(f0, f1)
         q = b / beta
@@ -153,6 +165,36 @@ def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     if spectral_bound is None:
         return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), values
     return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), values
+
+
+def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
+    """Every feasibility margin of the row in order, on Fractions or on floats:
+    ``_tail`` of ``_head``.
+
+    Returns the margins in the order of ``margin_names(n)``, ``k``'s undefined
+    value where an upstream failure leaves a margin undefined, and, once the
+    Hessian gate holds, the intermediates the margins were computed from:
+    ``(Q, F(0), F(1), spectral coefficient, mcc, L_max)``, each None where the
+    chain does not reach it (L_max when q = 2).  The spectral coefficient is
+    computed whenever q < 4, its margin for n >= 4 only.  ``k`` is
+    ``_coefficients(n, type)``.
+
+    The chain splits where a = delta0 * b stops mattering.  ``_head`` computes
+    everything that depends on a: f_xx, f_yy, D and, once the gate holds, Q and
+    F(0) = c + Q, with F's constant term c, which F(1) shares.  ``_tail``
+    computes nothing that does: F(1), the q, spectral, Ricci and Young margins
+    and gamma0 depend on b, alpha and beta alone, and epsilon = min(F(0), F(1))
+    joins the two.  So at a fixed cell (b, alpha, beta) every value of a gives
+    the same tail margins to the last bit, and the float search can rescore a
+    cell at a new delta0 by its head alone (``_best_cells``).
+    Typed constants: every number the chain combines with a, b, alpha and beta
+    comes from ``k``, so floats meet floats only and Fractions meet Fractions
+    only (integer exponents aside).
+    Keep the order of operations: search results depend on the float margins
+    to the last bit (tests/test_golden.py, test_chain_bits_pinned).
+    """
+    k_head, k_tail = k
+    return _tail(_head(a, b, alpha, beta, k_head), b, alpha, beta, k_tail)
 
 
 class ChainValues(NamedTuple):
@@ -253,15 +295,43 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     (0, -undefined margins, worst defined margin): every feasible cell outranks
     it, and where every cell leaves a margin undefined (n = 6) fewer undefined
     margins rank first.  Returns the best cell after each grid, finest first
-    and without repeats, and the number of float evaluations.
+    and without repeats, and the number of float evaluations: one per scored
+    cell and one per bisection step.
+
+    A cell replaces the best only when its key is greater, so the search
+    evaluates only what can decide that, and returns what scoring every cell
+    and every bisection step by ``float_margins`` would:
+    - A bisection step needs the head alone.  The cell passed every margin at
+      the current d, and mid < d changes a = mid * q only, so b, alpha, beta
+      and every tail margin (F(1) among them) are the same to the last bit
+      and above _NOISE.  So every margin is above _NOISE at mid exactly when
+      min(f_xx, f_yy, D, F(0)) is; where the gate fails at mid, one of f_xx,
+      f_yy and D is <= 0 and F(0) is undefined, and the step fails either way.
+    - Once the best key is feasible, a cell whose F(0) is at or below a floor
+      is not taken to the tail: _NOISE without ``fixed``, the best epsilon
+      (itself above _NOISE) with it.  F(0) is undefined, -1e18, wherever the
+      gate fails.  A cell with F(0) <= _NOISE is infeasible, key (0, ...):
+      its gate fails, or its margin epsilon = min(F(0), F(1)) <= F(0) does.
+      With ``fixed``, a cell with F(0) <= the best epsilon has the key
+      (0, ...) or (1, epsilon) with epsilon <= the best.  Either way the key
+      is not greater than the best, so the cell changes neither the best, nor
+      d, nor any level's winner; it still counts as one evaluation.  A cell
+      that goes on reuses its head in ``_tail``.
     """
     used = 0
     d = 1.0 if fixed is None else fixed  # the delta0 cells are scored at: the best d so far
+    k_head, k_tail = _coefficients(n, float)
+    # the F(0) a cell must exceed to beat the best, once the best is feasible
+    floor = None
 
-    def score(q: float, r: float) -> tuple:
+    def score(q: float, r: float) -> tuple | None:
+        """The cell's key, or None when it cannot beat the best."""
         nonlocal used, d
         used += 1
-        margins = float_margins(n, d, q, r, 1.0)
+        head = _head(d * q, q, r, 1.0, k_head)
+        if floor is not None and head[3] <= floor:  # head[3] is F(0)
+            return None
+        margins = _tail(head, q, r, 1.0, k_tail)[0]
         worst = min(margins)
         if worst <= _NOISE:
             undefined = margins.count(_BIG_NEGATIVE)
@@ -271,7 +341,7 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
         lo = 0.0
         for _ in range(_FLOAT_BISECTIONS):
             mid = (lo + d) / 2
-            if min(float_margins(n, mid, q, r, 1.0)) > _NOISE:
+            if min(_head(mid * q, q, r, 1.0, k_head)[:4]) > _NOISE:
                 d = mid
             else:
                 lo = mid
@@ -292,8 +362,10 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
             for j in range(cells):
                 s = s_lo + (j + 0.5) * ds
                 key = score(q, r := spectral + s * (ricci - spectral))
-                if best is None or key > best[0]:
+                if key is not None and (best is None or key > best[0]):
                     best = key, q, r, s
+                    if key[0]:
+                        floor = _NOISE if fixed is None else key[1]
         levels.append(best[:3])
         _, q, _, s = best
         q_lo, q_hi, s_lo, s_hi = max(q - dq, 0.0), min(q + dq, 4.0), max(s - ds, 0.0), min(s + ds, 1.0)

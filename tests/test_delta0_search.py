@@ -109,7 +109,7 @@ def test_hessian_is_monotone_in_a(n):
         assert g3 == 9 * c2 + 3 * c1 + g0  # a quadratic in a
         assert c2 == F(2, n - 2) ** 2 and c1 * c1 == 4 * c2 * g0  # the square of an affine function
         (fxx0, fyy0, _), (fxx1, fyy1, _) = hessian(F(0)), hessian(F(1))
-        assert fxx1 - fxx0 == fyy1 - fyy0 == k[0] > F(2, n - 2)
+        assert fxx1 - fxx0 == fyy1 - fyy0 == k[0][0] > F(2, n - 2)  # the head's first constant
 
 
 def test_verdict_is_monotone_in_delta0():

@@ -1,0 +1,173 @@
+"""The float grid search against the version it replaced, which scored every
+cell and every bisection step with the whole chain, and the two equivalences
+that let the search evaluate the chain's head alone."""
+
+import math
+import random
+
+import pytest
+
+from stabcert import optimize, published
+
+NOISE = optimize._NOISE
+
+
+def scored_grid(n, fixed):
+    """The former grid search: ``float_margins`` for every cell and every bisection
+    step, nothing skipped."""
+    used = 0
+    d = 1.0 if fixed is None else fixed
+
+    def score(q, r):
+        nonlocal used, d
+        used += 1
+        margins = optimize.float_margins(n, d, q, r, 1.0)
+        worst = min(margins)
+        if worst <= NOISE:
+            undefined = margins.count(optimize._BIG_NEGATIVE)
+            return 0, -undefined, min(m for m in margins if m != optimize._BIG_NEGATIVE) if undefined else worst
+        if fixed is not None:
+            return 1, margins[optimize._EPSILON]
+        lo = 0.0
+        for _ in range(optimize._FLOAT_BISECTIONS):
+            mid = (lo + d) / 2
+            if min(optimize.float_margins(n, mid, q, r, 1.0)) > NOISE:
+                d = mid
+            else:
+                lo = mid
+        used += optimize._FLOAT_BISECTIONS
+        return 1, -d
+
+    best = None
+    levels = []
+    ricci = (n - 1) / (n - 2)
+    q_lo, q_hi, s_lo, s_hi, cells = 0.0, 4.0, 0.0, 1.0, optimize._COARSE
+    for _ in range(optimize._ZOOMS + 1):
+        dq, ds = (q_hi - q_lo) / cells, (s_hi - s_lo) / cells
+        for i in range(cells):
+            q = q_lo + (i + 0.5) * dq
+            spectral = 4 * (n - 3) / ((n - 2) * (4 - q))
+            if spectral >= ricci:
+                continue
+            for j in range(cells):
+                s = s_lo + (j + 0.5) * ds
+                key = score(q, r := spectral + s * (ricci - spectral))
+                if best is None or key > best[0]:
+                    best = key, q, r, s
+        levels.append(best[:3])
+        _, q, _, s = best
+        q_lo, q_hi, s_lo, s_hi = max(q - dq, 0.0), min(q + dq, 4.0), max(s - ds, 0.0), min(s + ds, 1.0)
+        cells = optimize._ZOOM
+    return list(dict.fromkeys(reversed(levels))), used
+
+
+GRID_CASES = [(n, fixed) for n in (3, 4, 5, 6) for fixed in (None, 0.25, 0.5, 1.0, 2.0)]
+GRID_CASES += [(n, float(delta0)) for n, delta0 in published.DELTA0.items()]
+
+
+@pytest.mark.parametrize("n, fixed", GRID_CASES)
+def test_grid_matches_the_full_chain_search(n, fixed):
+    assert optimize._best_cells(n, fixed) == scored_grid(n, fixed)
+
+
+def head(n, delta0, q, r):
+    """(f_xx, f_yy, D, F(0)) of the cell at delta0, F(0) -1e18 where the gate fails."""
+    return optimize._head(delta0 * q, q, r, 1.0, optimize._coefficients(n, float)[0])[:4]
+
+
+def passes(n, delta0, q, r):
+    return min(optimize.float_margins(n, delta0, q, r, 1.0)) > NOISE
+
+
+def key_at(n, delta0, q, r):
+    """The cell's key at delta0 without bisection: (1, epsilon) or (0, worst margin)."""
+    margins = optimize.float_margins(n, delta0, q, r, 1.0)
+    return (1, margins[optimize._EPSILON]) if min(margins) > NOISE else (0, min(margins))
+
+
+def cells(rng, n, count):
+    """Seeded (q, r) cells at beta = 1 with r in its band, half of them near the
+    built-in row (where delta0 has a feasible range), and at n = 3 the vertex
+    (3, 1), where gamma0 is 0."""
+    ricci = (n - 1) / (n - 2)
+    found = [(3.0, 1.0)] if n == 3 else []
+    while len(found) < count:
+        if n in published.PARAM_ROWS and rng.random() < 0.5:
+            p = published.PARAM_ROWS[n]
+            q, r = (float(x / p["beta"]) * rng.uniform(0.97, 1.03) for x in (p["b"], p["alpha"]))
+        else:
+            q = rng.uniform(0.01, min(3.99, 8 / (n - 1)))  # the band is empty from q = 8/(n-1) on
+            spectral = 4 * (n - 3) / ((n - 2) * (4 - q))
+            r = spectral + rng.random() * (ricci - spectral)
+        found.append((q, r))
+    return found
+
+
+def near_zero_delta0s(n, q, r):
+    """delta0 within a few ulps of where f_xx, f_yy or D is 0 at the cell."""
+    hessian, disc_aa, disc_ab = optimize._coefficients(n, float)[0][:3]
+    roots = [2 / hessian, 2 * r / hessian]  # f_xx = 0, f_yy = 0 at beta = 1
+    # D = disc_aa a^2 - 4 (disc_ab + r) a + (4 - r) r
+    b_half, c = 2 * (disc_ab + r), (4 - r) * r
+    disc = b_half * b_half - disc_aa * c
+    if disc >= 0:
+        roots += [(b_half - math.sqrt(disc)) / disc_aa, (b_half + math.sqrt(disc)) / disc_aa]
+    found = []
+    for a in roots:
+        x = a / q
+        for _ in range(4):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(9):
+            found.append(x)
+            x = math.nextafter(x, math.inf)
+    return [x for x in found if x > 0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_head_decides_a_bisection_step(n):
+    # where a cell passes at d, every margin is above the noise at mid < d
+    # exactly when f_xx, f_yy, D and F(0) are: the rest of the chain is free of a
+    rng = random.Random(1600 + n)
+    checked = near = 0
+    for q, r in cells(rng, n, 300):
+        d = rng.uniform(0.05, 2.0)
+        if not passes(n, d, q, r):
+            continue
+        mids = [rng.uniform(0, d) for _ in range(8)] + [x for x in near_zero_delta0s(n, q, r) if x < d]
+        for mid in mids:
+            fxx, fyy, D, f0 = h = head(n, mid, q, r)
+            assert (min(h) > NOISE) == passes(n, mid, q, r), (n, q, r, d, mid)
+            checked += 1
+            near += min(abs(fxx), abs(fyy), abs(D)) < 1e-13
+    if n < 6:  # no cell is feasible at n = 6
+        assert checked > 500 and near > 20, (checked, near)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_skipped_cell_cannot_beat_the_best(n):
+    # the grid takes a cell past its head only if it can beat a feasible best:
+    # F(0) at or below the noise, or, at a fixed delta0, at or below the best
+    # epsilon, leaves its key no greater than the best's
+    rng = random.Random(1700 + n)
+    fired = {"delta0": 0, "epsilon": 0, "epsilon on a feasible cell": 0}
+    points = []
+    for q, r in cells(rng, n, 300):
+        points += [(rng.uniform(0.05, 2.0), q, r) for _ in range(4)]
+        points += [(x, q, r) for x in near_zero_delta0s(n, q, r)[::3]]
+    for d, q, r in points:
+        f0 = head(n, d, q, r)[3]
+        key = key_at(n, d, q, r)
+        # minimize_delta0: the best is (1, -d) and the floor is the noise
+        if f0 <= NOISE:
+            fired["delta0"] += 1
+            assert key[0] == 0, (n, d, q, r)
+        # maximize_epsilon: the best is (1, best epsilon), the floor that epsilon;
+        # F(0) itself is the tightest floor that fires
+        for best_eps in (NOISE * 2, rng.uniform(0.0, 1.0), f0 if f0 > NOISE else None):
+            if best_eps is not None and f0 <= best_eps:
+                fired["epsilon"] += 1
+                fired["epsilon on a feasible cell"] += key[0]
+                assert not key > (1, best_eps), (n, d, q, r, best_eps)
+    assert fired["delta0"] > 100 and fired["epsilon"] > 100, fired
+    if n < 6:  # no cell is feasible at n = 6
+        assert fired["epsilon on a feasible cell"] > 20, fired

@@ -336,15 +336,18 @@ def test_no_row_at_or_below_one_sixth_at_n3():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_search_scores_cells_inside_the_band(monkeypatch, n):
     # beta = 1, 0 < q < 4 and r strictly between the spectral curve and the Ricci
-    # bound; evaluations_used counts every float evaluation of the search
+    # bound; evaluations_used counts every scored cell and every bisection step,
+    # each of which evaluates the chain's head in floats once, as does the
+    # margin profile's float_margins
     seen = []
-    scored = optimize.float_margins
+    head = optimize._head
 
-    def recording(n, delta0, b, alpha, beta):
-        seen.append((b, alpha, beta))
-        return scored(n, delta0, b, alpha, beta)
+    def recording(a, b, alpha, beta, k):
+        if type(b) is float:  # not the exact recertification
+            seen.append((b, alpha, beta))
+        return head(a, b, alpha, beta, k)
 
-    monkeypatch.setattr(optimize, "float_margins", recording)
+    monkeypatch.setattr(optimize, "_head", recording)
     result = minimize_delta0(n, RunConfig())
     assert len(seen) == result.evaluations_used + (not result.certified)  # + the margin profile
     for b, alpha, beta in seen:
