@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from . import bubble, curvature, published
+from . import curvature, published
 from .certificate import CertCheck, Certificate, PublishedTarget
 from .config import RunConfig
 from .curvature import ParamSet
@@ -53,6 +53,8 @@ def _evidence(
     cert: Certificate, params: ParamSet, report: ConstraintReport, chain: ChainValues, cfg: RunConfig
 ) -> None:
     """The evidence for a row whose margins all hold, from the chain's one exact evaluation."""
+    from . import bubble  # high precision: loaded by the first certificate with evidence, never by a search
+
     n, alpha, beta, q, seed = params.n, params.alpha, params.beta, params.q, cfg.seed
     eps = report.entry("epsilon").margin
     gamma0_bare = report.entry("gamma0_bare").margin

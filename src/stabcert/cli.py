@@ -8,7 +8,8 @@ Exit-code contract (scriptable CI usage):
     4  search finished without a certified result
 
 Certificates are written atomically by a single writer; report rendering is
-read-only and never alters numeric fields.
+read-only and never alters numeric fields.  High-precision modules (mpmath,
+iteration, bubble) load on first use, so optimize and report never load them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import iteration, optimize, published
+from . import optimize, published
 from .certificate import CertCheck, Certificate, PublishedTarget, check_output_path, write_json
 from .certify import certify, chain_certificate
 from .config import ConfigError, RunConfig, load_config
@@ -47,14 +48,17 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if args.n not in published.SUPPORTED_N:
         print(f"error: no built-in parameter row for n = {args.n}", file=sys.stderr)
         return EXIT_USAGE
-    cert = certify(ParamSet.published_row(args.n), cfg)
     out = Path(args.out) if args.out else cfg.out_dir / f"certificate_n{args.n}.json"
+    check_output_path(out)  # before certifying, which a failed write would waste
+    cert = certify(ParamSet.published_row(args.n), cfg)
     cert.write(out)
     print(f"wrote {out} ({cert.overall_status}; {len(cert.discrepancies)} discrepancies)")
     return exit_code_for(cert, args.strict)
 
 
 def _delta1_checks(cert: Certificate) -> None:
+    from . import iteration
+
     for n in published.SUPPORTED_N:
         value = iteration.delta1_of(n)
         quoted = published.DELTA1[n]
@@ -87,6 +91,8 @@ def _iteration_grid(cfg: RunConfig) -> list[dict]:
     (s, s1); it raises NoCaccioppoliConstantError when s and s1 leave both
     Caccioppoli branches nonpositive.
     """
+    from . import iteration
+
     grid = []
     dps = cfg.float_precision_digits
     for n in published.SUPPORTED_N:
@@ -115,11 +121,15 @@ def _iteration_grid(cfg: RunConfig) -> list[dict]:
 
 
 def cmd_verify_all(args, cfg: RunConfig) -> int:
+    from . import iteration
+
     try:
         grid = _iteration_grid(cfg)
     except iteration.NoCaccioppoliConstantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = Path(args.out) if args.out else cfg.out_dir / "certificate_all.json"
+    check_output_path(out)  # before certifying, which a failed write would waste
     combined = Certificate(n=0, params={"rows": ",".join(str(n) for n in published.SUPPORTED_N)})
     combined.environment.update(cfg.environment())
     for n in published.SUPPORTED_N:
@@ -140,7 +150,6 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
             combined.add_flag(f"n={n}:{flag['name']}", flag["detail"])
     _delta1_checks(combined)
     combined.values["iteration_grid"] = grid
-    out = Path(args.out) if args.out else cfg.out_dir / "certificate_all.json"
     combined.write(out)
     print(f"wrote {out} ({combined.overall_status}; {len(combined.discrepancies)} discrepancies)")
     return exit_code_for(combined, args.strict)
@@ -227,6 +236,8 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
 
 
 def cmd_recursion_sim(args) -> int:
+    from . import iteration
+
     try:
         if args.q is not None or args.delta is not None:
             if args.c0 is not None or args.c is not None:

@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 Rational = Fraction
 
@@ -135,6 +137,8 @@ class QuadSurd:
 
     def approx_mp(self, dps: int = 50) -> mpmath.mpf:
         """Advisory high-precision value at ``dps`` significant digits."""
+        import mpmath
+
         with mpmath.workdps(dps):
             return mpmath.mpf(self.coeff.numerator) / self.coeff.denominator * mpmath.sqrt(
                 mpmath.mpf(self.radicand.numerator) / self.radicand.denominator

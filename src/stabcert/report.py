@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .certificate import CertCheck
+
+if TYPE_CHECKING:
+    import mpmath
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,8 @@ class ApproxValue:
 
     @staticmethod
     def from_mpf(x: mpmath.mpf, digits: int = 12, internal_dps: int = 50) -> "ApproxValue":
+        import mpmath
+
         return ApproxValue(mpmath.nstr(x, digits), digits, internal_dps)
 
     def to_jsonable(self) -> dict:

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from stabcert import iteration, optimize, published
+from stabcert import cli, iteration, optimize, published
 from stabcert.certificate import Certificate
 from stabcert.cli import main
 
@@ -89,6 +90,23 @@ def test_optimize_checks_output_path_before_searching(tmp_path, capsys, monkeypa
         assert one_line_error(capsys) == f"error: cannot write output: [Errno 21] Is a directory: '{blocked}'\n"
         blocked.rmdir()
     assert sorted(path.name for path in tmp_path.iterdir()) == ["afile"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "3"], ["verify-all"]])
+def test_verify_checks_output_path_before_certifying(tmp_path, fast_config, capsys, monkeypatch, argv):
+    def certify(*args):
+        pytest.fail("a row was certified before its output path was checked")
+
+    monkeypatch.setattr(cli, "certify", certify)
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    assert run([*argv, "--config", str(fast_config), "--out", str(blocker / "x.json")]) == 2
+    assert "cannot write output" in one_line_error(capsys)
+    blocked = tmp_path / "somedir"
+    blocked.mkdir()
+    assert run([*argv, "--config", str(fast_config), "--out", str(blocked)]) == 2
+    assert one_line_error(capsys) == f"error: cannot write output: [Errno 21] Is a directory: '{blocked}'\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "fast.cfg", "somedir"]
 
 
 def test_write_error_names_the_given_path(tmp_path, fast_config, capsys):
@@ -464,8 +482,50 @@ def test_help_exits_zero(capsys):
     assert "--strict" in capsys.readouterr().out
 
 
-def test_import_loads_no_numpy():
+# This process has imported every stabcert module already, so only a fresh
+# interpreter shows what a command loads, or a deferred import that no longer
+# resolves.
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a new interpreter that imports stabcert from this tree."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import stabcert.cli, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_loads_no_high_precision_modules(tmp_path):
+    # importing the CLI, a search and a report run no high-precision code
+    code = textwrap.dedent(
+        """
+        import sys
+        from pathlib import Path
+
+        from stabcert import cli
+
+        out = Path(sys.argv[1])
+        heavy = ("numpy", "mpmath", "stabcert.iteration", "stabcert.bubble")
+        assert not [name for name in heavy if name in sys.modules], "after import"
+        assert cli.main(["optimize", "--n", "3", "--out", str(out / "search.json")]) == 0
+        assert cli.main(["report", str(out / "search_certificate.json")]) == 0
+        loaded = [name for name in heavy if name in sys.modules]
+        assert not loaded, loaded
+        """
+    )
+    proc = fresh_python(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "status: passed" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recursion-sim", "--s1", "1e-9", "--n", "4", "--q", "3/4", "--delta", "1"],
+        ["verify", "--n", "3", "--config", "{fast_config}", "--out", "{tmp_path}/cert.json"],
+    ],
+)
+def test_deferred_imports_resolve_in_a_fresh_process(tmp_path, fast_config, capsys, argv):
+    # these commands load mpmath, iteration or bubble on first use
+    argv = [arg.format(fast_config=fast_config, tmp_path=tmp_path) for arg in argv]
+    assert run(argv) == 0
+    in_process = capsys.readouterr().out
+    proc = fresh_python("import sys\nfrom stabcert import cli\nsys.exit(cli.main(sys.argv[1:]))", *argv)
+    assert (proc.returncode, proc.stdout) == (0, in_process), proc.stderr

@@ -181,6 +181,37 @@ class TestFloatMirror:
         assert min(values) < 0
 
 
+# Rows on which one margin is exactly 0, each with the margins that its failure
+# leaves undefined.  Every margin is strict, so each row must fail at that
+# margin, exactly and in the float mirror, and a flipped comparison (> to >=)
+# must show.
+ZERO_MARGIN_ROWS = [
+    # f_xx = f_yy = 3a - 2 = 1/4 and D = 8a^2 - 10a + 3 = 0: the Hessian gate
+    # fails, so epsilon and every margin after it are undefined
+    pytest.param(
+        "discriminant",
+        ParamSet(4, F(3, 4), F(1), F(1), F(1)),
+        ("epsilon", "q_below_4", "spectral_bound", "ricci_coeff_denominator", "young_numerator", "gamma0_bare"),
+        "undefined: Hessian conditions failed",
+        id="D",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, params, undefined, why", ZERO_MARGIN_ROWS)
+def test_zero_margin_fails_without_raising(name, params, undefined, why):
+    report = feasibility(params)
+    entry = report.entry(name)
+    assert entry.margin == 0 and not entry.satisfied
+    assert not report.all_satisfied
+    assert {e.name: e.detail for e in report.entries if e.margin is None} == dict.fromkeys(undefined, why)
+    names = margin_names(params.n)
+    floats = map(float, (params.delta0, params.b, params.alpha, params.beta))
+    approx = dict(zip(names, float_margins(params.n, *floats)))
+    assert approx[name] <= optimize._NOISE
+    assert [e for e in names if approx[e] == optimize._BIG_NEGATIVE] == list(undefined)
+
+
 def _box(n):
     """(b, alpha, beta) bounds around each built-in row, from a quarter to four
     times its values; n = 6 extrapolates the rows' trend."""
