@@ -34,9 +34,9 @@ from fractions import Fraction
 
 import mpmath
 
+from .certificate import ApproxValue, ConstraintReport
 from .curvature import ParamSet
 from .rational import QuadSurd, clear_denominators
-from .report import ApproxValue, ConstraintReport
 
 Rat = Fraction
 
@@ -99,7 +99,7 @@ def quadform_lower_bound_check(
     return report
 
 
-def x0_y0(n: int, alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat) -> tuple[QuadSurd, QuadSurd]:
+def x0_y0(alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat) -> tuple[QuadSurd, QuadSurd]:
     """Barrier amplitudes x0 = sqrt(eps/(2 alpha g0)), y0 = (1/(2 beta)) sqrt(alpha eps g0 / 2).
 
     epsilon and gamma0 must be positive, as a passing chain makes them.
@@ -179,10 +179,8 @@ def barrier_ode_check(
     return report
 
 
-def growth_constants(
-    n: int, alpha: Rat, epsilon: Rat, y0: QuadSurd, dps: int = 50, digits: int = 12
-) -> tuple[ApproxValue, ApproxValue]:
-    """Area and volume growth constants (approximate, flagged).
+def growth_constants(n: int, alpha: Rat, epsilon: Rat, y0: QuadSurd, dps: int = 50) -> tuple[ApproxValue, ApproxValue]:
+    """Area and volume growth constants (approximate, flagged), reported at 12 digits.
 
     area  = ((n-2) alpha / eps)^((n-1)/2) * Area(S^(n-1))
     Lambda = ((n-2) alpha / eps)^(n/2) * Vol(B^n) * (2 exp(3 pi / y0))^n
@@ -195,10 +193,7 @@ def growth_constants(
         y0v = y0.approx_mp(dps)
         area = base_mp ** (mpmath.mpf(n - 1) / 2) * sphere_area
         volume = base_mp ** (mpmath.mpf(n) / 2) * ball_vol * (2 * mpmath.exp(3 * mpmath.pi / y0v)) ** n
-        return (
-            ApproxValue.from_mpf(area, digits, dps),
-            ApproxValue.from_mpf(volume, digits, dps),
-        )
+        return ApproxValue.from_mpf(area, dps), ApproxValue.from_mpf(volume, dps)
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,7 @@ def derive(params: ParamSet, epsilon: Rat, gamma0_bare: Rat, dps: int = 50) -> t
     n, alpha, beta = params.n, params.alpha, params.beta
     branches = []
     for convention, g in (("bare", gamma0_bare), ("with_ratio", gamma0_bare * beta / alpha)):
-        x0, y0 = x0_y0(n, alpha, beta, epsilon, g)
+        x0, y0 = x0_y0(alpha, beta, epsilon, g)
         area, volume = growth_constants(n, alpha, epsilon, y0, dps)
         branches.append(BarrierBranch(convention, g, x0, y0, area, volume))
     return tuple(branches)

@@ -1,4 +1,6 @@
-"""Audit certificates: a full machine-checkable record of a verified run.
+"""Audit certificates: a full machine-checkable record of a verified run, and
+the records it is built from (checks, constraint reports, published targets,
+approximate values).
 
 All exact values are serialized as strings ("p/q", "r*sqrt(s)"), never as
 binary floats; approximate fields carry an explicit digits annotation.  A
@@ -17,8 +19,12 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING, ClassVar
 
 from .rational import rational_to_str
+
+if TYPE_CHECKING:
+    import mpmath
 
 SCHEMA_VERSION = "1"
 
@@ -111,6 +117,52 @@ class CertCheck:
             residual=d.get("residual"),
             detail=d.get("detail", ""),
         )
+
+
+@dataclass
+class ConstraintReport:
+    """Ordered list of checks with pass/fail per constraint."""
+
+    entries: list[CertCheck] = field(default_factory=list)
+
+    def add(self, name: str, satisfied: bool, **kwargs) -> None:
+        self.entries.append(CertCheck.of(name, satisfied, **kwargs))
+
+    def add_margin(self, name: str, margin: Fraction) -> None:
+        """A strict constraint: satisfied exactly when its margin is > 0."""
+        self.add(name, margin > 0, margin=margin, detail="> 0")
+
+    @property
+    def all_satisfied(self) -> bool:
+        return all(e.satisfied for e in self.entries)
+
+    def entry(self, name: str) -> CertCheck:
+        for e in self.entries:
+            if e.name == name:
+                return e
+        raise KeyError(name)
+
+
+@dataclass(frozen=True)
+class ApproxValue:
+    """A floating quantity carried for reporting only, never for pass/fail.
+
+    ``value`` is a decimal string at ``digits`` = 12 significant digits,
+    produced from an internal computation at ``internal_dps`` digits.
+    """
+
+    digits: ClassVar[int] = 12
+    value: str
+    internal_dps: int
+
+    @staticmethod
+    def from_mpf(x: mpmath.mpf, internal_dps: int) -> "ApproxValue":
+        import mpmath
+
+        return ApproxValue(mpmath.nstr(x, ApproxValue.digits), internal_dps)
+
+    def to_jsonable(self) -> dict:
+        return {"value": self.value, "digits": self.digits, "internal_dps": self.internal_dps}
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""One certification path for any parameter row.
+"""Every certificate stabcert writes: a parameter row's (``certify``), a
+search result's (``result_certificate``) and verify-all's (``certify_all``).
 
-A certificate has up to three sections, in this order:
+A row's certificate has up to three sections, in this order:
 
 * the margin chain: every margin of ``optimize.feasibility`` under the chain's
   names, the same checks a search certificate carries;
@@ -13,31 +14,38 @@ A certificate has up to three sections, in this order:
 * the published comparison, appended only for a built-in row: a = b*delta0,
   the delta0, epsilon, L and gamma0 targets, and a discrepancy check for each
   computed value that differs from its published one.
+
+A search result's certificate is the margin chain of its row, which
+exact recertification has just computed, with the search's result values;
+it draws no samples, so a search loads no high-precision code.  verify-all's
+bundles the three built-in rows' certificates with the delta1 table and the
+iteration constants at delta = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 
 from . import curvature, published
-from .certificate import CertCheck, Certificate, PublishedTarget
-from .config import RunConfig
+from .certificate import ApproxValue, CertCheck, Certificate, ConstraintReport, PublishedTarget
+from .config import ConfigError, RunConfig
 from .curvature import ParamSet
-from .optimize import ChainValues, exact_chain
+from .optimize import ChainValues, SearchResult, exact_chain
 from .rational import rational_to_str as rts
-from .report import ConstraintReport
 
 
-def chain_certificate(params: ParamSet, report: ConstraintReport) -> Certificate:
-    """The row's parameters and its chain margins, unchanged."""
-    return Certificate(n=params.n, params=params.as_strings(), checks=list(report.entries))
+def chain_certificate(params: ParamSet, report: ConstraintReport, cfg: RunConfig) -> Certificate:
+    """The row's parameters and its chain margins, unchanged, with the run settings."""
+    return Certificate(
+        n=params.n, params=params.as_strings(), checks=list(report.entries), environment=cfg.environment()
+    )
 
 
 def certify(params: ParamSet, cfg: RunConfig) -> Certificate:
     """The chain; then, if every margin holds, the evidence and, for a built-in row, the published comparison."""
     report, chain = exact_chain(params)
-    cert = chain_certificate(params, report)
-    cert.environment.update(cfg.environment())
+    cert = chain_certificate(params, report, cfg)
     if report.all_satisfied:
         _evidence(cert, params, report, chain, cfg)
         if params.n in published.PARAM_ROWS and params == ParamSet.published_row(params.n):
@@ -131,3 +139,94 @@ def _compare_published(cert: Certificate, params: ParamSet) -> None:
                     detail=f"{lead}computed {computed} != published {quoted}{tail}",
                 )
             )
+
+
+def result_certificate(result: SearchResult, cfg: RunConfig) -> Certificate:
+    """Certificate for one certified search result; re-verifiable from params alone."""
+    assert result.best_params is not None and result.constraint_report is not None
+    cert = chain_certificate(result.best_params, result.constraint_report, cfg)
+    cert.environment["objective"] = result.objective
+    cert.environment["evaluations_used"] = result.evaluations_used
+    if result.epsilon is not None:
+        cert.values["epsilon"] = rts(result.epsilon)
+    if result.delta0 is not None:
+        cert.values["delta0"] = rts(result.delta0)
+    if result.improvement_vs_published is not None:
+        cert.values["improvement_vs_published"] = rts(result.improvement_vs_published)
+    return cert
+
+
+def certify_all(cfg: RunConfig) -> Certificate:
+    """verify-all's certificate: each built-in row's, the delta1 table and the iteration grid.
+
+    The grid is computed first: when cfg's s and s1 leave both Caccioppoli
+    branches nonpositive it raises ConfigError before any row is certified.
+    The grid holds, for each built-in n at delta = 1 and q midway between
+    (n-2)/n and delta, epsilon1, C and C0 (from C_MS and R) and the
+    Caccioppoli C1 and C2 at k = delta/2 (from s and s1).
+    """
+    from . import iteration  # high precision: loaded by verify-all, never by a search
+
+    grid = []
+    dps = cfg.float_precision_digits
+    delta = Fraction(1)
+    for n in published.SUPPORTED_N:
+        q = (Fraction(n - 2, n) + delta) / 2
+        dg = iteration.degiorgi_constants(n, delta, q, cfg.c_ms, cfg.radius, dps=dps)
+        eps1 = iteration.epsilon1_threshold(n, delta, q, cfg.c_ms, dps=dps)
+        try:
+            cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1)
+        except iteration.NoCaccioppoliConstantError as exc:
+            raise ConfigError(str(exc)) from exc
+        grid.append(
+            {
+                "n": n,
+                "delta": rts(delta),
+                "q": rts(q),
+                "epsilon1": ApproxValue.from_mpf(eps1, dps).to_jsonable(),
+                "C": str(dg.C),
+                "C0": dg.C0.to_jsonable(),
+                "caccioppoli_C1": rts(cacc.c1),
+                "caccioppoli_C2": rts(cacc.c2),  # p = 4k + 2 = 4: exact
+                "p": rts(cacc.p),
+                "both_branches_positive": cacc.both_branches_positive,
+            }
+        )
+
+    cert = Certificate(
+        n=0, params={"rows": ",".join(str(n) for n in published.SUPPORTED_N)}, environment=cfg.environment()
+    )
+    for n in published.SUPPORTED_N:
+        row = certify(ParamSet.published_row(n), cfg)
+        cert.values[f"row_n{n}"] = row.to_jsonable()
+        passed = row.overall_status == "passed"
+        cert.add_check(CertCheck.of(f"row_n{n}_overall", passed, detail=f"{len(row.discrepancies)} discrepancies"))
+        for target in row.published_targets:
+            cert.add_target(PublishedTarget(f"n={n}:{target.quantity}", target.quoted, target.computed, target.match))
+        for flag in row.flags:
+            cert.add_flag(f"n={n}:{flag['name']}", flag["detail"])
+
+    for n in published.SUPPORTED_N:
+        value, quoted = iteration.delta1_of(n), published.DELTA1[n]
+        cert.add_target(PublishedTarget(f"delta1(n={n})", rts(quoted), rts(value), value == quoted))
+    collapse_ok = all(iteration.collapse_sqrt(n) == Fraction((n - 2) ** 2, 4 * (n - 1)) for n in range(3, 13))
+    cert.add_check(
+        CertCheck.of(
+            "critical_radicand_perfect_square",
+            collapse_ok,
+            detail="sqrt(delta_c(delta_c-(n-2)/n)) = (n-2)^2/(4(n-1)) for n=3..12",
+        )
+    )
+    exponents_ok = all(
+        iteration.critical_delta_exponent(n, iteration.critical_delta_threshold(n) + Fraction(1, 1000))
+        for n in published.SUPPORTED_N
+    )
+    cert.add_check(
+        CertCheck.of(
+            "exponent_exceeds_dimension_above_threshold",
+            exponents_ok,
+            detail="p = 4k+2 > n at delta = delta_c + 1/1000",
+        )
+    )
+    cert.values["iteration_grid"] = grid
+    return cert

@@ -7,9 +7,12 @@ Exit-code contract (scriptable CI usage):
     3  strict mode and the certificate contains discrepancies
     4  search finished without a certified result
 
-Certificates are written atomically by a single writer; report rendering is
-read-only and never alters numeric fields.  High-precision modules (mpmath,
-iteration, bubble) load on first use, so optimize and report never load them.
+This module parses arguments, checks output paths, writes files and maps
+results to exit codes; ``stabcert.certify`` builds every certificate it
+writes.  Certificates are written atomically by a single writer; report
+rendering is read-only and never alters numeric fields.  High-precision
+modules (mpmath, iteration, bubble) load on first use, so optimize and report
+never load them.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import optimize, published
-from .certificate import CertCheck, Certificate, PublishedTarget, check_output_path, write_json
-from .certify import certify, chain_certificate
+from .certificate import Certificate, check_output_path, write_json
+from .certify import certify, certify_all, result_certificate
 from .config import ConfigError, RunConfig, load_config
 from .curvature import ParamSet
 from .rational import rational_to_str
-from .report import ApproxValue
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -44,131 +46,25 @@ def exit_code_for(cert: Certificate, strict: bool) -> int:
     return EXIT_PASS
 
 
+def _write(cert: Certificate, out: Path, strict: bool) -> int:
+    cert.write(out)
+    print(f"wrote {out} ({cert.overall_status}; {len(cert.discrepancies)} discrepancies)")
+    return exit_code_for(cert, strict)
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
     if args.n not in published.SUPPORTED_N:
         print(f"error: no built-in parameter row for n = {args.n}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out) if args.out else cfg.out_dir / f"certificate_n{args.n}.json"
     check_output_path(out)  # before certifying, which a failed write would waste
-    cert = certify(ParamSet.published_row(args.n), cfg)
-    cert.write(out)
-    print(f"wrote {out} ({cert.overall_status}; {len(cert.discrepancies)} discrepancies)")
-    return exit_code_for(cert, args.strict)
-
-
-def _delta1_checks(cert: Certificate) -> None:
-    from . import iteration
-
-    for n in published.SUPPORTED_N:
-        value = iteration.delta1_of(n)
-        quoted = published.DELTA1[n]
-        cert.add_target(PublishedTarget(f"delta1(n={n})", rational_to_str(quoted), rational_to_str(value), value == quoted))
-    collapse_ok = all(iteration.collapse_sqrt(n) == Fraction((n - 2) ** 2, 4 * (n - 1)) for n in range(3, 13))
-    cert.add_check(
-        CertCheck.of(
-            "critical_radicand_perfect_square",
-            collapse_ok,
-            detail="sqrt(delta_c(delta_c-(n-2)/n)) = (n-2)^2/(4(n-1)) for n=3..12",
-        )
-    )
-    exponents_ok = all(
-        iteration.critical_delta_exponent(n, iteration.critical_delta_threshold(n) + Fraction(1, 1000))
-        for n in published.SUPPORTED_N
-    )
-    cert.add_check(
-        CertCheck.of(
-            "exponent_exceeds_dimension_above_threshold",
-            exponents_ok,
-            detail="p = 4k+2 > n at delta = delta_c + 1/1000",
-        )
-    )
-
-
-def _iteration_grid(cfg: RunConfig) -> list[dict]:
-    """verify-all's iteration constants for each built-in n at delta = 1.
-
-    epsilon1, C and C0 depend on (C_MS, R), the Caccioppoli C1 and C2 on
-    (s, s1); it raises NoCaccioppoliConstantError when s and s1 leave both
-    Caccioppoli branches nonpositive.
-    """
-    from . import iteration
-
-    grid = []
-    dps = cfg.float_precision_digits
-    for n in published.SUPPORTED_N:
-        delta = Fraction(1)
-        q = (Fraction(n - 2, n) + delta) / 2
-        dg = iteration.degiorgi_constants(n, delta, q, cfg.c_ms, cfg.radius, dps=dps)
-        eps1 = iteration.epsilon1_threshold(n, delta, q, cfg.c_ms, dps=dps)
-        cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1, dps=dps)
-        grid.append(
-            {
-                "n": n,
-                "delta": rational_to_str(delta),
-                "q": rational_to_str(q),
-                "epsilon1": ApproxValue.from_mpf(eps1, internal_dps=dps).to_jsonable(),
-                "C": str(dg.C),
-                "C0": dg.C0.to_jsonable(),
-                "caccioppoli_C1": rational_to_str(cacc.c1),
-                "caccioppoli_C2": rational_to_str(cacc.c2_exact)
-                if cacc.c2_exact is not None
-                else cacc.c2_approx.to_jsonable(),
-                "p": rational_to_str(cacc.p),
-                "both_branches_positive": cacc.both_branches_positive,
-            }
-        )
-    return grid
+    return _write(certify(ParamSet.published_row(args.n), cfg), out, args.strict)
 
 
 def cmd_verify_all(args, cfg: RunConfig) -> int:
-    from . import iteration
-
-    try:
-        grid = _iteration_grid(cfg)
-    except iteration.NoCaccioppoliConstantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     out = Path(args.out) if args.out else cfg.out_dir / "certificate_all.json"
     check_output_path(out)  # before certifying, which a failed write would waste
-    combined = Certificate(n=0, params={"rows": ",".join(str(n) for n in published.SUPPORTED_N)})
-    combined.environment.update(cfg.environment())
-    for n in published.SUPPORTED_N:
-        row_cert = certify(ParamSet.published_row(n), cfg)
-        combined.values[f"row_n{n}"] = row_cert.to_jsonable()
-        combined.add_check(
-            CertCheck.of(
-                f"row_n{n}_overall",
-                row_cert.overall_status == "passed",
-                detail=f"{len(row_cert.discrepancies)} discrepancies",
-            )
-        )
-        for target in row_cert.published_targets:
-            combined.add_target(
-                PublishedTarget(f"n={n}:{target.quantity}", target.quoted, target.computed, target.match)
-            )
-        for flag in row_cert.flags:
-            combined.add_flag(f"n={n}:{flag['name']}", flag["detail"])
-    _delta1_checks(combined)
-    combined.values["iteration_grid"] = grid
-    combined.write(out)
-    print(f"wrote {out} ({combined.overall_status}; {len(combined.discrepancies)} discrepancies)")
-    return exit_code_for(combined, args.strict)
-
-
-def result_certificate(result: optimize.SearchResult, cfg: RunConfig) -> Certificate:
-    """Certificate for one certified search result; re-verifiable from params alone."""
-    assert result.best_params is not None and result.constraint_report is not None
-    cert = chain_certificate(result.best_params, result.constraint_report)
-    cert.environment.update(cfg.environment())
-    cert.environment["objective"] = result.objective
-    cert.environment["evaluations_used"] = result.evaluations_used
-    if result.epsilon is not None:
-        cert.values["epsilon"] = rational_to_str(result.epsilon)
-    if result.delta0 is not None:
-        cert.values["delta0"] = rational_to_str(result.delta0)
-    if result.improvement_vs_published is not None:
-        cert.values["improvement_vs_published"] = rational_to_str(result.improvement_vs_published)
-    return cert
+    return _write(certify_all(cfg), out, args.strict)
 
 
 def cmd_optimize(args, cfg: RunConfig) -> int:
@@ -371,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PASS
     try:
         return args.func(args) if cfg is None else args.func(args, cfg)
+    except ConfigError as exc:  # settings that load but certify nothing: verify-all's s and s1
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:  # report handles its own read errors, so this is an output path
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

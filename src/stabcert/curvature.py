@@ -34,9 +34,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import published
+from .certificate import ConstraintReport
 from .rational import clear_denominators
 from .rational import rational_to_str as rts
-from .report import ConstraintReport
 
 Rat = Fraction
 

@@ -29,8 +29,8 @@ from fractions import Fraction
 import mpmath
 
 from . import published
+from .certificate import ApproxValue
 from .rational import QuadSurd, sqrt_exact
-from .report import ApproxValue
 
 Rat = Fraction
 
@@ -50,19 +50,20 @@ class NoCaccioppoliConstantError(ValueError):
 class CaccioppoliConstants:
     c1: Fraction
     p: Fraction  # 4k + 2
-    c2_exact: Fraction | None  # exact when p is an even integer
-    c2_approx: ApproxValue | None  # flagged floating otherwise
+    c2: Fraction | None  # None unless p is an even integer
     both_branches_positive: bool
 
 
-def caccioppoli_constants(n: int, delta: Rat, k: Rat, s: Rat, s1: Rat, dps: int = 50) -> CaccioppoliConstants:
+def caccioppoli_constants(n: int, delta: Rat, k: Rat, s: Rat, s1: Rat) -> CaccioppoliConstants:
     """C1 and C2 from the two absorption branches of the weighted inequality.
 
     Branch 1: coefficient (2k + 1/n - 1/2 - 1/s) delta/k^2 - 2 with numerator
     s + (2k + 1/n - 1/2 - 1/s)/k^2.  Branch 2: coefficient
     (k + 1/(2n) - 1/4) s1 delta / (k^2 (s1 + 1)) - 1 with numerator
     (s1/k^2)(k + 1/(2n) - 1/4).  C1 is the max of the per-branch ratios over
-    branches with positive coefficient; both nonpositive is an error.
+    branches with positive coefficient; both nonpositive is an error.  C2 is
+    exact when p is an even integer, as verify-all's k = delta/2 = 1/2 makes
+    it (p = 4), and None otherwise.
     """
     k, s, s1 = Fraction(k), Fraction(s), Fraction(s1)
     coeff1 = caccioppoli_coefficient(n, delta, k, s)
@@ -77,24 +78,9 @@ def caccioppoli_constants(n: int, delta: Rat, k: Rat, s: Rat, s1: Rat, dps: int 
         )
     c1 = max(candidates)
     p = 4 * k + 2
-    base = p * p * c1 / 4
-    c2_exact = None
-    c2_approx = None
-    if p.denominator == 1 and p.numerator % 2 == 0:
-        c2_exact = base ** (p.numerator // 2)
-    else:
-        with mpmath.workdps(dps):
-            val = (mpmath.mpf(base.numerator) / base.denominator) ** (
-                mpmath.mpf(p.numerator) / p.denominator / 2
-            )
-            c2_approx = ApproxValue.from_mpf(val, internal_dps=dps)
-    return CaccioppoliConstants(
-        c1=c1,
-        p=p,
-        c2_exact=c2_exact,
-        c2_approx=c2_approx,
-        both_branches_positive=coeff1 > 0 and coeff2 > 0,
-    )
+    even = p.denominator == 1 and p.numerator % 2 == 0
+    c2 = (p * p * c1 / 4) ** (p.numerator // 2) if even else None
+    return CaccioppoliConstants(c1=c1, p=p, c2=c2, both_branches_positive=coeff1 > 0 and coeff2 > 0)
 
 
 def critical_delta_threshold(n: int) -> Fraction:
@@ -143,8 +129,9 @@ class Pow2:
 
     exponent: Fraction
 
-    def approx_mp(self, dps: int = 50) -> mpmath.mpf:
-        with mpmath.workdps(dps):
+    def approx_mp(self) -> mpmath.mpf:
+        """The value at 50 significant digits."""
+        with mpmath.workdps(50):
             return mpmath.power(2, mpmath.mpf(self.exponent.numerator) / self.exponent.denominator)
 
     def __str__(self) -> str:
@@ -198,17 +185,15 @@ def degiorgi_constants(n: int, delta: Rat, q: Rat, C_MS: float, R: float, dps: i
             -mpmath.mpf(rexp2.numerator) / rexp2.denominator
         )
         c0 = mpmath.mpf(C_MS) * (term1 + term2)
-        return DeGiorgiConstants(C=C, C0=ApproxValue.from_mpf(c0, internal_dps=dps))
+        return DeGiorgiConstants(C=C, C0=ApproxValue.from_mpf(c0, dps))
 
 
-def epsilon1_threshold(
-    n: int, delta: Rat, q: Rat, C_MS: float, safety: Fraction = Fraction(1, 2), dps: int = 50
-) -> mpmath.mpf:
-    """Largest admissible smallness threshold, shrunk by a documented safety factor.
+def epsilon1_threshold(n: int, delta: Rat, q: Rat, C_MS: float, dps: int = 50) -> mpmath.mpf:
+    """Largest admissible smallness threshold, shrunk by the safety factor 1/2.
 
     The critical value solves eps1 * C^(n^2/2) * C_MS * bracket^(n/2) = 1 with
-    bracket = pref1 + pref2 * 2^(2/q); the returned threshold is safety (default
-    1/2) times the critical value, keeping the required strict inequality.
+    bracket = pref1 + pref2 * 2^(2/q); the returned threshold is half the
+    critical value, keeping the required strict inequality.
     """
     delta, q = Fraction(delta), Fraction(q)
     pref1, pref2, c_exponent = _iteration_terms(n, delta, q, C_MS)
@@ -222,7 +207,7 @@ def epsilon1_threshold(
         )
         c_power = mpmath.power(2, mpmath.mpf(c_exp.numerator) / c_exp.denominator)
         critical = 1 / (c_power * mpmath.mpf(C_MS) * bracket ** (mpmath.mpf(n) / 2))
-        return critical * mpmath.mpf(safety.numerator) / safety.denominator
+        return critical / 2
 
 
 @dataclass
@@ -236,12 +221,13 @@ class RecursionResult:
     bounds_str: list[str]
 
 
-def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, dps: int = 60) -> RecursionResult:
+def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) -> RecursionResult:
     """Worst-case iteration of the odd-index decay recursion, with its closed bound.
 
     Iterates T_m = C0^theta * C^(theta (2m-1)) * T_(m-1)^theta from T_0 = S1,
     theta = n/(n-2) (equality, the worst case), tracking the exponents of C0,
-    C and S1 as exact rationals; values are evaluated in the log domain from
+    C and S1 as exact rationals; values are evaluated at 60 significant digits
+    in the log domain from
     those exponents and cross-checked against a direct product iteration at
     1e-9 relative precision.  The closed-form bound is
     (C0^(n/2) C^(n^2/2) S1)^(theta^m); domination is verified at every step.
@@ -263,7 +249,7 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20, 
     if steps < 1:
         raise ValueError(f"steps = {steps} must be >= 1")
     theta = Fraction(n, n - 2)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60):
         C0_mp, C_mp = mpmath.mpf(C0), mpmath.mpf(C)
         logC0, logC, logS1 = mpmath.log(C0_mp), mpmath.log(C_mp), mpmath.log(mpmath.mpf(S1))
         log10 = mpmath.log(10)

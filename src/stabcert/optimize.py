@@ -51,10 +51,10 @@ from functools import cache
 from typing import NamedTuple
 
 from . import published
+from .certificate import ConstraintReport
 from .config import RunConfig
 from .curvature import ParamSet
 from .rational import rational_to_str
-from .report import ConstraintReport
 
 Rat = Fraction
 

@@ -21,8 +21,7 @@ from quadmin_oracle import (
 
 from stabcert import bubble, published
 from stabcert.certificate import Certificate
-from stabcert.certify import certify
-from stabcert.cli import result_certificate
+from stabcert.certify import certify, result_certificate
 from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet, curvature_sample_check
 from stabcert.iteration import (

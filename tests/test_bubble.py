@@ -187,16 +187,16 @@ class TestBarrier:
     def test_scaling_in_epsilon(self):
         p = row(3)
         g = published.GAMMA0[3]
-        x1, y1 = x0_y0(p.n, p.alpha, p.beta, eps(3), g)
-        x4, y4 = x0_y0(p.n, p.alpha, p.beta, 4 * eps(3), g)
+        x1, y1 = x0_y0(p.alpha, p.beta, eps(3), g)
+        x4, y4 = x0_y0(p.alpha, p.beta, 4 * eps(3), g)
         assert x4.square() == 4 * x1.square() and x4.sign() == x1.sign()
         assert y4.square() == 4 * y1.square() and y4.sign() == y1.sign()
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError, match="radicand must be nonnegative"):
-            x0_y0(3, F(1), F(1), F(-1), F(1))
+            x0_y0(F(1), F(1), F(-1), F(1))
         with pytest.raises(ZeroDivisionError):
-            x0_y0(3, F(1), F(1), F(1), F(0))
+            x0_y0(F(1), F(1), F(1), F(0))
 
     def test_ode_residuals_row3(self):
         for branch in branches(3):
@@ -229,7 +229,7 @@ class TestGrowthConstants:
     def test_epsilon_doubling_halves_base(self):
         p = row(3)
         g = published.GAMMA0[3]
-        _, y0 = x0_y0(p.n, p.alpha, p.beta, eps(3), g)
+        _, y0 = x0_y0(p.alpha, p.beta, eps(3), g)
         area1, _ = growth_constants(p.n, p.alpha, eps(3), y0)
         area2, _ = growth_constants(p.n, p.alpha, 2 * eps(3), y0)
         ratio = mpmath.mpf(area1.value) / mpmath.mpf(area2.value)

@@ -6,8 +6,8 @@ import pytest
 
 from stabcert import published
 from stabcert.certificate import Certificate
-from stabcert.certify import certify
-from stabcert.cli import main, result_certificate
+from stabcert.certify import certify, result_certificate
+from stabcert.cli import main
 from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet
 from stabcert.optimize import SearchResult, exact_chain, feasibility, margin_names, minimize_delta0

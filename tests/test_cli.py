@@ -95,9 +95,11 @@ def test_optimize_checks_output_path_before_searching(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("argv", [["verify", "--n", "3"], ["verify-all"]])
 def test_verify_checks_output_path_before_certifying(tmp_path, fast_config, capsys, monkeypatch, argv):
     def certify(*args):
-        pytest.fail("a row was certified before its output path was checked")
+        pytest.fail("a certificate was built before its output path was checked")
 
+    # verify calls certify, verify-all certify_all
     monkeypatch.setattr(cli, "certify", certify)
+    monkeypatch.setattr(cli, "certify_all", certify)
     blocker = tmp_path / "afile"
     blocker.write_text("", encoding="utf-8")
     assert run([*argv, "--config", str(fast_config), "--out", str(blocker / "x.json")]) == 2
@@ -222,19 +224,24 @@ def test_optimize_denominator_bound_below_two_is_usage_error(tmp_path, capsys, b
     assert "denominator_bound must be >= 2" in one_line_error(capsys)
 
 
-def test_verify_all_passes_float_precision_to_caccioppoli(tmp_path, fast_config, monkeypatch):
+def test_verify_all_passes_float_precision_to_iteration_grid(tmp_path, fast_config, monkeypatch):
     seen = []
-    exact = iteration.caccioppoli_constants
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs.get("dps"))
-        return exact(*args, **kwargs)
+    def recording(name):
+        exact = getattr(iteration, name)
 
-    monkeypatch.setattr(iteration, "caccioppoli_constants", recording)
+        def record(*args, **kwargs):
+            seen.append((name, kwargs.get("dps")))
+            return exact(*args, **kwargs)
+
+        return record
+
+    for name in ("degiorgi_constants", "epsilon1_threshold"):
+        monkeypatch.setattr(iteration, name, recording(name))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(fast_config.read_text(encoding="utf-8") + "float_precision_digits = 60\n", encoding="utf-8")
     assert run(["verify-all", "--config", str(cfg), "--out", str(tmp_path / "all.json")]) == 0
-    assert seen == [60, 60, 60]
+    assert seen == [("degiorgi_constants", 60), ("epsilon1_threshold", 60)] * 3
 
 
 def test_optimize_epsilon_requires_delta0_for_probe(tmp_path):
@@ -520,6 +527,7 @@ def test_cli_loads_no_high_precision_modules(tmp_path):
     [
         ["recursion-sim", "--s1", "1e-9", "--n", "4", "--q", "3/4", "--delta", "1"],
         ["verify", "--n", "3", "--config", "{fast_config}", "--out", "{tmp_path}/cert.json"],
+        ["verify-all", "--config", "{fast_config}", "--out", "{tmp_path}/all.json"],
     ],
 )
 def test_deferred_imports_resolve_in_a_fresh_process(tmp_path, fast_config, capsys, argv):

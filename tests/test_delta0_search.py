@@ -8,7 +8,7 @@ import pytest
 
 from stabcert import optimize, published
 from stabcert.curvature import ParamSet
-from stabcert.report import ConstraintReport
+from stabcert.certificate import ConstraintReport
 
 TOP = 2**optimize._DELTA0_BITS
 

@@ -56,8 +56,7 @@ class TestCaccioppoliConstants:
         # Young-absorb branch 50500/197 (coefficient 197/303); C1 is the larger
         assert res.c1 == F(50500, 197) > F(7747, 97)
         assert res.p == 4  # exceeds n = 3
-        assert res.c2_exact == (4 * F(50500, 197)) ** 2
-        assert res.c2_approx is None
+        assert res.c2 == (4 * F(50500, 197)) ** 2
 
     def test_constant_grows_near_positivity_boundary(self):
         # delta = 3/8 has rational interval endpoints {1/8, 5/8}; pushing 2k
@@ -73,10 +72,10 @@ class TestCaccioppoliConstants:
         with pytest.raises(NoCaccioppoliConstantError):
             caccioppoli_constants(3, F(1), F(50), F(100), F(100))
 
-    def test_odd_exponent_flagged_floating(self):
+    def test_odd_exponent_has_no_c2(self):
         res = caccioppoli_constants(3, F(1), F(1, 4), F(100), F(100))
         assert res.p == 3
-        assert res.c2_exact is None and res.c2_approx is not None
+        assert res.c2 is None
 
 
 class TestCriticalExponent:

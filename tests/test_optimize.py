@@ -181,35 +181,83 @@ class TestFloatMirror:
         assert min(values) < 0
 
 
-# Rows on which one margin is exactly 0, each with the margins that its failure
-# leaves undefined.  Every margin is strict, so each row must fail at that
-# margin, exactly and in the float mirror, and a flipped comparison (> to >=)
-# must show.
+# Rows on which margins are exactly 0, each with the margins that the failures
+# leave undefined and why.  Every margin is strict, so each row must fail at
+# each zero margin, exactly and in the float mirror, and a flipped comparison
+# (> to >=) must show.
+_GATE_FAILED = "undefined: Hessian conditions failed"
+_AFTER_GATE = ("epsilon", "q_below_4", "spectral_bound", "ricci_coeff_denominator", "young_numerator", "gamma0_bare")
+_NO_GAMMA0 = {"gamma0_bare": "undefined: no Young parameter"}
+_NO_YOUNG = {"young_numerator": "undefined: upstream failure", **_NO_GAMMA0}
+
+
+def zero_row(id, params, zeros, undefined=None, float_defined=()):
+    """``float_defined`` names margins the exact chain leaves undefined but the
+    float mirror computes, because a zero upstream of them rounds positive."""
+    return pytest.param(zeros, params, undefined or {}, float_defined, id=id)
+
+
 ZERO_MARGIN_ROWS = [
     # f_xx = f_yy = 3a - 2 = 1/4 and D = 8a^2 - 10a + 3 = 0: the Hessian gate
     # fails, so epsilon and every margin after it are undefined
-    pytest.param(
-        "discriminant",
-        ParamSet(4, F(3, 4), F(1), F(1), F(1)),
-        ("epsilon", "q_below_4", "spectral_bound", "ricci_coeff_denominator", "young_numerator", "gamma0_bare"),
-        "undefined: Hessian conditions failed",
-        id="D",
+    zero_row(
+        "D", ParamSet(4, F(3, 4), F(1), F(1), F(1)), ("discriminant",), dict.fromkeys(_AFTER_GATE, _GATE_FAILED)
+    ),
+    # f_xx = 4a - 2 beta at n = 3
+    zero_row(
+        "fxx", ParamSet(3, F(1, 2), F(1), F(1, 4), F(1)), ("hessian_fxx",),
+        dict.fromkeys(_AFTER_GATE[:2] + _AFTER_GATE[3:], _GATE_FAILED),
+    ),
+    # f_yy = 4a - 2 alpha at n = 3; D = 12a^2 - 4(2 beta + alpha)a + (4 beta - alpha)alpha is 0 too
+    zero_row(
+        "fyy", ParamSet(3, F(1, 2), F(1), F(1), F(1, 4)), ("hessian_fyy", "discriminant"),
+        dict.fromkeys(_AFTER_GATE[:2] + _AFTER_GATE[3:], _GATE_FAILED),
+    ),
+    # q = b/beta = 4: no spectral coefficient, and no Young parameter (epsilon < 0 as well)
+    zero_row(
+        "q=4", ParamSet(4, F(4), F(4), F(1), F(1)), ("q_below_4",), {"spectral_bound": "undefined: q >= 4", **_NO_YOUNG}
+    ),
+    # the n = 3 vertex (q, r) = (3, 1) at delta0 = 1/2: gamma0 = 1/3 - (1/L)(1/2 - 1/3) = 0;
+    # the float margin rounds to -4.4e-16
+    zero_row("gamma0", ParamSet(3, F(3, 2), F(3), F(1), F(1)), ("gamma0_bare",)),
+    # the n = 4 vertex (q, r) = (2, 1) at delta0 = 7/16: mcc = 1/2 and q = 2 make
+    # the Young numerator mcc + 1/q - 1 = 0, so gamma0 has no Young parameter
+    zero_row(
+        "n4-vertex", ParamSet(4, F(7, 8), F(2), F(1), F(1)), ("epsilon", "spectral_bound", "young_numerator"),
+        _NO_GAMMA0,
+    ),
+    # solved in rationals for the one margin, with the Hessian gate holding and
+    # every other defined margin positive:
+    # the Ricci denominator (n-1)beta - (n-2)alpha at alpha = (n-1)/(n-2)
+    zero_row("ricci", ParamSet(4, F(9, 8), F(1, 8), F(3, 2), F(1)), ("ricci_coeff_denominator",), _NO_YOUNG),
+    # the spectral margin (n-2)/(n-3) - 4/(4-q) * beta/alpha at alpha = 4(n-3)/((n-2)(4-q));
+    # at n = 5 the float margin rounds to +2.2e-16
+    zero_row("spectral-n4", ParamSet(4, F(3, 4), F(1, 8), F(16, 31), F(1)), ("spectral_bound",)),
+    zero_row("spectral-n5", ParamSet(5, F(7, 8), F(1, 8), F(64, 93), F(1)), ("spectral_bound",)),
+    # the Young numerator mcc + 1/q - 1 at 1/q = 1 - mcc
+    zero_row("young-n4", ParamSet(4, F(1), F(96, 49), F(9, 8), F(1)), ("young_numerator",), _NO_GAMMA0),
+    # at n = 5 the float Young numerator rounds to +2.2e-16, so the float
+    # mirror computes gamma0 from it: about -9.7e14, far below _NOISE
+    zero_row(
+        "young-n5", ParamSet(5, F(6, 5), F(28, 27), F(8, 7), F(1)), ("young_numerator",),
+        _NO_GAMMA0, float_defined=("gamma0_bare",),
     ),
 ]
 
 
-@pytest.mark.parametrize("name, params, undefined, why", ZERO_MARGIN_ROWS)
-def test_zero_margin_fails_without_raising(name, params, undefined, why):
+@pytest.mark.parametrize("zeros, params, undefined, float_defined", ZERO_MARGIN_ROWS)
+def test_zero_margin_fails_without_raising(zeros, params, undefined, float_defined):
     report = feasibility(params)
-    entry = report.entry(name)
-    assert entry.margin == 0 and not entry.satisfied
+    assert [e.name for e in report.entries if e.margin == 0] == list(zeros)
+    assert not any(report.entry(name).satisfied for name in zeros)
     assert not report.all_satisfied
-    assert {e.name: e.detail for e in report.entries if e.margin is None} == dict.fromkeys(undefined, why)
+    assert {e.name: e.detail for e in report.entries if e.margin is None} == undefined
     names = margin_names(params.n)
     floats = map(float, (params.delta0, params.b, params.alpha, params.beta))
     approx = dict(zip(names, float_margins(params.n, *floats)))
-    assert approx[name] <= optimize._NOISE
-    assert [e for e in names if approx[e] == optimize._BIG_NEGATIVE] == list(undefined)
+    assert all(approx[name] <= optimize._NOISE for name in (*zeros, *float_defined))
+    float_undefined = [e for e in names if e in undefined and e not in float_defined]
+    assert [e for e in names if approx[e] == optimize._BIG_NEGATIVE] == float_undefined
 
 
 def _box(n):

@@ -19,7 +19,7 @@ from quadmin_oracle import determinant, linear_coefficients, min_coefficient
 
 from stabcert.bubble import quadform_lower_bound_check
 from stabcert.curvature import ParamSet, curvature_sample_check
-from stabcert.report import ConstraintReport
+from stabcert.certificate import ConstraintReport
 
 
 def mean_curv_coeff(n, alpha, beta):
