@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .certificate import ApproxValue, ConstraintReport
+from .certificate import ApproxValue, CertCheck
 from .curvature import ParamSet
 from .rational import QuadSurd, clear_denominators
 
@@ -47,7 +47,7 @@ _QUAD_DRAWS = tuple((num, den) for num in range(-200, 201) for den in range(1, 2
 
 def quadform_lower_bound_check(
     n: int, alpha: Rat, beta: Rat, K: Rat, sample_count: int = 1000, seed: int = 0
-) -> ConstraintReport:
+) -> list[CertCheck]:
     """Exact sampling of the trace-free quadratic-form bound plus its exact proof.
 
     For random rational (mu1, H):
@@ -72,7 +72,6 @@ def quadform_lower_bound_check(
     draws = _QUAD_DRAWS
     base = len(draws)
     span = base * base
-    report = ConstraintReport()
     violations = 0
     witness = ""
     for _ in range(sample_count):
@@ -84,19 +83,14 @@ def quadform_lower_bound_check(
             violations += 1
             if not witness:
                 witness = f"mu1={Fraction(m, dm)}, H={Fraction(h, dh)}"
-    report.add(
-        "quadform_lower_bound",
-        violations == 0,
-        kind="sampled",
-        detail=f"{sample_count} samples, {violations} violations, seed={seed}"
-        + (f"; first witness: {witness}" if witness else ""),
-    )
-    report.add(
-        "quadform_bound_tight_at_vertex",
-        A > 0 and 4 * A * C - B * B == 4 * A * K,
-        detail="A > 0 and 4AC - B^2 = 4AK: the form minus K*H^2 is A*(mu1 + B*H/(2A))^2",
-    )
-    return report
+    return [
+        CertCheck.sampled("quadform_lower_bound", sample_count, violations, seed, witness),
+        CertCheck.of(
+            "quadform_bound_tight_at_vertex",
+            A > 0 and 4 * A * C - B * B == 4 * A * K,
+            detail="A > 0 and 4AC - B^2 = 4AK: the form minus K*H^2 is A*(mu1 + B*H/(2A))^2",
+        ),
+    ]
 
 
 def x0_y0(alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat) -> tuple[QuadSurd, QuadSurd]:
@@ -111,18 +105,17 @@ def x0_y0(alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat) -> tuple[QuadS
 
 def surd_identities_check(
     alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat, x0: QuadSurd, y0: QuadSurd
-) -> ConstraintReport:
+) -> list[CertCheck]:
     """Exact surd checks of 2(b/a) x0 y0 = eps/(2a) and 2(b/a) y0/x0 = gamma0."""
-    report = ConstraintReport()
     prod = x0 * y0
     ok1 = prod.is_rational() and 2 * (beta / alpha) * prod.as_rational() == epsilon / (2 * alpha)
-    report.add("barrier_product_identity", ok1,
-               detail=f"2(beta/alpha)*x0*y0 vs epsilon/(2 alpha); x0*y0 = {prod}")
     ratio = y0 / x0
     ok2 = ratio.is_rational() and 2 * (beta / alpha) * ratio.as_rational() == gamma0_value
-    report.add("barrier_ratio_identity", ok2,
-               detail=f"2(beta/alpha)*y0/x0 vs gamma0; y0/x0 = {ratio}")
-    return report
+    return [
+        CertCheck.of("barrier_product_identity", ok1,
+                     detail=f"2(beta/alpha)*x0*y0 vs epsilon/(2 alpha); x0*y0 = {prod}"),
+        CertCheck.of("barrier_ratio_identity", ok2, detail=f"2(beta/alpha)*y0/x0 vs gamma0; y0/x0 = {ratio}"),
+    ]
 
 
 def barrier_ode_check(
@@ -131,15 +124,15 @@ def barrier_ode_check(
     sample_count: int = 1000,
     dps: int = 50,
     tol: float = 1e-9,
-) -> ConstraintReport:
+) -> list[CertCheck]:
     """Finite-difference residual of -eta' = x0*y0 + (y0/x0)*eta^2.
 
     eta(t) = -x0 * tan(y0*t - pi/2) on (0, pi/y0); the residual at each sample
     point must satisfy |eta' + x0*y0 + (y0/x0)*eta^2| <= tol * (1 + |eta|^2),
     with a central-difference step shrunk where tan is steep.  x0 and y0 are
-    positive, as ``x0_y0`` makes them from a passing chain.
+    positive, as ``x0_y0`` makes them from a passing chain.  The check is
+    approximate, but a breach fails it like any other check.
     """
-    report = ConstraintReport()
     with mpmath.workdps(dps):
         x0v = x0.approx_mp(dps)
         y0v = y0.approx_mp(dps)
@@ -169,14 +162,15 @@ def barrier_ode_check(
             if rel > tol:
                 breaches += 1
         residual = mpmath.nstr(worst, 6)
-        report.add(
+    return [
+        CertCheck.of(
             "barrier_ode_residual",
             breaches == 0,
             kind="approximate",
             residual=residual,
             detail=f"{sample_count} points, max relative residual {residual}, dps={dps}",
         )
-    return report
+    ]
 
 
 def growth_constants(n: int, alpha: Rat, epsilon: Rat, y0: QuadSurd, dps: int = 50) -> tuple[ApproxValue, ApproxValue]:

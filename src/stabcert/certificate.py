@@ -3,11 +3,13 @@ the records it is built from (checks, constraint reports, published targets,
 approximate values).
 
 All exact values are serialized as strings ("p/q", "r*sqrt(s)"), never as
-binary floats; approximate fields carry an explicit digits annotation.  A
-certificate containing any failed check has overall status "failed";
-discrepancy entries (computed value differing from a published one) never
-fail a run but are always surfaced.  Files are UTF-8 JSON, schema_version "1",
-written atomically (write-then-rename).
+binary floats; approximate fields carry an explicit digits annotation.  Every
+check passes or fails, and a certificate containing any failed check has
+overall status "failed".  A computed value that differs from its published one
+is a published target with match false, a discrepancy: it never fails a run
+but is always surfaced.  Files are UTF-8 JSON, schema_version "1", written
+atomically (write-then-rename); the reader requires every field the writer
+writes, at least one check, and a recorded overall status that its checks give.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class CertCheck:
 
     name: str
     kind: str  # exact | sampled | approximate
-    status: str  # pass | fail | discrepancy
+    status: str  # pass | fail
     margin: Fraction | None = None
     residual: str | None = None
     detail: str = ""
@@ -79,9 +81,18 @@ class CertCheck:
         """A check that passes when ``ok`` holds and fails otherwise."""
         return CertCheck(name, kind, "pass" if ok else "fail", **evidence)
 
+    @staticmethod
+    def sampled(name: str, sample_count: int, violations: int, seed: int, witness: str) -> "CertCheck":
+        """A sampled check, passing when no sample violates: its detail is
+        "N samples, V violations, seed=S", then "; first witness: W" if there is one."""
+        detail = f"{sample_count} samples, {violations} violations, seed={seed}"
+        if witness:
+            detail += f"; first witness: {witness}"
+        return CertCheck.of(name, violations == 0, kind="sampled", detail=detail)
+
     @property
     def satisfied(self) -> bool:
-        return self.status != "fail"
+        return self.status == "pass"
 
     def to_jsonable(self) -> dict:
         d: dict = {"name": self.name, "kind": self.kind, "status": self.status}
@@ -95,12 +106,16 @@ class CertCheck:
 
     @staticmethod
     def from_jsonable(d: dict) -> "CertCheck":
-        if not isinstance(d["name"], str):
-            raise ValueError(f"check name {d['name']!r} is not a string")
-        if d["kind"] not in ("exact", "sampled", "approximate"):
-            raise ValueError(f"check {d['name']!r}: unknown kind {d['kind']!r}")
-        if d["status"] not in ("pass", "fail", "discrepancy"):
-            raise ValueError(f"check {d['name']!r}: unknown status {d['status']!r}")
+        try:
+            name, kind, status = d["name"], d["kind"], d["status"]
+        except KeyError as exc:
+            raise ValueError(f"a check has no {exc.args[0]}") from None
+        if not isinstance(name, str):
+            raise ValueError(f"check name {name!r} is not a string")
+        if kind not in ("exact", "sampled", "approximate"):
+            raise ValueError(f"check {name!r}: unknown kind {kind!r}")
+        if status not in ("pass", "fail"):
+            raise ValueError(f"check {name!r}: unknown status {status!r}")
         margin = d.get("margin")
         if margin is not None:
             try:
@@ -108,29 +123,18 @@ class CertCheck:
                     raise TypeError
                 margin = Fraction(margin)
             except (TypeError, ValueError, ZeroDivisionError):
-                raise ValueError(f"check {d['name']!r}: margin {margin!r} is not a rational") from None
-        return CertCheck(
-            name=d["name"],
-            kind=d["kind"],
-            status=d["status"],
-            margin=margin,
-            residual=d.get("residual"),
-            detail=d.get("detail", ""),
-        )
+                raise ValueError(f"check {name!r}: margin {margin!r} is not a rational") from None
+        return CertCheck(name, kind, status, margin, d.get("residual"), d.get("detail", ""))
 
 
 @dataclass
 class ConstraintReport:
-    """Ordered list of checks with pass/fail per constraint."""
+    """The margin chain's checks in order, as ``optimize.exact_chain`` evaluates them."""
 
-    entries: list[CertCheck] = field(default_factory=list)
+    entries: list[CertCheck]
 
-    def add(self, name: str, satisfied: bool, **kwargs) -> None:
-        self.entries.append(CertCheck.of(name, satisfied, **kwargs))
-
-    def add_margin(self, name: str, margin: Fraction) -> None:
-        """A strict constraint: satisfied exactly when its margin is > 0."""
-        self.add(name, margin > 0, margin=margin, detail="> 0")
+    def __iter__(self):
+        return iter(self.entries)
 
     @property
     def all_satisfied(self) -> bool:
@@ -177,9 +181,13 @@ class PublishedTarget:
 
     @staticmethod
     def from_jsonable(d: dict) -> "PublishedTarget":
-        if not isinstance(d["match"], bool):
-            raise ValueError(f"published target {d['quantity']!r}: match {d['match']!r} is not a boolean")
-        return PublishedTarget(d["quantity"], d["quoted"], d["computed"], d["match"])
+        try:
+            target = PublishedTarget(d["quantity"], d["quoted"], d["computed"], d["match"])
+        except KeyError as exc:
+            raise ValueError(f"a published target has no {exc.args[0]}") from None
+        if not isinstance(target.match, bool):
+            raise ValueError(f"published target {target.quantity!r}: match {target.match!r} is not a boolean")
+        return target
 
 
 @dataclass
@@ -193,12 +201,6 @@ class Certificate:
     environment: dict = field(default_factory=dict)
     schema_version: str = SCHEMA_VERSION
 
-    def add_check(self, check: CertCheck) -> None:
-        self.checks.append(check)
-
-    def add_target(self, target: PublishedTarget) -> None:
-        self.published_targets.append(target)
-
     def add_flag(self, name: str, detail: str, **extra) -> None:
         self.flags.append({"name": name, "detail": detail, **extra})
 
@@ -208,9 +210,8 @@ class Certificate:
 
     @property
     def discrepancies(self) -> list[str]:
-        out = [c.name for c in self.checks if c.status == "discrepancy"]
-        out += [t.quantity for t in self.published_targets if not t.match]
-        return out
+        """The published targets whose computed value differs from the quoted one."""
+        return [t.quantity for t in self.published_targets if not t.match]
 
     def to_jsonable(self) -> dict:
         return {
@@ -227,23 +228,34 @@ class Certificate:
 
     @staticmethod
     def from_jsonable(d: dict) -> "Certificate":
+        """The certificate ``d`` records: every field ``to_jsonable`` writes, with
+        its JSON type, at least one check, and the overall status they give."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        if not isinstance(d["n"], int) or isinstance(d["n"], bool):
-            raise ValueError(f"n {d['n']!r} is not an integer")
-        flags = list(d.get("flags", []))
-        if not all(isinstance(flag, dict) for flag in flags):
+        missing = [key for key, _ in _FIELDS if key not in d]
+        if missing:
+            raise ValueError(f"not a certificate: no {', '.join(missing)}")
+        for key, kind in _FIELDS:
+            if type(d[key]) is not kind:  # not isinstance: JSON true is no integer
+                raise ValueError(f"{key} {d[key]!r} is not {_JSON_TYPES[kind]}")
+        if not d["checks"]:
+            raise ValueError("no checks: a certificate without evidence certifies nothing")
+        if not all(isinstance(flag, dict) for flag in d["flags"]):
             raise ValueError("every flag must be a JSON object")
-        return Certificate(
+        cert = Certificate(
             n=d["n"],
-            params=dict(d.get("params", {})),
-            checks=[CertCheck.from_jsonable(c) for c in d.get("checks", [])],
-            published_targets=[PublishedTarget.from_jsonable(t) for t in d.get("published_targets", [])],
-            values=dict(d.get("values", {})),
-            flags=flags,
-            environment=dict(d.get("environment", {})),
-            schema_version=d.get("schema_version", SCHEMA_VERSION),
+            params=dict(d["params"]),
+            checks=[CertCheck.from_jsonable(c) for c in d["checks"]],
+            published_targets=[PublishedTarget.from_jsonable(t) for t in d["published_targets"]],
+            values=dict(d["values"]),
+            flags=list(d["flags"]),
+            environment=dict(d["environment"]),
+            schema_version=d["schema_version"],
         )
+        if d["overall_status"] != cert.overall_status:
+            raise ValueError(f"overall_status {d['overall_status']!r} disagrees with the checks, which give "
+                             f"{cert.overall_status!r}")
+        return cert
 
     @staticmethod
     def from_json(s: str) -> "Certificate":
@@ -257,3 +269,8 @@ class Certificate:
     def read(path: str | Path) -> "Certificate":
         with open(path, encoding="utf-8") as fh:
             return Certificate.from_json(fh.read())
+
+
+# The key and JSON type of every field ``Certificate.to_jsonable`` writes, in its order.
+_FIELDS = tuple((key, type(value)) for key, value in Certificate(n=0).to_jsonable().items())
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a JSON array", dict: "a JSON object"}

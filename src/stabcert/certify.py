@@ -11,9 +11,10 @@ A row's certificate has up to three sections, in this order:
   sampling of that Q, the quadratic-form sampling of that mcc and its exact
   vertex identity; and, under both gamma0 conventions, the barrier data with
   its exact surd identities and the barrier ODE;
-* the published comparison, appended only for a built-in row: a = b*delta0,
-  the delta0, epsilon, L and gamma0 targets, and a discrepancy check for each
-  computed value that differs from its published one.
+* the published comparison, appended only for a built-in row: the check
+  a = b*delta0, and one published target for each of delta0, epsilon, L and
+  gamma0; a target whose computed value differs from the published one is a
+  discrepancy, and the values it was computed from are in the evidence.
 
 A search result's certificate is the margin chain of its row, which
 exact recertification has just computed, with the search's result values;
@@ -37,9 +38,7 @@ from .rational import rational_to_str as rts
 
 def chain_certificate(params: ParamSet, report: ConstraintReport, cfg: RunConfig) -> Certificate:
     """The row's parameters and its chain margins, unchanged, with the run settings."""
-    return Certificate(
-        n=params.n, params=params.as_strings(), checks=list(report.entries), environment=cfg.environment()
-    )
+    return Certificate(n=params.n, params=params.as_strings(), checks=list(report), environment=cfg.environment())
 
 
 def certify(params: ParamSet, cfg: RunConfig) -> Certificate:
@@ -47,29 +46,27 @@ def certify(params: ParamSet, cfg: RunConfig) -> Certificate:
     report, chain = exact_chain(params)
     cert = chain_certificate(params, report, cfg)
     if report.all_satisfied:
-        _evidence(cert, params, report, chain, cfg)
+        _evidence(cert, params, chain, cfg)
         if params.n in published.PARAM_ROWS and params == ParamSet.published_row(params.n):
             _compare_published(cert, params)
     return cert
 
 
-def _prefixed(prefix: str, report: ConstraintReport) -> list[CertCheck]:
-    return [replace(check, name=f"{prefix}/{check.name}") for check in report.entries]
+def _prefixed(prefix: str, checks: list[CertCheck]) -> list[CertCheck]:
+    return [replace(check, name=f"{prefix}/{check.name}") for check in checks]
 
 
-def _evidence(
-    cert: Certificate, params: ParamSet, report: ConstraintReport, chain: ChainValues, cfg: RunConfig
-) -> None:
-    """The evidence for a row whose margins all hold, from the chain's one exact evaluation."""
+def _evidence(cert: Certificate, params: ParamSet, chain: ChainValues, cfg: RunConfig) -> None:
+    """The evidence for a row whose margins (``cert.checks``) all hold, from the chain's one exact evaluation."""
     from . import bubble  # high precision: loaded by the first certificate with evidence, never by a search
 
     n, alpha, beta, q, seed = params.n, params.alpha, params.beta, params.q, cfg.seed
-    eps = report.entry("epsilon").margin
-    gamma0_bare = report.entry("gamma0_bare").margin
+    margins = {check.name: check.margin for check in cert.checks}
+    eps, gamma0_bare = margins["epsilon"], margins["gamma0_bare"]
     c1, c2 = curvature.linear_coefficients(n, alpha, beta)
     cert.values.update(
         {
-            "discriminant_D": rts(report.entry("discriminant").margin),
+            "discriminant_D": rts(margins["discriminant"]),
             "f_min_coefficient_Q": rts(chain.Q),
             "F_at_0": rts(chain.F_at_0),
             "F_at_1": rts(chain.F_at_1),
@@ -80,7 +77,7 @@ def _evidence(
             "through its square; sampling draws both orientations",
         }
     )
-    cert.checks += curvature.curvature_sample_check(params, chain.Q, cfg.curvature_samples, seed).entries
+    cert.checks += curvature.curvature_sample_check(params, chain.Q, cfg.curvature_samples, seed)
     quadform = bubble.quadform_lower_bound_check(n, alpha, beta, chain.mean_curv_coeff, cfg.quadform_samples, seed)
     cert.checks += _prefixed("quadform", quadform)
 
@@ -114,31 +111,17 @@ def _evidence(
 
 
 def _compare_published(cert: Certificate, params: ParamSet) -> None:
-    """Published values against the computed ones in ``cert.values``; a mismatch is a discrepancy, not a failure."""
+    """One published target per quoted value, against the computed one in ``cert.values``
+    (gamma0 under the bare convention); a mismatch is a discrepancy, not a failure."""
     n, values = params.n, cert.values
-    delta0 = published.DELTA0[n]
-    cert.add_check(CertCheck.of("a_equals_b_delta0", params.a == params.b * delta0))
-    cert.add_target(PublishedTarget("delta0", rts(delta0), rts(params.delta0), params.delta0 == delta0))
-    trace = (
-        f"; trace: F(0)={values['F_at_0']}, F(1)={values['F_at_1']}, "
-        f"Q={values['f_min_coefficient_Q']}, D={values['discriminant_D']}"
-    )
-    compared = [("epsilon", "epsilon", "epsilon", published.EPSILON[n], "", trace)]
+    cert.checks.append(CertCheck.of("a_equals_b_delta0", params.a == params.b * published.DELTA0[n]))
+    compared = [("delta0", published.DELTA0, rts(params.delta0)), ("epsilon", published.EPSILON, values["epsilon"])]
     if "L_max" in values:
-        compared.append(("L", "L_max", "l_max", published.L_VALUES[n], "", ""))
-    compared.append(("gamma0", "gamma0_bare", "gamma0", published.GAMMA0[n], "bare convention ", ""))
-    for quantity, key, check, quoted, lead, tail in compared:
-        quoted, computed = rts(quoted), values[key]
-        cert.add_target(PublishedTarget(quantity, quoted, computed, computed == quoted))
-        if computed != quoted:
-            cert.add_check(
-                CertCheck(
-                    f"{check}_matches_published",
-                    "exact",
-                    "discrepancy",
-                    detail=f"{lead}computed {computed} != published {quoted}{tail}",
-                )
-            )
+        compared.append(("L", published.L_VALUES, values["L_max"]))
+    compared.append(("gamma0", published.GAMMA0, values["gamma0_bare"]))
+    for quantity, table, computed in compared:
+        quoted = rts(table[n])
+        cert.published_targets.append(PublishedTarget(quantity, quoted, computed, computed == quoted))
 
 
 def result_certificate(result: SearchResult, cfg: RunConfig) -> Certificate:
@@ -200,17 +183,16 @@ def certify_all(cfg: RunConfig) -> Certificate:
         row = certify(ParamSet.published_row(n), cfg)
         cert.values[f"row_n{n}"] = row.to_jsonable()
         passed = row.overall_status == "passed"
-        cert.add_check(CertCheck.of(f"row_n{n}_overall", passed, detail=f"{len(row.discrepancies)} discrepancies"))
-        for target in row.published_targets:
-            cert.add_target(PublishedTarget(f"n={n}:{target.quantity}", target.quoted, target.computed, target.match))
+        cert.checks.append(CertCheck.of(f"row_n{n}_overall", passed, detail=f"{len(row.discrepancies)} discrepancies"))
+        cert.published_targets += [replace(t, quantity=f"n={n}:{t.quantity}") for t in row.published_targets]
         for flag in row.flags:
             cert.add_flag(f"n={n}:{flag['name']}", flag["detail"])
 
     for n in published.SUPPORTED_N:
         value, quoted = iteration.delta1_of(n), published.DELTA1[n]
-        cert.add_target(PublishedTarget(f"delta1(n={n})", rts(quoted), rts(value), value == quoted))
+        cert.published_targets.append(PublishedTarget(f"delta1(n={n})", rts(quoted), rts(value), value == quoted))
     collapse_ok = all(iteration.collapse_sqrt(n) == Fraction((n - 2) ** 2, 4 * (n - 1)) for n in range(3, 13))
-    cert.add_check(
+    cert.checks.append(
         CertCheck.of(
             "critical_radicand_perfect_square",
             collapse_ok,
@@ -221,7 +203,7 @@ def certify_all(cfg: RunConfig) -> Certificate:
         iteration.critical_delta_exponent(n, iteration.critical_delta_threshold(n) + Fraction(1, 1000))
         for n in published.SUPPORTED_N
     )
-    cert.add_check(
+    cert.checks.append(
         CertCheck.of(
             "exponent_exceeds_dimension_above_threshold",
             exponents_ok,

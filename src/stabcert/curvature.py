@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import published
-from .certificate import ConstraintReport
+from .certificate import CertCheck
 from .rational import clear_denominators
 from .rational import rational_to_str as rts
 
@@ -103,7 +103,7 @@ _DRAWS = tuple(
 
 def curvature_sample_check(
     params: ParamSet, Q: Rat, sample_count: int = 100_000, seed: int = 0
-) -> ConstraintReport:
+) -> list[CertCheck]:
     """Randomized exact check of the pointwise curvature inequality.
 
     For random rational trace-free principal curvatures lambda in Q^n and a
@@ -128,7 +128,6 @@ def curvature_sample_check(
     base = len(draws)
     span = base**n
     free = range(n - 1)
-    report = ConstraintReport()
     violations = 0
     witness = ""
     for _ in range(sample_count):
@@ -146,11 +145,4 @@ def curvature_sample_check(
             violations += 1
             if not witness:
                 witness = f"lambda={[str(Fraction(x, _SCALE)) for x in lam]}, E={Fraction(e, ed)}"
-    report.add(
-        "pointwise_curvature_inequality",
-        violations == 0,
-        kind="sampled",
-        detail=f"{sample_count} samples, {violations} violations, seed={seed}"
-        + (f"; first witness: {witness}" if witness else ""),
-    )
-    return report
+    return [CertCheck.sampled("pointwise_curvature_inequality", sample_count, violations, seed, witness)]

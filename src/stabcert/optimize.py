@@ -51,7 +51,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import published
-from .certificate import ConstraintReport
+from .certificate import CertCheck, ConstraintReport
 from .config import RunConfig
 from .curvature import ParamSet
 from .rational import rational_to_str
@@ -213,14 +213,14 @@ def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]
     intermediates its margins were computed from (None when the Hessian gate fails)."""
     n = params.n
     margins, values = _chain(params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
-    report = ConstraintReport()
+    checks = []
     for name, margin in zip(margin_names(n), margins):
         if margin is None:
             why = "Hessian conditions failed" if values is None else _UNDEFINED_WHY[name]
-            report.add(name, False, detail=f"undefined: {why}")
-        else:
-            report.add_margin(name, margin)
-    return report, None if values is None else ChainValues._make(values)
+            checks.append(CertCheck.of(name, False, detail=f"undefined: {why}"))
+        else:  # every margin is strict
+            checks.append(CertCheck.of(name, margin > 0, margin=margin, detail="> 0"))
+    return ConstraintReport(checks), None if values is None else ChainValues._make(values)
 
 
 def feasibility(params: ParamSet) -> ConstraintReport:

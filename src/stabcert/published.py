@@ -1,8 +1,8 @@
 """Built-in parameter rows and the published constants they are checked against.
 
-Stored as literal data, never recomputed from text, so a mismatch between a
-computed value and its published counterpart surfaces as a first-class
-discrepancy record in certificates.
+Stored as literal data, never recomputed from text.  Each quoted value is one
+published target in a certificate, beside the value computed for it; a
+mismatch is a discrepancy, surfaced but not a failure.
 """
 
 from __future__ import annotations

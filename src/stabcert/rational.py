@@ -11,9 +11,9 @@ top of it this module provides
 * :func:`clear_denominators`, which the sampled checks use to compare in
   integers.
 
-The high-precision value ``QuadSurd.approx_mp`` feeds the barrier ODE residual
-and the growth constants, which are reported as approximate; no exact check
-consumes it.
+The high-precision value ``QuadSurd.approx_mp`` feeds the growth constants,
+which are reported only, and the barrier ODE residual, an approximate check
+that counts toward pass or fail; no exact check consumes it.
 """
 
 from __future__ import annotations

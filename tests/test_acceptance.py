@@ -143,9 +143,8 @@ def test_criterion_07_quadratic_property_suite():
 def test_criterion_08_pointwise_inequality_sampling():
     start = time.monotonic()
     for n in (3, 4, 5):
-        result = curvature_sample_check(ROWS[n], exact_chain(ROWS[n])[1].Q, sample_count=100_000, seed=20240601 + n)
-        entry = result.entries[0]
-        assert entry.satisfied, entry.detail
+        [check] = curvature_sample_check(ROWS[n], exact_chain(ROWS[n])[1].Q, sample_count=100_000, seed=20240601 + n)
+        assert check.satisfied, check.detail
     elapsed = time.monotonic() - start
     assert elapsed < 60
     report(8, f"3 x 10^5 exact trace-free samples, zero violations, in {elapsed:.1f} s")
@@ -156,8 +155,8 @@ def test_criterion_09_surd_identities_both_conventions():
         p = ROWS[n]
         eps = published.EPSILON[n]
         for branch in bubble.derive(p, eps, published.GAMMA0[n]):
-            rep = bubble.surd_identities_check(p.alpha, p.beta, eps, branch.gamma0, branch.x0, branch.y0)
-            assert rep.all_satisfied, (n, branch.convention)
+            checks = bubble.surd_identities_check(p.alpha, p.beta, eps, branch.gamma0, branch.x0, branch.y0)
+            assert all(c.satisfied for c in checks), (n, branch.convention)
     report(9, "2(b/a)x0y0 = eps/(2a) and 2(b/a)y0/x0 = gamma0 exact for all rows, both conventions")
 
 
@@ -165,8 +164,8 @@ def test_criterion_10_barrier_ode_residuals():
     for n in (3, 4, 5):
         p = ROWS[n]
         for branch in bubble.derive(p, published.EPSILON[n], published.GAMMA0[n]):
-            rep = bubble.barrier_ode_check(branch.x0, branch.y0, sample_count=1000, tol=1e-9)
-            assert rep.all_satisfied, (n, branch.convention, rep.entries[0].detail)
+            [check] = bubble.barrier_ode_check(branch.x0, branch.y0, sample_count=1000, tol=1e-9)
+            assert check.satisfied, (n, branch.convention, check.detail)
     report(10, "Riccati residual below 1e-9 relative at 10^3 points per row, both conventions")
 
 

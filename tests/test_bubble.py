@@ -90,13 +90,13 @@ class TestQuadFormBound:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_clean_and_tight(self, n):
         p = row(n)
-        report = quadform_lower_bound_check(p.n, p.alpha, p.beta, chain(p).mean_curv_coeff, sample_count=400, seed=3)
-        assert report.all_satisfied
+        checks = quadform_lower_bound_check(p.n, p.alpha, p.beta, chain(p).mean_curv_coeff, sample_count=400, seed=3)
+        assert all(c.satisfied for c in checks)
 
     def test_zero_case(self):
         # mu1 = H = 0 trivially passes; included in the sampled sweep
-        report = quadform_lower_bound_check(3, F(18, 11), F(3, 2), F(17, 22), sample_count=10, seed=0)
-        assert report.all_satisfied
+        checks = quadform_lower_bound_check(3, F(18, 11), F(3, 2), F(17, 22), sample_count=10, seed=0)
+        assert all(c.satisfied for c in checks)
 
     def test_draw_table_is_a_bijection_onto_the_grid(self):
         draws = bubble._QUAD_DRAWS
@@ -181,8 +181,8 @@ class TestBarrier:
     def test_surd_identities(self, n, convention):
         p = row(n)
         branch = {b.convention: b for b in branches(n)}[convention]
-        report = surd_identities_check(p.alpha, p.beta, eps(n), branch.gamma0, branch.x0, branch.y0)
-        assert report.all_satisfied
+        checks = surd_identities_check(p.alpha, p.beta, eps(n), branch.gamma0, branch.x0, branch.y0)
+        assert all(c.satisfied for c in checks)
 
     def test_scaling_in_epsilon(self):
         p = row(3)
@@ -200,8 +200,8 @@ class TestBarrier:
 
     def test_ode_residuals_row3(self):
         for branch in branches(3):
-            report = barrier_ode_check(branch.x0, branch.y0, sample_count=100)
-            assert report.all_satisfied, report.entries[0].detail
+            [check] = barrier_ode_check(branch.x0, branch.y0, sample_count=100)
+            assert check.satisfied, check.detail
 
     def test_ode_midpoint_and_oddness(self):
         branch = branches(3)[0]

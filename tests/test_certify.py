@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from stabcert import published
-from stabcert.certificate import Certificate
+from stabcert.certificate import Certificate, PublishedTarget
 from stabcert.certify import certify, result_certificate
 from stabcert.cli import main
 from stabcert.config import RunConfig
@@ -111,9 +111,11 @@ def test_published_mismatch_on_a_builtin_row_is_a_discrepancy(monkeypatch):
     monkeypatch.setitem(published.GAMMA0, 4, F(1, 2))
     cert = certify(ParamSet.published_row(4), CFG)
     assert cert.overall_status == "passed"
-    assert cert.discrepancies == ["gamma0_matches_published", "gamma0"]
-    check = next(c for c in cert.checks if c.name == "gamma0_matches_published")
-    assert check.detail == "bare convention computed 276875/569091 != published 1/2"
+    assert cert.discrepancies == ["gamma0"]
+    assert cert.published_targets[-1] == PublishedTarget("gamma0", "1/2", "276875/569091", False)
+    # and no check: the row's checks are the margins, the evidence and a = b*delta0, all passing
+    assert [c.name for c in cert.checks[len(margin_names(4)):]] == [*EVIDENCE, "a_equals_b_delta0"]
+    assert all(c.satisfied for c in cert.checks)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

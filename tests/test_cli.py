@@ -352,6 +352,17 @@ def test_report_rejects_non_object(tmp_path, capsys):
     assert "JSON object" in one_line_error(capsys)
 
 
+def write_certificate(path: Path, payload: dict) -> Path:
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def complete_certificate(n: int = 3, check: dict | None = None) -> dict:
+    """Every field a written certificate has, with one passing check (``check`` if given)."""
+    check = check or {"name": "epsilon", "kind": "exact", "status": "pass"}
+    return {**Certificate(n=n).to_jsonable(), "checks": [check]}
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -359,13 +370,13 @@ def test_report_rejects_non_object(tmp_path, capsys):
         ("margin", "1/0", "not a rational"),
         ("margin", 0.5, "not a rational"),
         ("status", "failed", "unknown status"),  # would otherwise render as a passed certificate
+        ("status", "discrepancy", "unknown status"),  # a mismatch is a published target, not a check
     ],
 )
 def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message):
-    path = tmp_path / "cert.json"
-    check = {"name": "epsilon", "kind": "exact", "status": "pass", "margin": "1/2", field: value}
-    path.write_text(json.dumps({"n": 3, "checks": [check]}), encoding="utf-8")
-    assert run(["report", str(path)]) == 2
+    payload = complete_certificate()
+    payload["checks"][0][field] = value
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
     assert message in one_line_error(capsys)
 
 
@@ -375,12 +386,14 @@ def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message)
         ("flags", ["oops"], "flag must be a JSON object"),  # would otherwise be a traceback
         ("published_targets", [{"quantity": "epsilon", "quoted": "9/11", "computed": "1/2", "match": "no"}],
          "not a boolean"),  # would otherwise render as a match
+        ("params", None, "params None is not a JSON object"),
+        ("checks", [], "no checks"),  # would otherwise pass on zero evidence
+        ("checks", [{"name": "epsilon", "kind": "exact"}], "a check has no status"),
     ],
 )
 def test_report_rejects_malformed_flags_and_targets(tmp_path, capsys, field, value, message):
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps({"n": 3, "checks": [], field: value}), encoding="utf-8")
-    assert run(["report", str(path)]) == 2
+    payload = {**complete_certificate(), field: value}
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
     assert message in one_line_error(capsys)
 
 
@@ -397,16 +410,22 @@ def test_report_rejects_malformed_flags_and_targets(tmp_path, capsys, field, val
     ],
 )
 def test_report_rejects_malformed_n_name_and_kind(tmp_path, capsys, n, check, message):
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps({"n": n, "checks": [check]}), encoding="utf-8")
+    path = write_certificate(tmp_path / "cert.json", complete_certificate(n, check))
     assert run(["report", str(path)]) == 2
     assert message in one_line_error(capsys)
 
 
+def test_report_rejects_a_status_its_checks_do_not_give(tmp_path, capsys):
+    payload = json.loads((Path(__file__).parent / "data" / "search_n3_seed5_certificate.json").read_text("utf-8"))
+    assert payload["overall_status"] == "passed"
+    payload["checks"][3]["status"] = "fail"
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert "overall_status 'passed' disagrees with the checks, which give 'failed'" in one_line_error(capsys)
+
+
 def test_report_accepts_verify_all_n_zero(tmp_path, capsys):
-    path = tmp_path / "cert.json"
     check = {"name": "row_n3_overall", "kind": "exact", "status": "pass"}
-    path.write_text(json.dumps({"n": 0, "checks": [check]}), encoding="utf-8")
+    path = write_certificate(tmp_path / "cert.json", complete_certificate(0, check))
     assert run(["report", str(path)]) == 0
     assert "n = 0, status: passed" in capsys.readouterr().out
 

@@ -91,21 +91,21 @@ def test_pointwise_inequality_direct_witness():
 
 def test_sampling_check_clean_on_rows():
     for n in (3, 4, 5):
-        report = curvature_sample_check(row(n), chain(row(n)).Q, sample_count=2000, seed=42)
-        assert report.entries[0].satisfied
+        [check] = curvature_sample_check(row(n), chain(row(n)).Q, sample_count=2000, seed=42)
+        assert check.satisfied
 
 
 def test_sampling_check_reports_witness_on_false_claim():
     # an infeasible row (Hessian fails) must produce violations with a witness
-    report = curvature_sample_check(BAD, BAD_Q, sample_count=500, seed=0)
-    entry = report.entries[0]
-    assert not entry.satisfied
-    assert "witness" in entry.detail
+    [check] = curvature_sample_check(BAD, BAD_Q, sample_count=500, seed=0)
+    assert not check.satisfied
+    assert "witness" in check.detail
 
 
 def test_sampling_check_draws_are_pinned():
     # a change of the draw scheme moves this witness; make it a deliberate diff
-    detail = curvature_sample_check(BAD, BAD_Q, sample_count=500, seed=0).entries[0].detail
+    [check] = curvature_sample_check(BAD, BAD_Q, sample_count=500, seed=0)
+    detail = check.detail
     assert detail == (
         "500 samples, 500 violations, seed=0; first witness: lambda=['-91/2', '-23/3', '319/6'], E=44/7"
     )
@@ -148,10 +148,13 @@ def test_certify_records_discrepancy_without_failing(monkeypatch):
     cfg = RunConfig(curvature_samples=200, quadform_samples=20, barrier_samples=10, seed=1)
     cert = certify(row(3), cfg)
     assert cert.overall_status == "passed"
-    assert "epsilon" in cert.discrepancies
-    # the full exact computation trace must ride along
-    check = next(c for c in cert.checks if c.name == "epsilon_matches_published")
-    assert "F(0)=" in check.detail and "Q=" in check.detail
+    assert cert.discrepancies == ["epsilon"]
+    assert all(c.satisfied for c in cert.checks)
+    # the exact values epsilon = min(F(0), F(1)) was computed from ride along
+    trace = ("F_at_0", "F_at_1", "f_min_coefficient_Q", "discriminant_D")
+    assert {key: cert.values[key] for key in trace} == {
+        "F_at_0": "909/176", "F_at_1": "9/11", "f_min_coefficient_Q": "-3/176", "discriminant_D": "24/121"
+    }
 
 
 def test_certify_unknown_row_rejected():

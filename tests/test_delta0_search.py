@@ -8,7 +8,7 @@ import pytest
 
 from stabcert import optimize, published
 from stabcert.curvature import ParamSet
-from stabcert.certificate import ConstraintReport
+from stabcert.certificate import CertCheck, ConstraintReport
 
 TOP = 2**optimize._DELTA0_BITS
 
@@ -75,9 +75,7 @@ def test_seeded_search_on_a_threshold_verdict(monkeypatch, threshold):
 
     def verdict(p):
         seen.append(p.delta0)
-        report = ConstraintReport()
-        report.add("threshold", p.delta0 >= F(threshold, TOP))
-        return report
+        return ConstraintReport([CertCheck.of("threshold", p.delta0 >= F(threshold, TOP))])
 
     monkeypatch.setattr(optimize, "feasibility", verdict)
     b, alpha = F(3), F(1)

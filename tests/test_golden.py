@@ -2,16 +2,20 @@
 
 The files were written by the same commands; any change to a certificate,
 search result or margin profile shows up here as a byte difference.  A change
-that alters these outputs on purpose rewrites the files and says why.
+that alters these outputs on purpose rewrites the files and says why.  Every
+golden certificate also reads and rewrites to its own bytes, and ``report``
+refuses every search result file.
 """
 
 import contextlib
 import io
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from stabcert.certificate import Certificate
 from stabcert.cli import main
 from stabcert.rational import rational_to_str
 
@@ -55,6 +59,25 @@ def test_optimize_output_bytes(tmp_path, n, code, files):
     assert written == set(files)
     for name in files:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+CERTIFICATES = sorted(p.name for p in DATA.glob("*_certificate.json")) + ["verify_all_small.json"]
+SEARCH_RESULTS = sorted(p.name for p in DATA.glob("search_*.json") if p.name not in CERTIFICATES)
+
+
+@pytest.mark.parametrize("name", CERTIFICATES)
+def test_certificate_reads_and_rewrites_byte_identically(name):
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert json.dumps(Certificate.from_json(text).to_jsonable(), indent=2) + "\n" == text
+
+
+@pytest.mark.parametrize("name", SEARCH_RESULTS)
+def test_report_refuses_a_search_result(capsys, name):
+    # a search result sits beside its certificate but certifies nothing itself
+    assert main(["report", str(DATA / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read certificate: not a certificate: no schema_version, overall_status, ")
+    assert len(err.splitlines()) == 1
 
 
 # recursion-sim as certify-all runs it: q midway between (n-2)/n and delta = 1, five

@@ -4,8 +4,8 @@
 cleared-denominator integers.  The reference samplers below decode the same
 random rationals from the same seed on their own (``draw_rationals``: one
 uniform draw per sample, read as base-(grid size) digits) and compare them as
-``Fraction``s; the sampled checks (verdict, sample and violation counts, first
-witness) must agree byte for byte.  Each row's Q comes from the oracle in
+``Fraction``s and write their own check records; the sampled checks (verdict,
+sample and violation counts, first witness) must agree byte for byte.  Each row's Q comes from the oracle in
 quadmin_oracle and its mean-curvature coefficient from the closed form below,
 so nothing in the reference is taken from stabcert.  The quadform vertex
 identity is exact, not sampled, and is tested on its own.
@@ -19,7 +19,7 @@ from quadmin_oracle import determinant, linear_coefficients, min_coefficient
 
 from stabcert.bubble import quadform_lower_bound_check
 from stabcert.curvature import ParamSet, curvature_sample_check
-from stabcert.certificate import ConstraintReport
+from stabcert.certificate import CertCheck
 
 
 def mean_curv_coeff(n, alpha, beta):
@@ -41,6 +41,13 @@ def draw_rationals(rng, count, max_num, max_den):
     return [F(d // max_den - max_num, d % max_den + 1) for d in digits]
 
 
+def sampled_check(name, sample_count, violations, seed, witness):
+    detail = f"{sample_count} samples, {violations} violations, seed={seed}"
+    if witness:
+        detail += f"; first witness: {witness}"
+    return CertCheck(name, "sampled", "fail" if violations else "pass", detail=detail)
+
+
 def reference_curvature_check(params, Q, sample_count, seed):
     n, a, alpha, beta = params.n, params.a, params.alpha, params.beta
     c1, c2 = linear_coefficients(n, alpha, beta)
@@ -58,15 +65,7 @@ def reference_curvature_check(params, Q, sample_count, seed):
             violations += 1
             if not witness:
                 witness = f"lambda={[str(x) for x in lam]}, E={E}"
-    report = ConstraintReport()
-    report.add(
-        "pointwise_curvature_inequality",
-        violations == 0,
-        kind="sampled",
-        detail=f"{sample_count} samples, {violations} violations, seed={seed}"
-        + (f"; first witness: {witness}" if witness else ""),
-    )
-    return report
+    return [sampled_check("pointwise_curvature_inequality", sample_count, violations, seed, witness)]
 
 
 def reference_quadform_check(n, alpha, beta, coeff, sample_count, seed):
@@ -82,15 +81,7 @@ def reference_quadform_check(n, alpha, beta, coeff, sample_count, seed):
             violations += 1
             if not witness:
                 witness = f"mu1={mu1}, H={H}"
-    report = ConstraintReport()
-    report.add(
-        "quadform_lower_bound",
-        violations == 0,
-        kind="sampled",
-        detail=f"{sample_count} samples, {violations} violations, seed={seed}"
-        + (f"; first witness: {witness}" if witness else ""),
-    )
-    return report
+    return [sampled_check("quadform_lower_bound", sample_count, violations, seed, witness)]
 
 
 def random_rows(count, seed=2024):
@@ -122,8 +113,7 @@ def quad_q(params):
 def test_curvature_check_matches_fraction_reference(index):
     params, Q = ROWS[index], quad_q(ROWS[index])
     seed = 1000 + index
-    got = curvature_sample_check(params, Q, 300, seed).entries
-    assert got == reference_curvature_check(params, Q, 300, seed).entries
+    assert curvature_sample_check(params, Q, 300, seed) == reference_curvature_check(params, Q, 300, seed)
 
 
 @pytest.mark.parametrize("index", range(len(ROWS)))
@@ -132,8 +122,8 @@ def test_quadform_check_matches_fraction_reference(index):
     seed = 2000 + index
     K = mean_curv_coeff(n, alpha, beta)
     assert K is not None  # no row sits on (n-1) beta = (n-2) alpha
-    got = quadform_lower_bound_check(n, alpha, beta, K, 300, seed).entries
-    assert got[0] == reference_quadform_check(n, alpha, beta, K, 300, seed).entries[0]
+    got = quadform_lower_bound_check(n, alpha, beta, K, 300, seed)
+    assert got[:1] == reference_quadform_check(n, alpha, beta, K, 300, seed)
     # the vertex identity is exact; it holds exactly where A > 0, the chain's
     # domain (n-1) beta - (n-2) alpha > 0
     want = "pass" if (n - 1) * beta - (n - 2) * alpha > 0 else "fail"
@@ -147,10 +137,10 @@ def test_quadform_check_matches_reference_with_a_wrong_coefficient(shift):
     for n in (3, 4, 5):
         p = BUILTIN[n - 3]
         K = mean_curv_coeff(n, p.alpha, p.beta) + shift
-        got = quadform_lower_bound_check(n, p.alpha, p.beta, K, 300, n).entries
+        got = quadform_lower_bound_check(n, p.alpha, p.beta, K, 300, n)
         want = reference_quadform_check(n, p.alpha, p.beta, K, 300, n)
-        assert got[0] == want.entries[0]
-        assert want.entries[0].satisfied == (shift < 0)
+        assert got[:1] == want
+        assert want[0].satisfied == (shift < 0)
         assert (got[1].kind, got[1].status) == ("exact", "fail")
 
 
@@ -159,7 +149,7 @@ def test_rows_cover_violations_and_clean_passes():
     # where every draw violates and rows where only some draws do
     counts = set()
     for i, p in enumerate(ROWS):
-        detail = reference_curvature_check(p, quad_q(p), 300, 1000 + i).entries[0].detail
+        detail = reference_curvature_check(p, quad_q(p), 300, 1000 + i)[0].detail
         counts.add(int(detail.split()[2]))
     assert 0 in counts and 300 in counts
     assert any(0 < c < 300 for c in counts)
