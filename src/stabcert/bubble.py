@@ -56,9 +56,9 @@ def quadform_lower_bound_check(
     C = (1/(n-1)) (1 + (alpha/beta)(n-2)/(n-1)) and K the chain's
     mean-curvature coefficient mcc (``optimize.exact_chain``).  A, B, C and
     K are brought to one positive common denominator.  Each sample is one
-    uniform draw whose low and high base-len(_QUAD_DRAWS) digits pick
-    mu1 = m/dm and H = h/dh; it is compared in integers, multiplied by
-    dm^2 dh^2.
+    uniform draw, made as ``curvature_sample_check`` makes it, whose low
+    and high base-len(_QUAD_DRAWS) digits pick mu1 = m/dm and H = h/dh; it
+    is compared in integers, multiplied by dm^2 dh^2.
 
     The exact check proves the bound for all real (mu1, H), and its sharpness:
     A > 0 and 4AC - B^2 = 4AK make the form minus K*H^2 equal to
@@ -68,14 +68,18 @@ def quadform_lower_bound_check(
     B = Fraction(n - 3) * alpha / ((n - 1) * beta)
     C = Fraction(1, n - 1) * (1 + alpha / beta * Fraction(n - 2, n - 1))
     A, B, C, K = clear_denominators(A, B, C, K)
-    randrange = random.Random(seed).randrange
+    getrandbits = random.Random(seed).getrandbits
     draws = _QUAD_DRAWS
     base = len(draws)
     span = base * base
+    bits = span.bit_length()
     violations = 0
     witness = ""
     for _ in range(sample_count):
-        high, low = divmod(randrange(span), base)
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        high, low = divmod(r, base)
         m, dm = draws[low]
         h, dh = draws[high]
         x, y = m * dh, h * dm  # mu1 and H times dm * dh

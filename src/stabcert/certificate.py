@@ -9,7 +9,10 @@ overall status "failed".  A computed value that differs from its published one
 is a published target with match false, a discrepancy: it never fails a run
 but is always surfaced.  Files are UTF-8 JSON, schema_version "1", written
 atomically (write-then-rename); the reader requires every field the writer
-writes, at least one check, and a recorded overall status that its checks give.
+writes, at least one check, and a recorded overall status that its checks give;
+a strict margin check whose status contradicts its margin's sign is refused,
+and a verify-all certificate (n = 0) is read together with the row
+certificates it nests.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ if TYPE_CHECKING:
     import mpmath
 
 SCHEMA_VERSION = "1"
+
+# The detail of a strict margin check: it passes exactly when its margin is > 0.
+STRICT_MARGIN = "> 0"
 
 
 def check_output_path(path: Path) -> None:
@@ -124,7 +130,11 @@ class CertCheck:
                 margin = Fraction(margin)
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ValueError(f"check {name!r}: margin {margin!r} is not a rational") from None
-        return CertCheck(name, kind, status, margin, d.get("residual"), d.get("detail", ""))
+        detail = d.get("detail", "")
+        # a Fraction's sign is its numerator's, and comparing the int skips Fraction's comparison
+        if detail == STRICT_MARGIN and (margin is None or (margin.numerator > 0) != (status == "pass")):
+            raise ValueError(f"check {name!r}: status {status!r} contradicts its margin {d.get('margin')!r} > 0")
+        return CertCheck(name, kind, status, margin, d.get("residual"), detail)
 
 
 @dataclass
@@ -242,6 +252,14 @@ class Certificate:
             raise ValueError("no checks: a certificate without evidence certifies nothing")
         if not all(isinstance(flag, dict) for flag in d["flags"]):
             raise ValueError("every flag must be a JSON object")
+        if not all(isinstance(check, dict) for check in d["checks"]):
+            raise ValueError("every check must be a JSON object")
+        # compared before any check is read, so an edited status is named as
+        # such even where it also contradicts the check's own margin
+        status = "failed" if any(check.get("status") == "fail" for check in d["checks"]) else "passed"
+        if d["overall_status"] != status:
+            raise ValueError(f"overall_status {d['overall_status']!r} disagrees with the checks, which give "
+                             f"{status!r}")
         cert = Certificate(
             n=d["n"],
             params=dict(d["params"]),
@@ -252,10 +270,29 @@ class Certificate:
             environment=dict(d["environment"]),
             schema_version=d["schema_version"],
         )
-        if d["overall_status"] != cert.overall_status:
-            raise ValueError(f"overall_status {d['overall_status']!r} disagrees with the checks, which give "
-                             f"{cert.overall_status!r}")
+        if cert.n == 0:
+            cert._read_rows()
         return cert
+
+    def _read_rows(self) -> None:
+        """Read strictly the row certificate that each ``row_nN_overall`` check of
+        a verify-all certificate stands for, ``values["row_nN"]``, and require
+        the check to pass exactly when that row passed."""
+        for check in self.checks:
+            key = check.name.removesuffix("_overall")
+            if not key.startswith("row_n") or key == check.name:
+                continue
+            if key not in self.values:
+                raise ValueError(f"check {check.name!r}: no {key} in values")
+            try:
+                row = Certificate.from_jsonable(self.values[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+            if key != f"row_n{row.n}":
+                raise ValueError(f"{key} is the certificate of n = {row.n}")
+            if check.satisfied != (row.overall_status == "passed"):
+                raise ValueError(f"check {check.name!r}: status {check.status!r} disagrees with {key}, "
+                                 f"which {row.overall_status}")
 
     @staticmethod
     def from_json(s: str) -> "Certificate":

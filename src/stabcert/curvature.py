@@ -19,11 +19,13 @@ D, Q, F(0), F(1) and epsilon are computed once, in ``optimize``'s chain.
 This module holds the parameter row, f's linear coefficients, and the
 randomized exact sampling check of the pointwise curvature inequality over
 trace-free principal-curvature vectors, which takes the chain's Q.  Each
-sample is one uniform draw, split into one digit per random rational; a
-digit picks a numerator and a denominator from a fixed grid.  The check
-compares in cleared-denominator integers: the inequality is multiplied
-through by a positive common denominator, so the verdict is the exact
-rational one.
+sample is one uniform draw (``getrandbits``, redrawn while out of range),
+split into one digit per random rational; a digit picks a numerator and a
+denominator from a fixed grid.  The check compares in cleared-denominator
+integers: the inequality is multiplied through by a positive common
+denominator, so the verdict is the exact rational one.  Each sample keeps
+only running sums of the lambda_i and their squares; the first violating
+draw is decoded again to print its witness.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def linear_coefficients(n: int, alpha: Rat, beta: Rat) -> tuple[Fraction, Fracti
 
 # Each lambda_i and E is a numerator in [-MAX_NUM, MAX_NUM] over a denominator in
 # [1, MAX_DEN]; _SCALE is a common denominator of every such rational.  A sample
-# is one randrange(len(_DRAWS) ** n), split by divmod into n base-len(_DRAWS)
+# is one uniform draw below len(_DRAWS) ** n (getrandbits, redrawn while too
+# large: what randrange returns), split by divmod into n base-len(_DRAWS)
 # digits (least significant first: lambda_1 .. lambda_(n-1), then E), and each
 # digit indexes _DRAWS, which lists every (num, den, num * _SCALE / den) once.
 MAX_NUM, MAX_DEN = 120, 12
@@ -123,26 +126,47 @@ def curvature_sample_check(
     c1, c2 = linear_coefficients(n, params.alpha, params.beta)
     a, beta, alpha, c1, c2, Q = clear_denominators(params.a, params.beta, params.alpha, c1, c2, Q)
     c1, c2, Q = c1 * _SCALE, c2 * _SCALE, Q * _SCALE * _SCALE
-    randrange = random.Random(seed).randrange
+    getrandbits = random.Random(seed).getrandbits
     draws = _DRAWS
     base = len(draws)
     span = base**n
-    free = range(n - 1)
+    bits = span.bit_length()
+    more = range(n - 3)
     violations = 0
-    witness = ""
+    first = None
     for _ in range(sample_count):
-        r = randrange(span)
-        lam = []
-        for _ in free:
-            r, digit = divmod(r, base)
-            lam.append(draws[digit][2])
-        lam.append(-sum(lam))
-        e, ed, _ = draws[r]
-        l1, l2 = lam[0], lam[1]
-        S = sum([x * x for x in lam])
-        lhs = ed * ed * (a * S - beta * l1 * l1 - alpha * (l1 * l2 + l2 * l2)) + e * ed * (c1 * l1 + c2 * l2)
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        x, digit = divmod(r, base)
+        l1 = draws[digit][2]
+        x, digit = divmod(x, base)
+        l2 = draws[digit][2]
+        s, t = l1 + l2, l1 * l1 + l2 * l2  # the sums of lambda_1 .. lambda_(n-1) and of their squares
+        for _ in more:
+            x, digit = divmod(x, base)
+            v = draws[digit][2]
+            s += v
+            t += v * v
+        e, ed, _ = draws[x]
+        # S = t + s^2, since lambda_n = -s
+        lhs = ed * (ed * (a * (t + s * s) - beta * l1 * l1 - alpha * (l1 + l2) * l2) + e * (c1 * l1 + c2 * l2))
         if lhs < e * e * Q:
             violations += 1
-            if not witness:
-                witness = f"lambda={[str(Fraction(x, _SCALE)) for x in lam]}, E={Fraction(e, ed)}"
+            if first is None:
+                first = r
+    witness = "" if first is None else _witness(n, first)
     return [CertCheck.sampled("pointwise_curvature_inequality", sample_count, violations, seed, witness)]
+
+
+def _witness(n: int, r: int) -> str:
+    """The sample that draw ``r`` decodes to, as reduced fractions."""
+    base = len(_DRAWS)
+    lam = []
+    for _ in range(n - 1):
+        r, digit = divmod(r, base)
+        num, den, _ = _DRAWS[digit]
+        lam.append(Fraction(num, den))
+    lam.append(-sum(lam))
+    e, ed, _ = _DRAWS[r]
+    return f"lambda={[str(x) for x in lam]}, E={Fraction(e, ed)}"

@@ -51,7 +51,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import published
-from .certificate import CertCheck, ConstraintReport
+from .certificate import STRICT_MARGIN, CertCheck, ConstraintReport
 from .config import RunConfig
 from .curvature import ParamSet
 from .rational import rational_to_str
@@ -219,7 +219,7 @@ def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]
             why = "Hessian conditions failed" if values is None else _UNDEFINED_WHY[name]
             checks.append(CertCheck.of(name, False, detail=f"undefined: {why}"))
         else:  # every margin is strict
-            checks.append(CertCheck.of(name, margin > 0, margin=margin, detail="> 0"))
+            checks.append(CertCheck.of(name, margin > 0, margin=margin, detail=STRICT_MARGIN))
     return ConstraintReport(checks), None if values is None else ChainValues._make(values)
 
 

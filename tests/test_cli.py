@@ -425,9 +425,65 @@ def test_report_rejects_a_status_its_checks_do_not_give(tmp_path, capsys):
 
 def test_report_accepts_verify_all_n_zero(tmp_path, capsys):
     check = {"name": "row_n3_overall", "kind": "exact", "status": "pass"}
-    path = write_certificate(tmp_path / "cert.json", complete_certificate(0, check))
+    payload = complete_certificate(0, check)
+    payload["values"]["row_n3"] = complete_certificate(3)
+    path = write_certificate(tmp_path / "cert.json", payload)
     assert run(["report", str(path)]) == 0
     assert "n = 0, status: passed" in capsys.readouterr().out
+
+
+def test_report_reads_the_rows_verify_all_nests(tmp_path, capsys):
+    payload = json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text("utf-8"))
+    payload["values"]["row_n3"]["checks"][0]["status"] = "fail"
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert "row_n3: overall_status 'passed' disagrees" in one_line_error(capsys)
+
+
+FAILED_ROW = {
+    **complete_certificate(3, {"name": "pointwise_curvature_inequality", "kind": "sampled", "status": "fail"}),
+    "overall_status": "failed",
+}
+
+
+@pytest.mark.parametrize(
+    "status, rows, message",
+    [
+        ("pass", {}, "no row_n3 in values"),
+        ("pass", {"row_n3": complete_certificate(4)}, "row_n3 is the certificate of n = 4"),
+        ("pass", {"row_n3": {"n": 3}}, "row_n3: not a certificate"),
+        ("pass", {"row_n3": FAILED_ROW}, "disagrees with row_n3, which failed"),
+        ("fail", {"row_n3": complete_certificate(3)}, "disagrees with row_n3, which passed"),
+    ],
+)
+def test_report_rejects_a_row_check_its_row_does_not_give(tmp_path, capsys, status, rows, message):
+    payload = complete_certificate(0, {"name": "row_n3_overall", "kind": "exact", "status": status})
+    payload["overall_status"] = "passed" if status == "pass" else "failed"
+    payload["values"].update(rows)
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "margin, status, overall",
+    [("-5", "pass", "passed"), ("0", "pass", "passed"), ("5", "fail", "failed")],
+)
+def test_report_rejects_a_margin_its_status_contradicts(tmp_path, capsys, margin, status, overall):
+    payload = json.loads((Path(__file__).parent / "data" / "search_n3_seed5_certificate.json").read_text("utf-8"))
+    check = payload["checks"][0]
+    assert (check["name"], check["detail"]) == ("b_positive", "> 0")
+    check.update(margin=margin, status=status)
+    payload["overall_status"] = overall
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert f"check 'b_positive': status '{status}' contradicts its margin '{margin}' > 0" in one_line_error(capsys)
+
+
+def test_report_accepts_a_failed_strict_margin(tmp_path, capsys):
+    payload = json.loads((Path(__file__).parent / "data" / "search_n3_seed5_certificate.json").read_text("utf-8"))
+    payload["checks"][0].update(margin="-5", status="fail")
+    payload["overall_status"] = "failed"
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 0
+    out = capsys.readouterr().out
+    assert "status: failed" in out and "fail] b_positive (exact)  margin=-5/1" in out
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,10 @@ uniform draw per sample, read as base-(grid size) digits) and compare them as
 sample and violation counts, first witness) must agree byte for byte.  Each row's Q comes from the oracle in
 quadmin_oracle and its mean-curvature coefficient from the closed form below,
 so nothing in the reference is taken from stabcert.  The quadform vertex
-identity is exact, not sampled, and is tested on its own.
+identity is exact, not sampled, and is tested on its own.  Both samplers draw
+with ``getrandbits`` and redraw while out of range; that each draw equals
+``randrange``'s is tested on its own too, so a Python whose ``randrange``
+draws otherwise fails here instead of moving every witness.
 """
 
 import random
@@ -17,6 +20,7 @@ from fractions import Fraction as F
 import pytest
 from quadmin_oracle import determinant, linear_coefficients, min_coefficient
 
+from stabcert import bubble, curvature
 from stabcert.bubble import quadform_lower_bound_check
 from stabcert.curvature import ParamSet, curvature_sample_check
 from stabcert.certificate import CertCheck
@@ -153,3 +157,60 @@ def test_rows_cover_violations_and_clean_passes():
         counts.add(int(detail.split()[2]))
     assert 0 in counts and 300 in counts
     assert any(0 < c < 300 for c in counts)
+
+
+# At every n a row where some draws violate and some do not, so that the running
+# sums and the rebuilt witness are compared on both verdicts: the built-in rows
+# and a random n = 6 row that passes, each with Q raised.
+PARTIAL = [(BUILTIN[0], F(1, 10)), (BUILTIN[1], F(1)), (BUILTIN[2], F(1)), (ROWS[17], F(1))]
+
+
+@pytest.mark.parametrize("params, raise_q", PARTIAL, ids=[f"n{p.n}" for p, _ in PARTIAL])
+def test_curvature_check_matches_reference_where_some_draws_violate(params, raise_q):
+    Q = quad_q(params) + raise_q
+    want = reference_curvature_check(params, Q, 5000, params.n)
+    assert 0 < int(want[0].detail.split()[2]) < 5000
+    assert curvature_sample_check(params, Q, 5000, params.n) == want
+
+
+class RecordingRandom(random.Random):
+    """A ``random.Random`` that records every ``getrandbits`` call and its result."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.calls.append((k, r))
+        return r
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_samplers_draw_what_randrange_draws(monkeypatch, n):
+    # each sampler's generator must see exactly the getrandbits calls, hence
+    # return exactly the values, that randrange(span) makes on the same seed;
+    # the references above decode those randrange values, so together this
+    # pins every draw.  Some draws are out of range and redrawn at every n.
+    made = []
+
+    def recording(seed):
+        made.append(RecordingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(random, "Random", recording)
+    params = ParamSet(n, F(1), F(1), F(1), F(1))
+    for span, sample in [
+        (len(curvature._DRAWS) ** n, lambda seed: curvature_sample_check(params, F(0), 200, seed)),
+        (len(bubble._QUAD_DRAWS) ** 2, lambda seed: quadform_lower_bound_check(n, F(1), F(1), F(0), 200, seed)),
+    ]:
+        redrawn = 0
+        for seed in range(10):
+            sample(seed)
+            want = RecordingRandom(seed)
+            for _ in range(200):
+                want.randrange(span)
+            got = made.pop().calls
+            assert got == want.calls
+            redrawn += len(got) - 200
+        assert redrawn > 0
