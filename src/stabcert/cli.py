@@ -142,9 +142,14 @@ def cmd_recursion_sim(args) -> int:
             if args.q is None or args.delta is None:
                 print("error: --q and --delta must be given together", file=sys.stderr)
                 return EXIT_USAGE
-            dg = iteration.degiorgi_constants(
-                args.n, Fraction(args.delta), Fraction(args.q), args.cms, args.radius
-            )
+            rationals = {}
+            for flag, text in (("--q", args.q), ("--delta", args.delta)):
+                try:
+                    rationals[flag] = Fraction(text)
+                except (ValueError, ZeroDivisionError) as exc:
+                    print(f"error: bad {flag}: {exc}", file=sys.stderr)
+                    return EXIT_USAGE
+            dg = iteration.degiorgi_constants(args.n, rationals["--delta"], rationals["--q"], args.cms, args.radius)
             c0 = float(dg.C0.value)
             c = float(dg.C.approx_mp())
             print(f"derived C0 = {dg.C0.value}, C = {dg.C} from q={args.q}, delta={args.delta}, "

@@ -231,6 +231,9 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
     those exponents and cross-checked against a direct product iteration at
     1e-9 relative precision.  The closed-form bound is
     (C0^(n/2) C^(n^2/2) S1)^(theta^m); domination is verified at every step.
+    Values print as 10^x once |ln| reaches 5e4; a step count that takes some
+    base-10 exponent x past the double range is refused with ValueError,
+    which names the largest that fits.
 
     Computed once per call rather than per step: C0 and C as mpf, C0^theta,
     C^(2 theta) and the 1e-9 tolerance; C^(theta (2m-1)) is a running product
@@ -264,15 +267,21 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
         c_power = C_mp**theta_mp  # C^(theta (2m-1)), here at m = 1
         t_direct = mpmath.mpf(S1)
 
-        def fmt(log_value) -> str:
+        def fmt(log_value, step: int) -> str:
             if abs(log_value) < 5e4:
                 return mpmath.nstr(mpmath.exp(log_value), 12)
-            return f"10^{float(log_value / log10):.6g}"
+            exponent = float(log_value / log10)
+            if math.isinf(exponent):
+                raise ValueError(
+                    f"steps = {steps} is too many for these inputs: at step {step} the base-10 exponent "
+                    f"of the sequence or its bound leaves the double range; give at most {step - 1}"
+                )
+            return f"10^{exponent:.6g}"
 
         logP = mpmath.mpf(n) / 2 * logC0 + mpmath.mpf(n * n) / 2 * logC + logS1
         log10_values = [float(logS1 / log10)]
-        values_str = [fmt(logS1)]
-        bounds_str = [fmt(logP)]
+        values_str = [fmt(logS1, 0)]
+        bounds_str = [fmt(logP, 0)]
         for m in range(1, steps + 1):
             e0 = theta * (1 + e0)
             eC = theta * (2 * m - 1) + theta * eC
@@ -296,8 +305,8 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
             if log_t > log_bound + tol:
                 dominated = False
             log10_values.append(float(log_t / log10))
-            values_str.append(fmt(log_t))
-            bounds_str.append(fmt(log_bound))
+            values_str.append(fmt(log_t, m))
+            bounds_str.append(fmt(log_bound, m))
         tends_to_zero = bool(logP < 0) and log10_values[-1] < log10_values[0]
     return RecursionResult(
         log10_values=log10_values,

@@ -18,11 +18,13 @@ f_xx, f_yy, D, Q, F's constant term and F(0) are computed (everything that
 depends on a), and ``_tail``, the only place where F(1), epsilon, the
 spectral coefficient, mcc, L_max and gamma0 are; ``_chain`` is the tail of
 the head.
-``exact_chain`` evaluates it on Fractions and returns the margins with those
-intermediates, which ``stabcert.certify`` records and feeds to the sampled
-checks; ``feasibility`` keeps the margins only, and ``float_margins``
-evaluates the chain in double precision.  The float search calls the two
-stages itself, so that rescoring a cell at a new delta0 costs the head only.
+``exact_chain`` evaluates it on ``Unreduced`` rationals, which skip the gcd
+that every Fraction operation pays, and reduces each result once, to the
+Fraction margins and intermediates that ``stabcert.certify`` records and feeds
+to the sampled checks; ``feasibility`` keeps the margins only, and
+``float_margins`` evaluates the chain in double precision.  The float search
+calls the two stages itself, so that rescoring a cell at a new delta0 costs
+the head only.
 
 Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
@@ -37,7 +39,7 @@ error is harmless: unsound candidates simply fail exact recertification.
 Every row a search returns has beta = 1, so its epsilon is epsilon/beta.
 
 A margin that an upstream failure leaves undefined is the last entry of each
-tuple of ``_coefficients(n, num)``: None on Fractions, so that
+tuple of ``_coefficients(n, num)``: None on exact types, so that
 ``feasibility`` can say why, and -1e18 on floats, which the search counts as
 an undefined margin.
 """
@@ -54,7 +56,7 @@ from . import published
 from .certificate import STRICT_MARGIN, CertCheck, ConstraintReport
 from .config import RunConfig
 from .curvature import ParamSet
-from .rational import rational_to_str
+from .rational import Unreduced, rational_to_str
 
 Rat = Fraction
 
@@ -78,8 +80,9 @@ _UNDEFINED_WHY = {
 @cache
 def _coefficients(n: int, num: type) -> tuple[tuple, tuple]:
     """The constants ``_head`` and ``_tail`` multiply, divide or compare by at
-    dimension n, one tuple for each stage, converted once to ``num`` (Fraction
-    or float), each followed by the value of an undefined margin: -1e18 for
+    dimension n, one tuple for each stage, converted once to ``num`` (float,
+    or an exact type built from an int or a Fraction: ``Unreduced`` or
+    Fraction), each followed by the value of an undefined margin: -1e18 for
     float, None for any other type.
 
     The constants are the chain's rational coefficients, the n-dependent
@@ -105,7 +108,7 @@ def _coefficients(n: int, num: type) -> tuple[tuple, tuple]:
 
 def _head(a, b, alpha, beta, k: tuple) -> tuple:
     """The part of the chain that depends on a: ``(f_xx, f_yy, D, F(0), Q, c)``,
-    c being F's constant term, on Fractions or on floats.
+    c being F's constant term, on one exact type or on floats.
 
     Where the Hessian gate (b, alpha, beta, f_xx, f_yy, D > 0) fails, F(0) is
     ``k``'s undefined value and Q and c are None.  ``k`` is
@@ -168,7 +171,7 @@ def _tail(head: tuple, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
 
 
 def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
-    """Every feasibility margin of the row in order, on Fractions or on floats:
+    """Every feasibility margin of the row in order, on one exact type or on floats:
     ``_tail`` of ``_head``.
 
     Returns the margins in the order of ``margin_names(n)``, ``k``'s undefined
@@ -188,8 +191,8 @@ def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     the same tail margins to the last bit, and the float search can rescore a
     cell at a new delta0 by its head alone (``_best_cells``).
     Typed constants: every number the chain combines with a, b, alpha and beta
-    comes from ``k``, so floats meet floats only and Fractions meet Fractions
-    only (integer exponents aside).
+    comes from ``k``, so floats meet floats only and exact values meet values
+    of their own type only (integer exponents aside).
     Keep the order of operations: search results depend on the float margins
     to the last bit (tests/test_golden.py, test_chain_bits_pinned).
     """
@@ -210,17 +213,28 @@ class ChainValues(NamedTuple):
 
 def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]:
     """One exact evaluation of the chain: the report of ``feasibility`` and the
-    intermediates its margins were computed from (None when the Hessian gate fails)."""
+    intermediates its margins were computed from (None when the Hessian gate fails).
+
+    The chain runs on ``Unreduced`` copies of a, b, alpha and beta; each margin
+    and intermediate becomes a Fraction once, here, so no Unreduced reaches a
+    report, a certificate or ``rational_to_str``.
+    """
     n = params.n
-    margins, values = _chain(params.a, params.b, params.alpha, params.beta, _coefficients(n, Fraction))
+    row = (Unreduced(x) for x in (params.a, params.b, params.alpha, params.beta))
+    margins, values = _chain(*row, _coefficients(n, Unreduced))
     checks = []
     for name, margin in zip(margin_names(n), margins):
         if margin is None:
             why = "Hessian conditions failed" if values is None else _UNDEFINED_WHY[name]
             checks.append(CertCheck.of(name, False, detail=f"undefined: {why}"))
-        else:  # every margin is strict
-            checks.append(CertCheck.of(name, margin > 0, margin=margin, detail=STRICT_MARGIN))
-    return ConstraintReport(checks), None if values is None else ChainValues._make(values)
+        else:  # every margin is strict; the sign of an Unreduced is its numerator's
+            exact = Fraction(margin.numerator, margin.denominator)
+            checks.append(CertCheck.of(name, margin.numerator > 0, margin=exact, detail=STRICT_MARGIN))
+    if values is None:
+        return ConstraintReport(checks), None
+    return ConstraintReport(checks), ChainValues._make(
+        None if x is None else Fraction(x.numerator, x.denominator) for x in values
+    )
 
 
 def feasibility(params: ParamSet) -> ConstraintReport:

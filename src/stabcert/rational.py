@@ -1,9 +1,14 @@
-"""Exact scalar types: reduced rationals and a restricted square-root extension.
+"""Exact scalar types: reduced and unreduced rationals and a restricted
+square-root extension.
 
 ``Rational`` is an alias for :class:`fractions.Fraction`, which already keeps
 every value reduced with a positive denominator at arbitrary precision.  On
 top of it this module provides
 
+* :class:`Unreduced` — a rational that keeps its integer pair as the
+  operations leave it, with no gcd, for long exact expressions whose results
+  are reduced once, by ``Fraction(numerator, denominator)``, at the end (the
+  exact chain of ``stabcert.optimize``);
 * :class:`QuadSurd` — values of the form ``r*sqrt(s)`` with rational ``r`` and
   rational ``s >= 0``, closed under the handful of operations the constant
   pipeline needs (square, product, ratio, comparison against a rational);
@@ -49,6 +54,85 @@ def sqrt_exact(x: Fraction) -> Fraction | None:
     if rp * rp == p and rq * rq == q:
         return Fraction(rp, rq)
     return None
+
+
+class Unreduced:
+    """The exact rational ``numerator/denominator``, with ints and a positive
+    denominator, never reduced: Fraction's arithmetic without its gcd.
+
+    Built from an int or a Fraction; ``+ - * /``, unary ``-``, ``abs`` and
+    ``**`` with an int exponent take and give Unreduced values, and the six
+    comparisons cross-multiply, so 2/4 == 1/2.  A value's sign is its
+    numerator's.  Unhashable, because equal values need not have equal pairs.
+    """
+
+    __slots__ = ("numerator", "denominator")
+    __hash__ = None
+
+    def __init__(self, value: Fraction | int):
+        self.numerator, self.denominator = value.numerator, value.denominator
+
+    def __repr__(self) -> str:
+        return f"Unreduced({self.numerator}/{self.denominator})"
+
+    def __add__(self, other: Unreduced) -> Unreduced:
+        return _pair(self.numerator * other.denominator + other.numerator * self.denominator,
+                     self.denominator * other.denominator)
+
+    def __sub__(self, other: Unreduced) -> Unreduced:
+        return _pair(self.numerator * other.denominator - other.numerator * self.denominator,
+                     self.denominator * other.denominator)
+
+    def __mul__(self, other: Unreduced) -> Unreduced:
+        return _pair(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    def __truediv__(self, other: Unreduced) -> Unreduced:
+        return _quotient(self.numerator * other.denominator, self.denominator * other.numerator)
+
+    def __neg__(self) -> Unreduced:
+        return _pair(-self.numerator, self.denominator)
+
+    def __abs__(self) -> Unreduced:
+        return _pair(abs(self.numerator), self.denominator)
+
+    def __pow__(self, exponent: int) -> Unreduced:
+        if exponent < 0:
+            return _quotient(self.denominator**-exponent, self.numerator**-exponent)
+        return _pair(self.numerator**exponent, self.denominator**exponent)
+
+    def __eq__(self, other: Unreduced) -> bool:
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+    def __ne__(self, other: Unreduced) -> bool:
+        return self.numerator * other.denominator != other.numerator * self.denominator
+
+    def __lt__(self, other: Unreduced) -> bool:
+        return self.numerator * other.denominator < other.numerator * self.denominator
+
+    def __le__(self, other: Unreduced) -> bool:
+        return self.numerator * other.denominator <= other.numerator * self.denominator
+
+    def __gt__(self, other: Unreduced) -> bool:
+        return self.numerator * other.denominator > other.numerator * self.denominator
+
+    def __ge__(self, other: Unreduced) -> bool:
+        return self.numerator * other.denominator >= other.numerator * self.denominator
+
+
+def _pair(numerator: int, denominator: int) -> Unreduced:
+    """The Unreduced ``numerator/denominator``, for a denominator known to be positive."""
+    value = object.__new__(Unreduced)
+    value.numerator, value.denominator = numerator, denominator
+    return value
+
+
+def _quotient(numerator: int, denominator: int) -> Unreduced:
+    """The Unreduced ``numerator/denominator`` with the sign moved to the numerator."""
+    if denominator < 0:
+        return _pair(-numerator, -denominator)
+    if denominator == 0:
+        raise ZeroDivisionError(f"Unreduced({numerator}, 0)")
+    return _pair(numerator, denominator)
 
 
 @dataclass(frozen=True)

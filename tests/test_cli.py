@@ -549,6 +549,17 @@ def test_usage_error_exit():
         (["verify"], "required: --n"),
         # the search has no budget
         (["optimize", "--n", "3", "--budget", "5"], "unrecognized arguments: --budget 5"),
+        # a rational flag that does not parse is named
+        (["recursion-sim", "--s1", "1e-3", "--n", "3", "--q", "1/0", "--delta", "1"], "error: bad --q: Fraction(1, 0)"),
+        (["recursion-sim", "--s1", "1e-3", "--n", "3", "--q", "abc", "--delta", "1"],
+         "error: bad --q: Invalid literal for Fraction: 'abc'"),
+        (["recursion-sim", "--s1", "1e-3", "--n", "3", "--q", "1/2", "--delta", "1/0"],
+         "error: bad --delta: Fraction(1, 0)"),
+        (["recursion-sim", "--s1", "1e-3", "--n", "3", "--q", "1/2", "--delta", "x"],
+         "error: bad --delta: Invalid literal for Fraction: 'x'"),
+        # past step 644 this sequence's base-10 exponent leaves the double range
+        (["recursion-sim", "--s1", "1e-5", "--n", "3", "--c0", "1", "--c", "2", "--steps", "700"],
+         "error: steps = 700 is too many for these inputs: at step 645"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -180,6 +181,15 @@ class TestRecursionSimulator:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             recursion_simulate(0.0, 1.0, 1.0, 3)
+
+    def test_refuses_exponents_past_the_double_range(self):
+        # the base-10 exponents of the sequence and its bound fit a double up to step 644
+        res = recursion_simulate(1e-5, 1.0, 2.0, 3, steps=644)
+        assert all(math.isfinite(x) for x in res.log10_values)
+        assert (res.values_str[-1], res.bounds_str[-1]) == ("10^-7.56039e+307", "10^-6.72712e+307")
+        assert not any("inf" in row for row in res.values_str + res.bounds_str)
+        with pytest.raises(ValueError, match="at step 645 .* give at most 644"):
+            recursion_simulate(1e-5, 1.0, 2.0, 3, steps=645)
 
     def test_divergence_reported_honestly(self):
         res = recursion_simulate(10.0, 1.0, 1.0, 3, steps=4)

@@ -10,6 +10,7 @@ from stabcert import optimize, published
 from stabcert.config import ConfigError, RunConfig
 from stabcert.curvature import ParamSet
 from stabcert.optimize import (
+    ChainValues,
     exact_chain,
     feasibility,
     float_margins,
@@ -165,6 +166,31 @@ class TestFeasibility:
                 assert m["gamma0_bare"] == 1 / q - cross / L
 
 
+def assert_chain_on_fractions(p):
+    """``exact_chain`` gives, as Fractions, the margins and values of ``_chain``
+    evaluated on Fractions; its verdicts are those margins' signs."""
+    margins, values = optimize._chain(p.a, p.b, p.alpha, p.beta, optimize._coefficients(p.n, F))
+    report, chain = exact_chain(p)
+    assert [e.margin for e in report.entries] == list(margins)
+    assert chain == (None if values is None else ChainValues(*values))
+    # no Unreduced leaves exact_chain, for certificates and rational_to_str
+    assert all(type(x) is F for x in (*(e.margin for e in report.entries), *(chain or ())) if x is not None)
+    assert [e.satisfied for e in report.entries] == [x is not None and x > 0 for x in margins]
+
+
+def test_exact_chain_is_the_fraction_chain():
+    # seeded rows around the built-in ones at n = 3..6, with denominators as
+    # large as the search's rounding gives, a quarter to four times each value
+    rng = random.Random(23)
+    for n in range(3, 7):
+        base = row(min(n, 5))
+        for _ in range(150):
+            b, alpha, beta = (x * F(rng.randint(250, 4000), 1000) for x in (base.b, base.alpha, base.beta))
+            b, alpha, beta = (x.limit_denominator(10**6) for x in (b, alpha, beta))
+            delta0 = (base.delta0 * F(rng.randint(500, 1500), 1000)).limit_denominator(4096)
+            assert_chain_on_fractions(ParamSet(n, delta0 * b, b, alpha, beta))
+
+
 class TestFloatMirror:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_exact_margins(self, n):
@@ -247,6 +273,7 @@ ZERO_MARGIN_ROWS = [
 
 @pytest.mark.parametrize("zeros, params, undefined, float_defined", ZERO_MARGIN_ROWS)
 def test_zero_margin_fails_without_raising(zeros, params, undefined, float_defined):
+    assert_chain_on_fractions(params)
     report = feasibility(params)
     assert [e.name for e in report.entries if e.margin == 0] == list(zeros)
     assert not any(report.entry(name).satisfied for name in zeros)

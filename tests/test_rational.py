@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stabcert.rational import QuadSurd, rational_to_str, sqrt_exact
+from stabcert.rational import QuadSurd, Unreduced, rational_to_str, sqrt_exact
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
@@ -41,6 +42,68 @@ def test_serialization_p_over_q():
     assert F("979826999/65363627000") == F(979826999, 65363627000)
     x = F(-123456, 789)
     assert F(rational_to_str(x)) == x
+
+
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+# each operation drawn by name, so that a failure reads as the sequence that ran;
+# every operation takes two operands, and the unary ones ignore the second
+_OPERATIONS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "neg": lambda x, _: -x, "abs": lambda x, _: abs(x),
+    **{f"**{e}": lambda x, _, e=e: x**e for e in range(-3, 4)},
+}
+_COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def unreduced(value: F, scale: int) -> Unreduced:
+    """``value`` as the pair (scale p)/(scale q), so 1/2 at scale 2 is 2/4."""
+    return Unreduced(value.numerator * scale) / Unreduced(value.denominator * scale)
+
+
+@given(st.lists(st.tuples(small_rationals, st.integers(1, 6)), min_size=1, max_size=4), st.data())
+def test_unreduced_agrees_with_fraction(start, data):
+    # a pool of values, each held as an Unreduced and as a Fraction: every step
+    # compares two members of the pool, or applies one operation to them on
+    # both types and adds the result to the pool; eight steps of cubes keep the
+    # integers within a few hundred thousand bits
+    pool = [(unreduced(value, scale), value) for value, scale in start]
+    pool.append((unreduced(F(0), 3), F(0)))
+    for _ in range(data.draw(st.integers(1, 8))):
+        (u, f), (v, g) = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        for name, compare in _COMPARISONS.items():
+            assert compare(u, v) == compare(f, g), (u, name, v)
+        name = data.draw(st.sampled_from(sorted(_OPERATIONS)))
+        operation = _OPERATIONS[name]
+        try:
+            want = operation(f, g)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                operation(u, v)
+            continue
+        result = operation(u, v)
+        assert type(result) is Unreduced and result.denominator > 0
+        assert F(result.numerator, result.denominator) == want, (u, name, v)
+        pool.append((result, want))
+
+
+def test_unreduced_examples():
+    half, two_quarters = Unreduced(F(1, 2)), unreduced(F(1, 2), 2)
+    assert (two_quarters.numerator, two_quarters.denominator) == (2, 4)
+    assert two_quarters == half and not two_quarters != half
+    assert two_quarters <= half <= two_quarters and not two_quarters < half and not half > two_quarters
+    # a division by a negative value moves the sign to the numerator
+    third = Unreduced(1) / Unreduced(-3)
+    assert (third.numerator, third.denominator) == (-1, 3) and third < Unreduced(0)
+    inverse = Unreduced(F(-2, 3)) ** -2
+    assert (inverse.numerator, inverse.denominator) == (9, 4)
+    with pytest.raises(ZeroDivisionError):
+        Unreduced(1) / unreduced(F(0), 5)
+    with pytest.raises(ZeroDivisionError):
+        Unreduced(0) ** -1
+    with pytest.raises(TypeError):
+        hash(half)
 
 
 def test_sqrt_exact():
