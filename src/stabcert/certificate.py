@@ -8,11 +8,12 @@ check passes or fails, and a certificate containing any failed check has
 overall status "failed".  A computed value that differs from its published one
 is a published target with match false, a discrepancy: it never fails a run
 but is always surfaced.  Files are UTF-8 JSON, schema_version "1", written
-atomically (write-then-rename); the reader requires every field the writer
-writes, at least one check, and a recorded overall status that its checks give;
-a strict margin check whose status contradicts its margin's sign is refused,
-and a verify-all certificate (n = 0) is read together with the row
-certificates it nests.
+atomically (write-then-rename); the reader requires that schema version,
+every field the writer writes, at least one check, and a recorded overall
+status that its checks give; a strict margin check whose status contradicts
+its margin's sign is refused, and a verify-all certificate (n = 0) is read
+together with the row certificates it nests, each with the params its row
+writes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
-from .rational import rational_to_str
+from .rational import rational_from_str, rational_to_str
 
 if TYPE_CHECKING:
     import mpmath
@@ -125,10 +126,8 @@ class CertCheck:
         margin = d.get("margin")
         if margin is not None:
             try:
-                if not isinstance(margin, str):
-                    raise TypeError
-                margin = Fraction(margin)
-            except (TypeError, ValueError, ZeroDivisionError):
+                margin = rational_from_str(margin)
+            except ValueError:
                 raise ValueError(f"check {name!r}: margin {margin!r} is not a rational") from None
         detail = d.get("detail", "")
         # a Fraction's sign is its numerator's, and comparing the int skips Fraction's comparison
@@ -248,6 +247,9 @@ class Certificate:
         for key, kind in _FIELDS:
             if type(d[key]) is not kind:  # not isinstance: JSON true is no integer
                 raise ValueError(f"{key} {d[key]!r} is not {_JSON_TYPES[kind]}")
+        if d["schema_version"] != SCHEMA_VERSION:
+            raise ValueError(f"schema_version {d['schema_version']!r} is not {SCHEMA_VERSION!r}, "
+                             "the one this reader reads")
         if not d["checks"]:
             raise ValueError("no checks: a certificate without evidence certifies nothing")
         if not all(isinstance(flag, dict) for flag in d["flags"]):
@@ -276,8 +278,11 @@ class Certificate:
 
     def _read_rows(self) -> None:
         """Read strictly the row certificate that each ``row_nN_overall`` check of
-        a verify-all certificate stands for, ``values["row_nN"]``, and require
-        the check to pass exactly when that row passed."""
+        a verify-all certificate stands for, ``values["row_nN"]``, with the
+        params its row writes (``ParamSet.from_strings``), and require the check
+        to pass exactly when that row passed."""
+        from .curvature import ParamSet  # curvature imports this module
+
         for check in self.checks:
             key = check.name.removesuffix("_overall")
             if not key.startswith("row_n") or key == check.name:
@@ -286,6 +291,7 @@ class Certificate:
                 raise ValueError(f"check {check.name!r}: no {key} in values")
             try:
                 row = Certificate.from_jsonable(self.values[key])
+                ParamSet.from_strings(row.params, row.n)
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
             if key != f"row_n{row.n}":

@@ -74,8 +74,10 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     if args.objective == "epsilon":
         try:
             delta0 = published.DELTA0.get(args.n) if args.delta0 is None else Fraction(args.delta0)
-            if delta0 is not None:
-                float(delta0)  # the search scores cells at this float: OverflowError when it has none
+            # the search scores cells at float(delta0), so a positive delta0 must neither
+            # overflow (OverflowError) nor underflow to 0.0
+            if delta0 is not None and delta0 > 0 and float(delta0) == 0:
+                raise ValueError(f"{args.delta0} is 0.0 as a float")
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             print(f"error: bad --delta0: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -178,6 +180,8 @@ def cmd_recursion_sim(args) -> int:
 def cmd_report(args) -> int:
     try:
         cert = Certificate.read(args.certificate)
+        if cert.n:  # a row's certificate; verify-all's (n = 0) has its rows' read with it
+            ParamSet.from_strings(cert.params, cert.n)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE

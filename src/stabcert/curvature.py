@@ -37,7 +37,7 @@ from math import lcm
 
 from . import published
 from .certificate import CertCheck
-from .rational import clear_denominators
+from .rational import clear_denominators, rational_from_str
 from .rational import rational_to_str as rts
 
 Rat = Fraction
@@ -73,6 +73,33 @@ class ParamSet:
             raise ValueError(f"no built-in parameter row for n = {n}")
         row = published.PARAM_ROWS[n]
         return ParamSet(n=n, a=row["a"], b=row["b"], alpha=row["alpha"], beta=row["beta"])
+
+    @staticmethod
+    def from_strings(strings: dict, n: int | None = None) -> "ParamSet":
+        """The row whose ``as_strings`` is ``strings``, exactly; with ``n``, the
+        dimension of the certificate that records ``strings``, a row of that
+        dimension.  Anything else raises a ValueError that names it: a key
+        missing or unknown, an n that is not an integer, a rational that is
+        not "p/q", or a value the row does not write (a delta0 that is not
+        a/b, or "2/4" for 1/2, say)."""
+        try:
+            rationals = (rational_from_str(strings[key]) for key in ("a", "b", "alpha", "beta"))
+            row = ParamSet(int(strings["n"]), *rationals)
+        except KeyError as exc:
+            raise ValueError(f"params have no {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"params: {exc}") from None
+        written = row.as_strings()
+        if written != strings:
+            if missing := [key for key in written if key not in strings]:
+                raise ValueError(f"params have no {', '.join(missing)}")
+            if unknown := [key for key in strings if key not in written]:
+                raise ValueError(f"unknown params: {', '.join(unknown)}")
+            key = next(key for key in written if strings[key] != written[key])
+            raise ValueError(f"params {key} {strings[key]!r} is not {written[key]!r}, which the row writes")
+        if n is not None and row.n != n:
+            raise ValueError(f"params n {strings['n']!r} is not the certificate's n = {n}")
+        return row
 
     def as_strings(self) -> dict[str, str]:
         return {

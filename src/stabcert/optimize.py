@@ -13,18 +13,19 @@ min f = E^2 * Q of the weighted curvature quadratic f that ``curvature``
 samples; F is that module's endpoint function; mcc is the mean-curvature
 coefficient and L_max the largest Young parameter.
 
-The chain is written once, in two stages: ``_head``, the only place where
-f_xx, f_yy, D, Q, F's constant term and F(0) are computed (everything that
-depends on a), and ``_tail``, the only place where F(1), epsilon, the
-spectral coefficient, mcc, L_max and gamma0 are; ``_chain`` is the tail of
-the head.
+The chain is written once, in two stages: the head, everything that depends
+on a, and ``_tail``, the only place where F(1), epsilon, the spectral
+coefficient, mcc, L_max and gamma0 are; ``_chain`` is the tail of the head.
+The head splits where a enters: ``_head_terms`` and ``_q_terms`` compute a
+row's terms free of a (F's constant term among them), and ``_head`` is the
+only place where f_xx, f_yy, D, Q and F(0) are computed at a from them.
 ``exact_chain`` evaluates it on ``Unreduced`` rationals, which skip the gcd
 that every Fraction operation pays, and reduces each result once, to the
 Fraction margins and intermediates that ``stabcert.certify`` records and feeds
 to the sampled checks; ``feasibility`` keeps the margins only, and
 ``float_margins`` evaluates the chain in double precision.  The float search
-calls the two stages itself, so that rescoring a cell at a new delta0 costs
-the head only.
+calls the stages itself, so that rescoring a cell at a new delta0 costs
+``_head`` at the new a only.
 
 Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
@@ -106,31 +107,65 @@ def _coefficients(n: int, num: type) -> tuple[tuple, tuple]:
     )
 
 
-def _head(a, b, alpha, beta, k: tuple) -> tuple:
-    """The part of the chain that depends on a: ``(f_xx, f_yy, D, F(0), Q, c)``,
-    c being F's constant term, on one exact type or on floats.
+def _head_terms(b, alpha, beta, k: tuple) -> tuple:
+    """Everything ``_head`` needs that is free of a, for the row (b, alpha, beta)
+    on one exact type or on floats; ``k`` is ``_coefficients(n, type)[0]``.
 
-    Where the Hessian gate (b, alpha, beta, f_xx, f_yy, D > 0) fails, F(0) is
-    ``k``'s undefined value and Q and c are None.  ``k`` is
-    ``_coefficients(n, type)[0]``.
+    This is the only place where 2 beta, 2 alpha and D's coefficient of a and
+    constant term are computed, and ``_q_terms`` the only one for the terms
+    that Q and F(0) alone use, each in the order of operations ``_head`` had
+    when it computed them itself, so every float keeps its bits.  The last
+    entry holds the Q terms: None here, so that ``_head`` computes them past
+    the Hessian gate and a row that fails the gate never does; a float
+    bisection in ``_best_cells``, which evaluates its cell's head at
+    _FLOAT_BISECTIONS more values of a, puts them there once.
     """
-    # n_2_sq is (n - 2)^2, n_1_n_2 is (n - 1)(n - 2), two_n_1 is 2(n - 1) and so
-    # on; q_a and q_beta are n^2 - 5n + 8 and 3n - 7, the coefficients of a and
-    # beta in Q
     (hessian, disc_aa, disc_ab, n, n_2, n_2_sq, n_1_n_2, q_a, q_beta, four_n_2, two_n_1, two_n_2,
      zero, two, four, undefined) = k
-    fxx = hessian * a - two * beta
-    fyy = hessian * a - two * alpha
-    D = disc_aa * a * a - four * (disc_ab * beta + alpha) * a + (four * beta - alpha) * alpha
-    if not (b > zero and alpha > zero and beta > zero and fxx > zero and fyy > zero and D > zero):
+    return (
+        hessian, disc_aa, q_a, n_1_n_2, four_n_2, zero, undefined, b, alpha, beta, k,
+        b > zero and alpha > zero and beta > zero,
+        two * beta, two * alpha, four * (disc_ab * beta + alpha), (four * beta - alpha) * alpha,
+        None,
+    )
+
+
+def _q_terms(b, alpha, beta, k: tuple) -> tuple:
+    """The terms of Q's numerator free of a, ``((n - 2) alpha^3, (3n - 7) beta,
+    alpha^2, (n - 2)^2 alpha, beta^2)``, then F's constant term c."""
+    # n_2_sq is (n - 2)^2, two_n_1 is 2(n - 1) and so on; q_beta is 3n - 7,
+    # the coefficient of beta in Q
+    _, _, _, n, n_2, n_2_sq, _, _, q_beta, _, two_n_1, two_n_2, _, two, _, _ = k
+    return (
+        n_2 * alpha**3, q_beta * beta, alpha**2, n_2_sq * alpha, beta**2,
+        two_n_1 * beta + two_n_2 * alpha - b * n * n_2 / two,
+    )
+
+
+def _head(a, terms: tuple) -> tuple:
+    """The part of the chain that depends on a: ``(f_xx, f_yy, D, F(0), Q, c)``
+    at a, c being F's constant term, from the row's ``_head_terms``.
+
+    Where the Hessian gate (b, alpha, beta, f_xx, f_yy, D > 0) fails, F(0) is
+    the undefined value of the row's coefficients and Q and c are None.
+    """
+    # n_1_n_2 is (n - 1)(n - 2) and four_n_2 is 4(n - 2); q_a is n^2 - 5n + 8,
+    # the coefficient of a in Q; d_a and d_0 are D's coefficient of a and its
+    # constant term
+    (hessian, disc_aa, q_a, n_1_n_2, four_n_2, zero, undefined, b, alpha, beta, k, positive,
+     two_beta, two_alpha, d_a, d_0, q_terms) = terms
+    fxx = hessian * a - two_beta
+    fyy = hessian * a - two_alpha
+    D = disc_aa * a * a - d_a * a + d_0
+    if not (positive and fxx > zero and fyy > zero and D > zero):
         return fxx, fyy, D, undefined, None, None
+    n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq, const = q_terms or _q_terms(b, alpha, beta, k)
     Q = (
-        n_2 * alpha**3
-        - (q_a * a + q_beta * beta) * alpha**2
-        + (n_2_sq * alpha - n_1_n_2 * a) * beta**2
+        n_2_alpha3
+        - (q_a * a + q_beta_beta) * alpha_sq
+        + (n_2_sq_alpha - n_1_n_2 * a) * beta_sq
         + four_n_2 * a * alpha * beta
     ) / D
-    const = two_n_1 * beta + two_n_2 * alpha - b * n * n_2 / two
     return fxx, fyy, D, const + Q, Q, const
 
 
@@ -184,12 +219,14 @@ def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
 
     The chain splits where a = delta0 * b stops mattering.  ``_head`` computes
     everything that depends on a: f_xx, f_yy, D and, once the gate holds, Q and
-    F(0) = c + Q, with F's constant term c, which F(1) shares.  ``_tail``
-    computes nothing that does: F(1), the q, spectral, Ricci and Young margins
-    and gamma0 depend on b, alpha and beta alone, and epsilon = min(F(0), F(1))
-    joins the two.  So at a fixed cell (b, alpha, beta) every value of a gives
-    the same tail margins to the last bit, and the float search can rescore a
-    cell at a new delta0 by its head alone (``_best_cells``).
+    F(0) = c + Q, from the row's ``_head_terms``, which hold F's constant term
+    c, which F(1) shares, and every other term of the head free of a.
+    ``_tail`` computes nothing that depends on a: F(1), the q, spectral, Ricci
+    and Young margins and gamma0 depend on b, alpha and beta alone, and
+    epsilon = min(F(0), F(1)) joins the two.  So at a fixed cell (b, alpha,
+    beta) every value of a gives the same head terms and tail margins to the
+    last bit, and the float search can rescore a cell at a new delta0 by
+    ``_head`` alone, on terms it computed once (``_best_cells``).
     Typed constants: every number the chain combines with a, b, alpha and beta
     comes from ``k``, so floats meet floats only and exact values meet values
     of their own type only (integer exponents aside).
@@ -197,7 +234,7 @@ def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
     to the last bit (tests/test_golden.py, test_chain_bits_pinned).
     """
     k_head, k_tail = k
-    return _tail(_head(a, b, alpha, beta, k_head), b, alpha, beta, k_tail)
+    return _tail(_head(a, _head_terms(b, alpha, beta, k_head)), b, alpha, beta, k_tail)
 
 
 class ChainValues(NamedTuple):
@@ -315,26 +352,35 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     A cell replaces the best only when its key is greater, so the search
     evaluates only what can decide that, and returns what scoring every cell
     and every bisection step by ``float_margins`` would:
-    - A bisection step needs the head alone.  The cell passed every margin at
-      the current d, and mid < d changes a = mid * q only, so b, alpha, beta
-      and every tail margin (F(1) among them) are the same to the last bit
-      and above _NOISE.  So every margin is above _NOISE at mid exactly when
-      min(f_xx, f_yy, D, F(0)) is; where the gate fails at mid, one of f_xx,
-      f_yy and D is <= 0 and F(0) is undefined, and the step fails either way.
+    - A bisection step needs ``_head`` alone, on the terms the cell's score
+      computed, with the Q terms put in once.  The cell passed every margin at
+      the current d, and mid < d changes a = mid * q only, so b, alpha, beta,
+      the head's terms and every tail margin (F(1) among them) are the same
+      to the last bit and above _NOISE.  So every margin is above _NOISE at
+      mid exactly when each of f_xx, f_yy, D and F(0) is; where the gate fails
+      at mid, one of f_xx, f_yy and D is <= 0 and F(0) is undefined, and the
+      step fails either way.
+    - A cell whose Hessian gate fails at d gets its key from the head alone:
+      epsilon and every margin after it are undefined, so the key is
+      (0, _EPSILON - len(margin_names(n)), min(q, r, 1, f_xx, f_yy, D)).
     - Once the best key is feasible, a cell whose F(0) is at or below a floor
       is not taken to the tail: _NOISE without ``fixed``, the best epsilon
       (itself above _NOISE) with it.  F(0) is undefined, -1e18, wherever the
       gate fails.  A cell with F(0) <= _NOISE is infeasible, key (0, ...):
       its gate fails, or its margin epsilon = min(F(0), F(1)) <= F(0) does.
       With ``fixed``, a cell with F(0) <= the best epsilon has the key
-      (0, ...) or (1, epsilon) with epsilon <= the best.  Either way the key
-      is not greater than the best, so the cell changes neither the best, nor
-      d, nor any level's winner; it still counts as one evaluation.  A cell
-      that goes on reuses its head in ``_tail``.
+      (0, ...) or (1, epsilon) with epsilon <= the best.  A cell that goes on
+      reuses its head in ``_tail``, and if a tail margin fails it is
+      infeasible too.  Either way the key is not greater than the best, so
+      the cell changes neither the best, nor d, nor any level's winner, and
+      its score is None; it still counts as one evaluation.
     """
     used = 0
     d = 1.0 if fixed is None else fixed  # the delta0 cells are scored at: the best d so far
     k_head, k_tail = _coefficients(n, float)
+    # the key's second entry where the Hessian gate fails: minus the number of
+    # undefined margins, epsilon and every margin after it
+    gate_failed = _EPSILON - len(margin_names(n))
     # the F(0) a cell must exceed to beat the best, once the best is feasible
     floor = None
 
@@ -342,20 +388,28 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
         """The cell's key, or None when it cannot beat the best."""
         nonlocal used, d
         used += 1
-        head = _head(d * q, q, r, 1.0, k_head)
-        if floor is not None and head[3] <= floor:  # head[3] is F(0)
+        terms = _head_terms(q, r, 1.0, k_head)
+        head = _head(d * q, terms)
+        fxx, fyy, D, f0, Q, _ = head
+        if floor is not None and f0 <= floor:
             return None
+        if Q is None:
+            return 0, gate_failed, min(q, r, 1.0, fxx, fyy, D)
         margins = _tail(head, q, r, 1.0, k_tail)[0]
         worst = min(margins)
         if worst <= _NOISE:
+            if floor is not None:
+                return None
             undefined = margins.count(_BIG_NEGATIVE)
             return 0, -undefined, min(m for m in margins if m != _BIG_NEGATIVE) if undefined else worst
         if fixed is not None:
             return 1, margins[_EPSILON]
         lo = 0.0
+        terms = terms[:-1] + (_q_terms(q, r, 1.0, k_head),)
         for _ in range(_FLOAT_BISECTIONS):
             mid = (lo + d) / 2
-            if min(_head(mid * q, q, r, 1.0, k_head)[:4]) > _NOISE:
+            fxx, fyy, D, f0, _, _ = _head(mid * q, terms)
+            if fxx > _NOISE and fyy > _NOISE and D > _NOISE and f0 > _NOISE:
                 d = mid
             else:
                 lo = mid
@@ -555,12 +609,7 @@ def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
 
 
 def reverify(params_strings: dict[str, str]) -> tuple[ParamSet, ConstraintReport]:
-    """Re-run exact feasibility from serialized parameter strings alone."""
-    params = ParamSet(
-        n=int(params_strings["n"]),
-        a=Fraction(params_strings["a"]),
-        b=Fraction(params_strings["b"]),
-        alpha=Fraction(params_strings["alpha"]),
-        beta=Fraction(params_strings["beta"]),
-    )
+    """Re-run exact feasibility from serialized parameter strings alone: the row
+    ``ParamSet.from_strings`` reads, which refuses strings the row does not write."""
+    params = ParamSet.from_strings(params_strings)
     return params, feasibility(params)

@@ -12,6 +12,7 @@ import pytest
 from stabcert import cli, iteration, optimize, published
 from stabcert.certificate import Certificate
 from stabcert.cli import main
+from stabcert.curvature import ParamSet
 
 
 def run(args):
@@ -253,6 +254,7 @@ def test_optimize_epsilon_requires_delta0_for_probe(tmp_path):
     [
         ("-1", "must be > 0"), ("0", "must be > 0"), ("x", "bad --delta0"), ("1/0", "bad --delta0"),
         ("1e400", "bad --delta0"),  # no finite float to score cells at
+        ("1e-400", "bad --delta0: 1e-400 is 0.0 as a float"),  # the grid would score cells at delta0 = 0
     ],
 )
 def test_optimize_bad_delta0_is_usage_error(tmp_path, capsys, value, message):
@@ -358,9 +360,11 @@ def write_certificate(path: Path, payload: dict) -> Path:
 
 
 def complete_certificate(n: int = 3, check: dict | None = None) -> dict:
-    """Every field a written certificate has, with one passing check (``check`` if given)."""
+    """Every field a written certificate has, with one passing check (``check`` if
+    given) and, for an n with a built-in row, that row's params."""
     check = check or {"name": "epsilon", "kind": "exact", "status": "pass"}
-    return {**Certificate(n=n).to_jsonable(), "checks": [check]}
+    params = ParamSet.published_row(n).as_strings() if n in published.PARAM_ROWS else {}
+    return {**Certificate(n=n).to_jsonable(), "params": params, "checks": [check]}
 
 
 @pytest.mark.parametrize(
@@ -369,6 +373,7 @@ def complete_certificate(n: int = 3, check: dict | None = None) -> dict:
         ("margin", "not-a-number", "not a rational"),
         ("margin", "1/0", "not a rational"),
         ("margin", 0.5, "not a rational"),
+        ("margin", "0.25", "not a rational"),  # the writer writes p/q
         ("status", "failed", "unknown status"),  # would otherwise render as a passed certificate
         ("status", "discrepancy", "unknown status"),  # a mismatch is a published target, not a check
     ],
@@ -389,6 +394,7 @@ def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message)
         ("params", None, "params None is not a JSON object"),
         ("checks", [], "no checks"),  # would otherwise pass on zero evidence
         ("checks", [{"name": "epsilon", "kind": "exact"}], "a check has no status"),
+        ("schema_version", "7", "schema_version '7' is not '1'"),  # would otherwise render as passed
     ],
 )
 def test_report_rejects_malformed_flags_and_targets(tmp_path, capsys, field, value, message):
@@ -461,6 +467,66 @@ def test_report_rejects_a_row_check_its_row_does_not_give(tmp_path, capsys, stat
     payload["values"].update(rows)
     assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
     assert message in one_line_error(capsys)
+
+
+def search_certificate(n: int) -> dict:
+    return json.loads((Path(__file__).parent / "data" / f"search_n{n}_seed5_certificate.json").read_text("utf-8"))
+
+
+def edit_delta0_and_q(cert: dict) -> None:
+    cert["params"].update(delta0="1/100", q="7/2")
+
+
+def edit_n(cert: dict) -> None:
+    cert["n"] = 5
+
+
+def swap_q_for_an_unknown_key(cert: dict) -> None:
+    del cert["params"]["q"]
+    cert["params"]["scale"] = "2"
+
+
+# Each edit leaves a certificate that reads, so ``report`` would print its
+# edited params under "status: passed" and ``reverify`` would use a and b.
+PARAMS_EDITS = [
+    (3, edit_delta0_and_q, "params delta0 '1/100' is not '"),
+    (4, edit_n, "params n '4' is not the certificate's n = 5"),
+    (3, swap_q_for_an_unknown_key, "params have no q"),
+]
+
+
+@pytest.mark.parametrize("n, edit, message", PARAMS_EDITS)
+def test_report_rejects_params_the_row_does_not_write(tmp_path, capsys, n, edit, message):
+    payload = search_certificate(n)
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 0
+    capsys.readouterr()
+    edit(payload)
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("n, edit, message", [case for case in PARAMS_EDITS if case[1] is not edit_n])
+def test_reverify_rejects_params_the_row_does_not_write(n, edit, message):
+    payload = search_certificate(n)
+    edit(payload)
+    with pytest.raises(ValueError, match=message):
+        optimize.reverify(Certificate.from_jsonable(payload).params)
+
+
+def test_reverify_reads_unknown_keys_by_name():
+    params = {**search_certificate(3)["params"], "scale": "2"}
+    with pytest.raises(ValueError, match="unknown params: scale$"):
+        optimize.reverify(params)
+
+
+@pytest.mark.parametrize("n, edit, message", PARAMS_EDITS)
+def test_report_rejects_a_nested_row_whose_params_it_does_not_write(tmp_path, capsys, n, edit, message):
+    payload = json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text("utf-8"))
+    row = json.loads(json.dumps(payload["values"][f"row_n{n}"]))
+    edit(row)
+    payload["values"][f"row_n{row['n']}"] = row  # under the key its n names, which verify-all passes
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert f"row_n{row['n']}: {message}" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,16 @@
 """The float grid search against the version it replaced, which scored every
-cell and every bisection step with the whole chain, and the two equivalences
-that let the search evaluate the chain's head alone."""
+cell and every bisection step with the whole chain; the two equivalences that
+let the search evaluate the chain's head alone; and the head, split at a,
+against the one function it replaced."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from stabcert import optimize, published
+from stabcert.rational import Unreduced
 
 NOISE = optimize._NOISE
 
@@ -72,7 +75,7 @@ def test_grid_matches_the_full_chain_search(n, fixed):
 
 def head(n, delta0, q, r):
     """(f_xx, f_yy, D, F(0)) of the cell at delta0, F(0) -1e18 where the gate fails."""
-    return optimize._head(delta0 * q, q, r, 1.0, optimize._coefficients(n, float)[0])[:4]
+    return optimize._head(delta0 * q, optimize._head_terms(q, r, 1.0, optimize._coefficients(n, float)[0]))[:4]
 
 
 def passes(n, delta0, q, r):
@@ -171,3 +174,55 @@ def test_skipped_cell_cannot_beat_the_best(n):
     assert fired["delta0"] > 100 and fired["epsilon"] > 100, fired
     if n < 6:  # no cell is feasible at n = 6
         assert fired["epsilon on a feasible cell"] > 20, fired
+
+
+def one_shot_head(a, b, alpha, beta, k):
+    """The head as one function computed it, from the row and a, before its terms
+    free of a were split off: the reference for ``_head_terms`` and ``_head``."""
+    (hessian, disc_aa, disc_ab, n, n_2, n_2_sq, n_1_n_2, q_a, q_beta, four_n_2, two_n_1, two_n_2,
+     zero, two, four, undefined) = k
+    fxx = hessian * a - two * beta
+    fyy = hessian * a - two * alpha
+    D = disc_aa * a * a - four * (disc_ab * beta + alpha) * a + (four * beta - alpha) * alpha
+    if not (b > zero and alpha > zero and beta > zero and fxx > zero and fyy > zero and D > zero):
+        return fxx, fyy, D, undefined, None, None
+    Q = (
+        n_2 * alpha**3
+        - (q_a * a + q_beta * beta) * alpha**2
+        + (n_2_sq * alpha - n_1_n_2 * a) * beta**2
+        + four_n_2 * a * alpha * beta
+    ) / D
+    const = two_n_1 * beta + two_n_2 * alpha - b * n * n_2 / two
+    return fxx, fyy, D, const + Q, Q, const
+
+
+def bits(values):
+    """Each value as its bits: a float's hex (which tells -0.0 from 0.0), an exact
+    value's type, numerator and denominator (an Unreduced pair as it stands)."""
+    return tuple(
+        x if x is None else x.hex() if type(x) is float else (type(x), x.numerator, x.denominator) for x in values
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_split_head_matches_the_one_shot_head_bit_for_bit(n):
+    # on floats, Fractions and Unreduced pairs, with the Q terms left to _head
+    # (the chain) and put in the terms beforehand (a float bisection step); the
+    # cells at beta = 1, rescaled, and with b < 0 < a, which only b > 0 gates
+    rng = random.Random(1800 + n)
+    gate = {"holds": 0, "fails": 0}
+    for q, r in cells(rng, n, 60):
+        delta0s = [rng.uniform(0.01, 2.0) for _ in range(3)] + near_zero_delta0s(n, q, r)[::3]
+        for delta0 in delta0s:
+            scale = rng.uniform(0.5, 2.0)
+            rows = (delta0 * q, q, r, 1.0), (delta0 * q * scale, q * scale, r * scale, scale), (delta0 * q, -q, r, 1.0)
+            for row in rows:
+                for num in (float, Fraction, Unreduced):
+                    k = optimize._coefficients(n, num)[0]
+                    a, b, alpha, beta = (num(Fraction(x)) for x in row)
+                    terms = optimize._head_terms(b, alpha, beta, k)
+                    filled = terms[:-1] + (optimize._q_terms(b, alpha, beta, k),)
+                    want = bits(one_shot_head(a, b, alpha, beta, k))
+                    assert bits(optimize._head(a, terms)) == bits(optimize._head(a, filled)) == want, (n, num, row)
+                gate["holds" if want[4] is not None else "fails"] += 1
+    assert min(gate.values()) > 50, gate

@@ -445,14 +445,23 @@ def test_search_scores_cells_inside_the_band(monkeypatch, n):
     # bound; evaluations_used counts every scored cell and every bisection step,
     # each of which evaluates the chain's head in floats once, as does the
     # margin profile's float_margins
-    seen = []
-    head = optimize._head
+    rows, seen = {}, []
+    head_terms, head = optimize._head_terms, optimize._head
 
-    def recording(a, b, alpha, beta, k):
+    # a bisection fills in the last entry of its cell's terms, the Q terms, so
+    # the rest of the terms names the row
+    def recording_terms(b, alpha, beta, k):
+        terms = head_terms(b, alpha, beta, k)
         if type(b) is float:  # not the exact recertification
-            seen.append((b, alpha, beta))
-        return head(a, b, alpha, beta, k)
+            rows[terms[:-1]] = b, alpha, beta
+        return terms
 
+    def recording(a, terms):
+        if type(a) is float:  # not the exact recertification
+            seen.append(rows[terms[:-1]])
+        return head(a, terms)
+
+    monkeypatch.setattr(optimize, "_head_terms", recording_terms)
     monkeypatch.setattr(optimize, "_head", recording)
     result = minimize_delta0(n, RunConfig())
     assert len(seen) == result.evaluations_used + (not result.certified)  # + the margin profile

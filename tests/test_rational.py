@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stabcert.rational import QuadSurd, Unreduced, rational_to_str, sqrt_exact
+from stabcert.rational import QuadSurd, Unreduced, rational_from_str, rational_to_str, sqrt_exact
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
@@ -42,6 +42,23 @@ def test_serialization_p_over_q():
     assert F("979826999/65363627000") == F(979826999, 65363627000)
     x = F(-123456, 789)
     assert F(rational_to_str(x)) == x
+
+
+@given(rationals)
+def test_parse_inverts_serialization(x):
+    assert rational_from_str(rational_to_str(x)) == x == F(rational_to_str(x))
+
+
+@pytest.mark.parametrize("text, value", [("2/4", F(1, 2)), ("1/-3", F(-1, 3)), ("-0/7", F(0)), ("-5", F(-5))])
+def test_parse_reads_any_integer_pair(text, value):
+    # a reader that requires the canonical form compares rational_to_str of the value
+    assert rational_from_str(text) == value
+
+
+@pytest.mark.parametrize("text", ["1/0", "0.5", "1e3", "a/b", "1/2/3", "/2", "", 3, None, F(1, 2), b"1/2"])
+def test_parse_refuses_all_but_an_integer_pair(text):
+    with pytest.raises(ValueError, match="is not a rational p/q$"):
+        rational_from_str(text)
 
 
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
