@@ -278,9 +278,10 @@ class Certificate:
 
     def _read_rows(self) -> None:
         """Read strictly the row certificate that each ``row_nN_overall`` check of
-        a verify-all certificate stands for, ``values["row_nN"]``, with the
-        params its row writes (``ParamSet.from_strings``), and require the check
-        to pass exactly when that row passed."""
+        a verify-all certificate stands for, ``values["row_nN"]``, its n = N
+        checked before the rest, with the params its row writes
+        (``ParamSet.from_strings``), and require the check to pass exactly when
+        that row passed."""
         from .curvature import ParamSet  # curvature imports this module
 
         for check in self.checks:
@@ -289,20 +290,27 @@ class Certificate:
                 continue
             if key not in self.values:
                 raise ValueError(f"check {check.name!r}: no {key} in values")
+            nested = self.values[key]
+            # n before the rest, so that a verify-all certificate (n = 0) nested here is never read
+            n = nested.get("n") if isinstance(nested, dict) else None
+            if type(n) is int and (n == 0 or key != f"row_n{n}"):
+                raise ValueError(f"{key} is the certificate of n = {n}")
             try:
-                row = Certificate.from_jsonable(self.values[key])
+                row = Certificate.from_jsonable(nested)
                 ParamSet.from_strings(row.params, row.n)
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-            if key != f"row_n{row.n}":
-                raise ValueError(f"{key} is the certificate of n = {row.n}")
             if check.satisfied != (row.overall_status == "passed"):
                 raise ValueError(f"check {check.name!r}: status {check.status!r} disagrees with {key}, "
                                  f"which {row.overall_status}")
 
     @staticmethod
     def from_json(s: str) -> "Certificate":
-        return Certificate.from_jsonable(json.loads(s))
+        try:
+            d = json.loads(s)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to read") from None
+        return Certificate.from_jsonable(d)
 
     def write(self, path: str | Path) -> None:
         """Atomic write; see ``write_json``."""

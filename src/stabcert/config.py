@@ -50,6 +50,8 @@ class RunConfig:
         for name in ("curvature_samples", "quadform_samples", "barrier_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.seed < 0:  # random.Random(-s) draws the samples of random.Random(s)
+            raise ConfigError("seed must be >= 0")
         if self.denominator_bound < 2:
             raise ConfigError("denominator_bound must be >= 2")
 

@@ -13,19 +13,18 @@ min f = E^2 * Q of the weighted curvature quadratic f that ``curvature``
 samples; F is that module's endpoint function; mcc is the mean-curvature
 coefficient and L_max the largest Young parameter.
 
-The chain is written once, in two stages: the head, everything that depends
-on a, and ``_tail``, the only place where F(1), epsilon, the spectral
-coefficient, mcc, L_max and gamma0 are; ``_chain`` is the tail of the head.
-The head splits where a enters: ``_head_terms`` and ``_q_terms`` compute a
-row's terms free of a (F's constant term among them), and ``_head`` is the
-only place where f_xx, f_yy, D, Q and F(0) are computed at a from them.
-``exact_chain`` evaluates it on ``Unreduced`` rationals, which skip the gcd
-that every Fraction operation pays, and reduces each result once, to the
-Fraction margins and intermediates that ``stabcert.certify`` records and feeds
-to the sampled checks; ``feasibility`` keeps the margins only, and
-``float_margins`` evaluates the chain in double precision.  The float search
-calls the stages itself, so that rescoring a cell at a new delta0 costs
-``_head`` at the new a only.
+The chain is written once, in ``_stages(n, num)``, in two stages: the head,
+everything that depends on a, and the tail, the only place where F(1),
+epsilon, the spectral coefficient, mcc, L_max and gamma0 are; ``_chain`` is
+the tail of the head.  The head splits where a enters: ``head_at`` computes a
+row's terms free of a, and ``head`` is the only place where f_xx, f_yy, D, Q
+and F(0) are computed at a from them.  ``exact_chain`` evaluates the chain on
+``Unreduced`` rationals, which skip the gcd that every Fraction operation
+pays, and reduces each result once, to the Fraction margins and intermediates
+that ``stabcert.certify`` records and feeds to the sampled checks;
+``feasibility`` keeps the margins only, and ``float_margins`` evaluates the
+chain in double precision.  The float search calls the stages itself, so
+that rescoring a cell at a new delta0 costs the head at the new a only.
 
 Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
@@ -39,10 +38,9 @@ cell's float delta0, and ``maximize_epsilon`` recertifies once.  Floating
 error is harmless: unsound candidates simply fail exact recertification.
 Every row a search returns has beta = 1, so its epsilon is epsilon/beta.
 
-A margin that an upstream failure leaves undefined is the last entry of each
-tuple of ``_coefficients(n, num)``: None on exact types, so that
-``feasibility`` can say why, and -1e18 on floats, which the search counts as
-an undefined margin.
+A margin that an upstream failure leaves undefined is None on exact types,
+so that ``feasibility`` can say why, and -1e18 on floats, which the search
+counts as an undefined margin (``_stages``).
 """
 
 from __future__ import annotations
@@ -79,162 +77,133 @@ _UNDEFINED_WHY = {
 
 
 @cache
-def _coefficients(n: int, num: type) -> tuple[tuple, tuple]:
-    """The constants ``_head`` and ``_tail`` multiply, divide or compare by at
-    dimension n, one tuple for each stage, converted once to ``num`` (float,
-    or an exact type built from an int or a Fraction: ``Unreduced`` or
-    Fraction), each followed by the value of an undefined margin: -1e18 for
-    float, None for any other type.
+def _stages(n: int, num: type) -> tuple:
+    """The chain's stages at dimension n, ``(head_at, head, tail)``, on the
+    number type ``num``: float, or an exact type built from an int or a
+    Fraction (``Unreduced`` or Fraction).
 
-    The constants are the chain's rational coefficients, the n-dependent
-    integers and the literals 0, 1, 2 and 4, so the chain combines its inputs
-    with values of their own type only.  Small integers convert to double
-    exactly, so the float margins keep every bit they had with int operands.
+    Each constant the stages multiply, divide or compare by is converted to
+    ``num`` once, here, under its own name: the chain's rational coefficients,
+    the n-dependent integers and the literals 0, 1/2, 1, 2 and 4, so the chain
+    combines its inputs with values of their own type only.  Small integers
+    convert to double exactly, so the float margins keep every bit they had
+    with int operands.  ``undefined``, the value of a margin that an upstream
+    failure leaves undefined, is -1e18 on floats and None on any other type.
+
+    - ``head_at(b, alpha, beta)``: the row's head terms, those free of a, as
+      the list [b, alpha, beta > 0; 2 beta; 2 alpha; D's coefficient of a; D's
+      constant term; b; alpha; beta; the Q terms], the Q terms None.
+    - ``head(a, terms)``: ``(f_xx, f_yy, D, F(0), Q, c)`` at a, c being F's
+      constant term.  Where the Hessian gate (b, alpha, beta, f_xx, f_yy,
+      D > 0) fails, F(0) is ``undefined`` and Q and c are None.  The first time
+      it holds, ``head`` puts the Q terms, the terms of Q's numerator free of a
+      and c, into ``terms``: a row that fails the gate never computes them, and
+      every later head of the row reuses them.
+    - ``tail(at_a, b, alpha, beta)``: every margin of the row from its head
+      at a, with the intermediates, as ``_chain`` returns them.
     """
-    spectral = Fraction(n - 2, n - 3) if n > 3 else None  # the spectral coefficient's strict upper bound
     undefined = _BIG_NEGATIVE if num is float else None
+    zero, half, one, two, four = num(0), num(Fraction(1, 2)), num(1), num(2), num(4)
+    dim, n_1, n_2, n_3 = num(n), num(n - 1), num(n - 2), num(n - 3)  # dim is n, n_1 is n - 1, ...
+    n_2_sq, n_1_n_2, four_n_2 = num((n - 2) ** 2), num((n - 1) * (n - 2)), num(4 * (n - 2))
+    two_n_1, two_n_2 = num(2 * (n - 1)), num(2 * (n - 2))
+    hessian = num(Fraction(2 * (n - 1), n - 2))  # f_xx's and f_yy's coefficient of a
+    # D = disc_aa a^2 - 4 (disc_ab beta + alpha) a + (4 beta - alpha) alpha
+    disc_aa, disc_ab = num(Fraction(4 * n, n - 2)), num(Fraction(n - 1, n - 2))
+    q_a, q_beta = num(n * n - 5 * n + 8), num(3 * n - 7)  # Q's coefficients of a alpha^2 and of beta alpha^2
+    slope = num(Fraction(n * n - 4, 4))  # F(1)'s coefficient of b
+    spectral_bound = num(Fraction(n - 2, n - 3)) if n > 3 else None  # the spectral coefficient's strict upper bound
 
-    def typed(*constants) -> tuple:
-        return tuple(None if c is None else num(c) for c in constants) + (undefined,)
+    def head_at(b, alpha, beta) -> list:
+        return [
+            b > zero and alpha > zero and beta > zero, two * beta, two * alpha,
+            four * (disc_ab * beta + alpha), (four * beta - alpha) * alpha, b, alpha, beta, None,
+        ]
 
-    return (
-        typed(
-            Fraction(2 * (n - 1), n - 2), Fraction(4 * n, n - 2), Fraction(n - 1, n - 2),
-            n, n - 2, (n - 2) ** 2, (n - 1) * (n - 2), n * n - 5 * n + 8, 3 * n - 7, 4 * (n - 2),
-            2 * (n - 1), 2 * (n - 2), 0, 2, 4,
-        ),
-        typed(Fraction(n * n - 4, 4), spectral, Fraction(1, 2), n, n - 1, n - 2, n - 3, 0, 1, 4),
-    )
+    def head(a, terms: list) -> tuple:
+        positive, two_beta, two_alpha, d_a, d_0, b, alpha, beta, q_terms = terms
+        fxx = hessian * a - two_beta
+        fyy = hessian * a - two_alpha
+        D = disc_aa * a * a - d_a * a + d_0
+        if not (positive and fxx > zero and fyy > zero and D > zero):
+            return fxx, fyy, D, undefined, None, None
+        if q_terms is None:
+            q_terms = terms[-1] = (
+                n_2 * alpha**3, q_beta * beta, alpha**2, n_2_sq * alpha, beta**2,
+                two_n_1 * beta + two_n_2 * alpha - b * dim * n_2 / two,
+            )
+        n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq, const = q_terms
+        Q = (
+            n_2_alpha3
+            - (q_a * a + q_beta_beta) * alpha_sq
+            + (n_2_sq_alpha - n_1_n_2 * a) * beta_sq
+            + four_n_2 * a * alpha * beta
+        ) / D
+        return fxx, fyy, D, const + Q, Q, const
 
+    def tail(at_a: tuple, b, alpha, beta) -> tuple[tuple, tuple | None]:
+        fxx, fyy, D, f0, Q, const = at_a
+        eps = q_margin = spectral = ricci = young = g_bare = undefined
+        coeff = mcc = L = values = None
+        if Q is not None:
+            mx = max(n_2 * beta - alpha, n_3 * alpha)
+            f1 = const + slope * b - (dim * beta + n_1 * alpha) - mx
+            eps = min(f0, f1)
+            q = b / beta
+            q_margin = four - q
+            if q < four:
+                coeff = four / q_margin * beta / alpha
+                if spectral_bound is not None:
+                    spectral = spectral_bound - coeff
+            ricci = n_1 * beta - n_2 * alpha
+            if ricci > zero and zero < q < four:
+                mcc = (four * beta * beta - n_2 * alpha * alpha) / (four * beta * ricci)
+                inv_q = one / q
+                young = mcc + inv_q - one
+                if young > zero:
+                    cross = abs(half - inv_q)
+                    if cross == zero:
+                        g_bare = inv_q
+                    else:
+                        L = young / cross
+                        g_bare = inv_q - (one / L) * cross
+            values = (Q, f0, f1, coeff, mcc, L)
+        if spectral_bound is None:
+            return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), values
+        return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), values
 
-def _head_terms(b, alpha, beta, k: tuple) -> tuple:
-    """Everything ``_head`` needs that is free of a, for the row (b, alpha, beta)
-    on one exact type or on floats; ``k`` is ``_coefficients(n, type)[0]``.
-
-    This is the only place where 2 beta, 2 alpha and D's coefficient of a and
-    constant term are computed, and ``_q_terms`` the only one for the terms
-    that Q and F(0) alone use, each in the order of operations ``_head`` had
-    when it computed them itself, so every float keeps its bits.  The last
-    entry holds the Q terms: None here, so that ``_head`` computes them past
-    the Hessian gate and a row that fails the gate never does; a float
-    bisection in ``_best_cells``, which evaluates its cell's head at
-    _FLOAT_BISECTIONS more values of a, puts them there once.
-    """
-    (hessian, disc_aa, disc_ab, n, n_2, n_2_sq, n_1_n_2, q_a, q_beta, four_n_2, two_n_1, two_n_2,
-     zero, two, four, undefined) = k
-    return (
-        hessian, disc_aa, q_a, n_1_n_2, four_n_2, zero, undefined, b, alpha, beta, k,
-        b > zero and alpha > zero and beta > zero,
-        two * beta, two * alpha, four * (disc_ab * beta + alpha), (four * beta - alpha) * alpha,
-        None,
-    )
-
-
-def _q_terms(b, alpha, beta, k: tuple) -> tuple:
-    """The terms of Q's numerator free of a, ``((n - 2) alpha^3, (3n - 7) beta,
-    alpha^2, (n - 2)^2 alpha, beta^2)``, then F's constant term c."""
-    # n_2_sq is (n - 2)^2, two_n_1 is 2(n - 1) and so on; q_beta is 3n - 7,
-    # the coefficient of beta in Q
-    _, _, _, n, n_2, n_2_sq, _, _, q_beta, _, two_n_1, two_n_2, _, two, _, _ = k
-    return (
-        n_2 * alpha**3, q_beta * beta, alpha**2, n_2_sq * alpha, beta**2,
-        two_n_1 * beta + two_n_2 * alpha - b * n * n_2 / two,
-    )
-
-
-def _head(a, terms: tuple) -> tuple:
-    """The part of the chain that depends on a: ``(f_xx, f_yy, D, F(0), Q, c)``
-    at a, c being F's constant term, from the row's ``_head_terms``.
-
-    Where the Hessian gate (b, alpha, beta, f_xx, f_yy, D > 0) fails, F(0) is
-    the undefined value of the row's coefficients and Q and c are None.
-    """
-    # n_1_n_2 is (n - 1)(n - 2) and four_n_2 is 4(n - 2); q_a is n^2 - 5n + 8,
-    # the coefficient of a in Q; d_a and d_0 are D's coefficient of a and its
-    # constant term
-    (hessian, disc_aa, q_a, n_1_n_2, four_n_2, zero, undefined, b, alpha, beta, k, positive,
-     two_beta, two_alpha, d_a, d_0, q_terms) = terms
-    fxx = hessian * a - two_beta
-    fyy = hessian * a - two_alpha
-    D = disc_aa * a * a - d_a * a + d_0
-    if not (positive and fxx > zero and fyy > zero and D > zero):
-        return fxx, fyy, D, undefined, None, None
-    n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq, const = q_terms or _q_terms(b, alpha, beta, k)
-    Q = (
-        n_2_alpha3
-        - (q_a * a + q_beta_beta) * alpha_sq
-        + (n_2_sq_alpha - n_1_n_2 * a) * beta_sq
-        + four_n_2 * a * alpha * beta
-    ) / D
-    return fxx, fyy, D, const + Q, Q, const
+    return head_at, head, tail
 
 
-def _tail(head: tuple, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
-    """The rest of the chain, free of a: every margin of the row from its
-    ``_head``, with the intermediates, as ``_chain`` returns them.  ``k`` is
-    ``_coefficients(n, type)[1]``."""
-    slope, spectral_bound, half, n, n_1, n_2, n_3, zero, one, four, undefined = k
-    fxx, fyy, D, f0, Q, const = head
-    eps = q_margin = spectral = ricci = young = g_bare = undefined
-    coeff = mcc = L = values = None
-    if Q is not None:
-        mx = max(n_2 * beta - alpha, n_3 * alpha)
-        f1 = const + slope * b - (n * beta + n_1 * alpha) - mx
-        eps = min(f0, f1)
-        q = b / beta
-        q_margin = four - q
-        if q < four:
-            coeff = four / q_margin * beta / alpha
-            if spectral_bound is not None:
-                spectral = spectral_bound - coeff
-        ricci = n_1 * beta - n_2 * alpha
-        if ricci > zero and zero < q < four:
-            mcc = (four * beta * beta - n_2 * alpha * alpha) / (four * beta * ricci)
-            inv_q = one / q
-            young = mcc + inv_q - one
-            if young > zero:
-                cross = abs(half - inv_q)
-                if cross == zero:
-                    g_bare = inv_q
-                else:
-                    L = young / cross
-                    g_bare = inv_q - (one / L) * cross
-        values = (Q, f0, f1, coeff, mcc, L)
-    if spectral_bound is None:
-        return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), values
-    return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), values
+def _chain(a, b, alpha, beta, stages: tuple) -> tuple[tuple, tuple | None]:
+    """Every feasibility margin of the row in order, on one exact type or on
+    floats: the tail of the head.  ``stages`` is ``_stages(n, type)``.
 
+    Returns the margins in the order of ``margin_names(n)``, the stages'
+    undefined value where an upstream failure leaves a margin undefined, and,
+    once the Hessian gate holds, the intermediates the margins were computed
+    from: ``(Q, F(0), F(1), spectral coefficient, mcc, L_max)``, each None
+    where the chain does not reach it (L_max when q = 2).  The spectral
+    coefficient is computed whenever q < 4, its margin for n >= 4 only.
 
-def _chain(a, b, alpha, beta, k: tuple) -> tuple[tuple, tuple | None]:
-    """Every feasibility margin of the row in order, on one exact type or on floats:
-    ``_tail`` of ``_head``.
-
-    Returns the margins in the order of ``margin_names(n)``, ``k``'s undefined
-    value where an upstream failure leaves a margin undefined, and, once the
-    Hessian gate holds, the intermediates the margins were computed from:
-    ``(Q, F(0), F(1), spectral coefficient, mcc, L_max)``, each None where the
-    chain does not reach it (L_max when q = 2).  The spectral coefficient is
-    computed whenever q < 4, its margin for n >= 4 only.  ``k`` is
-    ``_coefficients(n, type)``.
-
-    The chain splits where a = delta0 * b stops mattering.  ``_head`` computes
+    The chain splits where a = delta0 * b stops mattering.  The head computes
     everything that depends on a: f_xx, f_yy, D and, once the gate holds, Q and
-    F(0) = c + Q, from the row's ``_head_terms``, which hold F's constant term
-    c, which F(1) shares, and every other term of the head free of a.
-    ``_tail`` computes nothing that depends on a: F(1), the q, spectral, Ricci
-    and Young margins and gamma0 depend on b, alpha and beta alone, and
+    F(0) = c + Q, from the row's head terms, which hold every term of the head
+    free of a, F's constant term c, which F(1) shares, among them.  The tail
+    computes nothing that depends on a: F(1), the q, spectral, Ricci and Young
+    margins and gamma0 depend on b, alpha and beta alone, and
     epsilon = min(F(0), F(1)) joins the two.  So at a fixed cell (b, alpha,
     beta) every value of a gives the same head terms and tail margins to the
-    last bit, and the float search can rescore a cell at a new delta0 by
-    ``_head`` alone, on terms it computed once (``_best_cells``).
+    last bit, and the float search can rescore a cell at a new delta0 by the
+    head alone, on terms it computed once (``_best_cells``).
     Typed constants: every number the chain combines with a, b, alpha and beta
-    comes from ``k``, so floats meet floats only and exact values meet values
-    of their own type only (integer exponents aside).
+    is one of the stages' constants, so floats meet floats only and exact
+    values meet values of their own type only (integer exponents aside).
     Keep the order of operations: search results depend on the float margins
     to the last bit (tests/test_golden.py, test_chain_bits_pinned).
     """
-    k_head, k_tail = k
-    return _tail(_head(a, _head_terms(b, alpha, beta, k_head)), b, alpha, beta, k_tail)
+    head_at, head, tail = stages
+    return tail(head(a, head_at(b, alpha, beta)), b, alpha, beta)
 
 
 class ChainValues(NamedTuple):
@@ -258,7 +227,7 @@ def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]
     """
     n = params.n
     row = (Unreduced(x) for x in (params.a, params.b, params.alpha, params.beta))
-    margins, values = _chain(*row, _coefficients(n, Unreduced))
+    margins, values = _chain(*row, _stages(n, Unreduced))
     checks = []
     for name, margin in zip(margin_names(n), margins):
         if margin is None:
@@ -295,7 +264,7 @@ def float_margins(n: int, delta0: float, b: float, alpha: float, beta: float) ->
     Undefined margins read as -1e18.  Advisory only; every accepted candidate
     is recertified exactly.
     """
-    return _chain(delta0 * b, b, alpha, beta, _coefficients(n, float))[0]
+    return _chain(delta0 * b, b, alpha, beta, _stages(n, float))[0]
 
 
 @dataclass
@@ -352,11 +321,12 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     A cell replaces the best only when its key is greater, so the search
     evaluates only what can decide that, and returns what scoring every cell
     and every bisection step by ``float_margins`` would:
-    - A bisection step needs ``_head`` alone, on the terms the cell's score
-      computed, with the Q terms put in once.  The cell passed every margin at
-      the current d, and mid < d changes a = mid * q only, so b, alpha, beta,
-      the head's terms and every tail margin (F(1) among them) are the same
-      to the last bit and above _NOISE.  So every margin is above _NOISE at
+    - A bisection step needs the head alone, on the terms the cell's score
+      computed, the Q terms among them (the score's head filled them in, as
+      the cell's gate held).  The cell passed every margin at the current d,
+      and mid < d changes a = mid * q only, so b, alpha, beta, the head's
+      terms and every tail margin (F(1) among them) are the same to the last
+      bit and above _NOISE.  So every margin is above _NOISE at
       mid exactly when each of f_xx, f_yy, D and F(0) is; where the gate fails
       at mid, one of f_xx, f_yy and D is <= 0 and F(0) is undefined, and the
       step fails either way.
@@ -370,14 +340,14 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
       its gate fails, or its margin epsilon = min(F(0), F(1)) <= F(0) does.
       With ``fixed``, a cell with F(0) <= the best epsilon has the key
       (0, ...) or (1, epsilon) with epsilon <= the best.  A cell that goes on
-      reuses its head in ``_tail``, and if a tail margin fails it is
+      reuses its head in the tail, and if a tail margin fails it is
       infeasible too.  Either way the key is not greater than the best, so
       the cell changes neither the best, nor d, nor any level's winner, and
       its score is None; it still counts as one evaluation.
     """
     used = 0
     d = 1.0 if fixed is None else fixed  # the delta0 cells are scored at: the best d so far
-    k_head, k_tail = _coefficients(n, float)
+    head_at, head, tail = _stages(n, float)
     # the key's second entry where the Hessian gate fails: minus the number of
     # undefined margins, epsilon and every margin after it
     gate_failed = _EPSILON - len(margin_names(n))
@@ -388,14 +358,14 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
         """The cell's key, or None when it cannot beat the best."""
         nonlocal used, d
         used += 1
-        terms = _head_terms(q, r, 1.0, k_head)
-        head = _head(d * q, terms)
-        fxx, fyy, D, f0, Q, _ = head
+        terms = head_at(q, r, 1.0)
+        at_d = head(d * q, terms)
+        fxx, fyy, D, f0, Q, _ = at_d
         if floor is not None and f0 <= floor:
             return None
         if Q is None:
             return 0, gate_failed, min(q, r, 1.0, fxx, fyy, D)
-        margins = _tail(head, q, r, 1.0, k_tail)[0]
+        margins = tail(at_d, q, r, 1.0)[0]
         worst = min(margins)
         if worst <= _NOISE:
             if floor is not None:
@@ -405,10 +375,9 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
         if fixed is not None:
             return 1, margins[_EPSILON]
         lo = 0.0
-        terms = terms[:-1] + (_q_terms(q, r, 1.0, k_head),)
         for _ in range(_FLOAT_BISECTIONS):
             mid = (lo + d) / 2
-            fxx, fyy, D, f0, _, _ = _head(mid * q, terms)
+            fxx, fyy, D, f0, _, _ = head(mid * q, terms)
             if fxx > _NOISE and fyy > _NOISE and D > _NOISE and f0 > _NOISE:
                 d = mid
             else:

@@ -469,6 +469,40 @@ def test_report_rejects_a_row_check_its_row_does_not_give(tmp_path, capsys, stat
     assert message in one_line_error(capsys)
 
 
+def nested_verify_all(key: str, depth: int) -> str:
+    """The JSON text of a verify-all certificate whose ``key`` row is a verify-all
+    certificate, ``depth`` deep, the innermost holding the built-in row of n = 3
+    (``json.dumps`` refuses to nest that deep itself)."""
+    outer = complete_certificate(0, {"name": f"{key}_overall", "kind": "exact", "status": "pass"})
+    outer["values"][key] = None
+    head, tail = json.dumps(outer).split("null")
+    return head * depth + json.dumps(complete_certificate(3)) + tail * depth
+
+
+@pytest.mark.parametrize(
+    "text",
+    # json.loads raises RecursionError on each, whose traceback would exit 1, the code of a failed check
+    ["[" * 100_000 + "]" * 100_000, nested_verify_all("row_n3", 600)],
+    ids=["array", "verify-all"],
+)
+def test_report_refuses_a_file_nested_too_deeply(tmp_path, capsys, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["report", str(path)]) == 2
+    assert "cannot read certificate: JSON nested too deeply to read" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key", ["row_n3", "row_n0"])
+def test_report_refuses_a_verify_all_certificate_nested_as_a_row(tmp_path, capsys, key):
+    # the nested n is checked before the row is read, so the reader stops at
+    # the first level and names the key once
+    path = tmp_path / "cert.json"
+    path.write_text(nested_verify_all(key, 100), encoding="utf-8")
+    assert run(["report", str(path)]) == 2
+    err = one_line_error(capsys)
+    assert f"cannot read certificate: {key} is the certificate of n = 0" in err and err.count(key) == 1, err
+
+
 def search_certificate(n: int) -> dict:
     return json.loads((Path(__file__).parent / "data" / f"search_n{n}_seed5_certificate.json").read_text("utf-8"))
 
@@ -573,9 +607,10 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, fast_config, capsys, argv
 
 @pytest.mark.parametrize(
     "key, value",
-    # linearity_samples and budget are not keys: a file that sets one is refused as unknown
+    # linearity_samples and budget are not keys: a file that sets one is refused as unknown;
+    # random.Random(-1) draws the samples of random.Random(1), which seed = -1 would misrecord
     [("curvature_samples", 0), ("quadform_samples", 0), ("barrier_samples", 0), ("linearity_samples", -5),
-     ("budget", 0), ("denominator_bound", 1)],
+     ("budget", 0), ("denominator_bound", 1), ("seed", -1)],
 )
 def test_sample_counts_below_one_are_usage_errors(tmp_path, fast_config, capsys, key, value):
     cfg = tmp_path / "run.cfg"
@@ -626,6 +661,8 @@ def test_usage_error_exit():
         # past step 644 this sequence's base-10 exponent leaves the double range
         (["recursion-sim", "--s1", "1e-5", "--n", "3", "--c0", "1", "--c", "2", "--steps", "700"],
          "error: steps = 700 is too many for these inputs: at step 645"),
+        # random.Random(-1) draws the samples of random.Random(1)
+        (["verify", "--n", "3", "--seed", "-1"], "error: seed must be >= 0"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):

@@ -92,13 +92,13 @@ def test_hessian_is_monotone_in_a(n):
     # f_xx * f_yy - D is (2a/(n-2) - alpha)^2 up to sign inside the square, and
     # f_xx, f_yy grow with slope > 2/(n-2): f's Hessian is a * H1 + H0 with H1
     # positive definite, so the convexity gate, once it holds, holds for larger a
-    k = optimize._coefficients(n, F)
+    stages = optimize._stages(n, F)
     rng = random.Random(n)
     for _ in range(20):
         b, alpha, beta = (F(rng.randint(1, 400), rng.randint(1, 100)) for _ in range(3))
 
         def hessian(a):
-            fxx, fyy, D = optimize._chain(a, b, alpha, beta, k)[0][3:6]
+            fxx, fyy, D = optimize._chain(a, b, alpha, beta, stages)[0][3:6]
             return fxx, fyy, fxx * fyy - D
 
         g0, g1, g2, g3 = (hessian(F(a))[2] for a in range(4))
@@ -107,7 +107,7 @@ def test_hessian_is_monotone_in_a(n):
         assert g3 == 9 * c2 + 3 * c1 + g0  # a quadratic in a
         assert c2 == F(2, n - 2) ** 2 and c1 * c1 == 4 * c2 * g0  # the square of an affine function
         (fxx0, fyy0, _), (fxx1, fyy1, _) = hessian(F(0)), hessian(F(1))
-        assert fxx1 - fxx0 == fyy1 - fyy0 == k[0][0] > F(2, n - 2)  # the head's first constant
+        assert fxx1 - fxx0 == fyy1 - fyy0 == F(2 * (n - 1), n - 2) > F(2, n - 2)
 
 
 def test_verdict_is_monotone_in_delta0():

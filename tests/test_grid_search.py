@@ -75,7 +75,8 @@ def test_grid_matches_the_full_chain_search(n, fixed):
 
 def head(n, delta0, q, r):
     """(f_xx, f_yy, D, F(0)) of the cell at delta0, F(0) -1e18 where the gate fails."""
-    return optimize._head(delta0 * q, optimize._head_terms(q, r, 1.0, optimize._coefficients(n, float)[0]))[:4]
+    head_at, head, _ = optimize._stages(n, float)
+    return head(delta0 * q, head_at(q, r, 1.0))[:4]
 
 
 def passes(n, delta0, q, r):
@@ -108,7 +109,7 @@ def cells(rng, n, count):
 
 def near_zero_delta0s(n, q, r):
     """delta0 within a few ulps of where f_xx, f_yy or D is 0 at the cell."""
-    hessian, disc_aa, disc_ab = optimize._coefficients(n, float)[0][:3]
+    hessian, disc_aa, disc_ab = 2 * (n - 1) / (n - 2), 4 * n / (n - 2), (n - 1) / (n - 2)
     roots = [2 / hessian, 2 * r / hessian]  # f_xx = 0, f_yy = 0 at beta = 1
     # D = disc_aa a^2 - 4 (disc_ab + r) a + (4 - r) r
     b_half, c = 2 * (disc_ab + r), (4 - r) * r
@@ -176,23 +177,27 @@ def test_skipped_cell_cannot_beat_the_best(n):
         assert fired["epsilon on a feasible cell"] > 20, fired
 
 
-def one_shot_head(a, b, alpha, beta, k):
+def one_shot_head(n, num, a, b, alpha, beta):
     """The head as one function computed it, from the row and a, before its terms
-    free of a were split off: the reference for ``_head_terms`` and ``_head``."""
-    (hessian, disc_aa, disc_ab, n, n_2, n_2_sq, n_1_n_2, q_a, q_beta, four_n_2, two_n_1, two_n_2,
-     zero, two, four, undefined) = k
-    fxx = hessian * a - two * beta
-    fyy = hessian * a - two * alpha
-    D = disc_aa * a * a - four * (disc_ab * beta + alpha) * a + (four * beta - alpha) * alpha
+    free of a were split off: the reference for the head of ``_stages(n, num)``,
+    with its own constants, each converted to ``num`` where it is used."""
+    fxx = num(Fraction(2 * (n - 1), n - 2)) * a - num(2) * beta
+    fyy = num(Fraction(2 * (n - 1), n - 2)) * a - num(2) * alpha
+    D = (
+        num(Fraction(4 * n, n - 2)) * a * a
+        - num(4) * (num(Fraction(n - 1, n - 2)) * beta + alpha) * a
+        + (num(4) * beta - alpha) * alpha
+    )
+    zero = num(0)
     if not (b > zero and alpha > zero and beta > zero and fxx > zero and fyy > zero and D > zero):
-        return fxx, fyy, D, undefined, None, None
+        return fxx, fyy, D, -1e18 if num is float else None, None, None
     Q = (
-        n_2 * alpha**3
-        - (q_a * a + q_beta * beta) * alpha**2
-        + (n_2_sq * alpha - n_1_n_2 * a) * beta**2
-        + four_n_2 * a * alpha * beta
+        num(n - 2) * alpha**3
+        - (num(n * n - 5 * n + 8) * a + num(3 * n - 7) * beta) * alpha**2
+        + (num((n - 2) ** 2) * alpha - num((n - 1) * (n - 2)) * a) * beta**2
+        + num(4 * (n - 2)) * a * alpha * beta
     ) / D
-    const = two_n_1 * beta + two_n_2 * alpha - b * n * n_2 / two
+    const = num(2 * (n - 1)) * beta + num(2 * (n - 2)) * alpha - b * num(n) * num(n - 2) / num(2)
     return fxx, fyy, D, const + Q, Q, const
 
 
@@ -206,23 +211,31 @@ def bits(values):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_split_head_matches_the_one_shot_head_bit_for_bit(n):
-    # on floats, Fractions and Unreduced pairs, with the Q terms left to _head
-    # (the chain) and put in the terms beforehand (a float bisection step); the
-    # cells at beta = 1, rescaled, and with b < 0 < a, which only b > 0 gates
+    # on floats, Fractions and Unreduced pairs, with the Q terms left to the
+    # head at a (the chain) and filled in by a head at 2a beforehand (a float
+    # bisection step, which evaluates its cell's terms below the d that filled
+    # them); the cells at beta = 1, rescaled, and with one of b, alpha and beta
+    # negated, which only the gate b, alpha, beta > 0 may catch
     rng = random.Random(1800 + n)
-    gate = {"holds": 0, "fails": 0}
+    gate = {"holds": 0, "fails": 0, "filled at 2a": 0}
     for q, r in cells(rng, n, 60):
         delta0s = [rng.uniform(0.01, 2.0) for _ in range(3)] + near_zero_delta0s(n, q, r)[::3]
         for delta0 in delta0s:
             scale = rng.uniform(0.5, 2.0)
-            rows = (delta0 * q, q, r, 1.0), (delta0 * q * scale, q * scale, r * scale, scale), (delta0 * q, -q, r, 1.0)
+            a0 = delta0 * q
+            rows = [(a0, q, r, 1.0), (a0 * scale, q * scale, r * scale, scale)]
+            rows += [(a0, -q, r, 1.0), (a0, q, -r, 1.0), (a0, q, r, -1.0)]
             for row in rows:
                 for num in (float, Fraction, Unreduced):
-                    k = optimize._coefficients(n, num)[0]
+                    head_at, head, _ = optimize._stages(n, num)
                     a, b, alpha, beta = (num(Fraction(x)) for x in row)
-                    terms = optimize._head_terms(b, alpha, beta, k)
-                    filled = terms[:-1] + (optimize._q_terms(b, alpha, beta, k),)
-                    want = bits(one_shot_head(a, b, alpha, beta, k))
-                    assert bits(optimize._head(a, terms)) == bits(optimize._head(a, filled)) == want, (n, num, row)
+                    terms, filled = head_at(b, alpha, beta), head_at(b, alpha, beta)
+                    assert terms[-1] is None
+                    head(a + a, filled)
+                    want = bits(one_shot_head(n, num, a, b, alpha, beta))
+                    assert bits(head(a, terms)) == bits(head(a, filled)) == want, (n, num, row)
+                    # the head fills the Q terms in where, and only where, its gate holds
+                    assert (terms[-1] is not None) == (want[4] is not None), (n, num, row)
                 gate["holds" if want[4] is not None else "fails"] += 1
+                gate["filled at 2a"] += filled[-1] is not None
     assert min(gate.values()) > 50, gate

@@ -118,9 +118,9 @@ class TestFeasibility:
             m = {e.name: e.margin for e in report.entries}
             # one undefined value per number type: None exactly, -1e18 in the float mirror
             undefined = [report.entry(name).detail.startswith("undefined: ") for name in margin_names(n)]
-            exact, _ = optimize._chain(p.a, p.b, alpha, beta, optimize._coefficients(n, F))
+            exact, _ = optimize._chain(p.a, p.b, alpha, beta, optimize._stages(n, F))
             # typed constants: the chain runs on a type that refuses every other operand
-            strict = optimize._chain(*map(Strict, (p.a, p.b, alpha, beta)), optimize._coefficients(n, Strict))
+            strict = optimize._chain(*map(Strict, (p.a, p.b, alpha, beta)), optimize._stages(n, Strict))
             assert [[x if x is None else x.value for x in part or ()] for part in strict] == [
                 list(exact), list(values or ())
             ]
@@ -169,7 +169,7 @@ class TestFeasibility:
 def assert_chain_on_fractions(p):
     """``exact_chain`` gives, as Fractions, the margins and values of ``_chain``
     evaluated on Fractions; its verdicts are those margins' signs."""
-    margins, values = optimize._chain(p.a, p.b, p.alpha, p.beta, optimize._coefficients(p.n, F))
+    margins, values = optimize._chain(p.a, p.b, p.alpha, p.beta, optimize._stages(p.n, F))
     report, chain = exact_chain(p)
     assert [e.margin for e in report.entries] == list(margins)
     assert chain == (None if values is None else ChainValues(*values))
@@ -328,15 +328,15 @@ def test_chain_bits_pinned():
     seen = {"non-convex": 0, "q >= 4": 0, "q = 2 reaches gamma0": 0}
     bound = RunConfig().denominator_bound
     for n in range(3, 7):
-        k_float, k_exact = optimize._coefficients(n, float), optimize._coefficients(n, F)
+        float_stages, exact_stages = optimize._stages(n, float), optimize._stages(n, F)
         for delta0, b, alpha, beta in _chain_points(n):
-            margins, values = optimize._chain(delta0 * b, b, alpha, beta, k_float)
+            margins, values = optimize._chain(delta0 * b, b, alpha, beta, float_stages)
             floats.update(_chain_line(margins, values))
             seen["non-convex"] += values is None
             seen["q >= 4"] += values is not None and b / beta >= 4
             seen["q = 2 reaches gamma0"] += values is not None and b / beta == 2 and margins[-1] > 0
             p = _rounded(n, F(delta0).limit_denominator(4096), b, alpha, beta, bound)
-            exact.update(_chain_line(*optimize._chain(p.a, p.b, p.alpha, p.beta, k_exact)))
+            exact.update(_chain_line(*optimize._chain(p.a, p.b, p.alpha, p.beta, exact_stages)))
     assert min(seen.values()) > 100, seen
     assert floats.hexdigest() == "77f6da9bc3abced408270bb9b2d619854920989ce6989f3529616c391b68dfc9"
     assert exact.hexdigest() == "ab482904e70b8921a31f6eb183ff74eaaf075d141a84ad91339ff34723bf3597"
@@ -445,24 +445,21 @@ def test_search_scores_cells_inside_the_band(monkeypatch, n):
     # bound; evaluations_used counts every scored cell and every bisection step,
     # each of which evaluates the chain's head in floats once, as does the
     # margin profile's float_margins
-    rows, seen = {}, []
-    head_terms, head = optimize._head_terms, optimize._head
+    seen = []
+    stages = optimize._stages
 
-    # a bisection fills in the last entry of its cell's terms, the Q terms, so
-    # the rest of the terms names the row
-    def recording_terms(b, alpha, beta, k):
-        terms = head_terms(b, alpha, beta, k)
-        if type(b) is float:  # not the exact recertification
-            rows[terms[:-1]] = b, alpha, beta
-        return terms
+    def recording_stages(dim, num):
+        head_at, head, tail = stages(dim, num)
+        if num is not float:  # the exact recertification
+            return head_at, head, tail
 
-    def recording(a, terms):
-        if type(a) is float:  # not the exact recertification
-            seen.append(rows[terms[:-1]])
-        return head(a, terms)
+        def recording(a, terms):
+            seen.append(tuple(terms[5:8]))  # the head terms' b, alpha and beta
+            return head(a, terms)
 
-    monkeypatch.setattr(optimize, "_head_terms", recording_terms)
-    monkeypatch.setattr(optimize, "_head", recording)
+        return head_at, recording, tail
+
+    monkeypatch.setattr(optimize, "_stages", recording_stages)
     result = minimize_delta0(n, RunConfig())
     assert len(seen) == result.evaluations_used + (not result.certified)  # + the margin profile
     for b, alpha, beta in seen:
