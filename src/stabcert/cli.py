@@ -151,14 +151,20 @@ def cmd_recursion_sim(args) -> int:
                 except (ValueError, ZeroDivisionError) as exc:
                     print(f"error: bad {flag}: {exc}", file=sys.stderr)
                     return EXIT_USAGE
-            dg = iteration.degiorgi_constants(args.n, rationals["--delta"], rationals["--q"], args.cms, args.radius)
+            c_ms = RunConfig.c_ms if args.cms is None else args.cms
+            radius = RunConfig.radius if args.radius is None else args.radius
+            dg = iteration.degiorgi_constants(args.n, rationals["--delta"], rationals["--q"], c_ms, radius)
             c0 = float(dg.C0.value)
             c = float(dg.C.approx_mp())
             print(f"derived C0 = {dg.C0.value}, C = {dg.C} from q={args.q}, delta={args.delta}, "
-                  f"C_MS={args.cms}, R={args.radius}")
+                  f"C_MS={c_ms}, R={radius}")
         else:
             if args.c0 is None or args.c is None:
                 print("error: --c0 and --c required (or derive them with --q/--delta)", file=sys.stderr)
+                return EXIT_USAGE
+            if args.cms is not None or args.radius is not None:
+                print("error: --cms and --radius only derive C0, C with --q/--delta; "
+                      "they cannot change a given --c0/--c", file=sys.stderr)
                 return EXIT_USAGE
             c0, c = args.c0, args.c
         result = iteration.recursion_simulate(args.s1, c0, c, args.n, args.steps)
@@ -254,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--steps", type=int, default=20)
     p_sim.add_argument("--q", help="derive C0, C from this q (p/q rational)")
     p_sim.add_argument("--delta", help="stability parameter delta (p/q rational)")
-    p_sim.add_argument("--cms", type=float, default=RunConfig.c_ms)
-    p_sim.add_argument("--radius", type=float, default=RunConfig.radius)
+    p_sim.add_argument("--cms", type=float, help=f"C_MS for --q/--delta (default {RunConfig.c_ms})")
+    p_sim.add_argument("--radius", type=float, help=f"R for --q/--delta (default {RunConfig.radius})")
     p_sim.set_defaults(func=cmd_recursion_sim)
 
     p_rep = sub.add_parser("report", help="render a stored certificate (read-only)")

@@ -11,8 +11,10 @@ Covers the exact pieces of the weighted-test-function iteration:
 * delta1(n) = max{delta0(n), delta_c},
 * the dyadic iteration constants C (an exact power of 2 with rational
   exponent, compared via exponents, never floating logs) and C0, the
-  smallness threshold epsilon1, and a worst-case recursion simulator with
-  exact exponent bookkeeping.
+  smallness threshold epsilon1, and a worst-case recursion simulator whose
+  exponents are exact integer numerators over k'^m (theta = n/(n-2) = n'/k'
+  in lowest terms) and whose values are raw ``mpmath.libmp`` numbers at 60
+  significant digits.
 
 The Sobolev-type constant C_MS has no closed-form value here; it is a
 configuration input whose placeholder default 1 is non-physical.  delta1 and
@@ -23,10 +25,12 @@ closed-form values by ``verify-all``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from . import published
 from .certificate import ApproxValue
@@ -210,6 +214,37 @@ def epsilon1_threshold(n: int, delta: Rat, q: Rat, C_MS: float, dps: int = 50) -
         return critical / 2
 
 
+# recursion_simulate's working precision (60 digits) and the |ln| at which its
+# values switch from fixed digits to 10^x
+_SIM_PREC = libmp.dps_to_prec(60)
+_FIXED_LIMIT = libmp.from_int(50000)
+
+
+def _exponent_numerators(n: int, steps: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(E0, EC, ES, n'^m, k'^m) for m = 1..steps, with theta = n/(n-2) = n'/k' in lowest terms.
+
+    E0, EC and ES are the exponents of C0, C and S1 in the recursion's T_m as
+    integer numerators over k'^m: E0 = n'(k'^(m-1) + E0'),
+    EC = n'((2m-1) k'^(m-1) + EC') and ES = n' ES' (primes for step m - 1,
+    starting from 0, 0 and 1).  Each is already in lowest terms over k'^m:
+    modulo a prime p dividing k', every recurrence reduces to multiplication
+    by n', so each numerator is congruent to n'^m, which p does not divide
+    because n' and k' are coprime.  So no gcd is ever taken, and the
+    numerator and denominator are those of the exact rational exponent.
+    n'^m and k'^m are computed in closed form, not as running products, so
+    the exponent identities are checked against an independent value.
+    """
+    theta = Fraction(n, n - 2)
+    n1, k1 = theta.numerator, theta.denominator
+    e0, eC, eS, k_prev = 0, 0, 1, 1
+    for m in range(1, steps + 1):
+        e0 = n1 * (k_prev + e0)
+        eC = n1 * ((2 * m - 1) * k_prev + eC)
+        eS = n1 * eS
+        k_prev = k1**m
+        yield e0, eC, eS, n1**m, k_prev
+
+
 @dataclass
 class RecursionResult:
     log10_values: list[float]
@@ -226,21 +261,27 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
 
     Iterates T_m = C0^theta * C^(theta (2m-1)) * T_(m-1)^theta from T_0 = S1,
     theta = n/(n-2) (equality, the worst case), tracking the exponents of C0,
-    C and S1 as exact rationals; values are evaluated at 60 significant digits
-    in the log domain from
-    those exponents and cross-checked against a direct product iteration at
-    1e-9 relative precision.  The closed-form bound is
+    C and S1 exactly; values are evaluated at 60 significant digits in the
+    log domain from those exponents and cross-checked against a direct
+    product iteration at 1e-9 relative precision.  The closed-form bound is
     (C0^(n/2) C^(n^2/2) S1)^(theta^m); domination is verified at every step.
     Values print as 10^x once |ln| reaches 5e4; a step count that takes some
     base-10 exponent x past the double range is refused with ValueError,
     which names the largest that fits.
 
-    Computed once per call rather than per step: C0 and C as mpf, C0^theta,
-    C^(2 theta) and the 1e-9 tolerance; C^(theta (2m-1)) is a running product
-    of C^(2 theta), so the direct iteration uses only these mpf powers, never
-    the log-domain values it is checked against.  theta^m is computed once a
-    step, in closed form, because the exponent recurrences are checked
-    against it.
+    Exponents come from ``_exponent_numerators`` as integer numerators over
+    k'^m, theta = n'/k' in lowest terms.  The geometric-sum identity for the
+    C0 exponent, (n'-k') E0 = n'(n'^m - k'^m), and ES = n'^m are checked as
+    integer equalities against n'^m and k'^m computed in closed form.
+
+    Values: the 60-digit arithmetic runs on raw ``mpmath.libmp`` values at
+    ``dps_to_prec(60)`` bits, rounding to nearest, through the same libmp
+    calls the ``mpf`` operators, ``mpf(int)``, ``float(mpf)`` and ``nstr``
+    make, so every value and string is the one ``mpf`` arithmetic gives.
+    C0^theta, C^(2 theta), the logs and the tolerance are computed once per
+    call; C^(theta (2m-1)) is a running product of C^(2 theta), so the
+    direct iteration uses only these powers, never the log-domain values it
+    is checked against.
 
     The dyadic level/radius ladder behind the recursion enters only through
     the constants C0 and C; the ladder itself is not simulated.
@@ -252,62 +293,78 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
     if steps < 1:
         raise ValueError(f"steps = {steps} must be >= 1")
     theta = Fraction(n, n - 2)
-    with mpmath.workdps(60):
-        C0_mp, C_mp = mpmath.mpf(C0), mpmath.mpf(C)
-        logC0, logC, logS1 = mpmath.log(C0_mp), mpmath.log(C_mp), mpmath.log(mpmath.mpf(S1))
-        log10 = mpmath.log(10)
-        tol = mpmath.mpf("1e-9")
-        e0, eC, eS = Fraction(0), Fraction(0), Fraction(1)
-        exponent_ok = True
-        dominated = True
-        agreement_ok = True
-        theta_mp = mpmath.mpf(n) / (n - 2)
-        c0_theta = C0_mp**theta_mp
-        c_two_theta = C_mp ** (2 * theta_mp)
-        c_power = C_mp**theta_mp  # C^(theta (2m-1)), here at m = 1
-        t_direct = mpmath.mpf(S1)
+    n1, k1 = theta.numerator, theta.denominator
+    prec, rnd = _SIM_PREC, libmp.round_nearest
+    mul, div, add, sub = libmp.mpf_mul, libmp.mpf_div, libmp.mpf_add, libmp.mpf_sub
+    log, gt, absolute, from_int = libmp.mpf_log, libmp.mpf_gt, libmp.mpf_abs, libmp.from_int
 
-        def fmt(log_value, step: int) -> str:
-            if abs(log_value) < 5e4:
-                return mpmath.nstr(mpmath.exp(log_value), 12)
-            exponent = float(log_value / log10)
-            if math.isinf(exponent):
-                raise ValueError(
-                    f"steps = {steps} is too many for these inputs: at step {step} the base-10 exponent "
-                    f"of the sequence or its bound leaves the double range; give at most {step - 1}"
-                )
-            return f"10^{exponent:.6g}"
+    def ratio(num: int, den):
+        """mpf(num) / den for an exact mpf den, rounded as the mpf operators round it."""
+        return div(from_int(num, prec, rnd), den, prec, rnd)
 
-        logP = mpmath.mpf(n) / 2 * logC0 + mpmath.mpf(n * n) / 2 * logC + logS1
-        log10_values = [float(logS1 / log10)]
-        values_str = [fmt(logS1, 0)]
-        bounds_str = [fmt(logP, 0)]
-        for m in range(1, steps + 1):
-            e0 = theta * (1 + e0)
-            eC = theta * (2 * m - 1) + theta * eC
-            eS = theta * eS
-            theta_m = theta**m
-            # geometric-sum identity for the C0 exponent
-            closed_e0 = theta * (theta_m - 1) / (theta - 1)
-            if e0 != closed_e0 or eS != theta_m:
-                exponent_ok = False
-            log_t = (
-                mpmath.mpf(e0.numerator) / e0.denominator * logC0
-                + mpmath.mpf(eC.numerator) / eC.denominator * logC
-                + mpmath.mpf(eS.numerator) / eS.denominator * logS1
+    def log10_of(log_value) -> float:
+        return libmp.to_float(div(log_value, log10, prec, rnd), rnd=rnd)
+
+    def fmt(log_value, step: int) -> str:
+        if libmp.mpf_lt(absolute(log_value, prec, rnd), _FIXED_LIMIT):
+            return libmp.to_str(libmp.mpf_exp(log_value, prec, rnd), 12)
+        exponent = log10_of(log_value)
+        if math.isinf(exponent):
+            raise ValueError(
+                f"steps = {steps} is too many for these inputs: at step {step} the base-10 exponent "
+                f"of the sequence or its bound leaves the double range; give at most {step - 1}"
             )
-            t_direct = c0_theta * c_power * t_direct**theta_mp
-            c_power *= c_two_theta
-            log_direct = mpmath.log(t_direct)
-            if abs(log_direct - log_t) > tol * max(1, abs(log_t)):
-                agreement_ok = False
-            log_bound = mpmath.mpf(theta_m.numerator) / theta_m.denominator * logP
-            if log_t > log_bound + tol:
-                dominated = False
-            log10_values.append(float(log_t / log10))
-            values_str.append(fmt(log_t, m))
-            bounds_str.append(fmt(log_bound, m))
-        tends_to_zero = bool(logP < 0) and log10_values[-1] < log10_values[0]
+        return f"10^{exponent:.6g}"
+
+    S1_mp, C0_mp, C_mp = (libmp.from_float(x, prec, rnd) for x in (S1, C0, C))
+    logC0, logC, logS1 = log(C0_mp, prec, rnd), log(C_mp, prec, rnd), log(S1_mp, prec, rnd)
+    log10 = log(from_int(10), prec, rnd)
+    tol = libmp.from_str("1e-9", prec, rnd)
+    one, two = from_int(1), from_int(2)
+    theta_mp = ratio(n, from_int(n - 2))
+    c0_theta = libmp.mpf_pow(C0_mp, theta_mp, prec, rnd)
+    c_two_theta = libmp.mpf_pow(C_mp, libmp.mpf_mul_int(theta_mp, 2, prec, rnd), prec, rnd)
+    c_power = libmp.mpf_pow(C_mp, theta_mp, prec, rnd)  # C^(theta (2m-1)), here at m = 1
+    t_direct = S1_mp
+    logP = add(
+        add(mul(ratio(n, two), logC0, prec, rnd), mul(ratio(n * n, two), logC, prec, rnd), prec, rnd),
+        logS1,
+        prec,
+        rnd,
+    )
+    den, k1_mp = one, from_int(k1)  # k1^m as an exact mpf
+    exponent_ok = True
+    dominated = True
+    agreement_ok = True
+    log10_values = [log10_of(logS1)]
+    values_str = [fmt(logS1, 0)]
+    bounds_str = [fmt(logP, 0)]
+    for m, (e0, eC, eS, n_m, k_m) in enumerate(_exponent_numerators(n, steps), 1):
+        # geometric-sum identity for the C0 exponent
+        if (n1 - k1) * e0 != n1 * (n_m - k_m) or eS != n_m:
+            exponent_ok = False
+        den = mul(den, k1_mp)  # exact: no precision given
+        log_t = add(
+            add(mul(ratio(e0, den), logC0, prec, rnd), mul(ratio(eC, den), logC, prec, rnd), prec, rnd),
+            mul(ratio(eS, den), logS1, prec, rnd),
+            prec,
+            rnd,
+        )
+        t_direct = mul(
+            mul(c0_theta, c_power, prec, rnd), libmp.mpf_pow(t_direct, theta_mp, prec, rnd), prec, rnd
+        )
+        c_power = mul(c_power, c_two_theta, prec, rnd)
+        abs_t = absolute(log_t, prec, rnd)
+        scale = mul(tol, abs_t, prec, rnd) if gt(abs_t, one) else tol  # tol * max(1, |log_t|)
+        if gt(absolute(sub(log(t_direct, prec, rnd), log_t, prec, rnd), prec, rnd), scale):
+            agreement_ok = False
+        log_bound = mul(ratio(n_m, den), logP, prec, rnd)
+        if gt(log_t, add(log_bound, tol, prec, rnd)):
+            dominated = False
+        log10_values.append(log10_of(log_t))
+        values_str.append(fmt(log_t, m))
+        bounds_str.append(fmt(log_bound, m))
+    tends_to_zero = libmp.mpf_lt(logP, libmp.fzero) and log10_values[-1] < log10_values[0]
     return RecursionResult(
         log10_values=log10_values,
         dominated=dominated,

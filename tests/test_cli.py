@@ -313,6 +313,15 @@ def test_recursion_sim_exit_codes():
         assert run(["recursion-sim", "--s1", "0.5", "--c0", "1", "--c", "1", "--n", "3", "--steps", steps]) == 2
 
 
+def test_recursion_sim_reports_a_bound_it_breaks(capsys):
+    # C0 = 1/2 with C = 1 takes the sequence above (C0^(3/2) S1)^(3^m): the
+    # verdict is printed and the exit code says the check failed
+    assert run(["recursion-sim", "--c0", "0.5", "--c", "1", "--s1", "0.5", "--n", "3", "--steps", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["0", "0.5", "0.176776695297"]
+    assert out[-1] == "dominated=False tends_to_zero=True exponent_identity=True log_direct_agreement=True"
+
+
 def test_recursion_sim_derived_constants(capsys):
     code = run(
         ["recursion-sim", "--s1", "1e-20", "--n", "3", "--q", "1/2", "--delta", "1",
@@ -663,6 +672,11 @@ def test_usage_error_exit():
          "error: steps = 700 is too many for these inputs: at step 645"),
         # random.Random(-1) draws the samples of random.Random(1)
         (["verify", "--n", "3", "--seed", "-1"], "error: seed must be >= 0"),
+        # C_MS and R only enter constants derived from --q/--delta
+        (["recursion-sim", "--s1", "0.5", "--n", "3", "--c0", "1", "--c", "1", "--cms", "5"],
+         "error: --cms and --radius only derive C0, C with --q/--delta"),
+        (["recursion-sim", "--s1", "0.5", "--n", "3", "--c0", "1", "--c", "1", "--radius", "100"],
+         "error: --cms and --radius only derive C0, C with --q/--delta"),
     ],
 )
 def test_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, argv, message):

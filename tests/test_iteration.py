@@ -1,12 +1,16 @@
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from recursion_oracle import recursion_simulate as oracle_simulate
 
+from stabcert.config import RunConfig
 from stabcert.iteration import (
     CaccioppoliConstants,
     NoCaccioppoliConstantError,
+    _exponent_numerators,
     _iteration_terms,
     caccioppoli_coefficient,
     caccioppoli_constants,
@@ -195,6 +199,89 @@ class TestRecursionSimulator:
         res = recursion_simulate(10.0, 1.0, 1.0, 3, steps=4)
         assert not res.tends_to_zero
         assert res.dominated  # bound still valid, it just grows
+
+
+def simulate_both(*args):
+    """Each simulator's result, or its ValueError text."""
+    outcomes = []
+    for simulate in (recursion_simulate, oracle_simulate):
+        try:
+            outcomes.append(simulate(*args))
+        except ValueError as exc:
+            outcomes.append(f"ValueError: {exc}")
+    return outcomes
+
+
+def certify_all_inputs():
+    """(S1, C0, C, n, 20) as ``recursion-sim --q q --delta 1`` derives them with the
+    configuration defaults, q midway between (n-2)/n and 1: the benchmark's
+    seeded starting energies 1e-5..1e-40 (seeds 0 and 7919) and the golden ones."""
+    cfg = RunConfig()
+    energies = {f"1e-{e}" for e in (5, 13, 22, 31, 40)}
+    for seed in (0, 7919):
+        rng = random.Random(seed)
+        energies |= {f"1e-{rng.randint(5, 40)}" for _ in range(5 * 3)}
+    cases = []
+    for n in (3, 4, 5):
+        dg = degiorgi_constants(n, F(1), (F(n - 2, n) + 1) / 2, cfg.c_ms, cfg.radius)
+        c0, c = float(dg.C0.value), float(dg.C.approx_mp())
+        cases += [(float(s1), c0, c, n, 20) for s1 in sorted(energies)]
+        cases += [(float(s1), 5.0, 2048.0, n, 20) for s1 in ("1e-30", "0.5")]
+    return cases
+
+
+def random_inputs():
+    """Seeded (S1, C0, C, n, steps) at n = 3..13: one short run and one of 88..300
+    steps, where the exponent numerators pass the 203 bits at which mpf(int) rounds."""
+    rng = random.Random(24)
+    cases = []
+    for n in range(3, 14):
+        for steps in (rng.randint(1, 40), rng.randint(88, 300)):
+            cases.append((10 ** rng.uniform(-40, 1), 10 ** rng.uniform(-3, 4), 10 ** rng.uniform(0, 4), n, steps))
+    return cases
+
+
+# the n = 3 step limit on either side, a bound the sequence breaks, and invalid inputs
+EDGE_INPUTS = [
+    (1e-5, 1.0, 2.0, 3, 644),
+    (1e-5, 1.0, 2.0, 3, 645),
+    (0.5, 0.5, 1.0, 3, 4),
+    (0.0, 1.0, 1.0, 3, 5),
+    (0.5, 1.0, math.inf, 3, 5),
+    (0.5, 1.0, 1.0, 2, 5),
+    (0.5, 1.0, 1.0, 3, 0),
+]
+
+
+@pytest.mark.parametrize("args", certify_all_inputs() + random_inputs() + EDGE_INPUTS)
+def test_recursion_matches_oracle(args):
+    """The simulator on integer exponents and libmp values against the former one
+    on Fraction exponents and mpf operators: identical results, bit for bit."""
+    new, old = simulate_both(*args)
+    assert new == old
+    if not isinstance(new, str):
+        assert [x.hex() for x in new.log10_values] == [x.hex() for x in old.log10_values]
+
+
+def test_random_runs_reach_rounded_numerators():
+    # mpf(int) rounds a numerator wider than the 203-bit working precision
+    widest = max(
+        max(map(int.bit_length, numerators[:3]))
+        for *_, n, steps in random_inputs()
+        for numerators in _exponent_numerators(n, steps)
+    )
+    assert widest > mpmath.libmp.dps_to_prec(60) == 203
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_exponent_numerators_are_in_lowest_terms(n):
+    theta = F(n, n - 2)
+    e0, eC, eS = F(0), F(0), F(1)
+    for m, (n0, nC, nS, n_m, k_m) in enumerate(_exponent_numerators(n, 60), 1):
+        assert all(math.gcd(num, k_m) == 1 for num in (n0, nC, nS))
+        e0, eC, eS = theta * (1 + e0), theta * (2 * m - 1) + theta * eC, theta * eS
+        assert (e0, eC, eS) == (F(n0, k_m), F(nC, k_m), F(nS, k_m))
+        assert F(n_m, k_m) == theta**m
 
 
 def test_constants_record_type():
