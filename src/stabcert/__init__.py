@@ -10,7 +10,7 @@ thresholds, including a probe of the open dimension 6.
 from .config import RunConfig
 from .curvature import ParamSet
 from .optimize import feasibility, maximize_epsilon, minimize_delta0
-from .rational import QuadSurd, Rational
+from .rational import QuadSurd
 
 __all__ = [
     "ParamSet",
@@ -19,7 +19,6 @@ __all__ = [
     "minimize_delta0",
     "maximize_epsilon",
     "QuadSurd",
-    "Rational",
 ]
 
 __version__ = "0.1.0"

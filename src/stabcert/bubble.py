@@ -38,15 +38,13 @@ from .certificate import ApproxValue, CertCheck
 from .curvature import ParamSet
 from .rational import QuadSurd, clear_denominators
 
-Rat = Fraction
-
 
 # Every (numerator, denominator) in [-200, 200] x [1, 19] once: the grid mu1 and H are drawn from.
 _QUAD_DRAWS = tuple((num, den) for num in range(-200, 201) for den in range(1, 20))
 
 
 def quadform_lower_bound_check(
-    n: int, alpha: Rat, beta: Rat, K: Rat, sample_count: int = 1000, seed: int = 0
+    n: int, alpha: Fraction, beta: Fraction, K: Fraction, sample_count: int = 1000, seed: int = 0
 ) -> list[CertCheck]:
     """Exact sampling of the trace-free quadratic-form bound plus its exact proof.
 
@@ -97,7 +95,7 @@ def quadform_lower_bound_check(
     ]
 
 
-def x0_y0(alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat) -> tuple[QuadSurd, QuadSurd]:
+def x0_y0(alpha: Fraction, beta: Fraction, epsilon: Fraction, gamma0_value: Fraction) -> tuple[QuadSurd, QuadSurd]:
     """Barrier amplitudes x0 = sqrt(eps/(2 alpha g0)), y0 = (1/(2 beta)) sqrt(alpha eps g0 / 2).
 
     epsilon and gamma0 must be positive, as a passing chain makes them.
@@ -108,7 +106,7 @@ def x0_y0(alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat) -> tuple[QuadS
 
 
 def surd_identities_check(
-    alpha: Rat, beta: Rat, epsilon: Rat, gamma0_value: Rat, x0: QuadSurd, y0: QuadSurd
+    alpha: Fraction, beta: Fraction, epsilon: Fraction, gamma0_value: Fraction, x0: QuadSurd, y0: QuadSurd
 ) -> list[CertCheck]:
     """Exact surd checks of 2(b/a) x0 y0 = eps/(2a) and 2(b/a) y0/x0 = gamma0."""
     prod = x0 * y0
@@ -177,7 +175,9 @@ def barrier_ode_check(
     ]
 
 
-def growth_constants(n: int, alpha: Rat, epsilon: Rat, y0: QuadSurd, dps: int = 50) -> tuple[ApproxValue, ApproxValue]:
+def growth_constants(
+    n: int, alpha: Fraction, epsilon: Fraction, y0: QuadSurd, dps: int = 50
+) -> tuple[ApproxValue, ApproxValue]:
     """Area and volume growth constants (approximate, flagged), reported at 12 digits.
 
     area  = ((n-2) alpha / eps)^((n-1)/2) * Area(S^(n-1))
@@ -206,7 +206,9 @@ class BarrierBranch:
     volume_const: ApproxValue
 
 
-def derive(params: ParamSet, epsilon: Rat, gamma0_bare: Rat, dps: int = 50) -> tuple[BarrierBranch, BarrierBranch]:
+def derive(
+    params: ParamSet, epsilon: Fraction, gamma0_bare: Fraction, dps: int = 50
+) -> tuple[BarrierBranch, BarrierBranch]:
     """Both barrier branches from the chain's epsilon and gamma0: bare, then with_ratio = bare * beta/alpha."""
     n, alpha, beta = params.n, params.alpha, params.beta
     branches = []

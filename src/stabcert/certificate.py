@@ -10,10 +10,12 @@ is a published target with match false, a discrepancy: it never fails a run
 but is always surfaced.  Files are UTF-8 JSON, schema_version "1", written
 atomically (write-then-rename); the reader requires that schema version,
 every field the writer writes, at least one check, and a recorded overall
-status that its checks give; a strict margin check whose status contradicts
-its margin's sign is refused, and a verify-all certificate (n = 0) is read
-together with the row certificates it nests, each with the params its row
-writes.
+status that its checks give.  It refuses a strict margin check whose status
+contradicts its margin's sign, a sampled check whose status or witness
+contradicts its sample counts, and a published target whose match contradicts
+its strings; it reads a verify-all certificate (n = 0) together with the row
+certificates it nests, each with the params its row writes, and requires its
+params to list exactly those rows.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +39,8 @@ SCHEMA_VERSION = "1"
 
 # The detail of a strict margin check: it passes exactly when its margin is > 0.
 STRICT_MARGIN = "> 0"
+# ``CertCheck.sampled``'s detail: N >= 1 samples, V violations (group 3 if V > 0), a witness (group 4)
+_SAMPLED_DETAIL = re.compile(r"([1-9]\d*) samples, (0|([1-9]\d*)) violations, seed=\d+(; first witness: .+)?")
 
 
 def check_output_path(path: Path) -> None:
@@ -133,6 +138,11 @@ class CertCheck:
         # a Fraction's sign is its numerator's, and comparing the int skips Fraction's comparison
         if detail == STRICT_MARGIN and (margin is None or (margin.numerator > 0) != (status == "pass")):
             raise ValueError(f"check {name!r}: status {status!r} contradicts its margin {d.get('margin')!r} > 0")
+        if kind == "sampled":  # V <= N, and a pass and no witness exactly when V = 0
+            match = isinstance(detail, str) and _SAMPLED_DETAIL.fullmatch(detail)
+            recorded = match and int(match[2]) <= int(match[1]) and (match[3] is None) == (match[4] is None)
+            if not recorded or (status == "pass") != (match[3] is None):
+                raise ValueError(f"check {name!r}: detail {detail!r} does not record a {status!r}")
         return CertCheck(name, kind, status, margin, d.get("residual"), detail)
 
 
@@ -191,12 +201,15 @@ class PublishedTarget:
     @staticmethod
     def from_jsonable(d: dict) -> "PublishedTarget":
         try:
-            target = PublishedTarget(d["quantity"], d["quoted"], d["computed"], d["match"])
+            quantity, quoted, computed, match = d["quantity"], d["quoted"], d["computed"], d["match"]
         except KeyError as exc:
             raise ValueError(f"a published target has no {exc.args[0]}") from None
-        if not isinstance(target.match, bool):
-            raise ValueError(f"published target {target.quantity!r}: match {target.match!r} is not a boolean")
-        return target
+        if not isinstance(match, bool):
+            raise ValueError(f"published target {quantity!r}: match {match!r} is not a boolean")
+        # both writers set match to quoted == computed, on canonical "p/q" strings
+        if not (type(quoted) is type(computed) is str and match == (quoted == computed)):
+            raise ValueError(f"published target {quantity!r}: match {match} contradicts {quoted!r} vs {computed!r}")
+        return PublishedTarget(quantity, quoted, computed, match)
 
 
 @dataclass
@@ -277,17 +290,18 @@ class Certificate:
         return cert
 
     def _read_rows(self) -> None:
-        """Read strictly the row certificate that each ``row_nN_overall`` check of
-        a verify-all certificate stands for, ``values["row_nN"]``, its n = N
-        checked before the rest, with the params its row writes
-        (``ParamSet.from_strings``), and require the check to pass exactly when
-        that row passed."""
+        """Read strictly each row certificate ``values["row_nN"]`` that a
+        ``row_nN_overall`` check stands for, its n = N before the rest, with the
+        params its row writes (``ParamSet.from_strings``); require the check to
+        pass exactly when that row passed, and params to list exactly these rows."""
         from .curvature import ParamSet  # curvature imports this module
 
+        keys = []
         for check in self.checks:
             key = check.name.removesuffix("_overall")
             if not key.startswith("row_n") or key == check.name:
                 continue
+            keys.append(key)
             if key not in self.values:
                 raise ValueError(f"check {check.name!r}: no {key} in values")
             nested = self.values[key]
@@ -303,6 +317,8 @@ class Certificate:
             if check.satisfied != (row.overall_status == "passed"):
                 raise ValueError(f"check {check.name!r}: status {check.status!r} disagrees with {key}, "
                                  f"which {row.overall_status}")
+        if not keys or self.params != {"rows": ",".join(key.removeprefix("row_n") for key in keys)}:
+            raise ValueError(f"params {self.params} do not list the rows of the row checks, {keys}")
 
     @staticmethod
     def from_json(s: str) -> "Certificate":

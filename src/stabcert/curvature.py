@@ -40,8 +40,6 @@ from .certificate import CertCheck
 from .rational import clear_denominators, rational_from_str
 from .rational import rational_to_str as rts
 
-Rat = Fraction
-
 
 @dataclass(frozen=True)
 class ParamSet:
@@ -113,7 +111,7 @@ class ParamSet:
         }
 
 
-def linear_coefficients(n: int, alpha: Rat, beta: Rat) -> tuple[Fraction, Fraction]:
+def linear_coefficients(n: int, alpha: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
     """The (c1, c2) with linear part -E*(c1*x + c2*y) in f: ((n-2)beta - alpha, (n-3)alpha)."""
     return (n - 2) * beta - alpha, (n - 3) * alpha
 
@@ -132,7 +130,7 @@ _DRAWS = tuple(
 
 
 def curvature_sample_check(
-    params: ParamSet, Q: Rat, sample_count: int = 100_000, seed: int = 0
+    params: ParamSet, Q: Fraction, sample_count: int = 100_000, seed: int = 0
 ) -> list[CertCheck]:
     """Randomized exact check of the pointwise curvature inequality.
 

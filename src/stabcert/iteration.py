@@ -34,12 +34,10 @@ from mpmath import libmp
 
 from . import published
 from .certificate import ApproxValue
-from .rational import QuadSurd, sqrt_exact
-
-Rat = Fraction
+from .rational import sqrt_exact
 
 
-def caccioppoli_coefficient(n: int, delta: Rat, k: Rat, s: Rat) -> Fraction:
+def caccioppoli_coefficient(n: int, delta: Fraction, k: Fraction, s: Fraction) -> Fraction:
     """(2k + 1/n - 1/2 - 1/s) * delta / k^2 - 2, exact."""
     if k <= 0 or s <= 0:
         raise ValueError("k and s must be positive")
@@ -58,7 +56,7 @@ class CaccioppoliConstants:
     both_branches_positive: bool
 
 
-def caccioppoli_constants(n: int, delta: Rat, k: Rat, s: Rat, s1: Rat) -> CaccioppoliConstants:
+def caccioppoli_constants(n: int, delta: Fraction, k: Fraction, s: Fraction, s1: Fraction) -> CaccioppoliConstants:
     """C1 and C2 from the two absorption branches of the weighted inequality.
 
     Branch 1: coefficient (2k + 1/n - 1/2 - 1/s) delta/k^2 - 2 with numerator
@@ -102,14 +100,14 @@ def collapse_sqrt(n: int) -> Fraction | None:
     return sqrt_exact(dc * (dc - Fraction(n - 2, n)))
 
 
-def critical_delta_exponent(n: int, delta: Rat) -> bool:
+def critical_delta_exponent(n: int, delta: Fraction) -> bool:
     """Whether the shifted exponent choice above the critical threshold gives p > n.
 
     For delta > delta_c, with the midpoint shift eps = (delta - delta_c)/2 and
-    s = delta_c + eps, the choice 2k = s + sqrt(s(s - (n-2)/n)) gives
-    p = 4k + 2 = 2*(2k) + 2, so p > n exactly when
-    2*sqrt(s(s - (n-2)/n)) > n - 2 - 2s, decided by surd comparison (the
-    boundary choice at delta_c gives 2k = (n-2)/2 and p = n).
+    s = delta_c + eps, the choice 2k = s + sqrt(rad), rad = s(s - (n-2)/n),
+    gives p = 4k + 2 = 2*(2k) + 2, so p > n exactly when 2*sqrt(rad) > y =
+    n - 2 - 2s; as rad > 0 (s > delta_c > (n-2)/n), exactly when y < 0 or
+    4 rad > y^2 (the boundary choice at delta_c gives 2k = (n-2)/2 and p = n).
     """
     delta = Fraction(delta)
     dc = critical_delta_threshold(n)
@@ -117,7 +115,8 @@ def critical_delta_exponent(n: int, delta: Rat) -> bool:
         raise ValueError(f"delta = {delta} must exceed the critical threshold {dc}")
     shifted = dc + (delta - dc) / 2
     rad = shifted * (shifted - Fraction(n - 2, n))
-    return QuadSurd.make(2, rad).compare_rational(n - 2 - 2 * shifted) > 0
+    y = n - 2 - 2 * shifted
+    return y < 0 or 4 * rad > y * y
 
 
 def delta1_of(n: int) -> Fraction:
@@ -166,7 +165,7 @@ def _iteration_terms(n: int, delta: Fraction, q: Fraction, C_MS: float) -> tuple
     return (2 * q / gap + 1) * 2**7, q**3 / ((delta - q) * gap), exponent
 
 
-def degiorgi_constants(n: int, delta: Rat, q: Rat, C_MS: float, R: float, dps: int = 50) -> DeGiorgiConstants:
+def degiorgi_constants(n: int, delta: Fraction, q: Fraction, C_MS: float, R: float, dps: int = 50) -> DeGiorgiConstants:
     """The dyadic iteration constants C (exact base-2 exponent) and C0.
 
     C = max{2^((3n+2)/(n-2)), 2^(2n/(n-2) - 2/q + 1)}, compared exactly.
@@ -192,7 +191,7 @@ def degiorgi_constants(n: int, delta: Rat, q: Rat, C_MS: float, R: float, dps: i
         return DeGiorgiConstants(C=C, C0=ApproxValue.from_mpf(c0, dps))
 
 
-def epsilon1_threshold(n: int, delta: Rat, q: Rat, C_MS: float, dps: int = 50) -> mpmath.mpf:
+def epsilon1_threshold(n: int, delta: Fraction, q: Fraction, C_MS: float, dps: int = 50) -> mpmath.mpf:
     """Largest admissible smallness threshold, shrunk by the safety factor 1/2.
 
     The critical value solves eps1 * C^(n^2/2) * C_MS * bracket^(n/2) = 1 with
@@ -247,7 +246,6 @@ def _exponent_numerators(n: int, steps: int) -> Iterator[tuple[int, int, int, in
 
 @dataclass
 class RecursionResult:
-    log10_values: list[float]
     dominated: bool
     tends_to_zero: bool
     exponent_identity_ok: bool
@@ -336,7 +334,6 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
     exponent_ok = True
     dominated = True
     agreement_ok = True
-    log10_values = [log10_of(logS1)]
     values_str = [fmt(logS1, 0)]
     bounds_str = [fmt(logP, 0)]
     for m, (e0, eC, eS, n_m, k_m) in enumerate(_exponent_numerators(n, steps), 1):
@@ -361,12 +358,10 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
         log_bound = mul(ratio(n_m, den), logP, prec, rnd)
         if gt(log_t, add(log_bound, tol, prec, rnd)):
             dominated = False
-        log10_values.append(log10_of(log_t))
         values_str.append(fmt(log_t, m))
         bounds_str.append(fmt(log_bound, m))
-    tends_to_zero = libmp.mpf_lt(logP, libmp.fzero) and log10_values[-1] < log10_values[0]
+    tends_to_zero = libmp.mpf_lt(logP, libmp.fzero) and log10_of(log_t) < log10_of(logS1)
     return RecursionResult(
-        log10_values=log10_values,
         dominated=dominated,
         tends_to_zero=tends_to_zero,
         exponent_identity_ok=exponent_ok,

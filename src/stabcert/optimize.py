@@ -57,7 +57,6 @@ from .config import RunConfig
 from .curvature import ParamSet
 from .rational import Unreduced, rational_to_str
 
-Rat = Fraction
 
 _BIG_NEGATIVE = -1e18
 
@@ -553,7 +552,7 @@ def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
     return _result(n, "minimize_delta0", delta0, best, improvement, used, notes, cells[0], 1.0)
 
 
-def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Rat) -> SearchResult:
+def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Fraction) -> SearchResult:
     """Largest exactly certified epsilon/beta at a fixed delta0: the best cell's
     rounded row, recertified once.
 

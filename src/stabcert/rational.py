@@ -1,17 +1,14 @@
-"""Exact scalar types: reduced and unreduced rationals and a restricted
-square-root extension.
-
-``Rational`` is an alias for :class:`fractions.Fraction`, which already keeps
-every value reduced with a positive denominator at arbitrary precision.  On
-top of it this module provides
+"""Exact scalar types: unreduced rationals and a restricted square-root
+extension, on top of :class:`fractions.Fraction`, which keeps every value
+reduced with a positive denominator at arbitrary precision.
 
 * :class:`Unreduced` — a rational that keeps its integer pair as the
   operations leave it, with no gcd, for long exact expressions whose results
   are reduced once, by ``Fraction(numerator, denominator)``, at the end (the
   exact chain of ``stabcert.optimize``);
 * :class:`QuadSurd` — values of the form ``r*sqrt(s)`` with rational ``r`` and
-  rational ``s >= 0``, closed under the handful of operations the constant
-  pipeline needs (square, product, ratio, comparison against a rational);
+  rational ``s >= 0``, closed under the product and ratio that the barrier
+  (``stabcert.bubble``) needs;
 * canonical string serialization ("p/q" and "r*sqrt(s)") used by certificates,
   and ``rational_from_str``, a fast parse of "p/q";
 * :func:`clear_denominators`, which the sampled checks use to compare in
@@ -31,8 +28,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import mpmath
-
-Rational = Fraction
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -75,10 +70,11 @@ class Unreduced:
     """The exact rational ``numerator/denominator``, with ints and a positive
     denominator, never reduced: Fraction's arithmetic without its gcd.
 
-    Built from an int or a Fraction; ``+ - * /``, unary ``-``, ``abs`` and
-    ``**`` with an int exponent take and give Unreduced values, and the six
-    comparisons cross-multiply, so 2/4 == 1/2.  A value's sign is its
-    numerator's.  Unhashable, because equal values need not have equal pairs.
+    Built from an int or a Fraction; ``+ - * /``, ``abs`` and ``**`` with an
+    int exponent take and give Unreduced values, and ``==``, ``<`` and ``>``
+    cross-multiply, so 2/4 == 1/2: the operations the exact chain applies.
+    A value's sign is its numerator's.  Unhashable, because equal values need
+    not have equal pairs.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -104,9 +100,6 @@ class Unreduced:
     def __truediv__(self, other: Unreduced) -> Unreduced:
         return _quotient(self.numerator * other.denominator, self.denominator * other.numerator)
 
-    def __neg__(self) -> Unreduced:
-        return _pair(-self.numerator, self.denominator)
-
     def __abs__(self) -> Unreduced:
         return _pair(abs(self.numerator), self.denominator)
 
@@ -118,20 +111,11 @@ class Unreduced:
     def __eq__(self, other: Unreduced) -> bool:
         return self.numerator * other.denominator == other.numerator * self.denominator
 
-    def __ne__(self, other: Unreduced) -> bool:
-        return self.numerator * other.denominator != other.numerator * self.denominator
-
     def __lt__(self, other: Unreduced) -> bool:
         return self.numerator * other.denominator < other.numerator * self.denominator
 
-    def __le__(self, other: Unreduced) -> bool:
-        return self.numerator * other.denominator <= other.numerator * self.denominator
-
     def __gt__(self, other: Unreduced) -> bool:
         return self.numerator * other.denominator > other.numerator * self.denominator
-
-    def __ge__(self, other: Unreduced) -> bool:
-        return self.numerator * other.denominator >= other.numerator * self.denominator
 
 
 def _pair(numerator: int, denominator: int) -> Unreduced:
@@ -150,7 +134,7 @@ def _quotient(numerator: int, denominator: int) -> Unreduced:
     return _pair(numerator, denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadSurd:
     """The exact value ``coeff * sqrt(radicand)`` with ``radicand >= 0``.
 
@@ -159,25 +143,16 @@ class QuadSurd:
     the zero value is stored as ``0*sqrt(1)``.  Use :meth:`make` or the
     arithmetic operations; the raw constructor does not normalize.  Other
     square factors stay in the radicand (``1*sqrt(8)`` is not rewritten as
-    ``2*sqrt(2)``, which would mean factoring it), so equality and hashing
-    compare values: the sign and the square.
+    ``2*sqrt(2)``, which would mean factoring it), so the type defines no
+    equality: a field-wise one would call those two equal values different.
     """
 
     coeff: Fraction
     radicand: Fraction
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuadSurd):
-            return NotImplemented
-        return self.sign() == other.sign() and self.square() == other.square()
-
-    def __hash__(self) -> int:
-        return hash((self.sign(), self.square()))
-
     @staticmethod
     def make(coeff: Fraction | int, radicand: Fraction | int) -> "QuadSurd":
-        coeff = Fraction(coeff)
-        radicand = Fraction(radicand)
+        coeff, radicand = Fraction(coeff), Fraction(radicand)
         if radicand < 0:
             raise ValueError("radicand must be nonnegative")
         if coeff == 0 or radicand == 0:
@@ -195,44 +170,11 @@ class QuadSurd:
             raise ValueError(f"{self} is irrational")
         return self.coeff
 
-    def square(self) -> Fraction:
-        """Exactly ``coeff**2 * radicand`` as a Rational."""
-        return self.coeff * self.coeff * self.radicand
-
-    def sign(self) -> int:
-        if self.coeff > 0:
-            return 1
-        if self.coeff < 0:
-            return -1
-        return 0
-
     def __mul__(self, other: "QuadSurd") -> "QuadSurd":
         return QuadSurd.make(self.coeff * other.coeff, self.radicand * other.radicand)
 
     def __truediv__(self, other: "QuadSurd") -> "QuadSurd":
-        if other.coeff == 0:
-            raise ZeroDivisionError("division by zero surd")
         return QuadSurd.make(self.coeff / other.coeff, self.radicand / other.radicand)
-
-    def compare_rational(self, y: Fraction | int) -> int:
-        """Exact ordering versus a rational: -1 (less), 0 (equal), +1 (greater).
-
-        Decided by sign analysis and squaring; no floating arithmetic.
-        """
-        y = Fraction(y)
-        s = self.sign()
-        if s == 0:
-            return 0 if y == 0 else (-1 if y > 0 else 1)
-        if s > 0 and y <= 0:
-            return 1
-        if s < 0 and y >= 0:
-            return -1
-        # both sides share a strict sign; squaring preserves order for that sign
-        left, right = self.square(), y * y
-        if left == right:
-            return 0
-        bigger_abs = 1 if left > right else -1
-        return bigger_abs if s > 0 else -bigger_abs
 
     def approx_mp(self, dps: int = 50) -> mpmath.mpf:
         """Advisory high-precision value at ``dps`` significant digits."""

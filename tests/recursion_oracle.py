@@ -2,7 +2,9 @@
 
 ``recursion_simulate`` below is ``stabcert.iteration.recursion_simulate`` before
 its loop moved to integer exponent numerators and raw ``mpmath.libmp`` values;
-the tests require the two to agree bit for bit, error text included.
+the tests require the two to agree bit for bit, error text included.  Its
+list of log10 values, a field of the result then, now decides ``tends_to_zero``
+only.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
             bounds_str.append(fmt(log_bound, m))
         tends_to_zero = bool(logP < 0) and log10_values[-1] < log10_values[0]
     return RecursionResult(
-        log10_values=log10_values,
         dominated=dominated,
         tends_to_zero=tends_to_zero,
         exponent_identity_ok=exponent_ok,

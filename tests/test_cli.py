@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from stabcert import cli, iteration, optimize, published
-from stabcert.certificate import Certificate
+from stabcert.certificate import CertCheck, Certificate
 from stabcert.cli import main
 from stabcert.curvature import ParamSet
 
@@ -441,6 +441,7 @@ def test_report_rejects_a_status_its_checks_do_not_give(tmp_path, capsys):
 def test_report_accepts_verify_all_n_zero(tmp_path, capsys):
     check = {"name": "row_n3_overall", "kind": "exact", "status": "pass"}
     payload = complete_certificate(0, check)
+    payload["params"] = {"rows": "3"}
     payload["values"]["row_n3"] = complete_certificate(3)
     path = write_certificate(tmp_path / "cert.json", payload)
     assert run(["report", str(path)]) == 0
@@ -454,8 +455,103 @@ def test_report_reads_the_rows_verify_all_nests(tmp_path, capsys):
     assert "row_n3: overall_status 'passed' disagrees" in one_line_error(capsys)
 
 
+def verify_all_small() -> dict:
+    return json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        # each would otherwise render, the first as "quoted 1/3 vs computed 1/7 [match]"
+        ({"computed": "1/7"}, "match True contradicts '1/3' vs '1/7'"),
+        ({"match": False}, "match False contradicts '1/3' vs '1/3'"),
+        ({"quoted": 0.5, "computed": 0.5}, "match True contradicts 0.5 vs 0.5"),
+        ({"computed": None, "match": False}, "match False contradicts '1/3' vs None"),
+    ],
+)
+def test_report_rejects_a_published_match_its_strings_contradict(tmp_path, capsys, target, message):
+    payload = verify_all_small()
+    assert payload["published_targets"][0]["quantity"] == "n=3:delta0"
+    payload["published_targets"][0].update(target)
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert one_line_error(capsys) == f"error: cannot read certificate: published target 'n=3:delta0': {message}\n"
+
+
+WITNESS = "; first witness: lambda=['1/2', '-1/2', '0'], E=1"
+
+
+@pytest.mark.parametrize(
+    "status, detail",
+    [
+        ("pass", "500 samples, 7 violations, seed=0"),  # violations under a pass
+        ("pass", "500 samples, 7 violations, seed=0" + WITNESS),
+        ("fail", "500 samples, 0 violations, seed=0"),  # a fail with no violation
+        ("pass", "0 samples, 0 violations, seed=0"),  # a pass on zero evidence
+        ("fail", "5 samples, 7 violations, seed=0" + WITNESS),  # more violations than samples
+        ("fail", "500 samples, 7 violations, seed=0"),  # a violation with no witness
+        ("pass", "500 samples, 0 violations, seed=0" + WITNESS),  # a witness with no violation
+        ("pass", "500 samples, -0 violations, seed=0"),
+        ("pass", "500 samples, 0 violations"),
+        ("pass", ""),
+        ("pass", 500),
+    ],
+)
+def test_report_rejects_a_sampled_status_its_detail_contradicts(tmp_path, capsys, status, detail):
+    payload = verify_all_small()
+    row = payload["values"]["row_n3"]
+    check = next(c for c in row["checks"] if c["name"] == "pointwise_curvature_inequality")
+    assert check["kind"] == "sampled"
+    check.update(status=status, detail=detail)
+    if status == "fail":
+        row["overall_status"] = payload["overall_status"] = "failed"
+        payload["checks"][0]["status"] = "fail"  # row_n3_overall
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert one_line_error(capsys) == (f"error: cannot read certificate: row_n3: check "
+                                      f"'pointwise_curvature_inequality': detail {detail!r} does not record a "
+                                      f"{status!r}\n")
+
+
+@pytest.mark.parametrize("violations", [1, 500])
+def test_a_failed_sampled_check_reads(violations):
+    check = CertCheck.sampled("pointwise_curvature_inequality", 500, violations, 7, "lambda=['1', '-1'], E=1")
+    assert CertCheck.from_jsonable(check.to_jsonable()) == check and not check.satisfied
+
+
+def drop_rows(payload: dict) -> None:
+    payload["checks"] = [c for c in payload["checks"] if not c["name"].startswith("row_n")]
+    for n in (3, 4, 5):
+        del payload["values"][f"row_n{n}"]
+
+
+def drop_row_n5(payload: dict) -> None:
+    payload["checks"] = [c for c in payload["checks"] if c["name"] != "row_n5_overall"]
+
+
+@pytest.mark.parametrize(
+    "edit, params",
+    [
+        (drop_rows, "{'rows': '3,4,5'}"),  # would otherwise read as passed with no row at all
+        (drop_row_n5, "{'rows': '3,4,5'}"),
+        (lambda payload: payload["params"].update(rows="3,4"), "{'rows': '3,4'}"),
+        (lambda payload: payload["params"].update(rows="3,4,5,6"), "{'rows': '3,4,5,6'}"),
+        (lambda payload: payload["params"].update(rows="3,3,4,5"), "{'rows': '3,3,4,5'}"),
+        (lambda payload: payload["params"].update(seed="0"), "{'rows': '3,4,5', 'seed': '0'}"),
+        (lambda payload: payload.update(params={}), "{}"),
+        (lambda payload: payload["params"].update(rows=[3, 4, 5]), "{'rows': [3, 4, 5]}"),
+    ],
+)
+def test_report_rejects_verify_all_params_its_row_checks_do_not_give(tmp_path, capsys, edit, params):
+    payload = verify_all_small()
+    edit(payload)
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert f"cannot read certificate: params {params} do not list the rows of the row checks" in one_line_error(capsys)
+
+
 FAILED_ROW = {
-    **complete_certificate(3, {"name": "pointwise_curvature_inequality", "kind": "sampled", "status": "fail"}),
+    **complete_certificate(3, {
+        "name": "pointwise_curvature_inequality", "kind": "sampled", "status": "fail",
+        "detail": "500 samples, 7 violations, seed=0; first witness: lambda=['1', '-1', '0'], E=1",
+    }),
     "overall_status": "failed",
 }
 
