@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .certificate import ApproxValue, CertCheck
+from .certificate import APPROXIMATE_TOLERANCE, ApproxValue, CertCheck
 from .curvature import ParamSet
 from .rational import QuadSurd, clear_denominators
 
@@ -125,7 +125,7 @@ def barrier_ode_check(
     y0: QuadSurd,
     sample_count: int = 1000,
     dps: int = 50,
-    tol: float = 1e-9,
+    tol: float = APPROXIMATE_TOLERANCE,
 ) -> list[CertCheck]:
     """Finite-difference residual of -eta' = x0*y0 + (y0/x0)*eta^2.
 

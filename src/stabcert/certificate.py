@@ -12,10 +12,11 @@ atomically (write-then-rename); the reader requires that schema version,
 every field the writer writes, at least one check, and a recorded overall
 status that its checks give.  It refuses a strict margin check whose status
 contradicts its margin's sign, a sampled check whose status or witness
-contradicts its sample counts, and a published target whose match contradicts
-its strings; it reads a verify-all certificate (n = 0) together with the row
-certificates it nests, each with the params its row writes, and requires its
-params to list exactly those rows.
+contradicts its sample counts, an approximate check whose status its residual
+contradicts, and a published target whose match contradicts its strings; it
+reads a verify-all certificate (n = 0) together with the row certificates it
+nests, each with the params its row writes, and requires its params to list
+exactly those rows and its checks to include the two after them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ SCHEMA_VERSION = "1"
 STRICT_MARGIN = "> 0"
 # ``CertCheck.sampled``'s detail: N >= 1 samples, V violations (group 3 if V > 0), a witness (group 4)
 _SAMPLED_DETAIL = re.compile(r"([1-9]\d*) samples, (0|([1-9]\d*)) violations, seed=\d+(; first witness: .+)?")
+# An approximate check passes when its worst residual, a decimal as ``mpmath.nstr`` prints it, is at most this.
+APPROXIMATE_TOLERANCE = 1e-9
+_RESIDUAL = re.compile(r"\d+(\.\d+)?(e[-+]?\d+)?")
 
 
 def check_output_path(path: Path) -> None:
@@ -143,7 +147,14 @@ class CertCheck:
             recorded = match and int(match[2]) <= int(match[1]) and (match[3] is None) == (match[4] is None)
             if not recorded or (status == "pass") != (match[3] is None):
                 raise ValueError(f"check {name!r}: detail {detail!r} does not record a {status!r}")
-        return CertCheck(name, kind, status, margin, d.get("residual"), detail)
+        residual = d.get("residual")
+        if kind == "approximate":  # printed to 6 digits, a pass never reads above the tolerance nor a breach below
+            tol = Fraction(str(APPROXIMATE_TOLERANCE))
+            value = Fraction(residual) if isinstance(residual, str) and _RESIDUAL.fullmatch(residual) else None
+            if value is None or (value > tol if status == "pass" else value < tol):
+                raise ValueError(f"check {name!r}: residual {residual!r} does not record a {status!r} "
+                                 f"at tolerance {APPROXIMATE_TOLERANCE}")
+        return CertCheck(name, kind, status, margin, residual, detail)
 
 
 @dataclass
@@ -293,7 +304,8 @@ class Certificate:
         """Read strictly each row certificate ``values["row_nN"]`` that a
         ``row_nN_overall`` check stands for, its n = N before the rest, with the
         params its row writes (``ParamSet.from_strings``); require the check to
-        pass exactly when that row passed, and params to list exactly these rows."""
+        pass exactly when that row passed, params to list exactly these rows,
+        and the table checks that ``certify_all`` writes after the rows."""
         from .curvature import ParamSet  # curvature imports this module
 
         keys = []
@@ -319,6 +331,9 @@ class Certificate:
                                  f"which {row.overall_status}")
         if not keys or self.params != {"rows": ",".join(key.removeprefix("row_n") for key in keys)}:
             raise ValueError(f"params {self.params} do not list the rows of the row checks, {keys}")
+        missing = [name for name in _TABLE_CHECKS if name not in {check.name for check in self.checks}]
+        if missing:
+            raise ValueError(f"no {missing[0]} check, which verify-all writes after its rows")
 
     @staticmethod
     def from_json(s: str) -> "Certificate":
@@ -338,6 +353,8 @@ class Certificate:
             return Certificate.from_json(fh.read())
 
 
+# The checks of the delta_c collapse that verify-all writes after its rows
+_TABLE_CHECKS = ("critical_radicand_perfect_square", "exponent_exceeds_dimension_above_threshold")
 # The key and JSON type of every field ``Certificate.to_jsonable`` writes, in its order.
 _FIELDS = tuple((key, type(value)) for key, value in Certificate(n=0).to_jsonable().items())
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a JSON array", dict: "a JSON object"}

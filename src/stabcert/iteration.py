@@ -11,9 +11,10 @@ Covers the exact pieces of the weighted-test-function iteration:
 * delta1(n) = max{delta0(n), delta_c},
 * the dyadic iteration constants C (an exact power of 2 with rational
   exponent, compared via exponents, never floating logs) and C0, the
-  smallness threshold epsilon1, and a worst-case recursion simulator whose
-  exponents are exact integer numerators over k'^m (theta = n/(n-2) = n'/k'
-  in lowest terms) and whose values are raw ``mpmath.libmp`` numbers at 60
+  smallness threshold epsilon1, and the worst-case decay recursion, whose
+  verdicts are exact, from the closed form of its bound, and whose step table
+  shows values from exact integer exponent numerators over k'^m (theta =
+  n/(n-2) = n'/k' in lowest terms) as raw ``mpmath.libmp`` numbers at 60
   significant digits.
 
 The Sobolev-type constant C_MS has no closed-form value here; it is a
@@ -197,6 +198,12 @@ def epsilon1_threshold(n: int, delta: Fraction, q: Fraction, C_MS: float, dps: i
     The critical value solves eps1 * C^(n^2/2) * C_MS * bracket^(n/2) = 1 with
     bracket = pref1 + pref2 * 2^(2/q); the returned threshold is half the
     critical value, keeping the required strict inequality.
+
+    eps1 scales as C_MS^-1 and ignores R (bracket is C0/C_MS at R = 1).  The
+    decay condition at S1 = eps1, C0^(n/2) C^(n^2/2) eps1 < 1, scales as
+    C0^(n/2), C0 proportional to C_MS and depending on R: it reads
+    C_MS^(n/2 - 1) (C0/(C_MS bracket))^(n/2) < 2.  It holds at the defaults
+    C_MS = 1, R = 100 (n = 3, 4, 5), not at C_MS = 10, R = 1.001, nor at R = 1e6 for n = 3.
     """
     delta, q = Fraction(delta), Fraction(q)
     pref1, pref2, c_exponent = _iteration_terms(n, delta, q, C_MS)
@@ -219,8 +226,8 @@ _SIM_PREC = libmp.dps_to_prec(60)
 _FIXED_LIMIT = libmp.from_int(50000)
 
 
-def _exponent_numerators(n: int, steps: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """(E0, EC, ES, n'^m, k'^m) for m = 1..steps, with theta = n/(n-2) = n'/k' in lowest terms.
+def _exponent_numerators(n: int, steps: int) -> Iterator[tuple[int, int, int, int]]:
+    """(E0, EC, ES, k'^m) for m = 1..steps, with theta = n/(n-2) = n'/k' in lowest terms.
 
     E0, EC and ES are the exponents of C0, C and S1 in the recursion's T_m as
     integer numerators over k'^m: E0 = n'(k'^(m-1) + E0'),
@@ -230,8 +237,9 @@ def _exponent_numerators(n: int, steps: int) -> Iterator[tuple[int, int, int, in
     by n', so each numerator is congruent to n'^m, which p does not divide
     because n' and k' are coprime.  So no gcd is ever taken, and the
     numerator and denominator are those of the exact rational exponent.
-    n'^m and k'^m are computed in closed form, not as running products, so
-    the exponent identities are checked against an independent value.
+
+    ES = n'^m, and E0/k'^m = theta (theta^m - 1)/(theta - 1) = (n/2)(theta^m - 1),
+    the geometric sum, because theta/(theta - 1) = n/2.
     """
     theta = Fraction(n, n - 2)
     n1, k1 = theta.numerator, theta.denominator
@@ -241,15 +249,37 @@ def _exponent_numerators(n: int, steps: int) -> Iterator[tuple[int, int, int, in
         eC = n1 * ((2 * m - 1) * k_prev + eC)
         eS = n1 * eS
         k_prev = k1**m
-        yield e0, eC, eS, n1**m, k_prev
+        yield e0, eC, eS, k_prev
+
+
+def _log_sign(*terms: tuple[float, int]) -> int:
+    """The exact sign (-1, 0 or 1) of e1 ln x1 + e2 ln x2 + ..., positive floats x, positive integers e.
+
+    Each float is m 2^k, m odd.  When every m is 1 the sum is (e1 k1 + ...) ln 2,
+    signed as the integer.  Otherwise the product of the x^e is an odd integer
+    > 1 times a power of two, never 1, so libmp intervals at doubling precision
+    exclude 0 after rounds that grow with how close that product is to 1.
+    """
+    values = [(libmp.from_float(x), e) for x, e in terms]  # exact: (sign, odd mantissa, exponent, bits)
+    if all(value[1] == 1 for value, _ in values):
+        total = sum(e * value[2] for value, e in values)
+        return (total > 0) - (total < 0)
+    prec = 64
+    while True:
+        total = (libmp.fzero, libmp.fzero)
+        for value, e in values:
+            term = libmp.mpi_mul(libmp.mpi_log((value, value), prec), (libmp.from_int(e),) * 2, prec)
+            total = libmp.mpi_add(total, term, prec)
+        low, high = (libmp.mpf_sign(bound) for bound in total)
+        if low > 0 or high < 0:
+            return low or high
+        prec *= 2
 
 
 @dataclass
 class RecursionResult:
     dominated: bool
     tends_to_zero: bool
-    exponent_identity_ok: bool
-    log_direct_agreement_ok: bool
     values_str: list[str]
     bounds_str: list[str]
 
@@ -257,29 +287,23 @@ class RecursionResult:
 def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) -> RecursionResult:
     """Worst-case iteration of the odd-index decay recursion, with its closed bound.
 
-    Iterates T_m = C0^theta * C^(theta (2m-1)) * T_(m-1)^theta from T_0 = S1,
-    theta = n/(n-2) (equality, the worst case), tracking the exponents of C0,
-    C and S1 exactly; values are evaluated at 60 significant digits in the
-    log domain from those exponents and cross-checked against a direct
-    product iteration at 1e-9 relative precision.  The closed-form bound is
-    (C0^(n/2) C^(n^2/2) S1)^(theta^m); domination is verified at every step.
-    Values print as 10^x once |ln| reaches 5e4; a step count that takes some
-    base-10 exponent x past the double range is refused with ValueError,
-    which names the largest that fits.
+    T_m = C0^theta * C^(theta (2m-1)) * T_(m-1)^theta from T_0 = S1,
+    theta = n/(n-2) (equality, the worst case), has the closed-form bound
+    bound_m = P^(theta^m), P = C0^(n/2) C^(n^2/2) S1.  With the exponents of
+    ``_exponent_numerators``, log bound_m - log T_m = (n/2) ln C0 + r_m ln C,
+    where r_m = (n^2/2) theta^m - EC/k'^m rises strictly and without bound
+    from r_1 = theta (n^2 - 2)/2.  So ``_log_sign`` decides both verdicts
+    exactly, for every m >= 1, not only the steps shown: ``dominated``
+    (T_m <= bound_m) exactly when C >= 1 and C0^(n-2) C^(n^2-2) >= 1, and
+    ``tends_to_zero`` (bound_m -> 0) exactly when C0^n C^(n^2) S1^2 < 1.
 
-    Exponents come from ``_exponent_numerators`` as integer numerators over
-    k'^m, theta = n'/k' in lowest terms.  The geometric-sum identity for the
-    C0 exponent, (n'-k') E0 = n'(n'^m - k'^m), and ES = n'^m are checked as
-    integer equalities against n'^m and k'^m computed in closed form.
-
-    Values: the 60-digit arithmetic runs on raw ``mpmath.libmp`` values at
-    ``dps_to_prec(60)`` bits, rounding to nearest, through the same libmp
-    calls the ``mpf`` operators, ``mpf(int)``, ``float(mpf)`` and ``nstr``
-    make, so every value and string is the one ``mpf`` arithmetic gives.
-    C0^theta, C^(2 theta), the logs and the tolerance are computed once per
-    call; C^(theta (2m-1)) is a running product of C^(2 theta), so the
-    direct iteration uses only these powers, never the log-domain values it
-    is checked against.
+    The step table (m = 0..steps) is display only: log-domain values from the
+    exact exponents on raw ``mpmath.libmp`` values at ``dps_to_prec(60)``
+    bits, rounding to nearest, through the libmp calls the ``mpf`` operators,
+    ``mpf(int)``, ``float(mpf)`` and ``nstr`` make, so every string is the
+    one ``mpf`` arithmetic gives.  Values print as 10^x once |ln| reaches 5e4;
+    a step count that takes some base-10 exponent x past the double range is
+    refused with ValueError, which names the largest that fits.
 
     The dyadic level/radius ladder behind the recursion enters only through
     the constants C0 and C; the ladder itself is not simulated.
@@ -290,23 +314,19 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
         raise ValueError(f"dimension n = {n} must be >= 3")
     if steps < 1:
         raise ValueError(f"steps = {steps} must be >= 1")
-    theta = Fraction(n, n - 2)
-    n1, k1 = theta.numerator, theta.denominator
+    dominated = C >= 1 and _log_sign((C0, n - 2), (C, n * n - 2)) >= 0
+    tends_to_zero = _log_sign((C0, n), (C, n * n), (S1, 2)) < 0
     prec, rnd = _SIM_PREC, libmp.round_nearest
-    mul, div, add, sub = libmp.mpf_mul, libmp.mpf_div, libmp.mpf_add, libmp.mpf_sub
-    log, gt, absolute, from_int = libmp.mpf_log, libmp.mpf_gt, libmp.mpf_abs, libmp.from_int
+    mul, div, add, log, from_int = libmp.mpf_mul, libmp.mpf_div, libmp.mpf_add, libmp.mpf_log, libmp.from_int
 
     def ratio(num: int, den):
         """mpf(num) / den for an exact mpf den, rounded as the mpf operators round it."""
         return div(from_int(num, prec, rnd), den, prec, rnd)
 
-    def log10_of(log_value) -> float:
-        return libmp.to_float(div(log_value, log10, prec, rnd), rnd=rnd)
-
     def fmt(log_value, step: int) -> str:
-        if libmp.mpf_lt(absolute(log_value, prec, rnd), _FIXED_LIMIT):
+        if libmp.mpf_lt(libmp.mpf_abs(log_value, prec, rnd), _FIXED_LIMIT):
             return libmp.to_str(libmp.mpf_exp(log_value, prec, rnd), 12)
-        exponent = log10_of(log_value)
+        exponent = libmp.to_float(div(log_value, log10, prec, rnd), rnd=rnd)
         if math.isinf(exponent):
             raise ValueError(
                 f"steps = {steps} is too many for these inputs: at step {step} the base-10 exponent "
@@ -314,58 +334,22 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
             )
         return f"10^{exponent:.6g}"
 
-    S1_mp, C0_mp, C_mp = (libmp.from_float(x, prec, rnd) for x in (S1, C0, C))
-    logC0, logC, logS1 = log(C0_mp, prec, rnd), log(C_mp, prec, rnd), log(S1_mp, prec, rnd)
-    log10 = log(from_int(10), prec, rnd)
-    tol = libmp.from_str("1e-9", prec, rnd)
-    one, two = from_int(1), from_int(2)
-    theta_mp = ratio(n, from_int(n - 2))
-    c0_theta = libmp.mpf_pow(C0_mp, theta_mp, prec, rnd)
-    c_two_theta = libmp.mpf_pow(C_mp, libmp.mpf_mul_int(theta_mp, 2, prec, rnd), prec, rnd)
-    c_power = libmp.mpf_pow(C_mp, theta_mp, prec, rnd)  # C^(theta (2m-1)), here at m = 1
-    t_direct = S1_mp
-    logP = add(
-        add(mul(ratio(n, two), logC0, prec, rnd), mul(ratio(n * n, two), logC, prec, rnd), prec, rnd),
-        logS1,
-        prec,
-        rnd,
-    )
-    den, k1_mp = one, from_int(k1)  # k1^m as an exact mpf
-    exponent_ok = True
-    dominated = True
-    agreement_ok = True
+    logC0, logC, logS1 = (log(libmp.from_float(x, prec, rnd), prec, rnd) for x in (C0, C, S1))
+    log10, one, two = log(from_int(10), prec, rnd), from_int(1), from_int(2)
+
+    def weighted(w0, wC, wS):
+        """w0 ln C0 + wC ln C + wS ln S1, summed as the mpf operators sum it."""
+        head = add(mul(w0, logC0, prec, rnd), mul(wC, logC, prec, rnd), prec, rnd)
+        return add(head, mul(wS, logS1, prec, rnd), prec, rnd)
+
+    logP = weighted(ratio(n, two), ratio(n * n, two), one)  # 1 * ln S1 is exact
+    den, k1_mp = one, from_int(Fraction(n, n - 2).denominator)  # k1^m as an exact mpf
     values_str = [fmt(logS1, 0)]
     bounds_str = [fmt(logP, 0)]
-    for m, (e0, eC, eS, n_m, k_m) in enumerate(_exponent_numerators(n, steps), 1):
-        # geometric-sum identity for the C0 exponent
-        if (n1 - k1) * e0 != n1 * (n_m - k_m) or eS != n_m:
-            exponent_ok = False
+    for m, (e0, eC, eS, _) in enumerate(_exponent_numerators(n, steps), 1):
         den = mul(den, k1_mp)  # exact: no precision given
-        log_t = add(
-            add(mul(ratio(e0, den), logC0, prec, rnd), mul(ratio(eC, den), logC, prec, rnd), prec, rnd),
-            mul(ratio(eS, den), logS1, prec, rnd),
-            prec,
-            rnd,
-        )
-        t_direct = mul(
-            mul(c0_theta, c_power, prec, rnd), libmp.mpf_pow(t_direct, theta_mp, prec, rnd), prec, rnd
-        )
-        c_power = mul(c_power, c_two_theta, prec, rnd)
-        abs_t = absolute(log_t, prec, rnd)
-        scale = mul(tol, abs_t, prec, rnd) if gt(abs_t, one) else tol  # tol * max(1, |log_t|)
-        if gt(absolute(sub(log(t_direct, prec, rnd), log_t, prec, rnd), prec, rnd), scale):
-            agreement_ok = False
-        log_bound = mul(ratio(n_m, den), logP, prec, rnd)
-        if gt(log_t, add(log_bound, tol, prec, rnd)):
-            dominated = False
-        values_str.append(fmt(log_t, m))
-        bounds_str.append(fmt(log_bound, m))
-    tends_to_zero = libmp.mpf_lt(logP, libmp.fzero) and log10_of(log_t) < log10_of(logS1)
-    return RecursionResult(
-        dominated=dominated,
-        tends_to_zero=tends_to_zero,
-        exponent_identity_ok=exponent_ok,
-        log_direct_agreement_ok=agreement_ok,
-        values_str=values_str,
-        bounds_str=bounds_str,
-    )
+        theta_m = ratio(eS, den)  # ES = n'^m
+        values_str.append(fmt(weighted(ratio(e0, den), ratio(eC, den), theta_m), m))
+        bounds_str.append(fmt(mul(theta_m, logP, prec, rnd), m))
+    return RecursionResult(dominated=dominated, tends_to_zero=tends_to_zero, values_str=values_str,
+                           bounds_str=bounds_str)

@@ -1,23 +1,34 @@
 """The recursion simulator as it ran on ``Fraction`` exponents and ``mpf`` operators.
 
 ``recursion_simulate`` below is ``stabcert.iteration.recursion_simulate`` before
-its loop moved to integer exponent numerators and raw ``mpmath.libmp`` values;
-the tests require the two to agree bit for bit, error text included.  Its
-list of log10 values, a field of the result then, now decides ``tends_to_zero``
-only.
+its loop moved to integer exponent numerators and raw ``mpmath.libmp`` values,
+and before its verdicts moved to the closed form.  The tests require the two
+step tables to agree bit for bit, error text included.  Its verdicts are the
+former ones, over the steps run only and with 1e-9 of slack, and its list of
+log10 values decides ``tends_to_zero`` only; it keeps the direct product
+iteration and the exponent identity as flags of its own record.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from stabcert.iteration import RecursionResult
+
+@dataclass
+class OracleResult:
+    dominated: bool
+    tends_to_zero: bool
+    exponent_identity_ok: bool
+    log_direct_agreement_ok: bool
+    values_str: list[str]
+    bounds_str: list[str]
 
 
-def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) -> RecursionResult:
+def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) -> OracleResult:
     """Worst-case iteration of the odd-index decay recursion, with its closed bound.
 
     Iterates T_m = C0^theta * C^(theta (2m-1)) * T_(m-1)^theta from T_0 = S1,
@@ -104,7 +115,7 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
             values_str.append(fmt(log_t, m))
             bounds_str.append(fmt(log_bound, m))
         tends_to_zero = bool(logP < 0) and log10_values[-1] < log10_values[0]
-    return RecursionResult(
+    return OracleResult(
         dominated=dominated,
         tends_to_zero=tends_to_zero,
         exponent_identity_ok=exponent_ok,

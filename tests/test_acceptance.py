@@ -25,6 +25,7 @@ from stabcert.certify import certify, result_certificate
 from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet, curvature_sample_check
 from stabcert.iteration import (
+    _exponent_numerators,
     collapse_sqrt,
     critical_delta_exponent,
     critical_delta_threshold,
@@ -199,6 +200,13 @@ def test_criterion_12_optimizer_witness_dominance():
 def test_criterion_13_recursion_domination_grid():
     checked = 0
     for n in (3, 4, 5):
+        # the closed form: log bound_m - log T_m = (n/2) ln C0 + r_m ln C, r_m
+        # rising strictly from r_1 = theta (n^2 - 2)/2, theta = n/(n-2)
+        theta, gaps = F(n, n - 2), []
+        for m, (e0, eC, eS, k_m) in enumerate(_exponent_numerators(n, 12), 1):
+            assert F(eS, k_m) == theta**m and n * theta**m / 2 - F(e0, k_m) == F(n, 2)
+            gaps.append(n * n * theta**m / 2 - F(eC, k_m))
+        assert gaps[0] == theta * (n * n - 2) / 2 and all(a < b for a, b in zip(gaps, gaps[1:]))
         C = float(2 ** ((3 * n + 2) / (n - 2)))
         for c0_exp in (-3, -2, -1, 0, 1, 2, 3):
             for s1_scale in (1e-15, 1e-12, 1e-6, 1e-3, 0.5, 0.99):
@@ -209,7 +217,9 @@ def test_criterion_13_recursion_domination_grid():
                 res = recursion_simulate(S1, C0, C, n, steps=12)
                 assert res.dominated, (n, C0, S1)
                 assert res.tends_to_zero, (n, C0, S1)
-                assert res.exponent_identity_ok and res.log_direct_agreement_ok
+                # each verdict is the closed form's, in exact rationals
+                assert res.dominated == (C >= 1 and F(C0) ** (n - 2) * F(C) ** (n * n - 2) >= 1)
+                assert res.tends_to_zero == (F(C0) ** n * F(C) ** (n * n) * F(S1) ** 2 < 1)
                 checked += 1
     # a couple of boundary cases: product exactly 1 stays bounded by 1
     for n in (3, 5):
@@ -217,4 +227,4 @@ def test_criterion_13_recursion_domination_grid():
         assert res.dominated and not res.tends_to_zero
         checked += 1
     assert checked >= 100
-    report(13, f"closed-form bound dominates and sequence decays on a {checked}-point grid")
+    report(13, f"closed-form verdict: the bound dominates and decays on a {checked}-point grid")

@@ -319,7 +319,14 @@ def test_recursion_sim_reports_a_bound_it_breaks(capsys):
     assert run(["recursion-sim", "--c0", "0.5", "--c", "1", "--s1", "0.5", "--n", "3", "--steps", "4"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[1].split() == ["0", "0.5", "0.176776695297"]
-    assert out[-1] == "dominated=False tends_to_zero=True exponent_identity=True log_direct_agreement=True"
+    assert out[-1] == "dominated=False tends_to_zero=True"
+
+
+@pytest.mark.parametrize("s1, c0, c", [("1e-3", "2971", "0.99346"), ("1e-3", "1.276", "0.9998")])
+def test_recursion_sim_verdict_covers_steps_it_does_not_show(capsys, s1, c0, c):
+    # at n = 8 the sequence breaks its bound first at step 25; one row shown still fails
+    assert run(["recursion-sim", "--s1", s1, "--c0", c0, "--c", c, "--n", "8", "--steps", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("dominated=False ")
 
 
 def test_recursion_sim_derived_constants(capsys):
@@ -441,6 +448,7 @@ def test_report_rejects_a_status_its_checks_do_not_give(tmp_path, capsys):
 def test_report_accepts_verify_all_n_zero(tmp_path, capsys):
     check = {"name": "row_n3_overall", "kind": "exact", "status": "pass"}
     payload = complete_certificate(0, check)
+    payload["checks"] += [{**check, "name": name} for name in TABLE_CHECKS]
     payload["params"] = {"rows": "3"}
     payload["values"]["row_n3"] = complete_certificate(3)
     path = write_certificate(tmp_path / "cert.json", payload)
@@ -457,6 +465,53 @@ def test_report_reads_the_rows_verify_all_nests(tmp_path, capsys):
 
 def verify_all_small() -> dict:
     return json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text("utf-8"))
+
+
+# the checks verify-all writes after its rows
+TABLE_CHECKS = ("critical_radicand_perfect_square", "exponent_exceeds_dimension_above_threshold")
+
+
+@pytest.mark.parametrize("dropped", [TABLE_CHECKS, TABLE_CHECKS[:1], TABLE_CHECKS[1:]])
+def test_report_rejects_verify_all_without_its_table_checks(tmp_path, capsys, dropped):
+    # would otherwise read as passed
+    payload = verify_all_small()
+    payload["checks"] = [c for c in payload["checks"] if c["name"] not in dropped]
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert one_line_error(capsys) == (f"error: cannot read certificate: no {dropped[0]} check, "
+                                      "which verify-all writes after its rows\n")
+
+
+@pytest.mark.parametrize(
+    "status, residual",
+    [
+        ("pass", "0.5"),  # far above the 1e-9 tolerance
+        ("pass", "1.00001e-9"),
+        ("fail", "1.65509e-13"),  # a breach that reads below the tolerance
+        ("pass", None),
+        ("pass", "-1.0e-13"),
+        ("pass", "nan"),
+        ("pass", "1/2"),
+        ("pass", 1e-13),
+    ],
+)
+def test_report_rejects_an_approximate_status_its_residual_contradicts(tmp_path, capsys, status, residual):
+    payload = verify_all_small()
+    row = payload["values"]["row_n3"]
+    check = next(c for c in row["checks"] if c["kind"] == "approximate")
+    check.update(status=status, residual=residual, detail=f"10 points, max relative residual {residual}, dps=50")
+    if status == "fail":
+        row["overall_status"] = payload["overall_status"] = "failed"
+        payload["checks"][0]["status"] = "fail"  # row_n3_overall
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert one_line_error(capsys) == (f"error: cannot read certificate: row_n3: check {check['name']!r}: residual "
+                                      f"{residual!r} does not record a {status!r} at tolerance 1e-09\n")
+
+
+@pytest.mark.parametrize("status", ["pass", "fail"])
+def test_an_approximate_check_at_its_tolerance_reads(status):
+    # printed to 6 digits, a residual just either side of 1e-9 reads as 1.0e-9
+    check = CertCheck("barrier_ode_residual", "approximate", status, residual="1.0e-9")
+    assert CertCheck.from_jsonable(check.to_jsonable()) == check
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from stabcert.iteration import (
     NoCaccioppoliConstantError,
     _exponent_numerators,
     _iteration_terms,
+    _log_sign,
     caccioppoli_coefficient,
     caccioppoli_constants,
     collapse_sqrt,
@@ -173,6 +174,16 @@ class TestEpsilon1:
         hi = epsilon1_threshold(3, F(1), F(1, 2), 10.0)
         assert lo > 0 and hi > 0 and hi < lo
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_decays_from_epsilon1_at_the_defaults(self, n):
+        # S1 = eps1 at C_MS = 1, R = 100, as verify-all computes them; away from
+        # these defaults eps1 and the decay condition part (see the docstring)
+        cfg, q = RunConfig(), (F(n - 2, n) + 1) / 2
+        assert (cfg.c_ms, cfg.radius) == (1.0, 100.0)
+        dg = degiorgi_constants(n, F(1), q, cfg.c_ms, cfg.radius)
+        eps1 = float(epsilon1_threshold(n, F(1), q, cfg.c_ms))
+        assert recursion_simulate(eps1, float(dg.C0.value), float(dg.C.approx_mp()), n, steps=1).tends_to_zero
+
     def test_vanishes_at_delta_pole(self):
         # approach q -> delta- while staying in the same C regime
         values = [epsilon1_threshold(3, F(1), q, 1.0) for q in (F(9, 10), F(99, 100), F(999, 1000), F(9999, 10000))]
@@ -183,7 +194,7 @@ class TestEpsilon1:
 class TestRecursionSimulator:
     def test_all_ones_bound(self):
         res = recursion_simulate(0.5, 1.0, 1.0, 3, steps=6)
-        assert res.dominated and res.tends_to_zero and res.exponent_identity_ok
+        assert res.dominated and res.tends_to_zero
         # bound is (1/2)^(3^l) and the sequence achieves it exactly
         assert [float(v) for v in res.values_str] == pytest.approx([0.5 ** 3**m for m in range(7)], rel=1e-9)
         assert res.values_str == res.bounds_str
@@ -193,11 +204,6 @@ class TestRecursionSimulator:
         res = recursion_simulate(1.0, 1.0, 1.0, 3, steps=5)
         assert res.values_str == res.bounds_str == ["1.0"] * 6
         assert not res.tends_to_zero
-
-    def test_log_and_direct_agree(self):
-        res = recursion_simulate(1e-3, 5.0, 2048.0, 3, steps=8)
-        assert res.log_direct_agreement_ok
-        assert res.exponent_identity_ok
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -216,15 +222,100 @@ class TestRecursionSimulator:
         assert not res.tends_to_zero
         assert res.dominated  # bound still valid, it just grows
 
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_equality_counts_as_dominated(self, n):
+        # C0^(n-2) C^(n^2-2) = 1 exactly: log bound_1 - log T_1 = 0, and it only grows after
+        tie = (2.0 ** -(n * n - 2), 2.0 ** (n - 2))
+        assert recursion_simulate(0.5, *tie, n, steps=3).dominated
+        assert not recursion_simulate(0.5, tie[0] / 2, tie[1], n, steps=3).dominated
+        # C0^n C^(n^2) S1^2 = 1 exactly: the bound is 1 at every step
+        res = recursion_simulate(2.0 ** -(n * n), 1.0, 4.0, n, steps=3)
+        assert set(res.bounds_str) == {"1.0"} and not res.tends_to_zero
+        assert recursion_simulate(2.0 ** -(n * n + 1), 1.0, 4.0, n, steps=3).tends_to_zero
+
+
+# n = 8 with C < 1: the sequence stays below its bound up to step 24 and breaks
+# it at step 25, so the former 20-step verdict called both dominated
+BREAK_AFTER_STEP_20 = [(1e-3, 2971.0, 0.99346, 8), (1e-3, 1.276, 0.9998, 8)]
+
+
+@pytest.mark.parametrize("args", BREAK_AFTER_STEP_20)
+def test_verdict_covers_steps_past_those_shown(args):
+    assert not recursion_simulate(*args, 1).dominated
+    assert oracle_simulate(*args, 24).dominated and not oracle_simulate(*args, 25).dominated
+    assert not oracle_simulate(*args, 40).dominated
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_closed_form_of_the_bound_gap(n):
+    """log bound_m - log T_m = (n/2) ln C0 + r_m ln C, with r_m rising strictly
+    from theta (n^2 - 2)/2: the exponents of C0 differ by n/2 at every step."""
+    theta = F(n, n - 2)
+    r_prev = None
+    for m, (n0, nC, nS, k_m) in enumerate(_exponent_numerators(n, 60), 1):
+        assert F(nS, k_m) == theta**m and n * theta**m / 2 - F(n0, k_m) == F(n, 2)
+        r = n * n * theta**m / 2 - F(nC, k_m)
+        assert r > r_prev if r_prev is not None else r == theta * (n * n - 2) / 2
+        r_prev = r
+    if n == 4:
+        rs = [8 * F(nS, k_m) - F(nC, k_m) for _, nC, nS, k_m in _exponent_numerators(4, 20)]
+        assert rs == [2 ** (m + 1) + 4 * m + 6 for m in range(1, 21)]
+
+
+def exact_sign(terms):
+    product = math.prod(F(x) ** e for x, e in terms)
+    return (product > 1) - (product < 1)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_log_sign_matches_fraction_powers(n):
+    rng = random.Random(n)
+    for _ in range(60):
+        c0, c, s1 = 10 ** rng.uniform(-4, 4), 10 ** rng.uniform(-0.01, 0.3), 10 ** rng.uniform(-40, 0)
+        for terms in (((c0, n - 2), (c, n * n - 2)), ((c0, n), (c, n * n), (s1, 2))):
+            assert _log_sign(*terms) == exact_sign(terms), terms
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_log_sign_on_powers_of_two(n):
+    for shift in (-1, 0, 1):  # a tie, and one step to either side of it
+        terms = ((2.0 ** (-(n * n - 2) + shift), n - 2), (2.0 ** (n - 2), n * n - 2))
+        assert _log_sign(*terms) == exact_sign(terms) == (shift > 0) - (shift < 0)
+
+
+def test_log_sign_at_a_million_dimensions():
+    # C0 = exp(-(n^2-2) ln C/(n-2)) to double precision: the two terms, about
+    # 0.9 each, cancel to about -3e-11, and C^(n^2-2) alone has 10^12 factors
+    n, c = 10**6, 1 + 2.0**-40
+    c0 = math.exp(-(n * n - 2) * math.log1p(2.0**-40) / (n - 2))
+    with mpmath.workdps(60):
+        reference = (n - 2) * mpmath.log(c0) + (n * n - 2) * mpmath.log(c)
+    assert 0 < abs(reference) < 1e-6
+    assert _log_sign((c0, n - 2), (c, n * n - 2)) == mpmath.sign(reference)
+
+
+def test_log_sign_refines_a_near_tie():
+    # q ln 3 - p ln 2 for the convergent p/q of log2(3): about 1e-10 against
+    # terms of 7e9, so the first, 64-bit interval holds 0 and the next does not
+    p, q = 9809721694, 6189245291
+    with mpmath.workdps(60):
+        assert 0 < q * mpmath.log(3) - p * mpmath.log(2) < 1e-9
+    assert _log_sign((3.0, q), (0.5, p)) == 1
+
 
 def simulate_both(*args):
-    """Each simulator's result, or its ValueError text."""
+    """Each simulator's verdicts and step table, or its ValueError text; the
+    oracle's own self-checks must hold."""
     outcomes = []
     for simulate in (recursion_simulate, oracle_simulate):
         try:
-            outcomes.append(simulate(*args))
+            res = simulate(*args)
         except ValueError as exc:
             outcomes.append(f"ValueError: {exc}")
+            continue
+        if simulate is oracle_simulate:
+            assert res.exponent_identity_ok and res.log_direct_agreement_ok
+        outcomes.append((res.dominated, res.tends_to_zero, res.values_str, res.bounds_str))
     return outcomes
 
 
@@ -272,7 +363,9 @@ EDGE_INPUTS = [
 @pytest.mark.parametrize("args", certify_all_inputs() + random_inputs() + EDGE_INPUTS)
 def test_recursion_matches_oracle(args):
     """The simulator on integer exponents and libmp values against the former one
-    on Fraction exponents and mpf operators: identical results, bit for bit."""
+    on Fraction exponents and mpf operators: identical step tables, bit for bit,
+    and the same verdicts (none of these inputs breaks its bound after the
+    steps run, where the closed form and the former verdict part)."""
     new, old = simulate_both(*args)
     assert new == old
 
@@ -291,11 +384,11 @@ def test_random_runs_reach_rounded_numerators():
 def test_exponent_numerators_are_in_lowest_terms(n):
     theta = F(n, n - 2)
     e0, eC, eS = F(0), F(0), F(1)
-    for m, (n0, nC, nS, n_m, k_m) in enumerate(_exponent_numerators(n, 60), 1):
+    for m, (n0, nC, nS, k_m) in enumerate(_exponent_numerators(n, 60), 1):
         assert all(math.gcd(num, k_m) == 1 for num in (n0, nC, nS))
         e0, eC, eS = theta * (1 + e0), theta * (2 * m - 1) + theta * eC, theta * eS
         assert (e0, eC, eS) == (F(n0, k_m), F(nC, k_m), F(nS, k_m))
-        assert F(n_m, k_m) == theta**m
+        assert eS == theta**m
 
 
 def test_constants_record_type():
