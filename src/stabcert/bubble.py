@@ -17,8 +17,8 @@ this module derives, exactly:
   defining identities 2(beta/alpha) x0 y0 = eps/(2 alpha) and
   2(beta/alpha) y0/x0 = gamma0 checked in surd arithmetic,
 * area/volume growth constants (approximate fields: pi, exp and unit-ball
-  measures are irrational; computed at >= 50 significant digits, reported at
-  12, and never used in pass/fail checks).
+  measures are irrational; computed at ``rational.DPS`` = 50 significant
+  digits, reported at 12, and never used in pass/fail checks).
 
 The quadratic-form bound with the chain's mcc is proved by one exact
 identity and also sampled on random rational points, compared in
@@ -34,9 +34,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .certificate import APPROXIMATE_TOLERANCE, ApproxValue, CertCheck
+from .certificate import ApproxValue, CertCheck
 from .curvature import ParamSet
-from .rational import QuadSurd, clear_denominators
+from .rational import DPS, QuadSurd, clear_denominators
 
 
 # Every (numerator, denominator) in [-200, 200] x [1, 19] once: the grid mu1 and H are drawn from.
@@ -44,7 +44,7 @@ _QUAD_DRAWS = tuple((num, den) for num in range(-200, 201) for den in range(1, 2
 
 
 def quadform_lower_bound_check(
-    n: int, alpha: Fraction, beta: Fraction, K: Fraction, sample_count: int = 1000, seed: int = 0
+    n: int, alpha: Fraction, beta: Fraction, K: Fraction, sample_count: int, seed: int
 ) -> list[CertCheck]:
     """Exact sampling of the trace-free quadratic-form bound plus its exact proof.
 
@@ -120,24 +120,19 @@ def surd_identities_check(
     ]
 
 
-def barrier_ode_check(
-    x0: QuadSurd,
-    y0: QuadSurd,
-    sample_count: int = 1000,
-    dps: int = 50,
-    tol: float = APPROXIMATE_TOLERANCE,
-) -> list[CertCheck]:
-    """Finite-difference residual of -eta' = x0*y0 + (y0/x0)*eta^2.
+def barrier_ode_check(x0: QuadSurd, y0: QuadSurd, sample_count: int) -> list[CertCheck]:
+    """Finite-difference residual of -eta' = x0*y0 + (y0/x0)*eta^2, at ``DPS`` digits.
 
     eta(t) = -x0 * tan(y0*t - pi/2) on (0, pi/y0); the residual at each sample
     point must satisfy |eta' + x0*y0 + (y0/x0)*eta^2| <= tol * (1 + |eta|^2),
-    with a central-difference step shrunk where tan is steep.  x0 and y0 are
-    positive, as ``x0_y0`` makes them from a passing chain.  The check is
-    approximate, but a breach fails it like any other check.
+    tol = ``certificate.APPROXIMATE_TOLERANCE``, with a central-difference step
+    shrunk where tan is steep.  x0 and y0 are positive, as ``x0_y0`` makes them
+    from a passing chain.  The check is approximate, but a breach fails it like
+    any other check.
     """
-    with mpmath.workdps(dps):
-        x0v = x0.approx_mp(dps)
-        y0v = y0.approx_mp(dps)
+    with mpmath.workdps(DPS):
+        x0v = x0.approx_mp()
+        y0v = y0.approx_mp()
         period = mpmath.pi / y0v
         margin = period / 1000
         lo, hi = margin, period - margin
@@ -152,46 +147,31 @@ def barrier_ode_check(
             return neg_x0 * mpmath.tan(y0v * t - half_pi)
 
         worst = mpmath.mpf(0)
-        breaches = 0
         for i in range(1, sample_count + 1):
             t = lo + span * i / (sample_count + 1)
             e = eta(t)
             h = step / (1 + abs(e) / x0v)
             deriv = (eta(t + h) - eta(t - h)) / (2 * h)
             residual = deriv + product + ratio * e * e
-            rel = abs(residual) / (1 + abs(e) ** 2)
-            worst = max(worst, rel)
-            if rel > tol:
-                breaches += 1
-        residual = mpmath.nstr(worst, 6)
-    return [
-        CertCheck.of(
-            "barrier_ode_residual",
-            breaches == 0,
-            kind="approximate",
-            residual=residual,
-            detail=f"{sample_count} points, max relative residual {residual}, dps={dps}",
-        )
-    ]
+            worst = max(worst, abs(residual) / (1 + abs(e) ** 2))
+    return [CertCheck.approximate("barrier_ode_residual", sample_count, worst)]
 
 
-def growth_constants(
-    n: int, alpha: Fraction, epsilon: Fraction, y0: QuadSurd, dps: int = 50
-) -> tuple[ApproxValue, ApproxValue]:
+def growth_constants(n: int, alpha: Fraction, epsilon: Fraction, y0: QuadSurd) -> tuple[ApproxValue, ApproxValue]:
     """Area and volume growth constants (approximate, flagged), reported at 12 digits.
 
     area  = ((n-2) alpha / eps)^((n-1)/2) * Area(S^(n-1))
     Lambda = ((n-2) alpha / eps)^(n/2) * Vol(B^n) * (2 exp(3 pi / y0))^n
     """
     base = (n - 2) * alpha / epsilon
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DPS):
         base_mp = mpmath.mpf(base.numerator) / base.denominator
         sphere_area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
         ball_vol = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
-        y0v = y0.approx_mp(dps)
+        y0v = y0.approx_mp()
         area = base_mp ** (mpmath.mpf(n - 1) / 2) * sphere_area
         volume = base_mp ** (mpmath.mpf(n) / 2) * ball_vol * (2 * mpmath.exp(3 * mpmath.pi / y0v)) ** n
-        return ApproxValue.from_mpf(area, dps), ApproxValue.from_mpf(volume, dps)
+        return ApproxValue.from_mpf(area), ApproxValue.from_mpf(volume)
 
 
 @dataclass(frozen=True)
@@ -206,14 +186,12 @@ class BarrierBranch:
     volume_const: ApproxValue
 
 
-def derive(
-    params: ParamSet, epsilon: Fraction, gamma0_bare: Fraction, dps: int = 50
-) -> tuple[BarrierBranch, BarrierBranch]:
+def derive(params: ParamSet, epsilon: Fraction, gamma0_bare: Fraction) -> tuple[BarrierBranch, BarrierBranch]:
     """Both barrier branches from the chain's epsilon and gamma0: bare, then with_ratio = bare * beta/alpha."""
     n, alpha, beta = params.n, params.alpha, params.beta
     branches = []
     for convention, g in (("bare", gamma0_bare), ("with_ratio", gamma0_bare * beta / alpha)):
         x0, y0 = x0_y0(alpha, beta, epsilon, g)
-        area, volume = growth_constants(n, alpha, epsilon, y0, dps)
+        area, volume = growth_constants(n, alpha, epsilon, y0)
         branches.append(BarrierBranch(convention, g, x0, y0, area, volume))
     return tuple(branches)

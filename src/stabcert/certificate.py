@@ -10,10 +10,13 @@ is a published target with match false, a discrepancy: it never fails a run
 but is always surfaced.  Files are UTF-8 JSON, schema_version "1", written
 atomically (write-then-rename); the reader requires that schema version,
 every field the writer writes, at least one check, and a recorded overall
-status that its checks give.  It refuses a strict margin check whose status
-contradicts its margin's sign, a sampled check whose status or witness
-contradicts its sample counts, an approximate check whose status its residual
-contradicts, and a published target whose match contradicts its strings; it
+status that its checks give.  Of a check it requires a string detail, a
+margin exactly on a strict margin check and a residual only on an approximate
+one.  It refuses a strict margin check whose status contradicts its margin's
+sign, a sampled check whose status or witness contradicts its sample counts,
+an approximate check whose status its residual contradicts or whose detail
+does not record that residual, at least one point and at least ``DPS``
+digits, and a published target whose match contradicts its strings; it
 reads a verify-all certificate (n = 0) together with the row certificates it
 nests, each with the params its row writes, and requires its params to list
 exactly those rows and its checks to include the two after them.
@@ -31,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
-from .rational import rational_from_str, rational_to_str
+from .rational import DPS, rational_from_str, rational_to_str
 
 if TYPE_CHECKING:
     import mpmath
@@ -45,6 +48,8 @@ _SAMPLED_DETAIL = re.compile(r"([1-9]\d*) samples, (0|([1-9]\d*)) violations, se
 # An approximate check passes when its worst residual, a decimal as ``mpmath.nstr`` prints it, is at most this.
 APPROXIMATE_TOLERANCE = 1e-9
 _RESIDUAL = re.compile(r"\d+(\.\d+)?(e[-+]?\d+)?")
+# ``CertCheck.approximate``'s detail: N >= 1 points, the residual R (group 2) and the digits D (group 3)
+_APPROXIMATE_DETAIL = re.compile(r"([1-9]\d*) points, max relative residual (\S+), dps=([1-9]\d*)")
 
 
 def check_output_path(path: Path) -> None:
@@ -106,6 +111,18 @@ class CertCheck:
             detail += f"; first witness: {witness}"
         return CertCheck.of(name, violations == 0, kind="sampled", detail=detail)
 
+    @staticmethod
+    def approximate(name: str, points: int, residual: mpmath.mpf) -> "CertCheck":
+        """An approximate check over ``points`` points, passing when its worst
+        relative ``residual`` is at most ``APPROXIMATE_TOLERANCE``: it records that
+        residual to 6 digits, R, and its detail is "N points, max relative
+        residual R, dps=D", D the ``DPS`` digits it was computed at."""
+        import mpmath
+
+        text = mpmath.nstr(residual, 6)
+        return CertCheck.of(name, residual <= APPROXIMATE_TOLERANCE, kind="approximate", residual=text,
+                            detail=f"{points} points, max relative residual {text}, dps={DPS}")
+
     @property
     def satisfied(self) -> bool:
         return self.status == "pass"
@@ -139,9 +156,13 @@ class CertCheck:
             except ValueError:
                 raise ValueError(f"check {name!r}: margin {margin!r} is not a rational") from None
         detail = d.get("detail", "")
-        # a Fraction's sign is its numerator's, and comparing the int skips Fraction's comparison
-        if detail == STRICT_MARGIN and (margin is None or (margin.numerator > 0) != (status == "pass")):
-            raise ValueError(f"check {name!r}: status {status!r} contradicts its margin {d.get('margin')!r} > 0")
+        if detail == STRICT_MARGIN:
+            # a Fraction's sign is its numerator's, and comparing the int skips Fraction's comparison
+            if margin is None or (margin.numerator > 0) != (status == "pass"):
+                raise ValueError(f"check {name!r}: status {status!r} contradicts its margin {d.get('margin')!r} > 0")
+        elif margin is not None:
+            raise ValueError(f"check {name!r}: a margin, {d['margin']!r}, on a check whose detail "
+                             f"{detail!r} is not {STRICT_MARGIN!r}")
         if kind == "sampled":  # V <= N, and a pass and no witness exactly when V = 0
             match = isinstance(detail, str) and _SAMPLED_DETAIL.fullmatch(detail)
             recorded = match and int(match[2]) <= int(match[1]) and (match[3] is None) == (match[4] is None)
@@ -154,6 +175,15 @@ class CertCheck:
             if value is None or (value > tol if status == "pass" else value < tol):
                 raise ValueError(f"check {name!r}: residual {residual!r} does not record a {status!r} "
                                  f"at tolerance {APPROXIMATE_TOLERANCE}")
+            # at least DPS digits, so a certificate computed at more still reads
+            match = isinstance(detail, str) and _APPROXIMATE_DETAIL.fullmatch(detail)
+            if not match or match[2] != residual or int(match[3]) < DPS:
+                raise ValueError(f"check {name!r}: detail {detail!r} does not record its residual {residual!r} "
+                                 f"at dps >= {DPS}")
+        elif residual is not None:
+            raise ValueError(f"check {name!r}: a residual, {residual!r}, on a check of kind {kind!r}")
+        if not isinstance(detail, str):
+            raise ValueError(f"check {name!r}: detail {detail!r} is not a string")
         return CertCheck(name, kind, status, margin, residual, detail)
 
 
@@ -182,18 +212,18 @@ class ApproxValue:
     """A floating quantity carried for reporting only, never for pass/fail.
 
     ``value`` is a decimal string at ``digits`` = 12 significant digits,
-    produced from an internal computation at ``internal_dps`` digits.
+    produced from an internal computation at ``internal_dps`` = ``DPS`` digits.
     """
 
     digits: ClassVar[int] = 12
+    internal_dps: ClassVar[int] = DPS
     value: str
-    internal_dps: int
 
     @staticmethod
-    def from_mpf(x: mpmath.mpf, internal_dps: int) -> "ApproxValue":
+    def from_mpf(x: mpmath.mpf) -> "ApproxValue":
         import mpmath
 
-        return ApproxValue(mpmath.nstr(x, ApproxValue.digits), internal_dps)
+        return ApproxValue(mpmath.nstr(x, ApproxValue.digits))
 
     def to_jsonable(self) -> dict:
         return {"value": self.value, "digits": self.digits, "internal_dps": self.internal_dps}

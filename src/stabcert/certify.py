@@ -81,7 +81,7 @@ def _evidence(cert: Certificate, params: ParamSet, chain: ChainValues, cfg: RunC
     quadform = bubble.quadform_lower_bound_check(n, alpha, beta, chain.mean_curv_coeff, cfg.quadform_samples, seed)
     cert.checks += _prefixed("quadform", quadform)
 
-    branches = bubble.derive(params, eps, gamma0_bare, dps=cfg.float_precision_digits)
+    branches = bubble.derive(params, eps, gamma0_bare)
     gamma0_with_ratio = branches[1].gamma0
     cert.values["q"] = rts(q)
     cert.values["spectral_coeff"] = rts(chain.spectral_coeff)
@@ -106,7 +106,7 @@ def _evidence(cert: Certificate, params: ParamSet, chain: ChainValues, cfg: RunC
         cert.values[f"{prefix}/volume_const"] = branch.volume_const.to_jsonable()
         identities = bubble.surd_identities_check(alpha, beta, eps, branch.gamma0, branch.x0, branch.y0)
         cert.checks += _prefixed(prefix, identities)
-        ode = bubble.barrier_ode_check(branch.x0, branch.y0, cfg.barrier_samples, cfg.float_precision_digits)
+        ode = bubble.barrier_ode_check(branch.x0, branch.y0, cfg.barrier_samples)
         cert.checks += _prefixed(prefix, ode)
 
 
@@ -151,12 +151,11 @@ def certify_all(cfg: RunConfig) -> Certificate:
     from . import iteration  # high precision: loaded by verify-all, never by a search
 
     grid = []
-    dps = cfg.float_precision_digits
     delta = Fraction(1)
     for n in published.SUPPORTED_N:
         q = (Fraction(n - 2, n) + delta) / 2
-        dg = iteration.degiorgi_constants(n, delta, q, cfg.c_ms, cfg.radius, dps=dps)
-        eps1 = iteration.epsilon1_threshold(n, delta, q, cfg.c_ms, dps=dps)
+        dg = iteration.degiorgi_constants(n, delta, q, cfg.c_ms, cfg.radius)
+        eps1 = iteration.epsilon1_threshold(n, delta, q, cfg.c_ms)
         try:
             cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1)
         except iteration.NoCaccioppoliConstantError as exc:
@@ -166,7 +165,7 @@ def certify_all(cfg: RunConfig) -> Certificate:
                 "n": n,
                 "delta": rts(delta),
                 "q": rts(q),
-                "epsilon1": ApproxValue.from_mpf(eps1, dps).to_jsonable(),
+                "epsilon1": ApproxValue.from_mpf(eps1).to_jsonable(),
                 "C": str(dg.C),
                 "C0": dg.C0.to_jsonable(),
                 "caccioppoli_C1": rts(cacc.c1),

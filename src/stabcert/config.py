@@ -6,8 +6,8 @@ the CLI flags override the field named by their dest, and the certificate's
 environment block records every field but ``out_dir``.
 
 C_MS (the Sobolev-type constant of the iteration) has no closed-form value in
-this pipeline; its default 1.0 is a placeholder and non-physical.  Floating
-precision is never allowed below 50 significant digits.
+this pipeline; its default 1.0 is a placeholder and non-physical.  Precision
+is no setting: every mpmath computation runs at ``rational.DPS`` digits.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class RunConfig:
     radius: float = 100.0
     s: Fraction = Fraction(100)
     s1: Fraction = Fraction(100)
-    float_precision_digits: int = 50
     curvature_samples: int = 100_000
     quadform_samples: int = 1_000
     barrier_samples: int = 1_000
@@ -39,8 +38,6 @@ class RunConfig:
     out_dir: Path = field(default_factory=lambda: Path("."))
 
     def __post_init__(self):
-        if self.float_precision_digits < 50:
-            raise ConfigError("float_precision_digits must be >= 50")
         if not 0 < self.c_ms < math.inf:
             raise ConfigError("c_ms must be positive and finite")
         if not 1 < self.radius < math.inf:

@@ -129,9 +129,7 @@ _DRAWS = tuple(
 )
 
 
-def curvature_sample_check(
-    params: ParamSet, Q: Fraction, sample_count: int = 100_000, seed: int = 0
-) -> list[CertCheck]:
+def curvature_sample_check(params: ParamSet, Q: Fraction, sample_count: int, seed: int) -> list[CertCheck]:
     """Randomized exact check of the pointwise curvature inequality.
 
     For random rational trace-free principal curvatures lambda in Q^n and a

@@ -14,8 +14,10 @@ Covers the exact pieces of the weighted-test-function iteration:
   smallness threshold epsilon1, and the worst-case decay recursion, whose
   verdicts are exact, from the closed form of its bound, and whose step table
   shows values from exact integer exponent numerators over k'^m (theta =
-  n/(n-2) = n'/k' in lowest terms) as raw ``mpmath.libmp`` numbers at 60
-  significant digits.
+  n/(n-2) = n'/k' in lowest terms) as raw ``mpmath.libmp`` numbers.
+
+Every approximate value here (C0, epsilon1, the step table) is computed at
+``rational.DPS`` = 50 significant digits.
 
 The Sobolev-type constant C_MS has no closed-form value here; it is a
 configuration input whose placeholder default 1 is non-physical.  delta1 and
@@ -35,7 +37,7 @@ from mpmath import libmp
 
 from . import published
 from .certificate import ApproxValue
-from .rational import sqrt_exact
+from .rational import DPS, sqrt_exact
 
 
 def caccioppoli_coefficient(n: int, delta: Fraction, k: Fraction, s: Fraction) -> Fraction:
@@ -134,8 +136,8 @@ class Pow2:
     exponent: Fraction
 
     def approx_mp(self) -> mpmath.mpf:
-        """The value at 50 significant digits."""
-        with mpmath.workdps(50):
+        """The value at ``DPS`` significant digits."""
+        with mpmath.workdps(DPS):
             return mpmath.power(2, mpmath.mpf(self.exponent.numerator) / self.exponent.denominator)
 
     def __str__(self) -> str:
@@ -166,7 +168,23 @@ def _iteration_terms(n: int, delta: Fraction, q: Fraction, C_MS: float) -> tuple
     return (2 * q / gap + 1) * 2**7, q**3 / ((delta - q) * gap), exponent
 
 
-def degiorgi_constants(n: int, delta: Fraction, q: Fraction, C_MS: float, R: float, dps: int = 50) -> DeGiorgiConstants:
+def _c0_bracket(n: int, q: Fraction, pref1: Fraction, pref2: Fraction, R: float) -> mpmath.mpf:
+    """C0 / C_MS = pref1 * R^(-(2n-4)/n) + pref2 * 2^(2/q) * R^(-(2(n-2)/(nq) - 4/n)),
+    in the caller's mpmath precision; at R = 1, exactly pref1 + pref2 * 2^(2/q)."""
+    rexp1 = Fraction(2 * n - 4, n)
+    rexp2 = Fraction(2 * (n - 2), 1) / (n * q) - Fraction(4, n)
+    Rmp = mpmath.mpf(R)
+    term1 = mpmath.mpf(pref1.numerator) / pref1.denominator * Rmp ** (
+        -mpmath.mpf(rexp1.numerator) / rexp1.denominator
+    )
+    two_pow = mpmath.power(2, mpmath.mpf(2) / (mpmath.mpf(q.numerator) / q.denominator))
+    term2 = mpmath.mpf(pref2.numerator) / pref2.denominator * two_pow * Rmp ** (
+        -mpmath.mpf(rexp2.numerator) / rexp2.denominator
+    )
+    return term1 + term2
+
+
+def degiorgi_constants(n: int, delta: Fraction, q: Fraction, C_MS: float, R: float) -> DeGiorgiConstants:
     """The dyadic iteration constants C (exact base-2 exponent) and C0.
 
     C = max{2^((3n+2)/(n-2)), 2^(2n/(n-2) - 2/q + 1)}, compared exactly.
@@ -176,28 +194,18 @@ def degiorgi_constants(n: int, delta: Fraction, q: Fraction, C_MS: float, R: flo
     pref1, pref2, c_exponent = _iteration_terms(n, delta, q, C_MS)
     if not 1 < R < math.inf:
         raise ValueError("R must exceed 1 and be finite")
-    C = Pow2(c_exponent)
-    rexp1 = Fraction(2 * n - 4, n)
-    rexp2 = Fraction(2 * (n - 2), 1) / (n * q) - Fraction(4, n)
-    with mpmath.workdps(dps):
-        Rmp = mpmath.mpf(R)
-        term1 = mpmath.mpf(pref1.numerator) / pref1.denominator * Rmp ** (
-            -mpmath.mpf(rexp1.numerator) / rexp1.denominator
-        )
-        two_pow = mpmath.power(2, mpmath.mpf(2) / (mpmath.mpf(q.numerator) / q.denominator))
-        term2 = mpmath.mpf(pref2.numerator) / pref2.denominator * two_pow * Rmp ** (
-            -mpmath.mpf(rexp2.numerator) / rexp2.denominator
-        )
-        c0 = mpmath.mpf(C_MS) * (term1 + term2)
-        return DeGiorgiConstants(C=C, C0=ApproxValue.from_mpf(c0, dps))
+    with mpmath.workdps(DPS):
+        c0 = mpmath.mpf(C_MS) * _c0_bracket(n, q, pref1, pref2, R)
+        return DeGiorgiConstants(C=Pow2(c_exponent), C0=ApproxValue.from_mpf(c0))
 
 
-def epsilon1_threshold(n: int, delta: Fraction, q: Fraction, C_MS: float, dps: int = 50) -> mpmath.mpf:
+def epsilon1_threshold(n: int, delta: Fraction, q: Fraction, C_MS: float) -> mpmath.mpf:
     """Largest admissible smallness threshold, shrunk by the safety factor 1/2.
 
     The critical value solves eps1 * C^(n^2/2) * C_MS * bracket^(n/2) = 1 with
-    bracket = pref1 + pref2 * 2^(2/q); the returned threshold is half the
-    critical value, keeping the required strict inequality.
+    bracket = pref1 + pref2 * 2^(2/q), ``_c0_bracket`` at R = 1; the returned
+    threshold is half the critical value, keeping the required strict
+    inequality.
 
     eps1 scales as C_MS^-1 and ignores R (bracket is C0/C_MS at R = 1).  The
     decay condition at S1 = eps1, C0^(n/2) C^(n^2/2) eps1 < 1, scales as
@@ -208,21 +216,16 @@ def epsilon1_threshold(n: int, delta: Fraction, q: Fraction, C_MS: float, dps: i
     delta, q = Fraction(delta), Fraction(q)
     pref1, pref2, c_exponent = _iteration_terms(n, delta, q, C_MS)
     c_exp = c_exponent * Fraction(n * n, 2)
-    with mpmath.workdps(dps):
-        bracket = (
-            mpmath.mpf(pref1.numerator) / pref1.denominator
-            + mpmath.mpf(pref2.numerator)
-            / pref2.denominator
-            * mpmath.power(2, mpmath.mpf(2) * q.denominator / q.numerator)
-        )
+    with mpmath.workdps(DPS):
+        bracket = _c0_bracket(n, q, pref1, pref2, 1)
         c_power = mpmath.power(2, mpmath.mpf(c_exp.numerator) / c_exp.denominator)
         critical = 1 / (c_power * mpmath.mpf(C_MS) * bracket ** (mpmath.mpf(n) / 2))
         return critical / 2
 
 
-# recursion_simulate's working precision (60 digits) and the |ln| at which its
+# recursion_simulate's working precision (DPS digits) and the |ln| at which its
 # values switch from fixed digits to 10^x
-_SIM_PREC = libmp.dps_to_prec(60)
+_SIM_PREC = libmp.dps_to_prec(DPS)
 _FIXED_LIMIT = libmp.from_int(50000)
 
 
@@ -284,7 +287,7 @@ class RecursionResult:
     bounds_str: list[str]
 
 
-def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) -> RecursionResult:
+def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int) -> RecursionResult:
     """Worst-case iteration of the odd-index decay recursion, with its closed bound.
 
     T_m = C0^theta * C^(theta (2m-1)) * T_(m-1)^theta from T_0 = S1,
@@ -298,7 +301,7 @@ def recursion_simulate(S1: float, C0: float, C: float, n: int, steps: int = 20) 
     ``tends_to_zero`` (bound_m -> 0) exactly when C0^n C^(n^2) S1^2 < 1.
 
     The step table (m = 0..steps) is display only: log-domain values from the
-    exact exponents on raw ``mpmath.libmp`` values at ``dps_to_prec(60)``
+    exact exponents on raw ``mpmath.libmp`` values at ``dps_to_prec(DPS)``
     bits, rounding to nearest, through the libmp calls the ``mpf`` operators,
     ``mpf(int)``, ``float(mpf)`` and ``nstr`` make, so every string is the
     one ``mpf`` arithmetic gives.  Values print as 10^x once |ln| reaches 5e4;

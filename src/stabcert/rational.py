@@ -14,9 +14,11 @@ reduced with a positive denominator at arbitrary precision.
 * :func:`clear_denominators`, which the sampled checks use to compare in
   integers.
 
-The high-precision value ``QuadSurd.approx_mp`` feeds the growth constants,
-which are reported only, and the barrier ODE residual, an approximate check
-that counts toward pass or fail; no exact check consumes it.
+``DPS`` is the one working precision of every mpmath computation in
+stabcert: the growth constants, C0, epsilon1 and the recursion table, which
+are reported only, and the barrier ODE residual, an approximate check that
+counts toward pass or fail.  No exact check consumes any of them.  The
+high-precision value ``QuadSurd.approx_mp`` is computed at it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import mpmath
+
+# Significant decimal digits of every mpmath computation.  Raising it changes
+# no output beyond the places that record it (tests/test_golden.py checks 100).
+DPS = 50
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -176,11 +182,11 @@ class QuadSurd:
     def __truediv__(self, other: "QuadSurd") -> "QuadSurd":
         return QuadSurd.make(self.coeff / other.coeff, self.radicand / other.radicand)
 
-    def approx_mp(self, dps: int = 50) -> mpmath.mpf:
-        """Advisory high-precision value at ``dps`` significant digits."""
+    def approx_mp(self) -> mpmath.mpf:
+        """Advisory high-precision value at ``DPS`` significant digits."""
         import mpmath
 
-        with mpmath.workdps(dps):
+        with mpmath.workdps(DPS):
             return mpmath.mpf(self.coeff.numerator) / self.coeff.denominator * mpmath.sqrt(
                 mpmath.mpf(self.radicand.numerator) / self.radicand.denominator
             )

@@ -74,5 +74,6 @@ def test_trace_targets_resolve():
     ]
     # the tracer binds the sample counts of these by parameter name
     for module_name, attr in (("stabcert.curvature", "curvature_sample_check"),
-                              ("stabcert.bubble", "quadform_lower_bound_check")):
+                              ("stabcert.bubble", "quadform_lower_bound_check"),
+                              ("stabcert.bubble", "barrier_ode_check")):
         assert "sample_count" in inspect.signature(getattr(sys.modules[module_name], attr)).parameters

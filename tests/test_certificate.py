@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stabcert.certificate import CertCheck, Certificate, PublishedTarget
+from stabcert.certificate import STRICT_MARGIN, CertCheck, Certificate, PublishedTarget
 from stabcert.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PASS,
@@ -15,8 +15,9 @@ from stabcert.cli import (
 
 def sample_certificate() -> Certificate:
     cert = Certificate(n=3, params={"a": "10/11", "b": "30/11"})
-    cert.checks.append(CertCheck("discriminant_positive", "exact", "pass", margin=F(24, 121)))
-    cert.checks.append(CertCheck("barrier_ode", "approximate", "pass", residual="1e-40"))
+    cert.checks.append(CertCheck("discriminant_positive", "exact", "pass", margin=F(24, 121), detail=STRICT_MARGIN))
+    cert.checks.append(CertCheck("barrier_ode", "approximate", "pass", residual="1e-40",
+                                 detail="10 points, max relative residual 1e-40, dps=50"))
     cert.published_targets.append(PublishedTarget("epsilon", "9/11", "9/11", True))
     cert.add_flag("gamma0_convention_divergence", "both conventions emitted", bare="77/142")
     cert.environment.update({"seed": 0, "budget": 1000, "float_precision_digits": 50})

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stabcert import cli, iteration, optimize, published
+from stabcert import cli, optimize, published
 from stabcert.certificate import CertCheck, Certificate
 from stabcert.cli import main
 from stabcert.curvature import ParamSet
@@ -48,8 +48,11 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no_such_key = 12\n", encoding="utf-8")
     assert run(["verify", "--n", "3", "--config", str(bad)]) == 2
+    capsys.readouterr()
+    # the retired precision setting: every mpmath computation runs at rational.DPS
     bad.write_text("float_precision_digits = 10\n", encoding="utf-8")
     assert run(["verify", "--n", "3", "--config", str(bad)]) == 2
+    assert one_line_error(capsys) == f"error: {bad}:1: unknown key 'float_precision_digits'\n"
     bad.write_text("this is not an assignment\n", encoding="utf-8")
     assert run(["verify", "--n", "3", "--config", str(bad)]) == 2
     capsys.readouterr()
@@ -130,7 +133,7 @@ def test_empty_config_uses_documented_defaults(tmp_path):
     assert run(["verify", "--n", "4", "--config", str(empty), "--out", str(out)]) == 0
     cert = Certificate.read(out)
     assert cert.environment["c_ms"] == 1.0
-    assert cert.environment["float_precision_digits"] == 50
+    assert "float_precision_digits" not in cert.environment
     assert cert.environment["curvature_samples"] == 100_000
 
 
@@ -223,26 +226,6 @@ def test_optimize_denominator_bound_below_two_is_usage_error(tmp_path, capsys, b
     assert run(["optimize", "--n", "3", "--denominator-bound", bound, "--out", str(out)]) == 2
     assert not out.exists()
     assert "denominator_bound must be >= 2" in one_line_error(capsys)
-
-
-def test_verify_all_passes_float_precision_to_iteration_grid(tmp_path, fast_config, monkeypatch):
-    seen = []
-
-    def recording(name):
-        exact = getattr(iteration, name)
-
-        def record(*args, **kwargs):
-            seen.append((name, kwargs.get("dps")))
-            return exact(*args, **kwargs)
-
-        return record
-
-    for name in ("degiorgi_constants", "epsilon1_threshold"):
-        monkeypatch.setattr(iteration, name, recording(name))
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(fast_config.read_text(encoding="utf-8") + "float_precision_digits = 60\n", encoding="utf-8")
-    assert run(["verify-all", "--config", str(cfg), "--out", str(tmp_path / "all.json")]) == 0
-    assert seen == [("degiorgi_constants", 60), ("epsilon1_threshold", 60)] * 3
 
 
 def test_optimize_epsilon_requires_delta0_for_probe(tmp_path):
@@ -510,8 +493,67 @@ def test_report_rejects_an_approximate_status_its_residual_contradicts(tmp_path,
 @pytest.mark.parametrize("status", ["pass", "fail"])
 def test_an_approximate_check_at_its_tolerance_reads(status):
     # printed to 6 digits, a residual just either side of 1e-9 reads as 1.0e-9
-    check = CertCheck("barrier_ode_residual", "approximate", status, residual="1.0e-9")
+    check = CertCheck("barrier_ode_residual", "approximate", status, residual="1.0e-9",
+                      detail="10 points, max relative residual 1.0e-9, dps=50")
     assert CertCheck.from_jsonable(check.to_jsonable()) == check
+
+
+@pytest.mark.parametrize(
+    "name, field, value, message",
+    [
+        # each would otherwise read as passed
+        ("a_equals_b_delta0", "detail", 12345, "detail 12345 is not a string"),
+        ("quadform/quadform_bound_tight_at_vertex", "residual", "not a number",
+         "a residual, 'not a number', on a check of kind 'exact'"),
+        ("pointwise_curvature_inequality", "margin", "-1/1",
+         "a margin, '-1/1', on a check whose detail '300 samples, 0 violations, seed=0' is not '> 0'"),
+    ],
+)
+def test_report_rejects_a_field_the_check_kind_does_not_write(tmp_path, capsys, name, field, value, message):
+    payload = verify_all_small()
+    check = next(c for c in payload["values"]["row_n3"]["checks"] if c["name"] == name)
+    check[field] = value
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert one_line_error(capsys) == f"error: cannot read certificate: row_n3: check {name!r}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "detail",
+    [
+        "10 points, max relative residual 0.5, dps=5",  # would otherwise read as passed
+        "10 points, max relative residual 1.65509e-13, dps=49",
+        "10 points, max relative residual 1.6551e-13, dps=50",
+        "0 points, max relative residual 1.65509e-13, dps=50",
+        "10 points, max relative residual 1.65509e-13",
+        "",
+    ],
+)
+def test_report_rejects_an_approximate_detail_that_does_not_record_its_residual(tmp_path, capsys, detail):
+    payload = verify_all_small()
+    check = next(c for c in payload["values"]["row_n3"]["checks"] if c["name"] == "barrier[bare]/barrier_ode_residual")
+    assert check["residual"] == "1.65509e-13"
+    check["detail"] = detail
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert one_line_error(capsys) == ("error: cannot read certificate: row_n3: check "
+                                      f"'barrier[bare]/barrier_ode_residual': detail {detail!r} does not record its "
+                                      "residual '1.65509e-13' at dps >= 50\n")
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_report_reads_a_certificate_written_with_the_precision_setting(tmp_path, capsys, digits):
+    # before every mpmath computation ran at rational.DPS, the environment recorded
+    # float_precision_digits, which could exceed 50
+    payload = verify_all_small()
+    rows = [payload["values"][f"row_n{n}"] for n in (3, 4, 5)]
+    for cert in [payload, *rows]:
+        cert["environment"] = {**cert["environment"], "float_precision_digits": digits}
+    text = json.dumps(payload, indent=2).replace("dps=50", f"dps={digits}")
+    text = text.replace('"internal_dps": 50', f'"internal_dps": {digits}')
+    path = tmp_path / "cert.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["report", str(path)]) == 0
+    assert "status: passed" in capsys.readouterr().out
+    assert json.dumps(Certificate.read(path).to_jsonable(), indent=2) == text
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,14 @@ from stabcert.config import RunConfig, load_config
 def test_environment_keys_and_order():
     # certificates record these keys in this order; a change shows in their bytes
     assert list(RunConfig().environment()) == [
-        "c_ms", "radius", "s", "s1", "float_precision_digits", "curvature_samples", "quadform_samples",
-        "barrier_samples", "seed", "denominator_bound",
+        "c_ms", "radius", "s", "s1", "curvature_samples", "quadform_samples", "barrier_samples", "seed",
+        "denominator_bound",
     ]
 
 
 def test_file_round_trip_of_every_field(tmp_path):
     cfg = RunConfig(
-        c_ms=2.5, radius=150.0, s=F(7, 3), s1=F(9, 2), float_precision_digits=60, curvature_samples=7,
+        c_ms=2.5, radius=150.0, s=F(7, 3), s1=F(9, 2), curvature_samples=7,
         quadform_samples=8, barrier_samples=9, seed=11, denominator_bound=999,
         out_dir=Path("some/dir"),
     )

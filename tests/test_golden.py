@@ -4,16 +4,19 @@ The files were written by the same commands; any change to a certificate,
 search result or margin profile shows up here as a byte difference.  A change
 that alters these outputs on purpose rewrites the files and says why.  Every
 golden certificate also reads and rewrites to its own bytes, and ``report``
-refuses every search result file.
+refuses every search result file.  At twice ``rational.DPS`` digits every
+output is the same apart from the digits it records.
 """
 
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import libmp
 
 from stabcert.certificate import Certificate
 from stabcert.cli import main
@@ -108,3 +111,27 @@ def recursion_transcript(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(RECURSION_RUNS))
 def test_recursion_sim_output_bytes(name):
     assert recursion_transcript(name) == (DATA / name).read_text(encoding="utf-8")
+
+
+def test_outputs_are_the_same_at_twice_the_digits(tmp_path, monkeypatch):
+    # the evidence that one precision is enough: none of the values computed at
+    # rational.DPS moves at 100 digits, in the digits a certificate or table shows
+    from stabcert import bubble, certificate, iteration  # noqa: F401  (each module that reads DPS, loaded)
+
+    readers = [module for name, module in sys.modules.items()
+               if name.startswith("stabcert") and hasattr(module, "DPS")]
+    assert {module.__name__ for module in readers} >= {"stabcert.rational", "stabcert.bubble", "stabcert.iteration"}
+    for module in readers:
+        monkeypatch.setattr(module, "DPS", 100)
+    monkeypatch.setattr(iteration, "_SIM_PREC", libmp.dps_to_prec(100))
+    monkeypatch.setattr(certificate.ApproxValue, "internal_dps", 100)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("curvature_samples = 300\nquadform_samples = 10\nbarrier_samples = 10\n", encoding="utf-8")
+    out = tmp_path / "verify_all_small.json"
+    assert main(["verify-all", "--config", str(cfg), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.count("dps=100") == 6 and text.count('"internal_dps": 100') == 18
+    text = text.replace("dps=100", "dps=50").replace('"internal_dps": 100', '"internal_dps": 50')
+    assert text == (DATA / out.name).read_text(encoding="utf-8")
+    for name in sorted(RECURSION_RUNS):
+        assert recursion_transcript(name) == (DATA / name).read_text(encoding="utf-8"), name

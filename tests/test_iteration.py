@@ -207,7 +207,7 @@ class TestRecursionSimulator:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            recursion_simulate(0.0, 1.0, 1.0, 3)
+            recursion_simulate(0.0, 1.0, 1.0, 3, 20)
 
     def test_refuses_exponents_past_the_double_range(self):
         # the base-10 exponents of the sequence and its bound fit a double up to step 644

@@ -165,7 +165,7 @@ class TestQuadSurd:
             coeff = F(rng.randrange(-50, 51) or 1, rng.randrange(1, 30))
             rad = F(rng.randrange(0, 80), rng.randrange(1, 30))
             s = QuadSurd.make(coeff, rad)
-            hi = float(s.approx_mp(50))
+            hi = float(s.approx_mp())
             assert (hi > 0) - (hi < 0) == (s.coeff > 0) - (s.coeff < 0)
             assert float(s.coeff**2 * s.radicand) == pytest.approx(hi * hi, rel=1e-12, abs=1e-300)
 
