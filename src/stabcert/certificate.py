@@ -2,24 +2,13 @@
 the records it is built from (checks, constraint reports, published targets,
 approximate values).
 
-All exact values are serialized as strings ("p/q", "r*sqrt(s)"), never as
-binary floats; approximate fields carry an explicit digits annotation.  Every
-check passes or fails, and a certificate containing any failed check has
-overall status "failed".  A computed value that differs from its published one
-is a published target with match false, a discrepancy: it never fails a run
-but is always surfaced.  Files are UTF-8 JSON, schema_version "1", written
-atomically (write-then-rename); the reader requires that schema version,
-every field the writer writes, at least one check, and a recorded overall
-status that its checks give.  Of a check it requires a string detail, a
-margin exactly on a strict margin check and a residual only on an approximate
-one.  It refuses a strict margin check whose status contradicts its margin's
-sign, a sampled check whose status or witness contradicts its sample counts,
-an approximate check whose status its residual contradicts or whose detail
-does not record that residual, at least one point and at least ``DPS``
-digits, and a published target whose match contradicts its strings; it
-reads a verify-all certificate (n = 0) together with the row certificates it
-nests, each with the params its row writes, and requires its params to list
-exactly those rows and its checks to include the two after them.
+Exact values are strings ("p/q", "r*sqrt(s)"), never binary floats, and
+approximate fields carry their digits.  A certificate with a failed check has
+overall status "failed"; a published target whose computed value differs from
+its quoted one is a discrepancy, surfaced but failing nothing.  Files are UTF-8
+JSON, schema_version "1", written atomically.  The reader checks structure
+alone; ``report`` checks content by comparing the file with its recomputation
+(``certify.recompute``) through ``json_difference``.
 """
 
 from __future__ import annotations
@@ -27,10 +16,10 @@ from __future__ import annotations
 import errno
 import json
 import os
-import re
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
@@ -43,13 +32,8 @@ SCHEMA_VERSION = "1"
 
 # The detail of a strict margin check: it passes exactly when its margin is > 0.
 STRICT_MARGIN = "> 0"
-# ``CertCheck.sampled``'s detail: N >= 1 samples, V violations (group 3 if V > 0), a witness (group 4)
-_SAMPLED_DETAIL = re.compile(r"([1-9]\d*) samples, (0|([1-9]\d*)) violations, seed=\d+(; first witness: .+)?")
 # An approximate check passes when its worst residual, a decimal as ``mpmath.nstr`` prints it, is at most this.
 APPROXIMATE_TOLERANCE = 1e-9
-_RESIDUAL = re.compile(r"\d+(\.\d+)?(e[-+]?\d+)?")
-# ``CertCheck.approximate``'s detail: N >= 1 points, the residual R (group 2) and the digits D (group 3)
-_APPROXIMATE_DETAIL = re.compile(r"([1-9]\d*) points, max relative residual (\S+), dps=([1-9]\d*)")
 
 
 def check_output_path(path: Path) -> None:
@@ -139,6 +123,8 @@ class CertCheck:
 
     @staticmethod
     def from_jsonable(d: dict) -> "CertCheck":
+        """The check ``d`` records: a string name, a known kind and status, and
+        where present a "p/q" margin and a string residual and detail."""
         try:
             name, kind, status = d["name"], d["kind"], d["status"]
         except KeyError as exc:
@@ -149,39 +135,14 @@ class CertCheck:
             raise ValueError(f"check {name!r}: unknown kind {kind!r}")
         if status not in ("pass", "fail"):
             raise ValueError(f"check {name!r}: unknown status {status!r}")
-        margin = d.get("margin")
+        margin, residual, detail = d.get("margin"), d.get("residual"), d.get("detail", "")
         if margin is not None:
             try:
                 margin = rational_from_str(margin)
             except ValueError:
                 raise ValueError(f"check {name!r}: margin {margin!r} is not a rational") from None
-        detail = d.get("detail", "")
-        if detail == STRICT_MARGIN:
-            # a Fraction's sign is its numerator's, and comparing the int skips Fraction's comparison
-            if margin is None or (margin.numerator > 0) != (status == "pass"):
-                raise ValueError(f"check {name!r}: status {status!r} contradicts its margin {d.get('margin')!r} > 0")
-        elif margin is not None:
-            raise ValueError(f"check {name!r}: a margin, {d['margin']!r}, on a check whose detail "
-                             f"{detail!r} is not {STRICT_MARGIN!r}")
-        if kind == "sampled":  # V <= N, and a pass and no witness exactly when V = 0
-            match = isinstance(detail, str) and _SAMPLED_DETAIL.fullmatch(detail)
-            recorded = match and int(match[2]) <= int(match[1]) and (match[3] is None) == (match[4] is None)
-            if not recorded or (status == "pass") != (match[3] is None):
-                raise ValueError(f"check {name!r}: detail {detail!r} does not record a {status!r}")
-        residual = d.get("residual")
-        if kind == "approximate":  # printed to 6 digits, a pass never reads above the tolerance nor a breach below
-            tol = Fraction(str(APPROXIMATE_TOLERANCE))
-            value = Fraction(residual) if isinstance(residual, str) and _RESIDUAL.fullmatch(residual) else None
-            if value is None or (value > tol if status == "pass" else value < tol):
-                raise ValueError(f"check {name!r}: residual {residual!r} does not record a {status!r} "
-                                 f"at tolerance {APPROXIMATE_TOLERANCE}")
-            # at least DPS digits, so a certificate computed at more still reads
-            match = isinstance(detail, str) and _APPROXIMATE_DETAIL.fullmatch(detail)
-            if not match or match[2] != residual or int(match[3]) < DPS:
-                raise ValueError(f"check {name!r}: detail {detail!r} does not record its residual {residual!r} "
-                                 f"at dps >= {DPS}")
-        elif residual is not None:
-            raise ValueError(f"check {name!r}: a residual, {residual!r}, on a check of kind {kind!r}")
+        if residual is not None and not isinstance(residual, str):
+            raise ValueError(f"check {name!r}: residual {residual!r} is not a string")
         if not isinstance(detail, str):
             raise ValueError(f"check {name!r}: detail {detail!r} is not a string")
         return CertCheck(name, kind, status, margin, residual, detail)
@@ -247,9 +208,6 @@ class PublishedTarget:
             raise ValueError(f"a published target has no {exc.args[0]}") from None
         if not isinstance(match, bool):
             raise ValueError(f"published target {quantity!r}: match {match!r} is not a boolean")
-        # both writers set match to quoted == computed, on canonical "p/q" strings
-        if not (type(quoted) is type(computed) is str and match == (quoted == computed)):
-            raise ValueError(f"published target {quantity!r}: match {match} contradicts {quoted!r} vs {computed!r}")
         return PublishedTarget(quantity, quoted, computed, match)
 
 
@@ -292,7 +250,7 @@ class Certificate:
     @staticmethod
     def from_jsonable(d: dict) -> "Certificate":
         """The certificate ``d`` records: every field ``to_jsonable`` writes, with
-        its JSON type, at least one check, and the overall status they give."""
+        its JSON type, each flag a JSON object and each check read by ``CertCheck``."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         missing = [key for key, _ in _FIELDS if key not in d]
@@ -304,74 +262,14 @@ class Certificate:
         if d["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"schema_version {d['schema_version']!r} is not {SCHEMA_VERSION!r}, "
                              "the one this reader reads")
-        if not d["checks"]:
-            raise ValueError("no checks: a certificate without evidence certifies nothing")
         if not all(isinstance(flag, dict) for flag in d["flags"]):
             raise ValueError("every flag must be a JSON object")
         if not all(isinstance(check, dict) for check in d["checks"]):
             raise ValueError("every check must be a JSON object")
-        # compared before any check is read, so an edited status is named as
-        # such even where it also contradicts the check's own margin
-        status = "failed" if any(check.get("status") == "fail" for check in d["checks"]) else "passed"
-        if d["overall_status"] != status:
-            raise ValueError(f"overall_status {d['overall_status']!r} disagrees with the checks, which give "
-                             f"{status!r}")
-        cert = Certificate(
-            n=d["n"],
-            params=dict(d["params"]),
-            checks=[CertCheck.from_jsonable(c) for c in d["checks"]],
-            published_targets=[PublishedTarget.from_jsonable(t) for t in d["published_targets"]],
-            values=dict(d["values"]),
-            flags=list(d["flags"]),
-            environment=dict(d["environment"]),
-            schema_version=d["schema_version"],
-        )
-        if cert.n == 0:
-            cert._read_rows()
-        return cert
-
-    def _read_rows(self) -> None:
-        """Read strictly each row certificate ``values["row_nN"]`` that a
-        ``row_nN_overall`` check stands for, its n = N before the rest, with the
-        params its row writes (``ParamSet.from_strings``); require the check to
-        pass exactly when that row passed, params to list exactly these rows,
-        and the table checks that ``certify_all`` writes after the rows."""
-        from .curvature import ParamSet  # curvature imports this module
-
-        keys = []
-        for check in self.checks:
-            key = check.name.removesuffix("_overall")
-            if not key.startswith("row_n") or key == check.name:
-                continue
-            keys.append(key)
-            if key not in self.values:
-                raise ValueError(f"check {check.name!r}: no {key} in values")
-            nested = self.values[key]
-            # n before the rest, so that a verify-all certificate (n = 0) nested here is never read
-            n = nested.get("n") if isinstance(nested, dict) else None
-            if type(n) is int and (n == 0 or key != f"row_n{n}"):
-                raise ValueError(f"{key} is the certificate of n = {n}")
-            try:
-                row = Certificate.from_jsonable(nested)
-                ParamSet.from_strings(row.params, row.n)
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-            if check.satisfied != (row.overall_status == "passed"):
-                raise ValueError(f"check {check.name!r}: status {check.status!r} disagrees with {key}, "
-                                 f"which {row.overall_status}")
-        if not keys or self.params != {"rows": ",".join(key.removeprefix("row_n") for key in keys)}:
-            raise ValueError(f"params {self.params} do not list the rows of the row checks, {keys}")
-        missing = [name for name in _TABLE_CHECKS if name not in {check.name for check in self.checks}]
-        if missing:
-            raise ValueError(f"no {missing[0]} check, which verify-all writes after its rows")
-
-    @staticmethod
-    def from_json(s: str) -> "Certificate":
-        try:
-            d = json.loads(s)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply to read") from None
-        return Certificate.from_jsonable(d)
+        checks = [CertCheck.from_jsonable(c) for c in d["checks"]]
+        targets = [PublishedTarget.from_jsonable(t) for t in d["published_targets"]]
+        return Certificate(d["n"], dict(d["params"]), checks, targets, dict(d["values"]), list(d["flags"]),
+                           dict(d["environment"]), d["schema_version"])
 
     def write(self, path: str | Path) -> None:
         """Atomic write; see ``write_json``."""
@@ -380,11 +278,41 @@ class Certificate:
     @staticmethod
     def read(path: str | Path) -> "Certificate":
         with open(path, encoding="utf-8") as fh:
-            return Certificate.from_json(fh.read())
+            return Certificate.from_jsonable(parse_json(fh.read()))
 
 
-# The checks of the delta_c collapse that verify-all writes after its rows
-_TABLE_CHECKS = ("critical_radicand_perfect_square", "exponent_exceeds_dimension_above_threshold")
 # The key and JSON type of every field ``Certificate.to_jsonable`` writes, in its order.
 _FIELDS = tuple((key, type(value)) for key, value in Certificate(n=0).to_jsonable().items())
 _JSON_TYPES = {int: "an integer", str: "a string", list: "a JSON array", dict: "a JSON object"}
+
+
+def parse_json(text: str):
+    """The JSON value of ``text``; a ValueError, not a RecursionError, when it nests too deeply."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+
+
+def json_difference(got, want, path: str = "") -> str | None:
+    """Where the JSON value ``got`` first differs from ``want``, as "PATH is X, not Y",
+    types included (1, 1.0 and true differ) and key order not; None when they are equal.
+    Each "environment" key of an object in ``want`` is left out: it records the run."""
+    if type(got) is type(want) is dict:
+        keys = [key for key in {**want, **got} if key != "environment" or key not in want]
+        pairs = [((f"{path}.{key}" if key.isidentifier() else f"{path}[{json.dumps(key)}]").lstrip("."),
+                  got.get(key, _ABSENT), want.get(key, _ABSENT)) for key in keys]
+    elif type(got) is type(want) is list:
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip_longest(got, want, fillvalue=_ABSENT))]
+    elif type(got) is type(want) and got == want:
+        return None
+    else:
+        return f"{path} is {_brief(got)}, not {_brief(want)}"
+    return next(filter(None, (json_difference(a, b, where) for where, a, b in pairs)), None)
+
+
+_ABSENT = object()  # the value of a key or index that one side lacks
+
+
+def _brief(value) -> str:
+    return {dict: "a JSON object", list: "a JSON array", object: "absent"}.get(type(value)) or json.dumps(value)

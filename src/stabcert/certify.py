@@ -21,6 +21,9 @@ exact recertification has just computed, with the search's result values;
 it draws no samples, so a search loads no high-precision code.  verify-all's
 bundles the three built-in rows' certificates with the delta1 table and the
 iteration constants at delta = 1.
+
+Each is a deterministic function of its params and the settings its
+environment records, so ``recompute`` rebuilds it from them.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import curvature, published
-from .certificate import ApproxValue, CertCheck, Certificate, ConstraintReport, PublishedTarget
-from .config import ConfigError, RunConfig
+from .certificate import ApproxValue, CertCheck, Certificate, ConstraintReport, PublishedTarget, json_difference
+from .config import _PARSERS, ConfigError, RunConfig
 from .curvature import ParamSet
 from .optimize import ChainValues, SearchResult, exact_chain
 from .rational import rational_to_str as rts
@@ -211,3 +214,30 @@ def certify_all(cfg: RunConfig) -> Certificate:
     )
     cert.values["iteration_grid"] = grid
     return cert
+
+
+# environment keys that are no setting; the digits were one before the precision was fixed
+_METADATA = ("objective", "evaluations_used", "float_precision_digits")
+
+
+def recompute(cert: Certificate) -> Certificate:
+    """The certificate stabcert writes for ``cert``'s params under the settings its
+    environment records, each ``RunConfig.environment()`` field as a run writes it
+    (the ``_METADATA`` keys aside): ``certify_all``'s for n = 0, a search result's
+    margin chain with ``cert``'s result values when the environment names an
+    objective, else ``certify``'s.  Settings and params are read before anything runs."""
+    settings = {key: value for key, value in cert.environment.items() if key not in _METADATA}
+    try:
+        cfg = RunConfig(**{key: _PARSERS[key](value) for key, value in settings.items() if key in _PARSERS})
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"environment: {exc}") from None
+    if difference := json_difference(settings, cfg.environment(), "environment"):
+        raise ValueError(f"{difference} as a run records its settings")
+    if cert.n == 0:
+        return certify_all(cfg)
+    params = ParamSet.from_strings(cert.params, cert.n)
+    if "objective" not in cert.environment:
+        return certify(params, cfg)
+    recomputed = chain_certificate(params, exact_chain(params)[0], cfg)
+    recomputed.values = cert.values
+    return recomputed

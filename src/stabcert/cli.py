@@ -8,11 +8,10 @@ Exit-code contract (scriptable CI usage):
     4  search finished without a certified result
 
 This module parses arguments, checks output paths, writes files and maps
-results to exit codes; ``stabcert.certify`` builds every certificate it
-writes.  Certificates are written atomically by a single writer; report
-rendering is read-only and never alters numeric fields.  High-precision
-modules (mpmath, iteration, bubble) load on first use, so optimize and report
-never load them.
+results to exit codes; ``stabcert.certify`` builds every certificate it writes
+and recomputes each one ``report`` reads, which must equal that recomputation.
+report never writes.  High-precision modules (mpmath, iteration, bubble) load
+on first use, so optimize, and report on a search certificate, never load them.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import optimize, published
-from .certificate import Certificate, check_output_path, write_json
-from .certify import certify, certify_all, result_certificate
+from .certificate import Certificate, check_output_path, json_difference, parse_json, write_json
+from .certify import certify, certify_all, recompute, result_certificate
 from .config import ConfigError, RunConfig, load_config
 from .curvature import ParamSet
 from .rational import rational_to_str
@@ -180,9 +179,10 @@ def cmd_recursion_sim(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        cert = Certificate.read(args.certificate)
-        if cert.n:  # a row's certificate; verify-all's (n = 0) has its rows' read with it
-            ParamSet.from_strings(cert.params, cert.n)
+        payload = parse_json(Path(args.certificate).read_text(encoding="utf-8"))
+        cert = Certificate.from_jsonable(payload)
+        if difference := json_difference(payload, recompute(cert).to_jsonable()):
+            raise ValueError(f"{difference} as recomputed from its params and settings")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE

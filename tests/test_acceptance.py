@@ -186,7 +186,7 @@ def test_criterion_12_optimizer_witness_dominance():
         assert result.certified
         assert result.delta0 <= published.DELTA0[n]
         cert = result_certificate(result, cfg_env)
-        replayed = Certificate.from_json(json.dumps(cert.to_jsonable()))
+        replayed = Certificate.from_jsonable(json.loads(json.dumps(cert.to_jsonable())))
         params, report_ = reverify(replayed.params)
         assert report_.all_satisfied
         stored = {c.name: c.margin for c in replayed.checks if c.margin is not None}

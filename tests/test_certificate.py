@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stabcert.certificate import STRICT_MARGIN, CertCheck, Certificate, PublishedTarget
+from stabcert.certificate import STRICT_MARGIN, CertCheck, Certificate, PublishedTarget, json_difference
 from stabcert.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PASS,
@@ -27,7 +27,7 @@ def sample_certificate() -> Certificate:
 
 def test_round_trip_field_for_field():
     cert = sample_certificate()
-    clone = Certificate.from_json(json.dumps(cert.to_jsonable()))
+    clone = Certificate.from_jsonable(json.loads(json.dumps(cert.to_jsonable())))
     assert clone == cert
     # and exact values survive bit-exactly
     assert clone.checks[0].margin == F(24, 121)
@@ -55,12 +55,12 @@ def test_exit_codes_are_pure_functions_of_content():
     assert exit_code_for(cert, strict=False) == EXIT_PASS
     assert exit_code_for(cert, strict=True) == EXIT_PASS
 
-    replay = Certificate.from_json(json.dumps(cert.to_jsonable()))
+    replay = Certificate.from_jsonable(json.loads(json.dumps(cert.to_jsonable())))
     replay.published_targets.append(PublishedTarget("L", "71/11", "72/11", False))
     assert exit_code_for(replay, strict=False) == EXIT_PASS
     assert exit_code_for(replay, strict=True) == EXIT_STRICT_DISCREPANCY
 
-    failed = Certificate.from_json(json.dumps(replay.to_jsonable()))
+    failed = Certificate.from_jsonable(json.loads(json.dumps(replay.to_jsonable())))
     failed.checks.append(CertCheck("y", "exact", "fail"))
     assert exit_code_for(failed, strict=False) == EXIT_CHECK_FAILED
     assert exit_code_for(failed, strict=True) == EXIT_CHECK_FAILED
@@ -89,3 +89,24 @@ def test_reader_requires_every_key_the_writer_writes(key):
     del payload[key]
     with pytest.raises(ValueError, match=f"not a certificate: no {key}$"):
         Certificate.from_jsonable(payload)
+
+
+@pytest.mark.parametrize(
+    "got, want, difference",
+    [
+        ({"a": 1, "b": [1, 2]}, {"b": [1, 2], "a": 1}, None),  # key order is no difference
+        ({"a": 1.0}, {"a": 1}, "a is 1.0, not 1"),  # nor a JSON number of another type
+        ({"a": True}, {"a": 1}, "a is true, not 1"),
+        ({"a": "1"}, {"a": 1}, 'a is "1", not 1'),
+        ({"a": [1]}, {"a": [1, 2]}, "a[1] is absent, not 2"),
+        ({"a": [1, {}]}, {"a": [1]}, "a[1] is a JSON object, not absent"),
+        ({"a": {"b c": [0]}}, {"a": {"b c": [1]}}, 'a["b c"][0] is 0, not 1'),
+        ({}, {"a": []}, "a is absent, not a JSON array"),
+        # an environment block of the expected value is left out, no other key
+        ({"environment": {"seed": 1}, "rows": [{"environment": 2}]}, {"environment": {}, "rows": [{"environment": 3}]},
+         None),
+        ({"x": {"environment": 2}}, {"x": {}}, "x.environment is 2, not absent"),
+    ],
+)
+def test_json_difference_names_the_first_path_that_differs(got, want, difference):
+    assert json_difference(got, want) == difference

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from stabcert import cli, optimize, published
-from stabcert.certificate import CertCheck, Certificate
+from stabcert.certificate import CertCheck, Certificate, json_difference
 from stabcert.cli import main
+from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet
 
 
@@ -358,12 +360,25 @@ def write_certificate(path: Path, payload: dict) -> Path:
     return path
 
 
-def complete_certificate(n: int = 3, check: dict | None = None) -> dict:
-    """Every field a written certificate has, with one passing check (``check`` if
-    given) and, for an n with a built-in row, that row's params."""
-    check = check or {"name": "epsilon", "kind": "exact", "status": "pass"}
-    params = ParamSet.published_row(n).as_strings() if n in published.PARAM_ROWS else {}
-    return {**Certificate(n=n).to_jsonable(), "params": params, "checks": [check]}
+DATA = Path(__file__).parent / "data"
+
+
+def verify_all_small() -> dict:
+    return json.loads((DATA / "verify_all_small.json").read_text("utf-8"))
+
+
+def search_certificate(n: int) -> dict:
+    return json.loads((DATA / f"search_n{n}_seed5_certificate.json").read_text("utf-8"))
+
+
+def assert_refused(tmp_path, capsys, payload: dict, golden: dict, why: str = "") -> None:
+    """``report`` exits 2 on ``payload``, an edited copy of the certificate
+    ``golden``, on one line naming where it first differs from ``golden``, which
+    is also where it first differs from its recomputation."""
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2, why
+    difference = json_difference(payload, golden)
+    assert one_line_error(capsys) == (f"error: cannot read certificate: {difference} "
+                                      "as recomputed from its params and settings\n"), why
 
 
 @pytest.mark.parametrize(
@@ -378,7 +393,7 @@ def complete_certificate(n: int = 3, check: dict | None = None) -> dict:
     ],
 )
 def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message):
-    payload = complete_certificate()
+    payload = search_certificate(3)
     payload["checks"][0][field] = value
     assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
     assert message in one_line_error(capsys)
@@ -391,13 +406,13 @@ def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message)
         ("published_targets", [{"quantity": "epsilon", "quoted": "9/11", "computed": "1/2", "match": "no"}],
          "not a boolean"),  # would otherwise render as a match
         ("params", None, "params None is not a JSON object"),
-        ("checks", [], "no checks"),  # would otherwise pass on zero evidence
+        ("checks", [], "checks[0] is absent"),  # would otherwise pass on zero evidence
         ("checks", [{"name": "epsilon", "kind": "exact"}], "a check has no status"),
         ("schema_version", "7", "schema_version '7' is not '1'"),  # would otherwise render as passed
     ],
 )
 def test_report_rejects_malformed_flags_and_targets(tmp_path, capsys, field, value, message):
-    payload = {**complete_certificate(), field: value}
+    payload = {**search_certificate(3), field: value}
     assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
     assert message in one_line_error(capsys)
 
@@ -415,39 +430,35 @@ def test_report_rejects_malformed_flags_and_targets(tmp_path, capsys, field, val
     ],
 )
 def test_report_rejects_malformed_n_name_and_kind(tmp_path, capsys, n, check, message):
-    path = write_certificate(tmp_path / "cert.json", complete_certificate(n, check))
-    assert run(["report", str(path)]) == 2
+    payload = {**search_certificate(3), "n": n, "checks": [check]}
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
     assert message in one_line_error(capsys)
 
 
 def test_report_rejects_a_status_its_checks_do_not_give(tmp_path, capsys):
-    payload = json.loads((Path(__file__).parent / "data" / "search_n3_seed5_certificate.json").read_text("utf-8"))
+    payload = search_certificate(3)
     assert payload["overall_status"] == "passed"
     payload["checks"][3]["status"] = "fail"
     assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert "overall_status 'passed' disagrees with the checks, which give 'failed'" in one_line_error(capsys)
+    assert one_line_error(capsys) == ('error: cannot read certificate: checks[3].status is "fail", not "pass" '
+                                      "as recomputed from its params and settings\n")
 
 
-def test_report_accepts_verify_all_n_zero(tmp_path, capsys):
-    check = {"name": "row_n3_overall", "kind": "exact", "status": "pass"}
-    payload = complete_certificate(0, check)
-    payload["checks"] += [{**check, "name": name} for name in TABLE_CHECKS]
-    payload["params"] = {"rows": "3"}
-    payload["values"]["row_n3"] = complete_certificate(3)
-    path = write_certificate(tmp_path / "cert.json", payload)
-    assert run(["report", str(path)]) == 0
+def test_report_accepts_verify_all_n_zero(capsys):
+    assert run(["report", str(DATA / "verify_all_small.json")]) == 0
     assert "n = 0, status: passed" in capsys.readouterr().out
 
 
 def test_report_reads_the_rows_verify_all_nests(tmp_path, capsys):
-    payload = json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text("utf-8"))
+    payload = verify_all_small()
     payload["values"]["row_n3"]["checks"][0]["status"] = "fail"
     assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert "row_n3: overall_status 'passed' disagrees" in one_line_error(capsys)
+    assert one_line_error(capsys) == ('error: cannot read certificate: values.row_n3.checks[0].status is "fail", '
+                                      'not "pass" as recomputed from its params and settings\n')
 
 
-def verify_all_small() -> dict:
-    return json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text("utf-8"))
+def check_of_row_n3(payload: dict, name: str) -> dict:
+    return next(c for c in payload["values"]["row_n3"]["checks"] if c["name"] == name)
 
 
 # the checks verify-all writes after its rows
@@ -459,9 +470,7 @@ def test_report_rejects_verify_all_without_its_table_checks(tmp_path, capsys, dr
     # would otherwise read as passed
     payload = verify_all_small()
     payload["checks"] = [c for c in payload["checks"] if c["name"] not in dropped]
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert one_line_error(capsys) == (f"error: cannot read certificate: no {dropped[0]} check, "
-                                      "which verify-all writes after its rows\n")
+    assert_refused(tmp_path, capsys, payload, verify_all_small())
 
 
 @pytest.mark.parametrize(
@@ -485,9 +494,7 @@ def test_report_rejects_an_approximate_status_its_residual_contradicts(tmp_path,
     if status == "fail":
         row["overall_status"] = payload["overall_status"] = "failed"
         payload["checks"][0]["status"] = "fail"  # row_n3_overall
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert one_line_error(capsys) == (f"error: cannot read certificate: row_n3: check {check['name']!r}: residual "
-                                      f"{residual!r} does not record a {status!r} at tolerance 1e-09\n")
+    assert_refused(tmp_path, capsys, payload, verify_all_small())
 
 
 @pytest.mark.parametrize("status", ["pass", "fail"])
@@ -499,7 +506,7 @@ def test_an_approximate_check_at_its_tolerance_reads(status):
 
 
 @pytest.mark.parametrize(
-    "name, field, value, message",
+    "name, field, value, tamper",
     [
         # each would otherwise read as passed
         ("a_equals_b_delta0", "detail", 12345, "detail 12345 is not a string"),
@@ -509,12 +516,10 @@ def test_an_approximate_check_at_its_tolerance_reads(status):
          "a margin, '-1/1', on a check whose detail '300 samples, 0 violations, seed=0' is not '> 0'"),
     ],
 )
-def test_report_rejects_a_field_the_check_kind_does_not_write(tmp_path, capsys, name, field, value, message):
+def test_report_rejects_a_field_the_check_kind_does_not_write(tmp_path, capsys, name, field, value, tamper):
     payload = verify_all_small()
-    check = next(c for c in payload["values"]["row_n3"]["checks"] if c["name"] == name)
-    check[field] = value
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert one_line_error(capsys) == f"error: cannot read certificate: row_n3: check {name!r}: {message}\n"
+    check_of_row_n3(payload, name)[field] = value
+    assert_refused(tmp_path, capsys, payload, verify_all_small(), tamper)
 
 
 @pytest.mark.parametrize(
@@ -530,34 +535,45 @@ def test_report_rejects_a_field_the_check_kind_does_not_write(tmp_path, capsys, 
 )
 def test_report_rejects_an_approximate_detail_that_does_not_record_its_residual(tmp_path, capsys, detail):
     payload = verify_all_small()
-    check = next(c for c in payload["values"]["row_n3"]["checks"] if c["name"] == "barrier[bare]/barrier_ode_residual")
+    check = check_of_row_n3(payload, "barrier[bare]/barrier_ode_residual")
     assert check["residual"] == "1.65509e-13"
     check["detail"] = detail
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert one_line_error(capsys) == ("error: cannot read certificate: row_n3: check "
-                                      f"'barrier[bare]/barrier_ode_residual': detail {detail!r} does not record its "
-                                      "residual '1.65509e-13' at dps >= 50\n")
+    assert_refused(tmp_path, capsys, payload, verify_all_small())
 
 
-@pytest.mark.parametrize("digits", [50, 80])
-def test_report_reads_a_certificate_written_with_the_precision_setting(tmp_path, capsys, digits):
-    # before every mpmath computation ran at rational.DPS, the environment recorded
-    # float_precision_digits, which could exceed 50
+def with_precision_digits(digits: int) -> str:
+    """verify_all_small.json as it was written while the precision was a setting,
+    at ``digits``: the environment records float_precision_digits, and each
+    approximate detail and value its digits."""
     payload = verify_all_small()
     rows = [payload["values"][f"row_n{n}"] for n in (3, 4, 5)]
     for cert in [payload, *rows]:
         cert["environment"] = {**cert["environment"], "float_precision_digits": digits}
     text = json.dumps(payload, indent=2).replace("dps=50", f"dps={digits}")
-    text = text.replace('"internal_dps": 50', f'"internal_dps": {digits}')
+    return text.replace('"internal_dps": 50', f'"internal_dps": {digits}')
+
+
+@pytest.mark.parametrize("digits", [50])
+def test_report_reads_a_certificate_written_with_the_precision_setting(tmp_path, capsys, digits):
+    # float_precision_digits is no setting now, so it is ignored; at 50 digits
+    # the certificate is the one this code computes
     path = tmp_path / "cert.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(with_precision_digits(digits), encoding="utf-8")
     assert run(["report", str(path)]) == 0
     assert "status: passed" in capsys.readouterr().out
-    assert json.dumps(Certificate.read(path).to_jsonable(), indent=2) == text
+    assert json.dumps(Certificate.read(path).to_jsonable(), indent=2) == path.read_text(encoding="utf-8")
+
+
+def test_report_refuses_a_certificate_written_at_more_digits_than_it_computes(tmp_path, capsys):
+    # every approximate value is computed at rational.DPS = 50 digits, so a certificate
+    # written at 80 reads, but records details and values this code does not give
+    payload = json.loads(with_precision_digits(80))
+    assert Certificate.from_jsonable(payload).overall_status == "passed"
+    assert_refused(tmp_path, capsys, payload, verify_all_small())
 
 
 @pytest.mark.parametrize(
-    "target, message",
+    "target, tamper",
     [
         # each would otherwise render, the first as "quoted 1/3 vs computed 1/7 [match]"
         ({"computed": "1/7"}, "match True contradicts '1/3' vs '1/7'"),
@@ -566,12 +582,11 @@ def test_report_reads_a_certificate_written_with_the_precision_setting(tmp_path,
         ({"computed": None, "match": False}, "match False contradicts '1/3' vs None"),
     ],
 )
-def test_report_rejects_a_published_match_its_strings_contradict(tmp_path, capsys, target, message):
+def test_report_rejects_a_published_match_its_strings_contradict(tmp_path, capsys, target, tamper):
     payload = verify_all_small()
     assert payload["published_targets"][0]["quantity"] == "n=3:delta0"
     payload["published_targets"][0].update(target)
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert one_line_error(capsys) == f"error: cannot read certificate: published target 'n=3:delta0': {message}\n"
+    assert_refused(tmp_path, capsys, payload, verify_all_small(), tamper)
 
 
 WITNESS = "; first witness: lambda=['1/2', '-1/2', '0'], E=1"
@@ -596,16 +611,13 @@ WITNESS = "; first witness: lambda=['1/2', '-1/2', '0'], E=1"
 def test_report_rejects_a_sampled_status_its_detail_contradicts(tmp_path, capsys, status, detail):
     payload = verify_all_small()
     row = payload["values"]["row_n3"]
-    check = next(c for c in row["checks"] if c["name"] == "pointwise_curvature_inequality")
+    check = check_of_row_n3(payload, "pointwise_curvature_inequality")
     assert check["kind"] == "sampled"
     check.update(status=status, detail=detail)
     if status == "fail":
         row["overall_status"] = payload["overall_status"] = "failed"
         payload["checks"][0]["status"] = "fail"  # row_n3_overall
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert one_line_error(capsys) == (f"error: cannot read certificate: row_n3: check "
-                                      f"'pointwise_curvature_inequality': detail {detail!r} does not record a "
-                                      f"{status!r}\n")
+    assert_refused(tmp_path, capsys, payload, verify_all_small())
 
 
 @pytest.mark.parametrize("violations", [1, 500])
@@ -640,73 +652,68 @@ def drop_row_n5(payload: dict) -> None:
 def test_report_rejects_verify_all_params_its_row_checks_do_not_give(tmp_path, capsys, edit, params):
     payload = verify_all_small()
     edit(payload)
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert f"cannot read certificate: params {params} do not list the rows of the row checks" in one_line_error(capsys)
+    assert str(payload["params"]) == params
+    assert_refused(tmp_path, capsys, payload, verify_all_small())
 
 
-FAILED_ROW = {
-    **complete_certificate(3, {
-        "name": "pointwise_curvature_inequality", "kind": "sampled", "status": "fail",
-        "detail": "500 samples, 7 violations, seed=0; first witness: lambda=['1', '-1', '0'], E=1",
-    }),
-    "overall_status": "failed",
-}
+GOLDEN_ROWS = {key: row for key, row in verify_all_small()["values"].items() if key.startswith("row_n")}
+FAILED_ROW = {**GOLDEN_ROWS["row_n3"], "overall_status": "failed", "checks": [
+    {**check, "status": "fail", "detail": "300 samples, 7 violations, seed=0; first witness: lambda=['1', '-1'], E=1"}
+    if check["name"] == "pointwise_curvature_inequality" else check
+    for check in GOLDEN_ROWS["row_n3"]["checks"]
+]}
 
 
 @pytest.mark.parametrize(
-    "status, rows, message",
+    "status, rows, tamper",
     [
         ("pass", {}, "no row_n3 in values"),
-        ("pass", {"row_n3": complete_certificate(4)}, "row_n3 is the certificate of n = 4"),
+        ("pass", {"row_n3": GOLDEN_ROWS["row_n4"]}, "row_n3 is the certificate of n = 4"),
         ("pass", {"row_n3": {"n": 3}}, "row_n3: not a certificate"),
         ("pass", {"row_n3": FAILED_ROW}, "disagrees with row_n3, which failed"),
-        ("fail", {"row_n3": complete_certificate(3)}, "disagrees with row_n3, which passed"),
+        ("fail", {"row_n3": GOLDEN_ROWS["row_n3"]}, "disagrees with row_n3, which passed"),
     ],
 )
-def test_report_rejects_a_row_check_its_row_does_not_give(tmp_path, capsys, status, rows, message):
-    payload = complete_certificate(0, {"name": "row_n3_overall", "kind": "exact", "status": status})
+def test_report_rejects_a_row_check_its_row_does_not_give(tmp_path, capsys, status, rows, tamper):
+    payload = verify_all_small()
+    payload["checks"][0]["status"] = status  # row_n3_overall
     payload["overall_status"] = "passed" if status == "pass" else "failed"
+    del payload["values"]["row_n3"]
     payload["values"].update(rows)
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert message in one_line_error(capsys)
+    assert_refused(tmp_path, capsys, payload, verify_all_small(), tamper)
 
 
 def nested_verify_all(key: str, depth: int) -> str:
-    """The JSON text of a verify-all certificate whose ``key`` row is a verify-all
-    certificate, ``depth`` deep, the innermost holding the built-in row of n = 3
+    """The JSON text of verify_all_small.json whose ``key`` row is that
+    certificate again, ``depth`` deep, the innermost holding its row of n = 3
     (``json.dumps`` refuses to nest that deep itself)."""
-    outer = complete_certificate(0, {"name": f"{key}_overall", "kind": "exact", "status": "pass"})
+    outer = verify_all_small()
     outer["values"][key] = None
     head, tail = json.dumps(outer).split("null")
-    return head * depth + json.dumps(complete_certificate(3)) + tail * depth
+    return head * depth + json.dumps(GOLDEN_ROWS["row_n3"]) + tail * depth
 
 
 @pytest.mark.parametrize(
     "text",
     # json.loads raises RecursionError on each, whose traceback would exit 1, the code of a failed check
-    ["[" * 100_000 + "]" * 100_000, nested_verify_all("row_n3", 600)],
+    [lambda: "[" * 100_000 + "]" * 100_000, lambda: nested_verify_all("row_n3", 600)],
     ids=["array", "verify-all"],
 )
 def test_report_refuses_a_file_nested_too_deeply(tmp_path, capsys, text):
     path = tmp_path / "cert.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text(), encoding="utf-8")
     assert run(["report", str(path)]) == 2
     assert "cannot read certificate: JSON nested too deeply to read" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("key", ["row_n3", "row_n0"])
 def test_report_refuses_a_verify_all_certificate_nested_as_a_row(tmp_path, capsys, key):
-    # the nested n is checked before the row is read, so the reader stops at
-    # the first level and names the key once
+    # the comparison stops at the first level that differs and names the key once
     path = tmp_path / "cert.json"
     path.write_text(nested_verify_all(key, 100), encoding="utf-8")
     assert run(["report", str(path)]) == 2
     err = one_line_error(capsys)
-    assert f"cannot read certificate: {key} is the certificate of n = 0" in err and err.count(key) == 1, err
-
-
-def search_certificate(n: int) -> dict:
-    return json.loads((Path(__file__).parent / "data" / f"search_n{n}_seed5_certificate.json").read_text("utf-8"))
+    assert f"cannot read certificate: values.{key}" in err and err.count(key) == 1, err
 
 
 def edit_delta0_and_q(cert: dict) -> None:
@@ -757,12 +764,11 @@ def test_reverify_reads_unknown_keys_by_name():
 
 @pytest.mark.parametrize("n, edit, message", PARAMS_EDITS)
 def test_report_rejects_a_nested_row_whose_params_it_does_not_write(tmp_path, capsys, n, edit, message):
-    payload = json.loads((Path(__file__).parent / "data" / "verify_all_small.json").read_text("utf-8"))
+    payload = verify_all_small()
     row = json.loads(json.dumps(payload["values"][f"row_n{n}"]))
     edit(row)
     payload["values"][f"row_n{row['n']}"] = row  # under the key its n names, which verify-all passes
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert f"row_n{row['n']}: {message}" in one_line_error(capsys)
+    assert_refused(tmp_path, capsys, payload, verify_all_small(), message)
 
 
 @pytest.mark.parametrize(
@@ -770,22 +776,141 @@ def test_report_rejects_a_nested_row_whose_params_it_does_not_write(tmp_path, ca
     [("-5", "pass", "passed"), ("0", "pass", "passed"), ("5", "fail", "failed")],
 )
 def test_report_rejects_a_margin_its_status_contradicts(tmp_path, capsys, margin, status, overall):
-    payload = json.loads((Path(__file__).parent / "data" / "search_n3_seed5_certificate.json").read_text("utf-8"))
+    payload = search_certificate(3)
     check = payload["checks"][0]
     assert (check["name"], check["detail"]) == ("b_positive", "> 0")
     check.update(margin=margin, status=status)
     payload["overall_status"] = overall
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
-    assert f"check 'b_positive': status '{status}' contradicts its margin '{margin}' > 0" in one_line_error(capsys)
+    assert_refused(tmp_path, capsys, payload, search_certificate(3))
 
 
 def test_report_accepts_a_failed_strict_margin(tmp_path, capsys):
-    payload = json.loads((Path(__file__).parent / "data" / "search_n3_seed5_certificate.json").read_text("utf-8"))
-    payload["checks"][0].update(margin="-5", status="fail")
-    payload["overall_status"] = "failed"
-    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 0
+    # the chain-only certificate of a row the chain rejects, as a search writes
+    # it for a candidate that fails recertification
+    published_row = ParamSet.published_row(3)
+    params = ParamSet(3, published_row.a / 4, published_row.b, published_row.alpha, published_row.beta)
+    report = optimize.feasibility(params)
+    result = optimize.SearchResult(n=3, objective="minimize_delta0", best_params=params, certified=False,
+                                   delta0=params.delta0, epsilon=None, constraint_report=report,
+                                   improvement_vs_published=None, evaluations_used=0)
+    path = tmp_path / "cert.json"
+    cli.result_certificate(result, RunConfig()).write(path)
+    assert run(["report", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "status: failed" in out and "fail] b_positive (exact)  margin=-5/1" in out
+    assert "status: failed" in out and "fail] hessian_fxx (exact)  margin=-23/11" in out
+
+
+def fold_row_n3_to_its_margins(payload: dict) -> None:
+    row = payload["values"]["row_n3"]
+    row["checks"] = [c for c in row["checks"] if c.get("detail") == "> 0"]
+    assert len(row["checks"]) == 11
+
+
+def drop_the_objective(payload: dict) -> None:
+    """A search certificate's environment without its objective, so it reads as a
+    row's and lacks the row's evidence; a few samples keep the recomputation short."""
+    del payload["environment"]["objective"]
+    payload["environment"].update(curvature_samples=30, quadform_samples=3, barrier_samples=3)
+
+
+@pytest.mark.parametrize(
+    "name, edit, error",
+    [
+        ("verify_all_small.json", lambda d: d["values"]["row_n3"]["values"].update(epsilon="1/2"),
+         'values.row_n3.values.epsilon is "1/2", not "9/11"'),
+        ("verify_all_small.json", lambda d: d["values"]["iteration_grid"][0].update(C="2^(1/1)"),
+         'values.iteration_grid[0].C is "2^(1/1)", not "2^(11/1)"'),
+        ("verify_all_small.json", lambda d: check_of_row_n3(d, "hessian_fxx").update(margin="1/1"),
+         'values.row_n3.checks[3].margin is "1/1", not "7/11"'),
+        # a row certificate with all its evidence deleted
+        ("verify_all_small.json", fold_row_n3_to_its_margins, "values.row_n3.checks[11] is absent, not a JSON object"),
+        ("verify_all_small.json", lambda d: d["values"].update({"barrier[bare]/x0": "1"}),
+         'values["barrier[bare]/x0"] is "1", not absent'),
+        ("search_n3_seed5_certificate.json",
+         lambda d: d["published_targets"].append({"quantity": 5, "quoted": "1/3", "computed": "1/3", "match": True}),
+         "published_targets[0] is a JSON object, not absent"),
+        ("search_n3_seed5_certificate.json", lambda d: d["flags"].append({"name": "x", "detail": "y"}),
+         "flags[0] is a JSON object, not absent"),
+        ("search_n3_seed5_certificate.json", drop_the_objective, "checks[11] is absent, not a JSON object"),
+    ],
+)
+def test_report_refuses_what_its_recomputation_does_not_give(tmp_path, capsys, name, edit, error):
+    payload = json.loads((DATA / name).read_text("utf-8"))
+    edit(payload)
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert one_line_error(capsys) == (f"error: cannot read certificate: {error} "
+                                      "as recomputed from its params and settings\n")
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda env: env.clear(), "environment.c_ms is absent, not 1.0"),
+        (lambda env: env.update(seed=True), "environment.seed is true, not 1"),
+        (lambda env: env.update(c_ms=1), "environment.c_ms is 1, not 1.0"),
+        (lambda env: env.update(s="100"), 'environment.s is "100", not "100/1"'),
+        (lambda env: env.update(out_dir="."), 'environment.out_dir is ".", not absent'),
+        (lambda env: env.update(budget=1000), "environment.budget is 1000, not absent"),
+    ],
+)
+def test_report_refuses_settings_a_run_does_not_record_before_recomputing(tmp_path, capsys, monkeypatch, edit,
+                                                                          error):
+    # the settings are read first, so a file without them never runs 100,000 samples
+    monkeypatch.setattr("stabcert.certify.certify_all", lambda cfg: pytest.fail("recomputed"))
+    payload = verify_all_small()
+    edit(payload["environment"])
+    assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2
+    assert one_line_error(capsys) == f"error: cannot read certificate: {error} as a run records its settings\n"
+
+
+def leaf_paths(value, path=()):
+    """The path of every scalar in ``value`` outside any "environment" block."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            if key != "environment":
+                yield from leaf_paths(child, (*path, key))
+    else:
+        yield path
+
+
+def edited(value):
+    """A JSON value of the same type that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    return value + "0"
+
+
+def test_report_refuses_every_sampled_leaf_edit_of_verify_all(tmp_path, capsys):
+    paths = list(leaf_paths(verify_all_small()))
+    assert len(paths) > 400
+    for path in random.Random(7).sample(paths, 40):
+        payload = verify_all_small()
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = edited(parent[path[-1]])
+        assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2, path
+        one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "4", "--config", "{fast_config}", "--out", "{out}"],
+        ["verify", "--n", "5", "--config", "{fast_config}", "--out", "{out}"],
+        ["verify-all", "--config", "{fast_config}", "--out", "{out}"],
+        ["optimize", "--n", "4", "--objective", "epsilon", "--out", "{tmp_path}/search.json"],
+    ],
+)
+def test_report_reads_what_each_writer_writes(tmp_path, fast_config, capsys, argv):
+    out = tmp_path / ("search_certificate.json" if argv[0] == "optimize" else "cert.json")
+    assert run([arg.format(fast_config=fast_config, out=out, tmp_path=tmp_path) for arg in argv]) == 0
+    capsys.readouterr()
+    assert run(["report", str(out)]) == 0
+    assert "status: passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -924,11 +1049,12 @@ def test_cli_loads_no_high_precision_modules(tmp_path):
         ["recursion-sim", "--s1", "1e-9", "--n", "4", "--q", "3/4", "--delta", "1"],
         ["verify", "--n", "3", "--config", "{fast_config}", "--out", "{tmp_path}/cert.json"],
         ["verify-all", "--config", "{fast_config}", "--out", "{tmp_path}/all.json"],
+        ["report", "{data}/verify_all_small.json"],
     ],
 )
 def test_deferred_imports_resolve_in_a_fresh_process(tmp_path, fast_config, capsys, argv):
     # these commands load mpmath, iteration or bubble on first use
-    argv = [arg.format(fast_config=fast_config, tmp_path=tmp_path) for arg in argv]
+    argv = [arg.format(fast_config=fast_config, tmp_path=tmp_path, data=DATA) for arg in argv]
     assert run(argv) == 0
     in_process = capsys.readouterr().out
     proc = fresh_python("import sys\nfrom stabcert import cli\nsys.exit(cli.main(sys.argv[1:]))", *argv)

@@ -3,8 +3,9 @@
 The files were written by the same commands; any change to a certificate,
 search result or margin profile shows up here as a byte difference.  A change
 that alters these outputs on purpose rewrites the files and says why.  Every
-golden certificate also reads and rewrites to its own bytes, and ``report``
-refuses every search result file.  At twice ``rational.DPS`` digits every
+golden certificate also reads and rewrites to its own bytes and equals its
+recomputation, which ``report`` requires, and ``report`` refuses every search
+result file.  At twice ``rational.DPS`` digits every
 output is the same apart from the digits it records.
 """
 
@@ -71,7 +72,8 @@ SEARCH_RESULTS = sorted(p.name for p in DATA.glob("search_*.json") if p.name not
 @pytest.mark.parametrize("name", CERTIFICATES)
 def test_certificate_reads_and_rewrites_byte_identically(name):
     text = (DATA / name).read_text(encoding="utf-8")
-    assert json.dumps(Certificate.from_json(text).to_jsonable(), indent=2) + "\n" == text
+    assert json.dumps(Certificate.from_jsonable(json.loads(text)).to_jsonable(), indent=2) + "\n" == text
+    assert main(["report", str(DATA / name)]) == 0  # and equals its recomputation
 
 
 @pytest.mark.parametrize("name", SEARCH_RESULTS)
