@@ -13,9 +13,9 @@ this module derives, exactly:
   bracket multiplied by beta/alpha), both carried through the whole
   downstream chain in parallel,
 * the barrier amplitudes x0 = sqrt(eps/(2 alpha gamma0)) and
-  y0 = (1/(2 beta)) sqrt(alpha eps gamma0 / 2) as exact surds, with their two
-  defining identities 2(beta/alpha) x0 y0 = eps/(2 alpha) and
-  2(beta/alpha) y0/x0 = gamma0 checked in surd arithmetic,
+  y0 = (1/(2 beta)) sqrt(alpha eps gamma0 / 2) as exact surds, whose defining
+  identities x0 y0 = eps/(4 beta) and y0/x0 = alpha gamma0/(2 beta) hold for
+  every positive input and are proved by the tests, not checked per run,
 * area/volume growth constants (approximate fields: pi, exp and unit-ball
   measures are irrational; computed at ``rational.DPS`` = 50 significant
   digits, reported at 12, and never used in pass/fail checks).
@@ -103,21 +103,6 @@ def x0_y0(alpha: Fraction, beta: Fraction, epsilon: Fraction, gamma0_value: Frac
     x0 = QuadSurd.make(Fraction(1), epsilon / (2 * alpha * gamma0_value))
     y0 = QuadSurd.make(1 / (2 * beta), alpha * epsilon * gamma0_value / 2)
     return x0, y0
-
-
-def surd_identities_check(
-    alpha: Fraction, beta: Fraction, epsilon: Fraction, gamma0_value: Fraction, x0: QuadSurd, y0: QuadSurd
-) -> list[CertCheck]:
-    """Exact surd checks of 2(b/a) x0 y0 = eps/(2a) and 2(b/a) y0/x0 = gamma0."""
-    prod = x0 * y0
-    ok1 = prod.is_rational() and 2 * (beta / alpha) * prod.as_rational() == epsilon / (2 * alpha)
-    ratio = y0 / x0
-    ok2 = ratio.is_rational() and 2 * (beta / alpha) * ratio.as_rational() == gamma0_value
-    return [
-        CertCheck.of("barrier_product_identity", ok1,
-                     detail=f"2(beta/alpha)*x0*y0 vs epsilon/(2 alpha); x0*y0 = {prod}"),
-        CertCheck.of("barrier_ratio_identity", ok2, detail=f"2(beta/alpha)*y0/x0 vs gamma0; y0/x0 = {ratio}"),
-    ]
 
 
 def barrier_ode_check(x0: QuadSurd, y0: QuadSurd, sample_count: int) -> list[CertCheck]:

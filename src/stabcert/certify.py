@@ -9,18 +9,22 @@ A row's certificate has up to three sections, in this order:
   were computed from (D, Q, F's endpoint values, epsilon, mcc, L_max, gamma0),
   read from the chain's single exact evaluation; the pointwise curvature
   sampling of that Q, the quadratic-form sampling of that mcc and its exact
-  vertex identity; and, under both gamma0 conventions, the barrier data with
-  its exact surd identities and the barrier ODE;
+  vertex identity; and, under both gamma0 conventions, the barrier data and
+  the barrier ODE;
 * the published comparison, appended only for a built-in row: the check
   a = b*delta0, and one published target for each of delta0, epsilon, L and
   gamma0; a target whose computed value differs from the published one is a
   discrepancy, and the values it was computed from are in the evidence.
 
 A search result's certificate is the margin chain of its row, which
-exact recertification has just computed, with the search's result values;
-it draws no samples, so a search loads no high-precision code.  verify-all's
-bundles the three built-in rows' certificates with the delta1 table and the
-iteration constants at delta = 1.
+exact recertification has just computed; the search's result values stay in
+its result file.  It draws no samples, so a search loads no high-precision
+code.  verify-all's bundles the three built-in rows' certificates with the
+delta1 table and the iteration constants at delta = 1.
+
+An identity that holds for every input (the critical collapse, the barrier
+amplitudes' product and ratio) is a fact of the code, not of a row: the tests
+prove it, and no certificate carries it.
 
 Each is a deterministic function of its params and the settings its
 environment records, so ``recompute`` rebuilds it from them.
@@ -107,8 +111,6 @@ def _evidence(cert: Certificate, params: ParamSet, chain: ChainValues, cfg: RunC
         cert.values[f"{prefix}/y0"] = str(branch.y0)
         cert.values[f"{prefix}/area_const"] = branch.area_const.to_jsonable()
         cert.values[f"{prefix}/volume_const"] = branch.volume_const.to_jsonable()
-        identities = bubble.surd_identities_check(alpha, beta, eps, branch.gamma0, branch.x0, branch.y0)
-        cert.checks += _prefixed(prefix, identities)
         ode = bubble.barrier_ode_check(branch.x0, branch.y0, cfg.barrier_samples)
         cert.checks += _prefixed(prefix, ode)
 
@@ -133,12 +135,6 @@ def result_certificate(result: SearchResult, cfg: RunConfig) -> Certificate:
     cert = chain_certificate(result.best_params, result.constraint_report, cfg)
     cert.environment["objective"] = result.objective
     cert.environment["evaluations_used"] = result.evaluations_used
-    if result.epsilon is not None:
-        cert.values["epsilon"] = rts(result.epsilon)
-    if result.delta0 is not None:
-        cert.values["delta0"] = rts(result.delta0)
-    if result.improvement_vs_published is not None:
-        cert.values["improvement_vs_published"] = rts(result.improvement_vs_published)
     return cert
 
 
@@ -193,25 +189,6 @@ def certify_all(cfg: RunConfig) -> Certificate:
     for n in published.SUPPORTED_N:
         value, quoted = iteration.delta1_of(n), published.DELTA1[n]
         cert.published_targets.append(PublishedTarget(f"delta1(n={n})", rts(quoted), rts(value), value == quoted))
-    collapse_ok = all(iteration.collapse_sqrt(n) == Fraction((n - 2) ** 2, 4 * (n - 1)) for n in range(3, 13))
-    cert.checks.append(
-        CertCheck.of(
-            "critical_radicand_perfect_square",
-            collapse_ok,
-            detail="sqrt(delta_c(delta_c-(n-2)/n)) = (n-2)^2/(4(n-1)) for n=3..12",
-        )
-    )
-    exponents_ok = all(
-        iteration.critical_delta_exponent(n, iteration.critical_delta_threshold(n) + Fraction(1, 1000))
-        for n in published.SUPPORTED_N
-    )
-    cert.checks.append(
-        CertCheck.of(
-            "exponent_exceeds_dimension_above_threshold",
-            exponents_ok,
-            detail="p = 4k+2 > n at delta = delta_c + 1/1000",
-        )
-    )
     cert.values["iteration_grid"] = grid
     return cert
 
@@ -224,8 +201,8 @@ def recompute(cert: Certificate) -> Certificate:
     """The certificate stabcert writes for ``cert``'s params under the settings its
     environment records, each ``RunConfig.environment()`` field as a run writes it
     (the ``_METADATA`` keys aside): ``certify_all``'s for n = 0, a search result's
-    margin chain with ``cert``'s result values when the environment names an
-    objective, else ``certify``'s.  Settings and params are read before anything runs."""
+    margin chain when the environment names an objective, else ``certify``'s.
+    Settings and params are read before anything runs."""
     settings = {key: value for key, value in cert.environment.items() if key not in _METADATA}
     try:
         cfg = RunConfig(**{key: _PARSERS[key](value) for key, value in settings.items() if key in _PARSERS})
@@ -238,6 +215,4 @@ def recompute(cert: Certificate) -> Certificate:
     params = ParamSet.from_strings(cert.params, cert.n)
     if "objective" not in cert.environment:
         return certify(params, cfg)
-    recomputed = chain_certificate(params, exact_chain(params)[0], cfg)
-    recomputed.values = cert.values
-    return recomputed
+    return chain_certificate(params, exact_chain(params)[0], cfg)

@@ -4,10 +4,10 @@ Covers the exact pieces of the weighted-test-function iteration:
 
 * the Caccioppoli positivity coefficient (2k + 1/n - 1/2 - 1/s) delta/k^2 - 2
   and the resulting constants C1, C2 (C2 = (p^2 C1 / 4)^(p/2), p = 4k + 2),
-* the critical threshold delta_c = n(n-2)/(4(n-1)) where the upper endpoint
+* the critical threshold delta_c = n(n-2)/(4(n-1)), where the upper endpoint
   delta + sqrt(delta(delta - (n-2)/n)) of the admissible 2k values collapses
-  to the rational (n-2)/2 and the exponent p reaches n, and the exact verdict
-  that a shifted choice above delta_c gives p > n,
+  to the rational (n-2)/2 and the exponent p reaches n (the collapse, and p > n
+  above delta_c, hold for every n and are proved by the tests),
 * delta1(n) = max{delta0(n), delta_c},
 * the dyadic iteration constants C (an exact power of 2 with rational
   exponent, compared via exponents, never floating logs) and C0, the
@@ -20,9 +20,8 @@ Every approximate value here (C0, epsilon1, the step table) is computed at
 ``rational.DPS`` = 50 significant digits.
 
 The Sobolev-type constant C_MS has no closed-form value here; it is a
-configuration input whose placeholder default 1 is non-physical.  delta1 and
-the collapse value are computed here and compared with their published and
-closed-form values by ``verify-all``.
+configuration input whose placeholder default 1 is non-physical.  delta1 is
+computed here and compared with its published value by ``verify-all``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from mpmath import libmp
 
 from . import published
 from .certificate import ApproxValue
-from .rational import DPS, sqrt_exact
+from .rational import DPS
 
 
 def caccioppoli_coefficient(n: int, delta: Fraction, k: Fraction, s: Fraction) -> Fraction:
@@ -91,35 +90,6 @@ def caccioppoli_constants(n: int, delta: Fraction, k: Fraction, s: Fraction, s1:
 def critical_delta_threshold(n: int) -> Fraction:
     """delta_c = n(n-2)/(4(n-1))."""
     return Fraction(n * (n - 2), 4 * (n - 1))
-
-
-def collapse_sqrt(n: int) -> Fraction | None:
-    """sqrt(delta_c (delta_c - (n-2)/n)), or None if it is irrational.
-
-    The radicand is the perfect rational square ((n-2)^2/(4(n-1)))^2 for every
-    n >= 3.
-    """
-    dc = critical_delta_threshold(n)
-    return sqrt_exact(dc * (dc - Fraction(n - 2, n)))
-
-
-def critical_delta_exponent(n: int, delta: Fraction) -> bool:
-    """Whether the shifted exponent choice above the critical threshold gives p > n.
-
-    For delta > delta_c, with the midpoint shift eps = (delta - delta_c)/2 and
-    s = delta_c + eps, the choice 2k = s + sqrt(rad), rad = s(s - (n-2)/n),
-    gives p = 4k + 2 = 2*(2k) + 2, so p > n exactly when 2*sqrt(rad) > y =
-    n - 2 - 2s; as rad > 0 (s > delta_c > (n-2)/n), exactly when y < 0 or
-    4 rad > y^2 (the boundary choice at delta_c gives 2k = (n-2)/2 and p = n).
-    """
-    delta = Fraction(delta)
-    dc = critical_delta_threshold(n)
-    if delta <= dc:
-        raise ValueError(f"delta = {delta} must exceed the critical threshold {dc}")
-    shifted = dc + (delta - dc) / 2
-    rad = shifted * (shifted - Fraction(n - 2, n))
-    y = n - 2 - 2 * shifted
-    return y < 0 or 4 * rad > y * y
 
 
 def delta1_of(n: int) -> Fraction:

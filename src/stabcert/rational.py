@@ -7,8 +7,8 @@ reduced with a positive denominator at arbitrary precision.
   are reduced once, by ``Fraction(numerator, denominator)``, at the end (the
   exact chain of ``stabcert.optimize``);
 * :class:`QuadSurd` — values of the form ``r*sqrt(s)`` with rational ``r`` and
-  rational ``s >= 0``, closed under the product and ratio that the barrier
-  (``stabcert.bubble``) needs;
+  rational ``s >= 0``: the barrier amplitudes of ``stabcert.bubble``, which
+  certificates record exactly and which are evaluated only by ``approx_mp``;
 * canonical string serialization ("p/q" and "r*sqrt(s)") used by certificates,
   and ``rational_from_str``, a fast parse of "p/q";
 * :func:`clear_denominators`, which the sampled checks use to compare in
@@ -146,11 +146,11 @@ class QuadSurd:
 
     Instances are canonicalized on construction: a radicand that is a perfect
     rational square is folded into the coefficient (radicand becomes 1), and
-    the zero value is stored as ``0*sqrt(1)``.  Use :meth:`make` or the
-    arithmetic operations; the raw constructor does not normalize.  Other
-    square factors stay in the radicand (``1*sqrt(8)`` is not rewritten as
-    ``2*sqrt(2)``, which would mean factoring it), so the type defines no
-    equality: a field-wise one would call those two equal values different.
+    the zero value is stored as ``0*sqrt(1)``.  Use :meth:`make`; the raw
+    constructor does not normalize.  Other square factors stay in the radicand
+    (``1*sqrt(8)`` is not rewritten as ``2*sqrt(2)``, which would mean
+    factoring it), so the type defines no equality: a field-wise one would
+    call those two equal values different.
     """
 
     coeff: Fraction
@@ -167,20 +167,6 @@ class QuadSurd:
         if root is not None:
             return QuadSurd(coeff * root, Fraction(1))
         return QuadSurd(coeff, radicand)
-
-    def is_rational(self) -> bool:
-        return self.radicand == 1 or self.coeff == 0
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.coeff
-
-    def __mul__(self, other: "QuadSurd") -> "QuadSurd":
-        return QuadSurd.make(self.coeff * other.coeff, self.radicand * other.radicand)
-
-    def __truediv__(self, other: "QuadSurd") -> "QuadSurd":
-        return QuadSurd.make(self.coeff / other.coeff, self.radicand / other.radicand)
 
     def approx_mp(self) -> mpmath.mpf:
         """Advisory high-precision value at ``DPS`` significant digits."""

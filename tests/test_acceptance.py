@@ -18,21 +18,17 @@ from quadmin_oracle import (
     hessian_entries,
     random_valid_input,
 )
+from test_bubble import surd_identities_hold
+from test_iteration import critical_delta_exponent
 
 from stabcert import bubble, published
 from stabcert.certificate import Certificate
 from stabcert.certify import certify, result_certificate
 from stabcert.config import RunConfig
 from stabcert.curvature import ParamSet, curvature_sample_check
-from stabcert.iteration import (
-    _exponent_numerators,
-    collapse_sqrt,
-    critical_delta_exponent,
-    critical_delta_threshold,
-    delta1_of,
-    recursion_simulate,
-)
+from stabcert.iteration import _exponent_numerators, critical_delta_threshold, delta1_of, recursion_simulate
 from stabcert.optimize import exact_chain, feasibility, minimize_delta0, reverify
+from stabcert.rational import sqrt_exact
 
 ROWS = {n: ParamSet.published_row(n) for n in (3, 4, 5)}
 
@@ -104,15 +100,13 @@ def test_criterion_05_delta1_table():
 
 
 def test_criterion_06_critical_collapse_and_exponent():
+    # facts of the formula for every n, so proved here rather than carried by verify-all
     for n in range(3, 13):
         dc = critical_delta_threshold(n)
-        rad = dc * (dc - F(n - 2, n))
-        value = collapse_sqrt(n)
-        assert value * value == rad  # the radicand is a perfect rational square
+        value = sqrt_exact(dc * (dc - F(n - 2, n)))  # the radicand is a perfect rational square
         assert value == F((n - 2) ** 2, 4 * (n - 1))
         assert dc + value == F(n - 2, 2)  # boundary 2k, so p = 2(2k) + 2 = n
-    for n in range(3, 13):
-        assert critical_delta_exponent(n, critical_delta_threshold(n) + F(1, 1000))
+        assert critical_delta_exponent(n, dc + F(1, 1000))
     report(6, "collapse identity exact for n = 3..12; p = n at delta_c, p > n at delta_c + 1/1000")
 
 
@@ -155,10 +149,14 @@ def test_criterion_09_surd_identities_both_conventions():
     for n in (3, 4, 5):
         p = ROWS[n]
         eps = published.EPSILON[n]
-        for branch in bubble.derive(p, eps, published.GAMMA0[n]):
-            checks = bubble.surd_identities_check(p.alpha, p.beta, eps, branch.gamma0, branch.x0, branch.y0)
-            assert all(c.satisfied for c in checks), (n, branch.convention)
-    report(9, "2(b/a)x0y0 = eps/(2a) and 2(b/a)y0/x0 = gamma0 exact for all rows, both conventions")
+        for b in bubble.derive(p, eps, published.GAMMA0[n]):
+            assert surd_identities_hold(p.alpha, p.beta, eps, b.gamma0, b.x0, b.y0), (n, b.convention)
+    rng = random.Random(20240609)
+    for _ in range(200):
+        alpha, beta, eps, gamma0 = (F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)) for _ in range(4))
+        x0, y0 = bubble.x0_y0(alpha, beta, eps, gamma0)
+        assert surd_identities_hold(alpha, beta, eps, gamma0, x0, y0), (alpha, beta, eps, gamma0)
+    report(9, "x0 y0 = eps/(4b) and y0/x0 = a g0/(2b) exact for all rows, both conventions, and 200 random inputs")
 
 
 def test_criterion_10_barrier_ode_residuals():

@@ -9,7 +9,6 @@ from stabcert.bubble import (
     derive,
     growth_constants,
     quadform_lower_bound_check,
-    surd_identities_check,
     x0_y0,
 )
 from stabcert.curvature import ParamSet
@@ -175,21 +174,41 @@ class TestGamma0:
         assert with_ratio.gamma0 == F(77, 142) * F(11, 12) == F(847, 1704)
 
 
+def square(surd):
+    """The exact square coeff^2 * radicand of a QuadSurd."""
+    return surd.coeff**2 * surd.radicand
+
+
+def surd_identities_hold(alpha, beta, eps, gamma0, x0, y0) -> bool:
+    """x0 y0 = eps/(4 beta) and y0/x0 = alpha gamma0/(2 beta), exactly.
+
+    They hold for every positive input, so the tests prove them and no
+    certificate carries them.  Both amplitudes are positive, so each identity
+    is its square, compared in rationals.
+    """
+    return (
+        x0.coeff > 0 and y0.coeff > 0
+        and square(x0) * square(y0) == eps**2 / (16 * beta**2)
+        and square(y0) / square(x0) == alpha**2 * gamma0**2 / (4 * beta**2)
+    )
+
+
 class TestBarrier:
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("convention", ["bare", "with_ratio"])
     def test_surd_identities(self, n, convention):
         p = row(n)
         branch = {b.convention: b for b in branches(n)}[convention]
-        checks = surd_identities_check(p.alpha, p.beta, eps(n), branch.gamma0, branch.x0, branch.y0)
-        assert all(c.satisfied for c in checks)
+        assert surd_identities_hold(p.alpha, p.beta, eps(n), branch.gamma0, branch.x0, branch.y0)
 
     def test_scaling_in_epsilon(self):
+        # four times epsilon doubles both amplitudes
         p = row(3)
         g = published.GAMMA0[3]
         x1, y1 = x0_y0(p.alpha, p.beta, eps(3), g)
         x4, y4 = x0_y0(p.alpha, p.beta, 4 * eps(3), g)
-        assert (x4 / x1).as_rational() == 2 and (y4 / y1).as_rational() == 2
+        assert min(x1.coeff, y1.coeff, x4.coeff, y4.coeff) > 0
+        assert square(x4) == 4 * square(x1) and square(y4) == 4 * square(y1)
 
     def test_nonpositive_inputs_rejected(self):
         with pytest.raises(ValueError, match="radicand must be nonnegative"):

@@ -171,9 +171,13 @@ def test_verify_all(tmp_path, fast_config):
     grid = cert.values["iteration_grid"]
     assert [g["n"] for g in grid] == [3, 4, 5]
     assert all("epsilon1" in g and "C0" in g and "caccioppoli_C1" in g for g in grid)
-    names = [c.name for c in cert.checks]
-    assert "critical_radicand_perfect_square" in names
-    assert "exponent_exceeds_dimension_above_threshold" in names
+    # one check a row; the critical collapse and the barrier surd identities hold for
+    # every input, so tests/test_iteration.py and tests/test_bubble.py prove them instead
+    assert [c.name for c in cert.checks] == ["row_n3_overall", "row_n4_overall", "row_n5_overall"]
+    moved = {"critical_radicand_perfect_square", "exponent_exceeds_dimension_above_threshold"}
+    moved |= {f"barrier[{c}]/barrier_{i}_identity" for c in ("bare", "with_ratio") for i in ("product", "ratio")}
+    row_names = {c["name"] for n in (3, 4, 5) for c in cert.values[f"row_n{n}"]["checks"]}
+    assert "barrier[bare]/barrier_ode_residual" in row_names and not moved & row_names
 
 
 @pytest.mark.parametrize(
@@ -461,12 +465,12 @@ def check_of_row_n3(payload: dict, name: str) -> dict:
     return next(c for c in payload["values"]["row_n3"]["checks"] if c["name"] == name)
 
 
-# the checks verify-all writes after its rows
-TABLE_CHECKS = ("critical_radicand_perfect_square", "exponent_exceeds_dimension_above_threshold")
+# the checks verify-all writes, one a row
+ROW_CHECKS = ("row_n3_overall", "row_n4_overall", "row_n5_overall")
 
 
-@pytest.mark.parametrize("dropped", [TABLE_CHECKS, TABLE_CHECKS[:1], TABLE_CHECKS[1:]])
-def test_report_rejects_verify_all_without_its_table_checks(tmp_path, capsys, dropped):
+@pytest.mark.parametrize("dropped", [ROW_CHECKS, ROW_CHECKS[:1], ROW_CHECKS[2:]])
+def test_report_rejects_verify_all_without_its_row_checks(tmp_path, capsys, dropped):
     # would otherwise read as passed
     payload = verify_all_small()
     payload["checks"] = [c for c in payload["checks"] if c["name"] not in dropped]
@@ -832,6 +836,15 @@ def drop_the_objective(payload: dict) -> None:
         ("search_n3_seed5_certificate.json", lambda d: d["flags"].append({"name": "x", "detail": "y"}),
          "flags[0] is a JSON object, not absent"),
         ("search_n3_seed5_certificate.json", drop_the_objective, "checks[11] is absent, not a JSON object"),
+        # a search's result values stay in its result file
+        ("search_n3_seed5_certificate.json",
+         lambda d: d["values"].update(delta0="1/100", improvement_vs_published="99/100"),
+         'values.delta0 is "1/100", not absent'),
+        # a verify-all certificate written when it still carried the critical collapse
+        ("verify_all_small.json",
+         lambda d: d["checks"].append({"name": "critical_radicand_perfect_square", "kind": "exact", "status": "pass",
+                                       "detail": "sqrt(delta_c(delta_c-(n-2)/n)) = (n-2)^2/(4(n-1)) for n=3..12"}),
+         "checks[3] is a JSON object, not absent"),
     ],
 )
 def test_report_refuses_what_its_recomputation_does_not_give(tmp_path, capsys, name, edit, error):

@@ -15,14 +15,13 @@ from stabcert.iteration import (
     _log_sign,
     caccioppoli_coefficient,
     caccioppoli_constants,
-    collapse_sqrt,
-    critical_delta_exponent,
     critical_delta_threshold,
     degiorgi_constants,
     delta1_of,
     epsilon1_threshold,
     recursion_simulate,
 )
+from stabcert.rational import sqrt_exact
 
 
 def caccioppoli_coefficient_limit(n, delta, k):
@@ -84,6 +83,34 @@ class TestCaccioppoliConstants:
         assert res.c2 is None
 
 
+def collapse_sqrt(n):
+    """sqrt(delta_c (delta_c - (n-2)/n)), or None if it is irrational.
+
+    The radicand is the perfect rational square ((n-2)^2/(4(n-1)))^2 for every
+    n >= 3, so this is a fact of the formula, proved here, not a check a
+    certificate carries.
+    """
+    dc = critical_delta_threshold(n)
+    return sqrt_exact(dc * (dc - F(n - 2, n)))
+
+
+def critical_delta_exponent(n, delta):
+    """Whether the shifted exponent choice above the critical threshold gives p > n.
+
+    For delta > delta_c, with the midpoint shift eps = (delta - delta_c)/2 and
+    s = delta_c + eps, the choice 2k = s + sqrt(rad), rad = s(s - (n-2)/n),
+    gives p = 4k + 2 = 2*(2k) + 2, so p > n exactly when 2*sqrt(rad) > y =
+    n - 2 - 2s; as rad > 0 (s > delta_c > (n-2)/n), exactly when y < 0 or
+    4 rad > y^2 (the boundary choice at delta_c gives 2k = (n-2)/2 and p = n).
+    It holds for every delta > delta_c, like the collapse.
+    """
+    dc = critical_delta_threshold(n)
+    shifted = dc + (delta - dc) / 2
+    rad = shifted * (shifted - F(n - 2, n))
+    y = n - 2 - 2 * shifted
+    return y < 0 or 4 * rad > y * y
+
+
 class TestCriticalExponent:
     def test_collapse_table(self):
         for n in range(3, 13):
@@ -106,14 +133,11 @@ class TestCriticalExponent:
         for n in (3, 4, 5):
             assert critical_delta_exponent(n, critical_delta_threshold(n) + F(1, 1000))
 
-    def test_at_or_below_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            critical_delta_exponent(3, F(3, 8))
-
     @pytest.mark.parametrize("n", range(3, 41))
     def test_exponent_verdict_matches_a_100_digit_oracle(self, n):
         # p > n exactly when 2 sqrt(s(s - (n-2)/n)) - (n - 2 - 2s) > 0, s midway
         # between delta_c and delta, evaluated in mpmath from the exact inputs;
+        # it is, at every delta > delta_c, and the comparison of squares agrees;
         # delta up to 2n makes n - 2 - 2s negative as well as positive
         dc = F(n * (n - 2), 4 * (n - 1))
         deltas = [dc + F(1, 10**k) for k in range(1, 16)] + [dc + 1, F(n), F(2 * n)]
@@ -123,8 +147,8 @@ class TestCriticalExponent:
                 s = (mpmath.mpf(dc.numerator) / dc.denominator + mpmath.mpf(delta.numerator) / delta.denominator) / 2
                 y = n - 2 - 2 * s
                 margin = 2 * mpmath.sqrt(s * (s - mpmath.mpf(n - 2) / n)) - y
-                assert abs(margin) > mpmath.mpf(10) ** -40, (delta, margin)
-                assert critical_delta_exponent(n, delta) == (margin > 0), delta
+                assert margin > mpmath.mpf(10) ** -40, (delta, margin)
+                assert critical_delta_exponent(n, delta), delta
                 signs.add(y > 0)
         assert signs == {False, True}
 
