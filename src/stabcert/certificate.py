@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 from .rational import DPS, rational_from_str, rational_to_str
 
@@ -66,12 +66,12 @@ def write_json(path: str | Path, payload) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class CertCheck:
+class CertCheck(NamedTuple):
     """One named check: its kind, its status and the evidence behind it.
 
     ``margin`` is an exact rational (serialized as "p/q"); ``residual`` is the
-    decimal string of an approximate check's worst residual.
+    decimal string of an approximate check's worst residual.  A named tuple,
+    which ``json`` would write as an array: it reaches JSON by ``to_jsonable``.
     """
 
     name: str
@@ -249,8 +249,9 @@ class Certificate:
 
     @staticmethod
     def from_jsonable(d: dict) -> "Certificate":
-        """The certificate ``d`` records: every field ``to_jsonable`` writes, with
-        its JSON type, each flag a JSON object and each check read by ``CertCheck``."""
+        """The certificate ``d`` records: every field ``to_jsonable`` writes, with its
+        JSON type, each flag, check and published target a JSON object, each check
+        read by ``CertCheck`` and each target by ``PublishedTarget``."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         missing = [key for key, _ in _FIELDS if key not in d]
@@ -262,10 +263,9 @@ class Certificate:
         if d["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"schema_version {d['schema_version']!r} is not {SCHEMA_VERSION!r}, "
                              "the one this reader reads")
-        if not all(isinstance(flag, dict) for flag in d["flags"]):
-            raise ValueError("every flag must be a JSON object")
-        if not all(isinstance(check, dict) for check in d["checks"]):
-            raise ValueError("every check must be a JSON object")
+        for key, item in (("flags", "flag"), ("checks", "check"), ("published_targets", "published target")):
+            if not all(isinstance(value, dict) for value in d[key]):
+                raise ValueError(f"every {item} must be a JSON object")
         checks = [CertCheck.from_jsonable(c) for c in d["checks"]]
         targets = [PublishedTarget.from_jsonable(t) for t in d["published_targets"]]
         return Certificate(d["n"], dict(d["params"]), checks, targets, dict(d["values"]), list(d["flags"]),

@@ -39,7 +39,7 @@ from . import curvature, published
 from .certificate import ApproxValue, CertCheck, Certificate, ConstraintReport, PublishedTarget, json_difference
 from .config import _PARSERS, ConfigError, RunConfig
 from .curvature import ParamSet
-from .optimize import ChainValues, SearchResult, exact_chain
+from .optimize import ChainValues, SearchResult, exact_chain, feasibility
 from .rational import rational_to_str as rts
 
 
@@ -60,7 +60,7 @@ def certify(params: ParamSet, cfg: RunConfig) -> Certificate:
 
 
 def _prefixed(prefix: str, checks: list[CertCheck]) -> list[CertCheck]:
-    return [replace(check, name=f"{prefix}/{check.name}") for check in checks]
+    return [check._replace(name=f"{prefix}/{check.name}") for check in checks]
 
 
 def _evidence(cert: Certificate, params: ParamSet, chain: ChainValues, cfg: RunConfig) -> None:
@@ -215,4 +215,4 @@ def recompute(cert: Certificate) -> Certificate:
     params = ParamSet.from_strings(cert.params, cert.n)
     if "objective" not in cert.environment:
         return certify(params, cfg)
-    return chain_certificate(params, exact_chain(params)[0], cfg)
+    return chain_certificate(params, feasibility(params), cfg)

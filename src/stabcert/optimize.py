@@ -22,9 +22,10 @@ and F(0) are computed at a from them.  ``exact_chain`` evaluates the chain on
 ``Unreduced`` rationals, which skip the gcd that every Fraction operation
 pays, and reduces each result once, to the Fraction margins and intermediates
 that ``stabcert.certify`` records and feeds to the sampled checks;
-``feasibility`` keeps the margins only, and ``float_margins`` evaluates the
-chain in double precision.  The float search calls the stages itself, so
-that rescoring a cell at a new delta0 costs the head at the new a only.
+``feasibility`` reduces the margins only, on the same evaluation (``_exact``),
+and ``float_margins`` evaluates the chain in double precision.  The float
+search calls the stages itself, so that rescoring a cell at a new delta0
+costs the head at the new a only.
 
 Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
@@ -216,14 +217,10 @@ class ChainValues(NamedTuple):
     L_max: Fraction | None  # None when no Young parameter binds (q = 2 or upstream failure)
 
 
-def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]:
-    """One exact evaluation of the chain: the report of ``feasibility`` and the
-    intermediates its margins were computed from (None when the Hessian gate fails).
-
-    The chain runs on ``Unreduced`` copies of a, b, alpha and beta; each margin
-    and intermediate becomes a Fraction once, here, so no Unreduced reaches a
-    report, a certificate or ``rational_to_str``.
-    """
+def _exact(params: ParamSet) -> tuple[ConstraintReport, tuple | None]:
+    """One exact evaluation of the chain, on ``Unreduced`` copies of a, b, alpha
+    and beta: the report of ``feasibility``, each margin reduced once to a
+    Fraction, and the intermediates, unreduced (None when the Hessian gate fails)."""
     n = params.n
     row = (Unreduced(x) for x in (params.a, params.b, params.alpha, params.beta))
     margins, values = _chain(*row, _stages(n, Unreduced))
@@ -231,15 +228,21 @@ def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]
     for name, margin in zip(margin_names(n), margins):
         if margin is None:
             why = "Hessian conditions failed" if values is None else _UNDEFINED_WHY[name]
-            checks.append(CertCheck.of(name, False, detail=f"undefined: {why}"))
+            checks.append(CertCheck(name, "exact", "fail", None, None, f"undefined: {why}"))
         else:  # every margin is strict; the sign of an Unreduced is its numerator's
-            exact = Fraction(margin.numerator, margin.denominator)
-            checks.append(CertCheck.of(name, margin.numerator > 0, margin=exact, detail=STRICT_MARGIN))
+            status = "pass" if margin.numerator > 0 else "fail"
+            checks.append(CertCheck(name, "exact", status, Fraction(margin.numerator, margin.denominator), None,
+                                    STRICT_MARGIN))
+    return ConstraintReport(checks), values
+
+
+def exact_chain(params: ParamSet) -> tuple[ConstraintReport, ChainValues | None]:
+    """The report of ``feasibility`` and the intermediates its margins were computed
+    from, each reduced once to a Fraction (None when the Hessian gate fails)."""
+    report, values = _exact(params)
     if values is None:
-        return ConstraintReport(checks), None
-    return ConstraintReport(checks), ChainValues._make(
-        None if x is None else Fraction(x.numerator, x.denominator) for x in values
-    )
+        return report, None
+    return report, ChainValues._make(None if x is None else Fraction(x.numerator, x.denominator) for x in values)
 
 
 def feasibility(params: ParamSet) -> ConstraintReport:
@@ -248,7 +251,7 @@ def feasibility(params: ParamSet) -> ConstraintReport:
     Every margin is strict (> 0).  Margins the chain leaves undefined after an
     upstream failure are reported unsatisfied with a note instead of raising.
     """
-    return exact_chain(params)[0]
+    return _exact(params)[0]
 
 
 @cache

@@ -42,17 +42,21 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    """The Fraction of a string "p/q" or "p" of integers, reduced or not, the
-    form ``rational_to_str`` writes; ValueError for any other value.
+    """The Fraction of a string "p/q" or "p", reduced or not, with p and q as
+    ``str(int)`` writes them (no "+", "-0", spaces, underscores, leading zeros or
+    non-ASCII digits) and q > 0; ValueError for any other value.
 
     It takes about half the time of ``Fraction(s)``, whose string pattern also
     reads decimals and exponents, which no certificate holds; a reader that
     requires exactly what ``rational_to_str`` wrote compares the strings."""
     try:
-        numerator, slash, denominator = s.partition("/")
-        return Fraction(int(numerator), int(denominator) if slash else 1)
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"{s!r} is not a rational p/q") from None
+        numerator, _, denominator = s.partition("/") if "/" in s else (s, "", "1")
+        p, q = int(numerator), int(denominator)
+        if q > 0 and str(p) == numerator and str(q) == denominator:
+            return Fraction(p, q)
+    except (AttributeError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{s!r} is not a rational p/q")
 
 
 def clear_denominators(*values: Fraction) -> tuple[int, ...]:

@@ -1,10 +1,14 @@
 import json
 import os
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from stabcert.certificate import STRICT_MARGIN, CertCheck, Certificate, PublishedTarget, json_difference
+from stabcert.certify import certify, recompute
+from stabcert.config import RunConfig
+from stabcert.curvature import ParamSet
 from stabcert.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PASS,
@@ -89,6 +93,42 @@ def test_reader_requires_every_key_the_writer_writes(key):
     del payload[key]
     with pytest.raises(ValueError, match=f"not a certificate: no {key}$"):
         Certificate.from_jsonable(payload)
+
+
+@pytest.mark.parametrize("target", ["x", 5, None, ["quantity"]])
+def test_reader_refuses_a_published_target_that_is_no_object(target):
+    payload = sample_certificate().to_jsonable()
+    payload["published_targets"].append(target)
+    with pytest.raises(ValueError, match="^every published target must be a JSON object$"):
+        Certificate.from_jsonable(payload)
+
+
+@pytest.mark.parametrize("field", ["name", "kind", "status", "margin", "residual", "detail"])
+def test_check_is_immutable(field):
+    check = sample_certificate().checks[0]
+    with pytest.raises(AttributeError):
+        setattr(check, field, None)
+    assert check == CertCheck("discriminant_positive", "exact", "pass", F(24, 121), None, STRICT_MARGIN)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        lambda: certify(ParamSet.published_row(3), RunConfig(curvature_samples=30, quadform_samples=3,
+                                                             barrier_samples=3)),
+        lambda: recompute(Certificate.read(DATA / "verify_all_small.json")),
+        lambda: Certificate.read(DATA / "search_n3_seed5_certificate.json"),
+        lambda: recompute(Certificate.read(DATA / "search_n3_seed5_certificate.json")),
+    ],
+    ids=["row", "verify-all-recomputed", "search-read", "search-recomputed"],
+)
+def test_certificate_json_holds_no_tuple(certificate):
+    # json writes a tuple, a check among them, as an array, which reads back as a list
+    payload = certificate().to_jsonable()
+    assert json.loads(json.dumps(payload)) == payload
 
 
 @pytest.mark.parametrize(

@@ -407,6 +407,10 @@ def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message)
     "field, value, message",
     [
         ("flags", ["oops"], "flag must be a JSON object"),  # would otherwise be a traceback
+        # each would otherwise print Python's TypeError
+        ("published_targets", ["x"], "every published target must be a JSON object"),
+        ("published_targets", [5], "every published target must be a JSON object"),
+        ("published_targets", [None], "every published target must be a JSON object"),
         ("published_targets", [{"quantity": "epsilon", "quoted": "9/11", "computed": "1/2", "match": "no"}],
          "not a boolean"),  # would otherwise render as a match
         ("params", None, "params None is not a JSON object"),

@@ -342,6 +342,27 @@ def test_chain_bits_pinned():
     assert exact.hexdigest() == "ab482904e70b8921a31f6eb183ff74eaaf075d141a84ad91339ff34723bf3597"
 
 
+def test_feasibility_is_exact_chains_report():
+    # the two entry points share one evaluation and reduce different amounts:
+    # the same names, statuses, margins (as Fractions) and details, on the
+    # built-in rows and seeded rows at n = 3..6 that fail the Hessian gate,
+    # have q >= 4 or pass
+    bound = RunConfig().denominator_bound
+    rows = [row(n) for n in published.SUPPORTED_N]
+    for n in range(3, 7):
+        rows += [_rounded(n, F(d).limit_denominator(4096), b, alpha, beta, bound)
+                 for d, b, alpha, beta in _chain_points(n, 150)]
+    seen = {"gate fails": 0, "q >= 4": 0, "feasible": 0}
+    for p in rows:
+        report, values = exact_chain(p)
+        assert feasibility(p) == report
+        assert all(type(e.margin) is F for e in report if e.margin is not None)
+        seen["gate fails"] += values is None
+        seen["q >= 4"] += values is not None and p.q >= 4
+        seen["feasible"] += report.all_satisfied
+    assert min(seen.values()) >= 10, seen
+
+
 def identity(b, alpha, d):
     return b, alpha
 

@@ -49,14 +49,31 @@ def test_parse_inverts_serialization(x):
     assert rational_from_str(rational_to_str(x)) == x == F(rational_to_str(x))
 
 
-@pytest.mark.parametrize("text, value", [("2/4", F(1, 2)), ("1/-3", F(-1, 3)), ("-0/7", F(0)), ("-5", F(-5))])
-def test_parse_reads_any_integer_pair(text, value):
+@pytest.mark.parametrize("text, value", [("2/4", F(1, 2)), ("-6/4", F(-3, 2)), ("0/7", F(0)), ("-5", F(-5))])
+def test_parse_reads_an_integer_pair_reduced_or_not(text, value):
     # a reader that requires the canonical form compares rational_to_str of the value
     assert rational_from_str(text) == value
 
 
 @pytest.mark.parametrize("text", ["1/0", "0.5", "1e3", "a/b", "1/2/3", "/2", "", 3, None, F(1, 2), b"1/2"])
 def test_parse_refuses_all_but_an_integer_pair(text):
+    with pytest.raises(ValueError, match="is not a rational p/q$"):
+        rational_from_str(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/-2", "1/-3", "-1/-2", "0/-1",  # the sign is the numerator's
+        "+1/2", "1/+2", "+5",
+        " 1/2", "1/ 2", "1/2 ", "1 /2", "1/2\n",
+        "1_0/3", "1/1_0",
+        "01/2", "1/02", "-01/2", "00/1", "-0/1", "-0/7", "-0",
+        "\u0661/\u0662", "1/\u0662", "\uff11/2",  # Arabic-Indic and fullwidth digits
+    ],
+)
+def test_parse_refuses_integers_str_does_not_write(text):
+    # int() reads each of these, but rational_to_str never writes one
     with pytest.raises(ValueError, match="is not a rational p/q$"):
         rational_from_str(text)
 
