@@ -202,10 +202,14 @@ class PublishedTarget:
 
     @staticmethod
     def from_jsonable(d: dict) -> "PublishedTarget":
+        """The target ``d`` records: a string quantity, quoted and computed value, and a boolean match."""
         try:
             quantity, quoted, computed, match = d["quantity"], d["quoted"], d["computed"], d["match"]
         except KeyError as exc:
             raise ValueError(f"a published target has no {exc.args[0]}") from None
+        for key in ("quantity", "quoted", "computed"):
+            if not isinstance(d[key], str):
+                raise ValueError(f"published target {key} {d[key]!r} is not a string")
         if not isinstance(match, bool):
             raise ValueError(f"published target {quantity!r}: match {match!r} is not a boolean")
         return PublishedTarget(quantity, quoted, computed, match)
@@ -297,9 +301,10 @@ def parse_json(text: str):
 def json_difference(got, want, path: str = "") -> str | None:
     """Where the JSON value ``got`` first differs from ``want``, as "PATH is X, not Y",
     types included (1, 1.0 and true differ) and key order not; None when they are equal.
-    Each "environment" key of an object in ``want`` is left out: it records the run."""
+    The top-level "environment" key of ``want`` is left out: it records the run, and
+    ``certify.recompute`` checks its settings; a nested one is compared like any value."""
     if type(got) is type(want) is dict:
-        keys = [key for key in {**want, **got} if key != "environment" or key not in want]
+        keys = [key for key in {**want, **got} if path or key != "environment" or key not in want]
         pairs = [((f"{path}.{key}" if key.isidentifier() else f"{path}[{json.dumps(key)}]").lstrip("."),
                   got.get(key, _ABSENT), want.get(key, _ABSENT)) for key in keys]
     elif type(got) is type(want) is list:

@@ -193,7 +193,10 @@ def cmd_report(args) -> int:
             print(f"  {key} = {value}")
     print(f"checks ({len(cert.checks)}):")
     for check in cert.checks:
-        extra = f"  margin={rational_to_str(check.margin)}" if check.margin is not None else ""
+        if check.kind != "exact":  # its detail: how much evidence it drew
+            extra = f"  {check.detail}"
+        else:
+            extra = f"  margin={rational_to_str(check.margin)}" if check.margin is not None else ""
         print(f"  [{check.status:>11}] {check.name} ({check.kind}){extra}")
     if cert.published_targets:
         print("published targets:")

@@ -24,8 +24,9 @@ pays, and reduces each result once, to the Fraction margins and intermediates
 that ``stabcert.certify`` records and feeds to the sampled checks;
 ``feasibility`` reduces the margins only, on the same evaluation (``_exact``),
 and ``float_margins`` evaluates the chain in double precision.  The float
-search calls the stages itself, so that rescoring a cell at a new delta0
-costs the head at the new a only.
+search calls the stages itself, and a fourth stage, ``coefficients``, writes
+the head's terms as polynomials in a, so that a cell's lowest float delta0 is
+a closed form in the terms its score computed.
 
 Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
@@ -78,7 +79,7 @@ _UNDEFINED_WHY = {
 
 @cache
 def _stages(n: int, num: type) -> tuple:
-    """The chain's stages at dimension n, ``(head_at, head, tail)``, on the
+    """The chain's stages at dimension n, ``(head_at, head, tail, coefficients)``, on the
     number type ``num``: float, or an exact type built from an int or a
     Fraction (``Unreduced`` or Fraction).
 
@@ -101,6 +102,12 @@ def _stages(n: int, num: type) -> tuple:
       every later head of the row reuses them.
     - ``tail(at_a, b, alpha, beta)``: every margin of the row from its head
       at a, with the intermediates, as ``_chain`` returns them.
+    - ``coefficients(terms)``: the head as polynomials in a, from the terms
+      of a row whose gate has held once (so its Q terms are filled in):
+      ``(hessian, 2 beta, 2 alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, c)``
+      with f_xx = hessian a - 2 beta, f_yy = hessian a - 2 alpha,
+      D = disc_aa a^2 - d_a a + d_0, d_disc = d_a^2 - 4 disc_aa d_0 and
+      F(0) D = c D + n_a a + n_0, n_a a + n_0 being Q's numerator N.
     """
     undefined = _BIG_NEGATIVE if num is float else None
     zero, half, one, two, four = num(0), num(Fraction(1, 2)), num(1), num(2), num(4)
@@ -110,6 +117,10 @@ def _stages(n: int, num: type) -> tuple:
     hessian = num(Fraction(2 * (n - 1), n - 2))  # f_xx's and f_yy's coefficient of a
     # D = disc_aa a^2 - 4 (disc_ab beta + alpha) a + (4 beta - alpha) alpha
     disc_aa, disc_ab = num(Fraction(4 * n, n - 2)), num(Fraction(n - 1, n - 2))
+    # D's discriminant d_a^2 - 4 disc_aa d_0 = disc_sq (beta - alpha)^2 + disc_alpha alpha^2 - disc_beta beta^2,
+    # written so that it loses no digits where D's roots meet: at n = 3, where alpha = beta
+    disc_sq = num(Fraction(16 * (n + 1), n - 2))
+    disc_alpha, disc_beta = num(Fraction(16 * (n - 3), n - 2)), num(Fraction(16 * (n - 3), (n - 2) ** 2))
     q_a, q_beta = num(n * n - 5 * n + 8), num(3 * n - 7)  # Q's coefficients of a alpha^2 and of beta alpha^2
     slope = num(Fraction(n * n - 4, 4))  # F(1)'s coefficient of b
     spectral_bound = num(Fraction(n - 2, n - 3)) if n > 3 else None  # the spectral coefficient's strict upper bound
@@ -172,7 +183,15 @@ def _stages(n: int, num: type) -> tuple:
             return (b, alpha, beta, fxx, fyy, D, eps, q_margin, ricci, young, g_bare), values
         return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), values
 
-    return head_at, head, tail
+    def coefficients(terms: list) -> tuple:
+        _, two_beta, two_alpha, d_a, d_0, _, alpha, beta, q_terms = terms
+        n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq, const = q_terms
+        n_a = four_n_2 * alpha * beta - q_a * alpha_sq - n_1_n_2 * beta_sq
+        n_0 = n_2_alpha3 - q_beta_beta * alpha_sq + n_2_sq_alpha * beta_sq
+        d_disc = disc_sq * (beta - alpha) ** 2 + disc_alpha * alpha_sq - disc_beta * beta_sq
+        return hessian, two_beta, two_alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, const
+
+    return head_at, head, tail, coefficients
 
 
 def _chain(a, b, alpha, beta, stages: tuple) -> tuple[tuple, tuple | None]:
@@ -194,15 +213,15 @@ def _chain(a, b, alpha, beta, stages: tuple) -> tuple[tuple, tuple | None]:
     margins and gamma0 depend on b, alpha and beta alone, and
     epsilon = min(F(0), F(1)) joins the two.  So at a fixed cell (b, alpha,
     beta) every value of a gives the same head terms and tail margins to the
-    last bit, and the float search can rescore a cell at a new delta0 by the
-    head alone, on terms it computed once (``_best_cells``).
+    last bit, and the float search can find a cell's lowest delta0 from the
+    head's terms alone, as polynomials in a (``_best_cells``).
     Typed constants: every number the chain combines with a, b, alpha and beta
     is one of the stages' constants, so floats meet floats only and exact
     values meet values of their own type only (integer exponents aside).
     Keep the order of operations: search results depend on the float margins
     to the last bit (tests/test_golden.py, test_chain_bits_pinned).
     """
-    head_at, head, tail = stages
+    head_at, head, tail, _ = stages
     return tail(head(a, head_at(b, alpha, beta)), b, alpha, beta)
 
 
@@ -291,12 +310,50 @@ Cell = tuple[tuple, float, float]  # (key, q, r) at beta = 1; see _best_cells fo
 _COARSE = 32  # cells a side of the first (q, s) grid
 _ZOOM = 6  # cells a side of each zoomed grid
 _ZOOMS = 10
-_FLOAT_BISECTIONS = 30  # float delta0 bisection steps for a cell feasible at the best d so far
 _DELTA0_BITS = 20  # the exact delta0 search runs on the grid k / 2^20, 0 < k < 2^20
 # A float margin at or below this counts as failed.  Double rounding leaves a
 # margin that is exactly 0 (at the vertex (q, r) = (3, 1) at n = 3, say) near
 # 1e-16, and a cell that noise alone kept feasible would hold the search there.
 _NOISE = 1e-12
+
+
+def _larger_root(x2: float, x1: float, x0: float) -> float:
+    """The larger real root of x2 a^2 + x1 a + x0, x2 > 0, by the quadratic
+    formula without cancellation (-(x1 + sign(x1) sqrt(disc)) / 2 is the
+    product of x2 and the root of larger magnitude, and x0 over it the other
+    root); -inf when there is none."""
+    disc = x1 * x1 - 4 * x2 * x0
+    if disc < 0:
+        return -math.inf
+    big = -(x1 + math.copysign(math.sqrt(disc), x1)) / 2
+    return max(big / x2, x0 / big) if big else 0.0
+
+
+def _lowest_float_a(coefficients: tuple) -> float:
+    """The least a above which f_xx, f_yy, D and F(0) all exceed _NOISE, in
+    floats, from the float ``coefficients`` of a row that passes at some a.
+
+    It is the largest of four thresholds: f_xx's and f_yy's, both affine in a;
+    the larger root of D - _NOISE, (d_a + sqrt(d_disc + 4 disc_aa _NOISE)) /
+    (2 disc_aa); and the larger root of P = (c - _NOISE) D + N,
+    N = n_a a + n_0 being Q's numerator, since where
+    D > 0, F(0) = c + N/D exceeds _NOISE exactly when P > 0.  Above the first
+    three the Hessian gate holds, and there F(0) does not decrease as a grows
+    (the proof is in ``_lowest_delta0``), so P > 0 on a set that reaches to
+    infinity.  P's leading coefficient (c - _NOISE) disc_aa is positive, as
+    F(0) rises to c and exceeds _NOISE where the row passes, so that set lies
+    above P's larger root, or is everything when P has no root.  Near the
+    n = 3 vertex (q, r) = (3, 1), f_yy and D vanish together and D's roots
+    meet, so D's root reads the discriminant ``coefficients`` writes without
+    cancellation: d_a^2 - 4 disc_aa d_0 would lose most of its digits there.
+    """
+    hessian, two_beta, two_alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, const = coefficients
+    c = const - _NOISE
+    return max(
+        (two_beta + _NOISE) / hessian, (two_alpha + _NOISE) / hessian,
+        (d_a + math.sqrt(d_disc + 4 * disc_aa * _NOISE)) / (2 * disc_aa),
+        _larger_root(c * disc_aa, n_a - c * d_a, c * d_0 + n_0),
+    )
 
 
 def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
@@ -311,27 +368,25 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     so far and its neighbours.
 
     A feasible cell's key is (1, value): with ``fixed`` the value is epsilon at
-    delta0 = fixed (epsilon/beta), without it -d, d the smallest delta0 at which
-    the cell is feasible, found by float bisection below the best d so far (a
-    cell that fails at that d is not bisected).  An infeasible cell's key is
+    delta0 = fixed (epsilon/beta), without it -d, d the smallest float delta0
+    at which the cell is feasible, in closed form, for a cell that passes at
+    the best d so far (d never rises).  An infeasible cell's key is
     (0, -undefined margins, worst defined margin): every feasible cell outranks
     it, and where every cell leaves a margin undefined (n = 6) fewer undefined
     margins rank first.  Returns the best cell after each grid, finest first
     and without repeats, and the number of float evaluations: one per scored
-    cell and one per bisection step.
+    cell.
+
+    The closed form: the cell passed every margin at d, and delta0 < d changes
+    a = delta0 * q only, so b, alpha, beta, the head's terms and every tail
+    margin (F(1) among them) stay the same to the last bit and above _NOISE.
+    So the cell passes at delta0 exactly when f_xx, f_yy, D and F(0) exceed
+    _NOISE at a, which ``_lowest_float_a`` solves from the head's terms as
+    polynomials in a (``coefficients``; the score's head filled the Q terms
+    in, as the cell's gate held).
 
     A cell replaces the best only when its key is greater, so the search
-    evaluates only what can decide that, and returns what scoring every cell
-    and every bisection step by ``float_margins`` would:
-    - A bisection step needs the head alone, on the terms the cell's score
-      computed, the Q terms among them (the score's head filled them in, as
-      the cell's gate held).  The cell passed every margin at the current d,
-      and mid < d changes a = mid * q only, so b, alpha, beta, the head's
-      terms and every tail margin (F(1) among them) are the same to the last
-      bit and above _NOISE.  So every margin is above _NOISE at
-      mid exactly when each of f_xx, f_yy, D and F(0) is; where the gate fails
-      at mid, one of f_xx, f_yy and D is <= 0 and F(0) is undefined, and the
-      step fails either way.
+    evaluates only what can decide that:
     - A cell whose Hessian gate fails at d gets its key from the head alone:
       epsilon and every margin after it are undefined, so the key is
       (0, _EPSILON - len(margin_names(n)), min(q, r, 1, f_xx, f_yy, D)).
@@ -349,7 +404,7 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     """
     used = 0
     d = 1.0 if fixed is None else fixed  # the delta0 cells are scored at: the best d so far
-    head_at, head, tail = _stages(n, float)
+    head_at, head, tail, coefficients = _stages(n, float)
     # the key's second entry where the Hessian gate fails: minus the number of
     # undefined margins, epsilon and every margin after it
     gate_failed = _EPSILON - len(margin_names(n))
@@ -376,15 +431,7 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
             return 0, -undefined, min(m for m in margins if m != _BIG_NEGATIVE) if undefined else worst
         if fixed is not None:
             return 1, margins[_EPSILON]
-        lo = 0.0
-        for _ in range(_FLOAT_BISECTIONS):
-            mid = (lo + d) / 2
-            fxx, fyy, D, f0, _, _ = head(mid * q, terms)
-            if fxx > _NOISE and fyy > _NOISE and D > _NOISE and f0 > _NOISE:
-                d = mid
-            else:
-                lo = mid
-        used += _FLOAT_BISECTIONS
+        d = min(d, _lowest_float_a(coefficients(terms)) / q)
         return 1, -d
 
     best = None  # (key, q, r, s)
@@ -424,8 +471,8 @@ def _first_certified(cells: list[Cell], cfg: RunConfig, certify) -> Accepted | N
     continued fractions under the denominator bound, it accepts.
 
     ``d`` is -key[1], the cell's float score negated: for the delta0 objective
-    the smallest delta0 at which float bisection found the cell feasible, which
-    seeds the exact search; the epsilon objective ignores it.  A coarser cell
+    the cell's closed-form float delta0 (``_best_cells``), which seeds the
+    exact search; the epsilon objective ignores it.  A coarser cell
     is tried only when rounding has moved a finer one out of the feasible set:
     a q within about 1/bound of 3 rounds to 3 itself, the vertex where gamma0
     is 0 at n = 3.
@@ -533,7 +580,7 @@ def _lowest_delta0(n: int, b: Fraction, alpha: Fraction, d: float) -> Accepted |
 def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
     """Smallest certified delta0: the best cell's rounded row at the smallest
     delta0 = k / 2^_DELTA0_BITS that ``_lowest_delta0`` finds exactly feasible,
-    searching from the delta0 that float bisection found for the cell.
+    searching from the cell's closed-form float delta0.
 
     For n with a built-in row the row (at beta = 1) is the witness, so the
     result never does worse than it; with nothing certified the result reports

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -103,6 +104,23 @@ def test_reader_refuses_a_published_target_that_is_no_object(target):
         Certificate.from_jsonable(payload)
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ({"quantity": 5, "quoted": [1], "computed": None, "match": True}, "published target quantity 5 is not a string"),
+        ({"quantity": "epsilon", "quoted": [1], "computed": "9/11", "match": True},
+         "published target quoted [1] is not a string"),
+        ({"quantity": "epsilon", "quoted": "9/11", "computed": None, "match": True},
+         "published target computed None is not a string"),
+    ],
+)
+def test_reader_refuses_a_published_target_that_is_not_strings(target, message):
+    payload = sample_certificate().to_jsonable()
+    payload["published_targets"].append(target)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Certificate.from_jsonable(payload)
+
+
 @pytest.mark.parametrize("field", ["name", "kind", "status", "margin", "residual", "detail"])
 def test_check_is_immutable(field):
     check = sample_certificate().checks[0]
@@ -142,9 +160,11 @@ def test_certificate_json_holds_no_tuple(certificate):
         ({"a": [1, {}]}, {"a": [1]}, "a[1] is a JSON object, not absent"),
         ({"a": {"b c": [0]}}, {"a": {"b c": [1]}}, 'a["b c"][0] is 0, not 1'),
         ({}, {"a": []}, "a is absent, not a JSON array"),
-        # an environment block of the expected value is left out, no other key
-        ({"environment": {"seed": 1}, "rows": [{"environment": 2}]}, {"environment": {}, "rows": [{"environment": 3}]},
+        # the top-level environment block of the expected value is left out, no nested one
+        ({"environment": {"seed": 1}, "rows": [{"environment": 3}]}, {"environment": {}, "rows": [{"environment": 3}]},
          None),
+        ({"environment": {"seed": 1}, "rows": [{"environment": 2}]}, {"environment": {}, "rows": [{"environment": 3}]},
+         "rows[0].environment is 2, not 3"),
         ({"x": {"environment": 2}}, {"x": {}}, "x.environment is 2, not absent"),
     ],
 )

@@ -342,6 +342,26 @@ def test_report_is_read_only(tmp_path, fast_config, capsys):
     assert "epsilon: quoted 9/11 vs computed 9/11 [match]" in rendered
 
 
+def test_report_shows_the_evidence_each_sampled_check_drew(tmp_path, capsys):
+    # a one-sample certificate passes as a default one does, but does not read like one
+    one = tmp_path / "one.cfg"
+    one.write_text("curvature_samples = 1\nquadform_samples = 1\nbarrier_samples = 1\n", encoding="utf-8")
+    rendered = {}
+    for name, config in (("default", []), ("one", ["--config", str(one)])):
+        out = tmp_path / f"{name}.json"
+        assert run(["verify", "--n", "3", *config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["report", str(out)]) == 0
+        rendered[name] = capsys.readouterr().out
+    assert rendered["one"] != rendered["default"]
+    samples, seed = RunConfig().curvature_samples, RunConfig().seed
+    assert (f"[       pass] pointwise_curvature_inequality (sampled)  {samples} samples, 0 violations, seed={seed}\n"
+            in rendered["default"])
+    assert "[       pass] pointwise_curvature_inequality (sampled)  1 samples, 0 violations," in rendered["one"]
+    assert "[       pass] barrier[bare]/barrier_ode_residual (approximate)  1 points, max relative residual " in (
+        rendered["one"])
+
+
 def test_report_missing_file():
     assert run(["report", "/nonexistent/cert.json"]) == 2
 
@@ -413,6 +433,8 @@ def test_report_rejects_malformed_check(tmp_path, capsys, field, value, message)
         ("published_targets", [None], "every published target must be a JSON object"),
         ("published_targets", [{"quantity": "epsilon", "quoted": "9/11", "computed": "1/2", "match": "no"}],
          "not a boolean"),  # would otherwise render as a match
+        ("published_targets", [{"quantity": 5, "quoted": [1], "computed": None, "match": True}],
+         "published target quantity 5 is not a string"),
         ("params", None, "params None is not a JSON object"),
         ("checks", [], "checks[0] is absent"),  # would otherwise pass on zero evidence
         ("checks", [{"name": "epsilon", "kind": "exact"}], "a check has no status"),
@@ -563,13 +585,18 @@ def with_precision_digits(digits: int) -> str:
 
 @pytest.mark.parametrize("digits", [50])
 def test_report_reads_a_certificate_written_with_the_precision_setting(tmp_path, capsys, digits):
-    # float_precision_digits is no setting now, so it is ignored; at 50 digits
-    # the certificate is the one this code computes
-    path = tmp_path / "cert.json"
-    path.write_text(with_precision_digits(digits), encoding="utf-8")
+    # float_precision_digits is no setting now, so the top-level block's is
+    # ignored; at 50 digits the certificate is the one this code computes.  A
+    # nested row's block is the row's, which must equal its recomputation
+    payload = json.loads(with_precision_digits(digits))
+    assert_refused(tmp_path, capsys, payload, verify_all_small())
+    assert json_difference(payload, verify_all_small()).startswith("values.row_n3.environment.float_precision_digits")
+    for n in (3, 4, 5):
+        del payload["values"][f"row_n{n}"]["environment"]["float_precision_digits"]
+    path = write_certificate(tmp_path / "cert.json", payload)
     assert run(["report", str(path)]) == 0
     assert "status: passed" in capsys.readouterr().out
-    assert json.dumps(Certificate.read(path).to_jsonable(), indent=2) == path.read_text(encoding="utf-8")
+    assert Certificate.read(path).to_jsonable() == payload
 
 
 def test_report_refuses_a_certificate_written_at_more_digits_than_it_computes(tmp_path, capsys):
@@ -594,7 +621,11 @@ def test_report_rejects_a_published_match_its_strings_contradict(tmp_path, capsy
     payload = verify_all_small()
     assert payload["published_targets"][0]["quantity"] == "n=3:delta0"
     payload["published_targets"][0].update(target)
-    assert_refused(tmp_path, capsys, payload, verify_all_small(), tamper)
+    if all(isinstance(payload["published_targets"][0][key], str) for key in ("quoted", "computed")):
+        assert_refused(tmp_path, capsys, payload, verify_all_small(), tamper)
+    else:  # the reader refuses a value that is no string before anything is recomputed
+        assert run(["report", str(write_certificate(tmp_path / "cert.json", payload))]) == 2, tamper
+        assert one_line_error(capsys).endswith(" is not a string\n"), tamper
 
 
 WITNESS = "; first witness: lambda=['1/2', '-1/2', '0'], E=1"
@@ -835,8 +866,12 @@ def drop_the_objective(payload: dict) -> None:
         ("verify_all_small.json", lambda d: d["values"].update({"barrier[bare]/x0": "1"}),
          'values["barrier[bare]/x0"] is "1", not absent'),
         ("search_n3_seed5_certificate.json",
-         lambda d: d["published_targets"].append({"quantity": 5, "quoted": "1/3", "computed": "1/3", "match": True}),
+         lambda d: d["published_targets"].append({"quantity": "delta0", "quoted": "1/3", "computed": "1/3",
+                                                  "match": True}),
          "published_targets[0] is a JSON object, not absent"),
+        # a nested row's settings are the run's: it claims 100,000 samples where 300 ran
+        ("verify_all_small.json", lambda d: d["values"]["row_n3"]["environment"].update(curvature_samples=100000),
+         "values.row_n3.environment.curvature_samples is 100000, not 300"),
         ("search_n3_seed5_certificate.json", lambda d: d["flags"].append({"name": "x", "detail": "y"}),
          "flags[0] is a JSON object, not absent"),
         ("search_n3_seed5_certificate.json", drop_the_objective, "checks[11] is absent, not a JSON object"),
@@ -881,11 +916,11 @@ def test_report_refuses_settings_a_run_does_not_record_before_recomputing(tmp_pa
 
 
 def leaf_paths(value, path=()):
-    """The path of every scalar in ``value`` outside any "environment" block."""
+    """The path of every scalar in ``value`` outside its top-level "environment" block."""
     if isinstance(value, (dict, list)):
         items = value.items() if isinstance(value, dict) else enumerate(value)
         for key, child in items:
-            if key != "environment":
+            if path or key != "environment":
                 yield from leaf_paths(child, (*path, key))
     else:
         yield path

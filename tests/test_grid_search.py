@@ -1,29 +1,46 @@
 """The float grid search against the version it replaced, which scored every
-cell and every bisection step with the whole chain; the two equivalences that
-let the search evaluate the chain's head alone; and the head, split at a,
-against the one function it replaced."""
+cell with the whole chain and bisected each feasible cell's delta0 in 30
+float steps; the closed-form delta0 against that bisection and its
+coefficients against the head; the two equivalences that let the search
+evaluate the chain's head alone; and the head, split at a, against the one
+function it replaced."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from strict_number import Strict
 
 from stabcert import optimize, published
 from stabcert.rational import Unreduced
 
 NOISE = optimize._NOISE
+BISECTIONS = 30  # the float delta0 bisection steps the grid took for a feasible cell before the closed form
+
+
+def bisected_delta0(n, d, q, r):
+    """The former float step: the final (lo, d] bracket of BISECTIONS bisection
+    steps below d, a delta0 at which the cell passes, by ``float_margins``."""
+    lo = 0.0
+    for _ in range(BISECTIONS):
+        mid = (lo + d) / 2
+        if passes(n, mid, q, r):
+            d = mid
+        else:
+            lo = mid
+    return lo, d
 
 
 def scored_grid(n, fixed):
     """The former grid search: ``float_margins`` for every cell and every bisection
-    step, nothing skipped."""
-    used = 0
+    step, nothing skipped.  Returns its levels and the number of cells it scored."""
+    scored = 0
     d = 1.0 if fixed is None else fixed
 
     def score(q, r):
-        nonlocal used, d
-        used += 1
+        nonlocal scored, d
+        scored += 1
         margins = optimize.float_margins(n, d, q, r, 1.0)
         worst = min(margins)
         if worst <= NOISE:
@@ -31,14 +48,7 @@ def scored_grid(n, fixed):
             return 0, -undefined, min(m for m in margins if m != optimize._BIG_NEGATIVE) if undefined else worst
         if fixed is not None:
             return 1, margins[optimize._EPSILON]
-        lo = 0.0
-        for _ in range(optimize._FLOAT_BISECTIONS):
-            mid = (lo + d) / 2
-            if min(optimize.float_margins(n, mid, q, r, 1.0)) > NOISE:
-                d = mid
-            else:
-                lo = mid
-        used += optimize._FLOAT_BISECTIONS
+        d = bisected_delta0(n, d, q, r)[1]
         return 1, -d
 
     best = None
@@ -61,7 +71,7 @@ def scored_grid(n, fixed):
         _, q, _, s = best
         q_lo, q_hi, s_lo, s_hi = max(q - dq, 0.0), min(q + dq, 4.0), max(s - ds, 0.0), min(s + ds, 1.0)
         cells = optimize._ZOOM
-    return list(dict.fromkeys(reversed(levels))), used
+    return list(dict.fromkeys(reversed(levels))), scored
 
 
 GRID_CASES = [(n, fixed) for n in (3, 4, 5, 6) for fixed in (None, 0.25, 0.5, 1.0, 2.0)]
@@ -70,12 +80,18 @@ GRID_CASES += [(n, float(delta0)) for n, delta0 in published.DELTA0.items()]
 
 @pytest.mark.parametrize("n, fixed", GRID_CASES)
 def test_grid_matches_the_full_chain_search(n, fixed):
-    assert optimize._best_cells(n, fixed) == scored_grid(n, fixed)
+    cells, used = optimize._best_cells(n, fixed)
+    want, scored = scored_grid(n, fixed)
+    if fixed is not None:  # bit for bit
+        assert (cells, used) == (want, scored)
+    else:  # the closed form moves each d inside its bisection bracket only
+        assert [(key[0], q, r) for key, q, r in cells] == [(key[0], q, r) for key, q, r in want]
+        assert used == scored
 
 
 def head(n, delta0, q, r):
     """(f_xx, f_yy, D, F(0)) of the cell at delta0, F(0) -1e18 where the gate fails."""
-    head_at, head, _ = optimize._stages(n, float)
+    head_at, head, _, _ = optimize._stages(n, float)
     return head(delta0 * q, head_at(q, r, 1.0))[:4]
 
 
@@ -130,7 +146,8 @@ def near_zero_delta0s(n, q, r):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_head_decides_a_bisection_step(n):
     # where a cell passes at d, every margin is above the noise at mid < d
-    # exactly when f_xx, f_yy, D and F(0) are: the rest of the chain is free of a
+    # exactly when f_xx, f_yy, D and F(0) are: the rest of the chain is free of
+    # a, so the grid's closed form solves for these four alone
     rng = random.Random(1600 + n)
     checked = near = 0
     for q, r in cells(rng, n, 300):
@@ -175,6 +192,96 @@ def test_skipped_cell_cannot_beat_the_best(n):
     assert fired["delta0"] > 100 and fired["epsilon"] > 100, fired
     if n < 6:  # no cell is feasible at n = 6
         assert fired["epsilon on a feasible cell"] > 20, fired
+
+
+def closed_form_a(n, d, q, r):
+    """The grid's closed-form threshold in a for a cell that passes at d."""
+    head_at, head, _, coefficients = optimize._stages(n, float)
+    terms = head_at(q, r, 1.0)
+    head(d * q, terms)  # fills the Q terms in, as the grid's score does
+    return optimize._lowest_float_a(coefficients(terms))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closed_form_delta0_lies_in_the_bisection_bracket(n):
+    # the grid's delta0 for a cell that passes at d, against the final (lo, d]
+    # bracket of the 30 float steps it replaced, from random d and from d near
+    # where f_xx, f_yy or D is 0
+    rng = random.Random(1900 + n)
+    checked = 0
+    for q, r in cells(rng, n, 300):
+        for d in [rng.uniform(0.05, 2.0) for _ in range(3)] + near_zero_delta0s(n, q, r)[::3]:
+            if passes(n, d, q, r):
+                lo, hi = bisected_delta0(n, d, q, r)
+                assert lo < closed_form_a(n, d, q, r) / q <= hi, (n, q, r, d)
+                checked += 1
+    if n < 6:  # no cell is feasible at n = 6
+        assert checked > 25, checked
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closed_form_delta0_is_the_exact_threshold(n):
+    # the head of the cell's float q and r, evaluated exactly, has one of f_xx,
+    # f_yy, D and F(0) at or below the noise a bit below the closed form, and
+    # all four above it a bit above; at n = 3 also next to the vertex (3, 1),
+    # where f_yy and D vanish together and D's two roots meet.  There the
+    # float head's D moves in steps of about 4e-16, 4e-4 of the noise, so the
+    # float bisection's bracket can miss this threshold by a few percent of
+    # its width; the closed form does not
+    rng = random.Random(2100 + n)
+    head_at, head, _, _ = optimize._stages(n, Fraction)
+    # 10^4 times finer than the bisection's last step, 2^-30; next to the vertex
+    # the rounding of the float coefficients moves P's root by up to about 3e-14
+    noise, tolerance = Fraction(NOISE), Fraction(1, 10**13)
+    points = cells(rng, n, 300)
+    if n == 3:
+        points += [(3 - t, 1 - t / 2) for t in (10.0**-k for k in range(2, 15))]
+    checked = near_vertex = 0
+    for q, r in points:
+        d = next((d for d in (rng.uniform(0.05, 2.0), 2.0) if passes(n, d, q, r)), None)
+        if d is None:
+            continue
+        a = Fraction(closed_form_a(n, d, q, r))
+        terms = head_at(Fraction(q), Fraction(r), Fraction(1))
+        for x, want in ((a * (1 - tolerance), False), (a * (1 + tolerance), True)):
+            fxx, fyy, D, f0, _, _ = head(x, terms)
+            assert (f0 is not None and min(fxx, fyy, D, f0) > noise) == want, (n, q, r, x)
+        checked += 1
+        near_vertex += abs(q - 3) < 0.1
+    if n < 6:
+        assert checked > 25, checked
+    if n == 3:
+        assert near_vertex > 10, near_vertex
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_coefficients_give_the_head_exactly(n):
+    # on Fractions, the coefficients of a row whose gate has held give f_xx,
+    # f_yy, D and F(0) * D at any a as the head computes them, and D's
+    # discriminant; on the strict type they draw every constant from the
+    # stages' table
+    rng = random.Random(2000 + n)
+    head_at, head, _, coefficients = optimize._stages(n, Fraction)
+    strict_at, strict_head, _, strict_coefficients = optimize._stages(n, Strict)
+    checked = 0
+    while checked < 200:
+        b, alpha, beta = (Fraction(rng.randint(1, 400), rng.randint(1, 100)) for _ in range(3))
+        terms = head_at(b, alpha, beta)
+        a0 = Fraction(rng.randint(1, 4000), rng.randint(1, 100))
+        if head(a0, terms)[4] is None:
+            continue
+        hessian, two_beta, two_alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, c = got = coefficients(terms)
+        assert d_disc == d_a * d_a - 4 * disc_aa * d_0
+        for a in (a0, a0 / 2, Fraction(rng.randint(-400, 400), rng.randint(1, 100))):
+            fxx, fyy, D, f0, _, const = head(a, terms)
+            assert (hessian * a - two_beta, hessian * a - two_alpha) == (fxx, fyy)
+            assert disc_aa * a * a - d_a * a + d_0 == D
+            if f0 is not None:
+                assert c == const and c * D + n_a * a + n_0 == f0 * D, (n, a, b, alpha, beta)
+        strict_terms = strict_at(*map(Strict, (b, alpha, beta)))
+        strict_head(Strict(a0), strict_terms)
+        assert [x.value for x in strict_coefficients(strict_terms)] == list(got)
+        checked += 1
 
 
 def one_shot_head(n, num, a, b, alpha, beta):
@@ -227,7 +334,7 @@ def test_split_head_matches_the_one_shot_head_bit_for_bit(n):
             rows += [(a0, -q, r, 1.0), (a0, q, -r, 1.0), (a0, q, r, -1.0)]
             for row in rows:
                 for num in (float, Fraction, Unreduced):
-                    head_at, head, _ = optimize._stages(n, num)
+                    head_at, head, _, _ = optimize._stages(n, num)
                     a, b, alpha, beta = (num(Fraction(x)) for x in row)
                     terms, filled = head_at(b, alpha, beta), head_at(b, alpha, beta)
                     assert terms[-1] is None

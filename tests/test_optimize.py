@@ -463,22 +463,21 @@ def test_no_row_at_or_below_one_sixth_at_n3():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_search_scores_cells_inside_the_band(monkeypatch, n):
     # beta = 1, 0 < q < 4 and r strictly between the spectral curve and the Ricci
-    # bound; evaluations_used counts every scored cell and every bisection step,
-    # each of which evaluates the chain's head in floats once, as does the
-    # margin profile's float_margins
+    # bound; evaluations_used counts every scored cell, each of which evaluates
+    # the chain's head in floats once, as does the margin profile's float_margins
     seen = []
     stages = optimize._stages
 
     def recording_stages(dim, num):
-        head_at, head, tail = stages(dim, num)
+        head_at, head, tail, coefficients = stages(dim, num)
         if num is not float:  # the exact recertification
-            return head_at, head, tail
+            return head_at, head, tail, coefficients
 
         def recording(a, terms):
             seen.append(tuple(terms[5:8]))  # the head terms' b, alpha and beta
             return head(a, terms)
 
-        return head_at, recording, tail
+        return head_at, recording, tail, coefficients
 
     monkeypatch.setattr(optimize, "_stages", recording_stages)
     result = minimize_delta0(n, RunConfig())
