@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import optimize, published
-from .certificate import Certificate, check_output_path, json_difference, parse_json, write_json
+from .certificate import CertCheck, Certificate, check_output_path, json_difference, parse_json, write_json
 from .certify import certify, certify_all, recompute, result_certificate
 from .config import ConfigError, RunConfig, load_config
 from .curvature import ParamSet
@@ -191,13 +191,16 @@ def cmd_report(args) -> int:
         print("parameters:")
         for key, value in cert.params.items():
             print(f"  {key} = {value}")
-    print(f"checks ({len(cert.checks)}):")
-    for check in cert.checks:
-        if check.kind != "exact":  # its detail: how much evidence it drew
-            extra = f"  {check.detail}"
-        else:
-            extra = f"  margin={rational_to_str(check.margin)}" if check.margin is not None else ""
-        print(f"  [{check.status:>11}] {check.name} ({check.kind}){extra}")
+    # RunConfig's fields: a search's objective and evaluations_used are none, and recompute checks neither
+    defaults = RunConfig().environment()
+    if changed := [key for key, value in defaults.items() if cert.environment[key] != value]:
+        print("settings that differ from the defaults:")
+        for key in changed:
+            print(f"  {key} = {cert.environment[key]} (default {defaults[key]})")
+    _print_checks("checks", cert.checks)
+    for key, row in cert.values.items():  # verify-all's rows, each a certificate
+        if key.startswith("row_n"):
+            _print_checks(f"{key} checks", [CertCheck.from_jsonable(check) for check in row["checks"]])
     if cert.published_targets:
         print("published targets:")
         for target in cert.published_targets:
@@ -206,6 +209,16 @@ def cmd_report(args) -> int:
     for flag in cert.flags:
         print(f"flag: {flag.get('name')}: {flag.get('detail')}")
     return EXIT_PASS
+
+
+def _print_checks(title: str, checks: list[CertCheck]) -> None:
+    print(f"{title} ({len(checks)}):")
+    for check in checks:
+        if check.kind != "exact":  # its detail: how much evidence it drew
+            extra = f"  {check.detail}"
+        else:
+            extra = f"  margin={rational_to_str(check.margin)}" if check.margin is not None else ""
+        print(f"  [{check.status:>11}] {check.name} ({check.kind}){extra}")
 
 
 class UsageError(Exception):

@@ -25,8 +25,8 @@ that ``stabcert.certify`` records and feeds to the sampled checks;
 ``feasibility`` reduces the margins only, on the same evaluation (``_exact``),
 and ``float_margins`` evaluates the chain in double precision.  The float
 search calls the stages itself, and a fourth stage, ``coefficients``, writes
-the head's terms as polynomials in a, so that a cell's lowest float delta0 is
-a closed form in the terms its score computed.
+the head's terms as polynomials in a, so that a row's lowest delta0, float or
+exact, is a closed form in its head's terms.
 
 Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
@@ -35,9 +35,10 @@ two phases: ``_best_cells`` scores a coarse grid of cells by the float
 margins and zooms a small grid onto the best cell so far, with no seed and no
 randomness; then each objective rounds the best cell's q and r by continued
 fractions (``cfg.denominator_bound``) and decides by exact arithmetic alone:
-``minimize_delta0`` searches a dyadic delta0 grid exactly, starting at the
-cell's float delta0, and ``maximize_epsilon`` recertifies once.  Floating
-error is harmless: unsound candidates simply fail exact recertification.
+``minimize_delta0`` recertifies the least delta0 on a dyadic grid above the
+row's exact threshold, in closed form, and ``maximize_epsilon`` recertifies
+once.  Floating error is harmless: unsound candidates simply fail exact
+recertification.
 Every row a search returns has beta = 1, so its epsilon is epsilon/beta.
 
 A margin that an upstream failure leaves undefined is None on exact types,
@@ -331,21 +332,15 @@ def _larger_root(x2: float, x1: float, x0: float) -> float:
 
 def _lowest_float_a(coefficients: tuple) -> float:
     """The least a above which f_xx, f_yy, D and F(0) all exceed _NOISE, in
-    floats, from the float ``coefficients`` of a row that passes at some a.
-
-    It is the largest of four thresholds: f_xx's and f_yy's, both affine in a;
-    the larger root of D - _NOISE, (d_a + sqrt(d_disc + 4 disc_aa _NOISE)) /
-    (2 disc_aa); and the larger root of P = (c - _NOISE) D + N,
-    N = n_a a + n_0 being Q's numerator, since where
-    D > 0, F(0) = c + N/D exceeds _NOISE exactly when P > 0.  Above the first
-    three the Hessian gate holds, and there F(0) does not decrease as a grows
-    (the proof is in ``_lowest_delta0``), so P > 0 on a set that reaches to
-    infinity.  P's leading coefficient (c - _NOISE) disc_aa is positive, as
-    F(0) rises to c and exceeds _NOISE where the row passes, so that set lies
-    above P's larger root, or is everything when P has no root.  Near the
-    n = 3 vertex (q, r) = (3, 1), f_yy and D vanish together and D's roots
-    meet, so D's root reads the discriminant ``coefficients`` writes without
-    cancellation: d_a^2 - 4 disc_aa d_0 would lose most of its digits there.
+    floats, from the float ``coefficients`` of a row that passes at some a:
+    ``_lowest_delta0``'s threshold with each margin lowered by _NOISE, so the
+    largest of f_xx's and f_yy's, which D's no longer implies, and the larger
+    roots of D - _NOISE and of P = (c - _NOISE) D + N, whose leading
+    coefficient is positive as F(0) rises to c and exceeds _NOISE where the
+    row passes.  Near the n = 3 vertex (q, r) = (3, 1), f_yy and D vanish
+    together and D's roots meet, so D's root reads the discriminant
+    ``coefficients`` writes without cancellation: d_a^2 - 4 disc_aa d_0 would
+    lose most of its digits there.
     """
     hessian, two_beta, two_alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, const = coefficients
     c = const - _NOISE
@@ -467,21 +462,18 @@ def _accepted(params: ParamSet) -> Accepted | None:
 
 
 def _first_certified(cells: list[Cell], cfg: RunConfig, certify) -> Accepted | None:
-    """``certify(b, alpha, d)`` of the first feasible cell whose q and r, rounded by
+    """``certify(b, alpha)`` of the first feasible cell whose q and r, rounded by
     continued fractions under the denominator bound, it accepts.
 
-    ``d`` is -key[1], the cell's float score negated: for the delta0 objective
-    the cell's closed-form float delta0 (``_best_cells``), which seeds the
-    exact search; the epsilon objective ignores it.  A coarser cell
-    is tried only when rounding has moved a finer one out of the feasible set:
-    a q within about 1/bound of 3 rounds to 3 itself, the vertex where gamma0
-    is 0 at n = 3.
+    A coarser cell is tried only when rounding has moved a finer one out of the
+    feasible set: a q within about 1/bound of 3 rounds to 3 itself, the vertex
+    where gamma0 is 0 at n = 3.
     """
     for key, q, r in cells:
         if not key[0]:
             continue
         b, alpha = (Fraction(x).limit_denominator(cfg.denominator_bound) for x in (q, r))
-        if b > 0 and alpha > 0 and (accepted := certify(b, alpha, -key[1])) is not None:
+        if b > 0 and alpha > 0 and (accepted := certify(b, alpha)) is not None:
             return accepted
     return None
 
@@ -524,63 +516,63 @@ def _result(
     )
 
 
-def _lowest_delta0(n: int, b: Fraction, alpha: Fraction, d: float) -> Accepted | None:
+def _least_integer_above(p, s) -> int:
+    """The least integer above p + sqrt(s), for exact rationals p and s >= 0
+    (Fraction or Unreduced), by one isqrt: with L the product of their
+    denominators, p L and s L^2 are integers, and an integer m L - p L is at
+    most sqrt(s L^2) exactly when it is at most isqrt(s L^2)."""
+    p_den, s_den = p.denominator, s.denominator
+    return (p.numerator * s_den + math.isqrt(s.numerator * s_den * p_den * p_den)) // (p_den * s_den) + 1
+
+
+def _lowest_delta0(n: int, b: Fraction, alpha: Fraction) -> Accepted | None:
     """The row (delta0 * b, b, alpha, 1) at the smallest exactly feasible delta0
-    = k / 2^bits, 0 < k < 2^bits (bits = _DELTA0_BITS), if any, searched from
-    the float guess d.
+    = k / 2^bits, 0 < k < 2^bits (bits = _DELTA0_BITS), if any: ``_accepted``
+    at the least k above t 2^bits / b, t the row's threshold in a.
 
-    The search starts at k = ceil(d * 2^bits), clamped to the grid.  If k is
-    feasible it gallops down (k - 1, k - 2, k - 4, ...) to a k that fails or to
-    0; if k fails and so does the grid's top, nothing on the grid is feasible;
-    otherwise it gallops up (k + 1, k + 2, ...) to a k that passes.  Then it
-    bisects the bracket, whose low end fails (or is 0) and whose high end
-    passes.  Every verdict is exact, through ``_accepted``, and computed once.
-    A good guess costs about two exact evaluations, a bad one at most about
-    2 * bits + 2.
-
-    The answer is the one a bisection of (0, 1] would give, because for fixed
-    (b, alpha, beta) the exact verdict is monotone in delta0 (a = delta0 * b):
+    For fixed (b, alpha, beta) the exact verdict is monotone in a = delta0 * b:
     only f_xx, f_yy, D and epsilon depend on a.  f_xx * f_yy - D is the square
     of an affine function of a with slope +-2/(n-2), so f's Hessian is
     a * H1 + H0 with H1 = (2/(n-2)) [[n-1, +-1], [+-1, n-1]] positive definite:
     once the convexity gate holds at some a it holds at every larger a.  Q is
-    the minimum of a * S + (terms free of a) with S >= 0, so F(0) = const + Q,
-    and with it epsilon, does not decrease as a grows; F(1) and every other
-    margin are free of a.
+    the minimum of a * S + (terms free of a) with S >= 0, so F(0) = c + Q, and
+    with it epsilon, does not decrease as a grows; F(1) and every other margin
+    are free of a.
+
+    So the row is feasible at a exactly when its margins free of a hold and a
+    exceeds t, the larger of two roots, each p + sqrt(s) with rational p and
+    s >= 0.  At a root of f_xx or f_yy, D <= 0, as f_xx * f_yy - D is a square,
+    so D has a larger root and f_xx, f_yy are positive above it; the gate holds
+    on a set that reaches to infinity, so exactly above that root.  There
+    F(0) = c + N/D, N being Q's numerator, is positive exactly when P = c D + N
+    is, again on such a set, so above P's larger root, or everywhere when P has
+    none.  F(0) rises to c, so c <= 0 leaves no a, and c > 0 makes P's leading
+    coefficient c disc_aa positive.  The head at the grid's top decides the
+    gate for every k and fills in the Q terms that ``coefficients`` reads; the
+    one exact evaluation at k decides the margins free of a.
     """
     top = 1 << _DELTA0_BITS
-    verdicts: dict[int, Accepted | None] = {}
-
-    def passes(k: int) -> bool:
-        if k not in verdicts:
-            verdicts[k] = _accepted(ParamSet(n, Fraction(k, top) * b, b, alpha, Fraction(1)))
-        return verdicts[k] is not None
-
-    k = min(max(math.ceil(d * top), 1), top - 1)
-    step = 1
-    if passes(k):
-        hi = lo = k
-        while lo > 0 and passes(lo):
-            hi, lo, step = lo, max(k - step, 0), 2 * step
-    elif passes(top - 1):
-        hi = lo = k
-        while not passes(hi):
-            lo, hi, step = hi, min(k + step, top - 1), 2 * step
-    else:
+    head_at, head, _, coefficients = _stages(n, Unreduced)
+    terms = head_at(Unreduced(b), Unreduced(alpha), Unreduced(1))
+    if head(Unreduced(Fraction(top - 1, top) * b), terms)[4] is None:
         return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return verdicts[hi]
+    *_, disc_aa, d_a, d_0, _, n_a, n_0, c = coefficients(terms)
+    if c.numerator <= 0:
+        return None
+    per_a, k = Unreduced(top / b), 0  # k exceeds t * per_a
+    # D and P as x2 a^2 - x1 a + x0, x2 > 0: larger root p + sqrt(p^2 - x0/x2), p = x1 / (2 x2)
+    for x2, x1, x0 in ((disc_aa, d_a, d_0), (c * disc_aa, c * d_a - n_a, c * d_0 + n_0)):
+        p = x1 / (x2 + x2)
+        s = p * p - x0 / x2
+        if s.numerator >= 0:
+            k = max(k, _least_integer_above(p * per_a, s * per_a * per_a))
+    return _accepted(ParamSet(n, Fraction(k, top) * b, b, alpha, Fraction(1))) if k < top else None
 
 
 def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
     """Smallest certified delta0: the best cell's rounded row at the smallest
-    delta0 = k / 2^_DELTA0_BITS that ``_lowest_delta0`` finds exactly feasible,
-    searching from the cell's closed-form float delta0.
+    exactly feasible delta0 = k / 2^_DELTA0_BITS, from its closed-form threshold
+    (``_lowest_delta0``).
 
     For n with a built-in row the row (at beta = 1) is the witness, so the
     result never does worse than it; with nothing certified the result reports
@@ -591,7 +583,7 @@ def minimize_delta0(n: int, cfg: RunConfig) -> SearchResult:
     if best is not None:
         notes.append(f"built-in row certified at delta0 = {rational_to_str(best[0].delta0)}")
     cells, used = _best_cells(n, None)
-    found = _first_certified(cells, cfg, lambda b, alpha, d: _lowest_delta0(n, b, alpha, d))
+    found = _first_certified(cells, cfg, lambda b, alpha: _lowest_delta0(n, b, alpha))
     if found is not None and (best is None or found[0].delta0 < best[0].delta0):
         best = found
         notes.append(f"certified delta0 = {rational_to_str(best[0].delta0)}")
@@ -616,7 +608,7 @@ def maximize_epsilon(n: int, cfg: RunConfig, delta0_fixed: Fraction) -> SearchRe
     if witness is not None:
         notes.append(f"built-in row certified with epsilon = {rational_to_str(_epsilon(witness))}")
     cells, used = _best_cells(n, float(delta0))
-    found = _first_certified(cells, cfg, lambda b, alpha, _: _accepted(ParamSet(n, delta0 * b, b, alpha, Fraction(1))))
+    found = _first_certified(cells, cfg, lambda b, alpha: _accepted(ParamSet(n, delta0 * b, b, alpha, Fraction(1))))
     if found is not None and (best is None or _epsilon(found) > _epsilon(best)):
         best = found
         notes.append(f"improved epsilon = {rational_to_str(_epsilon(best))}")

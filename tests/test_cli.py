@@ -362,6 +362,43 @@ def test_report_shows_the_evidence_each_sampled_check_drew(tmp_path, capsys):
         rendered["one"])
 
 
+def test_report_shows_each_verify_all_rows_checks(tmp_path, capsys):
+    # a verify-all file at one sample per check does not read like the golden's 300
+    one = tmp_path / "one.cfg"
+    one.write_text("curvature_samples = 1\nquadform_samples = 1\nbarrier_samples = 1\n", encoding="utf-8")
+    out = tmp_path / "all.json"
+    assert run(["verify-all", "--config", str(one), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rendered = []
+    for path in (out, DATA / "verify_all_small.json"):
+        assert run(["report", str(path)]) == 0
+        rendered.append(capsys.readouterr().out)
+    assert rendered[0] != rendered[1]
+    for n, text in ((1, rendered[0]), (300, rendered[1])):
+        assert text.count(f"pointwise_curvature_inequality (sampled)  {n} samples, 0 violations, seed=0\n") == 3
+    assert "row_n4 checks (18):\n" in rendered[1]
+    assert "  [       pass] spectral_bound (exact)  margin=83/7854\n" in rendered[1]
+
+
+def test_report_prints_the_settings_that_differ_from_the_defaults(tmp_path, capsys):
+    assert run(["report", str(DATA / "verify_all_small.json")]) == 0
+    assert ("settings that differ from the defaults:\n"
+            "  curvature_samples = 300 (default 100000)\n"
+            "  quadform_samples = 10 (default 1000)\n"
+            "  barrier_samples = 10 (default 1000)\n"
+            "checks (3):\n") in capsys.readouterr().out
+    out = tmp_path / "cert.json"
+    assert run(["verify", "--n", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["report", str(out)]) == 0
+    assert "settings that differ" not in capsys.readouterr().out
+    # a search's objective and evaluations_used are no setting
+    assert run(["report", str(DATA / "search_n3_seed5_certificate.json")]) == 0
+    rendered = capsys.readouterr().out
+    assert "settings that differ from the defaults:\n  seed = 5 (default 0)\nchecks (11):\n" in rendered
+    assert "objective" not in rendered and "evaluations_used" not in rendered
+
+
 def test_report_missing_file():
     assert run(["report", "/nonexistent/cert.json"]) == 2
 

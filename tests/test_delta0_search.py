@@ -1,6 +1,9 @@
-"""The exact delta0 search against the bisection it replaced, and the
-monotonicity in delta0 on which their agreement rests."""
+"""The exact delta0 search, the least grid point above a row's closed-form
+threshold, against a blind bisection and the verdicts on both sides of it; the
+integer helper it rounds with; and the monotonicity in delta0 on which the
+closed form rests."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,13 +11,13 @@ import pytest
 
 from stabcert import optimize, published
 from stabcert.curvature import ParamSet
-from stabcert.certificate import CertCheck, ConstraintReport
+from stabcert.rational import Unreduced
 
 TOP = 2**optimize._DELTA0_BITS
 
 
 def bisected_delta0(n, b, alpha):
-    """The former exact step: a blind bisection of (0, 1] in delta0, one exact
+    """The reference: a blind bisection of (0, 1] in delta0, one exact
     evaluation per step, down to a width of 2^-_DELTA0_BITS."""
     lo, hi, found = F(0), F(1), None
     for _ in range(optimize._DELTA0_BITS):
@@ -44,47 +47,84 @@ def band_row(rng, n):
 
 
 def test_seeded_search_matches_the_bisection():
-    # one guess a row, in turn: the answer itself, a few grid steps below or
-    # above it, and far off (0, 1, d - 0.3, d + 0.3)
     rng = random.Random(15)
     feasible = set()
     for i in range(320):
         n = 3 + i % 4
         b, alpha = band_row(rng, n)
         expected = bisected_delta0(n, b, alpha)
-        d = rng.random() if expected is None else float(expected[0].delta0)
-        kind = i // 4 % 7  # every n meets every kind
-        if kind == 0:
-            guess = d
-        elif kind <= 2:
-            guess = d + rng.randint(1, 4) * (-1 if kind == 1 else 1) / TOP
-        else:
-            guess = (0.0, 1.0, d - 0.3, d + 0.3)[kind - 3]
-        assert optimize._lowest_delta0(n, b, alpha, guess) == expected, (n, b, alpha, guess)
+        assert optimize._lowest_delta0(n, b, alpha) == expected, (n, b, alpha)
         if expected is not None:
             feasible.add(n)
     assert feasible == {3, 4, 5}
 
 
-@pytest.mark.parametrize("threshold", [1, 2, 3, 1000, TOP // 2 + 1, TOP - 2, TOP - 1, TOP])
-def test_seeded_search_on_a_threshold_verdict(monkeypatch, threshold):
-    # a verdict that passes from k = threshold on reaches the grid's ends, which no
-    # row at beta = 1 does (the Hessian gate needs delta0 > 1/8); each k is
-    # evaluated once, at most 2 * bits + 2 of them
-    seen = []
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_grid_point_below_the_answer_fails(n):
+    # every margin is strict, so the least k above the threshold passes and
+    # k - 1, at or below it, fails: through feasibility, not _accepted
+    rng = random.Random(17 + n)
+    found = 0
+    for _ in range(600):
+        b, alpha = band_row(rng, n)
+        accepted = optimize._lowest_delta0(n, b, alpha)
+        if accepted is None:
+            continue
+        params, report = accepted
+        k = params.delta0 * TOP
+        assert k.denominator == 1 and 0 < k < TOP
+        assert params == ParamSet(n, params.delta0 * b, b, alpha, F(1))
+        assert report == optimize.feasibility(params) and report.all_satisfied
+        below = F(int(k) - 1, TOP)
+        assert not optimize.feasibility(ParamSet(n, below * b, b, alpha, F(1))).all_satisfied
+        found += 1
+    assert found >= 20
 
-    def verdict(p):
-        seen.append(p.delta0)
-        return ConstraintReport([CertCheck.of("threshold", p.delta0 >= F(threshold, TOP))])
 
-    monkeypatch.setattr(optimize, "feasibility", verdict)
-    b, alpha = F(3), F(1)
-    expected = bisected_delta0(3, b, alpha)
-    assert (expected is None) == (threshold == TOP)
-    for guess in (0.0, 1.0, 0.5, threshold / TOP, (threshold + 3) / TOP, (threshold - 3) / TOP, -0.2, 1.3):
-        seen.clear()
-        assert optimize._lowest_delta0(3, b, alpha, guess) == expected
-        assert len(seen) == len(set(seen)) <= 2 * optimize._DELTA0_BITS + 2
+@pytest.mark.parametrize("b", [F(1), F(3, 2), F(2), F(29, 10)])
+def test_the_gate_threshold_at_ds_double_root(b):
+    # at n = 3 and alpha = beta = 1, D = 3 (2a - 1)^2 and f_xx = f_yy = 4a - 2: the
+    # gate holds exactly for a > 1/2, D's double root, and these rows pass from there on
+    params, _ = optimize._lowest_delta0(3, b, F(1))
+    assert params.delta0 == F(math.floor(TOP / (2 * b)) + 1, TOP)
+
+
+# the gate's threshold 1/(2b), and F(0)'s in a row found by bisecting q below the built-in n = 5 row's
+@pytest.mark.parametrize("n, b, alpha", [(3, F(TOP, 2 * TOP - 1), F(1)), (5, F(19099375, 17805312), F(775, 828))])
+def test_no_grid_point_above_a_threshold_in_the_last_step(n, b, alpha):
+    assert optimize.feasibility(ParamSet(n, b, b, alpha, F(1))).all_satisfied  # at delta0 = 1
+    assert optimize._lowest_delta0(n, b, alpha) is None
+
+
+def test_no_delta0_when_fs_constant_term_is_0():
+    # F's constant term 4 + 2 alpha - 3b/2 is 0 here, and F(0) < it at every delta0
+    assert optimize._lowest_delta0(3, F(10, 3), F(1, 2)) is None
+
+
+def rationals(rng, count):
+    """Seeded rationals of either sign, with small and large denominators."""
+    for _ in range(count):
+        bound = rng.choice([10, 1000, 10**9])
+        yield F(rng.randint(-40 * bound, 40 * bound), rng.randint(1, bound))
+
+
+def test_least_integer_above_by_squaring():
+    # k - 1 <= p + sqrt(s) < k, compared without a square root: x <= sqrt(s)
+    # when x <= 0 or x^2 <= s, and sqrt(s) < y when y > 0 and s < y^2
+    rng = random.Random(18)
+    for p, root in zip(rationals(rng, 3000), rationals(rng, 3000)):
+        for s in (abs(root), root * root, root * root + F(1, 10**30), F(rng.randint(0, 10**40))):
+            for exact in (Unreduced, F):
+                k = optimize._least_integer_above(exact(p), exact(s))
+                below, above = k - 1 - p, k - p
+                assert below <= 0 or below * below <= s, (p, s, k)
+                assert above > 0 and s < above * above, (p, s, k)
+        # p + |root| an integer: sqrt(s) is |root| exactly, and the answer is the next integer
+        s, p = root * root, math.floor(p) - abs(root)
+        assert optimize._least_integer_above(p, s) == p + abs(root) + 1
+    assert optimize._least_integer_above(F(1, 2), F(1, 4)) == 2
+    assert optimize._least_integer_above(F(-3), F(0)) == -2
+    assert optimize._least_integer_above(Unreduced(F(7, 3)), Unreduced(F(0))) == 3
 
 
 @pytest.mark.parametrize("n", range(3, 10))

@@ -363,7 +363,7 @@ def test_feasibility_is_exact_chains_report():
     assert min(seen.values()) >= 10, seen
 
 
-def identity(b, alpha, d):
+def identity(b, alpha):
     return b, alpha
 
 
@@ -374,15 +374,15 @@ class TestMinimizeDelta0:
         assert result.delta0 <= F(1, 3)
         assert result.improvement_vs_published == F(1, 3) - result.delta0 > 0
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_exact_search_starts_at_the_float_d(self, monkeypatch, n):
-        # the witness plus the seeded delta0 search: a blind 20-step bisection
-        # made 21, 41 and 21 exact evaluations here
+    @pytest.mark.parametrize("n, exact_calls", [(3, 2), (4, 3), (5, 2)])
+    def test_one_exact_evaluation_per_rounded_row(self, monkeypatch, n, exact_calls):
+        # the witness, then one evaluation at each rounded row's closed-form k; at
+        # n = 4 the best cell's row fails its spectral bound and the next one certifies
         calls = []
         exact = optimize.feasibility
         monkeypatch.setattr(optimize, "feasibility", lambda p: calls.append(p) or exact(p))
         assert minimize_delta0(n, RunConfig()).certified
-        assert len(calls) <= 6
+        assert len(calls) == exact_calls
 
     def test_deterministic(self):
         # no seed reaches the search: two seeds give equal results, reports included
@@ -540,8 +540,8 @@ def test_rounding_recovers_builtin_row_from_floats():
 
 def test_rounding_onto_a_vertex_falls_back_to_a_coarser_cell():
     # a q within 1/bound of 3 rounds to 3, where gamma0 is 0 at n = 3
-    def lowest(b, alpha, d):
-        return optimize._lowest_delta0(3, b, alpha, d)
+    def lowest(b, alpha):
+        return optimize._lowest_delta0(3, b, alpha)
 
     vertex, coarser = ((1, -0.17), 3 - 1e-9, 1 - 1e-10), ((1, -0.18), 2.999, 0.9995)
     assert optimize._first_certified([vertex], RunConfig(), lowest) is None
