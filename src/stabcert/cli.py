@@ -191,8 +191,11 @@ def cmd_report(args) -> int:
         print("parameters:")
         for key, value in cert.params.items():
             print(f"  {key} = {value}")
-    # RunConfig's fields: a search's objective and evaluations_used are none, and recompute checks neither
+    # RunConfig's fields: a search's objective and evaluations_used are none, and recompute checks neither;
+    # a search certificate's checks are exact margins, so of the settings only denominator_bound shaped it
     defaults = RunConfig().environment()
+    if "objective" in cert.environment:
+        defaults = {"denominator_bound": defaults["denominator_bound"]}
     if changed := [key for key, value in defaults.items() if cert.environment[key] != value]:
         print("settings that differ from the defaults:")
         for key in changed:

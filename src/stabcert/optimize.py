@@ -14,19 +14,22 @@ samples; F is that module's endpoint function; mcc is the mean-curvature
 coefficient and L_max the largest Young parameter.
 
 The chain is written once, in ``_stages(n, num)``, in two stages: the head,
-everything that depends on a, and the tail, the only place where F(1),
-epsilon, the spectral coefficient, mcc, L_max and gamma0 are; ``_chain`` is
-the tail of the head.  The head splits where a enters: ``head_at`` computes a
-row's terms free of a, and ``head`` is the only place where f_xx, f_yy, D, Q
-and F(0) are computed at a from them.  ``exact_chain`` evaluates the chain on
-``Unreduced`` rationals, which skip the gcd that every Fraction operation
-pays, and reduces each result once, to the Fraction margins and intermediates
-that ``stabcert.certify`` records and feeds to the sampled checks;
-``feasibility`` reduces the margins only, on the same evaluation (``_exact``),
-and ``float_margins`` evaluates the chain in double precision.  The float
-search calls the stages itself, and a fourth stage, ``coefficients``, writes
-the head's terms as polynomials in a, so that a row's lowest delta0, float or
-exact, is a closed form in its head's terms.
+everything that depends on a, and the tail, the only place where epsilon,
+the spectral coefficient, mcc, L_max and gamma0 are; ``_chain`` is the tail
+of the head.  The head splits where a enters: ``head_at`` computes a row's
+terms free of a, and ``head`` is the only place where f_xx, f_yy, D, Q and
+F(0) are computed at a from them.  F(1), free of a too, is computed by a
+stage of its own, ``f_at_1``, into the row's terms, where the tail reads it.
+``exact_chain`` evaluates the chain on ``Unreduced`` rationals, which skip
+the gcd that every Fraction operation pays, and reduces each result once, to
+the Fraction margins and intermediates that ``stabcert.certify`` records and
+feeds to the sampled checks; ``feasibility`` reduces the margins only, on the
+same evaluation (``_exact``), and ``float_margins`` evaluates the chain in
+double precision.  The float
+search calls the stages itself: ``coefficients`` writes the head's terms as
+polynomials in a, so that a row's lowest delta0, float or exact, is a closed
+form in its head's terms, and ``f_at_1`` and ``diagonal`` decide, before a
+cell's head, whether it can beat the best cell so far.
 
 Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
@@ -80,9 +83,9 @@ _UNDEFINED_WHY = {
 
 @cache
 def _stages(n: int, num: type) -> tuple:
-    """The chain's stages at dimension n, ``(head_at, head, tail, coefficients)``, on the
-    number type ``num``: float, or an exact type built from an int or a
-    Fraction (``Unreduced`` or Fraction).
+    """The chain's stages at dimension n, ``(head_at, head, tail, coefficients,
+    f_at_1, diagonal)``, on the number type ``num``: float, or an exact type
+    built from an int or a Fraction (``Unreduced`` or Fraction).
 
     Each constant the stages multiply, divide or compare by is converted to
     ``num`` once, here, under its own name: the chain's rational coefficients,
@@ -94,21 +97,34 @@ def _stages(n: int, num: type) -> tuple:
 
     - ``head_at(b, alpha, beta)``: the row's head terms, those free of a, as
       the list [b, alpha, beta > 0; 2 beta; 2 alpha; D's coefficient of a; D's
-      constant term; b; alpha; beta; the Q terms], the Q terms None.
-    - ``head(a, terms)``: ``(f_xx, f_yy, D, F(0), Q, c)`` at a, c being F's
-      constant term.  Where the Hessian gate (b, alpha, beta, f_xx, f_yy,
-      D > 0) fails, F(0) is ``undefined`` and Q and c are None.  The first time
-      it holds, ``head`` puts the Q terms, the terms of Q's numerator free of a
-      and c, into ``terms``: a row that fails the gate never computes them, and
-      every later head of the row reuses them.
-    - ``tail(at_a, b, alpha, beta)``: every margin of the row from its head
-      at a, with the intermediates, as ``_chain`` returns them.
+      constant term; b; alpha; beta; c; F(1); the Q terms], c (F's constant
+      term), F(1) and the Q terms None until they are first needed.
+    - ``head(a, terms)``: ``(f_xx, f_yy, D, F(0), Q, c)`` at a.  Where the
+      Hessian gate (b, alpha, beta, f_xx, f_yy, D > 0) fails, F(0) is
+      ``undefined`` and Q and c are None.  The first time it holds, ``head``
+      puts the Q terms, the terms of Q's numerator free of a, into ``terms``,
+      and c unless ``f_at_1`` has: a row that fails the gate never computes
+      them, and every later head of the row reuses them.
+    - ``tail(at_a, terms)``: every margin of the row from its head at a and
+      its terms, with the intermediates, as ``_chain`` returns them.
     - ``coefficients(terms)``: the head as polynomials in a, from the terms
-      of a row whose gate has held once (so its Q terms are filled in):
+      of a row whose gate has held once (so its Q terms and c are filled in):
       ``(hessian, 2 beta, 2 alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, c)``
       with f_xx = hessian a - 2 beta, f_yy = hessian a - 2 alpha,
       D = disc_aa a^2 - d_a a + d_0, d_disc = d_a^2 - 4 disc_aa d_0 and
       F(0) D = c D + n_a a + n_0, n_a a + n_0 being Q's numerator N.
+    - ``f_at_1(terms)``: F(1), free of a, put into ``terms``, with c if the
+      head has not put it there: F(1) is computed here only, and c only in
+      ``constant``, whichever of the two stages needs it first.  The tail
+      reads F(1) from ``terms`` and calls ``f_at_1`` only where nothing has,
+      so the exact chain computes F(1) and c only where the gate holds; the
+      float search calls it before a cell's head, for its F(1) bound
+      (``_best_cells``).
+    - ``diagonal(a, terms)``: whether f_xx and f_yy, the diagonal of f's
+      Hessian, are positive at a, without the head: whether hessian a exceeds
+      2 beta and 2 alpha.  On floats too it says exactly what the head's signs
+      say: f_xx is the correctly rounded difference of hessian a and 2 beta,
+      and such a difference has the sign of the exact one.
     """
     undefined = _BIG_NEGATIVE if num is float else None
     zero, half, one, two, four = num(0), num(Fraction(1, 2)), num(1), num(2), num(4)
@@ -129,37 +145,55 @@ def _stages(n: int, num: type) -> tuple:
     def head_at(b, alpha, beta) -> list:
         return [
             b > zero and alpha > zero and beta > zero, two * beta, two * alpha,
-            four * (disc_ab * beta + alpha), (four * beta - alpha) * alpha, b, alpha, beta, None,
+            four * (disc_ab * beta + alpha), (four * beta - alpha) * alpha, b, alpha, beta, None, None, None,
         ]
 
+    def constant(terms: list):
+        """F's constant term c, put into ``terms``."""
+        b, alpha, beta = terms[5], terms[6], terms[7]
+        c = terms[8] = two_n_1 * beta + two_n_2 * alpha - b * dim * n_2 / two
+        return c
+
+    def f_at_1(terms: list):
+        _, _, _, _, _, b, alpha, beta, c, _, _ = terms
+        if c is None:
+            c = constant(terms)
+        mx = max(n_2 * beta - alpha, n_3 * alpha)
+        f1 = terms[9] = c + slope * b - (dim * beta + n_1 * alpha) - mx
+        return f1
+
+    def diagonal(a, terms: list) -> bool:
+        h = hessian * a
+        return h > terms[1] and h > terms[2]
+
     def head(a, terms: list) -> tuple:
-        positive, two_beta, two_alpha, d_a, d_0, b, alpha, beta, q_terms = terms
+        positive, two_beta, two_alpha, d_a, d_0, b, alpha, beta, const, _, q_terms = terms
         fxx = hessian * a - two_beta
         fyy = hessian * a - two_alpha
         D = disc_aa * a * a - d_a * a + d_0
         if not (positive and fxx > zero and fyy > zero and D > zero):
             return fxx, fyy, D, undefined, None, None
         if q_terms is None:
-            q_terms = terms[-1] = (
-                n_2 * alpha**3, q_beta * beta, alpha**2, n_2_sq * alpha, beta**2,
-                two_n_1 * beta + two_n_2 * alpha - b * dim * n_2 / two,
-            )
-        n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq, const = q_terms
+            q_terms = terms[-1] = n_2 * alpha**3, q_beta * beta, alpha**2, n_2_sq * alpha, beta**2
+        n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq = q_terms
         Q = (
             n_2_alpha3
             - (q_a * a + q_beta_beta) * alpha_sq
             + (n_2_sq_alpha - n_1_n_2 * a) * beta_sq
             + four_n_2 * a * alpha * beta
         ) / D
+        if const is None:
+            const = constant(terms)
         return fxx, fyy, D, const + Q, Q, const
 
-    def tail(at_a: tuple, b, alpha, beta) -> tuple[tuple, tuple | None]:
-        fxx, fyy, D, f0, Q, const = at_a
+    def tail(at_a: tuple, terms: list) -> tuple[tuple, tuple | None]:
+        fxx, fyy, D, f0, Q, _ = at_a
+        _, _, _, _, _, b, alpha, beta, _, f1, _ = terms
         eps = q_margin = spectral = ricci = young = g_bare = undefined
         coeff = mcc = L = values = None
         if Q is not None:
-            mx = max(n_2 * beta - alpha, n_3 * alpha)
-            f1 = const + slope * b - (dim * beta + n_1 * alpha) - mx
+            if f1 is None:
+                f1 = f_at_1(terms)
             eps = min(f0, f1)
             q = b / beta
             q_margin = four - q
@@ -185,14 +219,14 @@ def _stages(n: int, num: type) -> tuple:
         return (b, alpha, beta, fxx, fyy, D, eps, q_margin, spectral, ricci, young, g_bare), values
 
     def coefficients(terms: list) -> tuple:
-        _, two_beta, two_alpha, d_a, d_0, _, alpha, beta, q_terms = terms
-        n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq, const = q_terms
+        _, two_beta, two_alpha, d_a, d_0, _, alpha, beta, c, _, q_terms = terms
+        n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq = q_terms
         n_a = four_n_2 * alpha * beta - q_a * alpha_sq - n_1_n_2 * beta_sq
         n_0 = n_2_alpha3 - q_beta_beta * alpha_sq + n_2_sq_alpha * beta_sq
         d_disc = disc_sq * (beta - alpha) ** 2 + disc_alpha * alpha_sq - disc_beta * beta_sq
-        return hessian, two_beta, two_alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, const
+        return hessian, two_beta, two_alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, c
 
-    return head_at, head, tail, coefficients
+    return head_at, head, tail, coefficients, f_at_1, diagonal
 
 
 def _chain(a, b, alpha, beta, stages: tuple) -> tuple[tuple, tuple | None]:
@@ -222,8 +256,9 @@ def _chain(a, b, alpha, beta, stages: tuple) -> tuple[tuple, tuple | None]:
     Keep the order of operations: search results depend on the float margins
     to the last bit (tests/test_golden.py, test_chain_bits_pinned).
     """
-    head_at, head, tail, _ = stages
-    return tail(head(a, head_at(b, alpha, beta)), b, alpha, beta)
+    head_at, head, tail, *_ = stages
+    terms = head_at(b, alpha, beta)
+    return tail(head(a, terms), terms)
 
 
 class ChainValues(NamedTuple):
@@ -360,7 +395,8 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     the curve lies above the bound (q >= 8/3, 2 and 8/5 at n = 4, 5 and 6) is
     skipped.  The driver scores the centres of a _COARSE^2 grid over the whole
     square, then, _ZOOMS times, of a _ZOOM^2 grid over the box of the best cell
-    so far and its neighbours.
+    so far and its neighbours.  Each grid runs column by column: q fixed, s
+    and with it r rising.
 
     A feasible cell's key is (1, value): with ``fixed`` the value is epsilon at
     delta0 = fixed (epsilon/beta), without it -d, d the smallest float delta0
@@ -369,65 +405,61 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     (0, -undefined margins, worst defined margin): every feasible cell outranks
     it, and where every cell leaves a margin undefined (n = 6) fewer undefined
     margins rank first.  Returns the best cell after each grid, finest first
-    and without repeats, and the number of float evaluations: one per scored
-    cell.
+    and without repeats, and the number of float evaluations: one per cell of
+    the grids, whether or not its chain is evaluated.
 
     The closed form: the cell passed every margin at d, and delta0 < d changes
     a = delta0 * q only, so b, alpha, beta, the head's terms and every tail
     margin (F(1) among them) stay the same to the last bit and above _NOISE.
     So the cell passes at delta0 exactly when f_xx, f_yy, D and F(0) exceed
     _NOISE at a, which ``_lowest_float_a`` solves from the head's terms as
-    polynomials in a (``coefficients``; the score's head filled the Q terms
+    polynomials in a (``coefficients``; the cell's head filled the Q terms
     in, as the cell's gate held).
 
     A cell replaces the best only when its key is greater, so the search
-    evaluates only what can decide that:
-    - A cell whose Hessian gate fails at d gets its key from the head alone:
-      epsilon and every margin after it are undefined, so the key is
-      (0, _EPSILON - len(margin_names(n)), min(q, r, 1, f_xx, f_yy, D)).
-    - Once the best key is feasible, a cell whose F(0) is at or below a floor
-      is not taken to the tail: _NOISE without ``fixed``, the best epsilon
-      (itself above _NOISE) with it.  F(0) is undefined, -1e18, wherever the
-      gate fails.  A cell with F(0) <= _NOISE is infeasible, key (0, ...):
-      its gate fails, or its margin epsilon = min(F(0), F(1)) <= F(0) does.
-      With ``fixed``, a cell with F(0) <= the best epsilon has the key
-      (0, ...) or (1, epsilon) with epsilon <= the best.  A cell that goes on
-      reuses its head in the tail, and if a tail margin fails it is
-      infeasible too.  Either way the key is not greater than the best, so
-      the cell changes neither the best, nor d, nor any level's winner, and
-      its score is None; it still counts as one evaluation.
+    evaluates only what can decide that.  Each time the best key changes it
+    sets two bounds, both before any cell is feasible as well as after, and
+    tests them before a cell's head; a cell that fails one cannot have a
+    greater key and is not scored:
+    - The gate bound, once the best key has fewer undefined margins than a
+      cell whose Hessian gate fails (a feasible best has none): a cell whose
+      f_xx or f_yy fails at a = d q, by ``diagonal``, has the key
+      (0, _EPSILON - len(margin_names(n)), ...) and is below the best.  So is
+      every later cell of its column: f_xx is free of r, f_yy = hessian a -
+      2 r, r does not fall as s rises, to the last bit, as every rounding is
+      monotone, and d changes only at a feasible cell.  The rest of the column
+      is passed over in one step.
+    - The F(1) bound: F(1) is free of a (``f_at_1``), and
+      epsilon = min(F(0), F(1)) <= F(1), so a cell with F(1) <= a floor has
+      a key no greater than the best.  The floor is the best epsilon (itself
+      above _NOISE) with ``fixed`` and a feasible best: the cell is
+      infeasible, or feasible with an epsilon no greater.  It is _NOISE
+      without ``fixed`` and a feasible best: the cell is infeasible.  It is
+      the best's worst margin, at or below _NOISE, when the best is
+      infeasible with every margin defined: the cell's gate fails, so it has
+      undefined margins, or its worst margin is at most its epsilon, so at
+      most the floor.  F(1) does not fall as r rises (its slope in r is
+      n - 2 or 0), so once a cell of a column passes, the test would almost
+      never stop a later one there, and the search stops testing in that
+      column until the best, and with it the floor, changes.  A cell it does
+      not test goes on to its head, which decides its key exactly.
+    The same reasons hold for F(0), the head's, which the search tests against
+    the same floor after the head and before the tail: it is -1e18 wherever
+    the gate fails, and epsilon <= F(0).  A cell that goes on to the tail
+    reuses its head and F(1) there, and once the best is feasible, a cell with
+    a tail margin at or below _NOISE is infeasible and not scored either.
+    None of these cells changes the best, d or any grid's result, but each
+    still counts as one evaluation.
     """
     used = 0
     d = 1.0 if fixed is None else fixed  # the delta0 cells are scored at: the best d so far
-    head_at, head, tail, coefficients = _stages(n, float)
+    head_at, head, tail, coefficients, f_at_1, diagonal = _stages(n, float)
     # the key's second entry where the Hessian gate fails: minus the number of
     # undefined margins, epsilon and every margin after it
     gate_failed = _EPSILON - len(margin_names(n))
-    # the F(0) a cell must exceed to beat the best, once the best is feasible
-    floor = None
-
-    def score(q: float, r: float) -> tuple | None:
-        """The cell's key, or None when it cannot beat the best."""
-        nonlocal used, d
-        used += 1
-        terms = head_at(q, r, 1.0)
-        at_d = head(d * q, terms)
-        fxx, fyy, D, f0, Q, _ = at_d
-        if floor is not None and f0 <= floor:
-            return None
-        if Q is None:
-            return 0, gate_failed, min(q, r, 1.0, fxx, fyy, D)
-        margins = tail(at_d, q, r, 1.0)[0]
-        worst = min(margins)
-        if worst <= _NOISE:
-            if floor is not None:
-                return None
-            undefined = margins.count(_BIG_NEGATIVE)
-            return 0, -undefined, min(m for m in margins if m != _BIG_NEGATIVE) if undefined else worst
-        if fixed is not None:
-            return 1, margins[_EPSILON]
-        d = min(d, _lowest_float_a(coefficients(terms)) / q)
-        return 1, -d
+    # the bounds the best key sets: whether a cell must pass f_xx and f_yy, and
+    # the floor its F(1) and F(0) must exceed, to beat it; and whether the best is feasible
+    gate_bound, floor, feasible = False, None, False
 
     best = None  # (key, q, r, s)
     levels = []
@@ -440,13 +472,44 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
             spectral = 4 * (n - 3) / ((n - 2) * (4 - q))
             if spectral >= ricci:
                 continue
+            test_f1 = True  # until a cell of the column passes the F(1) bound, and again once the best changes
             for j in range(cells):
                 s = s_lo + (j + 0.5) * ds
-                key = score(q, r := spectral + s * (ricci - spectral))
-                if key is not None and (best is None or key > best[0]):
+                terms = head_at(q, r := spectral + s * (ricci - spectral), 1.0)
+                if gate_bound and not diagonal(d * q, terms):
+                    used += cells - j  # this cell and the rest of the column
+                    break
+                used += 1
+                if test_f1 and floor is not None:
+                    if f_at_1(terms) <= floor:
+                        continue
+                    test_f1 = False
+                at_d = head(d * q, terms)
+                fxx, fyy, D, f0, Q, _ = at_d
+                if floor is not None and f0 <= floor:
+                    continue
+                if Q is None:  # the Hessian gate fails: the key from the head alone
+                    key = 0, gate_failed, min(q, r, 1.0, fxx, fyy, D)
+                else:
+                    margins = tail(at_d, terms)[0]
+                    worst = min(margins)
+                    if worst <= _NOISE:
+                        if feasible:
+                            continue
+                        undefined = margins.count(_BIG_NEGATIVE)
+                        key = 0, -undefined, min(m for m in margins if m != _BIG_NEGATIVE) if undefined else worst
+                    elif fixed is not None:
+                        key = 1, margins[_EPSILON]
+                    else:
+                        d = min(d, _lowest_float_a(coefficients(terms)) / q)
+                        key = 1, -d
+                if best is None or key > best[0]:
                     best = key, q, r, s
+                    test_f1 = True
                     if key[0]:
-                        floor = _NOISE if fixed is None else key[1]
+                        gate_bound, floor, feasible = True, _NOISE if fixed is None else key[1], True
+                    else:
+                        gate_bound, floor = key[1] > gate_failed, None if key[1] else key[2]
         levels.append(best[:3])
         _, q, _, s = best
         q_lo, q_hi, s_lo, s_hi = max(q - dq, 0.0), min(q + dq, 4.0), max(s - ds, 0.0), min(s + ds, 1.0)
@@ -552,7 +615,7 @@ def _lowest_delta0(n: int, b: Fraction, alpha: Fraction) -> Accepted | None:
     one exact evaluation at k decides the margins free of a.
     """
     top = 1 << _DELTA0_BITS
-    head_at, head, _, coefficients = _stages(n, Unreduced)
+    head_at, head, _, coefficients, *_ = _stages(n, Unreduced)
     terms = head_at(Unreduced(b), Unreduced(alpha), Unreduced(1))
     if head(Unreduced(Fraction(top - 1, top) * b), terms)[4] is None:
         return None

@@ -392,11 +392,19 @@ def test_report_prints_the_settings_that_differ_from_the_defaults(tmp_path, caps
     capsys.readouterr()
     assert run(["report", str(out)]) == 0
     assert "settings that differ" not in capsys.readouterr().out
-    # a search's objective and evaluations_used are no setting
+    # a search's objective and evaluations_used are no setting, and of the
+    # settings a search reads only denominator_bound, not the seed
     assert run(["report", str(DATA / "search_n3_seed5_certificate.json")]) == 0
     rendered = capsys.readouterr().out
-    assert "settings that differ from the defaults:\n  seed = 5 (default 0)\nchecks (11):\n" in rendered
+    assert "settings that differ" not in rendered
     assert "objective" not in rendered and "evaluations_used" not in rendered
+    search = tmp_path / "search.json"
+    assert run(["optimize", "--n", "3", "--denominator-bound", "1000", "--seed", "5", "--out", str(search)]) == 0
+    capsys.readouterr()
+    assert run(["report", str(tmp_path / "search_certificate.json")]) == 0
+    assert ("settings that differ from the defaults:\n"
+            "  denominator_bound = 1000 (default 1000000)\n"
+            "checks (11):\n") in capsys.readouterr().out
 
 
 def test_report_missing_file():

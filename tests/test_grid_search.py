@@ -2,8 +2,9 @@
 cell with the whole chain and bisected each feasible cell's delta0 in 30
 float steps; the closed-form delta0 against that bisection and its
 coefficients against the head; the two equivalences that let the search
-evaluate the chain's head alone; and the head, split at a, against the one
-function it replaced."""
+evaluate the chain's head alone, and the bounds that let it pass over a cell
+before its head; and the head, split at a, against the one function it
+replaced."""
 
 import math
 import random
@@ -91,7 +92,7 @@ def test_grid_matches_the_full_chain_search(n, fixed):
 
 def head(n, delta0, q, r):
     """(f_xx, f_yy, D, F(0)) of the cell at delta0, F(0) -1e18 where the gate fails."""
-    head_at, head, _, _ = optimize._stages(n, float)
+    head_at, head, *_ = optimize._stages(n, float)
     return head(delta0 * q, head_at(q, r, 1.0))[:4]
 
 
@@ -164,41 +165,74 @@ def test_head_decides_a_bisection_step(n):
         assert checked > 500 and near > 20, (checked, near)
 
 
+def f_at_1(n, q, r):
+    """F(1) of the cell, free of delta0, as the grid's F(1) bound computes it."""
+    head_at, *_, f_at_1, _ = optimize._stages(n, float)
+    return f_at_1(head_at(q, r, 1.0))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_skipped_cell_cannot_beat_the_best(n):
-    # the grid takes a cell past its head only if it can beat a feasible best:
-    # F(0) at or below the noise, or, at a fixed delta0, at or below the best
-    # epsilon, leaves its key no greater than the best's
+    # the grid passes over a cell whose F(1), or F(0) after its head, is at or
+    # below the floor its best sets: the noise, or, at a fixed delta0, the best
+    # epsilon, once the best is feasible, and the best's worst margin, at or
+    # below the noise, while the best is infeasible with every margin defined;
+    # each leaves the cell's key no greater than the best's
     rng = random.Random(1700 + n)
-    fired = {"delta0": 0, "epsilon": 0, "epsilon on a feasible cell": 0}
+    fired = {"delta0": 0, "epsilon": 0, "epsilon on a feasible cell": 0, "infeasible best": 0}
     points = []
     for q, r in cells(rng, n, 300):
         points += [(rng.uniform(0.05, 2.0), q, r) for _ in range(4)]
         points += [(x, q, r) for x in near_zero_delta0s(n, q, r)[::3]]
     for d, q, r in points:
-        f0 = head(n, d, q, r)[3]
         key = key_at(n, d, q, r)
-        # minimize_delta0: the best is (1, -d) and the floor is the noise
-        if f0 <= NOISE:
-            fired["delta0"] += 1
-            assert key[0] == 0, (n, d, q, r)
-        # maximize_epsilon: the best is (1, best epsilon), the floor that epsilon;
-        # F(0) itself is the tightest floor that fires
-        for best_eps in (NOISE * 2, rng.uniform(0.0, 1.0), f0 if f0 > NOISE else None):
-            if best_eps is not None and f0 <= best_eps:
-                fired["epsilon"] += 1
-                fired["epsilon on a feasible cell"] += key[0]
-                assert not key > (1, best_eps), (n, d, q, r, best_eps)
-    assert fired["delta0"] > 100 and fired["epsilon"] > 100, fired
+        for f in (head(n, d, q, r)[3], f_at_1(n, q, r)):
+            # minimize_delta0: the best is (1, -d) and the floor is the noise
+            if f <= NOISE:
+                fired["delta0"] += 1
+                assert key[0] == 0, (n, d, q, r)
+            # maximize_epsilon: the best is (1, best epsilon), the floor that epsilon;
+            # F(0) or F(1) itself is the tightest floor that fires
+            for best_eps in (NOISE * 2, rng.uniform(0.0, 1.0), f if f > NOISE else None):
+                if best_eps is not None and f <= best_eps:
+                    fired["epsilon"] += 1
+                    fired["epsilon on a feasible cell"] += key[0]
+                    assert not key > (1, best_eps), (n, d, q, r, best_eps)
+            # an infeasible best (0, 0, worst): key_at's (0, worst margin) reads an
+            # undefined margin as -1e18, below every best of that form
+            for worst in (NOISE, rng.uniform(-1.0, 0.0), f if f <= NOISE else None):
+                if worst is not None and f <= worst:
+                    fired["infeasible best"] += 1
+                    assert not key > (0, worst), (n, d, q, r, worst)
+    assert min(fired["delta0"], fired["epsilon"], fired["infeasible best"]) > 100, fired
     if n < 6:  # no cell is feasible at n = 6
         assert fired["epsilon on a feasible cell"] > 20, fired
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_diagonal_gives_the_heads_signs_of_f_xx_and_f_yy(n):
+    # on floats, the grid's gate bound decides f_xx > 0 and f_yy > 0 before the
+    # head exactly as the head's own f_xx and f_yy do, also within a few ulps
+    # of where either is 0
+    rng = random.Random(2200 + n)
+    head_at, head, *_, diagonal = optimize._stages(n, float)
+    checked = {True: 0, False: 0, "near": 0}
+    for q, r in cells(rng, n, 300):
+        for delta0 in [rng.uniform(0.01, 2.0) for _ in range(4)] + near_zero_delta0s(n, q, r):
+            terms = head_at(q, r, 1.0)
+            fxx, fyy = head(delta0 * q, terms)[:2]
+            holds = fxx > 0 and fyy > 0
+            assert diagonal(delta0 * q, terms) == holds, (n, q, r, delta0)
+            checked[holds] += 1
+            checked["near"] += min(abs(fxx), abs(fyy)) < 1e-14
+    assert min(checked.values()) > 100, checked
+
+
 def closed_form_a(n, d, q, r):
     """The grid's closed-form threshold in a for a cell that passes at d."""
-    head_at, head, _, coefficients = optimize._stages(n, float)
+    head_at, head, _, coefficients, *_ = optimize._stages(n, float)
     terms = head_at(q, r, 1.0)
-    head(d * q, terms)  # fills the Q terms in, as the grid's score does
+    head(d * q, terms)  # fills the Q terms in, as the grid's head does
     return optimize._lowest_float_a(coefficients(terms))
 
 
@@ -229,7 +263,7 @@ def test_closed_form_delta0_is_the_exact_threshold(n):
     # float bisection's bracket can miss this threshold by a few percent of
     # its width; the closed form does not
     rng = random.Random(2100 + n)
-    head_at, head, _, _ = optimize._stages(n, Fraction)
+    head_at, head, *_ = optimize._stages(n, Fraction)
     # 10^4 times finer than the bisection's last step, 2^-30; next to the vertex
     # the rounding of the float coefficients moves P's root by up to about 3e-14
     noise, tolerance = Fraction(NOISE), Fraction(1, 10**13)
@@ -261,8 +295,8 @@ def test_coefficients_give_the_head_exactly(n):
     # discriminant; on the strict type they draw every constant from the
     # stages' table
     rng = random.Random(2000 + n)
-    head_at, head, _, coefficients = optimize._stages(n, Fraction)
-    strict_at, strict_head, _, strict_coefficients = optimize._stages(n, Strict)
+    head_at, head, _, coefficients, *_ = optimize._stages(n, Fraction)
+    strict_at, strict_head, _, strict_coefficients, *_ = optimize._stages(n, Strict)
     checked = 0
     while checked < 200:
         b, alpha, beta = (Fraction(rng.randint(1, 400), rng.randint(1, 100)) for _ in range(3))
@@ -334,7 +368,7 @@ def test_split_head_matches_the_one_shot_head_bit_for_bit(n):
             rows += [(a0, -q, r, 1.0), (a0, q, -r, 1.0), (a0, q, r, -1.0)]
             for row in rows:
                 for num in (float, Fraction, Unreduced):
-                    head_at, head, _, _ = optimize._stages(n, num)
+                    head_at, head, *_ = optimize._stages(n, num)
                     a, b, alpha, beta = (num(Fraction(x)) for x in row)
                     terms, filled = head_at(b, alpha, beta), head_at(b, alpha, beta)
                     assert terms[-1] is None

@@ -463,25 +463,27 @@ def test_no_row_at_or_below_one_sixth_at_n3():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_search_scores_cells_inside_the_band(monkeypatch, n):
     # beta = 1, 0 < q < 4 and r strictly between the spectral curve and the Ricci
-    # bound; evaluations_used counts every scored cell, each of which evaluates
-    # the chain's head in floats once, as does the margin profile's float_margins
+    # bound; evaluations_used counts every cell, and the grid's bounds pass some
+    # over before their head, so the chain's float head sees at most that many,
+    # plus the margin profile's float_margins (tests/test_grid_oracle.py pins
+    # evaluations_used itself)
     seen = []
     stages = optimize._stages
 
     def recording_stages(dim, num):
-        head_at, head, tail, coefficients = stages(dim, num)
+        head_at, head, *rest = stages(dim, num)
         if num is not float:  # the exact recertification
-            return head_at, head, tail, coefficients
+            return (head_at, head, *rest)
 
         def recording(a, terms):
             seen.append(tuple(terms[5:8]))  # the head terms' b, alpha and beta
             return head(a, terms)
 
-        return head_at, recording, tail, coefficients
+        return (head_at, recording, *rest)
 
     monkeypatch.setattr(optimize, "_stages", recording_stages)
     result = minimize_delta0(n, RunConfig())
-    assert len(seen) == result.evaluations_used + (not result.certified)  # + the margin profile
+    assert 0 < len(seen) <= result.evaluations_used + 1
     for b, alpha, beta in seen:
         assert beta == 1.0 and 0 < b < 4
         assert 4 * (n - 3) / ((n - 2) * (4 - b)) < alpha < (n - 1) / (n - 2)
