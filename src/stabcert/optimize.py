@@ -35,7 +35,8 @@ Verdicts do not change when a row is scaled, so the search fixes beta = 1 and
 runs in two coordinates, q = b/beta and r = alpha/beta, with r placed inside
 its band between the spectral curve and the Ricci bound.  Searching runs in
 two phases: ``_best_cells`` scores a coarse grid of cells by the float
-margins and zooms a small grid onto the best cell so far, with no seed and no
+margins, bounded by the best of a sparse pass over a sixteenth of it, and
+zooms a small grid onto the best cell so far, with no seed and no
 randomness; then each objective rounds the best cell's q and r by continued
 fractions (``cfg.denominator_bound``) and decides by exact arithmetic alone:
 ``minimize_delta0`` recertifies the least delta0 on a dyadic grid above the
@@ -112,7 +113,11 @@ def _stages(n: int, num: type) -> tuple:
       ``(hessian, 2 beta, 2 alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, c)``
       with f_xx = hessian a - 2 beta, f_yy = hessian a - 2 alpha,
       D = disc_aa a^2 - d_a a + d_0, d_disc = d_a^2 - 4 disc_aa d_0 and
-      F(0) D = c D + n_a a + n_0, n_a a + n_0 being Q's numerator N.
+      F(0) D = c D + n_a a + n_0, n_a a + n_0 being Q's numerator N.  Like
+      d_disc, n_a and n_0 are written so that they lose no digits where
+      alpha = beta: n_a = -[(n^2 - 5n + 8)(alpha - beta)^2 + 2(n - 3) beta
+      ((n - 4) alpha + beta)] and n_0 = alpha [(n - 2)(alpha - beta)^2 +
+      (n - 3) beta ((n - 2) beta - alpha)].
     - ``f_at_1(terms)``: F(1), free of a, put into ``terms``, with c if the
       head has not put it there: F(1) is computed here only, and c only in
       ``constant``, whichever of the two stages needs it first.  The tail
@@ -130,7 +135,7 @@ def _stages(n: int, num: type) -> tuple:
     zero, half, one, two, four = num(0), num(Fraction(1, 2)), num(1), num(2), num(4)
     dim, n_1, n_2, n_3 = num(n), num(n - 1), num(n - 2), num(n - 3)  # dim is n, n_1 is n - 1, ...
     n_2_sq, n_1_n_2, four_n_2 = num((n - 2) ** 2), num((n - 1) * (n - 2)), num(4 * (n - 2))
-    two_n_1, two_n_2 = num(2 * (n - 1)), num(2 * (n - 2))
+    two_n_1, two_n_2, two_n_3, n_4 = num(2 * (n - 1)), num(2 * (n - 2)), num(2 * (n - 3)), num(n - 4)
     hessian = num(Fraction(2 * (n - 1), n - 2))  # f_xx's and f_yy's coefficient of a
     # D = disc_aa a^2 - 4 (disc_ab beta + alpha) a + (4 beta - alpha) alpha
     disc_aa, disc_ab = num(Fraction(4 * n, n - 2)), num(Fraction(n - 1, n - 2))
@@ -220,9 +225,9 @@ def _stages(n: int, num: type) -> tuple:
 
     def coefficients(terms: list) -> tuple:
         _, two_beta, two_alpha, d_a, d_0, _, alpha, beta, c, _, q_terms = terms
-        n_2_alpha3, q_beta_beta, alpha_sq, n_2_sq_alpha, beta_sq = q_terms
-        n_a = four_n_2 * alpha * beta - q_a * alpha_sq - n_1_n_2 * beta_sq
-        n_0 = n_2_alpha3 - q_beta_beta * alpha_sq + n_2_sq_alpha * beta_sq
+        _, _, alpha_sq, _, beta_sq = q_terms
+        n_a = zero - (q_a * (alpha - beta) ** 2 + two_n_3 * beta * (n_4 * alpha + beta))
+        n_0 = alpha * (n_2 * (alpha - beta) ** 2 + n_3 * beta * (n_2 * beta - alpha))
         d_disc = disc_sq * (beta - alpha) ** 2 + disc_alpha * alpha_sq - disc_beta * beta_sq
         return hessian, two_beta, two_alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, c
 
@@ -346,6 +351,7 @@ Cell = tuple[tuple, float, float]  # (key, q, r) at beta = 1; see _best_cells fo
 _COARSE = 32  # cells a side of the first (q, s) grid
 _ZOOM = 6  # cells a side of each zoomed grid
 _ZOOMS = 10
+_SPARSE = 4  # the sparse pass ahead of the coarse grid scores every _SPARSE-th column and row
 _DELTA0_BITS = 20  # the exact delta0 search runs on the grid k / 2^20, 0 < k < 2^20
 # A float margin at or below this counts as failed.  Double rounding leaves a
 # margin that is exactly 0 (at the vertex (q, r) = (3, 1) at n = 3, say) near
@@ -353,12 +359,12 @@ _DELTA0_BITS = 20  # the exact delta0 search runs on the grid k / 2^20, 0 < k < 
 _NOISE = 1e-12
 
 
-def _larger_root(x2: float, x1: float, x0: float) -> float:
-    """The larger real root of x2 a^2 + x1 a + x0, x2 > 0, by the quadratic
-    formula without cancellation (-(x1 + sign(x1) sqrt(disc)) / 2 is the
-    product of x2 and the root of larger magnitude, and x0 over it the other
-    root); -inf when there is none."""
-    disc = x1 * x1 - 4 * x2 * x0
+def _larger_root(x2: float, x1: float, x0: float, disc: float) -> float:
+    """The larger real root of x2 a^2 + x1 a + x0, x2 > 0, from its
+    discriminant disc = x1^2 - 4 x2 x0, which the caller writes without
+    cancellation, by the quadratic formula without cancellation
+    (-(x1 + sign(x1) sqrt(disc)) / 2 is the product of x2 and the root of
+    larger magnitude, and x0 over it the other root); -inf when there is none."""
     if disc < 0:
         return -math.inf
     big = -(x1 + math.copysign(math.sqrt(disc), x1)) / 2
@@ -373,16 +379,21 @@ def _lowest_float_a(coefficients: tuple) -> float:
     roots of D - _NOISE and of P = (c - _NOISE) D + N, whose leading
     coefficient is positive as F(0) rises to c and exceeds _NOISE where the
     row passes.  Near the n = 3 vertex (q, r) = (3, 1), f_yy and D vanish
-    together and D's roots meet, so D's root reads the discriminant
-    ``coefficients`` writes without cancellation: d_a^2 - 4 disc_aa d_0 would
-    lose most of its digits there.
+    together and D's roots meet, and N's coefficients vanish as (alpha -
+    beta)^2.  So each root reads a discriminant written without cancellation:
+    D's is the one ``coefficients`` writes (d_a^2 - 4 disc_aa d_0 would lose
+    most of its digits there), and P's, (n_a - c d_a)^2 - 4 c disc_aa
+    (c d_0 + n_0), is c^2 d_disc - 2 c (n_a d_a + 2 disc_aa n_0) + n_a^2 from
+    D's and from N's coefficients, which ``coefficients`` writes without
+    cancellation too.
     """
     hessian, two_beta, two_alpha, disc_aa, d_a, d_0, d_disc, n_a, n_0, const = coefficients
     c = const - _NOISE
     return max(
         (two_beta + _NOISE) / hessian, (two_alpha + _NOISE) / hessian,
         (d_a + math.sqrt(d_disc + 4 * disc_aa * _NOISE)) / (2 * disc_aa),
-        _larger_root(c * disc_aa, n_a - c * d_a, c * d_0 + n_0),
+        _larger_root(c * disc_aa, n_a - c * d_a, c * d_0 + n_0,
+                     c * c * d_disc - 2 * c * (n_a * d_a + 2 * disc_aa * n_0) + n_a * n_a),
     )
 
 
@@ -406,7 +417,8 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     it, and where every cell leaves a margin undefined (n = 6) fewer undefined
     margins rank first.  Returns the best cell after each grid, finest first
     and without repeats, and the number of float evaluations: one per cell of
-    the grids, whether or not its chain is evaluated.
+    the grids, whether or not its chain is evaluated, and none for the sparse
+    pass's cells (below), which the coarse grid counts as its own.
 
     The closed form: the cell passed every margin at d, and delta0 < d changes
     a = delta0 * q only, so b, alpha, beta, the head's terms and every tail
@@ -428,7 +440,8 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
       every later cell of its column: f_xx is free of r, f_yy = hessian a -
       2 r, r does not fall as s rises, to the last bit, as every rounding is
       monotone, and d changes only at a feasible cell.  The rest of the column
-      is passed over in one step.
+      is passed over in one step.  (The sparse pass may lower the d of this
+      test below the d cells are scored at.)
     - The F(1) bound: F(1) is free of a (``f_at_1``), and
       epsilon = min(F(0), F(1)) <= F(1), so a cell with F(1) <= a floor has
       a key no greater than the best.  The floor is the best epsilon (itself
@@ -450,33 +463,59 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     a tail margin at or below _NOISE is infeasible and not scored either.
     None of these cells changes the best, d or any grid's result, but each
     still counts as one evaluation.
+
+    The sparse pass: the bounds pass over much only once the best key is
+    good, and in column order (q rising toward the n = 3 vertex (3, 1)) that
+    comes late in the coarse grid.  So before it the driver scores the coarse
+    grid's sparse subgrid, every _SPARSE-th column and row from the middle of
+    the first _SPARSE (at most (_COARSE / _SPARSE)^2 cells), by the same code
+    from the same start, and counts none of them.  If the sparse best is
+    feasible, its key L is the key of a real coarse cell, so the coarse best
+    is at least L and a cell whose key is provably below L can neither beat
+    nor tie it.  The coarse grid then runs as it would have, in the same
+    order, from no best and the first d, but with the bounds L set:
+    - Without ``fixed``, L = (1, -d_L): the gate bound tests f_xx and f_yy at
+      a = d_L q until the coarse d falls to d_L or below (a cell that fails
+      there has its lowest delta0 above d_L, where ``_lowest_float_a`` lifts
+      both to _NOISE), and the floor is _NOISE.
+    - With ``fixed``, L = (1, epsilon_L): the gate bound tests at ``fixed``,
+      and the floor is the float just below epsilon_L, so that F(1) or F(0)
+      at epsilon_L itself passes.  The test must be strict: at n = 3,
+      F(1) = 1 - q/4 is free of r for r >= 1, so equal keys occur, and the
+      first of them, which may come before the sparse cell, is the best.
+    In both, a cell with a tail margin at or below _NOISE is not scored.  So
+    the coarse grid ends with the same best cell, d, bounds and evaluations
+    as without the pass, and so does every zoom after it.
     """
-    used = 0
-    d = 1.0 if fixed is None else fixed  # the delta0 cells are scored at: the best d so far
-    head_at, head, tail, coefficients, f_at_1, diagonal = _stages(n, float)
     # the key's second entry where the Hessian gate fails: minus the number of
     # undefined margins, epsilon and every margin after it
     gate_failed = _EPSILON - len(margin_names(n))
-    # the bounds the best key sets: whether a cell must pass f_xx and f_yy, and
-    # the floor its F(1) and F(0) must exceed, to beat it; and whether the best is feasible
-    gate_bound, floor, feasible = False, None, False
-
-    best = None  # (key, q, r, s)
-    levels = []
     ricci = (n - 1) / (n - 2)
-    q_lo, q_hi, s_lo, s_hi, cells = 0.0, 4.0, 0.0, 1.0, _COARSE
-    for _ in range(_ZOOMS + 1):
+    used = 0
+    d = 1.0 if fixed is None else fixed  # the delta0 cells are scored at: the best d so far
+    # the bounds the best key sets: whether a cell must pass f_xx and f_yy at
+    # a = gate_d q, and the floor its F(1) and F(0) must exceed, to beat it;
+    # and whether the best is feasible
+    gate_bound, gate_d, floor, feasible = False, d, None, False
+    best = None  # (key, q, r, s)
+
+    def level(q_lo: float, q_hi: float, s_lo: float, s_hi: float, cells: int, step: int = 1) -> tuple:
+        """Score a grid's cells, every ``step``-th column and row from the
+        middle of the first ``step``, into the search's state; returns the
+        cell widths (dq, ds)."""
+        nonlocal used, d, gate_bound, gate_d, floor, feasible, best
+        head_at, head, tail, coefficients, f_at_1, diagonal = _stages(n, float)
         dq, ds = (q_hi - q_lo) / cells, (s_hi - s_lo) / cells
-        for i in range(cells):
+        for i in range(step // 2, cells, step):
             q = q_lo + (i + 0.5) * dq
             spectral = 4 * (n - 3) / ((n - 2) * (4 - q))
             if spectral >= ricci:
                 continue
             test_f1 = True  # until a cell of the column passes the F(1) bound, and again once the best changes
-            for j in range(cells):
+            for j in range(step // 2, cells, step):
                 s = s_lo + (j + 0.5) * ds
                 terms = head_at(q, r := spectral + s * (ricci - spectral), 1.0)
-                if gate_bound and not diagonal(d * q, terms):
+                if gate_bound and not diagonal(gate_d * q, terms):
                     used += cells - j  # this cell and the rest of the column
                     break
                 used += 1
@@ -497,7 +536,9 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
                         if feasible:
                             continue
                         undefined = margins.count(_BIG_NEGATIVE)
-                        key = 0, -undefined, min(m for m in margins if m != _BIG_NEGATIVE) if undefined else worst
+                        # the least defined margin: worst, or, if it is undefined, the
+                        # first margin after the undefined ones, which sort first
+                        key = 0, -undefined, sorted(margins)[undefined] if worst == _BIG_NEGATIVE else worst
                     elif fixed is not None:
                         key = 1, margins[_EPSILON]
                     else:
@@ -508,8 +549,25 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
                     test_f1 = True
                     if key[0]:
                         gate_bound, floor, feasible = True, _NOISE if fixed is None else key[1], True
+                        gate_d = min(gate_d, d)
                     else:
                         gate_bound, floor = key[1] > gate_failed, None if key[1] else key[2]
+        return dq, ds
+
+    level(0.0, 4.0, 0.0, 1.0, _COARSE, _SPARSE)
+    if best[0][0]:  # the sparse best is feasible: keep its bounds for the coarse level, d aside
+        if fixed is None:
+            d = 1.0
+        else:  # strict: a cell whose F(1) or F(0) ties the sparse best's epsilon may tie its key
+            floor = math.nextafter(floor, -math.inf)
+    else:
+        gate_bound, floor = False, None
+    used, best = 0, None
+
+    levels = []
+    q_lo, q_hi, s_lo, s_hi, cells = 0.0, 4.0, 0.0, 1.0, _COARSE
+    for _ in range(_ZOOMS + 1):
+        dq, ds = level(q_lo, q_hi, s_lo, s_hi, cells)
         levels.append(best[:3])
         _, q, _, s = best
         q_lo, q_hi, s_lo, s_hi = max(q - dq, 0.0), min(q + dq, 4.0), max(s - ds, 0.0), min(s + ds, 1.0)

@@ -46,6 +46,7 @@ def test_verify_all_certificate_bytes(tmp_path):
         (3, 0, ("search_n3_epsilon_delta0_0.25_seed5.json", "search_n3_epsilon_delta0_0.25_seed5_certificate.json")),
         (6, 4, ("search_n6_epsilon_delta0_0.5_seed5.json",)),
         (4, 0, ("search_n4_epsilon_seed5.json", "search_n4_epsilon_seed5_certificate.json")),
+        (5, 0, ("search_n5_epsilon_seed5.json", "search_n5_epsilon_seed5_certificate.json")),
         # epsilon at a delta0 no row certifies: the margin profile of the best cell
         (6, 4, ("search_n6_epsilon_delta0_1_seed5.json",)),
     ],

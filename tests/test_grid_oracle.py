@@ -1,6 +1,7 @@
 """The bounded float grid search against the grid oracle, which scores every
 cell through the chain's head, and its tail where the gate holds: the same
-cells, keys and evaluation counts bit for bit, and the same search results."""
+cells, keys and evaluation counts bit for bit, and the same search results,
+also where cells tie the key of the sparse pass ahead of the coarse grid."""
 
 import random
 from collections import Counter
@@ -19,6 +20,15 @@ def bits(found):
     cells, used = found
     as_bits = [(tuple(x.hex() if type(x) is float else x for x in key), q.hex(), r.hex()) for key, q, r in cells]
     return as_bits, used
+
+
+def sparse_cells(n):
+    """The cells of the coarse grid's sparse subgrid inside the band, each of
+    which the sparse pass ahead of the coarse grid scores at most once."""
+    step, cells = optimize._SPARSE, optimize._COARSE
+    sparse = range(step // 2, cells, step)
+    q = [(i + 0.5) * (4.0 / cells) for i in sparse]
+    return sum(4 * (n - 3) / ((n - 2) * (4 - x)) < (n - 1) / (n - 2) for x in q) * len(sparse)
 
 
 def counted_grid(monkeypatch, n, fixed):
@@ -49,7 +59,8 @@ def counted_grid(monkeypatch, n, fixed):
 def test_grid_matches_the_oracle(monkeypatch, n):
     # without a fixed delta0, at the three built-in delta0 and at seeded fixed
     # delta0; the bounds pass over whole columns before head_at and single
-    # cells before the head
+    # cells before the head, and the sparse pass scores up to sparse_cells(n)
+    # cells that evaluations_used does not count
     rng = random.Random(3300 + n)
     fixed_delta0 = [None, *(float(x) for x in published.DELTA0.values())]
     fixed_delta0 += [rng.uniform(0.05, 3.0) for _ in range(FIXED_PER_N)]
@@ -57,8 +68,32 @@ def test_grid_matches_the_oracle(monkeypatch, n):
     for fixed in fixed_delta0:
         found, calls = counted_grid(monkeypatch, n, fixed)
         assert bits(found) == bits(grid_oracle.best_cells(n, fixed)), (n, fixed)
-        total.update(calls, used=found[1])
-    assert total["head"] < total["head_at"] < total["used"], total
+        total.update(calls, used=found[1], sparse=sparse_cells(n))
+    assert total["head"] < total["head_at"] < total["used"] + total["sparse"], total
+
+
+@pytest.mark.parametrize("fixed", [0.75, 2.0, 2.5])
+def test_a_cell_that_ties_the_sparse_best_is_not_passed_over(fixed):
+    # at n = 3 F(1) = 1 - q/4 is free of r for r >= 1, so where F(1) decides
+    # epsilon, cells tie: here the coarse level's best is the first of several
+    # cells with the sparse pass's best key, ahead of it in the same column (at
+    # 0.75 in an earlier one).  A bound that passed over F(1) at the sparse
+    # best's epsilon, not only below it, would pass over every one of them,
+    # the sparse cell too, and leave the coarse level with no best
+    found = optimize._best_cells(3, fixed)
+    assert bits(found) == bits(grid_oracle.best_cells(3, fixed))
+    key, q_best, r_best = found[0][-1]  # the coarse level's best
+    head_at, head, tail, *_ = optimize._stages(3, float)
+    ties = []
+    for i in range(optimize._SPARSE // 2, optimize._COARSE, optimize._SPARSE):
+        for j in range(optimize._SPARSE // 2, optimize._COARSE, optimize._SPARSE):
+            q, r = (i + 0.5) * (4.0 / optimize._COARSE), (j + 0.5) * (1.0 / optimize._COARSE) * 2.0
+            terms = head_at(q, r, 1.0)
+            margins, values = tail(head(fixed * q, terms), terms)
+            if min(margins) > optimize._NOISE and (1, margins[optimize._EPSILON]) == key:
+                assert margins[optimize._EPSILON] == values[2]  # epsilon is F(1)
+                ties.append((q, r))
+    assert ties and (q_best, r_best) not in ties
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

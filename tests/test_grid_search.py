@@ -264,9 +264,10 @@ def test_closed_form_delta0_is_the_exact_threshold(n):
     # its width; the closed form does not
     rng = random.Random(2100 + n)
     head_at, head, *_ = optimize._stages(n, Fraction)
-    # 10^4 times finer than the bisection's last step, 2^-30; next to the vertex
-    # the rounding of the float coefficients moves P's root by up to about 3e-14
-    noise, tolerance = Fraction(NOISE), Fraction(1, 10**13)
+    # 10^6 times finer than the bisection's last step, 2^-30: every root reads
+    # a discriminant written without cancellation, so even next to the vertex
+    # the closed form lies within about 4e-16 of the threshold
+    noise, tolerance = Fraction(NOISE), Fraction(1, 10**15)
     points = cells(rng, n, 300)
     if n == 3:
         points += [(3 - t, 1 - t / 2) for t in (10.0**-k for k in range(2, 15))]

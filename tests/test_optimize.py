@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from quadmin_oracle import determinant, hessian_entries, min_coefficient
 from strict_number import Strict
+from test_grid_oracle import sparse_cells
 
 from stabcert import optimize, published
 from stabcert.config import ConfigError, RunConfig
@@ -463,9 +464,10 @@ def test_no_row_at_or_below_one_sixth_at_n3():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_search_scores_cells_inside_the_band(monkeypatch, n):
     # beta = 1, 0 < q < 4 and r strictly between the spectral curve and the Ricci
-    # bound; evaluations_used counts every cell, and the grid's bounds pass some
-    # over before their head, so the chain's float head sees at most that many,
-    # plus the margin profile's float_margins (tests/test_grid_oracle.py pins
+    # bound; evaluations_used counts every cell of the grids, and the grid's
+    # bounds pass some over before their head, so the chain's float head sees
+    # at most that many, plus the sparse pass's cells ahead of the coarse grid
+    # and the margin profile's float_margins (tests/test_grid_oracle.py pins
     # evaluations_used itself)
     seen = []
     stages = optimize._stages
@@ -483,7 +485,7 @@ def test_search_scores_cells_inside_the_band(monkeypatch, n):
 
     monkeypatch.setattr(optimize, "_stages", recording_stages)
     result = minimize_delta0(n, RunConfig())
-    assert 0 < len(seen) <= result.evaluations_used + 1
+    assert 0 < len(seen) <= result.evaluations_used + sparse_cells(n) + 1
     for b, alpha, beta in seen:
         assert beta == 1.0 and 0 < b < 4
         assert 4 * (n - 3) / ((n - 2) * (4 - b)) < alpha < (n - 1) / (n - 2)
