@@ -12,6 +12,8 @@ results to exit codes; ``stabcert.certify`` builds every certificate it writes
 and recomputes each one ``report`` reads, which must equal that recomputation.
 report never writes.  High-precision modules (mpmath, iteration, bubble) load
 on first use, so optimize, and report on a search certificate, never load them.
+The argument parser is built on the first ``main`` call and once per process,
+so callers that run many commands in one process pay for it once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import optimize, published
@@ -235,6 +238,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stabcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -469,23 +469,27 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     comes late in the coarse grid.  So before it the driver scores the coarse
     grid's sparse subgrid, every _SPARSE-th column and row from the middle of
     the first _SPARSE (at most (_COARSE / _SPARSE)^2 cells), by the same code
-    from the same start, and counts none of them.  If the sparse best is
-    feasible, its key L is the key of a real coarse cell, so the coarse best
-    is at least L and a cell whose key is provably below L can neither beat
-    nor tie it.  The coarse grid then runs as it would have, in the same
-    order, from no best and the first d, but with the bounds L set:
-    - Without ``fixed``, L = (1, -d_L): the gate bound tests f_xx and f_yy at
-      a = d_L q until the coarse d falls to d_L or below (a cell that fails
-      there has its lowest delta0 above d_L, where ``_lowest_float_a`` lifts
-      both to _NOISE), and the floor is _NOISE.
-    - With ``fixed``, L = (1, epsilon_L): the gate bound tests at ``fixed``,
-      and the floor is the float just below epsilon_L, so that F(1) or F(0)
-      at epsilon_L itself passes.  The test must be strict: at n = 3,
+    from the same start, and counts none of them.  The sparse best's key L
+    is the key of a real coarse cell: a feasible L because the coarse grid
+    starts from the same d, an infeasible one because d moves only at a
+    feasible cell, whose key is greater.  So the coarse best is at least L,
+    and a cell whose key is provably below L can neither beat nor tie it.
+    The coarse grid then runs as it would have, in the same order, from no
+    best and the first d, but with the bounds L set:
+    - Without ``fixed`` and a feasible L = (1, -d_L): the gate bound tests
+      f_xx and f_yy at a = d_L q until the coarse d falls to d_L or below (a
+      cell that fails there has its lowest delta0 above d_L, where
+      ``_lowest_float_a`` lifts both to _NOISE), and the floor is _NOISE.
+    - Otherwise the gate bound, if L sets one, tests at the first d, and the
+      floor, if L sets one (epsilon_L with ``fixed``, the worst margin of an
+      infeasible L), is the float just below it, so that F(1) or F(0) at the
+      floor itself passes.  The test must be strict: at n = 3,
       F(1) = 1 - q/4 is free of r for r >= 1, so equal keys occur, and the
       first of them, which may come before the sparse cell, is the best.
-    In both, a cell with a tail margin at or below _NOISE is not scored.  So
-    the coarse grid ends with the same best cell, d, bounds and evaluations
-    as without the pass, and so does every zoom after it.
+    With a feasible L, a cell with a tail margin at or below _NOISE is not
+    scored either.  So the coarse grid ends with the same best cell, d,
+    bounds and evaluations as without the pass, and so does every zoom
+    after it.
     """
     # the key's second entry where the Hessian gate fails: minus the number of
     # undefined margins, epsilon and every margin after it
@@ -555,13 +559,11 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
         return dq, ds
 
     level(0.0, 4.0, 0.0, 1.0, _COARSE, _SPARSE)
-    if best[0][0]:  # the sparse best is feasible: keep its bounds for the coarse level, d aside
-        if fixed is None:
-            d = 1.0
-        else:  # strict: a cell whose F(1) or F(0) ties the sparse best's epsilon may tie its key
-            floor = math.nextafter(floor, -math.inf)
-    else:
-        gate_bound, floor = False, None
+    # keep the bounds of the sparse best's key for the coarse level, d aside
+    if best[0][0] and fixed is None:
+        d = 1.0
+    elif floor is not None:  # strict: a cell whose F(1) or F(0) ties the floor may tie the key
+        floor = math.nextafter(floor, -math.inf)
     used, best = 0, None
 
     levels = []

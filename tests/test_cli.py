@@ -1117,6 +1117,9 @@ def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+MAIN = "import sys\nfrom stabcert import cli\nsys.exit(cli.main(sys.argv[1:]))"  # a command line in a new process
+
+
 def test_cli_loads_no_high_precision_modules(tmp_path):
     # importing the CLI, a search and a report run no high-precision code
     code = textwrap.dedent(
@@ -1154,5 +1157,44 @@ def test_deferred_imports_resolve_in_a_fresh_process(tmp_path, fast_config, caps
     argv = [arg.format(fast_config=fast_config, tmp_path=tmp_path, data=DATA) for arg in argv]
     assert run(argv) == 0
     in_process = capsys.readouterr().out
-    proc = fresh_python("import sys\nfrom stabcert import cli\nsys.exit(cli.main(sys.argv[1:]))", *argv)
+    proc = fresh_python(MAIN, *argv)
     assert (proc.returncode, proc.stdout) == (0, in_process), proc.stderr
+
+
+SEARCH = ["optimize", "--n", "3"]
+SIMULATION = ["recursion-sim", "--s1", "1e-9", "--n", "4", "--q", "3/4", "--delta", "1"]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ([*SEARCH, "--objective", "epsilon", "--delta0", "1/4"], SEARCH),  # a kept --delta0 exits 2
+        (SEARCH, SIMULATION),  # main passes a RunConfig only to a command with --config
+        (SIMULATION, SEARCH),
+        (["optimize", "--n"], SIMULATION),
+        (["--help"], SEARCH),
+    ],
+    ids=["epsilon-then-delta0", "search-then-simulation", "simulation-then-search", "usage-error", "help"],
+)
+def test_a_command_after_another_in_one_process_runs_as_in_a_fresh_one(tmp_path, monkeypatch, capsys, first, second):
+    # main reuses one parser for every command of a process, so the first
+    # command must leave nothing in it that the second can see
+    monkeypatch.chdir(tmp_path)  # default output paths, the same in both processes
+    run(first)
+    capsys.readouterr()
+    code = run(second)
+    in_process = capsys.readouterr().out
+    proc = fresh_python(MAIN, *second)
+    assert (code, in_process) == (proc.returncode, proc.stdout), proc.stderr
+    assert code == 0
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
+    run(["--help"])
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    assert run(["verify", "--n", "7"]) == 2
+    assert run(["optimize", "--n", "3", "--delta0", "1/4"]) == 2
+    assert run(["report", str(DATA / "no_such_certificate.json")]) == 2
+    assert built == []  # a parser built per call makes six each

@@ -72,6 +72,15 @@ def test_grid_matches_the_oracle(monkeypatch, n):
     assert total["head"] < total["head_at"] < total["used"] + total["sparse"], total
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_an_infeasible_sparse_best_bounds_the_coarse_level(monkeypatch, n):
+    # no sparse cell is feasible at n = 5 or 6; the coarse level keeps the
+    # gate bound of the sparse best's key, so head_at, which the sparse pass
+    # also calls, sees fewer cells than the grids count (more without it)
+    found, calls = counted_grid(monkeypatch, n, None)
+    assert calls["head_at"] < found[1], (calls, found[1])
+
+
 @pytest.mark.parametrize("fixed", [0.75, 2.0, 2.5])
 def test_a_cell_that_ties_the_sparse_best_is_not_passed_over(fixed):
     # at n = 3 F(1) = 1 - q/4 is free of r for r >= 1, so where F(1) decides
