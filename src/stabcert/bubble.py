@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from .certificate import ApproxValue, CertCheck
 from .curvature import ParamSet
@@ -108,38 +109,51 @@ def x0_y0(alpha: Fraction, beta: Fraction, epsilon: Fraction, gamma0_value: Frac
 def barrier_ode_check(x0: QuadSurd, y0: QuadSurd, sample_count: int) -> list[CertCheck]:
     """Finite-difference residual of -eta' = x0*y0 + (y0/x0)*eta^2, at ``DPS`` digits.
 
-    eta(t) = -x0 * tan(y0*t - pi/2) on (0, pi/y0); the residual at each sample
-    point must satisfy |eta' + x0*y0 + (y0/x0)*eta^2| <= tol * (1 + |eta|^2),
-    tol = ``certificate.APPROXIMATE_TOLERANCE``, with a central-difference step
-    shrunk where tan is steep.  x0 and y0 are positive, as ``x0_y0`` makes them
-    from a passing chain.  The check is approximate, but a breach fails it like
-    any other check.
+    eta(t) = -x0 * tan(y0*t - pi/2) on (0, pi/y0), x0 and y0 positive, as
+    ``x0_y0`` makes them from a passing chain.  The sample points t_i divide
+    [pi/(1000 y0), 999 pi/(1000 y0)] into sample_count + 1 equal parts.  At
+    each, with T = tan(y0*t - pi/2) and the central-difference step
+    h = 10^-6 / (y0 (1 + |eta(t)|/x0)), shrunk where tan is steep, the check
+    takes the residual eta'(t) + x0*y0 + (y0/x0)*eta(t)^2, eta' the central
+    difference (eta(t + h) - eta(t - h)) / (2h), relative to 1 + eta(t)^2.
+    Its worst over the points must be at most tol =
+    ``certificate.APPROXIMATE_TOLERANCE``; the check records it to 6 digits.
+    It is approximate, but a breach fails it like any other check.
+
+    eta(t + h) and eta(t - h) come from one more tangent, V = tan(y0*h), by
+    the addition formula: eta(t +- h) = -x0 (T +- V) / (1 -+ T V).  As
+    |eta(t)|/x0 = |T|, y0*h = 10^-6 / (1 + |T|), so |T V| < 10^-6 and neither
+    1 - T V nor 1 + T V cancels.  The dozen set-up values are ``mpf``s; the
+    loop runs on raw ``mpmath.libmp`` values at ``dps_to_prec(DPS)`` bits,
+    rounding to nearest, through the libmp calls the ``mpf`` operators make.
     """
     with mpmath.workdps(DPS):
-        x0v = x0.approx_mp()
-        y0v = y0.approx_mp()
+        x0v, y0v = x0.approx_mp(), y0.approx_mp()
         period = mpmath.pi / y0v
-        margin = period / 1000
-        lo, hi = margin, period - margin
-        span = hi - lo
-        half_pi = mpmath.pi / 2
-        neg_x0 = -x0v
-        product = x0v * y0v
-        ratio = y0v / x0v
-        step = mpmath.mpf("1e-6") / y0v
-
-        def eta(t):
-            return neg_x0 * mpmath.tan(y0v * t - half_pi)
-
-        worst = mpmath.mpf(0)
-        for i in range(1, sample_count + 1):
-            t = lo + span * i / (sample_count + 1)
-            e = eta(t)
-            h = step / (1 + abs(e) / x0v)
-            deriv = (eta(t + h) - eta(t - h)) / (2 * h)
-            residual = deriv + product + ratio * e * e
-            worst = max(worst, abs(residual) / (1 + abs(e) ** 2))
-    return [CertCheck.approximate("barrier_ode_residual", sample_count, worst)]
+        lo = period / 1000
+        span = (period - lo) - lo
+        setup = lo, span, mpmath.pi / 2, -x0v, x0v, y0v, x0v * y0v, y0v / x0v, mpmath.mpf("1e-6") / y0v
+    lo, span, half_pi, neg_x0, x0v, y0v, product, ratio, step = (v._mpf_ for v in setup)
+    prec, rnd = libmp.dps_to_prec(DPS), libmp.round_nearest
+    add, sub, mul, div, tan = libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div, libmp.mpf_tan
+    mpf_abs, one = libmp.mpf_abs, libmp.fone
+    parts = libmp.from_int(sample_count + 1)
+    worst = libmp.fzero
+    for i in range(1, sample_count + 1):
+        t = add(lo, div(libmp.mpf_mul_int(span, i, prec, rnd), parts, prec, rnd), prec, rnd)
+        T = tan(sub(mul(y0v, t, prec, rnd), half_pi, prec, rnd), prec, rnd)
+        e = mul(neg_x0, T, prec, rnd)
+        h = div(step, add(one, div(mpf_abs(e), x0v, prec, rnd), prec, rnd), prec, rnd)
+        V = tan(mul(y0v, h, prec, rnd), prec, rnd)
+        TV = mul(T, V, prec, rnd)
+        ahead = div(mul(neg_x0, add(T, V, prec, rnd), prec, rnd), sub(one, TV, prec, rnd), prec, rnd)
+        behind = div(mul(neg_x0, sub(T, V, prec, rnd), prec, rnd), add(one, TV, prec, rnd), prec, rnd)
+        deriv = div(sub(ahead, behind, prec, rnd), libmp.mpf_shift(h, 1), prec, rnd)
+        residual = add(add(deriv, product, prec, rnd), mul(mul(ratio, e, prec, rnd), e, prec, rnd), prec, rnd)
+        relative = div(mpf_abs(residual), add(one, mul(e, e, prec, rnd), prec, rnd), prec, rnd)
+        if libmp.mpf_gt(relative, worst):
+            worst = relative
+    return [CertCheck.approximate("barrier_ode_residual", sample_count, mpmath.mp.make_mpf(worst))]
 
 
 def growth_constants(n: int, alpha: Fraction, epsilon: Fraction, y0: QuadSurd) -> tuple[ApproxValue, ApproxValue]:

@@ -1,11 +1,7 @@
 """Command-line entry point: verify, verify-all, optimize, recursion-sim, report.
 
-Exit-code contract (scriptable CI usage):
-    0  all exact checks pass
-    1  an exact check failed
-    2  usage or configuration error, or an output path that cannot be written
-    3  strict mode and the certificate contains discrepancies
-    4  search finished without a certified result
+The exit-code contract (scriptable CI usage) is ``_EPILOG``, which ``--help``
+prints under the short ``_DESCRIPTION``.
 
 This module parses arguments, checks output paths, writes files and maps
 results to exit codes; ``stabcert.certify`` builds every certificate it writes
@@ -37,6 +33,18 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_STRICT_DISCREPANCY = 3
 EXIT_UNCERTIFIED = 4
+
+_DESCRIPTION = """\
+Exact certificates for the constant chain behind the volume-growth and
+flatness thresholds of delta-stable minimal hypersurfaces (3 <= n <= 5), and a
+search for rows that improve on the published ones."""
+_EPILOG = """\
+exit codes:
+  0  all exact checks pass
+  1  an exact check failed
+  2  usage or configuration error, or an output path that cannot be written
+  3  strict mode and the certificate contains discrepancies
+  4  search finished without a certified result"""
 
 
 def exit_code_for(cert: Certificate, strict: bool) -> int:
@@ -240,7 +248,8 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="stabcert", description=__doc__)
+    parser = _Parser(prog="stabcert", description=_DESCRIPTION, epilog=_EPILOG,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # a flag whose dest names a RunConfig field overrides that field (see load_config)

@@ -487,9 +487,10 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
       F(1) = 1 - q/4 is free of r for r >= 1, so equal keys occur, and the
       first of them, which may come before the sparse cell, is the best.
     With a feasible L, a cell with a tail margin at or below _NOISE is not
-    scored either.  So the coarse grid ends with the same best cell, d,
-    bounds and evaluations as without the pass, and so does every zoom
-    after it.
+    scored either.  A sparse pass that scores no cell, every sparse column
+    lying past the band (n >= 27), sets no bound.  So the coarse grid ends
+    with the same best cell, d, bounds and evaluations as without the pass,
+    and so does every zoom after it.
     """
     # the key's second entry where the Hessian gate fails: minus the number of
     # undefined margins, epsilon and every margin after it
@@ -559,8 +560,8 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
         return dq, ds
 
     level(0.0, 4.0, 0.0, 1.0, _COARSE, _SPARSE)
-    # keep the bounds of the sparse best's key for the coarse level, d aside
-    if best[0][0] and fixed is None:
+    # keep the bounds of the sparse best's key, if there is one, for the coarse level, d aside
+    if best is not None and best[0][0] and fixed is None:
         d = 1.0
     elif floor is not None:  # strict: a cell whose F(1) or F(0) ties the floor may tie the key
         floor = math.nextafter(floor, -math.inf)

@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import barrier_oracle
 import mpmath
 import pytest
 
@@ -11,6 +14,7 @@ from stabcert.bubble import (
     quadform_lower_bound_check,
     x0_y0,
 )
+from stabcert.certificate import CertCheck
 from stabcert.curvature import ParamSet
 from stabcert.optimize import exact_chain, feasibility
 
@@ -234,6 +238,86 @@ class TestBarrier:
             assert abs(eta(mid)) < mpmath.mpf("1e-45")
             t = mpmath.pi / (5 * y0)
             assert abs(eta(t) + eta(mpmath.pi / y0 - t)) < mpmath.mpf("1e-40")
+
+
+def live_check(monkeypatch, x0, y0, sample_count):
+    """``barrier_ode_check``'s record, and the worst residual it hands to
+    ``CertCheck.approximate``, at full precision."""
+    seen = []
+
+    def approximate(name, points, residual):
+        seen.append(residual)
+        return CertCheck.approximate(name, points, residual)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bubble, "CertCheck", SimpleNamespace(approximate=approximate))
+        checks = barrier_ode_check(x0, y0, sample_count)
+    return checks, seen[0]
+
+
+def random_amplitudes(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha, beta, epsilon, gamma0 = (F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)) for _ in range(4))
+        yield x0_y0(alpha, beta, epsilon, gamma0)
+
+
+class TestBarrierOracle:
+    """The two-tangent libmp loop against the three-tangent ``mpf`` loop it replaced."""
+
+    def assert_same(self, monkeypatch, x0, y0, sample_count):
+        checks, live = live_check(monkeypatch, x0, y0, sample_count)
+        expected, old = barrier_oracle.barrier_ode_check(x0, y0, sample_count)
+        assert checks == expected
+        with mpmath.workdps(50):
+            assert abs(live - old) <= mpmath.mpf("1e-12") * old, (live, old)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("sample_count", [30, 1000])
+    def test_builtin_rows_both_branches(self, monkeypatch, n, sample_count):
+        for branch in branches(n):
+            self.assert_same(monkeypatch, branch.x0, branch.y0, sample_count)
+
+    @pytest.mark.parametrize("sample_count", [10, 30])
+    def test_seeded_amplitudes(self, monkeypatch, sample_count):
+        for x0, y0 in random_amplitudes(200, seed=36):
+            self.assert_same(monkeypatch, x0, y0, sample_count)
+
+    def test_the_loop_runs_at_the_digits_dps_sets(self, monkeypatch):
+        # the two loops' worst residuals agree to ~1e-31 relative at 50 digits
+        # and ~1e-81 at 100 on the built-in rows: a loop that kept 50 digits,
+        # or lost a dozen, when DPS is 100 misses this bound
+        monkeypatch.setattr(bubble, "DPS", 100)
+        for n in (3, 4, 5):
+            for branch in branches(n):
+                _, live = live_check(monkeypatch, branch.x0, branch.y0, 30)
+                _, old = barrier_oracle.barrier_ode_check(branch.x0, branch.y0, 30)
+                with mpmath.workdps(120):
+                    assert abs(live - old) <= mpmath.mpf("1e-75") * old, (n, branch.convention, live, old)
+
+    def test_a_breach_fails_alike(self, monkeypatch):
+        # y0/x0 = 5000: the central difference's own error breaches the tolerance
+        x0, y0 = x0_y0(F(1), F(1, 10**4), F(1), F(1))
+        self.assert_same(monkeypatch, x0, y0, 10)
+        [check] = barrier_ode_check(x0, y0, 10)
+        assert check.status == "fail" and check.residual == "2.83323e-9"
+
+    def test_tangent_identity_keeps_the_step_small(self):
+        # y0 h = 1e-6 / (1 + |T|), so |T V| stays below 1e-6 at every point,
+        # the steepest included (|T| ~ 318 at the outermost points)
+        branch = branches(5)[0]
+        with mpmath.workdps(50):
+            x0, y0 = branch.x0.approx_mp(), branch.y0.approx_mp()
+            period = mpmath.pi / y0
+            for t in (period / 1000, period / 2, period * 999 / 1000):
+                T = mpmath.tan(y0 * t - mpmath.pi / 2)
+                h = mpmath.mpf("1e-6") / y0 / (1 + abs(T))
+                V = mpmath.tan(y0 * h)
+                assert abs(T * V) < mpmath.mpf("1e-6")
+                for sign in (1, -1):
+                    direct = -x0 * mpmath.tan(y0 * (t + sign * h) - mpmath.pi / 2)
+                    by_identity = -x0 * (T + sign * V) / (1 - sign * T * V)
+                    assert mpmath.almosteq(by_identity, direct, rel_eps=mpmath.mpf("1e-45"))
 
 
 class TestGrowthConstants:

@@ -1107,6 +1107,19 @@ def test_help_exits_zero(capsys):
     assert "--strict" in capsys.readouterr().out
 
 
+def test_help_prints_the_exit_codes_one_a_line_and_no_notes_for_code_readers(capsys):
+    assert run(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for code, meaning in ((0, "all exact checks pass"), (1, "an exact check failed"),
+                          (2, "usage or configuration error, or an output path that cannot be written"),
+                          (3, "strict mode and the certificate contains discrepancies"),
+                          (4, "search finished without a certified result")):
+        assert f"  {code}  {meaning}" in lines
+    text = "\n".join(lines)
+    for note in ("stabcert.certify", "``", "load on first use", "once per process", "This module"):
+        assert note not in text
+
+
 # This process has imported every stabcert module already, so only a fresh
 # interpreter shows what a command loads, or a deferred import that no longer
 # resolves.

@@ -105,6 +105,57 @@ def test_a_cell_that_ties_the_sparse_best_is_not_passed_over(fixed):
     assert ties and (q_best, r_best) not in ties
 
 
+def lowered_constant(shift):
+    """``optimize._stages`` with F's constant term c lowered by ``shift``, which
+    lowers F(0) = c + Q and F(1) alike and leaves every other margin as it is:
+    epsilon = min(F(0), F(1)) is still at most both, as the bounds require."""
+    stages = optimize._stages
+
+    def shifted_stages(n, num):
+        head_at, head, tail, coefficients, f_at_1, diagonal = stages(n, num)
+
+        def shifted_at(*row):
+            terms = head_at(*row)
+            f_at_1(terms)  # fills c in
+            terms[8] -= shift
+            terms[9] = None  # F(1), recomputed from the lowered c
+            return terms
+
+        return shifted_at, head, tail, coefficients, f_at_1, diagonal
+
+    return shifted_stages
+
+
+def test_a_cell_that_ties_an_infeasible_sparse_best_is_not_passed_over(monkeypatch):
+    # c lowered by 2 at n = 3 makes F(1) = -1 - q/4 for r >= 1 and no cell
+    # feasible.  At delta0 = 2 the sparse best, in column 2 and row 18, has
+    # every margin defined and F(1) its worst; the coarse cell two rows before
+    # it in the column ties it and comes first, so it is the coarse level's best.  A floor at
+    # the sparse best's worst margin, not the float below it, would pass over
+    # both cells, and every cell that ties them
+    monkeypatch.setattr(optimize, "_stages", lowered_constant(2.0))
+    found = optimize._best_cells(3, 2.0)
+    assert bits(found) == bits(grid_oracle.best_cells(3, 2.0))
+    head_at, head, tail, *_ = optimize._stages(3, float)
+    q = (2 + 0.5) * (4.0 / optimize._COARSE)
+    keys = []
+    for j in (16, 18):  # the coarse best's row, then the sparse best's
+        r = (j + 0.5) * (1.0 / optimize._COARSE) * 2.0
+        terms = head_at(q, r, 1.0)
+        margins, values = tail(head(2.0 * q, terms), terms)
+        assert optimize._BIG_NEGATIVE < min(margins) == values[2] == -1 - q / 4  # F(1), every margin defined
+        keys.append(((0, 0, min(margins)), q, r))
+    assert found[0][-1] == keys[0] and keys[0][0] == keys[1][0]
+
+
+@pytest.mark.parametrize("n", [27, 50])
+@pytest.mark.parametrize("fixed", [None, 1.0])
+def test_a_sparse_pass_that_scores_no_cell_sets_no_bound(n, fixed):
+    # the band is q < 8/(n - 1), and the first sparse column, q = 0.3125, lies past it
+    assert sparse_cells(n) == 0
+    assert bits(optimize._best_cells(n, fixed)) == bits(grid_oracle.best_cells(n, fixed))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_default_searches_match_the_oracle(monkeypatch, n):
     def searches():
