@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import curvature, published
 from .certificate import ApproxValue, CertCheck, Certificate, ConstraintReport, PublishedTarget, json_difference
-from .config import _PARSERS, ConfigError, RunConfig
+from .config import _PARSERS, RunConfig
 from .curvature import ParamSet
 from .optimize import ChainValues, SearchResult, exact_chain, feasibility
 from .rational import rational_to_str as rts
@@ -155,10 +155,7 @@ def certify_all(cfg: RunConfig) -> Certificate:
         q = (Fraction(n - 2, n) + delta) / 2
         dg = iteration.degiorgi_constants(n, delta, q, cfg.c_ms, cfg.radius)
         eps1 = iteration.epsilon1_threshold(n, delta, q, cfg.c_ms)
-        try:
-            cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1)
-        except iteration.NoCaccioppoliConstantError as exc:
-            raise ConfigError(str(exc)) from exc
+        cacc = iteration.caccioppoli_constants(n, delta, delta / 2, cfg.s, cfg.s1)
         grid.append(
             {
                 "n": n,

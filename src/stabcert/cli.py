@@ -1,7 +1,9 @@
 """Command-line entry point: verify, verify-all, optimize, recursion-sim, report.
 
 The exit-code contract (scriptable CI usage) is ``_EPILOG``, which ``--help``
-prints under the short ``_DESCRIPTION``.
+prints under the short ``_DESCRIPTION``.  Every refusal is raised, as a
+UsageError (argparse's among them), a ConfigError or an output path's OSError,
+and printed once, by ``main``, on one ``error:`` line, with exit code 2.
 
 This module parses arguments, checks output paths, writes files and maps
 results to exit codes; ``stabcert.certify`` builds every certificate it writes
@@ -62,10 +64,16 @@ def _write(cert: Certificate, out: Path, strict: bool) -> int:
     return exit_code_for(cert, strict)
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad {flag}: {exc}") from exc
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
     if args.n not in published.SUPPORTED_N:
-        print(f"error: no built-in parameter row for n = {args.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"no built-in parameter row for n = {args.n}")
     out = Path(args.out) if args.out else cfg.out_dir / f"certificate_n{args.n}.json"
     check_output_path(out)  # before certifying, which a failed write would waste
     return _write(certify(ParamSet.published_row(args.n), cfg), out, args.strict)
@@ -79,27 +87,20 @@ def cmd_verify_all(args, cfg: RunConfig) -> int:
 
 def cmd_optimize(args, cfg: RunConfig) -> int:
     if args.n not in published.SUPPORTED_N and args.n != 6:
-        print(f"error: n = {args.n} not supported (3, 4, 5 or the open probe 6)", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"n = {args.n} not supported (3, 4, 5 or the open probe 6)")
     if args.objective == "epsilon":
-        try:
-            delta0 = published.DELTA0.get(args.n) if args.delta0 is None else Fraction(args.delta0)
-            # the search scores cells at float(delta0), so a positive delta0 must neither
-            # overflow (OverflowError) nor underflow to 0.0
-            if delta0 is not None and delta0 > 0 and float(delta0) == 0:
-                raise ValueError(f"{args.delta0} is 0.0 as a float")
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            print(f"error: bad --delta0: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        delta0 = published.DELTA0.get(args.n) if args.delta0 is None else _rational("--delta0", args.delta0)
         if delta0 is None:
-            print("error: --delta0 required for the epsilon objective at this n", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("--delta0 required for the epsilon objective at this n")
         if delta0 <= 0:
-            print(f"error: --delta0 must be > 0, got {args.delta0}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--delta0 must be > 0, got {args.delta0}")
+        try:  # the search scores cells at float(delta0), which must neither overflow nor underflow to 0.0
+            if float(delta0) == 0:
+                raise ValueError(f"{args.delta0} is 0.0 as a float")
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(f"bad --delta0: {exc}") from exc
     elif args.delta0 is not None:
-        print("error: --delta0 applies to --objective epsilon only", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--delta0 applies to --objective epsilon only")
     out = Path(args.out) if args.out else cfg.out_dir / f"search_n{args.n}_{args.objective}.json"
     cert_path = out.with_name(out.stem + "_certificate.json")
     log_path = out.parent / "search_log.jsonl"
@@ -143,44 +144,33 @@ def cmd_optimize(args, cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_recursion_sim(args) -> int:
+def cmd_recursion_sim(args, cfg: None) -> int:
     from . import iteration
 
+    if args.q is not None or args.delta is not None:
+        if args.c0 is not None or args.c is not None:
+            raise UsageError("give either --c0/--c or --q/--delta, not both")
+        if args.q is None or args.delta is None:
+            raise UsageError("--q and --delta must be given together")
+        q, delta = _rational("--q", args.q), _rational("--delta", args.delta)
+    elif args.c0 is None or args.c is None:
+        raise UsageError("--c0 and --c required (or derive them with --q/--delta)")
+    elif args.cms is not None or args.radius is not None:
+        raise UsageError("--cms and --radius only derive C0, C with --q/--delta; they cannot change a given --c0/--c")
     try:
-        if args.q is not None or args.delta is not None:
-            if args.c0 is not None or args.c is not None:
-                print("error: give either --c0/--c or --q/--delta, not both", file=sys.stderr)
-                return EXIT_USAGE
-            if args.q is None or args.delta is None:
-                print("error: --q and --delta must be given together", file=sys.stderr)
-                return EXIT_USAGE
-            rationals = {}
-            for flag, text in (("--q", args.q), ("--delta", args.delta)):
-                try:
-                    rationals[flag] = Fraction(text)
-                except (ValueError, ZeroDivisionError) as exc:
-                    print(f"error: bad {flag}: {exc}", file=sys.stderr)
-                    return EXIT_USAGE
+        if args.q is not None:
             c_ms = RunConfig.c_ms if args.cms is None else args.cms
             radius = RunConfig.radius if args.radius is None else args.radius
-            dg = iteration.degiorgi_constants(args.n, rationals["--delta"], rationals["--q"], c_ms, radius)
+            dg = iteration.degiorgi_constants(args.n, delta, q, c_ms, radius)
             c0 = float(dg.C0.value)
             c = float(dg.C.approx_mp())
             print(f"derived C0 = {dg.C0.value}, C = {dg.C} from q={args.q}, delta={args.delta}, "
                   f"C_MS={c_ms}, R={radius}")
         else:
-            if args.c0 is None or args.c is None:
-                print("error: --c0 and --c required (or derive them with --q/--delta)", file=sys.stderr)
-                return EXIT_USAGE
-            if args.cms is not None or args.radius is not None:
-                print("error: --cms and --radius only derive C0, C with --q/--delta; "
-                      "they cannot change a given --c0/--c", file=sys.stderr)
-                return EXIT_USAGE
             c0, c = args.c0, args.c
         result = iteration.recursion_simulate(args.s1, c0, c, args.n, args.steps)
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
     print(f"{'step':>4}  {'sequence':>20}  {'closed bound':>20}")
     for i, (v, b) in enumerate(zip(result.values_str, result.bounds_str)):
         print(f"{i:>4}  {v:>20}  {b:>20}")
@@ -188,15 +178,14 @@ def cmd_recursion_sim(args) -> int:
     return EXIT_PASS if result.dominated else EXIT_CHECK_FAILED
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, cfg: None) -> int:
     try:
         payload = parse_json(Path(args.certificate).read_text(encoding="utf-8"))
         cert = Certificate.from_jsonable(payload)
         if difference := json_difference(payload, recompute(cert).to_jsonable()):
             raise ValueError(f"{difference} as recomputed from its params and settings")
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read certificate: {exc}") from exc
     print(f"certificate schema {cert.schema_version}, n = {cert.n}, status: {cert.overall_status}")
     if cert.params:
         print("parameters:")
@@ -236,11 +225,11 @@ def _print_checks(title: str, checks: list[CertCheck]) -> None:
 
 
 class UsageError(Exception):
-    """A command line that argparse refuses."""
+    """A refused command line: argparse's refusals and every command's."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors for ``main`` to print on one line; subparsers inherit it."""
+    """Raises argparse's refusals as UsageError; subparsers inherit it."""
 
     def error(self, message):
         raise UsageError(message)
@@ -298,23 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only code that prints a refusal, on one ``error:`` line, and exits 2."""
     try:
         args = build_parser().parse_args(argv)
         # verify, verify-all and optimize take --config and read a RunConfig
         cfg = load_config(args.config, vars(args)) if "config" in vars(args) else None
-    except (UsageError, ConfigError) as exc:
+        return args.func(args, cfg)
+    except (UsageError, ConfigError) as exc:  # ConfigError: a config, or verify-all's s and s1 that certify nothing
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # report raises its read errors as UsageError, so this is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit:  # --help printed the help text
         return EXIT_PASS
-    try:
-        return args.func(args) if cfg is None else args.func(args, cfg)
-    except ConfigError as exc:  # settings that load but certify nothing: verify-all's s and s1
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # report handles its own read errors, so this is an output path
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from mpmath import libmp
 
 from . import published
 from .certificate import ApproxValue
+from .config import ConfigError
 from .rational import DPS
 
 
@@ -46,8 +47,8 @@ def caccioppoli_coefficient(n: int, delta: Fraction, k: Fraction, s: Fraction) -
     return (2 * k + Fraction(1, n) - Fraction(1, 2) - 1 / Fraction(s)) * delta / (k * k) - 2
 
 
-class NoCaccioppoliConstantError(ValueError):
-    """Both branch coefficients nonpositive at this (k, s, s1); enlarge s, s1."""
+class NoCaccioppoliConstantError(ConfigError):
+    """Both branch coefficients nonpositive at this (k, s, s1); enlarge s, s1 (settings, so a ConfigError)."""
 
 
 @dataclass(frozen=True)

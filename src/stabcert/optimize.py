@@ -418,7 +418,8 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     margins rank first.  Returns the best cell after each grid, finest first
     and without repeats, and the number of float evaluations: one per cell of
     the grids, whether or not its chain is evaluated, and none for the sparse
-    pass's cells (below), which the coarse grid counts as its own.
+    pass's cells (below), which the coarse grid counts as its own.  Raises
+    ValueError where no coarse cell lies in the band (n >= 129).
 
     The closed form: the cell passed every margin at d, and delta0 < d changes
     a = delta0 * q only, so b, alpha, beta, the head's terms and every tail
@@ -571,6 +572,8 @@ def _best_cells(n: int, fixed: float | None) -> tuple[list[Cell], int]:
     q_lo, q_hi, s_lo, s_hi, cells = 0.0, 4.0, 0.0, 1.0, _COARSE
     for _ in range(_ZOOMS + 1):
         dq, ds = level(q_lo, q_hi, s_lo, s_hi, cells)
+        if best is None:  # every coarse column lies past the band q < 8/(n - 1)
+            raise ValueError(f"no coarse grid cell lies in the band at n = {n}")
         levels.append(best[:3])
         _, q, _, s = best
         q_lo, q_hi, s_lo, s_hi = max(q - dq, 0.0), min(q + dq, 4.0), max(s - ds, 0.0), min(s + ds, 1.0)

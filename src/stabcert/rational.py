@@ -80,8 +80,8 @@ class Unreduced:
     """The exact rational ``numerator/denominator``, with ints and a positive
     denominator, never reduced: Fraction's arithmetic without its gcd.
 
-    Built from an int or a Fraction; ``+ - * /``, ``abs`` and ``**`` with an
-    int exponent take and give Unreduced values, and ``==``, ``<`` and ``>``
+    Built from an int or a Fraction; ``+ - * /``, ``abs`` and ``**`` with a
+    nonnegative int exponent take and give Unreduced values, and ``==``, ``<`` and ``>``
     cross-multiply, so 2/4 == 1/2: the operations the exact chain applies.
     A value's sign is its numerator's.  Unhashable, because equal values need
     not have equal pairs.
@@ -114,8 +114,6 @@ class Unreduced:
         return _pair(abs(self.numerator), self.denominator)
 
     def __pow__(self, exponent: int) -> Unreduced:
-        if exponent < 0:
-            return _quotient(self.denominator**-exponent, self.numerator**-exponent)
         return _pair(self.numerator**exponent, self.denominator**exponent)
 
     def __eq__(self, other: Unreduced) -> bool:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -1211,3 +1212,13 @@ def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
     assert run(["optimize", "--n", "3", "--delta0", "1/4"]) == 2
     assert run(["report", str(DATA / "no_such_certificate.json")]) == 2
     assert built == []  # a parser built per call makes six each
+
+
+def test_only_main_writes_to_stderr():
+    # every refusal is raised as UsageError (or ConfigError, or an output path's
+    # OSError), and main alone prints it, on one error: line, and returns 2
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main_def = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main_def)}
+    sites = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "stderr"]
+    assert sites and all(id(node) in in_main for node in sites), [node.lineno for node in sites]

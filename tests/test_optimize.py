@@ -491,6 +491,14 @@ def test_search_scores_cells_inside_the_band(monkeypatch, n):
         assert 4 * (n - 3) / ((n - 2) * (4 - b)) < alpha < (n - 1) / (n - 2)
 
 
+def test_a_dimension_with_no_grid_cell_in_the_band_is_refused_by_name():
+    # from n = 129 on, the coarse grid's first column, q = 1/16, lies past the band q < 8/(n - 1) too
+    assert minimize_delta0(128, RunConfig()).evaluations_used > 0
+    for search in (lambda: minimize_delta0(129, RunConfig()), lambda: maximize_epsilon(129, RunConfig(), F(1))):
+        with pytest.raises(ValueError, match="n = 129"):
+            search()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_every_returned_row_has_beta_one(n):
     for result in (minimize_delta0(n, RunConfig()), maximize_epsilon(n, RunConfig(), published.DELTA0[n])):
